@@ -1,0 +1,10 @@
+"""Puts the checkout's `src/` and `bench/` on the import path, so the bench
+self-tests run from any directory: python3 -m pytest bench/tests -q"""
+
+import sys
+from pathlib import Path
+
+BENCH = Path(__file__).resolve().parents[1]
+for path in (BENCH.parent / "src", BENCH):
+    if str(path) not in sys.path:
+        sys.path.insert(0, str(path))
