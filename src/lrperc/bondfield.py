@@ -19,6 +19,13 @@ nonnegative 64-bit word; words are folded left to right into the mix state:
                          min endpoint, range = |displacement| > 0)
     Gstar vertical     : [2, n, x_1, x_2]                (always to n+1)
     site (Z^2_+ cone)  : [3, m, n]
+
+Both cone site-percolation paths read the site id: `renorm.site_perc_cone`
+on one replica field, `renorm.cone_survival_scan` on a batch of them.
+`derive_replica` accepts an integer index array as well as an integer; the
+derived base then takes the array's shape and `uniforms` broadcasts the id
+columns against it, so element r of a batch reads exactly the stream of
+`derive_replica(r)`.
 """
 
 from __future__ import annotations
@@ -100,12 +107,17 @@ class BondField:
                 _base = _mix(_mix(np.asarray(self.seed, dtype=np.int64).astype(np.uint64)) + _GOLDEN)
         self._base = _U64(_base)
 
-    def derive_replica(self, replica: int) -> "BondField":
-        """An independent field, deterministic in (this field, replica)."""
-        if replica < 0:
+    def derive_replica(self, replica) -> "BondField":
+        """An independent field, deterministic in (this field, replica).
+
+        `replica` may be an integer array; the result is then a batch of
+        fields for the vectorized interface, one per index, and only that
+        interface may be used on it.
+        """
+        w = np.asarray(replica, dtype=np.int64)
+        if (w < 0).any():
             raise ValueError("replica index must be nonnegative")
-        w = np.asarray(replica, dtype=np.int64).astype(np.uint64)
-        return BondField(self.seed, _base=_fold(self._base, _mix(w + _GOLDEN)))
+        return BondField(self.seed, _base=_fold(self._base, _mix(w.astype(np.uint64) + _GOLDEN)))
 
     # -- scalar interface ---------------------------------------------------
 
@@ -129,12 +141,13 @@ class BondField:
     def uniforms(self, word_columns) -> np.ndarray:
         """Uniform variates for a batch of ids.
 
-        `word_columns` is a sequence of equal-shaped integer arrays, one per
-        word position of a common encoding (all ids in a batch share a tag
-        and word count).  Returns an array of the broadcast shape.
+        `word_columns` is a sequence of integer arrays, one per word position
+        of a common encoding (all ids in a batch share a tag and word count).
+        Returns an array of the shape the columns and the field's base
+        broadcast to.
         """
         cols = [np.asarray(c) for c in word_columns]
-        shape = np.broadcast_shapes(*(c.shape for c in cols))
+        shape = np.broadcast_shapes(np.shape(self._base), *(c.shape for c in cols))
         h = np.broadcast_to(self._base, shape).copy()
         for c in cols:
             w = (np.broadcast_to(c, shape).astype(np.int64) + _BIAS).astype(np.uint64)

@@ -70,13 +70,13 @@ def main(argv=None) -> int:
             print(f"{key} = {val}", file=sys.stderr)
         print(f"config_hash = {cfg.hash()}", file=sys.stderr)
         rows = run_experiment(cfg)
-    except (ValueError, RuntimeError) as exc:
+        if cfg.out:
+            emit_csv(rows, cfg.out)
+        else:
+            sys.stdout.write(format_csv(rows))
+    except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if cfg.out:
-        emit_csv(rows, cfg.out)
-    else:
-        sys.stdout.write(format_csv(rows))
     return 0
 
 

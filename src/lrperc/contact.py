@@ -172,14 +172,22 @@ def _jump_len(u, v) -> int:
 def k_connected(tl: Timeline, frm, to, k: int) -> bool:
     """Existence of an infection path from (site, time) to (site, time).
 
-    Event-driven sweep: a death removes its site from the reachable set, an
-    arrow out of a reachable site with |displacement| <= k adds its head.
     Deaths at the endpoints' own instants count against the path; a jump
     strictly after the start and up to the end time is allowed.
     """
     (src, s), (dst, t) = frm, to
     if not (0.0 <= s <= t <= tl.horizon):
         raise ValueError("times must satisfy 0 <= s <= t <= horizon")
+    return dst in _sweep(tl, src, s, t, k)
+
+
+def _sweep(tl: Timeline, src, s: float, t: float, k: int) -> set:
+    """Sites k-connected from (src, s) at time t.
+
+    Event-driven: a death at a time in [s, t] removes its site from the
+    reachable set, an arrow in (s, t] out of a reachable site with
+    |displacement| <= k adds its head.
+    """
     reach = {src}
     for ev in tl.events():
         time = ev[1]
@@ -193,8 +201,8 @@ def k_connected(tl: Timeline, frm, to, k: int) -> bool:
             if s < time and u in reach and _jump_len(u, v) <= k:
                 reach.add(v)
         if not reach:
-            return False
-    return dst in reach
+            break
+    return reach
 
 
 # -- skeleton events ----------------------------------------------------------
@@ -332,33 +340,4 @@ def infected_at_horizon(tl: Timeline, k: int, origin=None) -> set:
     """The set of sites k-connected from (origin, 0) at the timeline horizon."""
     if origin is None:
         origin = tuple(0 for _ in tl.bounds)
-    reach = {origin}
-    for ev in tl.events():
-        if ev[0] == "death":
-            reach.discard(ev[2])
-        else:
-            _, time, u, v = ev
-            if time > 0.0 and u in reach and _jump_len(u, v) <= k:
-                reach.add(v)
-        if not reach:
-            break
-    return reach
-
-
-def estimate_contact_survival(rates: TruncatedSequence, k: int, box, horizon: float,
-                              d: int, seed: int, reps: int,
-                              z: float = 1.96) -> EstimateWithCI:
-    """Fraction of replicas whose infected set is nonempty at the horizon.
-
-    Timelines are sampled at the rates' own truncation; `k` only restricts
-    the jump length, which allows coupled sweeps over k on shared timelines.
-    Arrows leaving the box are discarded (absorbing boundary, biases
-    survival downward).
-    """
-    if reps < 1:
-        raise ValueError("reps must be >= 1")
-    hits = 0
-    for r in range(reps):
-        tl = sample_timeline(seed, rates, box, horizon, d, replica=r)
-        hits += bool(infected_at_horizon(tl, k))
-    return EstimateWithCI.from_counts(hits, reps, z)
+    return _sweep(tl, origin, 0.0, tl.horizon, k)

@@ -12,6 +12,7 @@ forfeited by construction.
 from __future__ import annotations
 
 import hashlib
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -29,36 +30,37 @@ __all__ = [
 
 # -- replica scheduling --------------------------------------------------------
 
-def _surv_g(args, seed, r):
+def _surv_g(args, root, r):
     (params,) = args
-    return 1 if oriented.explore(BondField(seed).derive_replica(r), params).survived else 0
+    return 1 if oriented.explore(root.derive_replica(r), params).survived else 0
 
 
-def _surv_contact(args, seed, r):
+def _surv_contact(args, root, r):
     rates, k, box, horizon, d = args
-    tl = contact.sample_timeline(seed, rates, box, horizon, d, replica=r)
+    tl = contact.sample_timeline(root.seed, rates, box, horizon, d, replica=r)
     return 1 if contact.infected_at_horizon(tl, k) else 0
 
 
-def _surv_star(args, seed, r):
+def _surv_star(args, root, r):
     block, params, horizon, window = args
-    fld = BondField(seed).derive_replica(r)
+    fld = root.derive_replica(r)
     return 1 if starlat.block_path_survival(fld, block, params, horizon, window) else 0
 
 
-def _hprob(args, seed, r):
+def _hprob(args, root, r):
     params, window = args
-    return 1 if starlat.h_connected(BondField(seed).derive_replica(r), 0, 0, params, window) else 0
+    return 1 if starlat.h_connected(root.derive_replica(r), 0, 0, params, window) else 0
 
 
-def _siteperc(args, seed, r):
-    gamma, horizon = args
-    return 1 if renorm.site_perc_cone(gamma, horizon, BondField(seed).derive_replica(r)).survived else 0
+def _bifurcation(args, root, r):
+    (params,) = args
+    fld = root.derive_replica(r)
+    return 1 if renorm.check_bifurcation(fld, ((0, 0), 0), params).success else 0
 
 
-def _domination(args, seed, r):
+def _domination(args, root, r):
     params, max_steps = args
-    state = renorm.explore_red_cluster(BondField(seed).derive_replica(r), params, max_steps)
+    state = renorm.explore_red_cluster(root.derive_replica(r), params, max_steps)
     reds = sum(red for _, red, _ in state.examined)
     return (len(state.examined), reds)
 
@@ -68,29 +70,37 @@ _REPLICA_FNS = {
     "surv_contact": _surv_contact,
     "surv_star": _surv_star,
     "hprob": _hprob,
-    "siteperc": _siteperc,
+    "bifurcation": _bifurcation,
     "domination": _domination,
 }
 
 
 def _chunk_worker(task):
+    """Records of replicas lo..hi-1; each kernel reads replica r's stream
+    from the root field BondField(seed), built once per chunk."""
     name, args, seed, lo, hi = task
     fn = _REPLICA_FNS[name]
-    return [fn(args, seed, r) for r in range(lo, hi)]
+    root = BondField(seed)
+    return [fn(args, root, r) for r in range(lo, hi)]
 
 
 def run_replicas(name: str, args, seed: int, reps: int, threads: int = 1) -> list:
     """Per-replica records in replica order; workers are stateless, so the
-    schedule cannot influence the result."""
+    schedule cannot influence the result.
+
+    `threads` worker processes are started at most; never more than there
+    are cores or chunks of work.
+    """
     if reps < 1:
         raise ValueError("replica count must be >= 1")
-    if threads <= 1:
+    workers = min(threads, reps, os.cpu_count() or 1)
+    if workers <= 1:
         return _chunk_worker((name, args, seed, 0, reps))
-    chunk = max(1, (reps + 4 * threads - 1) // (4 * threads))
+    chunk = max(1, (reps + 4 * workers - 1) // (4 * workers))
     tasks = [(name, args, seed, lo, min(lo + chunk, reps))
              for lo in range(0, reps, chunk)]
     out = []
-    with ProcessPoolExecutor(max_workers=threads) as ex:
+    with ProcessPoolExecutor(max_workers=workers) as ex:
         for part in ex.map(_chunk_worker, tasks):
             out.extend(part)
     return out

@@ -19,7 +19,6 @@ import numpy as np
 
 from .bondfield import TAG_G, BondField, BondId
 from .sequences import TruncatedSequence
-from .stats import EstimateWithCI
 
 
 @dataclass(frozen=True)
@@ -128,13 +127,3 @@ def explore(fld: BondField, params: ExplorationParams, collect: bool = False) ->
                 fronts.extend([set()] * (params.horizon - n - 1))
             break
     return ExplorationResult(sizes[params.horizon] > 0, sizes, total, fronts)
-
-
-def estimate_survival(params: ExplorationParams, seed: int, replicas: int,
-                      z: float = 1.96) -> EstimateWithCI:
-    """Monte Carlo survival frequency over independent replica fields."""
-    if replicas < 1:
-        raise ValueError("replicas must be >= 1")
-    root = BondField(seed)
-    hits = sum(explore(root.derive_replica(r), params).survived for r in range(replicas))
-    return EstimateWithCI.from_counts(hits, replicas, z)

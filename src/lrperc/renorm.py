@@ -23,7 +23,6 @@ import numpy as np
 
 from .bondfield import TAG_SITE, BondField, BondId
 from .sequences import TruncatedSequence
-from .stats import EstimateWithCI, wilson_interval
 
 
 # -- order and boundary ------------------------------------------------------
@@ -245,30 +244,35 @@ def site_perc_cone(gamma: float, horizon: int, fld: BondField) -> ConeCluster:
 def cone_survival_scan(gammas, horizons, reps: int, seed: int) -> np.ndarray:
     """Vectorized survival counts S[g, t] over shared site variables.
 
+    Replica r reads the stream of `site_perc_cone` on
+    `BondField(seed).derive_replica(r)`, so S[g, t] is exactly the number of
+    replicas that oracle lets survive to horizons[t] (sorted) at gammas[g].
     All gammas are coupled through one uniform per (replica, site), so each
     replica's survival indicator is exactly nondecreasing in gamma.
     """
     gammas = np.asarray(gammas, dtype=np.float64)
     horizons = sorted(horizons)
-    fld = BondField(seed)
-    rep_col = np.arange(reps, dtype=np.int64)[:, None]
+    if not ((0.0 <= gammas) & (gammas <= 1.0)).all():
+        raise ValueError("gamma must be a probability")
+    if horizons[0] < 0:
+        raise ValueError("horizons must be nonnegative")
+    fld = BondField(seed).derive_replica(np.arange(reps)[:, None])
     alive = np.ones((len(gammas), reps, 1), dtype=bool)
     counts = np.zeros((len(gammas), len(horizons)), dtype=np.int64)
     hidx = 0
-    for n in range(1, horizons[-1] + 1):
-        m_col = np.arange(n + 1, dtype=np.int64)[None, :]
-        u = fld.uniforms([np.full((1, 1), TAG_SITE), rep_col, m_col,
-                          np.full((1, 1), n)])  # (reps, n+1)
-        width = alive.shape[2]
-        reach = np.zeros((len(gammas), reps, n + 1), dtype=bool)
-        reach[:, :, :width] |= alive
-        reach[:, :, 1:width + 1] |= alive
-        alive = reach & (u[None, :, :] < gammas[:, None, None])
-        if n == horizons[hidx]:
+    for n in range(horizons[-1] + 1):
+        if n > 0:
+            m_col = np.arange(n + 1, dtype=np.int64)[None, :]
+            u = fld.uniforms([np.full((1, 1), TAG_SITE), m_col,
+                              np.full((1, 1), n)])  # (reps, n+1)
+            width = alive.shape[2]
+            reach = np.zeros((len(gammas), reps, n + 1), dtype=bool)
+            reach[:, :, :width] |= alive
+            reach[:, :, 1:width + 1] |= alive
+            alive = reach & (u[None, :, :] < gammas[:, None, None])
+        while hidx < len(horizons) and horizons[hidx] == n:
             counts[:, hidx] = alive.any(axis=2).sum(axis=1)
             hidx += 1
-            if hidx == len(horizons):
-                break
     return counts
 
 
@@ -293,47 +297,3 @@ def crossing_from_scan(gammas, counts) -> float | None:
     i = idx[-1]
     t = d[i] / (d[i] - d[i + 1])
     return float(gammas[i] + t * (gammas[i + 1] - gammas[i]))
-
-
-# -- domination check ----------------------------------------------------------
-
-@dataclass
-class DominationReport:
-    runs: int
-    trials: int
-    successes: int
-    frequency: float
-    lo: float
-    hi: float
-    gamma: float
-    violation: bool
-
-
-def domination_check(params: BifurcationParams, samples: int, seed: int,
-                     max_steps: int = 200, z: float = 3.0) -> DominationReport:
-    """Pool every examination step over many red-cluster runs and test the
-    one-sided consequence of stochastic domination: the conditional red
-    frequency must not fall significantly below gamma_k."""
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    root = BondField(seed)
-    trials = successes = 0
-    for r in range(samples):
-        state = explore_red_cluster(root.derive_replica(r), params, max_steps)
-        for _, red, _ in state.examined:
-            trials += 1
-            successes += red
-    g = gamma_k(params)
-    lo, hi = wilson_interval(successes, trials, z)
-    freq = successes / trials
-    return DominationReport(samples, trials, successes, freq, lo, hi, g,
-                            violation=hi < g)
-
-
-def estimate_bifurcation_frequency(params: BifurcationParams, trials: int,
-                                   seed: int, z: float = 3.0) -> EstimateWithCI:
-    """Monte Carlo frequency of the bifurcation event over independent replicas."""
-    root = BondField(seed)
-    hits = sum(check_bifurcation(root.derive_replica(t), ((0, 0), 0), params).success
-               for t in range(trials))
-    return EstimateWithCI.from_counts(hits, trials, z)

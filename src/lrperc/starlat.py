@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 from .bondfield import BondField, BondId
 from .sequences import TruncatedSequence
-from .stats import EstimateWithCI
 
 
 @dataclass(frozen=True)
@@ -78,18 +77,6 @@ def h_connected(fld: BondField, m: int, n: int, params: StarParams, window: int)
     return target in seen
 
 
-def estimate_h_prob(params: StarParams, window: int, seed: int, trials: int,
-                    z: float = 1.96) -> EstimateWithCI:
-    """Monte Carlo lower-bound estimator of the H-probability (nondecreasing
-    in the window) over independent replicas."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    root = BondField(seed)
-    hits = sum(h_connected(root.derive_replica(t), 0, 0, params, window)
-               for t in range(trials))
-    return EstimateWithCI.from_counts(hits, trials, z)
-
-
 @dataclass(frozen=True)
 class BlockParams:
     N: int
@@ -102,8 +89,8 @@ class BlockParams:
 
 def choose_N(eps: float, delta: float) -> int:
     """Smallest block width N with (1 - (1-eps)^N)^2 > 1 - delta/2."""
-    if not 0.0 < eps < 1.0 or not 0.0 < delta <= 1.0:
-        raise ValueError("need eps in (0, 1) and delta in (0, 1]")
+    if not 0.0 < eps <= 1.0 or not 0.0 < delta <= 1.0:
+        raise ValueError("need eps in (0, 1] and delta in (0, 1]")
     target = 1.0 - delta / 2.0
     n = 1
     while (1.0 - (1.0 - eps) ** n) ** 2 <= target:
@@ -173,14 +160,3 @@ def block_path_survival(fld: BondField, block: BlockParams, params: StarParams,
         if not alive:
             return False
     return True
-
-
-def estimate_block_survival(block: BlockParams, params: StarParams, horizon: int,
-                            window: int, seed: int, reps: int,
-                            z: float = 1.96) -> EstimateWithCI:
-    if reps < 1:
-        raise ValueError("reps must be >= 1")
-    root = BondField(seed)
-    hits = sum(block_path_survival(root.derive_replica(r), block, params, horizon, window)
-               for r in range(reps))
-    return EstimateWithCI.from_counts(hits, reps, z)

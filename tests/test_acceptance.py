@@ -19,15 +19,14 @@ from lrperc.contact import (
     SkeletonParams, estimate_f_frequency, f_probability, infected_at_horizon,
     sample_timeline,
 )
-from lrperc.harness import format_csv, run_experiment
+from lrperc.harness import ExperimentConfig, format_csv, run_experiment, run_replicas
 from lrperc.oriented import ExplorationParams, explore
 from lrperc.renorm import (
-    BifurcationParams, cone_survival_scan, crossing_from_scan, domination_check,
-    estimate_bifurcation_frequency, explore_red_cluster, gamma_k,
-    reverify_red_cluster,
+    BifurcationParams, cone_survival_scan, crossing_from_scan, explore_red_cluster,
+    gamma_k, reverify_red_cluster,
 )
 from lrperc.sequences import harmonic, powerlaw, truncate
-from lrperc.stats import wilson_interval
+from lrperc.stats import EstimateWithCI, wilson_interval
 
 _CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -51,18 +50,22 @@ def _bparams(k, p, q, beta=1):
     return BifurcationParams(k, beta, truncate(p, k), truncate(q, k))
 
 
+def _bifurcation_frequency(params, trials, seed):
+    hits = sum(run_replicas("bifurcation", (params,), seed, trials))
+    return EstimateWithCI.from_counts(hits, trials, z=3.0)
+
+
 def test_criterion_01_gamma_closed_form_vs_sampling():
     with _criterion(1, "closed-form vs sampling, bifurcation probability"):
         for k in (1, 5, 20):
             params = _bparams(k, harmonic(), harmonic())
-            est = estimate_bifurcation_frequency(params, trials=100_000,
-                                                 seed=1000 + k, z=3.0)
+            est = _bifurcation_frequency(params, trials=100_000, seed=1000 + k)
             assert est.lo <= gamma_k(params) <= est.hi, k
         # harmonic sequences start at probability 1, making the event certain;
         # a sub-unit sequence exercises the nontrivial branch of the formula
         params = _bparams(3, powerlaw(1.0, 0.5), powerlaw(1.0, 0.5))
         assert 0.0 < gamma_k(params) < 1.0
-        est = estimate_bifurcation_frequency(params, trials=100_000, seed=1077, z=3.0)
+        est = _bifurcation_frequency(params, trials=100_000, seed=1077)
         assert est.lo <= gamma_k(params) <= est.hi
 
 
@@ -112,10 +115,13 @@ def test_criterion_05_domination_consequence():
         assert "pooled_trials" in row["extra_params"]
         assert "violation=0" in row["extra_params"]
         assert row["ci_hi"] >= gamma_k(params)
-        # direct-call path of the same check, smaller sample
-        report = domination_check(params, samples=500, seed=5050,
-                                  max_steps=12, z=3.0)
-        assert not report.violation and report.hi >= report.gamma
+        # the same check on a smaller sample
+        (row,) = run_experiment(ExperimentConfig(
+            "redcluster", seed=5050, reps=500, z=3.0,
+            params={"pseq": "harmonic", "qseq": "harmonic", "beta": "1",
+                    "k": "20", "steps": "12"}))
+        assert "violation=0" in row["extra_params"]
+        assert row["ci_hi"] >= gamma_k(params)
 
 
 def _exhaustive_cone_survival(gamma: float, horizon: int) -> float:

@@ -52,6 +52,22 @@ def test_derive_replica_deterministic_and_distinct():
         fld.derive_replica(-1)
 
 
+def test_batched_derive_replica_matches_scalar():
+    """A field derived from an index array reads, element by element, the
+    stream of the field derived from each index."""
+    root = BondField(8)
+    reps = np.array([[0, 1, 2], [7, 1000, 2**40]])
+    batch = root.derive_replica(reps[:, :, None]).uniforms(
+        [np.full((1, 1, 1), TAG_G), np.arange(4)[None, None, :]])  # (2, 3, 4)
+    assert batch.shape == (2, 3, 4)
+    for (i, j), r in np.ndenumerate(reps):
+        fld = root.derive_replica(int(r))
+        for w in range(4):
+            assert batch[i, j, w] == fld.uniform_words((TAG_G, w))
+    with pytest.raises(ValueError):
+        root.derive_replica(np.array([3, -1]))
+
+
 def test_vectorized_matches_scalar():
     fld = BondField(11)
     xs = np.arange(-50, 50)

@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from lrperc.contact import (
-    SkeletonParams, Timeline, check_f_event, estimate_contact_survival,
-    estimate_f_frequency, f_probability, infected_at_horizon, k_connected,
-    poisson_from_uniform, sample_timeline,
+    SkeletonParams, Timeline, check_f_event, estimate_f_frequency,
+    f_probability, infected_at_horizon, k_connected, poisson_from_uniform,
+    sample_timeline,
 )
+from lrperc.harness import run_replicas
 from lrperc.sequences import constant, explicit, harmonic, truncate
-from lrperc.stats import wilson_interval
+from lrperc.stats import EstimateWithCI, wilson_interval
 
 
 class _RawRates:
@@ -237,15 +238,15 @@ def test_f_event_inclusion_in_infection():
 
 def test_survival_zero_rates_is_death_clock():
     horizon = 1.0
-    est = estimate_contact_survival(truncate(constant(0.0), 1), k=1, box=1,
-                                    horizon=horizon, d=1, seed=14, reps=3000, z=3.0)
+    hits = run_replicas("surv_contact", (truncate(constant(0.0), 1), 1, 1, horizon, 1),
+                        seed=14, reps=3000)
+    est = EstimateWithCI.from_counts(sum(hits), 3000, z=3.0)
     assert est.lo <= math.exp(-horizon) <= est.hi
 
 
 def test_survival_huge_rate_near_one():
-    est = estimate_contact_survival(_RawRates(50.0), k=1, box=2,
-                                    horizon=0.5, d=1, seed=15, reps=200)
-    assert est.estimate >= 0.9
+    hits = run_replicas("surv_contact", (_RawRates(50.0), 1, 2, 0.5, 1), seed=15, reps=200)
+    assert sum(hits) / 200 >= 0.9
 
 
 def test_infected_at_horizon_trivial():

@@ -2,11 +2,14 @@ import os
 
 import pytest
 
+from lrperc import harness
 from lrperc.cli import build_parser, main, resolve_config
 from lrperc.harness import (
     ExperimentConfig, emit_csv, format_csv, parse_config_file, run_experiment,
     run_replicas, wilson_interval,
 )
+from lrperc.sequences import harmonic, truncate
+from lrperc.starlat import StarParams
 from lrperc.stats import EstimateWithCI
 from hypothesis import given, strategies as st
 
@@ -118,13 +121,47 @@ def test_gamma_rows_are_exact_values():
     assert rows[0]["estimate"] == pytest.approx(0.33984375, abs=1e-12)
 
 
+_HPROB_ARGS = (StarParams(0.5, truncate(harmonic(), 3)), 3)
+
+
 def test_run_replicas_thread_invariance():
-    cfg_args = ("siteperc", (0.7, 8), 5, 64)
+    cfg_args = ("hprob", _HPROB_ARGS, 5, 64)
     one = run_replicas(*cfg_args, threads=1)
     many = run_replicas(*cfg_args, threads=4)
     assert one == many
     with pytest.raises(ValueError):
-        run_replicas("siteperc", (0.7, 8), 5, 0)
+        run_replicas("hprob", _HPROB_ARGS, 5, 0)
+
+
+@pytest.mark.parametrize("cores, threads, reps, workers", [
+    (2, 8, 64, [2]),      # capped by the cores
+    (8, 3, 2, [2]),       # capped by the chunks of work
+    (None, 4, 64, []),    # core count unknown: serial
+    (1, 4, 64, []),       # one core: serial
+])
+def test_run_replicas_clamps_workers(monkeypatch, cores, threads, reps, workers):
+    asked = []
+
+    class InlineExecutor:
+        """Runs the chunks in this process; records the worker count asked for."""
+
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(os, "cpu_count", lambda: cores)
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", InlineExecutor)
+    out = run_replicas("hprob", _HPROB_ARGS, 5, reps, threads=threads)
+    assert asked == workers
+    assert out == run_replicas("hprob", _HPROB_ARGS, 5, reps)
 
 
 def test_wall_seconds_zero_without_timing_flag():
@@ -194,6 +231,24 @@ def test_cli_main_bad_input():
     rc = main(["gamma", "--pseq", "wat:1", "--qseq", "harmonic", "--beta", "1",
                "--kmax", "2"])
     assert rc == 2
+
+
+def test_cli_unreadable_or_unwritable_file_is_one_line_error(tmp_path, capsys):
+    for argv in (["survival", "--config", str(tmp_path / "nope.cfg")],
+                 ["gamma", "--pseq", "harmonic", "--qseq", "harmonic", "--beta", "1",
+                  "--kmax", "1", "--out", str(tmp_path / "no-such-dir" / "o.csv")]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err.strip().split("\n")
+        assert err[-1].startswith("error: ")
+
+
+def test_cli_star_with_sure_vertical_bonds(capsys):
+    rc = main(["star", "--eps", "1.0", "--pseq", "const:1", "--k", "1", "--delta", "0.5",
+               "--horizon", "3", "--window", "2", "--reps", "2"])
+    assert rc == 0
+    out = capsys.readouterr().out.strip().split("\n")
+    assert len(out) == 2 and "N=1" in out[1]
+    assert out[1].split(",")[8] == "1"  # every bond open: survival is sure
 
 
 def test_cli_stdout_when_no_out(capsys):

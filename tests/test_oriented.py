@@ -1,14 +1,21 @@
 import pytest
 
 from lrperc.bondfield import BondField
-from lrperc.oriented import ExplorationParams, estimate_survival, explore, out_neighbors
+from lrperc.harness import run_replicas
+from lrperc.oriented import ExplorationParams, explore, out_neighbors
 from lrperc.sequences import constant, explicit, harmonic, powerlaw, truncate
+from lrperc.stats import EstimateWithCI
 
 
 def _params(d=2, k=2, horizon=5, window=6, p=None, q=None):
     p = p if p is not None else truncate(constant(0.5), k)
     q = q if q is not None else p
     return ExplorationParams(d, k, horizon, window, p, q)
+
+
+def _survival(params, seed, replicas):
+    hits = sum(run_replicas("surv_g", (params,), seed, replicas))
+    return EstimateWithCI.from_counts(hits, replicas)
 
 
 def test_out_neighbors_k_zero_empty():
@@ -107,12 +114,12 @@ def test_horizon_truncation_never_kills_survivors():
 
 def test_estimate_survival_extremes():
     full = _params(k=1, horizon=3, p=truncate(constant(1.0), 1))
-    est = estimate_survival(full, seed=1, replicas=20)
+    est = _survival(full, seed=1, replicas=20)
     assert est.estimate == 1.0 and est.hi == 1.0
     dead = _params(p=truncate(constant(0.0), 2))
-    assert estimate_survival(dead, seed=1, replicas=20).estimate == 0.0
+    assert _survival(dead, seed=1, replicas=20).estimate == 0.0
     with pytest.raises(ValueError):
-        estimate_survival(full, seed=1, replicas=0)
+        _survival(full, seed=1, replicas=0)
 
 
 def test_frozen_regression_harmonic_k50():
@@ -120,7 +127,7 @@ def test_frozen_regression_harmonic_k50():
     the first pinned run of this configuration."""
     params = _params(d=2, k=50, horizon=200, window=5,
                      p=truncate(harmonic(), 50), q=truncate(harmonic(), 50))
-    est = estimate_survival(params, seed=12, replicas=20)
+    est = _survival(params, seed=12, replicas=20)
     assert est.estimate == 1.0
     assert est.lo > 0.3
 

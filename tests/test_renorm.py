@@ -6,13 +6,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 from lrperc.bondfield import BondField
+from lrperc.harness import ExperimentConfig, run_experiment, run_replicas
 from lrperc.renorm import (
     BifurcationParams, check_bifurcation, cone_survival_scan, crossing_from_scan,
-    domination_check, estimate_bifurcation_frequency, explore_red_cluster,
-    exterior_boundary, gamma_k, prec, reverify_red_cluster, site_perc_cone,
+    explore_red_cluster, exterior_boundary, gamma_k, prec, reverify_red_cluster,
+    site_perc_cone,
 )
 from lrperc.sequences import constant, explicit, harmonic, powerlaw, truncate
-from lrperc.stats import wilson_interval
+from lrperc.stats import EstimateWithCI, wilson_interval
 
 
 def _bparams(k, p, q, beta=1):
@@ -79,7 +80,8 @@ def test_gamma_matches_independent_sampler():
 
 def test_bifurcation_frequency_matches_gamma():
     params = _bparams(2, powerlaw(1.0, 0.6), constant(0.5))
-    est = estimate_bifurcation_frequency(params, trials=30_000, seed=77, z=3.0)
+    hits = sum(run_replicas("bifurcation", (params,), seed=77, reps=30_000))
+    est = EstimateWithCI.from_counts(hits, 30_000, z=3.0)
     assert est.lo <= gamma_k(params) <= est.hi
 
 
@@ -204,9 +206,23 @@ def test_cone_exhaustive_oracle_small():
                for r in range(20_000))
     lo, hi = wilson_interval(hits, 20_000, z=3.0)
     assert lo <= exact <= hi
-    counts = cone_survival_scan([0.5], [3], 20_000, seed=34)
-    lo, hi = wilson_interval(int(counts[0, 0]), 20_000, z=3.0)
-    assert lo <= exact <= hi
+    assert cone_survival_scan([0.5], [3], 20_000, seed=33)[0, 0] == hits
+
+
+@pytest.mark.parametrize("seed", [0, 41])
+def test_scan_equals_oracle_per_replica(seed):
+    """The scan reads each replica's own stream, so its counts are exactly
+    the oracle's survivals summed over replicas, horizon 0 included."""
+    gammas, horizons, reps = [0.5, 0.7, 1.0], [9, 0, 1, 4], 300
+    counts = cone_survival_scan(gammas, horizons, reps, seed)
+    root = BondField(seed)
+    for gi, gamma in enumerate(gammas):
+        reached = [site_perc_cone(gamma, 9, root.derive_replica(r)).reached
+                   for r in range(reps)]
+        for hi, horizon in enumerate(sorted(horizons)):
+            assert counts[gi, hi] == sum(bool(c[horizon]) for c in reached)
+    assert (counts[:, 0] == reps).all()  # the origin is always occupied
+    assert (counts[2] == reps).all()  # gamma = 1 survives surely
 
 
 def test_scan_coupled_monotonicity():
@@ -228,22 +244,36 @@ def test_crossing_from_scan_synthetic():
 def test_invalid_gamma_rejected():
     with pytest.raises(ValueError):
         site_perc_cone(1.5, 3, BondField(1))
+    with pytest.raises(ValueError):
+        cone_survival_scan([0.5, 1.5], [3], 10, seed=1)
+    with pytest.raises(ValueError):
+        cone_survival_scan([0.5], [3, -1], 10, seed=1)
 
 
 # -- domination -------------------------------------------------------------------
 
+def _domination(pseq, qseq, k, samples, seed, max_steps):
+    """The redcluster row at one k, with its extra parameters as a dict."""
+    cfg = ExperimentConfig("redcluster", seed=seed, reps=samples, z=3.0,
+                           params={"pseq": pseq, "qseq": qseq, "beta": "1",
+                                   "k": str(k), "steps": str(max_steps)})
+    (row,) = run_experiment(cfg)
+    return row, dict(kv.split("=") for kv in row["extra_params"].split(";"))
+
+
 def test_domination_trivial_cases():
-    full = domination_check(_bparams(1, constant(1.0), constant(1.0)),
-                            samples=20, seed=2, max_steps=10)
-    assert full.frequency == 1.0 and full.gamma == 1.0 and not full.violation
-    empty = domination_check(_bparams(2, constant(0.0), constant(0.5)),
-                             samples=20, seed=2, max_steps=10)
-    assert empty.frequency == 0.0 and empty.gamma == 0.0 and not empty.violation
-    assert empty.trials == 20  # one examination (the origin) per run
+    full, extra = _domination("const:1", "const:1", 1, samples=20, seed=2, max_steps=10)
+    assert full["estimate"] == 1.0 and extra["gamma_k"] == "1"
+    assert extra["violation"] == "0"
+    empty, extra = _domination("const:0", "const:0.5", 2, samples=20, seed=2, max_steps=10)
+    assert empty["estimate"] == 0.0 and extra["gamma_k"] == "0"
+    assert extra["violation"] == "0"
+    assert extra["pooled_trials"] == "20"  # one examination (the origin) per run
 
 
 def test_domination_nontrivial_no_violation():
     params = _bparams(6, powerlaw(1.0, 0.6), constant(0.6))
-    report = domination_check(params, samples=300, seed=6, max_steps=30)
-    assert not report.violation
-    assert report.hi >= report.gamma
+    row, extra = _domination("powerlaw:1,0.6", "const:0.6", 6, samples=300, seed=6,
+                             max_steps=30)
+    assert extra["violation"] == "0"
+    assert row["ci_hi"] >= gamma_k(params)

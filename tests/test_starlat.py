@@ -6,10 +6,10 @@ from lrperc.bondfield import BondField, BondId
 from lrperc.sequences import constant, explicit, harmonic, truncate
 from lrperc.starlat import (
     BlockParams, StarParams, block_path_survival, check_zeta, choose_N,
-    estimate_block_survival, estimate_h_prob, h_connected, staircase,
-    vertical_open, zeta_bond_ids,
+    h_connected, staircase, vertical_open, zeta_bond_ids,
 )
-from lrperc.stats import wilson_interval
+from lrperc.harness import run_replicas
+from lrperc.stats import EstimateWithCI, wilson_interval
 
 
 def _sp(eps=0.5, p=None, k=2):
@@ -88,7 +88,8 @@ def test_h_exhaustive_oracle_pinned():
 
 def test_h_monte_carlo_matches_oracle():
     params = _sp(p=explicit([0.5, 0.5]), k=2)
-    est = estimate_h_prob(params, window=2, seed=21, trials=20_000, z=3.0)
+    hits = sum(run_replicas("hprob", (params, 2), seed=21, reps=20_000))
+    est = EstimateWithCI.from_counts(hits, 20_000, z=3.0)
     assert est.lo <= 95.0 / 128.0 <= est.hi
 
 
@@ -116,6 +117,7 @@ def test_choose_N_examples():
     assert choose_N(0.99, 0.5) == 1
     assert choose_N(0.5, 0.5) == 3
     assert choose_N(0.8, 1.0) == 1
+    assert choose_N(1.0, 0.5) == 1  # sure vertical bonds: one column suffices
 
 
 def test_choose_N_satisfies_inequality_minimally():
@@ -131,6 +133,8 @@ def test_choose_N_validation():
         choose_N(0.0, 0.5)
     with pytest.raises(ValueError):
         choose_N(0.5, 0.0)
+    with pytest.raises(ValueError):
+        choose_N(1.5, 0.5)
 
 
 # -- zeta blocks -----------------------------------------------------------------------
@@ -209,13 +213,11 @@ def test_zeta_independence_across_disjoint_blocks():
 
 def test_block_survival_extremes():
     sure = StarParams(1.0, truncate(constant(1.0), 1))
-    est = estimate_block_survival(BlockParams(1, 0.5), sure, horizon=5, window=3,
-                                  seed=3, reps=20)
-    assert est.estimate == 1.0
+    hits = run_replicas("surv_star", (BlockParams(1, 0.5), sure, 5, 3), seed=3, reps=20)
+    assert sum(hits) == 20
     dead = _sp(p=constant(0.0))
-    est = estimate_block_survival(BlockParams(2, 0.5), dead, horizon=3, window=3,
-                                  seed=3, reps=20)
-    assert est.estimate == 0.0
+    hits = run_replicas("surv_star", (BlockParams(2, 0.5), dead, 3, 3), seed=3, reps=20)
+    assert sum(hits) == 0
 
 
 def test_block_survival_single_replica_path():
