@@ -124,3 +124,59 @@ def test_monotone_coupling_in_probability(seed, x, p1, p2):
     b = BondId.oriented((x, 0), 0, 1, 1)
     lo, hi = min(p1, p2), max(p1, p2)
     assert not fld.is_open(b, lo) or fld.is_open(b, hi)
+
+
+# (seed, replica or None for the root field, id words, uniform * 2**53),
+# recorded from the reference numpy implementation of the stream.  Replica
+# 2**40 is the contact resample offset; words <= -2**31 wrap under the bias.
+FROZEN = [
+    (0, None, (0, 0, 0, 0, 1, 1), 2702670793407398),
+    (2024, None, (0, 5, -3, 7, 2, -1), 5614712868473099),
+    (12345, 0, (1, 4, 2, -2, 1, 3), 6923133689072297),
+    (12345, 7, (2, 9, -1, 6), 3658263226133638),
+    (12345, 2**40, (3, 10, 20), 8176295799315684),
+    (12345, 2**40 + 3, (3, 10, 20), 6728655691326616),
+    (99, 2**62, (0, 1, 1, 1, 2, 1), 6709724932929437),
+    (-1, None, (3, 0, 0), 3237647337141841),
+    (-2**40, 5, (0, 2, 3, 4, 1, -2), 3170334414459918),
+    (-2**63, None, (1, 0, 0, 0, 1, 1), 6760236219115506),
+    (2**63 - 1, None, (2, 3, 4, 5), 7256953791343968),
+    (5, None, (), 3753723842338357),
+    (5, 11, (), 6675999473747962),
+    (7, None, (-2**31,), 6627362195703693),
+    (7, 3, (-2**31 - 1, -2**40, 2**31 - 1), 6716984925828127),
+    (7, None, (0, -2**63, 2**62, -5), 512848474643286),
+]
+
+
+def _field(seed, replica):
+    fld = BondField(seed)
+    return fld if replica is None else fld.derive_replica(replica)
+
+
+@pytest.mark.parametrize("seed, replica, words, bits", FROZEN)
+def test_frozen_scalar_stream(seed, replica, words, bits):
+    u = _field(seed, replica).uniform_words(words)
+    assert u * 2**53 == bits
+
+
+@pytest.mark.parametrize("seed, replica, words, bits", FROZEN)
+def test_frozen_vector_stream(seed, replica, words, bits):
+    """The same ids as element [0, 0] of a broadcast batch whose columns
+    alternate between the two axes, and as element 0 of a replica batch."""
+    cols = [np.array([w, w ^ 1]).reshape((2, 1) if j % 2 else (1, 2))
+            for j, w in enumerate(words)]
+    batch = _field(seed, replica).uniforms(cols)
+    assert np.asarray(batch).flat[0] * 2**53 == bits
+    if replica is not None:
+        reps = BondField(seed).derive_replica(np.arange(replica, replica + 3))
+        batch = reps.uniforms([np.asarray(w)[None] for w in words])
+        assert batch.shape == (3,) and batch[0] * 2**53 == bits
+
+
+@given(st.integers(-2**63, 2**63 - 1), st.integers(0, 20),
+       st.lists(st.integers(-2**40, 2**40), max_size=6))
+def test_replica_batch_matches_derived_replica(seed, r, words):
+    root = BondField(seed)
+    batch = root.derive_replica(np.arange(21)).uniforms([np.asarray(w) for w in words])
+    assert root.derive_replica(r).uniform_words(words) == batch[r]
