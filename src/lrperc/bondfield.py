@@ -20,12 +20,21 @@ nonnegative 64-bit word; words are folded left to right into the mix state:
     Gstar vertical     : [2, n, x_1, x_2]                (always to n+1)
     site (Z^2_+ cone)  : [3, m, n]
 
+The stream has two evaluations with the same bits.  The scalar path
+(`uniform_words`, under `uniform` and `is_open`) runs splitmix64 on plain
+Python ints masked to 64 bits; a single-replica field keeps its base as an
+int.  The vector path (`uniforms`) runs it on numpy uint64 arrays and folds
+each id column at the shape it broadcasts to with the base and the columns
+before it, so a tag or generation shared by the batch is hashed once per
+replica, not once per id.  The frozen table in `tests/test_bondfield.py`
+pins both paths.
+
 Both cone site-percolation paths read the site id: `renorm.site_perc_cone`
 on one replica field, `renorm.cone_survival_scan` on a batch of them.
 `derive_replica` accepts an integer index array as well as an integer; the
 derived base then takes the array's shape and `uniforms` broadcasts the id
 columns against it, so element r of a batch reads exactly the stream of
-`derive_replica(r)`.
+`derive_replica(r)`.  Scalar draws on such a batch raise ValueError.
 """
 
 from __future__ import annotations
@@ -40,21 +49,36 @@ TAG_GSTAR_V = 2
 TAG_SITE = 3
 
 _U64 = np.uint64
-_GOLDEN = _U64(0x9E3779B97F4A7C15)
+_MASK = (1 << 64) - 1
+_GOLDEN = 0x9E3779B97F4A7C15
 _BIAS = 1 << 31  # shifts signed coordinates into nonnegative words
 
 
 def _mix(h):
-    """splitmix64 finalizer, elementwise on uint64 values (wraps mod 2^64)."""
-    with np.errstate(over="ignore"):
-        h = (h ^ (h >> _U64(30))) * _U64(0xBF58476D1CE4E5B9)
-        h = (h ^ (h >> _U64(27))) * _U64(0x94D049BB133111EB)
-        return h ^ (h >> _U64(31))
+    """splitmix64 finalizer on a Python int in [0, 2^64)."""
+    h = ((h ^ (h >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+    h = ((h ^ (h >> 27)) * 0x94D049BB133111EB) & _MASK
+    return h ^ (h >> 31)
 
 
 def _fold(h, w):
-    with np.errstate(over="ignore"):
-        return _mix((h ^ w) + _GOLDEN)
+    return _mix(((h ^ w) + _GOLDEN) & _MASK)
+
+
+_S11, _S27, _S30, _S31 = _U64(11), _U64(27), _U64(30), _U64(31)
+_M1, _M2, _GOLDEN_U64 = _U64(0xBF58476D1CE4E5B9), _U64(0x94D049BB133111EB), _U64(_GOLDEN)
+
+
+def _mix_array(h):
+    """splitmix64 finalizer, elementwise on uint64 arrays (wraps mod 2^64;
+    callers silence numpy's overflow warning for 0-d operands)."""
+    h = (h ^ (h >> _S30)) * _M1
+    h = (h ^ (h >> _S27)) * _M2
+    return h ^ (h >> _S31)
+
+
+def _fold_array(h, w):
+    return _mix_array((h ^ w) + _GOLDEN_U64)
 
 
 @dataclass(frozen=True)
@@ -103,9 +127,10 @@ class BondField:
     def __init__(self, seed: int, _base=None):
         self.seed = int(seed)
         if _base is None:
-            with np.errstate(over="ignore"):
-                _base = _mix(_mix(np.asarray(self.seed, dtype=np.int64).astype(np.uint64)) + _GOLDEN)
-        self._base = _U64(_base)
+            if not -2**63 <= self.seed < 2**63:
+                raise ValueError("seed must fit in a signed 64-bit integer")
+            _base = _mix((_mix(self.seed & _MASK) + _GOLDEN) & _MASK)
+        self._base = _base  # an int for one replica, a uint64 array for a batch
 
     def derive_replica(self, replica) -> "BondField":
         """An independent field, deterministic in (this field, replica).
@@ -114,10 +139,17 @@ class BondField:
         fields for the vectorized interface, one per index, and only that
         interface may be used on it.
         """
+        if type(self._base) is int and np.ndim(replica) == 0:
+            r = int(replica)
+            if not 0 <= r < 2**63:
+                raise ValueError("replica index must be in [0, 2**63)")
+            return BondField(self.seed, _base=_fold(self._base, _mix((r + _GOLDEN) & _MASK)))
         w = np.asarray(replica, dtype=np.int64)
         if (w < 0).any():
             raise ValueError("replica index must be nonnegative")
-        return BondField(self.seed, _base=_fold(self._base, _mix(w.astype(np.uint64) + _GOLDEN)))
+        with np.errstate(over="ignore"):
+            w = _mix_array(w.astype(np.uint64) + _GOLDEN_U64)
+            return BondField(self.seed, _base=_fold_array(np.asarray(self._base, dtype=np.uint64), w))
 
     # -- scalar interface ---------------------------------------------------
 
@@ -128,9 +160,11 @@ class BondField:
     def uniform_words(self, words) -> float:
         """Uniform variate for an arbitrary injectively encoded word tuple."""
         h = self._base
+        if type(h) is not int:
+            raise ValueError("scalar draws need a single-replica field")
         for w in words:
-            h = _fold(h, _U64((int(w) + _BIAS) & 0xFFFFFFFFFFFFFFFF))
-        return float(h >> _U64(11)) * 2.0**-53
+            h = _fold(h, (int(w) + _BIAS) & _MASK)
+        return (h >> 11) * 2.0**-53
 
     def is_open(self, bond: BondId, prob: float) -> bool:
         """True with probability `prob`, deterministically per (field, bond)."""
@@ -146,13 +180,11 @@ class BondField:
         Returns an array of the shape the columns and the field's base
         broadcast to.
         """
-        cols = [np.asarray(c) for c in word_columns]
-        shape = np.broadcast_shapes(np.shape(self._base), *(c.shape for c in cols))
-        h = np.broadcast_to(self._base, shape).copy()
-        for c in cols:
-            w = (np.broadcast_to(c, shape).astype(np.int64) + _BIAS).astype(np.uint64)
-            h = _fold(h, w)
-        return (h >> _U64(11)).astype(np.float64) * 2.0**-53
+        h = np.asarray(self._base, dtype=np.uint64)
+        with np.errstate(over="ignore"):
+            for c in word_columns:
+                h = _fold_array(h, (np.asarray(c, dtype=np.int64) + _BIAS).view(np.uint64))
+        return (h >> _S11).astype(np.float64) * 2.0**-53
 
     def open_mask(self, word_columns, probs) -> np.ndarray:
         """Boolean open-indicators for a batch of ids with probabilities `probs`."""

@@ -47,19 +47,51 @@ def _box_sites(box, d: int):
 
 
 def poisson_from_uniform(u, mu) -> np.ndarray:
-    """Invert the Poisson CDF at quantile u, elementwise (small-mu regime)."""
+    """Invert the Poisson CDF at quantile u, elementwise.
+
+    The smallest k with u < F(k).  The walk up from k = 0 starts at
+    exp(-mu); where that is no longer a normal float (mu > ~708; it is 0
+    beyond ~745) the inversion runs from the mode (`_poisson_from_mode`).
+    The walk also ends where the CDF stops growing, which happens when u
+    is within rounding of 1.
+    """
     u = np.asarray(u, dtype=np.float64)
     mu = np.broadcast_to(np.asarray(mu, dtype=np.float64), u.shape)
     k = np.zeros(u.shape, dtype=np.int64)
     pmf = np.exp(-mu)
     cdf = pmf.copy()
-    active = u >= cdf
+    underflow = pmf < np.finfo(np.float64).tiny
+    active = (u >= cdf) & ~underflow
     while active.any():
         k[active] += 1
         pmf = np.where(active, pmf * mu / np.maximum(k, 1), pmf)
-        cdf = cdf + np.where(active, pmf, 0.0)
-        active = u >= cdf
+        grown = cdf + np.where(active, pmf, 0.0)
+        active = (u >= grown) & (grown > cdf)
+        cdf = grown
+    for m in set(mu[underflow].tolist()):
+        at = underflow & (mu == m)
+        k[at] = _poisson_from_mode(u[at], m)
     return k
+
+
+def _poisson_from_mode(u, mu: float) -> np.ndarray:
+    """Poisson inverse CDF for a mean too large for the walk from 0.
+
+    The pmf at the mode comes from `math.lgamma` in log space, and the
+    pmf on the window mode -/+ (10 sqrt(mu) + 40), which holds all but
+    about 1e-22 of the mass, by the ratio recursion in log space
+    (Devroye 1986, ch. X).  The CDF is the running sum over the window.
+    """
+    mode = math.floor(mu)
+    half = int(10 * math.sqrt(mu)) + 40
+    lo, hi = max(0, mode - half), mode + half
+    log_mode = -mu + mode * math.log(mu) - math.lgamma(mode + 1)
+    up = np.log(mu / np.arange(mode + 1, hi + 1))
+    down = np.log(np.arange(lo + 1, mode + 1) / mu)[::-1]
+    logpmf = np.concatenate([(log_mode + np.cumsum(down))[::-1], [log_mode],
+                             log_mode + np.cumsum(up)])
+    cdf = np.cumsum(np.exp(logpmf))
+    return lo + np.minimum(np.searchsorted(cdf, u, side="right"), hi - lo)
 
 
 def _signed(k: int):

@@ -17,6 +17,7 @@ keeps its direction.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,10 +43,6 @@ def exterior_boundary(X) -> set:
             if child not in X and child[0] >= 0 and child[1] >= 0:
                 out.add(child)
     return out
-
-
-def _min_prec(points):
-    return min(points, key=lambda p: (p[1], p[0]))
 
 
 # -- bifurcation events ------------------------------------------------------
@@ -137,6 +134,7 @@ def explore_red_cluster(fld: BondField, params: BifurcationParams,
         raise ValueError("max_steps must be nonnegative")
     beta = params.beta
     A, B = set(), set()
+    frontier = []  # heap of (n, m) over the children of A; stale entries skipped
     cert = {(0, 0): {0: (((0, 0), 0),)}}
     examined = []
     current = (0, 0)
@@ -166,11 +164,17 @@ def explore_red_cluster(fld: BondField, params: BifurcationParams,
         (A if red else B).add(current)
         examined.append((current, red, len(origins)))
         step += 1
-        frontier = exterior_boundary(A) - B
-        if not frontier:
-            current = None
+        if red:
+            heapq.heappush(frontier, (n + 1, m))
+            heapq.heappush(frontier, (n + 1, m + 1))
+        current = None
+        while frontier:
+            n, m = heapq.heappop(frontier)
+            if (m, n) not in A and (m, n) not in B:
+                current = (m, n)
+                break
+        if current is None:
             break
-        current = _min_prec(frontier)
     return RedState(A, B, current, step, truncated, examined, cert)
 
 

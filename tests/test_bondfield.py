@@ -50,6 +50,10 @@ def test_derive_replica_deterministic_and_distinct():
     assert fld.derive_replica(0).uniform(b) != fld.derive_replica(1).uniform(b)
     with pytest.raises(ValueError):
         fld.derive_replica(-1)
+    with pytest.raises(ValueError):
+        fld.derive_replica(2**63)
+    with pytest.raises(ValueError):
+        BondField(2**63)
 
 
 def test_batched_derive_replica_matches_scalar():
@@ -66,6 +70,16 @@ def test_batched_derive_replica_matches_scalar():
             assert batch[i, j, w] == fld.uniform_words((TAG_G, w))
     with pytest.raises(ValueError):
         root.derive_replica(np.array([3, -1]))
+
+
+def test_scalar_draw_on_batch_field_rejected():
+    batch = BondField(8).derive_replica(np.arange(3))
+    for draw in (lambda: batch.uniform_words((0, 1)),
+                 lambda: batch.is_open(BondId.oriented((0, 0), 0, 1, 1), 0.5)):
+        with pytest.raises(ValueError, match="single-replica"):
+            draw()
+    with pytest.raises(ValueError, match="single-replica"):
+        BondField(8).derive_replica(np.array([3])).uniform_words(())
 
 
 def test_vectorized_matches_scalar():

@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from lrperc.cli import main
 from lrperc.contact import (
-    SkeletonParams, Timeline, check_f_event, estimate_f_frequency,
+    SkeletonParams, Timeline, _poisson_from_mode, check_f_event, estimate_f_frequency,
     f_probability, infected_at_horizon, k_connected, poisson_from_uniform,
     sample_timeline,
 )
@@ -38,6 +40,44 @@ def test_poisson_inverse_cdf_basics():
     grid = (np.arange(200_000) + 0.5) / 200_000
     mean = poisson_from_uniform(grid, mu).mean()
     assert mean == pytest.approx(mu, abs=0.01)
+
+
+_MUS = st.floats(1e-6, 1e4)
+
+
+@given(_MUS, st.floats(0.0, 1.0 - 2**-53))
+@example(50.0, 1.0 - 2**-53)  # the walk's CDF sum stalls below u
+@example(800.0, 0.5)          # exp(-mu) underflows to 0
+def test_poisson_terminates_over_the_whole_unit_interval(mu, u):
+    k = poisson_from_uniform(np.array([u]), mu)[0]
+    assert 0 <= k <= mu + 12 * math.sqrt(mu) + 60
+
+
+@settings(max_examples=30, deadline=None)
+@given(_MUS)
+def test_poisson_mean_and_variance_match_mu(mu):
+    """Stratified quantiles: the sample mean and variance lie within z = 4
+    standard errors of mu (variance of the sample variance ~ (2mu^2 + mu)/n)."""
+    n = 20_000
+    x = poisson_from_uniform((np.arange(n) + 0.5) / n, mu)
+    assert abs(x.mean() - mu) <= 4 * math.sqrt(mu / n)
+    assert abs(x.var() - mu) <= 4 * math.sqrt((2 * mu * mu + mu) / n)
+
+
+def test_poisson_walk_and_mode_inversion_agree():
+    """Below the switch (exp(-mu) still a normal float) both inversions
+    give the same quantile on a fine grid."""
+    grid = (np.arange(50_000) + 0.5) / 50_000
+    for mu in (3.0, 50.0, 300.0, 708.0):
+        assert np.array_equal(poisson_from_uniform(grid, mu), _poisson_from_mode(grid, mu))
+
+
+def test_cli_contact_long_horizon_returns(tmp_path):
+    """A death process with mean 800 used to hang the Poisson walk."""
+    out = tmp_path / "c.csv"
+    assert main(["contact", "--rates", "const:0.1", "--k", "1", "--horizon", "800",
+                 "--window", "0", "--dim", "1", "--reps", "1", "--out", str(out)]) == 0
+    assert len(out.read_text().strip().split("\n")) == 2
 
 
 def test_zero_rates_give_no_arrows():

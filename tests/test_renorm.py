@@ -171,6 +171,53 @@ def test_certificate_paths_have_correct_shape():
             assert len(path) == 2 * n + 1
 
 
+def _red_cluster_by_rebuild(fld, params, max_steps):
+    """Reference recursion: the frontier is rebuilt as exterior_boundary(A) - B
+    at every step and the least point under prec is examined next."""
+    beta = params.beta
+    A, B, examined = set(), set(), []
+    cert = {(0, 0): {0: (((0, 0), 0),)}}
+    current, step = (0, 0), 0
+    while step < max_steps:
+        m, n = current
+        origins = sorted(cert.get(current, {}), key=lambda a: (abs(a), a < 0))
+        red = False
+        for a in origins:
+            rec = check_bifurcation(fld, ((a, m * beta), 2 * n), params)
+            if rec.success:
+                red = True
+                path = cert[current][a]
+                mid = ((a + rec.a, m * beta), 2 * n + 1)
+                c1 = ((a + rec.a + rec.a_prime, m * beta), 2 * n + 2)
+                c2 = ((a + rec.a, (m + 1) * beta), 2 * n + 2)
+                cert.setdefault((m, n + 1), {}).setdefault(a + rec.a + rec.a_prime,
+                                                           path + (mid, c1))
+                cert.setdefault((m + 1, n + 1), {}).setdefault(a + rec.a, path + (mid, c2))
+        (A if red else B).add(current)
+        examined.append((current, red, len(origins)))
+        step += 1
+        frontier = exterior_boundary(A) - B
+        if not frontier:
+            return A, B, None, step, False, examined, cert
+        current = min(frontier, key=lambda p: (p[1], p[0]))
+    return A, B, current, step, True, examined, cert
+
+
+@pytest.mark.parametrize("k, p, q", [(3, powerlaw(1.0, 0.5), constant(0.6)),
+                                     (4, powerlaw(1.0, 0.7), constant(0.7)),
+                                     (20, harmonic(), harmonic())])
+def test_red_cluster_heap_frontier_matches_rebuild(k, p, q):
+    """The incremental frontier examines the same points in the same order,
+    so red sets and certificates equal those of the rebuild rule."""
+    params = _bparams(k, p, q)
+    for seed in (3, 71):
+        for r in range(12):
+            fld = BondField(seed).derive_replica(r)
+            state = explore_red_cluster(fld, params, max_steps=60)
+            assert (state.A, state.B, state.current, state.step, state.truncated,
+                    state.examined, state.certificates) == _red_cluster_by_rebuild(fld, params, 60)
+
+
 # -- site percolation on the cone ---------------------------------------------------
 
 def test_cone_gamma_one_survives():
