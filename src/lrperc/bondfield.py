@@ -19,6 +19,13 @@ nonnegative 64-bit word; words are folded left to right into the mix state:
                          min endpoint, range = |displacement| > 0)
     Gstar vertical     : [2, n, x_1, x_2]                (always to n+1)
     site (Z^2_+ cone)  : [3, m, n]
+    contact death mark : [7, x_1..x_d, kind, j]
+    contact arrow mark : [8, x_1..x_d, axis, disp, kind, j]
+
+A contact mark of kind 0 (j = 0) is its process's Poisson count, and one
+of kind 1 is the time of its j-th mark (j >= 1); the marks of replica r
+are drawn on replica r + attempt * 2**40, where attempt counts the
+timeline's collision resamples.
 
 The stream has two evaluations with the same bits.  The scalar path
 (`uniform_words`, under `uniform` and `is_open`) runs splitmix64 on plain

@@ -18,16 +18,23 @@ _SUBCOMMAND_PARAMS = {
     "survival": ["pseq", "qseq", "dim", "k", "horizon", "window"],
     "redcluster": ["pseq", "qseq", "beta", "k", "steps"],
     "siteperc": ["gamma", "horizon"],
-    "contact": ["rates", "dim", "k", "delta", "b", "horizon", "window"],
+    "contact": ["rates", "dim", "k", "horizon", "window"],
     "star": ["eps", "pseq", "k", "delta", "horizon", "window"],
     "hprob": ["pseq", "k", "window", "eps"],
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises usage errors, so `main` reports them as one `error:` line."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="lrperc",
-                                     description="Monte Carlo laboratory for truncated "
-                                                 "long-range percolation on oriented graphs")
+    parser = _Parser(prog="lrperc",
+                     description="Monte Carlo laboratory for truncated "
+                                 "long-range percolation on oriented graphs")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, keys in _SUBCOMMAND_PARAMS.items():
         p = sub.add_parser(name)
@@ -46,14 +53,17 @@ def build_parser() -> argparse.ArgumentParser:
 def resolve_config(argv) -> ExperimentConfig:
     ns = build_parser().parse_args(argv)
     file_vals = parse_config_file(ns.config) if ns.config else {}
+    global_keys = {"seed": int, "reps": int, "threads": int, "z": float,
+                   "timing": lambda v: str(v).lower() in ("1", "true", "yes"),
+                   "out": str}
+    for key in file_vals:
+        if key not in global_keys and key not in _SUBCOMMAND_PARAMS[ns.command]:
+            raise ValueError(f"{ns.config}: unknown key {key!r} for {ns.command}")
     merged = dict(file_vals)
     for key, val in vars(ns).items():
         if key in ("command", "config") or val is None:
             continue
         merged[key] = val
-    global_keys = {"seed": int, "reps": int, "threads": int, "z": float,
-                   "timing": lambda v: str(v).lower() in ("1", "true", "yes"),
-                   "out": str}
     kwargs, params = {}, {}
     for key, val in merged.items():
         if key in global_keys:

@@ -10,19 +10,25 @@ arrow time of the occupied pair, with jump length at most k.
 Every Poisson process is keyed by its canonical identity (site, or ordered
 pair), not by enumeration order, so timelines sampled at different
 truncation ranges agree on every shared pair: restricting the jump length
-on one shared sample realizes the usual monotone coupling in k.
+on one shared sample realizes the usual monotone coupling in k, and the
+harness's k-sweep samples one timeline per replica, at the largest k.
+
+One sampler (`_mark_counts`, `_mark_times`) turns keyed uniforms into
+marks, for one replica or a batch.  Trial r of the batched skeleton event
+`f_events` reads the marks of replica r's timeline, so `check_f_event` on
+that timeline is its oracle.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .bondfield import BondField
-from .sequences import TruncatedSequence
-from .stats import EstimateWithCI
+from .sequences import TruncatedSequence, signed_ranges
 
 _TAG_DEATH = 7
 _TAG_ARROW = 8
@@ -33,17 +39,13 @@ _KIND_TIME = 1
 def _box_sites(box, d: int):
     """Expand a box spec (half-width int, or per-axis (lo, hi) pairs) into the
     list of sites and the per-axis bounds."""
-    if isinstance(box, int):
-        bounds = [(-box, box)] * d
-    else:
-        bounds = [tuple(b) for b in box]
-        if len(bounds) != d:
-            raise ValueError("box must give one (lo, hi) pair per axis")
-    ranges = [range(lo, hi + 1) for lo, hi in bounds]
-    sites = [()]
-    for r in ranges:
-        sites = [s + (c,) for s in sites for c in r]
-    return sites, bounds
+    if d < 1:
+        raise ValueError(f"dimension must be >= 1, got {d}")
+    bounds = [(-box, box)] * d if isinstance(box, int) else [tuple(b) for b in box]
+    if len(bounds) != d or any(lo > hi for lo, hi in bounds):
+        raise ValueError(f"box must be a half-width >= 0 or {d} (lo, hi) pairs "
+                         f"with lo <= hi, got {box}")
+    return list(itertools.product(*(range(lo, hi + 1) for lo, hi in bounds))), bounds
 
 
 def poisson_from_uniform(u, mu) -> np.ndarray:
@@ -94,17 +96,10 @@ def _poisson_from_mode(u, mu: float) -> np.ndarray:
     return lo + np.minimum(np.searchsorted(cdf, u, side="right"), hi - lo)
 
 
-def _signed(k: int):
-    for i in range(1, k + 1):
-        yield i
-        yield -i
-
-
 @dataclass
 class Timeline:
     horizon: float
     bounds: list
-    k: int
     deaths: dict  # site -> sorted ndarray of times (sites with no death omitted)
     arrows: dict  # (src, dst) -> sorted ndarray of times (empty pairs omitted)
     resamples: int = 0
@@ -128,26 +123,34 @@ class Timeline:
         return self._events
 
 
-def _sample_processes(fld: BondField, id_word_columns, mus, horizon: float):
-    """Counts and per-process sorted time arrays for a batch of processes
-    sharing one id encoding.  id_word_columns: list of (nproc,) int arrays."""
-    nproc = len(mus)
-    if nproc == 0:
-        return np.zeros(0, dtype=np.int64), []
-    cols = [np.asarray(c) for c in id_word_columns]
-    u0 = fld.uniforms(cols + [np.full(nproc, _KIND_COUNT), np.zeros(nproc, dtype=np.int64)])
-    counts = poisson_from_uniform(u0, mus)
-    total = int(counts.sum())
-    times = [np.empty(0)] * nproc
-    if total:
-        owner = np.repeat(np.arange(nproc), counts)
-        offs = np.cumsum(counts) - counts
-        j = np.arange(total) - np.repeat(offs, counts)
-        u = fld.uniforms([c[owner] for c in cols]
-                         + [np.full(total, _KIND_TIME), j + 1]) * horizon
-        split = np.split(u, np.cumsum(counts)[:-1])
-        times = [np.sort(t) for t in split]
-    return counts, times
+def _mark_counts(root: BondField, replica, cols, mus) -> np.ndarray:
+    """Mark count of each Poisson process with id columns `cols` and mean
+    `mus`, on replica index or index array `replica` (all four broadcast)."""
+    u = root.derive_replica(replica).uniforms([*cols, _KIND_COUNT, 0])
+    return poisson_from_uniform(u, mus)
+
+
+def _mark_times(root: BondField, replica, cols, counts, horizon: float):
+    """(owner, times) of every mark, owner being the flat index into `counts`
+    of the mark's process; marks come in owner order, unsorted in time."""
+    flat = counts.ravel()
+    owner = np.repeat(np.arange(flat.size), flat)
+    j = np.arange(owner.size) - np.repeat(np.cumsum(flat) - flat, flat) + 1
+
+    def per_mark(c):
+        c = np.asarray(c)
+        return c if c.ndim == 0 else np.broadcast_to(c, counts.shape).ravel()[owner]
+
+    fld = root.derive_replica(replica if np.ndim(replica) == 0 else per_mark(replica))
+    return owner, fld.uniforms([*map(per_mark, cols), _KIND_TIME, j]) * horizon
+
+
+def _by_process(keys, counts, owner, times) -> dict:
+    """{key: sorted times} of every process with a mark: one sort by
+    (process, time), then a slice per process."""
+    times = times[np.lexsort((times, owner))]
+    ends = np.cumsum(counts).tolist()
+    return {keys[p]: times[e - c:e] for p, (c, e) in enumerate(zip(counts.tolist(), ends)) if c}
 
 
 def sample_timeline(seed: int, rates: TruncatedSequence, box, horizon: float,
@@ -160,40 +163,33 @@ def sample_timeline(seed: int, rates: TruncatedSequence, box, horizon: float,
     In the measure-zero case of a global time collision the whole timeline is
     resampled from a bumped stream and the retry count is recorded.
     """
-    if horizon <= 0:
-        raise ValueError("horizon must be positive")
+    if not 0 < horizon < math.inf:
+        raise ValueError(f"horizon must be finite and positive, got {horizon}")
     sites, bounds = _box_sites(box, d)
     site_set = set(sites)
-    k = rates.k
+    moves = [(m, disp, rates.term(abs(disp)))
+             for m in range(1, d + 1) for disp in signed_ranges(rates.k)]
     pairs, pair_words, pair_mus = [], [], []
     for s in sites:
-        for m in range(1, d + 1):
-            for disp in _signed(k):
-                rate = rates.term(abs(disp))
-                if rate <= 0.0:
-                    continue
-                t = list(s)
-                t[m - 1] += disp
-                t = tuple(t)
-                if t in site_set:
-                    pairs.append((s, t))
-                    pair_words.append((_TAG_ARROW, *s, m, disp))
-                    pair_mus.append(rate * horizon)
-    site_words = [(_TAG_DEATH, *s) for s in sites]
+        for m, disp, rate in moves:
+            t = s[:m - 1] + (s[m - 1] + disp,) + s[m:]
+            if rate > 0.0 and t in site_set:
+                pairs.append((s, t))
+                pair_words.append((_TAG_ARROW, *s, m, disp))
+                pair_mus.append(rate * horizon)
+    dcols = list(np.array([(_TAG_DEATH, *s) for s in sites]).T)
+    acols = list(np.array(pair_words, dtype=np.int64).reshape(-1, d + 3).T)
     root = BondField(seed)
     for attempt in range(64):
-        fld = root.derive_replica(replica + (attempt << 40))
-        dcols = [np.array([w[i] for w in site_words]) for i in range(d + 1)]
-        dcounts, dtimes = _sample_processes(fld, dcols, np.full(len(sites), horizon), horizon)
-        acols = [np.array([w[i] for w in pair_words]) for i in range(d + 3)] if pairs else []
-        acounts, atimes = _sample_processes(fld, acols, np.asarray(pair_mus), horizon)
-        deaths = {s: ts for s, ts in zip(sites, dtimes) if len(ts)}
-        arrows = {p: ts for p, ts in zip(pairs, atimes) if len(ts)}
-        nevents = int(dcounts.sum() + (acounts.sum() if pairs else 0))
-        pool = np.concatenate([np.concatenate(dtimes)] +
-                              ([np.concatenate(atimes)] if pairs else [])) if nevents else np.empty(0)
-        if len(np.unique(pool)) == nevents:
-            return Timeline(horizon, bounds, k, deaths, arrows, resamples=attempt)
+        rep = replica + (attempt << 40)
+        dcounts = _mark_counts(root, rep, dcols, horizon)
+        downer, dtimes = _mark_times(root, rep, dcols, dcounts, horizon)
+        acounts = _mark_counts(root, rep, acols, pair_mus)
+        aowner, atimes = _mark_times(root, rep, acols, acounts, horizon)
+        pool = np.concatenate([dtimes, atimes])
+        if len(np.unique(pool)) == pool.size:
+            return Timeline(horizon, bounds, _by_process(sites, dcounts, downer, dtimes),
+                            _by_process(pairs, acounts, aowner, atimes), resamples=attempt)
     raise RuntimeError("could not sample a collision-free timeline")
 
 
@@ -296,7 +292,7 @@ def check_f_event(tl: Timeline, x, n: int, params: SkeletonParams) -> FRecord:
         raise ValueError("skeleton step exceeds the timeline horizon")
     if _count_in(tl.deaths.get(x), t0, t1):
         return FRecord(False)
-    for a in _signed(params.k):
+    for a in signed_ranges(params.k):
         y = (x[0] + a, x[1])
         z = (x[0] + a, x[1] + b)
         if not (tl.in_box(y) and tl.in_box(z)):
@@ -310,60 +306,36 @@ def check_f_event(tl: Timeline, x, n: int, params: SkeletonParams) -> FRecord:
     return FRecord(False)
 
 
-def estimate_f_frequency(rates: TruncatedSequence, params: SkeletonParams,
-                         trials: int, seed: int, z: float = 3.0) -> EstimateWithCI:
-    """Monte Carlo frequency of the skeleton event over independent trials.
+def f_events(rates: TruncatedSequence, params: SkeletonParams, trials: int,
+             seed: int) -> np.ndarray:
+    """Indicator, per trial, of the skeleton event at the origin over [0, delta].
 
-    Samples, for every trial, exactly the Poisson processes the event is
-    measurable against (deaths on the 4k+1 involved sites, the 4k involved
-    arrow processes, all over one delta-step) and evaluates the event logic
-    on the raw marks; vectorized across trials.
+    Trial r reads, of the marks of `sample_timeline(seed, rates,
+    box=[(-k, k), (0, b)], horizon=delta, d=2, replica=r)`, the death
+    counts of the 4k + 1 involved sites and the arrow times of the 4k
+    involved pairs: `check_f_event` on that timeline is its oracle.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     k, b, d = params.k, params.b, params.delta
-    offsets = list(_signed(k))
-    # process ids shared across trials, keyed like sample_timeline on d=2
-    death_sites = [(0, 0)] + [(a, 0) for a in offsets] + [(a, b) for a in offsets]
-    death_words = [(_TAG_DEATH, *s) for s in death_sites]
-    arrow_words = ([(_TAG_ARROW, 0, 0, 1, a) for a in offsets]           # x -> x+a*e1
-                   + [(_TAG_ARROW, a, 0, 2, b) for a in offsets])        # onward, up b
-    arrow_mus = np.array([rates.term(abs(a)) * d for a in offsets]
-                         + [rates.term(b) * d] * len(offsets))
+    a = np.fromiter(signed_ranges(k), dtype=np.int64)
+    reps = np.arange(trials)[:, None]
     root = BondField(seed)
-    trial_col = np.arange(trials, dtype=np.int64)[:, None]
 
-    def batch_counts(words, mus, lo, hi):
-        """Counts in the subwindow [lo, hi) of [0, d) for each (trial, process)."""
-        shape = (trials, len(words))
-        cols = [trial_col] + [np.array([w[i] for w in words])[None, :]
-                              for i in range(len(words[0]))]
-        u0 = root.uniforms(cols + [np.full((1, 1), _KIND_COUNT),
-                                   np.zeros((1, 1), dtype=np.int64)])
-        counts = poisson_from_uniform(u0, mus[None, :])
-        if lo == 0.0 and hi == d:
-            return counts
-        flat = counts.ravel()
-        total = int(flat.sum())
-        sub = np.zeros(flat.shape, dtype=np.int64)
-        if total:
-            owner = np.repeat(np.arange(flat.size), flat)
-            offs = np.cumsum(flat) - flat
-            j = np.arange(total) - np.repeat(offs, flat)
-            flatcols = [np.broadcast_to(c, shape).ravel()[owner] for c in cols]
-            u = root.uniforms(flatcols + [np.full(total, _KIND_TIME), j + 1]) * d
-            np.add.at(sub, owner[(u >= lo) & (u < hi)], 1)
-        return sub.reshape(shape)
+    def dead(x1, x2):
+        return _mark_counts(root, reps, [_TAG_DEATH, x1, x2], d) > 0
 
-    dcounts = batch_counts(death_words, np.full(len(death_words), d), 0.0, d)
-    first = batch_counts(arrow_words[:len(offsets)], arrow_mus[:len(offsets)], 0.0, d / 2)
-    second = batch_counts(arrow_words[len(offsets):], arrow_mus[len(offsets):], d / 2, d)
-    ok_x = dcounts[:, 0] == 0
-    na = len(offsets)
-    per_a = ((dcounts[:, 1:1 + na] == 0) & (dcounts[:, 1 + na:1 + 2 * na] == 0)
-             & (first >= 1) & (second >= 1))
-    hits = int((ok_x & per_a.any(axis=1)).sum())
-    return EstimateWithCI.from_counts(hits, trials, z)
+    def arrow_in(cols, mus, first_half):
+        counts = _mark_counts(root, reps, cols, mus)
+        owner, times = _mark_times(root, reps, cols, counts, d)
+        hit = times <= d / 2 if first_half else times >= d / 2
+        return np.bincount(owner[hit], minlength=counts.size).reshape(counts.shape) > 0
+
+    first = arrow_in([_TAG_ARROW, 0, 0, 1, a],                      # x -> x + a e1
+                     d * np.array([rates.term(abs(i)) for i in a.tolist()]), True)
+    onward = arrow_in([_TAG_ARROW, a, 0, 2, b], d * rates.term(b), False)  # up b
+    per_a = ~dead(a, 0) & ~dead(a, b) & first & onward
+    return ~dead(0, 0)[:, 0] & per_a.any(axis=1)
 
 
 # -- survival -------------------------------------------------------------------

@@ -36,9 +36,10 @@ def _surv_g(args, root, r):
 
 
 def _surv_contact(args, root, r):
-    rates, k, box, horizon, d = args
+    """Survival at each k in `ks` on one timeline sampled at max(ks)."""
+    rates, ks, box, horizon, d = args
     tl = contact.sample_timeline(root.seed, rates, box, horizon, d, replica=r)
-    return 1 if contact.infected_at_horizon(tl, k) else 0
+    return tuple(1 if contact.infected_at_horizon(tl, k) else 0 for k in ks)
 
 
 def _surv_star(args, root, r):
@@ -249,11 +250,14 @@ def _run_contact(cfg: ExperimentConfig):
     rates = parse_sequence(_need(cfg, "rates"))
     horizon = float(_need(cfg, "horizon"))
     window = int(_need(cfg, "window"))
+    ks = tuple(_int_list(_need(cfg, "k")))
+    if min(ks) < 0:
+        raise ValueError("truncation range must be nonnegative")
+    args = (truncate(rates, max(ks)), ks, window, horizon, d)
+    recs = run_replicas("surv_contact", args, cfg.seed, cfg.reps, cfg.threads)
     rows = []
-    for k in _int_list(_need(cfg, "k")):
-        args = (truncate(rates, k), k, window, horizon, d)
-        recs = run_replicas("surv_contact", args, cfg.seed, cfg.reps, cfg.threads)
-        est = EstimateWithCI.from_counts(sum(recs), cfg.reps, cfg.z)
+    for i, k in enumerate(ks):
+        est = EstimateWithCI.from_counts(sum(rec[i] for rec in recs), cfg.reps, cfg.z)
         rows.append(_row(cfg, "contact", k, horizon, window, {"dim": d}, est))
     return rows
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bondfield import TAG_SITE, BondField, BondId
-from .sequences import TruncatedSequence
+from .sequences import TruncatedSequence, signed_ranges
 
 
 # -- order and boundary ------------------------------------------------------
@@ -68,12 +68,6 @@ class BifurcationRecord:
     a_prime: int | None = None
 
 
-def _signed_scan(k: int):
-    for i in range(1, k + 1):
-        yield i
-        yield -i
-
-
 def gamma_k(params: BifurcationParams) -> float:
     """Exact probability of a bifurcation event under the truncated measure."""
     p = params.pseq
@@ -96,13 +90,13 @@ def check_bifurcation(fld: BondField, origin, params: BifurcationParams) -> Bifu
     if len(x) != 2:
         raise ValueError("bifurcation events live on spatial dimension 2")
     p, q, beta = params.pseq, params.qseq, params.beta
-    for a in _signed_scan(params.k):
+    for a in signed_ranges(params.k):
         if not fld.is_open(BondId.oriented(x, n, 1, a), p.term(abs(a))):
             continue
         mid = (x[0] + a, x[1])
         if not fld.is_open(BondId.oriented(mid, n + 1, 2, beta), q.term(beta)):
             continue
-        for ap in _signed_scan(params.k):
+        for ap in signed_ranges(params.k):
             if fld.is_open(BondId.oriented(mid, n + 1, 1, ap), p.term(abs(ap))):
                 return BifurcationRecord(True, a, ap)
     return BifurcationRecord(False)

@@ -8,6 +8,7 @@ neutral in every product that formally ranges over |a| <= k.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 
@@ -30,8 +31,9 @@ class SequenceSpec:
     def __post_init__(self):
         if self.kind not in ("harmonic", "powerlaw", "constant", "explicit"):
             raise ValueError(f"unknown sequence kind: {self.kind!r}")
-        if self.kind == "powerlaw" and (self.alpha <= 0 or self.scale <= 0):
-            raise ValueError("powerlaw needs exponent > 0 and scale > 0")
+        if self.kind == "powerlaw" and not (0 < self.alpha < math.inf
+                                            and 0 < self.scale < math.inf):
+            raise ValueError("powerlaw needs a finite exponent > 0 and a finite scale > 0")
         if self.kind == "constant" and not 0.0 <= self.value <= 1.0:
             raise ValueError("constant value must lie in [0, 1]")
         if self.kind == "explicit" and any(not 0.0 <= v <= 1.0 for v in self.values):
@@ -95,6 +97,13 @@ class TruncatedSequence:
 
 def truncate(spec: SequenceSpec, k: int) -> TruncatedSequence:
     return TruncatedSequence(spec, k)
+
+
+def signed_ranges(k: int):
+    """1, -1, 2, -2, ..., k, -k: the order every witness search scans."""
+    for i in range(1, k + 1):
+        yield i
+        yield -i
 
 
 def partial_sum(spec: SequenceSpec, n: int) -> float:

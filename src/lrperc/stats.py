@@ -10,8 +10,8 @@ def wilson_interval(successes: int, trials: int, z: float = 1.96) -> tuple[float
     """Wilson score interval for a binomial proportion, clamped to [0, 1]."""
     if not 0 <= successes <= trials or trials < 1:
         raise ValueError(f"need 0 <= successes <= trials >= 1, got {successes}/{trials}")
-    if z <= 0:
-        raise ValueError("z must be positive")
+    if not 0 < z < math.inf:
+        raise ValueError(f"z must be finite and positive, got {z}")
     p = successes / trials
     z2 = z * z
     denom = 1.0 + z2 / trials

@@ -16,8 +16,7 @@ from conftest import record_acceptance
 from lrperc.bondfield import BondField
 from lrperc.cli import resolve_config
 from lrperc.contact import (
-    SkeletonParams, estimate_f_frequency, f_probability, infected_at_horizon,
-    sample_timeline,
+    SkeletonParams, f_events, f_probability, infected_at_horizon, sample_timeline,
 )
 from lrperc.harness import ExperimentConfig, format_csv, run_experiment, run_replicas
 from lrperc.oriented import ExplorationParams, explore
@@ -75,8 +74,9 @@ def test_criterion_02_f_closed_form_vs_sampling():
             for k in (1, 5):
                 rates = truncate(harmonic(), k)
                 params = SkeletonParams(delta=delta, b=1, k=k)
-                est = estimate_f_frequency(rates, params, trials=100_000,
-                                           seed=int(2000 + 10 * delta + k), z=3.0)
+                hits = f_events(rates, params, trials=100_000,
+                                seed=int(2000 + 10 * delta + k)).sum()
+                est = EstimateWithCI.from_counts(int(hits), 100_000, z=3.0)
                 assert est.lo <= f_probability(params, rates) <= est.hi, (delta, k)
 
 

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from lrperc.cli import main
 from lrperc.contact import (
-    SkeletonParams, Timeline, _poisson_from_mode, check_f_event, estimate_f_frequency,
+    SkeletonParams, Timeline, _poisson_from_mode, check_f_event, f_events,
     f_probability, infected_at_horizon, k_connected, poisson_from_uniform,
     sample_timeline,
 )
@@ -26,8 +26,8 @@ class _RawRates:
         return self.value if 1 <= i <= self.k else 0.0
 
 
-def _tl(horizon=10.0, deaths=None, arrows=None, k=2, bounds=((-5, 5),)):
-    return Timeline(horizon, [tuple(b) for b in bounds], k,
+def _tl(horizon=10.0, deaths=None, arrows=None, bounds=((-5, 5),)):
+    return Timeline(horizon, [tuple(b) for b in bounds],
                     {s: np.asarray(ts, dtype=float) for s, ts in (deaths or {}).items()},
                     {p: np.asarray(ts, dtype=float) for p, ts in (arrows or {}).items()})
 
@@ -247,8 +247,27 @@ def test_check_f_event_death_on_root_blocks():
 def test_f_frequency_matches_closed_form():
     rates = truncate(harmonic(), 2)
     params = SkeletonParams(delta=0.5, b=1, k=2)
-    est = estimate_f_frequency(rates, params, trials=30_000, seed=8, z=3.0)
+    est = EstimateWithCI.from_counts(int(f_events(rates, params, 30_000, seed=8).sum()),
+                                     30_000, z=3.0)
     assert est.lo <= f_probability(params, rates) <= est.hi
+
+
+@pytest.mark.parametrize("seed,rates,params", [
+    (61, truncate(harmonic(), 1), SkeletonParams(delta=1.0, b=1, k=1)),
+    (62, truncate(constant(0.9), 3), SkeletonParams(delta=0.25, b=2, k=3)),
+    (63, truncate(harmonic(), 4), SkeletonParams(delta=1.0, b=2, k=4)),
+    (64, truncate(constant(0.7), 2), SkeletonParams(delta=0.25, b=1, k=2)),
+])
+def test_f_events_equal_check_f_event_per_trial(seed, rates, params):
+    """Trial r of the batch reads exactly the marks of replica r's timeline."""
+    trials, k, b = 400, params.k, params.b
+    got = f_events(rates, params, trials, seed)
+    want = [check_f_event(sample_timeline(seed, rates, box=[(-k, k), (0, b)],
+                                          horizon=params.delta, d=2, replica=r),
+                          (0, 0), 0, params).success
+            for r in range(trials)]
+    assert got.tolist() == want
+    assert 0 < sum(want) < trials  # both outcomes exercised
 
 
 def test_f_event_inclusion_in_infection():
@@ -278,15 +297,30 @@ def test_f_event_inclusion_in_infection():
 
 def test_survival_zero_rates_is_death_clock():
     horizon = 1.0
-    hits = run_replicas("surv_contact", (truncate(constant(0.0), 1), 1, 1, horizon, 1),
+    recs = run_replicas("surv_contact", (truncate(constant(0.0), 1), (1,), 1, horizon, 1),
                         seed=14, reps=3000)
-    est = EstimateWithCI.from_counts(sum(hits), 3000, z=3.0)
+    est = EstimateWithCI.from_counts(sum(h for (h,) in recs), 3000, z=3.0)
     assert est.lo <= math.exp(-horizon) <= est.hi
 
 
 def test_survival_huge_rate_near_one():
-    hits = run_replicas("surv_contact", (_RawRates(50.0), 1, 2, 0.5, 1), seed=15, reps=200)
-    assert sum(hits) / 200 >= 0.9
+    recs = run_replicas("surv_contact", (_RawRates(50.0), (1,), 2, 0.5, 1), seed=15, reps=200)
+    assert sum(h for (h,) in recs) / 200 >= 0.9
+
+
+def test_surv_contact_records_nondecreasing_in_k():
+    """One timeline per replica, sampled at the largest k, answers every k;
+    each replica's records therefore nest in k, and each equals the answer
+    on the timeline sampled at that k."""
+    rates, ks = harmonic(), (1, 2, 4)
+    recs = run_replicas("surv_contact", (truncate(rates, max(ks)), ks, 2, 1.5, 2),
+                        seed=16, reps=60)
+    assert all(list(rec) == sorted(rec) for rec in recs)
+    assert len({rec for rec in recs}) > 1  # the k-sweep is not trivial here
+    for r, rec in enumerate(recs):
+        for k, hit in zip(ks, rec):
+            tl = sample_timeline(16, truncate(rates, k), box=2, horizon=1.5, d=2, replica=r)
+            assert hit == int(bool(infected_at_horizon(tl, k))), (r, k)
 
 
 def test_infected_at_horizon_trivial():
@@ -299,7 +333,32 @@ def test_infected_at_horizon_trivial():
 def test_horizon_validation():
     with pytest.raises(ValueError):
         sample_timeline(1, truncate(harmonic(), 1), box=1, horizon=0.0, d=1)
+    for horizon in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite"):
+            sample_timeline(1, truncate(harmonic(), 1), box=1, horizon=horizon, d=1)
     with pytest.raises(ValueError):
         SkeletonParams(delta=0.0, b=1, k=1)
     with pytest.raises(ValueError):
         SkeletonParams(delta=1.0, b=0, k=1)
+
+
+def test_box_validation():
+    rates = truncate(harmonic(), 1)
+    with pytest.raises(ValueError, match="half-width >= 0"):
+        sample_timeline(1, rates, box=-1, horizon=1.0, d=1)
+    with pytest.raises(ValueError, match="dimension"):
+        sample_timeline(1, rates, box=1, horizon=1.0, d=0)
+    with pytest.raises(ValueError, match="lo <= hi"):
+        sample_timeline(1, rates, box=[(2, 1)], horizon=1.0, d=1)
+
+
+@pytest.mark.parametrize("flag,value", [("--horizon", "inf"), ("--horizon", "nan"),
+                                        ("--window", "-1"), ("--dim", "0"),
+                                        ("--k", "-1"), ("--k", "2,-1")])
+def test_cli_contact_rejects_bad_value(capsys, flag, value):
+    argv = {"--rates": "powerlaw:1,0.6", "--k": "1", "--horizon": "2", "--window": "1",
+            "--dim": "1", "--reps": "3"}
+    argv[flag] = value
+    assert main(["contact", *(t for kv in argv.items() for t in kv)]) == 2
+    err = capsys.readouterr().err.strip().split("\n")
+    assert err[-1].startswith("error: ")

@@ -1,9 +1,13 @@
+import io
+import math
 import os
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 
 from lrperc import harness
-from lrperc.cli import build_parser, main, resolve_config
+from lrperc.cli import _SUBCOMMAND_PARAMS, build_parser, main, resolve_config
 from lrperc.harness import (
     ExperimentConfig, emit_csv, format_csv, parse_config_file, run_experiment,
     run_replicas, wilson_interval,
@@ -11,7 +15,7 @@ from lrperc.harness import (
 from lrperc.sequences import harmonic, truncate
 from lrperc.starlat import StarParams
 from lrperc.stats import EstimateWithCI
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 
 # -- statistics -----------------------------------------------------------------
@@ -37,6 +41,13 @@ def test_wilson_validation():
         wilson_interval(5, 4, 1.96)
     with pytest.raises(ValueError):
         wilson_interval(0, 10, 0.0)
+
+
+@pytest.mark.parametrize("z", [math.nan, math.inf])
+def test_wilson_rejects_non_finite_z(z):
+    """A nan or infinite z would print the interval [0, 1]."""
+    with pytest.raises(ValueError, match="finite"):
+        wilson_interval(5, 10, z)
 
 
 @given(st.integers(0, 200), st.integers(1, 200), st.floats(0.1, 5.0))
@@ -91,6 +102,48 @@ def test_cli_flags_override_config_file(tmp_path):
     cfg = resolve_config(["gamma", "--config", str(f), "--seed", "11"])
     assert cfg.seed == 11
     assert cfg.params["kmax"] == "2"
+
+
+@pytest.mark.parametrize("command,text,key", [
+    # a typo used to run silently with qseq = pseq
+    ("survival", "pseq = harmonic\nqseqq = const:1\ndim = 2\nk = 1\n"
+                 "horizon = 2\nwindow = 2\nreps = 2\n", "qseqq"),
+    ("contact", "rates = harmonic\ndelta = 0.5\n", "delta"),  # a star key
+])
+def test_config_file_unknown_key_is_one_line_error(tmp_path, capsys, command, text, key):
+    f = tmp_path / "bad.cfg"
+    f.write_text(text)
+    with pytest.raises(ValueError, match=f"bad.cfg: unknown key '{key}' for {command}"):
+        resolve_config([command, "--config", str(f)])
+    assert main([command, "--config", str(f)]) == 2
+    err = capsys.readouterr().err.strip().split("\n")
+    assert len(err) == 1 and err[0].startswith("error: ")
+
+
+_CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+_CONFIG_COMMANDS = {"trend_g": "survival", "determinism": "survival", "crossing": "siteperc",
+                    "trend_contact": "contact", "trend_star": "star", "gamma_curve": "gamma",
+                    "domination": "redcluster", "hprob_oracle": "hprob"}
+
+
+def test_checked_in_configs_use_only_valid_keys():
+    assert {p.stem for p in _CONFIGS.glob("*.cfg")} == set(_CONFIG_COMMANDS)
+    for name, command in _CONFIG_COMMANDS.items():
+        cfg = resolve_config([command, "--config", str(_CONFIGS / f"{name}.cfg")])
+        assert cfg.command == command
+
+
+def test_cli_usage_error_is_one_line(capsys):
+    assert main(["survival", "--reps", "nan"]) == 2
+    err = capsys.readouterr().err.strip().split("\n")
+    assert len(err) == 1 and err[0].startswith("error: ")
+
+
+@pytest.mark.parametrize("z", ["nan", "inf"])
+def test_cli_non_finite_z_is_one_line_error(capsys, z):
+    assert main(["contact", "--rates", "harmonic", "--k", "1", "--horizon", "1",
+                 "--window", "1", "--dim", "1", "--reps", "2", "--z", z]) == 2
+    assert capsys.readouterr().err.strip().split("\n")[-1].startswith("error: ")
 
 
 def test_cli_parser_has_all_subcommands():
@@ -256,3 +309,65 @@ def test_cli_stdout_when_no_out(capsys):
                "--kmax", "1"])
     assert rc == 0
     assert capsys.readouterr().out.startswith("experiment,")
+
+
+# -- CLI fuzzing ------------------------------------------------------------------------
+
+_SMALL = ["-1", "0", "1", "2", "3", "4", "nan", "inf", ""]
+_FLOATS = _SMALL + ["0.5", "-inf"]
+_SEQS = ["harmonic", "const:0.5", "powerlaw:1,0.5", "list:0.5,0.25", "powerlaw:1",
+         "powerlaw:nan,0.5", "const:x", "list:", "wat:1", "harmonic:", "", "nan"]
+_FUZZ_VALUES = {
+    "pseq": _SEQS, "qseq": _SEQS, "rates": _SEQS,
+    "k": _SMALL + ["1,2", "2,1", "1,-1", "1,,2"], "gamma": _FLOATS + ["0.5,0.7"],
+    "horizon": _SMALL + ["0.5", "1,3", "-inf"],
+    "eps": _FLOATS, "delta": _FLOATS, "z": _FLOATS,
+    "reps": ["-1", "0", "1", "2", "3", "nan", ""],
+    "dim": ["-1", "0", "1", "2", "nan", "inf", ""],
+    "seed": ["0", "1", "-1", "nan", ""],
+}
+
+
+# a valid, cheap invocation of each subcommand; the fuzzer replaces or drops flags
+_VALID = {
+    "gamma": {"pseq": "harmonic", "qseq": "harmonic", "beta": "1", "kmax": "2"},
+    "survival": {"pseq": "powerlaw:1,0.5", "qseq": "powerlaw:1,0.5", "dim": "2",
+                 "k": "1,2", "horizon": "3", "window": "3"},
+    "redcluster": {"pseq": "harmonic", "qseq": "harmonic", "beta": "1", "k": "2",
+                   "steps": "3"},
+    "siteperc": {"gamma": "0.5,0.7", "horizon": "1,3"},
+    "contact": {"rates": "powerlaw:1,0.6", "dim": "1", "k": "1,2", "horizon": "2",
+                "window": "2"},
+    "star": {"eps": "0.5", "pseq": "powerlaw:1,0.95", "k": "1,2", "delta": "0.5",
+             "horizon": "3", "window": "2"},
+    "hprob": {"pseq": "list:0.5,0.5", "k": "2", "window": "2", "eps": "0.5"},
+}
+
+
+@pytest.mark.parametrize("command", sorted(_SUBCOMMAND_PARAMS))
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_cli_fuzzed_flags_exit_0_or_2(command, data):
+    """Every input gives a result (0) or an `error:` line (2), never a
+    traceback.  Values stay small (reps <= 3, k, horizon, window, steps and
+    kmax <= 4, one worker), so no case starts a pool or runs long."""
+    flags = {**_VALID[command], "reps": "2"}
+    keys = data.draw(st.lists(st.sampled_from(sorted({*_SUBCOMMAND_PARAMS[command],
+                                                      "seed", "reps", "z"})),
+                              min_size=1, max_size=3, unique=True), label="fuzzed")
+    for key in keys:
+        values = _FUZZ_VALUES.get(key, _SMALL)
+        # None drops the flag, but never --reps or --steps, whose defaults
+        # (100 replicas, 100000 red-cluster steps) are not cheap
+        keep = key in ("reps", "steps")
+        flags[key] = data.draw(st.sampled_from(values if keep else [None, *values]), label=key)
+    argv = [command, "--threads", "1"]
+    for key, value in flags.items():
+        if value is not None:
+            argv += [f"--{key}", value]
+    err = io.StringIO()
+    with redirect_stderr(err), redirect_stdout(io.StringIO()):
+        rc = main(argv)
+    assert rc in (0, 2), argv
+    if rc == 2:
+        assert err.getvalue().strip().split("\n")[-1].startswith("error: "), argv

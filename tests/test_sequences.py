@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 
 from lrperc.sequences import (
     SequenceSpec, constant, explicit, harmonic, parse_sequence, partial_sum,
-    powerlaw, truncate,
+    powerlaw, signed_ranges, truncate,
 )
 
 
@@ -40,11 +40,21 @@ def test_spec_validation():
         explicit([0.5, 2.0])
 
 
+@pytest.mark.parametrize("text", ["powerlaw:1,nan", "powerlaw:nan,0.5",
+                                  "powerlaw:1,inf", "powerlaw:inf,0.5"])
+def test_powerlaw_rejects_non_finite_parameters(text):
+    """min(1, nan) is 1, so a nan parameter would open every bond."""
+    with pytest.raises(ValueError, match="finite"):
+        parse_sequence(text)
+
+
 # -- truncation ---------------------------------------------------------------
 
 def test_truncate_harmonic():
     t = truncate(harmonic(), 3)
     assert t.terms(5) == [1.0, 0.5, 1.0 / 3.0, 0.0, 0.0]
+    # witness searches scan the ranges of a truncation in this order
+    assert list(signed_ranges(3)) == [1, -1, 2, -2, 3, -3]
 
 
 def test_truncate_at_zero_is_identically_zero():
