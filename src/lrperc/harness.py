@@ -31,8 +31,10 @@ __all__ = [
 # -- replica scheduling --------------------------------------------------------
 
 def _surv_g(args, root, r):
-    (params,) = args
-    return 1 if oriented.explore(root.derive_replica(r), params).survived else 0
+    """Survival at each k in `ks` from one labelled sweep at params.k = max(ks)."""
+    params, ks = args
+    crit = oriented.explore(root.derive_replica(r), params).critical_k
+    return tuple(1 if crit is not None and crit <= k else 0 for k in ks)
 
 
 def _surv_contact(args, root, r):
@@ -138,7 +140,7 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.command not in _RUNNERS:
             raise ValueError(f"unknown experiment: {self.command!r}")
-        if self.command != "gamma" and self.reps < 1:
+        if self.reps < 1:
             raise ValueError("reps must be >= 1")
         if self.threads < 1:
             raise ValueError("threads must be >= 1")
@@ -189,6 +191,8 @@ def _run_gamma(cfg: ExperimentConfig):
     qseq = parse_sequence(_need(cfg, "qseq"))
     beta = int(_need(cfg, "beta"))
     kmax = int(_need(cfg, "kmax"))
+    if kmax < 1:
+        raise ValueError(f"kmax must be >= 1, got {kmax}")
     rows = []
     for k in range(1, kmax + 1):
         params = renorm.BifurcationParams(k, beta, truncate(pseq, k), truncate(qseq, k))
@@ -203,12 +207,16 @@ def _run_survival(cfg: ExperimentConfig):
     qseq = parse_sequence(cfg.params.get("qseq") or _need(cfg, "pseq"))
     horizon = int(_need(cfg, "horizon"))
     window = int(_need(cfg, "window"))
+    ks = tuple(_int_list(_need(cfg, "k")))
+    if min(ks) < 0:
+        raise ValueError("truncation range must be nonnegative")
+    kmax = max(ks)
+    params = oriented.ExplorationParams(d, kmax, horizon, window,
+                                        truncate(pseq, kmax), truncate(qseq, kmax))
+    recs = run_replicas("surv_g", (params, ks), cfg.seed, cfg.reps, cfg.threads)
     rows = []
-    for k in _int_list(_need(cfg, "k")):
-        params = oriented.ExplorationParams(d, k, horizon, window,
-                                            truncate(pseq, k), truncate(qseq, k))
-        recs = run_replicas("surv_g", (params,), cfg.seed, cfg.reps, cfg.threads)
-        est = EstimateWithCI.from_counts(sum(recs), cfg.reps, cfg.z)
+    for i, k in enumerate(ks):
+        est = EstimateWithCI.from_counts(sum(rec[i] for rec in recs), cfg.reps, cfg.z)
         rows.append(_row(cfg, "g", k, horizon, window, {"dim": d}, est))
     return rows
 

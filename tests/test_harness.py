@@ -166,6 +166,41 @@ def test_k_sweep_row_count():
     assert all(r["experiment"] == "survival" for r in rows)
 
 
+@pytest.mark.parametrize("ks", ["2,1", "2,2"])
+def test_survival_rows_keep_k_order_and_duplicates(ks):
+    """One labelled sweep at max(k) gives a row per --k entry, in the given
+    order, each equal to the row of a run at that k alone."""
+    def rows(k):
+        return run_experiment(ExperimentConfig("survival", seed=3, reps=12,
+                                               params={**_TINY_SURVIVAL, "k": k}))
+    sweep = rows(ks)
+    assert [r["k"] for r in sweep] == [int(k) for k in ks.split(",")]
+    for row in sweep:
+        (alone,) = rows(str(row["k"]))
+        assert [row[c] for c in ("estimate", "ci_lo", "ci_hi")] == \
+            [alone[c] for c in ("estimate", "ci_lo", "ci_hi")]
+
+
+def test_cli_survival_negative_k_rejected_before_sampling(capsys, monkeypatch):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled before the k list was checked")
+    monkeypatch.setattr(harness, "run_replicas", no_sampling)
+    assert main(["survival", "--pseq", "harmonic", "--k", "1,-1", "--horizon", "2",
+                 "--window", "2", "--reps", "2"]) == 2
+    err = capsys.readouterr().err.strip().split("\n")
+    assert err[-1] == "error: truncation range must be nonnegative"
+
+
+@pytest.mark.parametrize("flag,value", [("--kmax", "0"), ("--kmax", "-2"), ("--reps", "-1")])
+def test_cli_gamma_rejects_bad_value(capsys, flag, value):
+    argv = {"--pseq": "harmonic", "--qseq": "harmonic", "--beta": "1", "--kmax": "2"}
+    argv[flag] = value
+    assert main(["gamma", *(t for kv in argv.items() for t in kv)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""  # no header without rows
+    assert captured.err.strip().split("\n")[-1].startswith("error: ")
+
+
 def test_gamma_rows_are_exact_values():
     cfg = ExperimentConfig("gamma", params={"pseq": "list:0.5", "qseq": "const:0.5",
                                             "beta": "1", "kmax": "1"})

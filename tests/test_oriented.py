@@ -14,8 +14,18 @@ def _params(d=2, k=2, horizon=5, window=6, p=None, q=None):
 
 
 def _survival(params, seed, replicas):
-    hits = sum(run_replicas("surv_g", (params,), seed, replicas))
+    hits = sum(rec[0] for rec in run_replicas("surv_g", (params, (params.k,)), seed, replicas))
     return EstimateWithCI.from_counts(hits, replicas)
+
+
+def _scalar_front(fld, params):
+    """The generation-`horizon` front by breadth-first search over
+    `out_neighbors`, one scalar bond query at a time."""
+    front = {((0,) * params.d, 0)}
+    for _ in range(params.horizon):
+        front = set().union(*(out_neighbors(fld, v, params) for v in front)) \
+            if front else set()
+    return front
 
 
 def test_out_neighbors_k_zero_empty():
@@ -137,6 +147,8 @@ def test_params_validation():
         _params(d=0)
     with pytest.raises(ValueError):
         _params(horizon=-1)
+    with pytest.raises(ValueError, match="truncation range"):
+        ExplorationParams(2, -1, 3, 3, truncate(constant(0.5), 0), truncate(constant(0.5), 0))
 
 
 def test_explicit_anisotropy():
@@ -146,3 +158,86 @@ def test_explicit_anisotropy():
     assert out == {((1, 0), 1), ((-1, 0), 1)}
     assert params.axis_prob(1, -1) == 1.0
     assert params.axis_prob(2, 1) == 0.0
+
+
+# -- bottleneck labels -------------------------------------------------------------
+
+_ORACLE_SETS = [
+    # clipping window, p != q, and k = 0 in the sweep
+    dict(d=2, ks=(0, 1, 2, 4), horizon=5, window=2, p=powerlaw(1.0, 0.45),
+         q=powerlaw(1.0, 0.35)),
+    dict(d=1, ks=(0, 1, 3, 5), horizon=8, window=6, p=powerlaw(1.0, 0.6), q=harmonic()),
+    dict(d=3, ks=(1, 2, 3), horizon=4, window=2, p=constant(0.2), q=powerlaw(0.5, 0.2)),
+]
+
+
+@pytest.mark.parametrize("case", range(len(_ORACLE_SETS)))
+def test_critical_k_equals_per_k_explore_and_scalar_search(case):
+    """One labelled sweep at max(ks) decides every k of the sweep: for every
+    replica and k, critical_k <= k iff `explore` at truncation k survives iff
+    the scalar breadth-first search at truncation k reaches the horizon."""
+    c = _ORACLE_SETS[case]
+    kmax = max(c["ks"])
+    top = _params(d=c["d"], k=kmax, horizon=c["horizon"], window=c["window"],
+                  p=truncate(c["p"], kmax), q=truncate(c["q"], kmax))
+    seen = set()
+    for r in range(50):
+        fld = BondField(41 + case).derive_replica(r)
+        crit = explore(fld, top).critical_k
+        seen.add(crit)
+        for k in c["ks"]:
+            params = _params(d=c["d"], k=k, horizon=c["horizon"], window=c["window"],
+                             p=truncate(c["p"], k), q=truncate(c["q"], k))
+            by_label = crit is not None and crit <= k
+            assert by_label == explore(fld, params).survived, (r, k)
+            assert by_label == bool(_scalar_front(fld, params)), (r, k)
+    assert len(seen) > 2  # labels, not just survival at kmax, are exercised
+
+
+def test_surv_g_records_nondecreasing_in_k():
+    """One sweep per replica, at the largest k, answers every k; each
+    replica's records therefore nest in k, and each equals the answer of
+    `explore` at that k."""
+    seq, ks = powerlaw(1.0, 0.45), (1, 2, 4)
+    top = _params(k=max(ks), horizon=6, window=5, p=truncate(seq, max(ks)))
+    recs = run_replicas("surv_g", (top, ks), seed=16, reps=60)
+    assert all(list(rec) == sorted(rec) for rec in recs)
+    assert len(set(recs)) > 1  # the k-sweep is not trivial here
+    for r, rec in enumerate(recs):
+        fld = BondField(16).derive_replica(r)
+        for k, hit in zip(ks, rec):
+            params = _params(k=k, horizon=6, window=5, p=truncate(seq, k))
+            assert hit == int(explore(fld, params).survived), (r, k)
+
+
+def test_critical_k_horizon_zero_is_zero():
+    for k in (0, 3):
+        params = _params(k=k, horizon=0, p=truncate(constant(0.0), k))
+        res = explore(BondField(2), params)
+        assert res.survived and res.critical_k == 0
+
+
+@pytest.mark.parametrize("k, value, window", [
+    (2, 0.0, 6),  # all-zero sequences
+    (0, 1.0, 6),  # no moves at k = 0
+    (2, 1.0, 0),  # every move leaves a zero window
+])
+def test_critical_k_none_when_the_front_dies(k, value, window):
+    params = _params(k=k, horizon=3, window=window, p=truncate(constant(value), k))
+    res = explore(BondField(2), params)
+    assert not res.survived and res.critical_k is None
+
+
+@pytest.mark.parametrize("d, p, q, expected", [
+    (1, [0.0, 1.0], [0.0], 2),              # only range 2 is open
+    (3, [0.0, 0.0, 1.0], [0.0, 0.0, 1.0], 3),
+    (2, [0.0, 1.0], [1.0], 1),              # axis 2 reaches at range 1
+    (2, [0.0, 1.0], [0.0], 2),              # axis 1 draws from pseq
+    (2, [0.0], [0.0, 0.0, 1.0], 3),         # axis 2 draws from qseq
+    (3, [1.0], [0.0, 0.0, 0.0, 1.0], 1),
+])
+def test_critical_k_deterministic_sequences(d, p, q, expected):
+    k = 4
+    params = _params(d=d, k=k, horizon=3, window=20,
+                     p=truncate(explicit(p), k), q=truncate(explicit(q), k))
+    assert explore(BondField(7), params).critical_k == expected
