@@ -45,14 +45,19 @@ def _surv_contact(args, root, r):
 
 
 def _surv_star(args, root, r):
-    block, params, horizon, window = args
-    fld = root.derive_replica(r)
-    return 1 if starlat.block_path_survival(fld, block, params, horizon, window) else 0
+    """Survival at each k in `ks` from one labelled sweep at params.k = max(ks)."""
+    block, params, horizon, window, ks = args
+    crit = starlat.block_path_critical_k(root.derive_replica(r), block, params,
+                                         horizon, window)
+    return tuple(1 if crit is not None and crit <= k else 0 for k in ks)
 
 
 def _hprob(args, root, r):
-    params, window = args
-    return 1 if starlat.h_connected(root.derive_replica(r), 0, 0, params, window) else 0
+    """The H-event of gamma(0), gamma(1) at each k in `ks` from one H-label
+    at params.k = max(ks)."""
+    params, window, ks = args
+    (label,) = starlat.h_labels(root.derive_replica(r), [0], 0, params, window)
+    return tuple(1 if label <= k else 0 for k in ks)
 
 
 def _bifurcation(args, root, r):
@@ -170,7 +175,30 @@ def _need(cfg: ExperimentConfig, key: str) -> str:
     return cfg.params[key]
 
 
+def _ks(cfg: ExperimentConfig) -> tuple:
+    """The --k list, in its order and with its duplicates, checked before
+    any sampling."""
+    ks = tuple(_int_list(_need(cfg, "k")))
+    if min(ks) < 0:
+        raise ValueError("truncation range must be nonnegative")
+    return ks
+
+
+def _star_window(cfg: ExperimentConfig) -> int:
+    window = int(_need(cfg, "window"))
+    if window < 1:
+        raise ValueError("window must be >= 1")
+    return window
+
+
 # -- runners ----------------------------------------------------------------------
+
+def _k_estimates(cfg, ks, recs):
+    """(k, estimate) for each k of `ks`, from records holding one 0/1 entry
+    per k."""
+    return [(k, EstimateWithCI.from_counts(sum(rec[i] for rec in recs), cfg.reps, cfg.z))
+            for i, k in enumerate(ks)]
+
 
 def _row(cfg, model, k, horizon, window, extra, est: EstimateWithCI | None,
          value=None):
@@ -207,18 +235,13 @@ def _run_survival(cfg: ExperimentConfig):
     qseq = parse_sequence(cfg.params.get("qseq") or _need(cfg, "pseq"))
     horizon = int(_need(cfg, "horizon"))
     window = int(_need(cfg, "window"))
-    ks = tuple(_int_list(_need(cfg, "k")))
-    if min(ks) < 0:
-        raise ValueError("truncation range must be nonnegative")
+    ks = _ks(cfg)
     kmax = max(ks)
     params = oriented.ExplorationParams(d, kmax, horizon, window,
                                         truncate(pseq, kmax), truncate(qseq, kmax))
     recs = run_replicas("surv_g", (params, ks), cfg.seed, cfg.reps, cfg.threads)
-    rows = []
-    for i, k in enumerate(ks):
-        est = EstimateWithCI.from_counts(sum(rec[i] for rec in recs), cfg.reps, cfg.z)
-        rows.append(_row(cfg, "g", k, horizon, window, {"dim": d}, est))
-    return rows
+    return [_row(cfg, "g", k, horizon, window, {"dim": d}, est)
+            for k, est in _k_estimates(cfg, ks, recs)]
 
 
 def _run_redcluster(cfg: ExperimentConfig):
@@ -258,16 +281,11 @@ def _run_contact(cfg: ExperimentConfig):
     rates = parse_sequence(_need(cfg, "rates"))
     horizon = float(_need(cfg, "horizon"))
     window = int(_need(cfg, "window"))
-    ks = tuple(_int_list(_need(cfg, "k")))
-    if min(ks) < 0:
-        raise ValueError("truncation range must be nonnegative")
+    ks = _ks(cfg)
     args = (truncate(rates, max(ks)), ks, window, horizon, d)
     recs = run_replicas("surv_contact", args, cfg.seed, cfg.reps, cfg.threads)
-    rows = []
-    for i, k in enumerate(ks):
-        est = EstimateWithCI.from_counts(sum(rec[i] for rec in recs), cfg.reps, cfg.z)
-        rows.append(_row(cfg, "contact", k, horizon, window, {"dim": d}, est))
-    return rows
+    return [_row(cfg, "contact", k, horizon, window, {"dim": d}, est)
+            for k, est in _k_estimates(cfg, ks, recs)]
 
 
 def _run_star(cfg: ExperimentConfig):
@@ -275,30 +293,27 @@ def _run_star(cfg: ExperimentConfig):
     pseq = parse_sequence(_need(cfg, "pseq"))
     delta = float(_need(cfg, "delta"))
     horizon = int(_need(cfg, "horizon"))
-    window = int(_need(cfg, "window"))
+    if horizon < 0:
+        raise ValueError("horizon must be nonnegative")
+    window = _star_window(cfg)
+    ks = _ks(cfg)
     N = starlat.choose_N(eps, delta)
     block = starlat.BlockParams(N, delta)
-    rows = []
-    for k in _int_list(_need(cfg, "k")):
-        params = starlat.StarParams(eps, truncate(pseq, k))
-        recs = run_replicas("surv_star", (block, params, horizon, window),
-                            cfg.seed, cfg.reps, cfg.threads)
-        est = EstimateWithCI.from_counts(sum(recs), cfg.reps, cfg.z)
-        rows.append(_row(cfg, "gstar", k, horizon, window,
-                         {"eps": eps, "delta": delta, "N": N}, est))
-    return rows
+    params = starlat.StarParams(eps, truncate(pseq, max(ks)))
+    recs = run_replicas("surv_star", (block, params, horizon, window, ks),
+                        cfg.seed, cfg.reps, cfg.threads)
+    return [_row(cfg, "gstar", k, horizon, window, {"eps": eps, "delta": delta, "N": N}, est)
+            for k, est in _k_estimates(cfg, ks, recs)]
 
 
 def _run_hprob(cfg: ExperimentConfig):
     pseq = parse_sequence(_need(cfg, "pseq"))
-    window = int(_need(cfg, "window"))
-    rows = []
-    for k in _int_list(_need(cfg, "k")):
-        params = starlat.StarParams(float(cfg.params.get("eps", 0.5)), truncate(pseq, k))
-        recs = run_replicas("hprob", (params, window), cfg.seed, cfg.reps, cfg.threads)
-        est = EstimateWithCI.from_counts(sum(recs), cfg.reps, cfg.z)
-        rows.append(_row(cfg, "gstar", k, "", window, {}, est))
-    return rows
+    window = _star_window(cfg)
+    ks = _ks(cfg)
+    params = starlat.StarParams(float(cfg.params.get("eps", 0.5)), truncate(pseq, max(ks)))
+    recs = run_replicas("hprob", (params, window, ks), cfg.seed, cfg.reps, cfg.threads)
+    return [_row(cfg, "gstar", k, "", window, {}, est)
+            for k, est in _k_estimates(cfg, ks, recs)]
 
 
 _RUNNERS = {

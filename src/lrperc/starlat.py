@@ -9,13 +9,38 @@ approximated inside a window of half-width W around the first point, which
 can only underestimate its probability.  A zeta-block at (a, n) on the
 parity sublattice requires all 2N consecutive H-events at level n plus one
 open vertical bond in each half-block.
+
+A bond's uniform and its probability p_i do not depend on k, so a
+horizontal bond of range i is open at truncation k exactly when i <= k and
+it is open at any larger range.  Each event therefore has a label, the
+least k at which it holds (k_max + 1 when it fails at k_max):
+
+    H-label    = 1 if the range-1 bond from gamma(m) to gamma(m+1) is open,
+                 else the minimax range of an in-window path between them
+                 (the maximum-capacity route of Hu 1961), found by a
+                 union-find that adds the open bonds in increasing range;
+    zeta-label = the max of the block's 2N H-labels if both half-blocks
+                 have an open vertical bond (which does not depend on k),
+                 else k_max + 1;
+    label(0, 0) = 0,
+    label(a, n+1) = min over a' = a +- 1 of max(label(a', n), zeta(a', n)).
+
+The H-event, the zeta-block and the block path hold at truncation k
+exactly when their label is <= k.  `block_path_critical_k` sweeps the
+levels once at k_max, drawing each level's bonds in one batch for the
+blocks still alive, and its `critical_k` decides survival at every
+k <= k_max.  The scalar `h_connected`, `check_zeta` and
+`block_path_survival` answer one k at a time and are the oracles of the
+labelled kernels.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bondfield import BondField, BondId
+import numpy as np
+
+from .bondfield import TAG_GSTAR_H, TAG_GSTAR_V, BondField, BondId
 from .sequences import TruncatedSequence
 
 
@@ -33,9 +58,10 @@ class StarParams:
         return self.pseq.k
 
 
-def staircase(m: int) -> tuple:
+def staircase(m) -> tuple:
     """gamma(m): +e_1 increments at even indices, -e_2 at odd ones, extended
-    to negative m by the same relation."""
+    to negative m by the same relation.  An integer array m gives the two
+    coordinate arrays."""
     return (-((-m) // 2), -(m // 2))
 
 
@@ -121,26 +147,6 @@ def check_zeta(fld: BondField, a: int, n: int, block: BlockParams,
     return half1 and half2
 
 
-def zeta_bond_ids(a: int, n: int, block: BlockParams, params: StarParams,
-                  window: int) -> set:
-    """All bond ids a zeta-block may consult: every in-window horizontal bond
-    on its 2N lines plus its 2N vertical bonds.  Used to assert exact bond
-    disjointness between distinct blocks."""
-    ids = set()
-    N, k = block.N, params.k
-    for m in range(a * N, a * N + 2 * N):
-        base = staircase(m)
-        axis, _ = _line(m)
-        for t in range(-window, window + 1):
-            x = list(base)
-            x[axis - 1] += t
-            for i in range(1, k + 1):
-                if t + i <= window:
-                    ids.add(BondId.star_horizontal(tuple(x), n, axis, i))
-        ids.add(BondId.star_vertical(base, n))
-    return ids
-
-
 def block_path_survival(fld: BondField, block: BlockParams, params: StarParams,
                         horizon: int, window: int) -> bool:
     """Existence of a_0 = 0, |a_{i+1} - a_i| = 1 with zeta(a_i, i) = 1 for all
@@ -160,3 +166,97 @@ def block_path_survival(fld: BondField, block: BlockParams, params: StarParams,
         if not alive:
             return False
     return True
+
+
+# -- labelled kernels: one sweep at k_max decides every k ---------------------
+
+def _minimax_range(opened: np.ndarray, source: int, target: int) -> int:
+    """Least r such that the open bonds of range <= r join `source` to
+    `target`, by a union-find adding the open bonds in increasing range;
+    K + 1 if they never do.  opened[t, i - 1] is bond (t, t + i), i = 1..K."""
+    parent = list(range(len(opened)))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    rows = opened.tolist()
+    K = len(rows[0])
+    for i in range(1, K + 1):
+        for t, row in enumerate(rows):
+            if row[i - 1]:
+                parent[find(t)] = find(t + i)
+        if find(source) == find(target):
+            return i
+    return K + 1
+
+
+def h_labels(fld: BondField, m, n: int, params: StarParams, window: int) -> np.ndarray:
+    """H-labels of the lines m (an integer array) at level n: the least
+    k <= params.k at which `h_connected` holds, params.k + 1 where it fails.
+
+    One `uniforms` call draws the bonds (lo, lo + i), -W <= lo <= W and
+    1 <= i <= params.k, of every line; those leaving the window are then
+    masked off, and the search reads only these bools.
+    """
+    if window < 1:
+        raise ValueError("window must be >= 1")
+    m = np.asarray(m, dtype=np.int64)
+    K, W = params.k, window
+    labels = np.full(m.shape, K + 1, dtype=np.int64)
+    if K == 0:
+        return labels
+    odd = m % 2 == 1  # these lines run along axis 2
+    x1, x2 = staircase(m[..., None, None])
+    o = odd[..., None, None]
+    lo = np.arange(-W, W + 1)[:, None]
+    rng = np.arange(1, K + 1)
+    cols = [TAG_GSTAR_H, n, x1 + ~o * lo, x2 + o * lo, 1 + o, rng]
+    opened = fld.open_mask(cols, params.pseq.terms(K))  # m.shape + (2W+1, K)
+    opened &= lo + rng <= W
+    # gamma(m+1) is gamma(m) + e_1 for even m and gamma(m) - e_2 for odd m
+    direct = np.where(odd, opened[..., W - 1, 0], opened[..., W, 0])
+    labels[direct] = 1
+    for idx in zip(*np.nonzero(~direct)):
+        labels[idx] = _minimax_range(opened[idx], W, W - 1 if odd[idx] else W + 1)
+    return labels
+
+
+def zeta_labels(fld: BondField, a, n: int, block: BlockParams, params: StarParams,
+                window: int) -> np.ndarray:
+    """Zeta-labels of the blocks a (an integer array) at level n: `check_zeta`
+    holds at truncation k exactly when the label is <= k."""
+    a = np.asarray(a, dtype=np.int64)
+    if ((a + n) % 2).any():
+        raise ValueError(f"a block at level {n} is off the parity sublattice")
+    N = block.N
+    m = a[:, None] * N + np.arange(2 * N)
+    h = h_labels(fld, m, n, params, window).max(axis=1)
+    x1, x2 = staircase(m)
+    vert = fld.open_mask([TAG_GSTAR_V, n, x1, x2], params.eps)
+    held = vert[:, :N].any(axis=1) & vert[:, N:].any(axis=1)
+    return np.where(held, h, params.k + 1)
+
+
+def block_path_critical_k(fld: BondField, block: BlockParams, params: StarParams,
+                          horizon: int, window: int) -> int | None:
+    """Least k <= params.k at which `block_path_survival` holds, or None.
+
+    Level n holds the labels of a = -n, -n + 2, ..., n; zeta-labels are
+    drawn only for the blocks whose label is <= params.k.
+    """
+    never = params.k + 1
+    dead = np.full(1, never, dtype=np.int64)
+    labels = np.zeros(1, dtype=np.int64)
+    for n in range(horizon):
+        alive = np.flatnonzero(labels < never)
+        if not alive.size:
+            return None
+        through = np.full(n + 1, never, dtype=np.int64)
+        through[alive] = np.maximum(
+            labels[alive], zeta_labels(fld, 2 * alive - n, n, block, params, window))
+        labels = np.minimum(np.concatenate([dead, through]), np.concatenate([through, dead]))
+    best = int(labels.min())
+    return best if best < never else None

@@ -191,6 +191,48 @@ def test_cli_survival_negative_k_rejected_before_sampling(capsys, monkeypatch):
     assert err[-1] == "error: truncation range must be nonnegative"
 
 
+_TINY_STAR = {"star": {"eps": "0.8", "pseq": "powerlaw:1,0.8", "delta": "0.5",
+                        "horizon": "4", "window": "3"},
+              "hprob": {"pseq": "powerlaw:1,0.5", "window": "3", "eps": "0.5"}}
+
+
+@pytest.mark.parametrize("command", ["star", "hprob"])
+@pytest.mark.parametrize("ks", ["2,1", "2,2", "0,3,1"])
+def test_star_rows_keep_k_order_and_duplicates(command, ks):
+    """One labelled pass at max(k) gives a row per --k entry, in the given
+    order, each equal to the row of a run at that k alone."""
+    def rows(k):
+        return run_experiment(ExperimentConfig(command, seed=3, reps=40,
+                                               params={**_TINY_STAR[command], "k": k}))
+    sweep = rows(ks)
+    assert [r["k"] for r in sweep] == [int(k) for k in ks.split(",")]
+    for row in sweep:
+        (alone,) = rows(str(row["k"]))
+        assert [row[c] for c in ("estimate", "ci_lo", "ci_hi")] == \
+            [alone[c] for c in ("estimate", "ci_lo", "ci_hi")]
+
+
+@pytest.mark.parametrize("command, flag, value, message", [
+    ("star", "--horizon", "-1", "horizon must be nonnegative"),
+    ("star", "--window", "0", "window must be >= 1"),
+    ("star", "--k", "1,-1", "truncation range must be nonnegative"),
+    ("hprob", "--window", "0", "window must be >= 1"),
+    ("hprob", "--k", "2,-1", "truncation range must be nonnegative"),
+])
+def test_cli_star_bad_value_rejected_before_sampling(capsys, monkeypatch, command, flag,
+                                                     value, message):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled before the input was checked")
+    monkeypatch.setattr(harness, "run_replicas", no_sampling)
+    argv = {**{f"--{key}": v for key, v in _TINY_STAR[command].items()}, "--k": "1",
+            "--reps": "2"}
+    argv[flag] = value
+    assert main([command, *(t for kv in argv.items() for t in kv)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip().split("\n")[-1] == f"error: {message}"
+
+
 @pytest.mark.parametrize("flag,value", [("--kmax", "0"), ("--kmax", "-2"), ("--reps", "-1")])
 def test_cli_gamma_rejects_bad_value(capsys, flag, value):
     argv = {"--pseq": "harmonic", "--qseq": "harmonic", "--beta": "1", "--kmax": "2"}
@@ -209,7 +251,7 @@ def test_gamma_rows_are_exact_values():
     assert rows[0]["estimate"] == pytest.approx(0.33984375, abs=1e-12)
 
 
-_HPROB_ARGS = (StarParams(0.5, truncate(harmonic(), 3)), 3)
+_HPROB_ARGS = (StarParams(0.5, truncate(harmonic(), 3)), 3, (3,))
 
 
 def test_run_replicas_thread_invariance():

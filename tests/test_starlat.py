@@ -3,10 +3,11 @@ import itertools
 import pytest
 
 from lrperc.bondfield import BondField, BondId
-from lrperc.sequences import constant, explicit, harmonic, truncate
+from lrperc.sequences import constant, explicit, harmonic, powerlaw, truncate
 from lrperc.starlat import (
-    BlockParams, StarParams, block_path_survival, check_zeta, choose_N,
-    h_connected, staircase, vertical_open, zeta_bond_ids,
+    BlockParams, StarParams, block_path_critical_k, block_path_survival,
+    check_zeta, choose_N, h_connected, h_labels, staircase, vertical_open,
+    zeta_labels,
 )
 from lrperc.harness import run_replicas
 from lrperc.stats import EstimateWithCI, wilson_interval
@@ -88,7 +89,8 @@ def test_h_exhaustive_oracle_pinned():
 
 def test_h_monte_carlo_matches_oracle():
     params = _sp(p=explicit([0.5, 0.5]), k=2)
-    hits = sum(run_replicas("hprob", (params, 2), seed=21, reps=20_000))
+    hits = sum(rec[0] for rec in run_replicas("hprob", (params, 2, (2,)), seed=21,
+                                              reps=20_000))
     est = EstimateWithCI.from_counts(hits, 20_000, z=3.0)
     assert est.lo <= 95.0 / 128.0 <= est.hi
 
@@ -167,6 +169,25 @@ def test_zeta_matches_raw_recomputation():
         assert check_zeta(fld, 0, 0, block, params, window=3) == (hs and v1 and v2)
 
 
+def zeta_bond_ids(a: int, n: int, block: BlockParams, params: StarParams,
+                  window: int) -> set:
+    """All bond ids a zeta-block may consult: every in-window horizontal bond
+    on its 2N lines plus its 2N vertical bonds."""
+    ids = set()
+    N, k = block.N, params.k
+    for m in range(a * N, a * N + 2 * N):
+        base = staircase(m)
+        axis = 1 if m % 2 == 0 else 2
+        for t in range(-window, window + 1):
+            x = list(base)
+            x[axis - 1] += t
+            for i in range(1, k + 1):
+                if t + i <= window:
+                    ids.add(BondId.star_horizontal(tuple(x), n, axis, i))
+        ids.add(BondId.star_vertical(base, n))
+    return ids
+
+
 def test_zeta_blocks_bond_disjoint():
     """Distinct blocks at the same level consult disjoint bond sets."""
     params = _sp(k=2)
@@ -213,16 +234,157 @@ def test_zeta_independence_across_disjoint_blocks():
 
 def test_block_survival_extremes():
     sure = StarParams(1.0, truncate(constant(1.0), 1))
-    hits = run_replicas("surv_star", (BlockParams(1, 0.5), sure, 5, 3), seed=3, reps=20)
-    assert sum(hits) == 20
+    hits = run_replicas("surv_star", (BlockParams(1, 0.5), sure, 5, 3, (1,)), seed=3, reps=20)
+    assert sum(rec[0] for rec in hits) == 20
     dead = _sp(p=constant(0.0))
-    hits = run_replicas("surv_star", (BlockParams(2, 0.5), dead, 3, 3), seed=3, reps=20)
-    assert sum(hits) == 0
+    hits = run_replicas("surv_star", (BlockParams(2, 0.5), dead, 3, 3, (2,)), seed=3, reps=20)
+    assert sum(rec[0] for rec in hits) == 0
 
 
 def test_block_survival_single_replica_path():
     sure = StarParams(1.0, truncate(constant(1.0), 1))
     assert block_path_survival(BondField(4), BlockParams(1, 0.5), sure, 4, 3)
+
+
+# -- labelled kernels against the per-k oracles ------------------------------------------
+
+_H_SETS = [
+    {"p": powerlaw(1.0, 0.6), "kmax": 4, "window": 5},
+    {"p": explicit([0.3, 0.5, 0.5, 0.4, 0.6]), "kmax": 5, "window": 2},  # window clips
+    {"p": constant(0.35), "kmax": 3, "window": 3},
+]
+
+
+@pytest.mark.parametrize("case", range(len(_H_SETS)))
+def test_h_labels_equal_h_connected(case):
+    """For every replica, line and k: H-label <= k iff `h_connected` at k."""
+    c = _H_SETS[case]
+    top = _sp(p=c["p"], k=c["kmax"])
+    lines = list(range(-3, 5))  # both axes, negative staircase indices too
+    seen = set()
+    for r in range(40):
+        fld = BondField(51 + case).derive_replica(r)
+        for n in (0, 3):
+            labels = h_labels(fld, lines, n, top, c["window"])
+            seen.update(labels.tolist())
+            for k in range(c["kmax"] + 1):
+                params = _sp(p=c["p"], k=k)
+                for m, label in zip(lines, labels):
+                    assert (label <= k) == h_connected(fld, m, n, params, c["window"]), \
+                        (r, n, m, k)
+    assert len(seen) > 2
+
+
+def test_zeta_labels_equal_check_zeta():
+    p, kmax, window = powerlaw(1.0, 0.6), 3, 3
+    block = BlockParams(2, 0.5)
+    top = _sp(eps=0.5, p=p, k=kmax)
+    seen = set()
+    for r in range(40):
+        fld = BondField(59).derive_replica(r)
+        for n, blocks in ((0, [-2, 0, 2]), (1, [-1, 1])):
+            labels = zeta_labels(fld, blocks, n, block, top, window)
+            seen.update(labels.tolist())
+            for k in range(kmax + 1):
+                params = _sp(eps=0.5, p=p, k=k)
+                for a, label in zip(blocks, labels):
+                    assert (label <= k) == check_zeta(fld, a, n, block, params, window), \
+                        (r, n, a, k)
+    assert len(seen) > 2
+    with pytest.raises(ValueError):
+        zeta_labels(BondField(1), [1], 0, block, top, window)
+
+
+_BLOCK_SETS = [
+    # trend_star.cfg's lattice at a shorter horizon
+    {"eps": 0.8, "p": powerlaw(1.0, 0.95), "kmax": 4, "horizon": 6, "window": 8},
+    # sure vertical bonds, and a window that clips ranges 5 and 6
+    {"eps": 1.0, "p": powerlaw(1.0, 0.8), "kmax": 6, "horizon": 4, "window": 2},
+    {"eps": 0.6, "p": explicit([0.8, 0.6, 0.6]), "kmax": 3, "horizon": 4, "window": 3},
+]
+
+
+@pytest.mark.parametrize("case", range(len(_BLOCK_SETS)))
+def test_critical_k_equals_per_k_block_path_survival(case):
+    """One labelled sweep at kmax decides every k: for every replica and k,
+    critical_k <= k iff `block_path_survival` at k."""
+    c = _BLOCK_SETS[case]
+    block = BlockParams(choose_N(c["eps"], 0.5), 0.5)
+    top = _sp(eps=c["eps"], p=c["p"], k=c["kmax"])
+    seen = set()
+    for r in range(40):
+        fld = BondField(61 + case).derive_replica(r)
+        crit = block_path_critical_k(fld, block, top, c["horizon"], c["window"])
+        seen.add(crit)
+        for k in range(c["kmax"] + 1):
+            params = _sp(eps=c["eps"], p=c["p"], k=k)
+            survived = block_path_survival(fld, block, params, c["horizon"], c["window"])
+            assert (crit is not None and crit <= k) == survived, (r, k)
+    assert len(seen) > 2
+
+
+def test_surv_star_records_nondecreasing_in_k():
+    """One sweep per replica, at the largest k, answers every k; each
+    replica's records therefore nest in k, and each equals the answer of
+    `block_path_survival` at that k."""
+    seq, ks = powerlaw(1.0, 0.95), (1, 2, 4)
+    block = BlockParams(choose_N(0.8, 0.5), 0.5)
+    top = _sp(eps=0.8, p=seq, k=max(ks))
+    recs = run_replicas("surv_star", (block, top, 5, 4, ks), seed=16, reps=60)
+    assert all(list(rec) == sorted(rec) for rec in recs)
+    assert len(set(recs)) > 1  # the k-sweep is not trivial here
+    for r, rec in enumerate(recs):
+        fld = BondField(16).derive_replica(r)
+        for k, hit in zip(ks, rec):
+            params = _sp(eps=0.8, p=seq, k=k)
+            assert hit == int(block_path_survival(fld, block, params, 5, 4)), (r, k)
+
+
+def test_hprob_records_equal_h_connected():
+    seq, ks = powerlaw(1.0, 0.5), (3, 1, 3, 0)
+    top = _sp(p=seq, k=max(ks))
+    recs = run_replicas("hprob", (top, 3, ks), seed=17, reps=60)
+    assert len(set(recs)) > 2
+    for r, rec in enumerate(recs):
+        fld = BondField(17).derive_replica(r)
+        assert rec == tuple(int(h_connected(fld, 0, 0, _sp(p=seq, k=k), 3)) for k in ks)
+
+
+def test_labels_at_kmax_zero():
+    """No horizontal bond exists at k = 0: every H-event fails and only the
+    empty block path survives."""
+    top = _sp(eps=1.0, p=constant(1.0), k=0)
+    assert h_labels(BondField(3), [0, 1], 0, top, 2).tolist() == [1, 1]
+    block = BlockParams(1, 0.5)
+    assert block_path_critical_k(BondField(3), block, top, 2, 2) is None
+    assert not block_path_survival(BondField(3), block, top, 2, 2)
+    assert block_path_critical_k(BondField(3), block, top, 0, 2) == 0
+
+
+@pytest.mark.parametrize("p", [constant(0.0), constant(1.0), explicit([0.0, 1.0])])
+def test_critical_k_horizon_zero_is_zero(p):
+    top = _sp(p=p, k=3)
+    assert block_path_critical_k(BondField(2), BlockParams(2, 0.5), top, 0, 2) == 0
+
+
+@pytest.mark.parametrize("p, window, h_expected, crit_expected", [
+    ([1.0], 2, 1, 1),                # the range-1 bond is always open
+    ([0.0, 0.0, 0.0], 3, 4, None),   # all-zero sequence
+    ([0.0, 1.0], 3, 4, None),        # range 2 alone keeps to even offsets
+    ([0.0, 1.0, 1.0], 2, 3, 3),      # 0 -> -2 -> 1 or 0 -> 2 -> -1
+    ([0.0, 1.0, 1.0], 1, 4, None),   # the window leaves only the range-2 bond
+    ([0.0, 0.0, 1.0, 1.0], 3, 4, 4),  # 0 -> -3 -> 1 or 0 -> 3 -> -1
+])
+def test_labels_deterministic_sequences(p, window, h_expected, crit_expected):
+    top = _sp(eps=1.0, p=explicit(p), k=max(3, len(p)))
+    assert h_labels(BondField(7), [0, 1, 2, 3], 1, top, window).tolist() == [h_expected] * 4
+    block = BlockParams(1, 0.5)
+    assert block_path_critical_k(BondField(7), block, top, 3, window) == crit_expected
+
+
+def test_h_labels_window_validation():
+    with pytest.raises(ValueError):
+        h_labels(BondField(1), [0], 0, _sp(), window=0)
 
 
 def test_param_validation():
