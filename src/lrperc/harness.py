@@ -53,11 +53,15 @@ def _surv_star(args, root, r):
 
 
 def _hprob(args, root, r):
-    """The H-event of gamma(0), gamma(1) at each k in `ks` from one H-label
-    at params.k = max(ks)."""
-    params, window, ks = args
-    (label,) = starlat.h_labels(root.derive_replica(r), [0], 0, params, window)
-    return tuple(1 if label <= k else 0 for k in ks)
+    """The H-event of gamma(0), gamma(1) under each StarParams of `ps` (one
+    per --k entry): one scalar search per distinct k on the replica's field."""
+    ps, window = args
+    fld = root.derive_replica(r)
+    held = {}
+    for p in ps:
+        if p.k not in held:
+            held[p.k] = starlat.h_connected(fld, 0, 0, p, window)
+    return tuple(1 if held[p.k] else 0 for p in ps)
 
 
 def _bifurcation(args, root, r):
@@ -310,8 +314,9 @@ def _run_hprob(cfg: ExperimentConfig):
     pseq = parse_sequence(_need(cfg, "pseq"))
     window = _star_window(cfg)
     ks = _ks(cfg)
-    params = starlat.StarParams(float(cfg.params.get("eps", 0.5)), truncate(pseq, max(ks)))
-    recs = run_replicas("hprob", (params, window, ks), cfg.seed, cfg.reps, cfg.threads)
+    eps = float(cfg.params.get("eps", 0.5))
+    ps = tuple(starlat.StarParams(eps, truncate(pseq, k)) for k in ks)
+    recs = run_replicas("hprob", (ps, window), cfg.seed, cfg.reps, cfg.threads)
     return [_row(cfg, "gstar", k, "", window, {}, est)
             for k, est in _k_estimates(cfg, ks, recs)]
 

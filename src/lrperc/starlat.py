@@ -17,8 +17,7 @@ least k at which it holds (k_max + 1 when it fails at k_max):
 
     H-label    = 1 if the range-1 bond from gamma(m) to gamma(m+1) is open,
                  else the minimax range of an in-window path between them
-                 (the maximum-capacity route of Hu 1961), found by a
-                 union-find that adds the open bonds in increasing range;
+                 (the maximum-capacity route of Hu 1961);
     zeta-label = the max of the block's 2N H-labels if both half-blocks
                  have an open vertical bond (which does not depend on k),
                  else k_max + 1;
@@ -27,16 +26,23 @@ least k at which it holds (k_max + 1 when it fails at k_max):
 
 The H-event, the zeta-block and the block path hold at truncation k
 exactly when their label is <= k.  `block_path_critical_k` sweeps the
-levels once at k_max, drawing each level's bonds in one batch for the
-blocks still alive, and its `critical_k` decides survival at every
-k <= k_max.  The scalar `h_connected`, `check_zeta` and
-`block_path_survival` answer one k at a time and are the oracles of the
-labelled kernels.
+levels once at k_max, and its `critical_k` decides survival at every
+k <= k_max.  Each level draws the vertical bonds of the blocks still
+alive, then the in-window horizontal bonds of those that kept them, in
+`uniforms` calls of at most _BATCH_IDS ids, and a union-find adds the
+open bonds of each line in increasing range.  When one line alone holds
+more in-window bonds than _BATCH_IDS, each line is searched instead by a
+bottleneck Dijkstra that draws a bond only when it could lower a label,
+so memory stays bounded however wide the window.  The scalar
+`h_connected`, `check_zeta` and `block_path_survival` answer one k at a
+time and are the oracles of the labelled kernels.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -70,6 +76,13 @@ def _line(m: int):
     return (1, 1) if m % 2 == 0 else (2, -1)
 
 
+def _on_line(base, axis: int, t: int) -> tuple:
+    """The site t steps along `axis` from `base`."""
+    x = list(base)
+    x[axis - 1] += t
+    return tuple(x)
+
+
 def h_connected(fld: BondField, m: int, n: int, params: StarParams, window: int) -> bool:
     """H-event, window-W approximation: gamma(m) and gamma(m+1) joined by open
     horizontal bonds on their common line, both endpoints of every bond within
@@ -79,12 +92,6 @@ def h_connected(fld: BondField, m: int, n: int, params: StarParams, window: int)
     base = staircase(m)
     axis, target = _line(m)
     k = params.k
-
-    def point(t):
-        x = list(base)
-        x[axis - 1] += t
-        return tuple(x)
-
     seen = {0}
     frontier = [0]
     while frontier:
@@ -94,7 +101,7 @@ def h_connected(fld: BondField, m: int, n: int, params: StarParams, window: int)
                 t2 = t + s
                 if t2 in seen or abs(t2) > window:
                     continue
-                if fld.is_open(BondId.star_horizontal(point(t), n, axis, s),
+                if fld.is_open(BondId.star_horizontal(_on_line(base, axis, t), n, axis, s),
                                params.pseq.term(i)):
                     if t2 == target:
                         return True
@@ -170,11 +177,28 @@ def block_path_survival(fld: BondField, block: BlockParams, params: StarParams,
 
 # -- labelled kernels: one sweep at k_max decides every k ---------------------
 
-def _minimax_range(opened: np.ndarray, source: int, target: int) -> int:
-    """Least r such that the open bonds of range <= r join `source` to
-    `target`, by a union-find adding the open bonds in increasing range;
-    K + 1 if they never do.  opened[t, i - 1] is bond (t, t + i), i = 1..K."""
-    parent = list(range(len(opened)))
+_BATCH_IDS = 1 << 16  # most bond ids one `uniforms` call of h_labels hashes
+
+
+def _window_bond_count(K: int, W: int) -> int:
+    """Number of bonds (lo, lo + i), 1 <= i <= K, with both ends in [-W, W]."""
+    r = min(K, 2 * W)
+    return r * (2 * W + 1) - r * (r + 1) // 2
+
+
+@lru_cache(maxsize=8)
+def _window_bonds(K: int, W: int) -> tuple:
+    """(lo, i) of those bonds, by increasing range i, then lo."""
+    i, lo = np.nonzero(np.arange(1, K + 1)[:, None] + np.arange(-W, W + 1) <= W)
+    return lo - W, i + 1
+
+
+def _joining_range(starts, ranges, size: int, source: int, target: int, never: int) -> int:
+    """Least r such that the bonds (t, t + i) with i <= r join `source` to
+    `target`, for bonds given in increasing range: a union-find adds them in
+    that order and the range of the bond that first joins the two is the
+    answer (the maximum-capacity route of Hu 1961).  `never` if none does."""
+    parent = list(range(size))
 
     def find(x):
         while parent[x] != x:
@@ -182,62 +206,140 @@ def _minimax_range(opened: np.ndarray, source: int, target: int) -> int:
             x = parent[x]
         return x
 
-    rows = opened.tolist()
-    K = len(rows[0])
-    for i in range(1, K + 1):
-        for t, row in enumerate(rows):
-            if row[i - 1]:
-                parent[find(t)] = find(t + i)
-        if find(source) == find(target):
-            return i
-    return K + 1
+    for t, i in zip(starts, ranges):
+        a, b = find(t), find(t + i)
+        if a != b:
+            parent[a] = b
+            if find(source) == find(target):
+                return i
+    return never
+
+
+def _h_labels_batch(fld: BondField, m: np.ndarray, n: int, params: StarParams,
+                    W: int) -> np.ndarray:
+    """H-labels of the lines m (1-d) from one `uniforms` call over all their
+    in-window bonds."""
+    K = params.k
+    lo, rng = _window_bonds(K, W)
+    odd = m % 2 == 1  # these lines run along axis 2
+    x1, x2 = staircase(m[:, None])
+    o = odd[:, None]
+    opened = fld.open_mask([TAG_GSTAR_H, n, x1 + ~o * lo, x2 + o * lo, 1 + o, rng],
+                           np.asarray(params.pseq.terms(K))[rng - 1])
+    # gamma(m+1) is gamma(m) + e_1 for even m and gamma(m) - e_2 for odd m;
+    # the range-1 bond (lo, lo + 1) is column lo + W
+    direct = opened[np.arange(m.size), W - odd]
+    labels = np.where(direct, 1, K + 1)
+    rest = np.flatnonzero(~direct)
+    rows, cols = np.nonzero(opened[rest])
+    starts, ranges = (lo[cols] + W).tolist(), rng[cols].tolist()
+    cuts = np.searchsorted(rows, np.arange(rest.size + 1)).tolist()
+    for j, line in enumerate(rest.tolist()):
+        a, b = cuts[j], cuts[j + 1]
+        target = W - 1 if odd[line] else W + 1
+        labels[line] = _joining_range(starts[a:b], ranges[a:b], 2 * W + 1, W, target, K + 1)
+    return labels
+
+
+def _h_label_settled(fld: BondField, m: int, n: int, params: StarParams, W: int) -> int:
+    """H-label of line m by a bottleneck Dijkstra.  Heap entries are
+    (label, 0, site), a site reached at that label, and (cost, i, site), its
+    two bonds of range i, which cost max(label of the site, i); each pop is
+    the cheapest, so a bond is drawn only when its cost is below the
+    target's label, and the draws stay with the sites reached."""
+    base = staircase(m)
+    axis, target = _line(m)
+    never = params.k + 1
+    best = {0: 0}
+    heap = [(0, 0, 0)]
+    while heap:
+        c, i, t = heapq.heappop(heap)
+        if i == 0:
+            if t == target:
+                return c
+            if c == best[t]:
+                heapq.heappush(heap, (max(c, 1), 1, t))
+            continue
+        x = _on_line(base, axis, t)
+        for s in (i, -i):
+            t2 = t + s
+            if abs(t2) <= W and c < best.get(t2, never) and fld.is_open(
+                    BondId.star_horizontal(x, n, axis, s), params.pseq.term(i)):
+                best[t2] = c
+                heapq.heappush(heap, (c, 0, t2))
+        if i + 1 < never:
+            heapq.heappush(heap, (max(best[t], i + 1), i + 1, t))
+    return never
+
+
+def _settles_lines(K: int, W: int) -> bool:
+    """True when one line alone holds more than _BATCH_IDS in-window bonds,
+    so that `h_labels` searches each line with `_h_label_settled`."""
+    return K > 0 and _window_bond_count(K, W) > _BATCH_IDS
 
 
 def h_labels(fld: BondField, m, n: int, params: StarParams, window: int) -> np.ndarray:
     """H-labels of the lines m (an integer array) at level n: the least
     k <= params.k at which `h_connected` holds, params.k + 1 where it fails.
 
-    One `uniforms` call draws the bonds (lo, lo + i), -W <= lo <= W and
-    1 <= i <= params.k, of every line; those leaving the window are then
-    masked off, and the search reads only these bools.
+    The in-window bonds (lo, lo + i), 1 <= i <= params.k, of whole lines
+    are drawn in `uniforms` calls of at most _BATCH_IDS ids.  The label is
+    1 where the range-1 bond from gamma(m) to gamma(m+1) is open; otherwise
+    a union-find adds the open bonds in increasing range.  When one line
+    alone holds more than _BATCH_IDS such bonds, each line is searched by
+    `_h_label_settled` instead, which draws a bond only when it needs it.
     """
     if window < 1:
         raise ValueError("window must be >= 1")
     m = np.asarray(m, dtype=np.int64)
     K, W = params.k, window
-    labels = np.full(m.shape, K + 1, dtype=np.int64)
-    if K == 0:
-        return labels
-    odd = m % 2 == 1  # these lines run along axis 2
-    x1, x2 = staircase(m[..., None, None])
-    o = odd[..., None, None]
-    lo = np.arange(-W, W + 1)[:, None]
-    rng = np.arange(1, K + 1)
-    cols = [TAG_GSTAR_H, n, x1 + ~o * lo, x2 + o * lo, 1 + o, rng]
-    opened = fld.open_mask(cols, params.pseq.terms(K))  # m.shape + (2W+1, K)
-    opened &= lo + rng <= W
-    # gamma(m+1) is gamma(m) + e_1 for even m and gamma(m) - e_2 for odd m
-    direct = np.where(odd, opened[..., W - 1, 0], opened[..., W, 0])
-    labels[direct] = 1
-    for idx in zip(*np.nonzero(~direct)):
-        labels[idx] = _minimax_range(opened[idx], W, W - 1 if odd[idx] else W + 1)
-    return labels
+    lines = m.ravel()
+    labels = np.full(lines.size, K + 1, dtype=np.int64)
+    if _settles_lines(K, W):
+        labels[:] = [_h_label_settled(fld, x, n, params, W) for x in lines.tolist()]
+    elif K > 0:
+        step = _BATCH_IDS // _window_bond_count(K, W)
+        for c in range(0, lines.size, step):
+            labels[c:c + step] = _h_labels_batch(fld, lines[c:c + step], n, params, W)
+    return labels.reshape(m.shape)
+
+
+def _h_label_max(fld: BondField, m: np.ndarray, n: int, params: StarParams,
+                 window: int) -> np.ndarray:
+    """Max of the H-labels along each row of the lines m.  Where lines are
+    searched one at a time, a row stops at its first line that fails at
+    params.k, as `check_zeta` does."""
+    if not _settles_lines(params.k, window):
+        return h_labels(fld, m, n, params, window).max(axis=1)
+    never = params.k + 1
+    out = np.full(len(m), never, dtype=np.int64)
+    for j, row in enumerate(m.tolist()):
+        top = 0
+        for x in row:
+            top = max(top, _h_label_settled(fld, x, n, params, window))
+            if top == never:
+                break
+        out[j] = top
+    return out
 
 
 def zeta_labels(fld: BondField, a, n: int, block: BlockParams, params: StarParams,
                 window: int) -> np.ndarray:
     """Zeta-labels of the blocks a (an integer array) at level n: `check_zeta`
-    holds at truncation k exactly when the label is <= k."""
+    holds at truncation k exactly when the label is <= k.  The vertical
+    bonds are drawn first; a block lacking them fails at every k, and its
+    lines are not searched."""
     a = np.asarray(a, dtype=np.int64)
     if ((a + n) % 2).any():
         raise ValueError(f"a block at level {n} is off the parity sublattice")
     N = block.N
     m = a[:, None] * N + np.arange(2 * N)
-    h = h_labels(fld, m, n, params, window).max(axis=1)
     x1, x2 = staircase(m)
     vert = fld.open_mask([TAG_GSTAR_V, n, x1, x2], params.eps)
-    held = vert[:, :N].any(axis=1) & vert[:, N:].any(axis=1)
-    return np.where(held, h, params.k + 1)
+    held = np.flatnonzero(vert[:, :N].any(axis=1) & vert[:, N:].any(axis=1))
+    labels = np.full(a.size, params.k + 1, dtype=np.int64)
+    labels[held] = _h_label_max(fld, m[held], n, params, window)
+    return labels
 
 
 def block_path_critical_k(fld: BondField, block: BlockParams, params: StarParams,

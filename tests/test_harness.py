@@ -6,13 +6,14 @@ from pathlib import Path
 
 import pytest
 
-from lrperc import harness
+from lrperc import harness, starlat
+from lrperc.bondfield import BondField
 from lrperc.cli import _SUBCOMMAND_PARAMS, build_parser, main, resolve_config
 from lrperc.harness import (
     ExperimentConfig, emit_csv, format_csv, parse_config_file, run_experiment,
     run_replicas, wilson_interval,
 )
-from lrperc.sequences import harmonic, truncate
+from lrperc.sequences import harmonic, powerlaw, truncate
 from lrperc.starlat import StarParams
 from lrperc.stats import EstimateWithCI
 from hypothesis import given, settings, strategies as st
@@ -199,8 +200,8 @@ _TINY_STAR = {"star": {"eps": "0.8", "pseq": "powerlaw:1,0.8", "delta": "0.5",
 @pytest.mark.parametrize("command", ["star", "hprob"])
 @pytest.mark.parametrize("ks", ["2,1", "2,2", "0,3,1"])
 def test_star_rows_keep_k_order_and_duplicates(command, ks):
-    """One labelled pass at max(k) gives a row per --k entry, in the given
-    order, each equal to the row of a run at that k alone."""
+    """One replica pass gives a row per --k entry, in the given order, each
+    equal to the row of a run at that k alone."""
     def rows(k):
         return run_experiment(ExperimentConfig(command, seed=3, reps=40,
                                                params={**_TINY_STAR[command], "k": k}))
@@ -210,6 +211,36 @@ def test_star_rows_keep_k_order_and_duplicates(command, ks):
         (alone,) = rows(str(row["k"]))
         assert [row[c] for c in ("estimate", "ci_lo", "ci_hi")] == \
             [alone[c] for c in ("estimate", "ci_lo", "ci_hi")]
+
+
+@pytest.mark.parametrize("window", [200, 1000])
+def test_cli_star_wide_window_draws_in_capped_batches(monkeypatch, tmp_path, window):
+    """No `uniforms` call hashes more than starlat._BATCH_IDS ids, however
+    wide the window: at 200 a level is drawn a few lines per call, at 1000
+    one line alone holds more and the lazy search draws it.  The rows equal
+    the per-k scalar oracle."""
+    sizes = []
+    uniforms = BondField.uniforms
+
+    def spy(self, word_columns):
+        u = uniforms(self, word_columns)
+        sizes.append(u.size)
+        return u
+    monkeypatch.setattr(BondField, "uniforms", spy)
+    out = tmp_path / "star.csv"
+    assert main(["star", "--eps", "0.8", "--pseq", "powerlaw:1,0.95", "--k", "2,50",
+                 "--delta", "0.5", "--horizon", "3", "--window", str(window), "--reps", "4",
+                 "--seed", "5", "--threads", "1", "--out", str(out)]) == 0
+    assert sizes and max(sizes) <= starlat._BATCH_IDS
+    rows = out.read_text().splitlines()
+    header = rows[0].split(",")
+    block = starlat.BlockParams(starlat.choose_N(0.8, 0.5), 0.5)
+    for line, k in zip(rows[1:], (2, 50)):
+        row = dict(zip(header, line.split(",")))
+        params = StarParams(0.8, truncate(powerlaw(1.0, 0.95), k))
+        hits = sum(starlat.block_path_survival(BondField(5).derive_replica(r), block, params,
+                                               3, window) for r in range(4))
+        assert (int(row["k"]), float(row["estimate"])) == (k, hits / 4)
 
 
 @pytest.mark.parametrize("command, flag, value, message", [
@@ -251,7 +282,7 @@ def test_gamma_rows_are_exact_values():
     assert rows[0]["estimate"] == pytest.approx(0.33984375, abs=1e-12)
 
 
-_HPROB_ARGS = (StarParams(0.5, truncate(harmonic(), 3)), 3, (3,))
+_HPROB_ARGS = ((StarParams(0.5, truncate(harmonic(), 3)),), 3)
 
 
 def test_run_replicas_thread_invariance():

@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from lrperc import starlat
 from lrperc.bondfield import BondField, BondId
 from lrperc.sequences import constant, explicit, harmonic, powerlaw, truncate
 from lrperc.starlat import (
@@ -89,7 +90,7 @@ def test_h_exhaustive_oracle_pinned():
 
 def test_h_monte_carlo_matches_oracle():
     params = _sp(p=explicit([0.5, 0.5]), k=2)
-    hits = sum(rec[0] for rec in run_replicas("hprob", (params, 2, (2,)), seed=21,
+    hits = sum(rec[0] for rec in run_replicas("hprob", ((params,), 2), seed=21,
                                               reps=20_000))
     est = EstimateWithCI.from_counts(hits, 20_000, z=3.0)
     assert est.lo <= 95.0 / 128.0 <= est.hi
@@ -248,6 +249,18 @@ def test_block_survival_single_replica_path():
 
 # -- labelled kernels against the per-k oracles ------------------------------------------
 
+@pytest.fixture(params=["level_batch", "line_batches", "settled"])
+def h_path(request, monkeypatch):
+    """Route `h_labels` through each of its paths for a given (kmax, window):
+    one `uniforms` call per level, one call per line, or the lazy search."""
+    def route(kmax, window):
+        if request.param == "line_batches":
+            monkeypatch.setattr(starlat, "_BATCH_IDS", starlat._window_bond_count(kmax, window))
+        elif request.param == "settled":
+            monkeypatch.setattr(starlat, "_BATCH_IDS", 0)
+    return route
+
+
 _H_SETS = [
     {"p": powerlaw(1.0, 0.6), "kmax": 4, "window": 5},
     {"p": explicit([0.3, 0.5, 0.5, 0.4, 0.6]), "kmax": 5, "window": 2},  # window clips
@@ -256,9 +269,10 @@ _H_SETS = [
 
 
 @pytest.mark.parametrize("case", range(len(_H_SETS)))
-def test_h_labels_equal_h_connected(case):
+def test_h_labels_equal_h_connected(case, h_path):
     """For every replica, line and k: H-label <= k iff `h_connected` at k."""
     c = _H_SETS[case]
+    h_path(c["kmax"], c["window"])
     top = _sp(p=c["p"], k=c["kmax"])
     lines = list(range(-3, 5))  # both axes, negative staircase indices too
     seen = set()
@@ -275,8 +289,9 @@ def test_h_labels_equal_h_connected(case):
     assert len(seen) > 2
 
 
-def test_zeta_labels_equal_check_zeta():
+def test_zeta_labels_equal_check_zeta(h_path):
     p, kmax, window = powerlaw(1.0, 0.6), 3, 3
+    h_path(kmax, window)
     block = BlockParams(2, 0.5)
     top = _sp(eps=0.5, p=p, k=kmax)
     seen = set()
@@ -305,10 +320,11 @@ _BLOCK_SETS = [
 
 
 @pytest.mark.parametrize("case", range(len(_BLOCK_SETS)))
-def test_critical_k_equals_per_k_block_path_survival(case):
+def test_critical_k_equals_per_k_block_path_survival(case, h_path):
     """One labelled sweep at kmax decides every k: for every replica and k,
     critical_k <= k iff `block_path_survival` at k."""
     c = _BLOCK_SETS[case]
+    h_path(c["kmax"], c["window"])
     block = BlockParams(choose_N(c["eps"], 0.5), 0.5)
     top = _sp(eps=c["eps"], p=c["p"], k=c["kmax"])
     seen = set()
@@ -342,8 +358,7 @@ def test_surv_star_records_nondecreasing_in_k():
 
 def test_hprob_records_equal_h_connected():
     seq, ks = powerlaw(1.0, 0.5), (3, 1, 3, 0)
-    top = _sp(p=seq, k=max(ks))
-    recs = run_replicas("hprob", (top, 3, ks), seed=17, reps=60)
+    recs = run_replicas("hprob", (tuple(_sp(p=seq, k=k) for k in ks), 3), seed=17, reps=60)
     assert len(set(recs)) > 2
     for r, rec in enumerate(recs):
         fld = BondField(17).derive_replica(r)
@@ -375,8 +390,9 @@ def test_critical_k_horizon_zero_is_zero(p):
     ([0.0, 1.0, 1.0], 1, 4, None),   # the window leaves only the range-2 bond
     ([0.0, 0.0, 1.0, 1.0], 3, 4, 4),  # 0 -> -3 -> 1 or 0 -> 3 -> -1
 ])
-def test_labels_deterministic_sequences(p, window, h_expected, crit_expected):
+def test_labels_deterministic_sequences(p, window, h_expected, crit_expected, h_path):
     top = _sp(eps=1.0, p=explicit(p), k=max(3, len(p)))
+    h_path(top.k, window)
     assert h_labels(BondField(7), [0, 1, 2, 3], 1, top, window).tolist() == [h_expected] * 4
     block = BlockParams(1, 0.5)
     assert block_path_critical_k(BondField(7), block, top, 3, window) == crit_expected
