@@ -28,12 +28,12 @@ The H-event, the zeta-block and the block path hold at truncation k
 exactly when their label is <= k.  `block_path_critical_k` sweeps the
 levels once at k_max, and its `critical_k` decides survival at every
 k <= k_max.  Each level draws the vertical bonds of the blocks still
-alive, then the in-window horizontal bonds of those that kept them, in
-`uniforms` calls of at most _BATCH_IDS ids, and a union-find adds the
-open bonds of each line in increasing range.  When one line alone holds
-more in-window bonds than _BATCH_IDS, each line is searched instead by a
-bottleneck Dijkstra that draws a bond only when it could lower a label,
-so memory stays bounded however wide the window.  The scalar
+alive, then the horizontal bonds of those that kept them, in `uniforms`
+calls of at most _BATCH_IDS ids, and a union-find adds the open in-window
+bonds of each line in increasing range.  When one line alone needs more
+than _BATCH_IDS ids, each line is searched instead by a bottleneck
+Dijkstra that draws a bond only when it could lower a label, so memory
+stays bounded however wide the window.  The scalar
 `h_connected`, `check_zeta` and `block_path_survival` answer one k at a
 time and are the oracles of the labelled kernels.
 """
@@ -42,7 +42,6 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -180,24 +179,11 @@ def block_path_survival(fld: BondField, block: BlockParams, params: StarParams,
 _BATCH_IDS = 1 << 16  # most bond ids one `uniforms` call of h_labels hashes
 
 
-def _window_bond_count(K: int, W: int) -> int:
-    """Number of bonds (lo, lo + i), 1 <= i <= K, with both ends in [-W, W]."""
-    r = min(K, 2 * W)
-    return r * (2 * W + 1) - r * (r + 1) // 2
-
-
-@lru_cache(maxsize=8)
-def _window_bonds(K: int, W: int) -> tuple:
-    """(lo, i) of those bonds, by increasing range i, then lo."""
-    i, lo = np.nonzero(np.arange(1, K + 1)[:, None] + np.arange(-W, W + 1) <= W)
-    return lo - W, i + 1
-
-
 def _joining_range(starts, ranges, size: int, source: int, target: int, never: int) -> int:
     """Least r such that the bonds (t, t + i) with i <= r join `source` to
     `target`, for bonds given in increasing range: a union-find adds them in
-    that order and the range of the bond that first joins the two is the
-    answer (the maximum-capacity route of Hu 1961).  `never` if none does."""
+    that order and tests the two ends after each range (the maximum-capacity
+    route of Hu 1961).  `never` if they stay apart."""
     parent = list(range(size))
 
     def find(x):
@@ -206,33 +192,40 @@ def _joining_range(starts, ranges, size: int, source: int, target: int, never: i
             x = parent[x]
         return x
 
+    r = 0  # the range of the bonds added last
     for t, i in zip(starts, ranges):
-        a, b = find(t), find(t + i)
-        if a != b:
-            parent[a] = b
+        if i > r:
             if find(source) == find(target):
-                return i
-    return never
+                return r
+            r = i
+        parent[find(t)] = find(t + i)
+    return r if find(source) == find(target) else never
 
 
 def _h_labels_batch(fld: BondField, m: np.ndarray, n: int, params: StarParams,
                     W: int) -> np.ndarray:
-    """H-labels of the lines m (1-d) from one `uniforms` call over all their
-    in-window bonds."""
+    """H-labels of the lines m (1-d) from one `uniforms` call over their
+    (2W+1, R) grids of bonds (lo, lo + i), -W <= lo <= W, 1 <= i <= R =
+    min(k, 2W).  The grid also holds the bonds that leave the window, which
+    are masked off; in this shape every id word but the range is folded
+    once per (line, lo), not once per bond."""
     K = params.k
-    lo, rng = _window_bonds(K, W)
+    R = min(K, 2 * W)
     odd = m % 2 == 1  # these lines run along axis 2
-    x1, x2 = staircase(m[:, None])
-    o = odd[:, None]
+    x1, x2 = staircase(m[:, None, None])
+    o = odd[:, None, None]
+    lo = np.arange(-W, W + 1)[:, None]
+    rng = np.arange(1, R + 1)
     opened = fld.open_mask([TAG_GSTAR_H, n, x1 + ~o * lo, x2 + o * lo, 1 + o, rng],
-                           np.asarray(params.pseq.terms(K))[rng - 1])
+                           params.pseq.terms(R))
+    opened &= lo + rng <= W
     # gamma(m+1) is gamma(m) + e_1 for even m and gamma(m) - e_2 for odd m;
-    # the range-1 bond (lo, lo + 1) is column lo + W
-    direct = opened[np.arange(m.size), W - odd]
+    # the range-1 bond (lo, lo + 1) is row lo + W
+    direct = opened[np.arange(m.size), W - odd, 0]
     labels = np.where(direct, 1, K + 1)
     rest = np.flatnonzero(~direct)
-    rows, cols = np.nonzero(opened[rest])
-    starts, ranges = (lo[cols] + W).tolist(), rng[cols].tolist()
+    rows, ranges, starts = np.nonzero(opened[rest].transpose(0, 2, 1))  # by range, then lo
+    starts, ranges = starts.tolist(), (ranges + 1).tolist()
     cuts = np.searchsorted(rows, np.arange(rest.size + 1)).tolist()
     for j, line in enumerate(rest.tolist()):
         a, b = cuts[j], cuts[j + 1]
@@ -245,11 +238,11 @@ def _h_label_settled(fld: BondField, m: int, n: int, params: StarParams, W: int)
     """H-label of line m by a bottleneck Dijkstra.  Heap entries are
     (label, 0, site), a site reached at that label, and (cost, i, site), its
     two bonds of range i, which cost max(label of the site, i); each pop is
-    the cheapest, so a bond is drawn only when its cost is below the
-    target's label, and the draws stay with the sites reached."""
+    the cheapest, so no bond costing more than the target's label is drawn,
+    and the draws stay with the sites reached."""
     base = staircase(m)
     axis, target = _line(m)
-    never = params.k + 1
+    never, last = params.k + 1, min(params.k, 2 * W)
     best = {0: 0}
     heap = [(0, 0, 0)]
     while heap:
@@ -267,26 +260,31 @@ def _h_label_settled(fld: BondField, m: int, n: int, params: StarParams, W: int)
                     BondId.star_horizontal(x, n, axis, s), params.pseq.term(i)):
                 best[t2] = c
                 heapq.heappush(heap, (c, 0, t2))
-        if i + 1 < never:
+        if i < last:
             heapq.heappush(heap, (max(best[t], i + 1), i + 1, t))
     return never
 
 
+def _grid_ids(K: int, W: int) -> int:
+    """Ids one line's grid in `_h_labels_batch` hashes."""
+    return (2 * W + 1) * min(K, 2 * W)
+
+
 def _settles_lines(K: int, W: int) -> bool:
-    """True when one line alone holds more than _BATCH_IDS in-window bonds,
-    so that `h_labels` searches each line with `_h_label_settled`."""
-    return K > 0 and _window_bond_count(K, W) > _BATCH_IDS
+    """True when one line's grid alone exceeds _BATCH_IDS ids, so that
+    `h_labels` searches each line with `_h_label_settled`."""
+    return K > 0 and _grid_ids(K, W) > _BATCH_IDS
 
 
 def h_labels(fld: BondField, m, n: int, params: StarParams, window: int) -> np.ndarray:
     """H-labels of the lines m (an integer array) at level n: the least
     k <= params.k at which `h_connected` holds, params.k + 1 where it fails.
 
-    The in-window bonds (lo, lo + i), 1 <= i <= params.k, of whole lines
-    are drawn in `uniforms` calls of at most _BATCH_IDS ids.  The label is
-    1 where the range-1 bond from gamma(m) to gamma(m+1) is open; otherwise
-    a union-find adds the open bonds in increasing range.  When one line
-    alone holds more than _BATCH_IDS such bonds, each line is searched by
+    The bonds (lo, lo + i), 1 <= i <= params.k, of whole lines are drawn
+    in `uniforms` calls of at most _BATCH_IDS ids.  The label is 1 where
+    the range-1 bond from gamma(m) to gamma(m+1) is open; otherwise a
+    union-find adds the open in-window bonds in increasing range.  When one
+    line alone needs more than _BATCH_IDS ids, each line is searched by
     `_h_label_settled` instead, which draws a bond only when it needs it.
     """
     if window < 1:
@@ -298,7 +296,7 @@ def h_labels(fld: BondField, m, n: int, params: StarParams, window: int) -> np.n
     if _settles_lines(K, W):
         labels[:] = [_h_label_settled(fld, x, n, params, W) for x in lines.tolist()]
     elif K > 0:
-        step = _BATCH_IDS // _window_bond_count(K, W)
+        step = _BATCH_IDS // _grid_ids(K, W)
         for c in range(0, lines.size, step):
             labels[c:c + step] = _h_labels_batch(fld, lines[c:c + step], n, params, W)
     return labels.reshape(m.shape)

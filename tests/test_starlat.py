@@ -255,7 +255,7 @@ def h_path(request, monkeypatch):
     one `uniforms` call per level, one call per line, or the lazy search."""
     def route(kmax, window):
         if request.param == "line_batches":
-            monkeypatch.setattr(starlat, "_BATCH_IDS", starlat._window_bond_count(kmax, window))
+            monkeypatch.setattr(starlat, "_BATCH_IDS", starlat._grid_ids(kmax, window))
         elif request.param == "settled":
             monkeypatch.setattr(starlat, "_BATCH_IDS", 0)
     return route
