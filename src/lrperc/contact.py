@@ -13,6 +13,22 @@ truncation ranges agree on every shared pair: restricting the jump length
 on one shared sample realizes the usual monotone coupling in k, and the
 harness's k-sweep samples one timeline per replica, at the largest k.
 
+An arrow's jump length j is a property of its pair, so the arrow is usable
+at truncation k exactly when j <= k.  The sweep from (src, s) to time t
+(Harris 1978) reads the marks once in time order, deaths before arrows at
+equal times, and carries each infected site's label, the least k at which
+it is infected:
+
+    label(src) = 0 at time s,
+    a death at v in [s, t] drops v's label (v is healthy at every k),
+    an arrow u -> v of jump j in (s, t] sets
+        label(v) = min(label(v), max(label(u), j)),
+
+the minimax labelling of invasion percolation (Wilkinson & Willemsen 1983).
+A site is k-connected from (src, s) at time t exactly when its label is
+<= k, so the least label at the horizon decides survival at every k of a
+k-sweep from one sweep per replica.
+
 One sampler (`_mark_counts`, `_mark_times`) turns keyed uniforms into
 marks, for one replica or a batch.  Trial r of the batched skeleton event
 `f_events` reads the marks of replica r's timeline, so `check_f_event` on
@@ -23,7 +39,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -103,24 +119,9 @@ class Timeline:
     deaths: dict  # site -> sorted ndarray of times (sites with no death omitted)
     arrows: dict  # (src, dst) -> sorted ndarray of times (empty pairs omitted)
     resamples: int = 0
-    _events: list | None = field(default=None, repr=False)
 
     def in_box(self, site) -> bool:
         return all(lo <= c <= hi for c, (lo, hi) in zip(site, self.bounds))
-
-    def events(self) -> list:
-        """All marks merged in time order: ('death', t, site) and
-        ('arrow', t, src, dst).  Deaths sort before arrows at equal times
-        (a measure-zero tie, broken conservatively)."""
-        if self._events is None:
-            ev = []
-            for s, ts in self.deaths.items():
-                ev.extend(("death", float(t), s) for t in ts)
-            for (u, v), ts in self.arrows.items():
-                ev.extend(("arrow", float(t), u, v) for t in ts)
-            ev.sort(key=lambda e: (e[1], e[0] != "death"))
-            self._events = ev
-        return self._events
 
 
 def _mark_counts(root: BondField, replica, cols, mus) -> np.ndarray:
@@ -193,10 +194,6 @@ def sample_timeline(seed: int, rates: TruncatedSequence, box, horizon: float,
     raise RuntimeError("could not sample a collision-free timeline")
 
 
-def _jump_len(u, v) -> int:
-    return max(abs(a - b) for a, b in zip(u, v))
-
-
 def k_connected(tl: Timeline, frm, to, k: int) -> bool:
     """Existence of an infection path from (site, time) to (site, time).
 
@@ -206,31 +203,40 @@ def k_connected(tl: Timeline, frm, to, k: int) -> bool:
     (src, s), (dst, t) = frm, to
     if not (0.0 <= s <= t <= tl.horizon):
         raise ValueError("times must satisfy 0 <= s <= t <= horizon")
-    return dst in _sweep(tl, src, s, t, k)
+    return infection_labels(tl, src, s, t).get(dst, k + 1) <= k
 
 
-def _sweep(tl: Timeline, src, s: float, t: float, k: int) -> set:
-    """Sites k-connected from (src, s) at time t.
+def infection_labels(tl: Timeline, src, s: float, t: float) -> dict:
+    """{site: label} of every site infected at time t from (src, s) at some
+    k, the label being the least such k (see the module docstring).
 
-    Event-driven: a death at a time in [s, t] removes its site from the
-    reachable set, an arrow in (s, t] out of a reachable site with
-    |displacement| <= k adds its head.
+    The marks come in time order from one lexsort, deaths first at equal
+    times; each pair's jump length is computed once.
     """
-    reach = {src}
-    for ev in tl.events():
-        time = ev[1]
-        if time > t:
-            break
-        if ev[0] == "death":
-            if s <= time:
-                reach.discard(ev[2])
+    sites, pairs = list(tl.deaths), list(tl.arrows)
+    marks = [*tl.deaths.values(), *tl.arrows.values()]
+    times = np.concatenate([np.empty(0), *marks])
+    owner = np.repeat(np.arange(len(marks)), [len(ts) for ts in marks])
+    arrow = owner >= len(sites)
+    order = np.lexsort((arrow, times))
+    live = (times <= t) & np.where(arrow, times > s, times >= s)
+    ends = np.fromiter(itertools.chain.from_iterable(u + v for u, v in pairs), np.int64,
+                       count=2 * len(src) * len(pairs)).reshape(len(pairs), 2, len(src))
+    jumps = np.abs(ends[:, 0] - ends[:, 1]).max(axis=1, initial=0).tolist()
+    heads = sites + [(u, v, j) for (u, v), j in zip(pairs, jumps)]
+    label, n = {src: 0}, len(sites)
+    for o in owner[order[live[order]]].tolist():
+        if o < n:
+            label.pop(heads[o], None)
+            if not label:
+                break
         else:
-            _, _, u, v = ev
-            if s < time and u in reach and _jump_len(u, v) <= k:
-                reach.add(v)
-        if not reach:
-            break
-    return reach
+            u, v, j = heads[o]
+            if u in label:
+                j = max(label[u], j)
+                if j < label.get(v, j + 1):
+                    label[v] = j
+    return label
 
 
 # -- skeleton events ----------------------------------------------------------
@@ -344,4 +350,4 @@ def infected_at_horizon(tl: Timeline, k: int, origin=None) -> set:
     """The set of sites k-connected from (origin, 0) at the timeline horizon."""
     if origin is None:
         origin = tuple(0 for _ in tl.bounds)
-    return _sweep(tl, origin, 0.0, tl.horizon, k)
+    return {v for v, lab in infection_labels(tl, origin, 0.0, tl.horizon).items() if lab <= k}

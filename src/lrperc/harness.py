@@ -30,26 +30,32 @@ __all__ = [
 
 # -- replica scheduling --------------------------------------------------------
 
-def _surv_g(args, root, r):
-    """Survival at each k in `ks` from one labelled sweep at params.k = max(ks)."""
-    params, ks = args
-    crit = oriented.explore(root.derive_replica(r), params).critical_k
+def _survived(crit, ks):
+    """The 0/1 survival record at each k in `ks` of a replica whose least
+    surviving k is `crit` (None: it dies at every k swept)."""
     return tuple(1 if crit is not None and crit <= k else 0 for k in ks)
 
 
+def _surv_g(args, root, r):
+    """Survival at each k in `ks` from one labelled sweep at params.k = max(ks)."""
+    params, ks = args
+    return _survived(oriented.explore(root.derive_replica(r), params).critical_k, ks)
+
+
 def _surv_contact(args, root, r):
-    """Survival at each k in `ks` on one timeline sampled at max(ks)."""
+    """Survival at each k in `ks` from one labelled sweep of one timeline
+    sampled at max(ks)."""
     rates, ks, box, horizon, d = args
     tl = contact.sample_timeline(root.seed, rates, box, horizon, d, replica=r)
-    return tuple(1 if contact.infected_at_horizon(tl, k) else 0 for k in ks)
+    labels = contact.infection_labels(tl, (0,) * d, 0.0, horizon)
+    return _survived(min(labels.values(), default=None), ks)
 
 
 def _surv_star(args, root, r):
     """Survival at each k in `ks` from one labelled sweep at params.k = max(ks)."""
     block, params, horizon, window, ks = args
-    crit = starlat.block_path_critical_k(root.derive_replica(r), block, params,
-                                         horizon, window)
-    return tuple(1 if crit is not None and crit <= k else 0 for k in ks)
+    return _survived(starlat.block_path_critical_k(root.derive_replica(r), block, params,
+                                                   horizon, window), ks)
 
 
 def _hprob(args, root, r):
@@ -253,8 +259,10 @@ def _run_redcluster(cfg: ExperimentConfig):
     qseq = parse_sequence(_need(cfg, "qseq"))
     beta = int(_need(cfg, "beta"))
     steps = int(cfg.params.get("steps", 100_000))
+    if steps < 1:
+        raise ValueError("steps must be >= 1")
     rows = []
-    for k in _int_list(_need(cfg, "k")):
+    for k in _ks(cfg):
         params = renorm.BifurcationParams(k, beta, truncate(pseq, k), truncate(qseq, k))
         recs = run_replicas("domination", (params, steps), cfg.seed, cfg.reps, cfg.threads)
         trials = sum(t for t, _ in recs)

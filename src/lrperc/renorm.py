@@ -26,25 +26,6 @@ from .bondfield import TAG_SITE, BondField, BondId
 from .sequences import TruncatedSequence, signed_ranges
 
 
-# -- order and boundary ------------------------------------------------------
-
-def prec(a, b) -> bool:
-    """Strict total order on Z^2_+: earlier generation first, then smaller m."""
-    (m1, n1), (m2, n2) = a, b
-    return n1 < n2 or (n1 == n2 and m1 < m2)
-
-
-def exterior_boundary(X) -> set:
-    """Points outside X with a parent (m, n-1) or (m-1, n-1) inside X,
-    intersected with Z^2_+."""
-    out = set()
-    for (m, n) in X:
-        for child in ((m, n + 1), (m + 1, n + 1)):
-            if child not in X and child[0] >= 0 and child[1] >= 0:
-                out.add(child)
-    return out
-
-
 # -- bifurcation events ------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -214,10 +195,6 @@ def reverify_red_cluster(fld: BondField, params: BifurcationParams, state: RedSt
 class ConeCluster:
     reached: list  # list of sets of m-coordinates, index = generation
     survived: bool
-
-    @property
-    def front_sizes(self):
-        return [len(s) for s in self.reached]
 
 
 def site_perc_cone(gamma: float, horizon: int, fld: BondField) -> ConeCluster:

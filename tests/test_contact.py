@@ -121,12 +121,15 @@ def test_single_arrow_connects():
     tl = _tl(arrows={((0,), (1,)): [2.0]})
     assert k_connected(tl, ((0,), 0.0), ((1,), 3.0), k=1)
     assert not k_connected(tl, ((0,), 0.0), ((1,), 1.0), k=1)  # before the arrow
+    assert not k_connected(tl, ((0,), 2.0), ((1,), 3.0), k=1)  # at the start instant
 
 
 def test_death_blocks_connection():
     tl = _tl(deaths={(0,): [1.0]}, arrows={((0,), (1,)): [2.0]})
     assert not k_connected(tl, ((0,), 0.0), ((0,), 1.5), k=1)
     assert not k_connected(tl, ((0,), 0.0), ((1,), 3.0), k=1)
+    tie = _tl(deaths={(0,): [2.0]}, arrows={((0,), (1,)): [2.0]})  # deaths first
+    assert not k_connected(tie, ((0,), 0.0), ((1,), 3.0), k=1)
 
 
 def test_jump_length_restriction():
@@ -174,14 +177,49 @@ def _brute_force_connected(tl, frm, to, k):
     return search(src, s)
 
 
+_BRUTE_FORCE_CASES = [  # seed, rates, box, horizon, d, replicas
+    (31, truncate(constant(0.8), 2), [(0, 2)], 1.5, 1, 60),
+    (32, truncate(harmonic(), 3), [(-2, 2), (-1, 1)], 1.0, 2, 30),
+]
+
+
 def test_k_connected_matches_brute_force():
-    rates = truncate(constant(0.8), 2)
-    for r in range(60):
-        tl = sample_timeline(31, rates, box=[(0, 2)], horizon=1.5, d=1, replica=r)
-        for dst in ((0,), (1,), (2,)):
-            for k in (1, 2):
-                got = k_connected(tl, ((0,), 0.0), (dst, 1.5), k)
-                assert got == _brute_force_connected(tl, ((0,), 0.0), (dst, 1.5), k)
+    """The labelled sweep answers every k from 0 to kmax exactly as the
+    depth-first oracle does, from the origin at 0 and from a later start."""
+    for seed, rates, box, horizon, d, reps in _BRUTE_FORCE_CASES:
+        origin, mid = (0,) * d, (1,) + (0,) * (d - 1)
+        kmax, labels = rates.k, set()
+        for r in range(reps):
+            tl = sample_timeline(seed, rates, box=box, horizon=horizon, d=d, replica=r)
+            sites = sorted(tl.deaths.keys() | {t for _, t in tl.arrows} | {origin})
+            for k in range(kmax + 1):
+                want = {dst for dst in sites
+                        if _brute_force_connected(tl, (origin, 0.0), (dst, horizon), k)}
+                assert infected_at_horizon(tl, k) == want, (seed, r, k)
+                for frm in ((origin, 0.0), (mid, horizon / 3)):
+                    for dst in sites:
+                        got = k_connected(tl, frm, (dst, horizon), k)
+                        assert got == _brute_force_connected(tl, frm, (dst, horizon), k)
+                if want - (infected_at_horizon(tl, k - 1) if k else set()):
+                    labels.add(k)
+        assert labels == set(range(kmax + 1)), seed  # some site first reached at each k
+
+
+def test_relay_lowers_label_and_death_clears_it():
+    """(2,) is reached at t = 1 by a jump of 2 (k >= 2), at t = 3 through a
+    relay of two unit jumps (k >= 1), which a second jump of 2 at t = 3.25
+    leaves at k >= 1, and is healthy again after its death at t = 4, at
+    every k."""
+    marks = {"deaths": {(2,): [4.0]},
+             "arrows": {((0,), (2,)): [1.0, 3.25], ((0,), (1,)): [2.0], ((1,), (2,)): [3.0]}}
+    for t, at_k1, at_k2 in ((1.5, {(0,)}, {(0,), (2,)}),
+                            (3.5, {(0,), (1,), (2,)}, {(0,), (1,), (2,)}),
+                            (4.5, {(0,), (1,)}, {(0,), (1,)})):
+        tl = _tl(horizon=t, **marks)
+        assert infected_at_horizon(tl, k=1) == at_k1, t
+        assert infected_at_horizon(tl, k=2) == at_k2, t
+        for k, want in ((1, at_k1), (2, at_k2)):
+            assert k_connected(tl, ((0,), 0.0), ((2,), t), k) == ((2,) in want), (t, k)
 
 
 def test_monotone_in_k_on_shared_timeline():

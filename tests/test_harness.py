@@ -264,6 +264,25 @@ def test_cli_star_bad_value_rejected_before_sampling(capsys, monkeypatch, comman
     assert captured.err.strip().split("\n")[-1] == f"error: {message}"
 
 
+@pytest.mark.parametrize("flag,value,message", [
+    ("--steps", "0", "steps must be >= 1"),
+    ("--steps", "-1", "steps must be >= 1"),
+    ("--k", "1,-1", "truncation range must be nonnegative"),
+])
+def test_cli_redcluster_bad_value_rejected_before_sampling(capsys, monkeypatch, flag, value,
+                                                          message):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled before the input was checked")
+    monkeypatch.setattr(harness, "run_replicas", no_sampling)
+    argv = {"--pseq": "harmonic", "--qseq": "harmonic", "--beta": "1", "--k": "1",
+            "--reps": "2", "--steps": "3"}
+    argv[flag] = value
+    assert main(["redcluster", *(t for kv in argv.items() for t in kv)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip().split("\n")[-1] == f"error: {message}"
+
+
 @pytest.mark.parametrize("flag,value", [("--kmax", "0"), ("--kmax", "-2"), ("--reps", "-1")])
 def test_cli_gamma_rejects_bad_value(capsys, flag, value):
     argv = {"--pseq": "harmonic", "--qseq": "harmonic", "--beta": "1", "--kmax": "2"}

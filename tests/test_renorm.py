@@ -9,8 +9,7 @@ from lrperc.bondfield import BondField
 from lrperc.harness import ExperimentConfig, run_experiment, run_replicas
 from lrperc.renorm import (
     BifurcationParams, check_bifurcation, cone_survival_scan, crossing_from_scan,
-    explore_red_cluster, exterior_boundary, gamma_k, prec, reverify_red_cluster,
-    site_perc_cone,
+    explore_red_cluster, gamma_k, reverify_red_cluster, site_perc_cone,
 )
 from lrperc.sequences import constant, explicit, harmonic, powerlaw, truncate
 from lrperc.stats import EstimateWithCI, wilson_interval
@@ -169,6 +168,23 @@ def test_certificate_paths_have_correct_shape():
             assert path[0] == ((0, 0), 0)
             assert path[-1] == ((a, m * params.beta), 2 * n)
             assert len(path) == 2 * n + 1
+
+
+def prec(a, b) -> bool:
+    """Strict total order on Z^2_+: earlier generation first, then smaller m."""
+    (m1, n1), (m2, n2) = a, b
+    return n1 < n2 or (n1 == n2 and m1 < m2)
+
+
+def exterior_boundary(X) -> set:
+    """Points outside X with a parent (m, n-1) or (m-1, n-1) inside X,
+    intersected with Z^2_+."""
+    out = set()
+    for (m, n) in X:
+        for child in ((m, n + 1), (m + 1, n + 1)):
+            if child not in X and child[0] >= 0 and child[1] >= 0:
+                out.add(child)
+    return out
 
 
 def _red_cluster_by_rebuild(fld, params, max_steps):
