@@ -92,15 +92,14 @@ def _fold_array(h, w):
 class BondId:
     """Canonical identity of one bond (or one site, for site percolation)."""
 
-    tag: int
-    words: tuple
+    words: tuple  # the encoded id; words[0] is the tag
 
     @staticmethod
     def oriented(x, n: int, axis: int, disp: int) -> "BondId":
         """Bond <(x, n), (x + disp*e_axis, n+1)> of the oriented graph."""
         if disp == 0:
             raise ValueError("oriented bonds have nonzero displacement")
-        return BondId(TAG_G, (TAG_G, n, *x, axis, disp))
+        return BondId((TAG_G, n, *x, axis, disp))
 
     @staticmethod
     def star_horizontal(x, n: int, axis: int, disp: int) -> "BondId":
@@ -111,16 +110,16 @@ class BondId:
         y = list(x)
         y[axis - 1] += disp
         u = min(tuple(x), tuple(y))
-        return BondId(TAG_GSTAR_H, (TAG_GSTAR_H, n, *u, axis, abs(disp)))
+        return BondId((TAG_GSTAR_H, n, *u, axis, abs(disp)))
 
     @staticmethod
     def star_vertical(x, n: int) -> "BondId":
         """Oriented vertical bond <(x, n), (x, n+1)>."""
-        return BondId(TAG_GSTAR_V, (TAG_GSTAR_V, n, *x))
+        return BondId((TAG_GSTAR_V, n, *x))
 
     @staticmethod
     def site(m: int, n: int) -> "BondId":
-        return BondId(TAG_SITE, (TAG_SITE, m, n))
+        return BondId((TAG_SITE, m, n))
 
 
 class BondField:

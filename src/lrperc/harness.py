@@ -7,11 +7,16 @@ rows are emitted in a canonical order, so the worker count never changes a
 byte of output.  Wall-clock timing is therefore reported as 0 unless the
 `timing` switch is set, in which case byte-stability across runs is
 forfeited by construction.
+
+A k-sweep kernel sweeps its replica once, at the largest k, and returns its
+critical k, the least k at which the event holds (None: at no k swept); the
+row at k counts the replicas whose critical k is <= k.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -30,44 +35,30 @@ __all__ = [
 
 # -- replica scheduling --------------------------------------------------------
 
-def _survived(crit, ks):
-    """The 0/1 survival record at each k in `ks` of a replica whose least
-    surviving k is `crit` (None: it dies at every k swept)."""
-    return tuple(1 if crit is not None and crit <= k else 0 for k in ks)
-
-
 def _surv_g(args, root, r):
-    """Survival at each k in `ks` from one labelled sweep at params.k = max(ks)."""
-    params, ks = args
-    return _survived(oriented.explore(root.derive_replica(r), params).critical_k, ks)
+    """Critical k of one labelled sweep at params.k = max(ks), or None."""
+    (params,) = args
+    return oriented.explore(root.derive_replica(r), params).critical_k
 
 
 def _surv_contact(args, root, r):
-    """Survival at each k in `ks` from one labelled sweep of one timeline
-    sampled at max(ks)."""
-    rates, ks, box, horizon, d = args
+    """Least infection label at the horizon of a timeline sampled at max(ks)."""
+    rates, box, horizon, d = args
     tl = contact.sample_timeline(root.seed, rates, box, horizon, d, replica=r)
-    labels = contact.infection_labels(tl, (0,) * d, 0.0, horizon)
-    return _survived(min(labels.values(), default=None), ks)
+    return min(contact.infection_labels(tl, (0,) * d, 0.0, horizon).values(), default=None)
 
 
 def _surv_star(args, root, r):
-    """Survival at each k in `ks` from one labelled sweep at params.k = max(ks)."""
-    block, params, horizon, window, ks = args
-    return _survived(starlat.block_path_critical_k(root.derive_replica(r), block, params,
-                                                   horizon, window), ks)
+    """Critical k of one labelled sweep at params.k = max(ks), or None."""
+    block, params, horizon, window = args
+    return starlat.block_path_critical_k(root.derive_replica(r), block, params, horizon, window)
 
 
 def _hprob(args, root, r):
-    """The H-event of gamma(0), gamma(1) under each StarParams of `ps` (one
-    per --k entry): one scalar search per distinct k on the replica's field."""
-    ps, window = args
-    fld = root.derive_replica(r)
-    held = {}
-    for p in ps:
-        if p.k not in held:
-            held[p.k] = starlat.h_connected(fld, 0, 0, p, window)
-    return tuple(1 if held[p.k] else 0 for p in ps)
+    """Critical k of the H-event of gamma(0), gamma(1), by one lazy search."""
+    params, window = args
+    label = starlat.h_label(root.derive_replica(r), 0, 0, params, window)
+    return label if label <= params.k else None
 
 
 def _bifurcation(args, root, r):
@@ -159,6 +150,8 @@ class ExperimentConfig:
             raise ValueError("reps must be >= 1")
         if self.threads < 1:
             raise ValueError("threads must be >= 1")
+        if not 0 < self.z < math.inf:
+            raise ValueError(f"z must be finite and positive, got {self.z}")
 
     def resolved(self) -> dict:
         d = {"command": self.command, "seed": self.seed, "reps": self.reps,
@@ -203,11 +196,10 @@ def _star_window(cfg: ExperimentConfig) -> int:
 
 # -- runners ----------------------------------------------------------------------
 
-def _k_estimates(cfg, ks, recs):
-    """(k, estimate) for each k of `ks`, from records holding one 0/1 entry
-    per k."""
-    return [(k, EstimateWithCI.from_counts(sum(rec[i] for rec in recs), cfg.reps, cfg.z))
-            for i, k in enumerate(ks)]
+def _k_estimates(cfg, ks, crits):
+    """(k, estimate) for each k of `ks`, from each replica's critical k."""
+    hits = [sum(c is not None and c <= k for c in crits) for k in ks]
+    return [(k, EstimateWithCI.from_counts(h, cfg.reps, cfg.z)) for k, h in zip(ks, hits)]
 
 
 def _row(cfg, model, k, horizon, window, extra, est: EstimateWithCI | None,
@@ -249,9 +241,9 @@ def _run_survival(cfg: ExperimentConfig):
     kmax = max(ks)
     params = oriented.ExplorationParams(d, kmax, horizon, window,
                                         truncate(pseq, kmax), truncate(qseq, kmax))
-    recs = run_replicas("surv_g", (params, ks), cfg.seed, cfg.reps, cfg.threads)
+    crits = run_replicas("surv_g", (params,), cfg.seed, cfg.reps, cfg.threads)
     return [_row(cfg, "g", k, horizon, window, {"dim": d}, est)
-            for k, est in _k_estimates(cfg, ks, recs)]
+            for k, est in _k_estimates(cfg, ks, crits)]
 
 
 def _run_redcluster(cfg: ExperimentConfig):
@@ -294,10 +286,10 @@ def _run_contact(cfg: ExperimentConfig):
     horizon = float(_need(cfg, "horizon"))
     window = int(_need(cfg, "window"))
     ks = _ks(cfg)
-    args = (truncate(rates, max(ks)), ks, window, horizon, d)
-    recs = run_replicas("surv_contact", args, cfg.seed, cfg.reps, cfg.threads)
+    args = (truncate(rates, max(ks)), window, horizon, d)
+    crits = run_replicas("surv_contact", args, cfg.seed, cfg.reps, cfg.threads)
     return [_row(cfg, "contact", k, horizon, window, {"dim": d}, est)
-            for k, est in _k_estimates(cfg, ks, recs)]
+            for k, est in _k_estimates(cfg, ks, crits)]
 
 
 def _run_star(cfg: ExperimentConfig):
@@ -312,10 +304,10 @@ def _run_star(cfg: ExperimentConfig):
     N = starlat.choose_N(eps, delta)
     block = starlat.BlockParams(N, delta)
     params = starlat.StarParams(eps, truncate(pseq, max(ks)))
-    recs = run_replicas("surv_star", (block, params, horizon, window, ks),
-                        cfg.seed, cfg.reps, cfg.threads)
+    crits = run_replicas("surv_star", (block, params, horizon, window),
+                         cfg.seed, cfg.reps, cfg.threads)
     return [_row(cfg, "gstar", k, horizon, window, {"eps": eps, "delta": delta, "N": N}, est)
-            for k, est in _k_estimates(cfg, ks, recs)]
+            for k, est in _k_estimates(cfg, ks, crits)]
 
 
 def _run_hprob(cfg: ExperimentConfig):
@@ -323,10 +315,10 @@ def _run_hprob(cfg: ExperimentConfig):
     window = _star_window(cfg)
     ks = _ks(cfg)
     eps = float(cfg.params.get("eps", 0.5))
-    ps = tuple(starlat.StarParams(eps, truncate(pseq, k)) for k in ks)
-    recs = run_replicas("hprob", (ps, window), cfg.seed, cfg.reps, cfg.threads)
+    params = starlat.StarParams(eps, truncate(pseq, max(ks)))
+    crits = run_replicas("hprob", (params, window), cfg.seed, cfg.reps, cfg.threads)
     return [_row(cfg, "gstar", k, "", window, {}, est)
-            for k, est in _k_estimates(cfg, ks, recs)]
+            for k, est in _k_estimates(cfg, ks, crits)]
 
 
 _RUNNERS = {

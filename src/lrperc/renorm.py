@@ -13,6 +13,10 @@ the scan is restricted to the offsets already certified reachable by the
 recursion itself.  That restriction only lowers the red frequency, so the
 domination consequence being tested (conditional red frequency >= gamma_k)
 keeps its direction.
+
+Site percolation on the cone has a scalar oracle, `site_perc_cone`, and a
+scan that keeps one label per (replica, site), the least gamma above which
+the site is reached, so one pass answers every gamma.
 """
 
 from __future__ import annotations
@@ -222,8 +226,10 @@ def cone_survival_scan(gammas, horizons, reps: int, seed: int) -> np.ndarray:
     Replica r reads the stream of `site_perc_cone` on
     `BondField(seed).derive_replica(r)`, so S[g, t] is exactly the number of
     replicas that oracle lets survive to horizons[t] (sorted) at gammas[g].
-    All gammas are coupled through one uniform per (replica, site), so each
-    replica's survival indicator is exactly nondecreasing in gamma.
+    All gammas share the site uniforms u, so the labels label(0, 0) = -inf,
+    label(m, n) = max(u(m, n), min(label(m, n-1), label(m-1, n-1))), with
+    +inf off the cone, give survival to horizon t at every gamma: exactly
+    when min_m label(m, t) < gamma, which is nondecreasing in gamma.
     """
     gammas = np.asarray(gammas, dtype=np.float64)
     horizons = sorted(horizons)
@@ -232,7 +238,7 @@ def cone_survival_scan(gammas, horizons, reps: int, seed: int) -> np.ndarray:
     if horizons[0] < 0:
         raise ValueError("horizons must be nonnegative")
     fld = BondField(seed).derive_replica(np.arange(reps)[:, None])
-    alive = np.ones((len(gammas), reps, 1), dtype=bool)
+    label = np.full((reps, 1), -np.inf)
     counts = np.zeros((len(gammas), len(horizons)), dtype=np.int64)
     hidx = 0
     for n in range(horizons[-1] + 1):
@@ -240,13 +246,12 @@ def cone_survival_scan(gammas, horizons, reps: int, seed: int) -> np.ndarray:
             m_col = np.arange(n + 1, dtype=np.int64)[None, :]
             u = fld.uniforms([np.full((1, 1), TAG_SITE), m_col,
                               np.full((1, 1), n)])  # (reps, n+1)
-            width = alive.shape[2]
-            reach = np.zeros((len(gammas), reps, n + 1), dtype=bool)
-            reach[:, :, :width] |= alive
-            reach[:, :, 1:width + 1] |= alive
-            alive = reach & (u[None, :, :] < gammas[:, None, None])
+            parent = np.full((reps, n + 1), np.inf)
+            parent[:, :n] = label
+            np.minimum(parent[:, 1:], label, out=parent[:, 1:])  # the lesser of both parents
+            label = np.maximum(u, parent, out=u)
         while hidx < len(horizons) and horizons[hidx] == n:
-            counts[:, hidx] = alive.any(axis=2).sum(axis=1)
+            counts[:, hidx] = (label.min(axis=1) < gammas[:, None]).sum(axis=1)
             hidx += 1
     return counts
 

@@ -31,11 +31,11 @@ k <= k_max.  Each level draws the vertical bonds of the blocks still
 alive, then the horizontal bonds of those that kept them, in `uniforms`
 calls of at most _BATCH_IDS ids, and a union-find adds the open in-window
 bonds of each line in increasing range.  When one line alone needs more
-than _BATCH_IDS ids, each line is searched instead by a bottleneck
-Dijkstra that draws a bond only when it could lower a label, so memory
-stays bounded however wide the window.  The scalar
-`h_connected`, `check_zeta` and `block_path_survival` answer one k at a
-time and are the oracles of the labelled kernels.
+than _BATCH_IDS ids, each line is searched instead by `h_label`, a
+bottleneck Dijkstra that draws a bond only when it could lower a label, so
+memory stays bounded however wide the window; `hprob` runs one per replica.
+The scalar `h_connected`, `check_zeta` and `block_path_survival` answer one
+k at a time and are the oracles of the labelled kernels.
 """
 
 from __future__ import annotations
@@ -234,15 +234,15 @@ def _h_labels_batch(fld: BondField, m: np.ndarray, n: int, params: StarParams,
     return labels
 
 
-def _h_label_settled(fld: BondField, m: int, n: int, params: StarParams, W: int) -> int:
-    """H-label of line m by a bottleneck Dijkstra.  Heap entries are
-    (label, 0, site), a site reached at that label, and (cost, i, site), its
-    two bonds of range i, which cost max(label of the site, i); each pop is
-    the cheapest, so no bond costing more than the target's label is drawn,
-    and the draws stay with the sites reached."""
+def h_label(fld: BondField, m: int, n: int, params: StarParams, window: int) -> int:
+    """H-label of line m at level n (see `h_labels`) by a bottleneck Dijkstra.
+    Heap entries are (label, 0, site), a site reached at that label, and
+    (cost, i, site), its two bonds of range i, which cost max(label of the
+    site, i); each pop is the cheapest, so no bond costing more than the
+    target's label is drawn, and the draws stay with the sites reached."""
     base = staircase(m)
     axis, target = _line(m)
-    never, last = params.k + 1, min(params.k, 2 * W)
+    never, last = params.k + 1, min(params.k, 2 * window)
     best = {0: 0}
     heap = [(0, 0, 0)]
     while heap:
@@ -256,7 +256,7 @@ def _h_label_settled(fld: BondField, m: int, n: int, params: StarParams, W: int)
         x = _on_line(base, axis, t)
         for s in (i, -i):
             t2 = t + s
-            if abs(t2) <= W and c < best.get(t2, never) and fld.is_open(
+            if abs(t2) <= window and c < best.get(t2, never) and fld.is_open(
                     BondId.star_horizontal(x, n, axis, s), params.pseq.term(i)):
                 best[t2] = c
                 heapq.heappush(heap, (c, 0, t2))
@@ -272,7 +272,7 @@ def _grid_ids(K: int, W: int) -> int:
 
 def _settles_lines(K: int, W: int) -> bool:
     """True when one line's grid alone exceeds _BATCH_IDS ids, so that
-    `h_labels` searches each line with `_h_label_settled`."""
+    `h_labels` searches each line with `h_label`."""
     return K > 0 and _grid_ids(K, W) > _BATCH_IDS
 
 
@@ -285,7 +285,7 @@ def h_labels(fld: BondField, m, n: int, params: StarParams, window: int) -> np.n
     the range-1 bond from gamma(m) to gamma(m+1) is open; otherwise a
     union-find adds the open in-window bonds in increasing range.  When one
     line alone needs more than _BATCH_IDS ids, each line is searched by
-    `_h_label_settled` instead, which draws a bond only when it needs it.
+    `h_label` instead, which draws a bond only when it needs it.
     """
     if window < 1:
         raise ValueError("window must be >= 1")
@@ -294,7 +294,7 @@ def h_labels(fld: BondField, m, n: int, params: StarParams, window: int) -> np.n
     lines = m.ravel()
     labels = np.full(lines.size, K + 1, dtype=np.int64)
     if _settles_lines(K, W):
-        labels[:] = [_h_label_settled(fld, x, n, params, W) for x in lines.tolist()]
+        labels[:] = [h_label(fld, x, n, params, W) for x in lines.tolist()]
     elif K > 0:
         step = _BATCH_IDS // _grid_ids(K, W)
         for c in range(0, lines.size, step):
@@ -314,7 +314,7 @@ def _h_label_max(fld: BondField, m: np.ndarray, n: int, params: StarParams,
     for j, row in enumerate(m.tolist()):
         top = 0
         for x in row:
-            top = max(top, _h_label_settled(fld, x, n, params, window))
+            top = max(top, h_label(fld, x, n, params, window))
             if top == never:
                 break
         out[j] = top

@@ -301,7 +301,7 @@ def test_gamma_rows_are_exact_values():
     assert rows[0]["estimate"] == pytest.approx(0.33984375, abs=1e-12)
 
 
-_HPROB_ARGS = ((StarParams(0.5, truncate(harmonic(), 3)),), 3)
+_HPROB_ARGS = (StarParams(0.5, truncate(harmonic(), 3)), 3)
 
 
 def test_run_replicas_thread_invariance():
@@ -469,6 +469,51 @@ _VALID = {
              "horizon": "3", "window": "2"},
     "hprob": {"pseq": "list:0.5,0.5", "k": "2", "window": "2", "eps": "0.5"},
 }
+
+
+def _argv(command, flags):
+    return [command, *(t for key, value in flags.items() for t in (f"--{key}", value))]
+
+
+@pytest.mark.parametrize("command", sorted(_SUBCOMMAND_PARAMS))
+@pytest.mark.parametrize("z", ["nan", "inf", "0", "-1"])
+def test_cli_bad_z_rejected_before_sampling(capsys, monkeypatch, command, z):
+    """A z the Wilson interval cannot use is an error before any replica is
+    sampled, also for `gamma`, whose rows are exact values."""
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled before z was checked")
+    monkeypatch.setattr(harness, "run_replicas", no_sampling)
+    monkeypatch.setattr(harness.renorm, "cone_survival_scan", no_sampling)
+    assert main(_argv(command, {**_VALID[command], "reps": "2", "z": z})) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip().split("\n")[-1] == \
+        f"error: z must be finite and positive, got {float(z)}"
+
+
+@pytest.mark.parametrize("command", ["survival", "contact", "star", "hprob"])
+def test_k_sweep_is_one_pass(monkeypatch, command):
+    """A k-sweep calls `run_replicas` once, and its kernel once per replica,
+    however many --k entries it has."""
+    passes, calls = [], []
+    run = harness.run_replicas
+
+    def spy_run(name, *args, **kwargs):
+        passes.append(name)
+        return run(name, *args, **kwargs)
+
+    def spy_kernel(name, fn):
+        def kernel(args, root, r):
+            calls.append((name, r))
+            return fn(args, root, r)
+        return kernel
+    monkeypatch.setattr(harness, "run_replicas", spy_run)
+    for name, fn in list(harness._REPLICA_FNS.items()):
+        monkeypatch.setitem(harness._REPLICA_FNS, name, spy_kernel(name, fn))
+    assert main(_argv(command, {**_VALID[command], "k": "2,1,2", "reps": "5",
+                                "threads": "1"})) == 0
+    assert len(passes) == 1
+    assert calls == [(passes[0], r) for r in range(5)]
 
 
 @pytest.mark.parametrize("command", sorted(_SUBCOMMAND_PARAMS))

@@ -276,7 +276,7 @@ def test_cone_exhaustive_oracle_small():
 def test_scan_equals_oracle_per_replica(seed):
     """The scan reads each replica's own stream, so its counts are exactly
     the oracle's survivals summed over replicas, horizon 0 included."""
-    gammas, horizons, reps = [0.5, 0.7, 1.0], [9, 0, 1, 4], 300
+    gammas, horizons, reps = [0.0, 0.5, 0.7, 1.0], [9, 0, 1, 4], 300
     counts = cone_survival_scan(gammas, horizons, reps, seed)
     root = BondField(seed)
     for gi, gamma in enumerate(gammas):
@@ -284,8 +284,8 @@ def test_scan_equals_oracle_per_replica(seed):
                    for r in range(reps)]
         for hi, horizon in enumerate(sorted(horizons)):
             assert counts[gi, hi] == sum(bool(c[horizon]) for c in reached)
-    assert (counts[:, 0] == reps).all()  # the origin is always occupied
-    assert (counts[2] == reps).all()  # gamma = 1 survives surely
+    assert (counts[:, 0] == reps).all()  # the origin is always occupied, gamma = 0 too
+    assert (counts[3] == reps).all()  # gamma = 1 survives surely
 
 
 def test_scan_coupled_monotonicity():

@@ -90,8 +90,8 @@ def test_h_exhaustive_oracle_pinned():
 
 def test_h_monte_carlo_matches_oracle():
     params = _sp(p=explicit([0.5, 0.5]), k=2)
-    hits = sum(rec[0] for rec in run_replicas("hprob", ((params,), 2), seed=21,
-                                              reps=20_000))
+    hits = sum(c is not None for c in run_replicas("hprob", (params, 2), seed=21,
+                                                   reps=20_000))
     est = EstimateWithCI.from_counts(hits, 20_000, z=3.0)
     assert est.lo <= 95.0 / 128.0 <= est.hi
 
@@ -235,11 +235,11 @@ def test_zeta_independence_across_disjoint_blocks():
 
 def test_block_survival_extremes():
     sure = StarParams(1.0, truncate(constant(1.0), 1))
-    hits = run_replicas("surv_star", (BlockParams(1, 0.5), sure, 5, 3, (1,)), seed=3, reps=20)
-    assert sum(rec[0] for rec in hits) == 20
+    crits = run_replicas("surv_star", (BlockParams(1, 0.5), sure, 5, 3), seed=3, reps=20)
+    assert sum(c is not None and c <= 1 for c in crits) == 20
     dead = _sp(p=constant(0.0))
-    hits = run_replicas("surv_star", (BlockParams(2, 0.5), dead, 3, 3, (2,)), seed=3, reps=20)
-    assert sum(rec[0] for rec in hits) == 0
+    crits = run_replicas("surv_star", (BlockParams(2, 0.5), dead, 3, 3), seed=3, reps=20)
+    assert sum(c is not None and c <= 2 for c in crits) == 0
 
 
 def test_block_survival_single_replica_path():
@@ -340,29 +340,34 @@ def test_critical_k_equals_per_k_block_path_survival(case, h_path):
 
 
 def test_surv_star_records_nondecreasing_in_k():
-    """One sweep per replica, at the largest k, answers every k; each
-    replica's records therefore nest in k, and each equals the answer of
-    `block_path_survival` at that k."""
+    """One sweep per replica, at the largest k, answers every k: the kernel
+    returns the replica's critical k, so its survival record nests in k, and
+    survival at each k equals the answer of `block_path_survival` at that k."""
     seq, ks = powerlaw(1.0, 0.95), (1, 2, 4)
     block = BlockParams(choose_N(0.8, 0.5), 0.5)
     top = _sp(eps=0.8, p=seq, k=max(ks))
-    recs = run_replicas("surv_star", (block, top, 5, 4, ks), seed=16, reps=60)
-    assert all(list(rec) == sorted(rec) for rec in recs)
-    assert len(set(recs)) > 1  # the k-sweep is not trivial here
-    for r, rec in enumerate(recs):
+    crits = run_replicas("surv_star", (block, top, 5, 4), seed=16, reps=60)
+    assert all(c is None or 0 <= c <= max(ks) for c in crits)
+    assert len(set(crits)) > 1  # the k-sweep is not trivial here
+    for r, crit in enumerate(crits):
         fld = BondField(16).derive_replica(r)
-        for k, hit in zip(ks, rec):
+        for k in ks:
             params = _sp(eps=0.8, p=seq, k=k)
-            assert hit == int(block_path_survival(fld, block, params, 5, 4)), (r, k)
+            survived = block_path_survival(fld, block, params, 5, 4)
+            assert (crit is not None and crit <= k) == survived, (r, k)
 
 
 def test_hprob_records_equal_h_connected():
-    seq, ks = powerlaw(1.0, 0.5), (3, 1, 3, 0)
-    recs = run_replicas("hprob", (tuple(_sp(p=seq, k=k) for k in ks), 3), seed=17, reps=60)
-    assert len(set(recs)) > 2
-    for r, rec in enumerate(recs):
+    """The kernel's one lazy search at the largest k gives the least k at
+    which the scalar `h_connected` holds, at every k down to 0."""
+    seq, kmax = powerlaw(1.0, 0.5), 3
+    crits = run_replicas("hprob", (_sp(p=seq, k=kmax), 3), seed=17, reps=60)
+    assert len(set(crits)) > 2
+    for r, crit in enumerate(crits):
         fld = BondField(17).derive_replica(r)
-        assert rec == tuple(int(h_connected(fld, 0, 0, _sp(p=seq, k=k), 3)) for k in ks)
+        for k in range(kmax + 1):
+            held = h_connected(fld, 0, 0, _sp(p=seq, k=k), 3)
+            assert (crit is not None and crit <= k) == held, (r, k)
 
 
 def test_labels_at_kmax_zero():
