@@ -11,7 +11,10 @@ Every Poisson process is keyed by its canonical identity (site, or ordered
 pair), not by enumeration order, so timelines sampled at different
 truncation ranges agree on every shared pair: restricting the jump length
 on one shared sample realizes the usual monotone coupling in k, and the
-harness's k-sweep samples one timeline per replica, at the largest k.
+harness's k-sweep samples one timeline per replica, at the largest k.  No
+two sites of the box are farther apart than its widest extent, so the
+sampler enumerates ranges only up to min(k, that extent), and a k above it
+samples the same timeline.
 
 An arrow's jump length j is a property of its pair, so the arrow is usable
 at truncation k exactly when j <= k.  The sweep from (src, s) to time t
@@ -27,7 +30,8 @@ it is infected:
 the minimax labelling of invasion percolation (Wilkinson & Willemsen 1983).
 A site is k-connected from (src, s) at time t exactly when its label is
 <= k, so the least label at the horizon decides survival at every k of a
-k-sweep from one sweep per replica.
+k-sweep from one sweep per replica.  The sweep checks that
+0 <= s <= t <= horizon and that src is a site of the box.
 
 One sampler (`_mark_counts`, `_mark_times`) turns keyed uniforms into
 marks, for one replica or a batch.  Trial r of the batched skeleton event
@@ -168,8 +172,10 @@ def sample_timeline(seed: int, rates: TruncatedSequence, box, horizon: float,
         raise ValueError(f"horizon must be finite and positive, got {horizon}")
     sites, bounds = _box_sites(box, d)
     site_set = set(sites)
+    # no pair of in-box sites is farther apart than the widest box extent
+    reach = min(rates.k, max(hi - lo for lo, hi in bounds))
     moves = [(m, disp, rates.term(abs(disp)))
-             for m in range(1, d + 1) for disp in signed_ranges(rates.k)]
+             for m in range(1, d + 1) for disp in signed_ranges(reach)]
     pairs, pair_words, pair_mus = [], [], []
     for s in sites:
         for m, disp, rate in moves:
@@ -201,8 +207,6 @@ def k_connected(tl: Timeline, frm, to, k: int) -> bool:
     strictly after the start and up to the end time is allowed.
     """
     (src, s), (dst, t) = frm, to
-    if not (0.0 <= s <= t <= tl.horizon):
-        raise ValueError("times must satisfy 0 <= s <= t <= horizon")
     return infection_labels(tl, src, s, t).get(dst, k + 1) <= k
 
 
@@ -211,8 +215,13 @@ def infection_labels(tl: Timeline, src, s: float, t: float) -> dict:
     k, the label being the least such k (see the module docstring).
 
     The marks come in time order from one lexsort, deaths first at equal
-    times; each pair's jump length is computed once.
+    times; each pair's jump length is computed once.  The source must be a
+    site of the box: an off-box site has no marks and would stay infected.
     """
+    if not (0.0 <= s <= t <= tl.horizon):
+        raise ValueError("times must satisfy 0 <= s <= t <= horizon")
+    if len(src) != len(tl.bounds) or not tl.in_box(src):
+        raise ValueError(f"source {src} is not a site of the box {tl.bounds}")
     sites, pairs = list(tl.deaths), list(tl.arrows)
     marks = [*tl.deaths.values(), *tl.arrows.values()]
     times = np.concatenate([np.empty(0), *marks])

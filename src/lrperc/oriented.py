@@ -58,10 +58,12 @@ class ExplorationParams:
         return seq.term(abs(disp))
 
     def displacement_table(self):
-        """(vectors, axes, disps, probs) arrays over all 2*d*k candidate moves."""
+        """(vectors, axes, disps, probs) arrays over the 2*d*min(k, 2*window)
+        candidate moves: a move longer than 2*window leaves the window from
+        every vertex inside it."""
         vecs, axes, disps, probs = [], [], [], []
         for m in range(1, self.d + 1):
-            for i in range(1, self.k + 1):
+            for i in range(1, min(self.k, 2 * self.window) + 1):
                 for s in (i, -i):
                     v = np.zeros(self.d, dtype=np.int64)
                     v[m - 1] = s

@@ -220,6 +220,9 @@ def site_perc_cone(gamma: float, horizon: int, fld: BondField) -> ConeCluster:
     return ConeCluster(reached, bool(reached[horizon]))
 
 
+_SCAN_CELLS = 1 << 20  # most (replica, site) labels one block of the cone scan holds
+
+
 def cone_survival_scan(gammas, horizons, reps: int, seed: int) -> np.ndarray:
     """Vectorized survival counts S[g, t] over shared site variables.
 
@@ -229,7 +232,9 @@ def cone_survival_scan(gammas, horizons, reps: int, seed: int) -> np.ndarray:
     All gammas share the site uniforms u, so the labels label(0, 0) = -inf,
     label(m, n) = max(u(m, n), min(label(m, n-1), label(m-1, n-1))), with
     +inf off the cone, give survival to horizon t at every gamma: exactly
-    when min_m label(m, t) < gamma, which is nondecreasing in gamma.
+    when min_m label(m, t) < gamma, which is nondecreasing in gamma.  The
+    replicas are scanned in consecutive blocks of at most _SCAN_CELLS labels
+    at the last horizon, so memory does not grow with `reps`.
     """
     gammas = np.asarray(gammas, dtype=np.float64)
     horizons = sorted(horizons)
@@ -237,22 +242,26 @@ def cone_survival_scan(gammas, horizons, reps: int, seed: int) -> np.ndarray:
         raise ValueError("gamma must be a probability")
     if horizons[0] < 0:
         raise ValueError("horizons must be nonnegative")
-    fld = BondField(seed).derive_replica(np.arange(reps)[:, None])
-    label = np.full((reps, 1), -np.inf)
+    root = BondField(seed)
+    block = max(1, _SCAN_CELLS // (horizons[-1] + 1))
     counts = np.zeros((len(gammas), len(horizons)), dtype=np.int64)
-    hidx = 0
-    for n in range(horizons[-1] + 1):
-        if n > 0:
-            m_col = np.arange(n + 1, dtype=np.int64)[None, :]
-            u = fld.uniforms([np.full((1, 1), TAG_SITE), m_col,
-                              np.full((1, 1), n)])  # (reps, n+1)
-            parent = np.full((reps, n + 1), np.inf)
-            parent[:, :n] = label
-            np.minimum(parent[:, 1:], label, out=parent[:, 1:])  # the lesser of both parents
-            label = np.maximum(u, parent, out=u)
-        while hidx < len(horizons) and horizons[hidx] == n:
-            counts[:, hidx] = (label.min(axis=1) < gammas[:, None]).sum(axis=1)
-            hidx += 1
+    for lo in range(0, reps, block):
+        replicas = np.arange(lo, min(lo + block, reps))[:, None]
+        fld = root.derive_replica(replicas)
+        label = np.full((replicas.size, 1), -np.inf)
+        hidx = 0
+        for n in range(horizons[-1] + 1):
+            if n > 0:
+                m_col = np.arange(n + 1, dtype=np.int64)[None, :]
+                u = fld.uniforms([np.full((1, 1), TAG_SITE), m_col,
+                                  np.full((1, 1), n)])  # (replicas, n+1)
+                parent = np.full((replicas.size, n + 1), np.inf)
+                parent[:, :n] = label
+                np.minimum(parent[:, 1:], label, out=parent[:, 1:])  # the lesser of both parents
+                label = np.maximum(u, parent, out=u)
+            while hidx < len(horizons) and horizons[hidx] == n:
+                counts[:, hidx] += (label.min(axis=1) < gammas[:, None]).sum(axis=1)
+                hidx += 1
     return counts
 
 

@@ -28,12 +28,14 @@ The H-event, the zeta-block and the block path hold at truncation k
 exactly when their label is <= k.  `block_path_critical_k` sweeps the
 levels once at k_max, and its `critical_k` decides survival at every
 k <= k_max.  Each level draws the vertical bonds of the blocks still
-alive, then the horizontal bonds of those that kept them, in `uniforms`
-calls of at most _BATCH_IDS ids, and a union-find adds the open in-window
-bonds of each line in increasing range.  When one line alone needs more
-than _BATCH_IDS ids, each line is searched instead by `h_label`, a
+alive, then asks `h_label_max` for the largest H-label of the lines of
+those that kept them.  It is the one place that chooses how H-labels are
+drawn: in `uniforms` calls of at most _BATCH_IDS ids, a union-find adding
+the open in-window bonds of each line in increasing range, or, when one
+line alone needs more than _BATCH_IDS ids, line by line with `h_label`, a
 bottleneck Dijkstra that draws a bond only when it could lower a label, so
-memory stays bounded however wide the window; `hprob` runs one per replica.
+memory stays bounded however wide the window; `hprob` runs one `h_label`
+per replica.
 The scalar `h_connected`, `check_zeta` and `block_path_survival` answer one
 k at a time and are the oracles of the labelled kernels.
 """
@@ -158,14 +160,10 @@ def block_path_survival(fld: BondField, block: BlockParams, params: StarParams,
     """Existence of a_0 = 0, |a_{i+1} - a_i| = 1 with zeta(a_i, i) = 1 for all
     i < horizon (breadth-first over the parity sublattice)."""
     alive = {0}
-    cache = {}
     for i in range(horizon):
         nxt = set()
         for a in alive:
-            key = (a, i)
-            if key not in cache:
-                cache[key] = check_zeta(fld, a, i, block, params, window)
-            if cache[key]:
+            if check_zeta(fld, a, i, block, params, window):
                 nxt.add(a - 1)
                 nxt.add(a + 1)
         alive = nxt
@@ -176,7 +174,7 @@ def block_path_survival(fld: BondField, block: BlockParams, params: StarParams,
 
 # -- labelled kernels: one sweep at k_max decides every k ---------------------
 
-_BATCH_IDS = 1 << 16  # most bond ids one `uniforms` call of h_labels hashes
+_BATCH_IDS = 1 << 16  # most bond ids one `uniforms` call of h_label_max hashes
 
 
 def _joining_range(starts, ranges, size: int, source: int, target: int, never: int) -> int:
@@ -235,7 +233,7 @@ def _h_labels_batch(fld: BondField, m: np.ndarray, n: int, params: StarParams,
 
 
 def h_label(fld: BondField, m: int, n: int, params: StarParams, window: int) -> int:
-    """H-label of line m at level n (see `h_labels`) by a bottleneck Dijkstra.
+    """H-label of line m at level n (see `h_label_max`) by a bottleneck Dijkstra.
     Heap entries are (label, 0, site), a site reached at that label, and
     (cost, i, site), its two bonds of range i, which cost max(label of the
     site, i); each pop is the cheapest, so no bond costing more than the
@@ -270,48 +268,31 @@ def _grid_ids(K: int, W: int) -> int:
     return (2 * W + 1) * min(K, 2 * W)
 
 
-def _settles_lines(K: int, W: int) -> bool:
-    """True when one line's grid alone exceeds _BATCH_IDS ids, so that
-    `h_labels` searches each line with `h_label`."""
-    return K > 0 and _grid_ids(K, W) > _BATCH_IDS
+def h_label_max(fld: BondField, rows, n: int, params: StarParams, window: int) -> np.ndarray:
+    """Largest H-label along each row of the lines `rows` (a 2-d integer
+    array) at level n: the least k <= params.k at which `h_connected` holds
+    on every line of the row, params.k + 1 where one fails at params.k.
 
-
-def h_labels(fld: BondField, m, n: int, params: StarParams, window: int) -> np.ndarray:
-    """H-labels of the lines m (an integer array) at level n: the least
-    k <= params.k at which `h_connected` holds, params.k + 1 where it fails.
-
-    The bonds (lo, lo + i), 1 <= i <= params.k, of whole lines are drawn
-    in `uniforms` calls of at most _BATCH_IDS ids.  The label is 1 where
-    the range-1 bond from gamma(m) to gamma(m+1) is open; otherwise a
-    union-find adds the open in-window bonds in increasing range.  When one
-    line alone needs more than _BATCH_IDS ids, each line is searched by
-    `h_label` instead, which draws a bond only when it needs it.
+    When one line's bond grid fits in _BATCH_IDS ids, the grids of as many
+    lines as fit are drawn per `uniforms` call by `_h_labels_batch`.
+    Otherwise each line is searched by `h_label`, which draws a bond only
+    when it needs it, and a row stops at its first line that fails at
+    params.k, as `check_zeta` does.
     """
     if window < 1:
         raise ValueError("window must be >= 1")
-    m = np.asarray(m, dtype=np.int64)
-    K, W = params.k, window
-    lines = m.ravel()
-    labels = np.full(lines.size, K + 1, dtype=np.int64)
-    if _settles_lines(K, W):
-        labels[:] = [h_label(fld, x, n, params, W) for x in lines.tolist()]
-    elif K > 0:
-        step = _BATCH_IDS // _grid_ids(K, W)
-        for c in range(0, lines.size, step):
-            labels[c:c + step] = _h_labels_batch(fld, lines[c:c + step], n, params, W)
-    return labels.reshape(m.shape)
-
-
-def _h_label_max(fld: BondField, m: np.ndarray, n: int, params: StarParams,
-                 window: int) -> np.ndarray:
-    """Max of the H-labels along each row of the lines m.  Where lines are
-    searched one at a time, a row stops at its first line that fails at
-    params.k, as `check_zeta` does."""
-    if not _settles_lines(params.k, window):
-        return h_labels(fld, m, n, params, window).max(axis=1)
+    rows = np.asarray(rows, dtype=np.int64)
     never = params.k + 1
-    out = np.full(len(m), never, dtype=np.int64)
-    for j, row in enumerate(m.tolist()):
+    # lines per `uniforms` call; at k = 0 there is no bond, and `h_label` draws none
+    step = _BATCH_IDS // _grid_ids(params.k, window) if params.k > 0 else 0
+    if step:
+        lines = rows.ravel()
+        labels = np.empty(lines.size, dtype=np.int64)
+        for c in range(0, lines.size, step):
+            labels[c:c + step] = _h_labels_batch(fld, lines[c:c + step], n, params, window)
+        return labels.reshape(rows.shape).max(axis=1)
+    out = np.full(len(rows), never, dtype=np.int64)
+    for j, row in enumerate(rows.tolist()):
         top = 0
         for x in row:
             top = max(top, h_label(fld, x, n, params, window))
@@ -336,7 +317,7 @@ def zeta_labels(fld: BondField, a, n: int, block: BlockParams, params: StarParam
     vert = fld.open_mask([TAG_GSTAR_V, n, x1, x2], params.eps)
     held = np.flatnonzero(vert[:, :N].any(axis=1) & vert[:, N:].any(axis=1))
     labels = np.full(a.size, params.k + 1, dtype=np.int64)
-    labels[held] = _h_label_max(fld, m[held], n, params, window)
+    labels[held] = h_label_max(fld, m[held], n, params, window)
     return labels
 
 

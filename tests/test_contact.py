@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from lrperc import contact
 from lrperc.cli import main
 from lrperc.contact import (
     SkeletonParams, Timeline, _poisson_from_mode, check_f_event, f_events,
-    f_probability, infected_at_horizon, k_connected, poisson_from_uniform,
-    sample_timeline,
+    f_probability, infected_at_horizon, infection_labels, k_connected,
+    poisson_from_uniform, sample_timeline,
 )
 from lrperc.harness import run_replicas
 from lrperc.sequences import constant, explicit, harmonic, truncate
@@ -237,6 +238,44 @@ def test_time_bounds_validated():
         k_connected(tl, ((0,), 1.0), ((0,), 0.5), 1)
     with pytest.raises(ValueError):
         k_connected(tl, ((0,), 0.0), ((0,), 3.0), 1)
+
+
+def test_infection_labels_checks_its_inputs():
+    """The sweep itself rejects times outside 0 <= s <= t <= horizon and a
+    source off the box, which has no marks and would stay infected."""
+    tl = _tl(horizon=2.0, bounds=((-2, 2),))
+    for s, t in ((2.0, 1.0), (-1.0, 1.0), (0.0, 3.0)):
+        with pytest.raises(ValueError, match="0 <= s <= t <= horizon"):
+            infection_labels(tl, (0,), s, t)
+    for src in ((7,), (-3,), (0, 0)):
+        with pytest.raises(ValueError, match="site of the box"):
+            infection_labels(tl, src, 0.0, 1.0)
+    assert infection_labels(tl, (2,), 0.0, 1.0) == {(2,): 0}
+
+
+def test_pairs_stop_at_the_widest_box_extent(monkeypatch):
+    """No two sites of a box are farther apart than its widest extent, so
+    no longer range is enumerated, and a k far above it samples the same
+    timelines and records as k at that extent."""
+    asked = []
+    ranges = contact.signed_ranges
+
+    def spy(k):
+        asked.append(k)
+        return ranges(k)
+    monkeypatch.setattr(contact, "signed_ranges", spy)
+    box = [(-1, 1), (0, 3)]
+    for r in range(10):
+        far, near = (sample_timeline(5, truncate(harmonic(), k), box, 1.0, 2, replica=r)
+                     for k in (1000, 3))
+        assert far.deaths.keys() == near.deaths.keys()
+        assert far.arrows.keys() == near.arrows.keys()
+        assert all((far.arrows[p] == near.arrows[p]).all() for p in far.arrows)
+    far, near = ((truncate(harmonic(), k), 2, 1.0, 2) for k in (1000, 4))
+    crits = run_replicas("surv_contact", far, 5, 30)
+    assert crits == run_replicas("surv_contact", near, 5, 30)
+    assert len(set(crits)) > 1
+    assert asked and max(asked) <= 4
 
 
 # -- skeleton events ----------------------------------------------------------------

@@ -142,6 +142,19 @@ def test_frozen_regression_harmonic_k50():
     assert est.lo > 0.3
 
 
+def test_moves_stop_at_twice_the_window():
+    """A move longer than 2 * window leaves the window from every vertex in
+    it, so the move table stops growing with k there, and a k far above it
+    gives the same records as k = 2 * window."""
+    far, near = (_params(k=k, horizon=4, window=2, p=truncate(constant(0.2), k))
+                 for k in (1000, 4))
+    vecs, axes, disps, probs = far.displacement_table()
+    assert len(vecs) == 2 * 2 * 4 and abs(disps).max() == 4
+    crits = run_replicas("surv_g", (far,), 3, 60)
+    assert crits == run_replicas("surv_g", (near,), 3, 60)
+    assert 4 in crits and None in crits
+
+
 def test_params_validation():
     with pytest.raises(ValueError):
         _params(d=0)

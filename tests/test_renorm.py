@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from lrperc import renorm
 from lrperc.bondfield import BondField
 from lrperc.harness import ExperimentConfig, run_experiment, run_replicas
 from lrperc.renorm import (
@@ -273,11 +274,15 @@ def test_cone_exhaustive_oracle_small():
 
 
 @pytest.mark.parametrize("seed", [0, 41])
-def test_scan_equals_oracle_per_replica(seed):
+def test_scan_equals_oracle_per_replica(seed, monkeypatch):
     """The scan reads each replica's own stream, so its counts are exactly
-    the oracle's survivals summed over replicas, horizon 0 included."""
+    the oracle's survivals summed over replicas, horizon 0 included, in one
+    block or in blocks of 7 replicas (10 labels each at horizon 9), of which
+    the last holds 6."""
     gammas, horizons, reps = [0.0, 0.5, 0.7, 1.0], [9, 0, 1, 4], 300
     counts = cone_survival_scan(gammas, horizons, reps, seed)
+    monkeypatch.setattr(renorm, "_SCAN_CELLS", 79)
+    assert (cone_survival_scan(gammas, horizons, reps, seed) == counts).all()
     root = BondField(seed)
     for gi, gamma in enumerate(gammas):
         reached = [site_perc_cone(gamma, 9, root.derive_replica(r)).reached

@@ -1,5 +1,6 @@
 import itertools
 
+import numpy as np
 import pytest
 
 from lrperc import starlat
@@ -7,7 +8,7 @@ from lrperc.bondfield import BondField, BondId
 from lrperc.sequences import constant, explicit, harmonic, powerlaw, truncate
 from lrperc.starlat import (
     BlockParams, StarParams, block_path_critical_k, block_path_survival,
-    check_zeta, choose_N, h_connected, h_labels, staircase, vertical_open,
+    check_zeta, choose_N, h_connected, h_label_max, staircase, vertical_open,
     zeta_labels,
 )
 from lrperc.harness import run_replicas
@@ -251,7 +252,7 @@ def test_block_survival_single_replica_path():
 
 @pytest.fixture(params=["level_batch", "line_batches", "settled"])
 def h_path(request, monkeypatch):
-    """Route `h_labels` through each of its paths for a given (kmax, window):
+    """Route `h_label_max` through each of its paths for a given (kmax, window):
     one `uniforms` call per level, one call per line, or the lazy search."""
     def route(kmax, window):
         if request.param == "line_batches":
@@ -279,7 +280,7 @@ def test_h_labels_equal_h_connected(case, h_path):
     for r in range(40):
         fld = BondField(51 + case).derive_replica(r)
         for n in (0, 3):
-            labels = h_labels(fld, lines, n, top, c["window"])
+            labels = h_label_max(fld, np.array(lines)[:, None], n, top, c["window"])
             seen.update(labels.tolist())
             for k in range(c["kmax"] + 1):
                 params = _sp(p=c["p"], k=k)
@@ -374,7 +375,7 @@ def test_labels_at_kmax_zero():
     """No horizontal bond exists at k = 0: every H-event fails and only the
     empty block path survives."""
     top = _sp(eps=1.0, p=constant(1.0), k=0)
-    assert h_labels(BondField(3), [0, 1], 0, top, 2).tolist() == [1, 1]
+    assert h_label_max(BondField(3), np.array([[0], [1]]), 0, top, 2).tolist() == [1, 1]
     block = BlockParams(1, 0.5)
     assert block_path_critical_k(BondField(3), block, top, 2, 2) is None
     assert not block_path_survival(BondField(3), block, top, 2, 2)
@@ -398,14 +399,36 @@ def test_critical_k_horizon_zero_is_zero(p):
 def test_labels_deterministic_sequences(p, window, h_expected, crit_expected, h_path):
     top = _sp(eps=1.0, p=explicit(p), k=max(3, len(p)))
     h_path(top.k, window)
-    assert h_labels(BondField(7), [0, 1, 2, 3], 1, top, window).tolist() == [h_expected] * 4
+    lines = np.array([[0], [1], [2], [3]])
+    assert h_label_max(BondField(7), lines, 1, top, window).tolist() == [h_expected] * 4
     block = BlockParams(1, 0.5)
     assert block_path_critical_k(BondField(7), block, top, 3, window) == crit_expected
 
 
+def test_lazy_route_stops_a_row_at_its_first_failed_line(monkeypatch):
+    """Searched line by line, a row whose first line fails at params.k is
+    decided by one search; a row whose lines all hold searches each."""
+    monkeypatch.setattr(starlat, "_BATCH_IDS", 0)
+    searched = []
+    h_label = starlat.h_label
+
+    def spy(fld, m, n, params, window):
+        searched.append(m)
+        return h_label(fld, m, n, params, window)
+    monkeypatch.setattr(starlat, "h_label", spy)
+    row = np.array([[0, 1, 2, 3]])
+    dead = _sp(p=explicit([0.0, 1.0]), k=3)  # range 2 alone keeps to even offsets
+    assert h_label_max(BondField(7), row, 0, dead, 3).tolist() == [dead.k + 1]
+    assert searched == [0]
+    searched.clear()
+    sure = _sp(p=constant(1.0), k=3)
+    assert h_label_max(BondField(7), row, 0, sure, 3).tolist() == [1]
+    assert searched == [0, 1, 2, 3]
+
+
 def test_h_labels_window_validation():
     with pytest.raises(ValueError):
-        h_labels(BondField(1), [0], 0, _sp(), window=0)
+        h_label_max(BondField(1), np.array([[0]]), 0, _sp(), window=0)
 
 
 def test_param_validation():
