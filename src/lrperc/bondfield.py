@@ -78,10 +78,22 @@ _M1, _M2, _GOLDEN_U64 = _U64(0xBF58476D1CE4E5B9), _U64(0x94D049BB133111EB), _U64
 
 def _mix_array(h):
     """splitmix64 finalizer, elementwise on uint64 arrays (wraps mod 2^64;
-    callers silence numpy's overflow warning for 0-d operands)."""
-    h = (h ^ (h >> _S30)) * _M1
-    h = (h ^ (h >> _S27)) * _M2
-    return h ^ (h >> _S31)
+    callers silence numpy's overflow warning for 0-d operands).
+
+    An array is mixed in one copy of it, in place, with one scratch array
+    for the shifts.  A 0-d or numpy-scalar operand, whose shift numpy
+    returns as a scalar, keeps the plain expression."""
+    t = h >> _S30
+    if type(t) is not np.ndarray:
+        h = (h ^ t) * _M1
+        h = (h ^ (h >> _S27)) * _M2
+        return h ^ (h >> _S31)
+    h = h ^ t
+    h *= _M1
+    h ^= np.right_shift(h, _S27, out=t)
+    h *= _M2
+    h ^= np.right_shift(h, _S31, out=t)
+    return h
 
 
 def _fold_array(h, w):

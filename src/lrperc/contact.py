@@ -33,6 +33,17 @@ A site is k-connected from (src, s) at time t exactly when its label is
 k-sweep from one sweep per replica.  The sweep checks that
 0 <= s <= t <= horizon and that src is a site of the box.
 
+A box's fixed structure, its sites, its in-box pairs, their death and
+arrow id columns, the pairs' means and each pair's (source index,
+destination index, jump), is a table built once per (rates, box, horizon,
+d) and process (`_box_table`, behind an lru_cache), so sampling a replica
+only draws its marks.  A Timeline keeps its marks flat: one owner array
+(a process of its table) and one time array, in sweep order.  Its
+`deaths` and `arrows` dicts ({key: sorted times}) are views, built on
+first read and cached.  A hand-made `Timeline(horizon, bounds, deaths,
+arrows)` is flattened into the same form, so sampled and hand-made
+timelines share one sweep, which keeps one int label per site index.
+
 One sampler (`_mark_counts`, `_mark_times`) turns keyed uniforms into
 marks, for one replica or a batch.  Trial r of the batched skeleton event
 `f_events` reads the marks of replica r's timeline, so `check_f_event` on
@@ -41,6 +52,7 @@ that timeline is its oracle.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -71,33 +83,44 @@ def _box_sites(box, d: int):
 def poisson_from_uniform(u, mu) -> np.ndarray:
     """Invert the Poisson CDF at quantile u, elementwise.
 
-    The smallest k with u < F(k).  The walk up from k = 0 starts at
-    exp(-mu); where that is no longer a normal float (mu > ~708; it is 0
-    beyond ~745) the inversion runs from the mode (`_poisson_from_mode`).
-    The walk also ends where the CDF stops growing, which happens when u
-    is within rounding of 1.
+    The smallest k with u < F(k), found for each distinct mean by
+    `_poisson_from_zero`, or where exp(-mu) is no longer a normal float
+    (mu > ~708; it is 0 beyond ~745) by `_poisson_from_mode`.
     """
     u = np.asarray(u, dtype=np.float64)
-    mu = np.broadcast_to(np.asarray(mu, dtype=np.float64), u.shape)
+    mu = np.asarray(mu, dtype=np.float64)
+    means = np.unique(mu).tolist()
+    if len(means) == 1:
+        return _poisson_from_zero(u, means[0])
+    mu = np.broadcast_to(mu, u.shape)
     k = np.zeros(u.shape, dtype=np.int64)
-    pmf = np.exp(-mu)
-    cdf = pmf.copy()
-    underflow = pmf < np.finfo(np.float64).tiny
-    active = (u >= cdf) & ~underflow
-    while active.any():
-        k[active] += 1
-        pmf = np.where(active, pmf * mu / np.maximum(k, 1), pmf)
-        grown = cdf + np.where(active, pmf, 0.0)
-        active = (u >= grown) & (grown > cdf)
-        cdf = grown
-    for m in set(mu[underflow].tolist()):
-        at = underflow & (mu == m)
-        k[at] = _poisson_from_mode(u[at], m)
+    for m in means:
+        at = mu == m
+        k[at] = _poisson_from_zero(u[at], m)
     return k
 
 
+def _poisson_from_zero(u, mu: float) -> np.ndarray:
+    """Poisson inverse CDF for one mean, by bisection in its CDF table.
+
+    The table sums pmf(k) = pmf(k - 1) * mu / k up from exp(-mu), as far
+    as the largest u needs; it also ends where the sum stops growing, which
+    happens when u is within rounding of 1.
+    """
+    pmf = float(np.exp(-np.float64(mu)))
+    if pmf < np.finfo(np.float64).tiny:
+        return _poisson_from_mode(u, mu)
+    cdf, top = [pmf], u.max(initial=0.0)
+    while cdf[-1] <= top:
+        pmf = pmf * mu / len(cdf)
+        if cdf[-1] + pmf == cdf[-1]:
+            break
+        cdf.append(cdf[-1] + pmf)
+    return np.searchsorted(cdf, u, side="right")
+
+
 def _poisson_from_mode(u, mu: float) -> np.ndarray:
-    """Poisson inverse CDF for a mean too large for the walk from 0.
+    """Poisson inverse CDF for a mean too large for the table from 0.
 
     The pmf at the mode comes from `math.lgamma` in log space, and the
     pmf on the window mode -/+ (10 sqrt(mu) + 40), which holds all but
@@ -116,16 +139,113 @@ def _poisson_from_mode(u, mu: float) -> np.ndarray:
     return lo + np.minimum(np.searchsorted(cdf, u, side="right"), hi - lo)
 
 
-@dataclass
+class _Table:
+    """The fixed structure of a timeline: its sites, its ordered pairs and,
+    per process, what its marks touch.
+
+    Process o < len(sites) is the death process of site o; process
+    len(sites) + p is the arrow process of pair p, and heads[o] is then
+    (source index, destination index, jump length).  A box's table also
+    carries the box bounds, the death and arrow id columns and the pairs'
+    means.
+    """
+
+    def __init__(self, sites, pairs, heads=None, bounds=None, dcols=None, acols=None,
+                 mus=None):
+        self.sites, self.pairs, self.bounds = sites, pairs, bounds
+        self.index = {s: i for i, s in enumerate(sites)}
+        if heads is None:
+            heads = [(self.index[u], self.index[v], max(abs(a - b) for a, b in zip(u, v)))
+                     for u, v in pairs]
+        self.heads = [*range(len(sites)), *heads]
+        self.dcols, self.acols, self.mus = dcols, acols, mus
+
+
+@functools.lru_cache(maxsize=16)
+def _box_table(rates, box, horizon: float, d: int) -> _Table:
+    """The table of every site and every in-box ordered pair with a positive
+    rate, pairs in site order and, per site, in (axis, signed range) order.
+    `box` is an int or a tuple of (lo, hi) pairs; `rates` is a key by value."""
+    sites, bounds = _box_sites(box, d)
+    lo, hi = np.array(bounds, dtype=np.int64).reshape(d, 2).T
+    coords = np.array(sites, dtype=np.int64).reshape(-1, d)
+    # no pair of in-box sites is farther apart than the widest box extent
+    reach = min(rates.k, int((hi - lo).max()))
+    moves = [(m, disp, rates.term(abs(disp)))
+             for m in range(1, d + 1) for disp in signed_ranges(reach)]
+    moves = [mv for mv in moves if mv[2] > 0.0]
+    axis, disp = (np.array([mv[c] for mv in moves], dtype=np.int64) for c in (0, 1))
+    rate = np.array([mv[2] for mv in moves], dtype=np.float64)
+    step = disp[:, None] * (np.arange(1, d + 1) == axis[:, None])       # (moves, d)
+    dst = coords[:, None, :] + step[None]                               # (sites, moves, d)
+    src_i, move_i = np.nonzero(((dst >= lo) & (dst <= hi)).all(axis=2))
+    dst_i = np.ravel_multi_index(tuple((dst[src_i, move_i] - lo).T), tuple(hi - lo + 1))
+    heads = list(zip(src_i.tolist(), dst_i.tolist(), np.abs(disp[move_i]).tolist()))
+    return _Table(sites, [(sites[u], sites[v]) for u, v, _ in heads], heads, tuple(bounds),
+                  dcols=[_TAG_DEATH, *coords.T],
+                  acols=[_TAG_ARROW, *coords[src_i].T, axis[move_i], disp[move_i]],
+                  mus=rate[move_i] * horizon)
+
+
+def _sweep_order(table: _Table, owner, times):
+    """(owner, times) sorted by time, deaths before arrows at equal times."""
+    order = np.argsort(times)
+    if (times[order[1:]] == times[order[:-1]]).any():  # ties: the order needs its key
+        order = np.lexsort((owner >= len(table.sites), times))
+    return owner[order], times[order]
+
+
 class Timeline:
-    horizon: float
-    bounds: list
-    deaths: dict  # site -> sorted ndarray of times (sites with no death omitted)
-    arrows: dict  # (src, dst) -> sorted ndarray of times (empty pairs omitted)
-    resamples: int = 0
+    """The marks of one timeline, flat: `owner` and `times` in sweep order,
+    `owner` being a process of `table` (see `_Table`).
+
+    `Timeline(horizon, bounds, deaths, arrows)` flattens hand-made marks,
+    {site: times} and {(src, dst): times}, into the same form.  The
+    `deaths` and `arrows` views give the marks back as such dicts of sorted
+    times, processes without marks omitted; each is built on first read.
+    """
+
+    def __init__(self, horizon: float, bounds, deaths: dict, arrows: dict, resamples: int = 0):
+        sites = list(dict.fromkeys([*deaths, *itertools.chain.from_iterable(arrows)]))
+        table = _Table(sites, list(arrows))
+        marks = [np.asarray(deaths.get(s, ()), dtype=np.float64) for s in sites]
+        marks += [np.asarray(ts, dtype=np.float64) for ts in arrows.values()]
+        owner = np.repeat(np.arange(len(marks)), [m.size for m in marks])
+        self._set(horizon, bounds, table,
+                  *_sweep_order(table, owner, np.concatenate([np.empty(0), *marks])), resamples)
+
+    @classmethod
+    def _flat(cls, horizon, bounds, table, owner, times, resamples) -> "Timeline":
+        tl = cls.__new__(cls)
+        tl._set(horizon, bounds, table, owner, times, resamples)
+        return tl
+
+    def _set(self, horizon, bounds, table, owner, times, resamples):
+        self.horizon, self.bounds, self.table = horizon, bounds, table
+        self.owner, self.times, self.resamples = owner, times, resamples
 
     def in_box(self, site) -> bool:
         return all(lo <= c <= hi for c, (lo, hi) in zip(site, self.bounds))
+
+    def _by_process(self, keys, first: int) -> dict:
+        """{keys[p]: sorted times} of processes first + p with a mark."""
+        mine = (self.owner >= first) & (self.owner < first + len(keys))
+        owner = self.owner[mine] - first
+        times = self.times[mine][np.argsort(owner, kind="stable")]
+        out, end = {}, 0
+        for key, c in zip(keys, np.bincount(owner, minlength=len(keys)).tolist()):
+            if c:
+                out[key] = times[end:end + c]
+                end += c
+        return out
+
+    @functools.cached_property
+    def deaths(self) -> dict:
+        return self._by_process(self.table.sites, 0)
+
+    @functools.cached_property
+    def arrows(self) -> dict:
+        return self._by_process(self.table.pairs, len(self.table.sites))
 
 
 def _mark_counts(root: BondField, replica, cols, mus) -> np.ndarray:
@@ -150,14 +270,6 @@ def _mark_times(root: BondField, replica, cols, counts, horizon: float):
     return owner, fld.uniforms([*map(per_mark, cols), _KIND_TIME, j]) * horizon
 
 
-def _by_process(keys, counts, owner, times) -> dict:
-    """{key: sorted times} of every process with a mark: one sort by
-    (process, time), then a slice per process."""
-    times = times[np.lexsort((times, owner))]
-    ends = np.cumsum(counts).tolist()
-    return {keys[p]: times[e - c:e] for p, (c, e) in enumerate(zip(counts.tolist(), ends)) if c}
-
-
 def sample_timeline(seed: int, rates: TruncatedSequence, box, horizon: float,
                     d: int, replica: int = 0) -> Timeline:
     """Exact Poisson samples for every site and every in-box ordered pair.
@@ -166,37 +278,24 @@ def sample_timeline(seed: int, rates: TruncatedSequence, box, horizon: float,
     own keyed uniform (Poisson inverse CDF) and its event times as iid
     uniforms on [0, T], which together realize a homogeneous Poisson process.
     In the measure-zero case of a global time collision the whole timeline is
-    resampled from a bumped stream and the retry count is recorded.
+    resampled from a bumped stream and the retry count is recorded.  The
+    box's table is built once per (rates, box, horizon, d) and process.
     """
     if not 0 < horizon < math.inf:
         raise ValueError(f"horizon must be finite and positive, got {horizon}")
-    sites, bounds = _box_sites(box, d)
-    site_set = set(sites)
-    # no pair of in-box sites is farther apart than the widest box extent
-    reach = min(rates.k, max(hi - lo for lo, hi in bounds))
-    moves = [(m, disp, rates.term(abs(disp)))
-             for m in range(1, d + 1) for disp in signed_ranges(reach)]
-    pairs, pair_words, pair_mus = [], [], []
-    for s in sites:
-        for m, disp, rate in moves:
-            t = s[:m - 1] + (s[m - 1] + disp,) + s[m:]
-            if rate > 0.0 and t in site_set:
-                pairs.append((s, t))
-                pair_words.append((_TAG_ARROW, *s, m, disp))
-                pair_mus.append(rate * horizon)
-    dcols = list(np.array([(_TAG_DEATH, *s) for s in sites]).T)
-    acols = list(np.array(pair_words, dtype=np.int64).reshape(-1, d + 3).T)
-    root = BondField(seed)
+    table = _box_table(rates, box if isinstance(box, int) else tuple(map(tuple, box)),
+                       horizon, d)
+    root, n = BondField(seed), len(table.sites)
     for attempt in range(64):
         rep = replica + (attempt << 40)
-        dcounts = _mark_counts(root, rep, dcols, horizon)
-        downer, dtimes = _mark_times(root, rep, dcols, dcounts, horizon)
-        acounts = _mark_counts(root, rep, acols, pair_mus)
-        aowner, atimes = _mark_times(root, rep, acols, acounts, horizon)
-        pool = np.concatenate([dtimes, atimes])
-        if len(np.unique(pool)) == pool.size:
-            return Timeline(horizon, bounds, _by_process(sites, dcounts, downer, dtimes),
-                            _by_process(pairs, acounts, aowner, atimes), resamples=attempt)
+        dcounts = _mark_counts(root, rep, table.dcols, horizon)
+        downer, dtimes = _mark_times(root, rep, table.dcols, dcounts, horizon)
+        acounts = _mark_counts(root, rep, table.acols, table.mus)
+        aowner, atimes = _mark_times(root, rep, table.acols, acounts, horizon)
+        owner, times = _sweep_order(table, np.concatenate([downer, aowner + n]),
+                                    np.concatenate([dtimes, atimes]))
+        if not (times[1:] == times[:-1]).any():
+            return Timeline._flat(horizon, table.bounds, table, owner, times, attempt)
     raise RuntimeError("could not sample a collision-free timeline")
 
 
@@ -210,42 +309,48 @@ def k_connected(tl: Timeline, frm, to, k: int) -> bool:
     return infection_labels(tl, src, s, t).get(dst, k + 1) <= k
 
 
+_HEALTHY = 1 << 62  # the label of a site not infected at any k
+
+
 def infection_labels(tl: Timeline, src, s: float, t: float) -> dict:
     """{site: label} of every site infected at time t from (src, s) at some
     k, the label being the least such k (see the module docstring).
 
-    The marks come in time order from one lexsort, deaths first at equal
-    times; each pair's jump length is computed once.  The source must be a
-    site of the box: an off-box site has no marks and would stay infected.
+    The sweep reads the timeline's flat marks between s and t and keeps one
+    int label per site index of its table.  The source must be a site of
+    the box: an off-box site has no marks and would stay infected.
     """
     if not (0.0 <= s <= t <= tl.horizon):
         raise ValueError("times must satisfy 0 <= s <= t <= horizon")
     if len(src) != len(tl.bounds) or not tl.in_box(src):
         raise ValueError(f"source {src} is not a site of the box {tl.bounds}")
-    sites, pairs = list(tl.deaths), list(tl.arrows)
-    marks = [*tl.deaths.values(), *tl.arrows.values()]
-    times = np.concatenate([np.empty(0), *marks])
-    owner = np.repeat(np.arange(len(marks)), [len(ts) for ts in marks])
-    arrow = owner >= len(sites)
-    order = np.lexsort((arrow, times))
-    live = (times <= t) & np.where(arrow, times > s, times >= s)
-    ends = np.fromiter(itertools.chain.from_iterable(u + v for u, v in pairs), np.int64,
-                       count=2 * len(src) * len(pairs)).reshape(len(pairs), 2, len(src))
-    jumps = np.abs(ends[:, 0] - ends[:, 1]).max(axis=1, initial=0).tolist()
-    heads = sites + [(u, v, j) for (u, v), j in zip(pairs, jumps)]
-    label, n = {src: 0}, len(sites)
-    for o in owner[order[live[order]]].tolist():
+    table, n = tl.table, len(tl.table.sites)
+    if src not in table.index:  # no mark touches it: nothing reaches or clears it
+        return {src: 0}
+    lo, at, hi = (int(np.searchsorted(tl.times, x, side=side))
+                  for x, side in ((s, "left"), (s, "right"), (t, "right")))
+    head = tl.owner[lo:at]  # marks at s itself: its deaths count, its arrows do not
+    owner = np.concatenate([head[head < n], tl.owner[at:hi]]) if at > lo else tl.owner[lo:hi]
+    heads, label = table.heads, [_HEALTHY] * n
+    label[table.index[src]], infected = 0, 1
+    for o in owner.tolist():
         if o < n:
-            label.pop(heads[o], None)
-            if not label:
-                break
+            if label[o] != _HEALTHY:
+                label[o] = _HEALTHY
+                infected -= 1
+                if not infected:
+                    break
         else:
             u, v, j = heads[o]
-            if u in label:
-                j = max(label[u], j)
-                if j < label.get(v, j + 1):
+            lu = label[u]
+            if lu != _HEALTHY:
+                if lu > j:
+                    j = lu
+                lv = label[v]
+                if j < lv:
+                    infected += lv == _HEALTHY
                     label[v] = j
-    return label
+    return {site: lab for site, lab in zip(table.sites, label) if lab != _HEALTHY}
 
 
 # -- skeleton events ----------------------------------------------------------

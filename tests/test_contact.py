@@ -47,7 +47,7 @@ _MUS = st.floats(1e-6, 1e4)
 
 
 @given(_MUS, st.floats(0.0, 1.0 - 2**-53))
-@example(50.0, 1.0 - 2**-53)  # the walk's CDF sum stalls below u
+@example(50.0, 1.0 - 2**-53)  # the CDF sum stalls below u
 @example(800.0, 0.5)          # exp(-mu) underflows to 0
 def test_poisson_terminates_over_the_whole_unit_interval(mu, u):
     k = poisson_from_uniform(np.array([u]), mu)[0]
@@ -71,6 +71,39 @@ def test_poisson_walk_and_mode_inversion_agree():
     grid = (np.arange(50_000) + 0.5) / 50_000
     for mu in (3.0, 50.0, 300.0, 708.0):
         assert np.array_equal(poisson_from_uniform(grid, mu), _poisson_from_mode(grid, mu))
+
+
+def _poisson_walk(u, mu):
+    """Oracle: the elementwise walk up the Poisson CDF from k = 0, each u
+    stepping on while u >= F(k) and F still grows."""
+    u = np.asarray(u, dtype=np.float64)
+    mu = np.broadcast_to(np.asarray(mu, dtype=np.float64), u.shape)
+    k = np.zeros(u.shape, dtype=np.int64)
+    pmf = np.exp(-mu)
+    cdf = pmf.copy()
+    active = u >= cdf
+    while active.any():
+        k[active] += 1
+        pmf = np.where(active, pmf * mu / np.maximum(k, 1), pmf)
+        grown = cdf + np.where(active, pmf, 0.0)
+        active = (u >= grown) & (grown > cdf)
+        cdf = grown
+    return k
+
+
+def test_poisson_table_equals_the_walk():
+    """The per-mean CDF table gives the walk's quantile bit for bit, at one
+    mean and at mixed means, at F(0) itself and within rounding of 1."""
+    means = [1e-6, 0.05, 0.75, 1.7, 3.0, 5.0, 50.0, 300.0, 707.0]
+    grid = (np.arange(4000) + 0.5) / 4000
+    for mu in means:
+        u = np.concatenate([grid, [0.0, math.exp(-mu), 1 - 2**-40, 1 - 2**-53]])
+        assert np.array_equal(poisson_from_uniform(u, mu), _poisson_walk(u, mu)), mu
+    mixed = np.resize(means, (400, len(means) + 1))  # every mean in every column
+    u = np.resize(np.concatenate([grid, [1 - 2**-53]]), mixed.shape)
+    assert np.array_equal(poisson_from_uniform(u, mixed), _poisson_walk(u, mixed))
+    row, u = np.array(means[:4]), np.resize(grid, (1000, 4))  # one mean per column
+    assert np.array_equal(poisson_from_uniform(u, row), _poisson_walk(u, row))
 
 
 def test_cli_contact_long_horizon_returns(tmp_path):
@@ -257,6 +290,7 @@ def test_pairs_stop_at_the_widest_box_extent(monkeypatch):
     """No two sites of a box are farther apart than its widest extent, so
     no longer range is enumerated, and a k far above it samples the same
     timelines and records as k at that extent."""
+    contact._box_table.cache_clear()  # the tables are built under the spy
     asked = []
     ranges = contact.signed_ranges
 
@@ -276,6 +310,51 @@ def test_pairs_stop_at_the_widest_box_extent(monkeypatch):
     assert crits == run_replicas("surv_contact", near, 5, 30)
     assert len(set(crits)) > 1
     assert asked and max(asked) <= 4
+
+
+def test_box_table_is_built_once_per_process():
+    """The replicas of a k-sweep share one pair table, and a k above the
+    box's widest extent reads the same table and timelines as k at it."""
+    contact._box_table.cache_clear()
+    crits = run_replicas("surv_contact", (truncate(harmonic(), 4), 2, 1.25, 2),
+                         seed=21, reps=20, threads=1)
+    info = contact._box_table.cache_info()
+    assert (info.misses, info.hits) == (1, 19)
+    assert len(set(crits)) > 1
+    box = [(-1, 1), (0, 3)]
+    far, near = (contact._box_table(truncate(harmonic(), k), tuple(box), 2.0, 2)
+                 for k in (1000, 3))
+    assert far is not near
+    assert (far.sites, far.pairs, far.heads) == (near.sites, near.pairs, near.heads)
+    assert far.pairs and max(j for _, _, j in far.heads[len(far.sites):]) == 3
+    for a, b in zip([*far.dcols, *far.acols, far.mus], [*near.dcols, *near.acols, near.mus]):
+        assert np.array_equal(a, b)
+    for r in range(5):
+        tf, tn = (sample_timeline(5, truncate(harmonic(), k), box, 2.0, 2, replica=r)
+                  for k in (1000, 3))
+        assert np.array_equal(tf.owner, tn.owner) and np.array_equal(tf.times, tn.times)
+
+
+@pytest.mark.parametrize("box,d", [(3, 1), ([(-2, 2), (-1, 1)], 2)])
+def test_hand_made_and_sampled_timelines_read_one_form(box, d):
+    """A timeline rebuilt by hand from a sampled one's dict views sweeps to
+    the same labels and gives the same views back."""
+    rates, horizon = truncate(harmonic(), 3), 2.0
+    starts = [((0,) * d, 0.0), ((1,) + (0,) * (d - 1), horizon / 3)]
+    spread = 0
+    for r in range(20):
+        tl = sample_timeline(71, rates, box, horizon, d, replica=r)
+        hand = Timeline(tl.horizon, tl.bounds, tl.deaths, tl.arrows)
+        assert np.array_equal(hand.times, tl.times)
+        for src, s in starts:
+            got = infection_labels(hand, src, s, horizon)
+            assert got == infection_labels(tl, src, s, horizon), (r, src)
+            spread += len(got) > 1
+        for view in ("deaths", "arrows"):
+            a, b = getattr(hand, view), getattr(tl, view)
+            assert a.keys() == b.keys()
+            assert all(np.array_equal(a[key], b[key]) for key in a), (r, view)
+    assert spread > 0  # some sweep infected more than its source
 
 
 # -- skeleton events ----------------------------------------------------------------
