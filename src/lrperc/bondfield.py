@@ -86,7 +86,7 @@ def _mix_array(h):
     Larger arrays keep the plain expression, whose temporaries numpy
     already reuses in place; an extra scratch array would only raise peak
     memory.  0-d and numpy-scalar operands keep it as well."""
-    if np.ndim(h) == 0 or h.nbytes >= _ELIDE_BYTES:
+    if h.ndim == 0 or h.nbytes >= _ELIDE_BYTES:
         h = (h ^ (h >> _S30)) * _M1
         h = (h ^ (h >> _S27)) * _M2
         return h ^ (h >> _S31)
