@@ -74,29 +74,23 @@ def _fold(h, w):
 
 _S11, _S27, _S30, _S31 = _U64(11), _U64(27), _U64(30), _U64(31)
 _M1, _M2, _GOLDEN_U64 = _U64(0xBF58476D1CE4E5B9), _U64(0x94D049BB133111EB), _U64(_GOLDEN)
-_ELIDE_BYTES = 1 << 18
 
 
 def _mix_array(h):
     """splitmix64 finalizer, elementwise on uint64 arrays (wraps mod 2^64;
     callers silence numpy's overflow warning for 0-d operands).
 
-    An array below numpy's temporary-elision size (256 KiB) is mixed in
-    one copy of it, in place, with one scratch array for the shifts.
-    Larger arrays keep the plain expression, whose temporaries numpy
-    already reuses in place; an extra scratch array would only raise peak
-    memory.  0-d and numpy-scalar operands keep it as well."""
-    if h.ndim == 0 or h.nbytes >= _ELIDE_BYTES:
-        h = (h ^ (h >> _S30)) * _M1
-        h = (h ^ (h >> _S27)) * _M2
-        return h ^ (h >> _S31)
-    t = h >> _S30
-    h = h ^ t
-    h *= _M1
-    h ^= np.right_shift(h, _S27, out=t)
-    h *= _M2
-    h ^= np.right_shift(h, _S31, out=t)
-    return h
+    One copy of the operand is mixed in place; at most two arrays of its
+    size are held at a time, as in the plain expression.  A 0-d or
+    numpy-scalar operand gives a numpy scalar."""
+    g = h >> _S30
+    g ^= h
+    del h
+    g *= _M1
+    g ^= g >> _S27
+    g *= _M2
+    g ^= g >> _S31
+    return g
 
 
 def _fold_array(h, w):

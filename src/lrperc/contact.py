@@ -34,10 +34,10 @@ k-sweep from one sweep per replica.  The sweep checks that
 0 <= s <= t <= horizon and that src is a site of the box.
 
 A box's fixed structure, its sites, its in-box pairs, their death and
-arrow id columns, the pairs' means and each pair's (source index,
-destination index, jump), is a table built once per (rates, box, horizon,
-d) and process (`_box_table`, behind an lru_cache), so sampling a replica
-only draws its marks.  A Timeline keeps its marks flat: one owner array
+arrow id columns, the pairs' means grouped by mean and each pair's
+(source index, destination index, jump), is a table built once per
+(rates, box, horizon, d) and process (`_box_table`, behind an lru_cache
+that keeps the last table), so sampling a replica only draws its marks.  A Timeline keeps its marks flat: one owner array
 (a process of its table) and one time array, in sweep order.  Its
 `deaths` and `arrows` dicts ({key: sorted times}) are views, built on
 first read and cached.  A hand-made `Timeline(horizon, bounds, deaths,
@@ -80,24 +80,39 @@ def _box_sites(box, d: int):
     return list(itertools.product(*(range(lo, hi + 1) for lo, hi in bounds))), bounds
 
 
+class _MeanRuns:
+    """A flat array of Poisson means grouped by distinct mean, once: `order`
+    lists the array's elements mean by mean, ends[i] ending the run of
+    means[i]."""
+
+    def __init__(self, values):
+        means, inv = np.unique(values, return_inverse=True)
+        self.values, self.means = values, means.tolist()
+        self.order = np.argsort(inv, kind="stable")
+        self.ends = np.cumsum(np.bincount(inv, minlength=len(means))).tolist()
+
+
 def poisson_from_uniform(u, mu) -> np.ndarray:
     """Invert the Poisson CDF at quantile u, elementwise.
 
     The smallest k with u < F(k), found for each distinct mean by
     `_poisson_from_zero`, or where exp(-mu) is no longer a normal float
-    (mu > ~708; it is 0 beyond ~745) by `_poisson_from_mode`.
+    (mu > ~708; it is 0 beyond ~745) by `_poisson_from_mode`.  `mu` is a
+    mean, an array of means broadcasting against u, or the `_MeanRuns` of
+    means of u's size that a caller with fixed means keeps (`_box_table`).
     """
     u = np.asarray(u, dtype=np.float64)
-    mu = np.asarray(mu, dtype=np.float64)
-    means = np.unique(mu).tolist()
-    if len(means) == 1:
-        return _poisson_from_zero(u, means[0])
-    mu = np.broadcast_to(mu, u.shape)
-    k = np.zeros(u.shape, dtype=np.int64)
-    for m in means:
-        at = mu == m
-        k[at] = _poisson_from_zero(u[at], m)
-    return k
+    if not isinstance(mu, _MeanRuns):
+        mu = np.asarray(mu, dtype=np.float64)
+        if mu.ndim == 0:
+            return _poisson_from_zero(u, float(mu))
+        mu = _MeanRuns(np.broadcast_to(mu, u.shape).ravel())
+    flat, k, start = u.ravel(), np.empty(u.size, dtype=np.int64), 0
+    for m, end in zip(mu.means, mu.ends):
+        at = mu.order[start:end]
+        k[at] = _poisson_from_zero(flat[at], m)
+        start = end
+    return k.reshape(u.shape)
 
 
 def _poisson_from_zero(u, mu: float) -> np.ndarray:
@@ -147,7 +162,7 @@ class _Table:
     len(sites) + p is the arrow process of pair p, and heads[o] is then
     (source index, destination index, jump length).  A box's table also
     carries the box bounds, the death and arrow id columns and the pairs'
-    means.
+    means, grouped by mean (`_MeanRuns`).
     """
 
     def __init__(self, sites, pairs, heads=None, bounds=None, dcols=None, acols=None,
@@ -161,7 +176,7 @@ class _Table:
         self.dcols, self.acols, self.mus = dcols, acols, mus
 
 
-@functools.lru_cache(maxsize=16)
+@functools.lru_cache(maxsize=1)
 def _box_table(rates, box, horizon: float, d: int) -> _Table:
     """The table of every site and every in-box ordered pair with a positive
     rate, pairs in site order and, per site, in (axis, signed range) order.
@@ -184,7 +199,7 @@ def _box_table(rates, box, horizon: float, d: int) -> _Table:
     return _Table(sites, [(sites[u], sites[v]) for u, v, _ in heads], heads, tuple(bounds),
                   dcols=[_TAG_DEATH, *coords.T],
                   acols=[_TAG_ARROW, *coords[src_i].T, axis[move_i], disp[move_i]],
-                  mus=rate[move_i] * horizon)
+                  mus=_MeanRuns(rate[move_i] * horizon))
 
 
 def _sweep_order(table: _Table, owner, times):
@@ -250,7 +265,8 @@ class Timeline:
 
 def _mark_counts(root: BondField, replica, cols, mus) -> np.ndarray:
     """Mark count of each Poisson process with id columns `cols` and mean
-    `mus`, on replica index or index array `replica` (all four broadcast)."""
+    `mus` (see `poisson_from_uniform`), on replica index or index array
+    `replica` (all broadcast)."""
     u = root.derive_replica(replica).uniforms([*cols, _KIND_COUNT, 0])
     return poisson_from_uniform(u, mus)
 

@@ -327,7 +327,8 @@ def test_box_table_is_built_once_per_process():
     assert far is not near
     assert (far.sites, far.pairs, far.heads) == (near.sites, near.pairs, near.heads)
     assert far.pairs and max(j for _, _, j in far.heads[len(far.sites):]) == 3
-    for a, b in zip([*far.dcols, *far.acols, far.mus], [*near.dcols, *near.acols, near.mus]):
+    for a, b in zip([*far.dcols, *far.acols, far.mus.values],
+                    [*near.dcols, *near.acols, near.mus.values]):
         assert np.array_equal(a, b)
     for r in range(5):
         tf, tn = (sample_timeline(5, truncate(harmonic(), k), box, 2.0, 2, replica=r)
