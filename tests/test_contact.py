@@ -93,7 +93,8 @@ def _poisson_walk(u, mu):
 
 def test_poisson_table_equals_the_walk():
     """The per-mean CDF table gives the walk's quantile bit for bit, at one
-    mean and at mixed means, at F(0) itself and within rounding of 1."""
+    mean and at mixed means (also grouped ahead), at F(0) itself and within
+    rounding of 1."""
     means = [1e-6, 0.05, 0.75, 1.7, 3.0, 5.0, 50.0, 300.0, 707.0]
     grid = (np.arange(4000) + 0.5) / 4000
     for mu in means:
@@ -102,6 +103,8 @@ def test_poisson_table_equals_the_walk():
     mixed = np.resize(means, (400, len(means) + 1))  # every mean in every column
     u = np.resize(np.concatenate([grid, [1 - 2**-53]]), mixed.shape)
     assert np.array_equal(poisson_from_uniform(u, mixed), _poisson_walk(u, mixed))
+    runs = contact._MeanRuns(mixed.ravel())  # grouped once, as a box's table keeps them
+    assert np.array_equal(poisson_from_uniform(u, runs), _poisson_walk(u, mixed))
     row, u = np.array(means[:4]), np.resize(grid, (1000, 4))  # one mean per column
     assert np.array_equal(poisson_from_uniform(u, row), _poisson_walk(u, row))
 
