@@ -78,19 +78,10 @@ _M1, _M2, _GOLDEN_U64 = _U64(0xBF58476D1CE4E5B9), _U64(0x94D049BB133111EB), _U64
 
 def _mix_array(h):
     """splitmix64 finalizer, elementwise on uint64 arrays (wraps mod 2^64;
-    callers silence numpy's overflow warning for 0-d operands).
-
-    One copy of the operand is mixed in place; at most two arrays of its
-    size are held at a time, as in the plain expression.  A 0-d or
-    numpy-scalar operand gives a numpy scalar."""
-    g = h >> _S30
-    g ^= h
-    del h
-    g *= _M1
-    g ^= g >> _S27
-    g *= _M2
-    g ^= g >> _S31
-    return g
+    callers silence numpy's overflow warning for 0-d operands)."""
+    h = (h ^ (h >> _S30)) * _M1
+    h = (h ^ (h >> _S27)) * _M2
+    return h ^ (h >> _S31)
 
 
 def _fold_array(h, w):
