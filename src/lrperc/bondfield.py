@@ -33,8 +33,10 @@ Python ints masked to 64 bits; a single-replica field keeps its base as an
 int.  The vector path (`uniforms`) runs it on numpy uint64 arrays and folds
 each id column at the shape it broadcasts to with the base and the columns
 before it, so a tag or generation shared by the batch is hashed once per
-replica, not once per id.  The frozen table in `tests/test_bondfield.py`
-pins both paths.
+replica, not once per id.  The oriented front step is an example: the
+coordinates of its F vertices fold at (F, 1, 1), the axis at (F, d, 1),
+and only the displacement at (F, d, moves per axis).  The frozen table in
+`tests/test_bondfield.py` pins both paths.
 
 Both cone site-percolation paths read the site id: `renorm.site_perc_cone`
 on one replica field, `renorm.cone_survival_scan` on a batch of them.

@@ -164,24 +164,32 @@ class ExperimentConfig:
         return hashlib.sha256(blob.encode()).hexdigest()[:12]
 
 
-def _int_list(text) -> list[int]:
-    return [int(t) for t in str(text).split(",")]
-
-
-def _float_list(text) -> list[float]:
-    return [float(t) for t in str(text).split(",")]
-
-
 def _need(cfg: ExperimentConfig, key: str) -> str:
     if key not in cfg.params or cfg.params[key] in (None, ""):
         raise ValueError(f"{cfg.command}: missing required parameter {key!r}")
     return cfg.params[key]
 
 
+def _list(cfg: ExperimentConfig, key: str, parse, kind: str) -> list:
+    text = str(_need(cfg, key))
+    try:
+        return [parse(t) for t in text.split(",")]
+    except ValueError:
+        raise ValueError(f"--{key}: {text!r} is not a comma-separated list of {kind}") from None
+
+
+def _int_list(cfg: ExperimentConfig, key: str) -> list[int]:
+    return _list(cfg, key, int, "integers")
+
+
+def _float_list(cfg: ExperimentConfig, key: str) -> list[float]:
+    return _list(cfg, key, float, "numbers")
+
+
 def _ks(cfg: ExperimentConfig) -> tuple:
     """The --k list, in its order and with its duplicates, checked before
     any sampling."""
-    ks = tuple(_int_list(_need(cfg, "k")))
+    ks = tuple(_int_list(cfg, "k"))
     if min(ks) < 0:
         raise ValueError("truncation range must be nonnegative")
     return ks
@@ -268,8 +276,8 @@ def _run_redcluster(cfg: ExperimentConfig):
 
 
 def _run_siteperc(cfg: ExperimentConfig):
-    horizons = _int_list(_need(cfg, "horizon"))
-    gammas = _float_list(_need(cfg, "gamma"))
+    horizons = _int_list(cfg, "horizon")
+    gammas = _float_list(cfg, "gamma")
     # one vectorized pass, coupled across gammas and horizons
     counts = renorm.cone_survival_scan(gammas, horizons, cfg.reps, cfg.seed)
     rows = []

@@ -24,10 +24,20 @@ front at `params.k` is every labelled vertex, and `critical_k`, the
 least label on the generation-`horizon` front, decides survival at every
 k <= params.k: the cluster survives at k iff critical_k <= k.  One sweep at
 the largest k of a k-sweep answers every k of it.
+
+Each generation hashes its bonds on a (vertex, axis, range) grid, so only
+the displacement word is folded once per bond; the vertex and axis words
+are folded once per vertex and per (vertex, axis).  The candidates are
+then deduplicated by one `np.sort` of an int64 key, each candidate's cell
+in the candidates' bounding box times (max label + 1) plus its label,
+keeping the first key of each cell.  A box too large for that key takes a
+three-key lexsort over (label, x_d, ..., x_1) instead; both give the
+vertices in lexicographic order, each with its least label.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -114,19 +124,60 @@ def _advance_front(fld: BondField, front: np.ndarray, labels: np.ndarray, n: int
     the F vertices, and `labels` their bottleneck labels.  Returns the
     deduplicated next front, its vertices in lexicographic order, and each
     vertex's least candidate label max(label[parent], |disp|).
+
+    The move table is axis-major, with 2k' moves per axis for
+    k' = min(k, 2 * window), so the bonds are hashed on a (vertex, axis,
+    range) grid: each coordinate column is folded at (F, 1, 1), the axis
+    word at (F, d, 1), and only the displacement at the full (F, d, 2k').
+    The grid flattens in C order to the table's move index.
     """
     vecs, axes, disps, probs = table
     if front.shape[1] == 0 or len(vecs) == 0:
         return front[:, :0], labels[:0]
-    cols = [np.full((1, 1), TAG_G), np.full((1, 1), n)]
-    cols += [x[:, None] for x in front]
-    cols += [axes[None, :], disps[None, :]]
-    parent, move = np.divmod(np.flatnonzero(fld.open_mask(cols, probs[None, :])), len(vecs))
+    d = len(front)
+    grid = (d, len(vecs) // d)
+    cols = [np.full((1, 1, 1), TAG_G), np.full((1, 1, 1), n)]
+    cols += [x[:, None, None] for x in front]
+    cols += [axes.reshape(grid)[None, :, :1], disps.reshape(grid)[None, :1, :]]
+    is_open = fld.open_mask(cols, probs.reshape(1, *grid))
+    parent, move = np.divmod(np.flatnonzero(is_open), len(vecs))
     nxt = [x[parent] + v[move] for x, v in zip(front, vecs.T)]
     lab = np.maximum(labels[parent], np.abs(disps[move]))
     inside = np.logical_and.reduce([np.abs(x) <= window for x in nxt])
-    nxt, lab = [x[inside] for x in nxt], lab[inside]
-    # by (x_1, ..., x_d), then label: the first of each vertex's run is its least
+    return _dedupe([x[inside] for x in nxt], lab[inside])
+
+
+_KEY_LIMIT = 2**63  # cells x labels the int64 key holds; a wider box takes the lexsort
+
+
+def _dedupe(nxt: list, lab: np.ndarray):
+    """The distinct vertices of the candidates `nxt` (one coordinate array
+    per axis) in lexicographic order, each with its least label in `lab`."""
+    if len(lab) == 0:
+        return np.array(nxt), lab
+    lo = [int(x.min()) for x in nxt]
+    ext = [int(x.max()) - m + 1 for x, m in zip(nxt, lo)]
+    span = int(lab.max()) + 1
+    if math.prod(ext) * span > _KEY_LIMIT:
+        return _dedupe_lexsort(nxt, lab)
+    cell = nxt[0] - lo[0]
+    for x, m, e in zip(nxt[1:], lo[1:], ext[1:]):
+        cell = cell * e + (x - m)
+    # ascending keys run by cell, least label first within a cell
+    cell, lab = np.divmod(np.sort(cell * span + lab), span)
+    first = np.ones(len(cell), dtype=bool)
+    first[1:] = cell[1:] != cell[:-1]
+    cell, lab = cell[first], lab[first]
+    out = np.empty((len(nxt), len(cell)), dtype=np.int64)
+    for j in range(len(nxt) - 1, 0, -1):
+        cell, out[j] = np.divmod(cell, ext[j])
+        out[j] += lo[j]
+    out[0] = cell + lo[0]
+    return out, lab
+
+
+def _dedupe_lexsort(nxt: list, lab: np.ndarray):
+    """`_dedupe` by a three-key lexsort over (label, x_d, ..., x_1)."""
     order = np.lexsort((lab, *nxt[::-1]))
     nxt = [x[order] for x in nxt]
     first = np.ones(len(order), dtype=bool)

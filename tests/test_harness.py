@@ -192,7 +192,24 @@ def test_cli_survival_negative_k_rejected_before_sampling(capsys, monkeypatch):
     assert err[-1] == "error: truncation range must be nonnegative"
 
 
-_TINY_STAR = {"star": {"eps": "0.8", "pseq": "powerlaw:1,0.8", "delta": "0.5",
+@pytest.mark.parametrize("argv, message", [
+    (["survival", "--pseq", "harmonic", "--k", "1,", "--horizon", "2", "--window", "2"],
+     "--k: '1,' is not a comma-separated list of integers"),
+    (["siteperc", "--gamma", "0.5,x", "--horizon", "2"],
+     "--gamma: '0.5,x' is not a comma-separated list of numbers"),
+])
+def test_cli_bad_list_entry_names_the_key(capsys, monkeypatch, argv, message):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled before the list was parsed")
+    monkeypatch.setattr(harness, "run_replicas", no_sampling)
+    monkeypatch.setattr(harness.renorm, "cone_survival_scan", no_sampling)
+    assert main([*argv, "--reps", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip().split("\n")[-1] == f"error: {message}"
+
+
+_TINY_STAR ={"star": {"eps": "0.8", "pseq": "powerlaw:1,0.8", "delta": "0.5",
                         "horizon": "4", "window": "3"},
               "hprob": {"pseq": "powerlaw:1,0.5", "window": "3", "eps": "0.5"}}
 

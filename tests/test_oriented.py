@@ -1,6 +1,9 @@
+import numpy as np
 import pytest
 
-from lrperc.bondfield import BondField
+from exact import oriented_survival_d1
+from lrperc import bondfield, oriented
+from lrperc.bondfield import TAG_G, BondField
 from lrperc.harness import run_replicas
 from lrperc.oriented import ExplorationParams, explore, out_neighbors
 from lrperc.sequences import constant, explicit, harmonic, powerlaw, truncate
@@ -254,3 +257,143 @@ def test_critical_k_deterministic_sequences(d, p, q, expected):
     params = _params(d=d, k=k, horizon=3, window=20,
                      p=truncate(explicit(p), k), q=truncate(explicit(q), k))
     assert explore(BondField(7), params).critical_k == expected
+
+
+# -- the front step -------------------------------------------------------------
+
+def _lexsort_step(fld, front, labels, n, table, window):
+    """The front step with flat (1, M) move columns and a three-key lexsort
+    dedupe over (label, x_d, ..., x_1): the oracle of `_advance_front`."""
+    vecs, axes, disps, probs = table
+    if front.shape[1] == 0 or len(vecs) == 0:
+        return front[:, :0], labels[:0]
+    cols = [np.full((1, 1), TAG_G), np.full((1, 1), n)]
+    cols += [x[:, None] for x in front]
+    cols += [axes[None, :], disps[None, :]]
+    parent, move = np.divmod(np.flatnonzero(fld.open_mask(cols, probs[None, :])), len(vecs))
+    nxt = [x[parent] + v[move] for x, v in zip(front, vecs.T)]
+    lab = np.maximum(labels[parent], np.abs(disps[move]))
+    inside = np.logical_and.reduce([np.abs(x) <= window for x in nxt])
+    nxt, lab = [x[inside] for x in nxt], lab[inside]
+    order = np.lexsort((lab, *nxt[::-1]))
+    nxt = [x[order] for x in nxt]
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = np.logical_or.reduce([x[1:] != x[:-1] for x in nxt])
+    return np.array([x[first] for x in nxt]), lab[order][first]
+
+
+_STEP_SETS = [
+    dict(d=1, k=5, horizon=10, window=8, p=powerlaw(1.0, 0.6), q=harmonic()),
+    dict(d=2, k=4, horizon=6, window=5, p=powerlaw(1.0, 0.45), q=powerlaw(1.0, 0.35)),
+    dict(d=3, k=3, horizon=4, window=3, p=powerlaw(1.0, 0.3), q=powerlaw(0.5, 0.25)),
+    dict(d=2, k=0, horizon=3, window=4, p=constant(1.0), q=constant(1.0)),
+    dict(d=2, k=50, horizon=5, window=3, p=powerlaw(1.0, 0.45), q=harmonic()),  # k > 2W
+]
+
+
+@pytest.mark.parametrize("branch", ["key", "mixed", "lexsort"])
+@pytest.mark.parametrize("case", range(len(_STEP_SETS)))
+def test_front_step_equals_lexsort_oracle(monkeypatch, case, branch):
+    """Generation by generation, `_advance_front` returns exactly the
+    oracle's front, vertex order and labels, with the one-key dedupe, with
+    the lexsort branch it takes for a box too large for the key, and with
+    both in one sweep."""
+    c = _STEP_SETS[case]
+    params = _params(d=c["d"], k=c["k"], horizon=c["horizon"], window=c["window"],
+                     p=truncate(c["p"], c["k"]), q=truncate(c["q"], c["k"]))
+    # the key needs at most (2W + 1)^d cells times min(k, 2W) + 1 labels
+    cells = (2 * c["window"] + 1) ** c["d"] * (min(c["k"], 2 * c["window"]) + 1)
+    limit = {"key": oriented._KEY_LIMIT, "mixed": cells // 4, "lexsort": 0}[branch]
+    monkeypatch.setattr(oriented, "_KEY_LIMIT", limit)
+    branches = {"key": 0, "lexsort": 0}
+    lexsort = oriented._dedupe_lexsort
+
+    def spy(nxt, lab):
+        branches["lexsort"] += 1
+        return lexsort(nxt, lab)
+    monkeypatch.setattr(oriented, "_dedupe_lexsort", spy)
+    table = params.displacement_table()
+    label_counts = set()
+    for r in range(30):
+        fld = BondField(53 + case).derive_replica(r)
+        front, labels = np.zeros((params.d, 1), dtype=np.int64), np.zeros(1, dtype=np.int64)
+        for n in range(params.horizon):
+            before = branches["lexsort"]
+            got = oriented._advance_front(fld, front, labels, n, table, params.window)
+            want = _lexsort_step(fld, front, labels, n, table, params.window)
+            branches["key"] += branches["lexsort"] == before and len(want[1]) > 0
+            for g, w in zip(got, want):
+                assert g.dtype == w.dtype and g.shape == w.shape, (r, n)
+                assert np.array_equal(g, w), (r, n)
+            label_counts.add(len(set(want[1].tolist())))
+            front, labels = got
+    if c["k"] == 0:
+        assert branches == {"key": 0, "lexsort": 0}
+        return
+    assert max(label_counts) > 1  # fronts carry more than one label
+    assert (branches["key"] > 0) == (branch != "lexsort")
+    assert (branches["lexsort"] > 0) == (branch != "key")
+
+
+def test_one_full_size_fold_per_generation(monkeypatch):
+    """Each generation hashes its (F, d, 2k') bond grid with one full-size
+    fold; the tag, generation, coordinate and axis words fold at F * d
+    values or fewer."""
+    params = _params(d=2, k=3, horizon=6, window=6, p=truncate(powerlaw(1.0, 0.45), 3))
+    moves = params.displacement_table()[0].shape[0] // params.d
+    log = []
+    fold, step = bondfield._fold_array, oriented._advance_front
+
+    def spy_fold(h, w):
+        out = fold(h, w)
+        log.append(out.size)
+        return out
+
+    def spy_step(fld, front, *args):
+        log.append(("step", front.shape[1]))
+        return step(fld, front, *args)
+    monkeypatch.setattr(bondfield, "_fold_array", spy_fold)
+    monkeypatch.setattr(oriented, "_advance_front", spy_step)
+    res = explore(BondField(61), params)
+    assert res.survived and max(res.front_sizes) > 1
+    starts = [i for i, e in enumerate(log) if isinstance(e, tuple)] + [len(log)]
+    assert len(starts) - 1 == params.horizon
+    for i, j in zip(starts, starts[1:]):
+        size = log[i][1]
+        folds = log[i + 1:j]
+        full = size * params.d * moves
+        assert folds.count(full) == 1, (size, folds)
+        assert all(f <= size * params.d for f in folds if f != full), (size, folds)
+
+
+def test_surv_g_sweep_matches_exact_d1_values():
+    """A d = 1 `surv_g` k-sweep agrees at every k, within a two-sided z = 4
+    Wilson interval, with the transfer matrix's exact survival probability,
+    which does not share the kernel's window, moves or probabilities."""
+    seq, window, horizon, reps = powerlaw(1.0, 0.45), 2, 6, 4000
+    exact = [oriented_survival_d1(truncate(seq, k), window, horizon) for k in (1, 2, 3, 4)]
+    assert exact == pytest.approx([0.14099, 0.38804, 0.46711, 0.48976], abs=5e-6)
+    top = _params(d=1, k=4, horizon=horizon, window=window, p=truncate(seq, 4))
+    crits = run_replicas("surv_g", (top,), seed=7, reps=reps, threads=2)
+    for k, value in zip((1, 2, 3, 4), exact):
+        est = EstimateWithCI.from_counts(sum(c is not None and c <= k for c in crits), reps, 4.0)
+        assert est.lo <= value <= est.hi, (k, est.estimate, value)
+
+
+@pytest.mark.parametrize("top_label, branch", [(0, "key"), (1, "lexsort")])
+def test_dedupe_key_never_wraps(monkeypatch, top_label, branch):
+    """A d = 3 box of 2^63 cells with one label is the widest the int64 key
+    holds; a second label takes the lexsort, and both give its result."""
+    calls = []
+    lexsort = oriented._dedupe_lexsort
+    monkeypatch.setattr(oriented, "_dedupe_lexsort",
+                        lambda nxt, lab: calls.append(1) or lexsort(nxt, lab))
+    lo, hi = -2**20, 2**20 - 1  # 2^21 coordinates on each axis
+    nxt = [np.array(col, dtype=np.int64) for col in
+           ([hi, lo, hi, 0, lo], [hi, lo, hi, 0, hi], [hi, lo, hi, 0, lo])]
+    lab = np.array([top_label, 0, 0, top_label, 0], dtype=np.int64)
+    got = oriented._dedupe(nxt, lab)
+    want = lexsort(nxt, lab)
+    assert bool(calls) == (branch == "lexsort")
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    assert got[0].shape == (3, 4)
