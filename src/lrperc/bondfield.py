@@ -44,11 +44,17 @@ on one replica field, `renorm.cone_survival_scan` on a batch of them.
 derived base then takes the array's shape and `uniforms` broadcasts the id
 columns against it, so element r of a batch reads exactly the stream of
 `derive_replica(r)`.  Scalar draws on such a batch raise ValueError.
+`run_replicas`, the one replica loop, maps a chunk kernel over chunks of
+replicas; replica r reads `BondField(seed).derive_replica(r)` however the
+replicas are chunked, so no schedule changes a record.
 """
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -197,3 +203,27 @@ class BondField:
     def open_mask(self, word_columns, probs) -> np.ndarray:
         """Boolean open-indicators for a batch of ids with probabilities `probs`."""
         return self.uniforms(word_columns) < np.asarray(probs, dtype=np.float64)
+
+
+# -- replica scheduling ---------------------------------------------------------
+
+def run_replicas(kernel, args, seed: int, reps: int, threads: int = 1, cap=None) -> list:
+    """The records of replicas 0..reps-1 in replica order, from a module-level
+    `kernel(args, root, lo, hi)` that lists the records of replicas lo..hi-1
+    with root = BondField(seed).
+
+    Chunks hold at most `cap` replicas (None: no cap), and a pooled run's
+    also at most ceil(reps / (4 workers)).  At most min(threads, reps,
+    cores) worker processes are started.
+    """
+    if reps < 1:
+        raise ValueError("replica count must be >= 1")
+    workers = min(threads, reps, os.cpu_count() or 1)
+    chunk = min(reps if workers <= 1 else -(-reps // (4 * workers)), cap or reps)
+    los = range(0, reps, chunk)
+    his = [min(lo + chunk, reps) for lo in los]
+    chunks = (kernel, repeat(args), repeat(BondField(seed)), los, his)
+    if workers <= 1:
+        return [rec for part in map(*chunks) for rec in part]
+    with ProcessPoolExecutor(max_workers=workers) as ex:
+        return [rec for part in ex.map(*chunks) for rec in part]

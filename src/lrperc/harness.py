@@ -1,4 +1,4 @@
-"""Experiment orchestration: config resolution, parallel replica scheduling,
+"""Experiment orchestration: config resolution, the models' chunk kernels,
 statistics, and CSV emission.
 
 Outputs are a pure function of (config, seed): replicas draw from streams
@@ -8,22 +8,21 @@ byte of output.  Wall-clock timing is therefore reported as 0 unless the
 `timing` switch is set, in which case byte-stability across runs is
 forfeited by construction.
 
-A k-sweep kernel sweeps its replica once, at the largest k, and returns its
-critical k, the least k at which the event holds (None: at no k swept); the
-row at k counts the replicas whose critical k is <= k.
+A k-sweep chunk kernel, passed by function to `run_replicas`, sweeps each
+replica once, at the largest k, and returns its critical k, the least k at
+which the event holds (None: at no k swept); the row at k counts the
+replicas whose critical k is <= k.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from . import contact, oriented, renorm, starlat
-from .bondfield import BondField
+from .bondfield import run_replicas
 from .sequences import parse_sequence, truncate
 from .stats import EstimateWithCI, wilson_interval
 
@@ -33,85 +32,52 @@ __all__ = [
 ]
 
 
-# -- replica scheduling --------------------------------------------------------
+# -- chunk kernels: the records of replicas lo..hi-1 ------------------------------
 
-def _surv_g(args, root, r):
+def _surv_g(args, root, lo, hi):
     """Critical k of one labelled sweep at params.k = max(ks), or None."""
     (params,) = args
-    return oriented.explore(root.derive_replica(r), params).critical_k
+    return [oriented.explore(root.derive_replica(r), params).critical_k for r in range(lo, hi)]
 
 
-def _surv_contact(args, root, r):
+def _surv_contact(args, root, lo, hi):
     """Least infection label at the horizon of a timeline sampled at max(ks)."""
     rates, box, horizon, d = args
-    tl = contact.sample_timeline(root.seed, rates, box, horizon, d, replica=r)
-    return min(contact.infection_labels(tl, (0,) * d, 0.0, horizon).values(), default=None)
+    tls = (contact.sample_timeline(root.seed, rates, box, horizon, d, replica=r)
+           for r in range(lo, hi))
+    return [min(contact.infection_labels(tl, (0,) * d, 0.0, horizon).values(), default=None)
+            for tl in tls]
 
 
-def _surv_star(args, root, r):
+def _surv_star(args, root, lo, hi):
     """Critical k of one labelled sweep at params.k = max(ks), or None."""
     block, params, horizon, window = args
-    return starlat.block_path_critical_k(root.derive_replica(r), block, params, horizon, window)
+    return [starlat.block_path_critical_k(root.derive_replica(r), block, params, horizon, window)
+            for r in range(lo, hi)]
 
 
-def _hprob(args, root, r):
+def _hprob(args, root, lo, hi):
     """Critical k of the H-event of gamma(0), gamma(1), by one lazy search."""
     params, window = args
-    label = starlat.h_label(root.derive_replica(r), 0, 0, params, window)
-    return label if label <= params.k else None
+    labels = (starlat.h_label(root.derive_replica(r), 0, 0, params, window) for r in range(lo, hi))
+    return [label if label <= params.k else None for label in labels]
 
 
-def _bifurcation(args, root, r):
+def _bifurcation(args, root, lo, hi):
     (params,) = args
-    fld = root.derive_replica(r)
-    return 1 if renorm.check_bifurcation(fld, ((0, 0), 0), params).success else 0
+    return [int(renorm.check_bifurcation(root.derive_replica(r), ((0, 0), 0), params).success)
+            for r in range(lo, hi)]
 
 
-def _domination(args, root, r):
-    params, max_steps = args
-    state = renorm.explore_red_cluster(root.derive_replica(r), params, max_steps)
-    reds = sum(red for _, red, _ in state.examined)
-    return (len(state.examined), reds)
-
-
-_REPLICA_FNS = {
-    "surv_g": _surv_g,
-    "surv_contact": _surv_contact,
-    "surv_star": _surv_star,
-    "hprob": _hprob,
-    "bifurcation": _bifurcation,
-    "domination": _domination,
-}
-
-
-def _chunk_worker(task):
-    """Records of replicas lo..hi-1; each kernel reads replica r's stream
-    from the root field BondField(seed), built once per chunk."""
-    name, args, seed, lo, hi = task
-    fn = _REPLICA_FNS[name]
-    root = BondField(seed)
-    return [fn(args, root, r) for r in range(lo, hi)]
-
-
-def run_replicas(name: str, args, seed: int, reps: int, threads: int = 1) -> list:
-    """Per-replica records in replica order; workers are stateless, so the
-    schedule cannot influence the result.
-
-    `threads` worker processes are started at most; never more than there
-    are cores or chunks of work.
-    """
-    if reps < 1:
-        raise ValueError("replica count must be >= 1")
-    workers = min(threads, reps, os.cpu_count() or 1)
-    if workers <= 1:
-        return _chunk_worker((name, args, seed, 0, reps))
-    chunk = max(1, (reps + 4 * workers - 1) // (4 * workers))
-    tasks = [(name, args, seed, lo, min(lo + chunk, reps))
-             for lo in range(0, reps, chunk)]
+def _domination(args, root, lo, hi):
+    """Per replica, (examined, red) of the red cluster at each of `levels`,
+    all grown on the replica's one field."""
+    levels, max_steps = args
     out = []
-    with ProcessPoolExecutor(max_workers=workers) as ex:
-        for part in ex.map(_chunk_worker, tasks):
-            out.extend(part)
+    for r in range(lo, hi):
+        fld = root.derive_replica(r)
+        examined = [renorm.explore_red_cluster(fld, p, max_steps).examined for p in levels]
+        out.append([(len(e), sum(red for _, red, _ in e)) for e in examined])
     return out
 
 
@@ -204,8 +170,9 @@ def _star_window(cfg: ExperimentConfig) -> int:
 
 # -- runners ----------------------------------------------------------------------
 
-def _k_estimates(cfg, ks, crits):
-    """(k, estimate) for each k of `ks`, from each replica's critical k."""
+def _k_estimates(cfg, ks, kernel, args):
+    """(k, estimate) for each k of `ks`, from one pass of `kernel`'s critical k."""
+    crits = run_replicas(kernel, args, cfg.seed, cfg.reps, cfg.threads)
     hits = [sum(c is not None and c <= k for c in crits) for k in ks]
     return [(k, EstimateWithCI.from_counts(h, cfg.reps, cfg.z)) for k, h in zip(ks, hits)]
 
@@ -249,9 +216,8 @@ def _run_survival(cfg: ExperimentConfig):
     kmax = max(ks)
     params = oriented.ExplorationParams(d, kmax, horizon, window,
                                         truncate(pseq, kmax), truncate(qseq, kmax))
-    crits = run_replicas("surv_g", (params,), cfg.seed, cfg.reps, cfg.threads)
     return [_row(cfg, "g", k, horizon, window, {"dim": d}, est)
-            for k, est in _k_estimates(cfg, ks, crits)]
+            for k, est in _k_estimates(cfg, ks, _surv_g, (params,))]
 
 
 def _run_redcluster(cfg: ExperimentConfig):
@@ -261,12 +227,13 @@ def _run_redcluster(cfg: ExperimentConfig):
     steps = int(cfg.params.get("steps", 100_000))
     if steps < 1:
         raise ValueError("steps must be >= 1")
+    ks = _ks(cfg)
+    levels = [renorm.BifurcationParams(k, beta, truncate(pseq, k), truncate(qseq, k)) for k in ks]
+    recs = run_replicas(_domination, (levels, steps), cfg.seed, cfg.reps, cfg.threads)
     rows = []
-    for k in _ks(cfg):
-        params = renorm.BifurcationParams(k, beta, truncate(pseq, k), truncate(qseq, k))
-        recs = run_replicas("domination", (params, steps), cfg.seed, cfg.reps, cfg.threads)
-        trials = sum(t for t, _ in recs)
-        reds = sum(s for _, s in recs)
+    for i, (k, params) in enumerate(zip(ks, levels)):
+        trials = sum(rec[i][0] for rec in recs)
+        reds = sum(rec[i][1] for rec in recs)
         est = EstimateWithCI.from_counts(reds, trials, cfg.z)
         g = renorm.gamma_k(params)
         extra = {"beta": beta, "steps": steps, "gamma_k": f"{g:.6g}",
@@ -278,8 +245,8 @@ def _run_redcluster(cfg: ExperimentConfig):
 def _run_siteperc(cfg: ExperimentConfig):
     horizons = _int_list(cfg, "horizon")
     gammas = _float_list(cfg, "gamma")
-    # one vectorized pass, coupled across gammas and horizons
-    counts = renorm.cone_survival_scan(gammas, horizons, cfg.reps, cfg.seed)
+    # one vectorized pass per chunk of replicas, coupled across gammas and horizons
+    counts = renorm.cone_survival_scan(gammas, horizons, cfg.reps, cfg.seed, cfg.threads)
     rows = []
     for gi, gamma in enumerate(gammas):
         for hi, horizon in enumerate(sorted(horizons)):
@@ -295,9 +262,8 @@ def _run_contact(cfg: ExperimentConfig):
     window = int(_need(cfg, "window"))
     ks = _ks(cfg)
     args = (truncate(rates, max(ks)), window, horizon, d)
-    crits = run_replicas("surv_contact", args, cfg.seed, cfg.reps, cfg.threads)
     return [_row(cfg, "contact", k, horizon, window, {"dim": d}, est)
-            for k, est in _k_estimates(cfg, ks, crits)]
+            for k, est in _k_estimates(cfg, ks, _surv_contact, args)]
 
 
 def _run_star(cfg: ExperimentConfig):
@@ -312,10 +278,9 @@ def _run_star(cfg: ExperimentConfig):
     N = starlat.choose_N(eps, delta)
     block = starlat.BlockParams(N, delta)
     params = starlat.StarParams(eps, truncate(pseq, max(ks)))
-    crits = run_replicas("surv_star", (block, params, horizon, window),
-                         cfg.seed, cfg.reps, cfg.threads)
+    args = (block, params, horizon, window)
     return [_row(cfg, "gstar", k, horizon, window, {"eps": eps, "delta": delta, "N": N}, est)
-            for k, est in _k_estimates(cfg, ks, crits)]
+            for k, est in _k_estimates(cfg, ks, _surv_star, args)]
 
 
 def _run_hprob(cfg: ExperimentConfig):
@@ -324,9 +289,8 @@ def _run_hprob(cfg: ExperimentConfig):
     ks = _ks(cfg)
     eps = float(cfg.params.get("eps", 0.5))
     params = starlat.StarParams(eps, truncate(pseq, max(ks)))
-    crits = run_replicas("hprob", (params, window), cfg.seed, cfg.reps, cfg.threads)
     return [_row(cfg, "gstar", k, "", window, {}, est)
-            for k, est in _k_estimates(cfg, ks, crits)]
+            for k, est in _k_estimates(cfg, ks, _hprob, (params, window))]
 
 
 _RUNNERS = {

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bondfield import TAG_SITE, BondField, BondId
+from .bondfield import TAG_SITE, BondField, BondId, run_replicas
 from .sequences import TruncatedSequence, signed_ranges
 
 
@@ -220,10 +220,33 @@ def site_perc_cone(gamma: float, horizon: int, fld: BondField) -> ConeCluster:
     return ConeCluster(reached, bool(reached[horizon]))
 
 
-_SCAN_CELLS = 1 << 20  # most (replica, site) labels one block of the cone scan holds
+_SCAN_CELLS = 1 << 20  # most (replica, site) labels one chunk of the cone scan holds
 
 
-def cone_survival_scan(gammas, horizons, reps: int, seed: int) -> np.ndarray:
+def _cone_chunk(args, root, lo, hi):
+    """[S] over replicas lo..hi-1: the survival counts of the chunk."""
+    gammas, horizons = args
+    replicas = np.arange(lo, hi)[:, None]
+    fld = root.derive_replica(replicas)
+    label = np.full((replicas.size, 1), -np.inf)
+    counts = np.zeros((len(gammas), len(horizons)), dtype=np.int64)
+    hidx = 0
+    for n in range(horizons[-1] + 1):
+        if n > 0:
+            m_col = np.arange(n + 1, dtype=np.int64)[None, :]
+            u = fld.uniforms([np.full((1, 1), TAG_SITE), m_col,
+                              np.full((1, 1), n)])  # (replicas, n+1)
+            parent = np.full((replicas.size, n + 1), np.inf)
+            parent[:, :n] = label
+            np.minimum(parent[:, 1:], label, out=parent[:, 1:])  # the lesser of both parents
+            label = np.maximum(u, parent, out=u)
+        while hidx < len(horizons) and horizons[hidx] == n:
+            counts[:, hidx] = (label.min(axis=1) < gammas[:, None]).sum(axis=1)
+            hidx += 1
+    return [counts]
+
+
+def cone_survival_scan(gammas, horizons, reps: int, seed: int, threads: int = 1) -> np.ndarray:
     """Vectorized survival counts S[g, t] over shared site variables.
 
     Replica r reads the stream of `site_perc_cone` on
@@ -233,8 +256,8 @@ def cone_survival_scan(gammas, horizons, reps: int, seed: int) -> np.ndarray:
     label(m, n) = max(u(m, n), min(label(m, n-1), label(m-1, n-1))), with
     +inf off the cone, give survival to horizon t at every gamma: exactly
     when min_m label(m, t) < gamma, which is nondecreasing in gamma.  The
-    replicas are scanned in consecutive blocks of at most _SCAN_CELLS labels
-    at the last horizon, so memory does not grow with `reps`.
+    replicas are scanned in chunks of at most _SCAN_CELLS labels at the last
+    horizon, on up to `threads` workers, so memory does not grow with `reps`.
     """
     gammas = np.asarray(gammas, dtype=np.float64)
     horizons = sorted(horizons)
@@ -242,27 +265,8 @@ def cone_survival_scan(gammas, horizons, reps: int, seed: int) -> np.ndarray:
         raise ValueError("gamma must be a probability")
     if horizons[0] < 0:
         raise ValueError("horizons must be nonnegative")
-    root = BondField(seed)
-    block = max(1, _SCAN_CELLS // (horizons[-1] + 1))
-    counts = np.zeros((len(gammas), len(horizons)), dtype=np.int64)
-    for lo in range(0, reps, block):
-        replicas = np.arange(lo, min(lo + block, reps))[:, None]
-        fld = root.derive_replica(replicas)
-        label = np.full((replicas.size, 1), -np.inf)
-        hidx = 0
-        for n in range(horizons[-1] + 1):
-            if n > 0:
-                m_col = np.arange(n + 1, dtype=np.int64)[None, :]
-                u = fld.uniforms([np.full((1, 1), TAG_SITE), m_col,
-                                  np.full((1, 1), n)])  # (replicas, n+1)
-                parent = np.full((replicas.size, n + 1), np.inf)
-                parent[:, :n] = label
-                np.minimum(parent[:, 1:], label, out=parent[:, 1:])  # the lesser of both parents
-                label = np.maximum(u, parent, out=u)
-            while hidx < len(horizons) and horizons[hidx] == n:
-                counts[:, hidx] += (label.min(axis=1) < gammas[:, None]).sum(axis=1)
-                hidx += 1
-    return counts
+    cap = max(1, _SCAN_CELLS // (horizons[-1] + 1))
+    return sum(run_replicas(_cone_chunk, (gammas, horizons), seed, reps, threads, cap))
 
 
 def crossing_from_scan(gammas, counts) -> float | None:

@@ -1,7 +1,7 @@
 """Exact survival probabilities of small systems.
 
-The Monte Carlo k-sweeps are checked replica by replica against scalar
-oracles that read the same stream and share the kernel's probability
+The Monte Carlo k-sweeps and the cone scan are checked replica by replica
+against scalar oracles that read the same stream and share the kernel's probability
 tables and geometry, so a fault the two share passes both.  The values
 here come from the law the sweep samples instead, computed by a transfer
 matrix over the fronts, and are compared with the sweep's counts.
@@ -35,5 +35,28 @@ def oriented_survival_d1(pseq: TruncatedSequence, window: int, horizon: int) -> 
                 w = weight * math.prod(q if h else 1.0 - q for q, h in zip(reach, hits))
                 key = frozenset(y for y, h in zip(sites, hits) if h)
                 nxt[key] = nxt.get(key, 0.0) + w
+        dist = nxt
+    return sum(dist.values())
+
+
+def cone_survival(gamma: float, horizon: int) -> float:
+    """P(the site cluster of the origin on the cone {0 <= m <= n} reaches
+    generation `horizon`), every site but the origin occupied w.p. gamma.
+
+    The state is the front, a subset of {0..n} held as a bit mask.  A site
+    (m, n+1) is a candidate when m or m - 1 is in the front, and each
+    candidate is occupied independently.
+    """
+    dist = {1: 1.0}
+    for _ in range(horizon):
+        nxt = {}
+        for front, weight in dist.items():
+            cand = front | (front << 1)
+            n = bin(cand).count("1")
+            sub = cand
+            while sub:  # every nonempty subset of the candidates
+                j = bin(sub).count("1")
+                nxt[sub] = nxt.get(sub, 0.0) + weight * gamma**j * (1.0 - gamma) ** (n - j)
+                sub = (sub - 1) & cand
         dist = nxt
     return sum(dist.values())

@@ -6,19 +6,20 @@ Statistical checks use 3-sigma Wilson intervals; structural checks are
 zero-tolerance.
 """
 
-import itertools
-import math
 from contextlib import contextmanager
 from pathlib import Path
 
 from conftest import record_acceptance
+from exact import cone_survival
 
 from lrperc.bondfield import BondField
 from lrperc.cli import resolve_config
 from lrperc.contact import (
     SkeletonParams, f_events, f_probability, infected_at_horizon, sample_timeline,
 )
-from lrperc.harness import ExperimentConfig, format_csv, run_experiment, run_replicas
+from lrperc.harness import (
+    ExperimentConfig, _bifurcation, format_csv, run_experiment, run_replicas,
+)
 from lrperc.oriented import ExplorationParams, explore
 from lrperc.renorm import (
     BifurcationParams, cone_survival_scan, crossing_from_scan, explore_red_cluster,
@@ -50,7 +51,7 @@ def _bparams(k, p, q, beta=1):
 
 
 def _bifurcation_frequency(params, trials, seed):
-    hits = sum(run_replicas("bifurcation", (params,), seed, trials))
+    hits = sum(run_replicas(_bifurcation, (params,), seed, trials))
     return EstimateWithCI.from_counts(hits, trials, z=3.0)
 
 
@@ -124,31 +125,17 @@ def test_criterion_05_domination_consequence():
         assert row["ci_hi"] >= gamma_k(params)
 
 
-def _exhaustive_cone_survival(gamma: float, horizon: int) -> float:
-    sites = [(m, n) for n in range(1, horizon + 1) for m in range(n + 1)]
-    total = 0.0
-    for bits in itertools.product((0, 1), repeat=len(sites)):
-        occ = dict(zip(sites, bits))
-        reached = {0}
-        for n in range(1, horizon + 1):
-            reached = {m for m in range(n + 1)
-                       if (m in reached or m - 1 in reached) and occ[(m, n)]}
-        if reached:
-            total += math.prod(gamma if b else 1 - gamma for b in bits)
-    return total
-
-
 def test_criterion_06_site_percolation_oracle_and_crossing():
     with _criterion(6, "site-percolation exhaustive oracle and threshold scan"):
-        exact = _exhaustive_cone_survival(0.5, 3)
+        exact = cone_survival(0.5, 3)
         counts = cone_survival_scan([0.5], [3], 100_000, seed=606)
         lo, hi = wilson_interval(int(counts[0, 0]), 100_000, z=3.0)
         assert lo <= exact <= hi
-        cfg = _cfg("siteperc", "crossing.cfg")
+        cfg = _cfg("siteperc", "crossing.cfg", threads=2)
         gammas = [float(g) for g in cfg.params["gamma"].split(",")]
         scan = cone_survival_scan(gammas,
                                   [int(h) for h in cfg.params["horizon"].split(",")],
-                                  cfg.reps, cfg.seed)
+                                  cfg.reps, cfg.seed, cfg.threads)
         crossing = crossing_from_scan(gammas, scan)
         assert crossing is not None
         assert 0.69 <= crossing <= 0.72, crossing

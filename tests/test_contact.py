@@ -11,7 +11,7 @@ from lrperc.contact import (
     f_probability, infected_at_horizon, infection_labels, k_connected,
     poisson_from_uniform, sample_timeline,
 )
-from lrperc.harness import run_replicas
+from lrperc.harness import _surv_contact, run_replicas
 from lrperc.sequences import constant, explicit, harmonic, truncate
 from lrperc.stats import EstimateWithCI, wilson_interval
 
@@ -309,8 +309,8 @@ def test_pairs_stop_at_the_widest_box_extent(monkeypatch):
         assert far.arrows.keys() == near.arrows.keys()
         assert all((far.arrows[p] == near.arrows[p]).all() for p in far.arrows)
     far, near = ((truncate(harmonic(), k), 2, 1.0, 2) for k in (1000, 4))
-    crits = run_replicas("surv_contact", far, 5, 30)
-    assert crits == run_replicas("surv_contact", near, 5, 30)
+    crits = run_replicas(_surv_contact, far, 5, 30)
+    assert crits == run_replicas(_surv_contact, near, 5, 30)
     assert len(set(crits)) > 1
     assert asked and max(asked) <= 4
 
@@ -319,7 +319,7 @@ def test_box_table_is_built_once_per_process():
     """The replicas of a k-sweep share one pair table, and a k above the
     box's widest extent reads the same table and timelines as k at it."""
     contact._box_table.cache_clear()
-    crits = run_replicas("surv_contact", (truncate(harmonic(), 4), 2, 1.25, 2),
+    crits = run_replicas(_surv_contact, (truncate(harmonic(), 4), 2, 1.25, 2),
                          seed=21, reps=20, threads=1)
     info = contact._box_table.cache_info()
     assert (info.misses, info.hits) == (1, 19)
@@ -457,14 +457,14 @@ def test_f_event_inclusion_in_infection():
 
 def test_survival_zero_rates_is_death_clock():
     horizon = 1.0
-    crits = run_replicas("surv_contact", (truncate(constant(0.0), 1), 1, horizon, 1),
+    crits = run_replicas(_surv_contact, (truncate(constant(0.0), 1), 1, horizon, 1),
                          seed=14, reps=3000)
     est = EstimateWithCI.from_counts(sum(c is not None for c in crits), 3000, z=3.0)
     assert est.lo <= math.exp(-horizon) <= est.hi
 
 
 def test_survival_huge_rate_near_one():
-    crits = run_replicas("surv_contact", (_RawRates(50.0), 2, 0.5, 1), seed=15, reps=200)
+    crits = run_replicas(_surv_contact, (_RawRates(50.0), 2, 0.5, 1), seed=15, reps=200)
     assert sum(c is not None and c <= 1 for c in crits) / 200 >= 0.9
 
 
@@ -474,7 +474,7 @@ def test_surv_contact_records_nondecreasing_in_k():
     so its survival record nests in k, and survival at each k equals the
     answer on the timeline sampled at that k."""
     rates, ks = harmonic(), (1, 2, 4)
-    crits = run_replicas("surv_contact", (truncate(rates, max(ks)), 2, 1.5, 2),
+    crits = run_replicas(_surv_contact, (truncate(rates, max(ks)), 2, 1.5, 2),
                          seed=16, reps=60)
     assert all(c is None or 0 <= c <= max(ks) for c in crits)
     assert len(set(crits)) > 1  # the k-sweep is not trivial here

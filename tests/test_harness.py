@@ -6,11 +6,11 @@ from pathlib import Path
 
 import pytest
 
-from lrperc import harness, starlat
+from lrperc import bondfield, harness, renorm, starlat
 from lrperc.bondfield import BondField
 from lrperc.cli import _SUBCOMMAND_PARAMS, build_parser, main, resolve_config
 from lrperc.harness import (
-    ExperimentConfig, emit_csv, format_csv, parse_config_file, run_experiment,
+    ExperimentConfig, _hprob, emit_csv, format_csv, parse_config_file, run_experiment,
     run_replicas, wilson_interval,
 )
 from lrperc.sequences import harmonic, powerlaw, truncate
@@ -322,12 +322,12 @@ _HPROB_ARGS = (StarParams(0.5, truncate(harmonic(), 3)), 3)
 
 
 def test_run_replicas_thread_invariance():
-    cfg_args = ("hprob", _HPROB_ARGS, 5, 64)
+    cfg_args = (_hprob, _HPROB_ARGS, 5, 64)
     one = run_replicas(*cfg_args, threads=1)
     many = run_replicas(*cfg_args, threads=4)
     assert one == many
     with pytest.raises(ValueError):
-        run_replicas("hprob", _HPROB_ARGS, 5, 0)
+        run_replicas(_hprob, _HPROB_ARGS, 5, 0)
 
 
 @pytest.mark.parametrize("cores, threads, reps, workers", [
@@ -351,14 +351,38 @@ def test_run_replicas_clamps_workers(monkeypatch, cores, threads, reps, workers)
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, tasks):
-            return map(fn, tasks)
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
 
     monkeypatch.setattr(os, "cpu_count", lambda: cores)
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", InlineExecutor)
-    out = run_replicas("hprob", _HPROB_ARGS, 5, reps, threads=threads)
+    monkeypatch.setattr(bondfield, "ProcessPoolExecutor", InlineExecutor)
+    out = run_replicas(_hprob, _HPROB_ARGS, 5, reps, threads=threads)
     assert asked == workers
-    assert out == run_replicas("hprob", _HPROB_ARGS, 5, reps)
+    assert out == run_replicas(_hprob, _HPROB_ARGS, 5, reps)
+
+
+def test_run_replicas_cap_bounds_chunks():
+    """cap=3 cuts 10 replicas into 4 chunks, and the records do not change."""
+    chunks = []
+
+    def spy(args, root, lo, hi):
+        chunks.append((lo, hi))
+        return _hprob(args, root, lo, hi)
+    out = run_replicas(spy, _HPROB_ARGS, 5, 10, cap=3)
+    assert chunks == [(0, 3), (3, 6), (6, 9), (9, 10)]
+    assert out == run_replicas(_hprob, _HPROB_ARGS, 5, 10)
+
+
+def test_siteperc_honours_threads(monkeypatch):
+    """`siteperc` gives the same rows at --threads 1 and 2, also with the
+    cone scan's chunks capped at 4 replicas (10 labels each at horizon 9)."""
+    monkeypatch.setattr(renorm, "_SCAN_CELLS", 40)
+
+    def csv(threads):
+        return format_csv(run_experiment(ExperimentConfig(
+            "siteperc", seed=9, reps=50, threads=threads,
+            params={"gamma": "0.5,0.6,0.7", "horizon": "2,9"})))
+    assert csv(1) == csv(2)
 
 
 def test_wall_seconds_zero_without_timing_flag():
@@ -508,25 +532,26 @@ def test_cli_bad_z_rejected_before_sampling(capsys, monkeypatch, command, z):
         f"error: z must be finite and positive, got {float(z)}"
 
 
-@pytest.mark.parametrize("command", ["survival", "contact", "star", "hprob"])
+@pytest.mark.parametrize("command", ["survival", "contact", "star", "hprob", "redcluster"])
 def test_k_sweep_is_one_pass(monkeypatch, command):
     """A k-sweep calls `run_replicas` once, and its kernel once per replica,
     however many --k entries it has."""
     passes, calls = [], []
     run = harness.run_replicas
 
-    def spy_run(name, *args, **kwargs):
-        passes.append(name)
-        return run(name, *args, **kwargs)
+    def spy_run(kernel, *args, **kwargs):
+        passes.append(kernel.__name__)
+        return run(kernel, *args, **kwargs)
 
-    def spy_kernel(name, fn):
-        def kernel(args, root, r):
-            calls.append((name, r))
-            return fn(args, root, r)
+    def spy_kernel(fn):
+        def kernel(args, root, lo, hi):
+            calls.extend((fn.__name__, r) for r in range(lo, hi))
+            return fn(args, root, lo, hi)
+        kernel.__name__ = fn.__name__
         return kernel
     monkeypatch.setattr(harness, "run_replicas", spy_run)
-    for name, fn in list(harness._REPLICA_FNS.items()):
-        monkeypatch.setitem(harness._REPLICA_FNS, name, spy_kernel(name, fn))
+    for name in ("_surv_g", "_surv_contact", "_surv_star", "_hprob", "_domination"):
+        monkeypatch.setattr(harness, name, spy_kernel(getattr(harness, name)))
     assert main(_argv(command, {**_VALID[command], "k": "2,1,2", "reps": "5",
                                 "threads": "1"})) == 0
     assert len(passes) == 1

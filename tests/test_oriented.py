@@ -4,7 +4,7 @@ import pytest
 from exact import oriented_survival_d1
 from lrperc import bondfield, oriented
 from lrperc.bondfield import TAG_G, BondField
-from lrperc.harness import run_replicas
+from lrperc.harness import _surv_g, run_replicas
 from lrperc.oriented import ExplorationParams, explore, out_neighbors
 from lrperc.sequences import constant, explicit, harmonic, powerlaw, truncate
 from lrperc.stats import EstimateWithCI
@@ -17,7 +17,7 @@ def _params(d=2, k=2, horizon=5, window=6, p=None, q=None):
 
 
 def _survival(params, seed, replicas):
-    hits = sum(c is not None for c in run_replicas("surv_g", (params,), seed, replicas))
+    hits = sum(c is not None for c in run_replicas(_surv_g, (params,), seed, replicas))
     return EstimateWithCI.from_counts(hits, replicas)
 
 
@@ -153,8 +153,8 @@ def test_moves_stop_at_twice_the_window():
                  for k in (1000, 4))
     vecs, axes, disps, probs = far.displacement_table()
     assert len(vecs) == 2 * 2 * 4 and abs(disps).max() == 4
-    crits = run_replicas("surv_g", (far,), 3, 60)
-    assert crits == run_replicas("surv_g", (near,), 3, 60)
+    crits = run_replicas(_surv_g, (far,), 3, 60)
+    assert crits == run_replicas(_surv_g, (near,), 3, 60)
     assert 4 in crits and None in crits
 
 
@@ -216,7 +216,7 @@ def test_surv_g_records_nondecreasing_in_k():
     survival at each k equals the answer of `explore` at that k."""
     seq, ks = powerlaw(1.0, 0.45), (1, 2, 4)
     top = _params(k=max(ks), horizon=6, window=5, p=truncate(seq, max(ks)))
-    crits = run_replicas("surv_g", (top,), seed=16, reps=60)
+    crits = run_replicas(_surv_g, (top,), seed=16, reps=60)
     assert all(c is None or 0 <= c <= max(ks) for c in crits)
     assert len(set(crits)) > 1  # the k-sweep is not trivial here
     for r, crit in enumerate(crits):
@@ -374,7 +374,7 @@ def test_surv_g_sweep_matches_exact_d1_values():
     exact = [oriented_survival_d1(truncate(seq, k), window, horizon) for k in (1, 2, 3, 4)]
     assert exact == pytest.approx([0.14099, 0.38804, 0.46711, 0.48976], abs=5e-6)
     top = _params(d=1, k=4, horizon=horizon, window=window, p=truncate(seq, 4))
-    crits = run_replicas("surv_g", (top,), seed=7, reps=reps, threads=2)
+    crits = run_replicas(_surv_g, (top,), seed=7, reps=reps, threads=2)
     for k, value in zip((1, 2, 3, 4), exact):
         est = EstimateWithCI.from_counts(sum(c is not None and c <= k for c in crits), reps, 4.0)
         assert est.lo <= value <= est.hi, (k, est.estimate, value)

@@ -1,13 +1,11 @@
-import itertools
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from exact import cone_survival
 from lrperc import renorm
 from lrperc.bondfield import BondField
-from lrperc.harness import ExperimentConfig, run_experiment, run_replicas
+from lrperc.harness import ExperimentConfig, _bifurcation, run_experiment, run_replicas
 from lrperc.renorm import (
     BifurcationParams, check_bifurcation, cone_survival_scan, crossing_from_scan,
     explore_red_cluster, gamma_k, reverify_red_cluster, site_perc_cone,
@@ -80,7 +78,7 @@ def test_gamma_matches_independent_sampler():
 
 def test_bifurcation_frequency_matches_gamma():
     params = _bparams(2, powerlaw(1.0, 0.6), constant(0.5))
-    hits = sum(run_replicas("bifurcation", (params,), seed=77, reps=30_000))
+    hits = sum(run_replicas(_bifurcation, (params,), seed=77, reps=30_000))
     est = EstimateWithCI.from_counts(hits, 30_000, z=3.0)
     assert est.lo <= gamma_k(params) <= est.hi
 
@@ -248,24 +246,18 @@ def test_cone_gamma_zero_is_origin_only():
     assert not c.survived
 
 
-def _exhaustive_cone_survival(gamma: float, horizon: int) -> float:
-    sites = [(m, n) for n in range(1, horizon + 1) for m in range(n + 1)]
-    total = 0.0
-    for bits in itertools.product((0, 1), repeat=len(sites)):
-        occ = dict(zip(sites, bits))
-        reached = {0}
-        for n in range(1, horizon + 1):
-            reached = {m for m in range(n + 1)
-                       if (m in reached or m - 1 in reached) and occ[(m, n)]}
-        if reached:
-            w = math.prod(gamma if b else 1 - gamma for b in bits)
-            total += w
-    return total
+def test_cone_exact_values():
+    """The transfer matrix over fronts gives the 512-pattern sum at horizon 3
+    and the pinned values at horizon 8."""
+    assert cone_survival(0.5, 3) == pytest.approx(0.480469, abs=5e-7)
+    assert [cone_survival(g, 8) for g in (0.5, 0.6, 0.7, 0.8)] == \
+        pytest.approx([0.18632, 0.44014, 0.72592, 0.91427], abs=5e-6)
+    assert cone_survival(0.0, 3) == 0.0 and cone_survival(1.0, 5) == 1.0
 
 
 def test_cone_exhaustive_oracle_small():
-    """All 512 occupation patterns of the depth-3 cone, exact weight sum."""
-    exact = _exhaustive_cone_survival(0.5, 3)
+    """The scalar oracle and the scan, against the exact depth-3 value."""
+    exact = cone_survival(0.5, 3)
     hits = sum(site_perc_cone(0.5, 3, BondField(33).derive_replica(r)).survived
                for r in range(20_000))
     lo, hi = wilson_interval(hits, 20_000, z=3.0)
@@ -273,16 +265,28 @@ def test_cone_exhaustive_oracle_small():
     assert cone_survival_scan([0.5], [3], 20_000, seed=33)[0, 0] == hits
 
 
+def test_scan_on_two_workers_matches_exact_values():
+    """Every (gamma, horizon) count of a 4000-replica scan on two workers
+    holds the exact survival probability in its z = 4 Wilson interval."""
+    gammas, horizons, reps = (0.5, 0.6, 0.7, 0.8), (3, 8), 4000
+    counts = cone_survival_scan(gammas, horizons, reps, seed=4242, threads=2)
+    for gi, gamma in enumerate(gammas):
+        for hi, horizon in enumerate(horizons):
+            lo, up = wilson_interval(int(counts[gi, hi]), reps, z=4.0)
+            assert lo <= cone_survival(gamma, horizon) <= up, (gamma, horizon)
+
+
 @pytest.mark.parametrize("seed", [0, 41])
 def test_scan_equals_oracle_per_replica(seed, monkeypatch):
     """The scan reads each replica's own stream, so its counts are exactly
     the oracle's survivals summed over replicas, horizon 0 included, in one
-    block or in blocks of 7 replicas (10 labels each at horizon 9), of which
-    the last holds 6."""
+    chunk or in chunks of 7 replicas (10 labels each at horizon 9), of which
+    the last holds 6, serially or on two workers."""
     gammas, horizons, reps = [0.0, 0.5, 0.7, 1.0], [9, 0, 1, 4], 300
     counts = cone_survival_scan(gammas, horizons, reps, seed)
     monkeypatch.setattr(renorm, "_SCAN_CELLS", 79)
     assert (cone_survival_scan(gammas, horizons, reps, seed) == counts).all()
+    assert (cone_survival_scan(gammas, horizons, reps, seed, threads=2) == counts).all()
     root = BondField(seed)
     for gi, gamma in enumerate(gammas):
         reached = [site_perc_cone(gamma, 9, root.derive_replica(r)).reached

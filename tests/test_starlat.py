@@ -11,7 +11,7 @@ from lrperc.starlat import (
     check_zeta, choose_N, h_connected, h_label_max, staircase, vertical_open,
     zeta_labels,
 )
-from lrperc.harness import run_replicas
+from lrperc.harness import _hprob, _surv_star, run_replicas
 from lrperc.stats import EstimateWithCI, wilson_interval
 
 
@@ -91,7 +91,7 @@ def test_h_exhaustive_oracle_pinned():
 
 def test_h_monte_carlo_matches_oracle():
     params = _sp(p=explicit([0.5, 0.5]), k=2)
-    hits = sum(c is not None for c in run_replicas("hprob", (params, 2), seed=21,
+    hits = sum(c is not None for c in run_replicas(_hprob, (params, 2), seed=21,
                                                    reps=20_000))
     est = EstimateWithCI.from_counts(hits, 20_000, z=3.0)
     assert est.lo <= 95.0 / 128.0 <= est.hi
@@ -236,10 +236,10 @@ def test_zeta_independence_across_disjoint_blocks():
 
 def test_block_survival_extremes():
     sure = StarParams(1.0, truncate(constant(1.0), 1))
-    crits = run_replicas("surv_star", (BlockParams(1, 0.5), sure, 5, 3), seed=3, reps=20)
+    crits = run_replicas(_surv_star, (BlockParams(1, 0.5), sure, 5, 3), seed=3, reps=20)
     assert sum(c is not None and c <= 1 for c in crits) == 20
     dead = _sp(p=constant(0.0))
-    crits = run_replicas("surv_star", (BlockParams(2, 0.5), dead, 3, 3), seed=3, reps=20)
+    crits = run_replicas(_surv_star, (BlockParams(2, 0.5), dead, 3, 3), seed=3, reps=20)
     assert sum(c is not None and c <= 2 for c in crits) == 0
 
 
@@ -347,7 +347,7 @@ def test_surv_star_records_nondecreasing_in_k():
     seq, ks = powerlaw(1.0, 0.95), (1, 2, 4)
     block = BlockParams(choose_N(0.8, 0.5), 0.5)
     top = _sp(eps=0.8, p=seq, k=max(ks))
-    crits = run_replicas("surv_star", (block, top, 5, 4), seed=16, reps=60)
+    crits = run_replicas(_surv_star, (block, top, 5, 4), seed=16, reps=60)
     assert all(c is None or 0 <= c <= max(ks) for c in crits)
     assert len(set(crits)) > 1  # the k-sweep is not trivial here
     for r, crit in enumerate(crits):
@@ -362,7 +362,7 @@ def test_hprob_records_equal_h_connected():
     """The kernel's one lazy search at the largest k gives the least k at
     which the scalar `h_connected` holds, at every k down to 0."""
     seq, kmax = powerlaw(1.0, 0.5), 3
-    crits = run_replicas("hprob", (_sp(p=seq, k=kmax), 3), seed=17, reps=60)
+    crits = run_replicas(_hprob, (_sp(p=seq, k=kmax), 3), seed=17, reps=60)
     assert len(set(crits)) > 2
     for r, crit in enumerate(crits):
         fld = BondField(17).derive_replica(r)
