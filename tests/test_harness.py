@@ -134,6 +134,20 @@ def test_checked_in_configs_use_only_valid_keys():
         assert cfg.command == command
 
 
+_CONFIG_HASHES = {"trend_g": "821b109455dd", "determinism": "1638c21d1b8c",
+                  "crossing": "e333f6061b86", "trend_contact": "41ff87b25f04",
+                  "trend_star": "f0ef2b4b6795", "gamma_curve": "795947e1d765",
+                  "domination": "690babb24532", "hprob_oracle": "ae66cc97914e"}
+
+
+@pytest.mark.parametrize("name", sorted(_CONFIG_HASHES))
+def test_checked_in_config_hashes_are_frozen(name):
+    """Every row carries `config=<hash>`, so a change of how a config is
+    resolved must not move the checked-in configs' hashes."""
+    cfg = resolve_config([_CONFIG_COMMANDS[name], "--config", str(_CONFIGS / f"{name}.cfg")])
+    assert cfg.hash() == _CONFIG_HASHES[name]
+
+
 def test_cli_usage_error_is_one_line(capsys):
     assert main(["survival", "--reps", "nan"]) == 2
     err = capsys.readouterr().err.strip().split("\n")
