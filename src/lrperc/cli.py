@@ -1,9 +1,8 @@
-"""Command line interface.
-
-Subcommands: gamma, survival, redcluster, siteperc, contact, star, hprob.
-Global flags: --config (flat key = value file), --seed, --reps, --threads,
---out, --z, --timing.  Flags override config-file values.  The resolved
-configuration is printed to stderr before sampling begins.
+"""Command line interface: a subcommand per entry of `harness.PARAMS`, a flag
+per key of its table, plus --config (flat key = value file) and the global
+flags of `harness.GLOBALS` (--seed, --reps, --threads, --z, --out).  Flags
+override config-file values.  The resolved configuration, defaults filled
+in, is printed to stderr before sampling begins.
 """
 
 from __future__ import annotations
@@ -11,17 +10,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .harness import ExperimentConfig, emit_csv, format_csv, parse_config_file, run_experiment
-
-_SUBCOMMAND_PARAMS = {
-    "gamma": ["pseq", "qseq", "beta", "kmax"],
-    "survival": ["pseq", "qseq", "dim", "k", "horizon", "window"],
-    "redcluster": ["pseq", "qseq", "beta", "k", "steps"],
-    "siteperc": ["gamma", "horizon"],
-    "contact": ["rates", "dim", "k", "horizon", "window"],
-    "star": ["eps", "pseq", "k", "delta", "horizon", "window"],
-    "hprob": ["pseq", "k", "window", "eps"],
-}
+from .harness import (GLOBALS, PARAMS, ExperimentConfig, emit_csv, format_csv, parse_config_file,
+                      run_experiment)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -36,41 +26,22 @@ def build_parser() -> argparse.ArgumentParser:
                      description="Monte Carlo laboratory for truncated "
                                  "long-range percolation on oriented graphs")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, keys in _SUBCOMMAND_PARAMS.items():
+    for name, keys in PARAMS.items():
         p = sub.add_parser(name)
-        for key in keys:
+        for key in [*keys, "config", *GLOBALS]:
             p.add_argument(f"--{key}")
-        p.add_argument("--config")
-        p.add_argument("--seed", type=int)
-        p.add_argument("--reps", type=int)
-        p.add_argument("--threads", type=int)
-        p.add_argument("--z", type=float)
-        p.add_argument("--out")
-        p.add_argument("--timing", action="store_true", default=None)
     return parser
 
 
 def resolve_config(argv) -> ExperimentConfig:
     ns = build_parser().parse_args(argv)
-    file_vals = parse_config_file(ns.config) if ns.config else {}
-    global_keys = {"seed": int, "reps": int, "threads": int, "z": float,
-                   "timing": lambda v: str(v).lower() in ("1", "true", "yes"),
-                   "out": str}
-    for key in file_vals:
-        if key not in global_keys and key not in _SUBCOMMAND_PARAMS[ns.command]:
+    texts = parse_config_file(ns.config) if ns.config else {}
+    for key in texts:
+        if key not in GLOBALS and key not in PARAMS[ns.command]:
             raise ValueError(f"{ns.config}: unknown key {key!r} for {ns.command}")
-    merged = dict(file_vals)
-    for key, val in vars(ns).items():
-        if key in ("command", "config") or val is None:
-            continue
-        merged[key] = val
-    kwargs, params = {}, {}
-    for key, val in merged.items():
-        if key in global_keys:
-            kwargs[key] = global_keys[key](val)
-        else:
-            params[key] = val
-    return ExperimentConfig(command=ns.command, params=params, **kwargs)
+    texts.update((key, val) for key, val in vars(ns).items()
+                 if key not in ("command", "config") and val is not None)
+    return ExperimentConfig.from_texts(ns.command, texts)
 
 
 def main(argv=None) -> int:

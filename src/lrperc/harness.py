@@ -4,9 +4,12 @@ statistics, and CSV emission.
 Outputs are a pure function of (config, seed): replicas draw from streams
 derived only from their replica index, results merge commutatively, and
 rows are emitted in a canonical order, so the worker count never changes a
-byte of output.  Wall-clock timing is therefore reported as 0 unless the
-`timing` switch is set, in which case byte-stability across runs is
-forfeited by construction.
+byte of output.  Wall-clock time is no part of a row: `wall_seconds` is
+always 0 and is kept only so the CSV keeps its 12 columns.
+
+`PARAMS` holds each subcommand's keys, kinds and defaults.  A config's
+`typed_params` reads its texts against it, so the runners get typed values,
+and its hash covers the defaults it ran with.
 
 A k-sweep chunk kernel, passed by function to `run_replicas`, sweeps each
 replica once, at the largest k, and returns its critical k, the least k at
@@ -18,7 +21,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-import time
 from dataclasses import dataclass, field
 
 from . import contact, oriented, renorm, starlat
@@ -27,7 +29,7 @@ from .sequences import parse_sequence, truncate
 from .stats import EstimateWithCI, wilson_interval
 
 __all__ = [
-    "ExperimentConfig", "EstimateWithCI", "wilson_interval",
+    "PARAMS", "GLOBALS", "ExperimentConfig", "EstimateWithCI", "wilson_interval",
     "parse_config_file", "run_experiment", "emit_csv", "format_csv",
 ]
 
@@ -83,6 +85,46 @@ def _domination(args, root, lo, hi):
 
 # -- configuration ---------------------------------------------------------------
 
+# A kind is (what "'<text>' is not ..." ends with, the parser of the text).
+SEQ = ("a sequence", parse_sequence)  # a bad one keeps parse_sequence's message
+INT = ("an integer", int)
+NUM = ("a number", float)
+INTS = ("a comma-separated list of integers", lambda text: [int(t) for t in text.split(",")])
+NUMS = ("a comma-separated list of numbers", lambda text: [float(t) for t in text.split(",")])
+TEXT = ("text", str)
+
+
+class _Copy(str):
+    """A default that is the text of another key."""
+
+
+# Each subcommand's keys in CLI order: key -> (kind, default text); None: required.
+PARAMS = {
+    "gamma": {"pseq": (SEQ, None), "qseq": (SEQ, None), "beta": (INT, None), "kmax": (INT, None)},
+    "survival": {"pseq": (SEQ, None), "qseq": (SEQ, _Copy("pseq")), "dim": (INT, "2"),
+                 "k": (INTS, None), "horizon": (INT, None), "window": (INT, None)},
+    "redcluster": {"pseq": (SEQ, None), "qseq": (SEQ, None), "beta": (INT, None),
+                   "k": (INTS, None), "steps": (INT, "100000")},
+    "siteperc": {"gamma": (NUMS, None), "horizon": (INTS, None)},
+    "contact": {"rates": (SEQ, None), "dim": (INT, "2"), "k": (INTS, None),
+                "horizon": (NUM, None), "window": (INT, None)},
+    "star": {"eps": (NUM, None), "pseq": (SEQ, None), "k": (INTS, None), "delta": (NUM, None),
+             "horizon": (INT, None), "window": (INT, None)},
+    "hprob": {"pseq": (SEQ, None), "k": (INTS, None), "window": (INT, None), "eps": (NUM, "0.5")},
+}
+# the keys of every subcommand, with ExperimentConfig's defaults
+GLOBALS = {"seed": INT, "reps": INT, "threads": INT, "z": NUM, "out": TEXT}
+
+
+def _parse(key: str, kind, text):
+    name, parse = kind
+    try:
+        return parse(str(text))
+    except ValueError as exc:
+        detail = exc if kind is SEQ else f"{text!r} is not {name}"
+        raise ValueError(f"--{key}: {detail}") from None
+
+
 def parse_config_file(path: str) -> dict:
     """Flat `key = value` text with `#` comments."""
     out = {}
@@ -106,11 +148,10 @@ class ExperimentConfig:
     threads: int = 1
     out: str | None = None
     z: float = 1.96
-    timing: bool = False
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.command not in _RUNNERS:
+        if self.command not in PARAMS:
             raise ValueError(f"unknown experiment: {self.command!r}")
         if self.reps < 1:
             raise ValueError("reps must be >= 1")
@@ -119,56 +160,52 @@ class ExperimentConfig:
         if not 0 < self.z < math.inf:
             raise ValueError(f"z must be finite and positive, got {self.z}")
 
+    @classmethod
+    def from_texts(cls, command: str, texts: dict) -> "ExperimentConfig":
+        """The config of a file's or the flags' texts; only GLOBALS are converted."""
+        return cls(command, **{key: _parse(key, GLOBALS[key], text)
+                               for key, text in texts.items() if key in GLOBALS},
+                   params={key: text for key, text in texts.items() if key not in GLOBALS})
+
     def resolved(self) -> dict:
-        d = {"command": self.command, "seed": self.seed, "reps": self.reps,
-             "z": self.z}
-        d.update(sorted(self.params.items()))
-        return d
+        """What the hash covers: the parameter texts, every default filled in."""
+        texts = {key: text for key, text in self.params.items() if text is not None}
+        for key, (_, default) in PARAMS[self.command].items():
+            default = texts.get(default) if isinstance(default, _Copy) else default
+            if default is not None:
+                texts.setdefault(key, default)
+        return {"command": self.command, "seed": self.seed, "reps": self.reps, "z": self.z,
+                **dict(sorted(texts.items()))}
+
+    def typed_params(self) -> dict:
+        """The typed value of each key of PARAMS[command].  All missing keys
+        are named at once; a malformed value is named by its key."""
+        texts, keys = self.resolved(), PARAMS[self.command]
+        missing = [repr(key) for key in keys if key not in texts]
+        if missing:
+            raise ValueError(f"{self.command}: missing required parameter"
+                             f"{'s' if len(missing) > 1 else ''} {', '.join(missing)}")
+        return {key: _parse(key, kind, texts[key]) for key, (kind, _) in keys.items()}
 
     def hash(self) -> str:
         blob = "\n".join(f"{k}={v}" for k, v in sorted(self.resolved().items()))
         return hashlib.sha256(blob.encode()).hexdigest()[:12]
 
 
-def _need(cfg: ExperimentConfig, key: str) -> str:
-    if key not in cfg.params or cfg.params[key] in (None, ""):
-        raise ValueError(f"{cfg.command}: missing required parameter {key!r}")
-    return cfg.params[key]
-
-
-def _list(cfg: ExperimentConfig, key: str, parse, kind: str) -> list:
-    text = str(_need(cfg, key))
-    try:
-        return [parse(t) for t in text.split(",")]
-    except ValueError:
-        raise ValueError(f"--{key}: {text!r} is not a comma-separated list of {kind}") from None
-
-
-def _int_list(cfg: ExperimentConfig, key: str) -> list[int]:
-    return _list(cfg, key, int, "integers")
-
-
-def _float_list(cfg: ExperimentConfig, key: str) -> list[float]:
-    return _list(cfg, key, float, "numbers")
-
-
-def _ks(cfg: ExperimentConfig) -> tuple:
-    """The --k list, in its order and with its duplicates, checked before
-    any sampling."""
-    ks = tuple(_int_list(cfg, "k"))
-    if min(ks) < 0:
+def _ks(p: dict) -> list:
+    """The --k list, in order and with duplicates, checked before sampling."""
+    if min(p["k"]) < 0:
         raise ValueError("truncation range must be nonnegative")
-    return ks
+    return p["k"]
 
 
-def _star_window(cfg: ExperimentConfig) -> int:
-    window = int(_need(cfg, "window"))
-    if window < 1:
+def _star_window(p: dict) -> int:
+    if p["window"] < 1:
         raise ValueError("window must be >= 1")
-    return window
+    return p["window"]
 
 
-# -- runners ----------------------------------------------------------------------
+# -- runners: (cfg, typed parameters) -> rows ----------------------------------------
 
 def _k_estimates(cfg, ks, kernel, args):
     """(k, estimate) for each k of `ks`, from one pass of `kernel`'s critical k."""
@@ -188,63 +225,56 @@ def _row(cfg, model, k, horizon, window, extra, est: EstimateWithCI | None,
         "estimate": est.estimate if est else value,
         "ci_lo": est.lo if est else value,
         "ci_hi": est.hi if est else value,
+        "wall_seconds": 0.0,
     }
 
 
-def _run_gamma(cfg: ExperimentConfig):
-    pseq = parse_sequence(_need(cfg, "pseq"))
-    qseq = parse_sequence(_need(cfg, "qseq"))
-    beta = int(_need(cfg, "beta"))
-    kmax = int(_need(cfg, "kmax"))
+def _run_gamma(cfg, p):
+    beta, kmax = p["beta"], p["kmax"]
     if kmax < 1:
         raise ValueError(f"kmax must be >= 1, got {kmax}")
     rows = []
     for k in range(1, kmax + 1):
-        params = renorm.BifurcationParams(k, beta, truncate(pseq, k), truncate(qseq, k))
+        params = renorm.BifurcationParams(k, beta, truncate(p["pseq"], k), truncate(p["qseq"], k))
         rows.append(_row(cfg, "renorm", k, "", "", {"beta": beta},
                          None, value=renorm.gamma_k(params)))
     return rows
 
 
-def _run_survival(cfg: ExperimentConfig):
-    d = int(cfg.params.get("dim", 2))
-    pseq = parse_sequence(_need(cfg, "pseq"))
-    qseq = parse_sequence(cfg.params.get("qseq") or _need(cfg, "pseq"))
-    horizon = int(_need(cfg, "horizon"))
-    window = int(_need(cfg, "window"))
-    ks = _ks(cfg)
+def _run_survival(cfg, p):
+    d, horizon, window = p["dim"], p["horizon"], p["window"]
+    ks = _ks(p)
     kmax = max(ks)
     params = oriented.ExplorationParams(d, kmax, horizon, window,
-                                        truncate(pseq, kmax), truncate(qseq, kmax))
+                                        truncate(p["pseq"], kmax), truncate(p["qseq"], kmax))
     return [_row(cfg, "g", k, horizon, window, {"dim": d}, est)
             for k, est in _k_estimates(cfg, ks, _surv_g, (params,))]
 
 
-def _run_redcluster(cfg: ExperimentConfig):
-    pseq = parse_sequence(_need(cfg, "pseq"))
-    qseq = parse_sequence(_need(cfg, "qseq"))
-    beta = int(_need(cfg, "beta"))
-    steps = int(cfg.params.get("steps", 100_000))
+def _run_redcluster(cfg, p):
+    beta, steps = p["beta"], p["steps"]
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    ks = _ks(cfg)
-    levels = [renorm.BifurcationParams(k, beta, truncate(pseq, k), truncate(qseq, k)) for k in ks]
+    ks = _ks(p)
+    distinct = list(dict.fromkeys(ks))  # one red cluster per distinct k
+    levels = [renorm.BifurcationParams(k, beta, truncate(p["pseq"], k), truncate(p["qseq"], k))
+              for k in distinct]
     recs = run_replicas(_domination, (levels, steps), cfg.seed, cfg.reps, cfg.threads)
     rows = []
-    for i, (k, params) in enumerate(zip(ks, levels)):
+    for k in ks:
+        i = distinct.index(k)
         trials = sum(rec[i][0] for rec in recs)
         reds = sum(rec[i][1] for rec in recs)
         est = EstimateWithCI.from_counts(reds, trials, cfg.z)
-        g = renorm.gamma_k(params)
+        g = renorm.gamma_k(levels[i])
         extra = {"beta": beta, "steps": steps, "gamma_k": f"{g:.6g}",
                  "pooled_trials": trials, "violation": int(est.hi < g)}
         rows.append(_row(cfg, "renorm", k, "", "", extra, est))
     return rows
 
 
-def _run_siteperc(cfg: ExperimentConfig):
-    horizons = _int_list(cfg, "horizon")
-    gammas = _float_list(cfg, "gamma")
+def _run_siteperc(cfg, p):
+    gammas, horizons = p["gamma"], p["horizon"]
     # one vectorized pass per chunk of replicas, coupled across gammas and horizons
     counts = renorm.cone_survival_scan(gammas, horizons, cfg.reps, cfg.seed, cfg.threads)
     rows = []
@@ -255,40 +285,32 @@ def _run_siteperc(cfg: ExperimentConfig):
     return rows
 
 
-def _run_contact(cfg: ExperimentConfig):
-    d = int(cfg.params.get("dim", 2))
-    rates = parse_sequence(_need(cfg, "rates"))
-    horizon = float(_need(cfg, "horizon"))
-    window = int(_need(cfg, "window"))
-    ks = _ks(cfg)
-    args = (truncate(rates, max(ks)), window, horizon, d)
+def _run_contact(cfg, p):
+    d, horizon, window = p["dim"], p["horizon"], p["window"]
+    ks = _ks(p)
+    args = (truncate(p["rates"], max(ks)), window, horizon, d)
     return [_row(cfg, "contact", k, horizon, window, {"dim": d}, est)
             for k, est in _k_estimates(cfg, ks, _surv_contact, args)]
 
 
-def _run_star(cfg: ExperimentConfig):
-    eps = float(_need(cfg, "eps"))
-    pseq = parse_sequence(_need(cfg, "pseq"))
-    delta = float(_need(cfg, "delta"))
-    horizon = int(_need(cfg, "horizon"))
+def _run_star(cfg, p):
+    eps, delta, horizon = p["eps"], p["delta"], p["horizon"]
     if horizon < 0:
         raise ValueError("horizon must be nonnegative")
-    window = _star_window(cfg)
-    ks = _ks(cfg)
+    window = _star_window(p)
+    ks = _ks(p)
     N = starlat.choose_N(eps, delta)
     block = starlat.BlockParams(N, delta)
-    params = starlat.StarParams(eps, truncate(pseq, max(ks)))
+    params = starlat.StarParams(eps, truncate(p["pseq"], max(ks)))
     args = (block, params, horizon, window)
     return [_row(cfg, "gstar", k, horizon, window, {"eps": eps, "delta": delta, "N": N}, est)
             for k, est in _k_estimates(cfg, ks, _surv_star, args)]
 
 
-def _run_hprob(cfg: ExperimentConfig):
-    pseq = parse_sequence(_need(cfg, "pseq"))
-    window = _star_window(cfg)
-    ks = _ks(cfg)
-    eps = float(cfg.params.get("eps", 0.5))
-    params = starlat.StarParams(eps, truncate(pseq, max(ks)))
+def _run_hprob(cfg, p):
+    window = _star_window(p)
+    ks = _ks(p)
+    params = starlat.StarParams(p["eps"], truncate(p["pseq"], max(ks)))
     return [_row(cfg, "gstar", k, "", window, {}, est)
             for k, est in _k_estimates(cfg, ks, _hprob, (params, window))]
 
@@ -305,13 +327,9 @@ _RUNNERS = {
 
 
 def run_experiment(cfg: ExperimentConfig) -> list[dict]:
-    """Dispatch to the owning module and return the result table (row dicts)."""
-    t0 = time.perf_counter()
-    rows = _RUNNERS[cfg.command](cfg)
-    wall = time.perf_counter() - t0 if cfg.timing else 0.0
-    for row in rows:
-        row["wall_seconds"] = wall
-    return rows
+    """Resolve the parameters, run the owning module and return the result
+    table (row dicts)."""
+    return _RUNNERS[cfg.command](cfg, cfg.typed_params())
 
 
 # -- CSV ----------------------------------------------------------------------------

@@ -10,6 +10,13 @@ can only underestimate its probability.  A zeta-block at (a, n) on the
 parity sublattice requires all 2N consecutive H-events at level n plus one
 open vertical bond in each half-block.
 
+The zeta-blocks are independent: blocks at one level use disjoint lines,
+lines carry disjoint bonds, and levels use disjoint bonds.  Each holds with
+probability theta_k = (1 - (1-eps)^N)^2 h_k^(2N), h_k the H-event
+probability, so the block path reaches level H with probability exactly
+theta_k * S(theta_k, H - 1), S the survival of `renorm`'s cone site
+percolation.
+
 A bond's uniform and its probability p_i do not depend on k, so a
 horizontal bond of range i is open at truncation k exactly when i <= k and
 it is open at any larger range.  Each event therefore has a label, the

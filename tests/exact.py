@@ -12,6 +12,8 @@ from __future__ import annotations
 import itertools
 import math
 
+import numpy as np
+
 from lrperc.sequences import TruncatedSequence
 
 
@@ -60,3 +62,72 @@ def cone_survival(gamma: float, horizon: int) -> float:
                 sub = (sub - 1) & cand
         dist = nxt
     return sum(dist.values())
+
+
+def contact_survival_d1(rates: TruncatedSequence, window: int, horizon: float) -> float:
+    """P(the d = 1 contact process from {0}, kept in |x| <= window, has an
+    infected site at time `horizon`).
+
+    The state is the infected set, a bit mask over {-W..W}.  Each infected
+    site recovers at rate 1, and each infected u infects a healthy v at rate
+    lambda_|u-v| (0 beyond k).  exp(Q t) is summed by uniformization
+    (Jensen 1953): with L the largest exit rate and P = I + Q / L,
+    exp(Q t) = sum_n e^(-L t) (L t)^n / n! P^n.
+    """
+    n = 2 * window + 1
+    q = np.zeros((1 << n, 1 << n))
+    for s in range(1 << n):
+        for a in range(n):
+            if s >> a & 1:
+                q[s, s & ~(1 << a)] += 1.0
+                for b in range(n):
+                    if not s >> b & 1:
+                        q[s, s | 1 << b] += rates.term(abs(a - b))
+        q[s, s] = -q[s].sum()
+    rate = -q.diagonal().min()
+    step = np.eye(1 << n) + q / rate
+    lt = rate * horizon
+    vec = np.zeros(1 << n)
+    vec[1 << window] = 1.0
+    weight = math.exp(-lt)
+    out = weight * vec
+    for j in range(1, int(lt + 12 * math.sqrt(lt) + 40)):
+        vec = vec @ step
+        weight *= lt / j
+        out += weight * vec
+    return float(out[1:].sum())
+
+
+def h_probability(pseq: TruncatedSequence, window: int) -> float:
+    """P(the H-event): sites 0 and 1 of a line joined by open bonds of range
+    <= k, both ends of each in {-W..W}, summed over every configuration of
+    those bonds."""
+    bonds = [(t, t + i) for i in range(1, pseq.k + 1) for t in range(-window, window + 1 - i)]
+    total = 0.0
+    for bits in itertools.product((False, True), repeat=len(bonds)):
+        reached, grew = {0}, True
+        while grew:
+            grew = False
+            for (u, v), is_open in zip(bonds, bits):
+                if is_open and (u in reached) != (v in reached):
+                    reached |= {u, v}
+                    grew = True
+        if 1 in reached:
+            total += math.prod(pseq.term(v - u) if o else 1.0 - pseq.term(v - u)
+                               for (u, v), o in zip(bonds, bits))
+    return total
+
+
+def star_survival(eps: float, N: int, pseq: TruncatedSequence, window: int,
+                  horizon: int) -> float:
+    """P(the star lattice's block path reaches level `horizon`).
+
+    Blocks at one level use disjoint lines, lines carry disjoint bonds and
+    levels use disjoint bonds, so the zeta-blocks are independent, each
+    holding with probability theta = (1 - (1 - eps)^N)^2 h^(2N), h the
+    H-event probability.  The block path is then the cone's site
+    percolation at theta: the origin's block must hold, and a path of
+    held blocks must cross the next horizon - 1 levels.
+    """
+    theta = (1.0 - (1.0 - eps) ** N) ** 2 * h_probability(pseq, window) ** (2 * N)
+    return theta * cone_survival(theta, horizon - 1)

@@ -8,9 +8,9 @@ import pytest
 
 from lrperc import bondfield, harness, renorm, starlat
 from lrperc.bondfield import BondField
-from lrperc.cli import _SUBCOMMAND_PARAMS, build_parser, main, resolve_config
+from lrperc.cli import build_parser, main, resolve_config
 from lrperc.harness import (
-    ExperimentConfig, _hprob, emit_csv, format_csv, parse_config_file, run_experiment,
+    PARAMS, ExperimentConfig, _hprob, emit_csv, format_csv, parse_config_file, run_experiment,
     run_replicas, wilson_interval,
 )
 from lrperc.sequences import harmonic, powerlaw, truncate
@@ -89,6 +89,30 @@ def test_missing_parameter_diagnostic_names_field():
     with pytest.raises(ValueError, match="horizon"):
         run_experiment(cfg)
 
+
+
+def test_missing_parameters_are_named_at_once():
+    cfg = ExperimentConfig("survival", reps=1, params={"pseq": "harmonic"})
+    with pytest.raises(ValueError) as exc:
+        run_experiment(cfg)
+    assert str(exc.value) == "survival: missing required parameters 'k', 'horizon', 'window'"
+
+
+@pytest.mark.parametrize("command, defaults", [
+    ("survival", {"dim": "2", "qseq": "powerlaw:1,0.5"}),  # qseq is pseq's text
+    ("contact", {"dim": "2"}),
+    ("redcluster", {"steps": "100000"}),
+    ("hprob", {"eps": "0.5"}),
+])
+def test_spelled_out_defaults_resolve_and_hash_alike(command, defaults):
+    """`resolved()`, which the stderr printout and the hash read, lists
+    every default that runs, so spelling one out changes nothing."""
+    left_out = {key: v for key, v in _VALID[command].items() if key not in defaults}
+    spelled = ExperimentConfig(command, params={**left_out, **defaults})
+    bare = ExperimentConfig(command, params=left_out)
+    assert bare.resolved() == spelled.resolved()
+    assert {key: bare.resolved()[key] for key in defaults} == defaults
+    assert bare.hash() == spelled.hash()
 
 def test_config_hash_stable_and_sensitive():
     a = ExperimentConfig("gamma", seed=1, params={"pseq": "harmonic"})
@@ -403,8 +427,38 @@ def test_wall_seconds_zero_without_timing_flag():
     cfg = ExperimentConfig("gamma", params={"pseq": "harmonic", "qseq": "harmonic",
                                             "beta": "1", "kmax": "1"})
     assert run_experiment(cfg)[0]["wall_seconds"] == 0.0
-    cfg.timing = True
-    assert run_experiment(cfg)[0]["wall_seconds"] > 0.0
+
+
+def test_redcluster_grows_each_distinct_k_once(monkeypatch):
+    """One red cluster per replica per distinct --k; a repeated k repeats
+    its row."""
+    grown = []
+    explore = renorm.explore_red_cluster
+
+    def spy(fld, params, max_steps):
+        grown.append(params.k)
+        return explore(fld, params, max_steps)
+    monkeypatch.setattr(renorm, "explore_red_cluster", spy)
+
+    def rows(k):
+        grown.clear()
+        out = run_experiment(ExperimentConfig("redcluster", seed=5, reps=6, threads=1,
+                                              params={**_VALID["redcluster"], "k": k}))
+        # the rows of one run, without the config hash, which covers the --k text
+        return [{c: (";".join(e for e in v.split(";") if not e.startswith("config="))
+                     if c == "extra_params" else v) for c, v in row.items()} for row in out]
+    (alone,) = rows("2")
+    assert grown == [2] * 6
+    assert rows("2,2") == [alone, alone]
+    assert grown == [2] * 6
+    assert [row["k"] for row in rows("2,1,2")] == [2, 1, 2]
+    assert sorted(grown) == [1] * 6 + [2] * 6
+
+
+def test_cli_has_no_timing_flag(capsys):
+    """Wall time is no part of a row, so no flag stamps it on one."""
+    assert main(_argv("gamma", _VALID["gamma"]) + ["--timing"]) == 2
+    assert capsys.readouterr().err.strip() == "error: unrecognized arguments: --timing"
 
 
 # -- CSV -------------------------------------------------------------------------------
@@ -530,7 +584,49 @@ def _argv(command, flags):
     return [command, *(t for key, value in flags.items() for t in (f"--{key}", value))]
 
 
-@pytest.mark.parametrize("command", sorted(_SUBCOMMAND_PARAMS))
+
+_KIND_TEXT = {harness.INT: "an integer", harness.NUM: "a number",
+              harness.INTS: "a comma-separated list of integers",
+              harness.NUMS: "a comma-separated list of numbers"}
+
+
+@pytest.mark.parametrize("command, key", [(c, key) for c in PARAMS for key in PARAMS[c]])
+def test_cli_malformed_value_names_its_key(capsys, monkeypatch, command, key):
+    """Every key of every subcommand: a malformed value is one `error:`
+    line naming the key, before any sampling; a bad sequence keeps
+    `parse_sequence`'s message."""
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled before the input was checked")
+    monkeypatch.setattr(harness, "run_replicas", no_sampling)
+    monkeypatch.setattr(harness.renorm, "cone_survival_scan", no_sampling)
+    kind = PARAMS[command][key][0]
+    value, detail = (("wat:1", "unknown sequence kind: 'wat'") if kind is harness.SEQ
+                     else ("x", f"'x' is not {_KIND_TEXT[kind]}"))
+    assert main(_argv(command, {**_VALID[command], key: value, "reps": "2"})) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip().split("\n")[-1] == f"error: --{key}: {detail}"
+
+
+@pytest.mark.parametrize("key", ["seed", "reps", "threads", "z"])
+@pytest.mark.parametrize("from_file", [False, True])
+def test_global_value_reads_alike_from_flag_or_file(tmp_path, capsys, key, from_file):
+    """A global key goes through one converter, from a flag or a file."""
+    flags = {**_VALID["gamma"], key: "x"}
+    if from_file:
+        f = tmp_path / "g.cfg"
+        f.write_text(f"{key} = x\n")
+        flags = {**_VALID["gamma"], "config": str(f)}
+    assert main(_argv("gamma", flags)) == 2
+    detail = f"'x' is not {_KIND_TEXT[harness.GLOBALS[key]]}"
+    assert capsys.readouterr().err.strip().split("\n") == [f"error: --{key}: {detail}"]
+    f = tmp_path / "ok.cfg"
+    f.write_text(f"{key} = 3\n")
+    by_file = resolve_config(_argv("gamma", {**_VALID["gamma"], "config": str(f)}))
+    assert by_file == resolve_config(_argv("gamma", {**_VALID["gamma"], key: "3"}))
+
+
+@pytest.mark.parametrize("command", sorted(PARAMS))
 @pytest.mark.parametrize("z", ["nan", "inf", "0", "-1"])
 def test_cli_bad_z_rejected_before_sampling(capsys, monkeypatch, command, z):
     """A z the Wilson interval cannot use is an error before any replica is
@@ -572,7 +668,7 @@ def test_k_sweep_is_one_pass(monkeypatch, command):
     assert calls == [(passes[0], r) for r in range(5)]
 
 
-@pytest.mark.parametrize("command", sorted(_SUBCOMMAND_PARAMS))
+@pytest.mark.parametrize("command", sorted(PARAMS))
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
 def test_cli_fuzzed_flags_exit_0_or_2(command, data):
@@ -580,7 +676,7 @@ def test_cli_fuzzed_flags_exit_0_or_2(command, data):
     traceback.  Values stay small (reps <= 3, k, horizon, window, steps and
     kmax <= 4, one worker), so no case starts a pool or runs long."""
     flags = {**_VALID[command], "reps": "2"}
-    keys = data.draw(st.lists(st.sampled_from(sorted({*_SUBCOMMAND_PARAMS[command],
+    keys = data.draw(st.lists(st.sampled_from(sorted({*PARAMS[command],
                                                       "seed", "reps", "z"})),
                               min_size=1, max_size=3, unique=True), label="fuzzed")
     for key in keys:

@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from exact import star_survival
 from lrperc import starlat
 from lrperc.bondfield import BondField, BondId
 from lrperc.sequences import constant, explicit, harmonic, powerlaw, truncate
@@ -339,6 +340,23 @@ def test_critical_k_equals_per_k_block_path_survival(case, h_path):
             assert (crit is not None and crit <= k) == survived, (r, k)
     assert len(seen) > 2
 
+
+def test_surv_star_sweep_matches_exact_values():
+    """A `surv_star` k-sweep agrees at every k, within a two-sided z = 4
+    Wilson interval, with theta_k * cone_survival(theta_k, H - 1): the
+    zeta-blocks are independent, so the block path is the cone's site
+    percolation at theta_k = (1 - (1 - eps)^N)^2 h_k^(2N), with h_k from
+    every configuration of one line's window bonds."""
+    seq, window, horizon, reps = powerlaw(1.0, 0.95), 2, 6, 4000
+    assert choose_N(0.8, 0.5) == 2
+    exact = [star_survival(0.8, 2, truncate(seq, k), window, horizon) for k in (1, 2, 4)]
+    assert exact == pytest.approx([0.64524, 0.84481, 0.88585], abs=5e-6)
+    top = _sp(eps=0.8, p=seq, k=4)
+    crits = run_replicas(_surv_star, (BlockParams(2, 0.5), top, horizon, window),
+                         seed=13, reps=reps, threads=2)
+    for k, value in zip((1, 2, 4), exact):
+        est = EstimateWithCI.from_counts(sum(c is not None and c <= k for c in crits), reps, 4.0)
+        assert est.lo <= value <= est.hi, (k, est.estimate, value)
 
 def test_surv_star_records_nondecreasing_in_k():
     """One sweep per replica, at the largest k, answers every k: the kernel
