@@ -36,9 +36,6 @@ def build_parser() -> argparse.ArgumentParser:
 def resolve_config(argv) -> ExperimentConfig:
     ns = build_parser().parse_args(argv)
     texts = parse_config_file(ns.config) if ns.config else {}
-    for key in texts:
-        if key not in GLOBALS and key not in PARAMS[ns.command]:
-            raise ValueError(f"{ns.config}: unknown key {key!r} for {ns.command}")
     texts.update((key, val) for key, val in vars(ns).items()
                  if key not in ("command", "config") and val is not None)
     return ExperimentConfig.from_texts(ns.command, texts)

@@ -7,9 +7,10 @@ rows are emitted in a canonical order, so the worker count never changes a
 byte of output.  Wall-clock time is no part of a row: `wall_seconds` is
 always 0 and is kept only so the CSV keeps its 12 columns.
 
-`PARAMS` holds each subcommand's keys, kinds and defaults.  A config's
-`typed_params` reads its texts against it, so the runners get typed values,
-and its hash covers the defaults it ran with.
+`PARAMS` holds each subcommand's keys, kinds and defaults.  A config
+rejects any other key, read from a file or set in code; its `typed_params`
+reads its texts against it, so the runners get typed values, and its hash
+covers the defaults it ran with.
 
 A k-sweep chunk kernel, passed by function to `run_replicas`, sweeps each
 replica once, at the largest k, and returns its critical k, the least k at
@@ -53,16 +54,16 @@ def _surv_contact(args, root, lo, hi):
 
 def _surv_star(args, root, lo, hi):
     """Critical k of one labelled sweep at params.k = max(ks), or None."""
-    block, params, horizon, window = args
-    return [starlat.block_path_critical_k(root.derive_replica(r), block, params, horizon, window)
+    params, horizon, window = args
+    return [starlat.block_path_critical_k(root.derive_replica(r), params, horizon, window)
             for r in range(lo, hi)]
 
 
 def _hprob(args, root, lo, hi):
     """Critical k of the H-event of gamma(0), gamma(1), by one lazy search."""
-    params, window = args
-    labels = (starlat.h_label(root.derive_replica(r), 0, 0, params, window) for r in range(lo, hi))
-    return [label if label <= params.k else None for label in labels]
+    pseq, window = args
+    labels = (starlat.h_label(root.derive_replica(r), 0, 0, pseq, window) for r in range(lo, hi))
+    return [label if label <= pseq.k else None for label in labels]
 
 
 def _bifurcation(args, root, lo, hi):
@@ -110,7 +111,7 @@ PARAMS = {
                 "horizon": (NUM, None), "window": (INT, None)},
     "star": {"eps": (NUM, None), "pseq": (SEQ, None), "k": (INTS, None), "delta": (NUM, None),
              "horizon": (INT, None), "window": (INT, None)},
-    "hprob": {"pseq": (SEQ, None), "k": (INTS, None), "window": (INT, None), "eps": (NUM, "0.5")},
+    "hprob": {"pseq": (SEQ, None), "k": (INTS, None), "window": (INT, None)},
 }
 # the keys of every subcommand, with ExperimentConfig's defaults
 GLOBALS = {"seed": INT, "reps": INT, "threads": INT, "z": NUM, "out": TEXT}
@@ -153,6 +154,9 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.command not in PARAMS:
             raise ValueError(f"unknown experiment: {self.command!r}")
+        for key in self.params:
+            if key not in PARAMS[self.command]:
+                raise ValueError(f"unknown key {key!r} for {self.command}")
         if self.reps < 1:
             raise ValueError("reps must be >= 1")
         if self.threads < 1:
@@ -235,7 +239,7 @@ def _run_gamma(cfg, p):
         raise ValueError(f"kmax must be >= 1, got {kmax}")
     rows = []
     for k in range(1, kmax + 1):
-        params = renorm.BifurcationParams(k, beta, truncate(p["pseq"], k), truncate(p["qseq"], k))
+        params = renorm.BifurcationParams(beta, truncate(p["pseq"], k), truncate(p["qseq"], k))
         rows.append(_row(cfg, "renorm", k, "", "", {"beta": beta},
                          None, value=renorm.gamma_k(params)))
     return rows
@@ -245,7 +249,7 @@ def _run_survival(cfg, p):
     d, horizon, window = p["dim"], p["horizon"], p["window"]
     ks = _ks(p)
     kmax = max(ks)
-    params = oriented.ExplorationParams(d, kmax, horizon, window,
+    params = oriented.ExplorationParams(d, horizon, window,
                                         truncate(p["pseq"], kmax), truncate(p["qseq"], kmax))
     return [_row(cfg, "g", k, horizon, window, {"dim": d}, est)
             for k, est in _k_estimates(cfg, ks, _surv_g, (params,))]
@@ -257,7 +261,7 @@ def _run_redcluster(cfg, p):
         raise ValueError("steps must be >= 1")
     ks = _ks(p)
     distinct = list(dict.fromkeys(ks))  # one red cluster per distinct k
-    levels = [renorm.BifurcationParams(k, beta, truncate(p["pseq"], k), truncate(p["qseq"], k))
+    levels = [renorm.BifurcationParams(beta, truncate(p["pseq"], k), truncate(p["qseq"], k))
               for k in distinct]
     recs = run_replicas(_domination, (levels, steps), cfg.seed, cfg.reps, cfg.threads)
     rows = []
@@ -300,9 +304,7 @@ def _run_star(cfg, p):
     window = _star_window(p)
     ks = _ks(p)
     N = starlat.choose_N(eps, delta)
-    block = starlat.BlockParams(N, delta)
-    params = starlat.StarParams(eps, truncate(p["pseq"], max(ks)))
-    args = (block, params, horizon, window)
+    args = (starlat.StarParams(eps, truncate(p["pseq"], max(ks)), N), horizon, window)
     return [_row(cfg, "gstar", k, horizon, window, {"eps": eps, "delta": delta, "N": N}, est)
             for k, est in _k_estimates(cfg, ks, _surv_star, args)]
 
@@ -310,9 +312,9 @@ def _run_star(cfg, p):
 def _run_hprob(cfg, p):
     window = _star_window(p)
     ks = _ks(p)
-    params = starlat.StarParams(p["eps"], truncate(p["pseq"], max(ks)))
+    args = (truncate(p["pseq"], max(ks)), window)
     return [_row(cfg, "gstar", k, "", window, {}, est)
-            for k, est in _k_estimates(cfg, ks, _hprob, (params, window))]
+            for k, est in _k_estimates(cfg, ks, _hprob, args)]
 
 
 _RUNNERS = {

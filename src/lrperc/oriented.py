@@ -20,10 +20,11 @@ the least k at which it is reached:
 
 the minimax labelling of invasion percolation (Wilkinson & Willemsen 1983).
 A vertex is reached at truncation k exactly when its label is <= k, so the
-front at `params.k` is every labelled vertex, and `critical_k`, the
-least label on the generation-`horizon` front, decides survival at every
-k <= params.k: the cluster survives at k iff critical_k <= k.  One sweep at
-the largest k of a k-sweep answers every k of it.
+front at `params.k`, the larger of the two sequences' own truncations, is
+every labelled vertex, and `critical_k`, the least label on the
+generation-`horizon` front, decides survival at every k <= params.k: the
+cluster survives at k iff critical_k <= k.  One sweep at the largest k of a
+k-sweep answers every k of it.
 
 Each generation hashes its bonds on a (vertex, axis, range) grid, so only
 the displacement word is folded once per bond; the vertex and axis words
@@ -49,7 +50,6 @@ from .sequences import TruncatedSequence
 @dataclass(frozen=True)
 class ExplorationParams:
     d: int
-    k: int
     horizon: int
     window: int
     pseq: TruncatedSequence  # axis 1
@@ -58,10 +58,12 @@ class ExplorationParams:
     def __post_init__(self):
         if self.d < 1:
             raise ValueError("dimension must be >= 1")
-        if self.k < 0:
-            raise ValueError("truncation range must be nonnegative")
         if self.horizon < 0 or self.window < 0:
             raise ValueError("horizon and window must be nonnegative")
+
+    @property
+    def k(self) -> int:  # an axis draws probability 0 beyond its own sequence's k
+        return max(self.pseq.k, self.qseq.k)
 
     def axis_prob(self, axis: int, disp: int) -> float:
         seq = self.pseq if axis == 1 else self.qseq

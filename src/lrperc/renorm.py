@@ -6,7 +6,8 @@ root of a successful bifurcation: one open axis-1 bond out of it, then from
 the intermediate vertex both an open vertical bond (axis 2, displacement
 beta) and a second open axis-1 bond.  The red cluster is grown by the
 (A_i, B_i) recursion over the exterior boundary, examining at each step the
-minimal unexplored boundary point.
+minimal unexplored boundary point.  Every scanned range is an axis-1
+bond's, so the truncation range k is that of the axis-1 sequence.
 
 The abstract red definition quantifies over every integer offset a; here
 the scan is restricted to the offsets already certified reachable by the
@@ -34,7 +35,6 @@ from .sequences import TruncatedSequence, signed_ranges
 
 @dataclass(frozen=True)
 class BifurcationParams:
-    k: int
     beta: int
     pseq: TruncatedSequence  # axis 1
     qseq: TruncatedSequence  # axis 2
@@ -44,6 +44,10 @@ class BifurcationParams:
             raise ValueError("beta must be >= 1")
         if self.qseq.term(self.beta) <= 0.0:
             raise ValueError("vertical displacement beta needs positive probability")
+
+    @property
+    def k(self) -> int:
+        return self.pseq.k
 
 
 @dataclass(frozen=True)

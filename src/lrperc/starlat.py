@@ -44,7 +44,9 @@ bottleneck Dijkstra that draws a bond only when it could lower a label, so
 memory stays bounded however wide the window; `hprob` runs one `h_label`
 per replica.
 The scalar `h_connected`, `check_zeta` and `block_path_survival` answer one
-k at a time and are the oracles of the labelled kernels.
+k at a time and are the oracles of the labelled kernels.  The H-event
+searches take the horizontal sequence alone, whose k is the truncation;
+the block functions take `StarParams`, which adds eps and the width N.
 """
 
 from __future__ import annotations
@@ -60,12 +62,15 @@ from .sequences import TruncatedSequence
 
 @dataclass(frozen=True)
 class StarParams:
-    eps: float
-    pseq: TruncatedSequence
+    eps: float  # vertical bonds
+    pseq: TruncatedSequence  # horizontal bonds
+    N: int  # block width: a zeta-block spans 2N lines
 
     def __post_init__(self):
         if not 0.0 < self.eps <= 1.0:
             raise ValueError("vertical bond probability must lie in (0, 1]")
+        if self.N < 1:
+            raise ValueError("block width N must be >= 1")
 
     @property
     def k(self) -> int:
@@ -91,7 +96,7 @@ def _on_line(base, axis: int, t: int) -> tuple:
     return tuple(x)
 
 
-def h_connected(fld: BondField, m: int, n: int, params: StarParams, window: int) -> bool:
+def h_connected(fld: BondField, m: int, n: int, pseq: TruncatedSequence, window: int) -> bool:
     """H-event, window-W approximation: gamma(m) and gamma(m+1) joined by open
     horizontal bonds on their common line, both endpoints of every bond within
     distance `window` of gamma(m)."""
@@ -99,7 +104,7 @@ def h_connected(fld: BondField, m: int, n: int, params: StarParams, window: int)
         raise ValueError("window must be >= 1")
     base = staircase(m)
     axis, target = _line(m)
-    k = params.k
+    k = pseq.k
     seen = {0}
     frontier = [0]
     while frontier:
@@ -110,22 +115,12 @@ def h_connected(fld: BondField, m: int, n: int, params: StarParams, window: int)
                 if t2 in seen or abs(t2) > window:
                     continue
                 if fld.is_open(BondId.star_horizontal(_on_line(base, axis, t), n, axis, s),
-                               params.pseq.term(i)):
+                               pseq.term(i)):
                     if t2 == target:
                         return True
                     seen.add(t2)
                     frontier.append(t2)
     return target in seen
-
-
-@dataclass(frozen=True)
-class BlockParams:
-    N: int
-    delta: float
-
-    def __post_init__(self):
-        if self.N < 1 or not 0.0 < self.delta <= 1.0:
-            raise ValueError("need N >= 1 and failure budget in (0, 1]")
 
 
 def choose_N(eps: float, delta: float) -> int:
@@ -145,16 +140,15 @@ def vertical_open(fld: BondField, x, n: int, params: StarParams) -> bool:
     return fld.is_open(BondId.star_vertical(x, n), params.eps)
 
 
-def check_zeta(fld: BondField, a: int, n: int, block: BlockParams,
-               params: StarParams, window: int) -> bool:
+def check_zeta(fld: BondField, a: int, n: int, params: StarParams, window: int) -> bool:
     """Block indicator at (a, n) on the parity sublattice (a + n even):
     all 2N consecutive H-events at level n, and at least one open vertical
     bond at the staircase points of each half-block."""
     if (a + n) % 2 != 0:
         raise ValueError(f"({a}, {n}) is off the parity sublattice")
-    N = block.N
+    N = params.N
     lo = a * N
-    if not all(h_connected(fld, m, n, params, window) for m in range(lo, lo + 2 * N)):
+    if not all(h_connected(fld, m, n, params.pseq, window) for m in range(lo, lo + 2 * N)):
         return False
     half1 = any(vertical_open(fld, staircase(m), n, params) for m in range(lo, lo + N))
     half2 = any(vertical_open(fld, staircase(m), n, params)
@@ -162,15 +156,14 @@ def check_zeta(fld: BondField, a: int, n: int, block: BlockParams,
     return half1 and half2
 
 
-def block_path_survival(fld: BondField, block: BlockParams, params: StarParams,
-                        horizon: int, window: int) -> bool:
+def block_path_survival(fld: BondField, params: StarParams, horizon: int, window: int) -> bool:
     """Existence of a_0 = 0, |a_{i+1} - a_i| = 1 with zeta(a_i, i) = 1 for all
     i < horizon (breadth-first over the parity sublattice)."""
     alive = {0}
     for i in range(horizon):
         nxt = set()
         for a in alive:
-            if check_zeta(fld, a, i, block, params, window):
+            if check_zeta(fld, a, i, params, window):
                 nxt.add(a - 1)
                 nxt.add(a + 1)
         alive = nxt
@@ -207,14 +200,14 @@ def _joining_range(starts, ranges, size: int, source: int, target: int, never: i
     return r if find(source) == find(target) else never
 
 
-def _h_labels_batch(fld: BondField, m: np.ndarray, n: int, params: StarParams,
+def _h_labels_batch(fld: BondField, m: np.ndarray, n: int, pseq: TruncatedSequence,
                     W: int) -> np.ndarray:
     """H-labels of the lines m (1-d) from one `uniforms` call over their
     (2W+1, R) grids of bonds (lo, lo + i), -W <= lo <= W, 1 <= i <= R =
     min(k, 2W).  The grid also holds the bonds that leave the window, which
     are masked off; in this shape every id word but the range is folded
     once per (line, lo), not once per bond."""
-    K = params.k
+    K = pseq.k
     R = min(K, 2 * W)
     odd = m % 2 == 1  # these lines run along axis 2
     x1, x2 = staircase(m[:, None, None])
@@ -222,7 +215,7 @@ def _h_labels_batch(fld: BondField, m: np.ndarray, n: int, params: StarParams,
     lo = np.arange(-W, W + 1)[:, None]
     rng = np.arange(1, R + 1)
     opened = fld.open_mask([TAG_GSTAR_H, n, x1 + ~o * lo, x2 + o * lo, 1 + o, rng],
-                           params.pseq.terms(R))
+                           pseq.terms(R))
     opened &= lo + rng <= W
     # gamma(m+1) is gamma(m) + e_1 for even m and gamma(m) - e_2 for odd m;
     # the range-1 bond (lo, lo + 1) is row lo + W
@@ -239,7 +232,7 @@ def _h_labels_batch(fld: BondField, m: np.ndarray, n: int, params: StarParams,
     return labels
 
 
-def h_label(fld: BondField, m: int, n: int, params: StarParams, window: int) -> int:
+def h_label(fld: BondField, m: int, n: int, pseq: TruncatedSequence, window: int) -> int:
     """H-label of line m at level n (see `h_label_max`) by a bottleneck Dijkstra.
     Heap entries are (label, 0, site), a site reached at that label, and
     (cost, i, site), its two bonds of range i, which cost max(label of the
@@ -247,7 +240,7 @@ def h_label(fld: BondField, m: int, n: int, params: StarParams, window: int) -> 
     target's label is drawn, and the draws stay with the sites reached."""
     base = staircase(m)
     axis, target = _line(m)
-    never, last = params.k + 1, min(params.k, 2 * window)
+    never, last = pseq.k + 1, min(pseq.k, 2 * window)
     best = {0: 0}
     heap = [(0, 0, 0)]
     while heap:
@@ -262,7 +255,7 @@ def h_label(fld: BondField, m: int, n: int, params: StarParams, window: int) -> 
         for s in (i, -i):
             t2 = t + s
             if abs(t2) <= window and c < best.get(t2, never) and fld.is_open(
-                    BondId.star_horizontal(x, n, axis, s), params.pseq.term(i)):
+                    BondId.star_horizontal(x, n, axis, s), pseq.term(i)):
                 best[t2] = c
                 heapq.heappush(heap, (c, 0, t2))
         if i < last:
@@ -275,42 +268,41 @@ def _grid_ids(K: int, W: int) -> int:
     return (2 * W + 1) * min(K, 2 * W)
 
 
-def h_label_max(fld: BondField, rows, n: int, params: StarParams, window: int) -> np.ndarray:
+def h_label_max(fld: BondField, rows, n: int, pseq: TruncatedSequence, window: int) -> np.ndarray:
     """Largest H-label along each row of the lines `rows` (a 2-d integer
-    array) at level n: the least k <= params.k at which `h_connected` holds
-    on every line of the row, params.k + 1 where one fails at params.k.
+    array) at level n: the least k <= pseq.k at which `h_connected` holds
+    on every line of the row, pseq.k + 1 where one fails at pseq.k.
 
     When one line's bond grid fits in _BATCH_IDS ids, the grids of as many
     lines as fit are drawn per `uniforms` call by `_h_labels_batch`.
     Otherwise each line is searched by `h_label`, which draws a bond only
     when it needs it, and a row stops at its first line that fails at
-    params.k, as `check_zeta` does.
+    pseq.k, as `check_zeta` does.
     """
     if window < 1:
         raise ValueError("window must be >= 1")
     rows = np.asarray(rows, dtype=np.int64)
-    never = params.k + 1
+    never = pseq.k + 1
     # lines per `uniforms` call; at k = 0 there is no bond, and `h_label` draws none
-    step = _BATCH_IDS // _grid_ids(params.k, window) if params.k > 0 else 0
+    step = _BATCH_IDS // _grid_ids(pseq.k, window) if pseq.k > 0 else 0
     if step:
         lines = rows.ravel()
         labels = np.empty(lines.size, dtype=np.int64)
         for c in range(0, lines.size, step):
-            labels[c:c + step] = _h_labels_batch(fld, lines[c:c + step], n, params, window)
+            labels[c:c + step] = _h_labels_batch(fld, lines[c:c + step], n, pseq, window)
         return labels.reshape(rows.shape).max(axis=1)
     out = np.full(len(rows), never, dtype=np.int64)
     for j, row in enumerate(rows.tolist()):
         top = 0
         for x in row:
-            top = max(top, h_label(fld, x, n, params, window))
+            top = max(top, h_label(fld, x, n, pseq, window))
             if top == never:
                 break
         out[j] = top
     return out
 
 
-def zeta_labels(fld: BondField, a, n: int, block: BlockParams, params: StarParams,
-                window: int) -> np.ndarray:
+def zeta_labels(fld: BondField, a, n: int, params: StarParams, window: int) -> np.ndarray:
     """Zeta-labels of the blocks a (an integer array) at level n: `check_zeta`
     holds at truncation k exactly when the label is <= k.  The vertical
     bonds are drawn first; a block lacking them fails at every k, and its
@@ -318,18 +310,18 @@ def zeta_labels(fld: BondField, a, n: int, block: BlockParams, params: StarParam
     a = np.asarray(a, dtype=np.int64)
     if ((a + n) % 2).any():
         raise ValueError(f"a block at level {n} is off the parity sublattice")
-    N = block.N
+    N = params.N
     m = a[:, None] * N + np.arange(2 * N)
     x1, x2 = staircase(m)
     vert = fld.open_mask([TAG_GSTAR_V, n, x1, x2], params.eps)
     held = np.flatnonzero(vert[:, :N].any(axis=1) & vert[:, N:].any(axis=1))
     labels = np.full(a.size, params.k + 1, dtype=np.int64)
-    labels[held] = h_label_max(fld, m[held], n, params, window)
+    labels[held] = h_label_max(fld, m[held], n, params.pseq, window)
     return labels
 
 
-def block_path_critical_k(fld: BondField, block: BlockParams, params: StarParams,
-                          horizon: int, window: int) -> int | None:
+def block_path_critical_k(fld: BondField, params: StarParams, horizon: int,
+                          window: int) -> int | None:
     """Least k <= params.k at which `block_path_survival` holds, or None.
 
     Level n holds the labels of a = -n, -n + 2, ..., n; zeta-labels are
@@ -344,7 +336,7 @@ def block_path_critical_k(fld: BondField, block: BlockParams, params: StarParams
             return None
         through = np.full(n + 1, never, dtype=np.int64)
         through[alive] = np.maximum(
-            labels[alive], zeta_labels(fld, 2 * alive - n, n, block, params, window))
+            labels[alive], zeta_labels(fld, 2 * alive - n, n, params, window))
         labels = np.minimum(np.concatenate([dead, through]), np.concatenate([through, dead]))
     best = int(labels.min())
     return best if best < never else None

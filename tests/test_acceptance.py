@@ -47,7 +47,7 @@ def _cfg(command: str, name: str, threads: int = 1):
 
 
 def _bparams(k, p, q, beta=1):
-    return BifurcationParams(k, beta, truncate(p, k), truncate(q, k))
+    return BifurcationParams(beta, truncate(p, k), truncate(q, k))
 
 
 def _bifurcation_frequency(params, trials, seed):
@@ -149,7 +149,7 @@ def test_criterion_07_truncation_coupling_exact_subsets():
             fld = BondField(707).derive_replica(r)
             fronts = {}
             for k in (1, 3):
-                params = ExplorationParams(2, k, 4, 5, truncate(harmonic(), k),
+                params = ExplorationParams(2, 4, 5, truncate(harmonic(), k),
                                            truncate(harmonic(), k))
                 fronts[k] = explore(fld, params, collect=True).fronts
             for fs, fl in zip(fronts[1], fronts[3]):

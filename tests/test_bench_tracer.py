@@ -1,0 +1,60 @@
+"""The bench tracer (bench/spans.py) wraps lrperc functions by name.  The
+bench self-tests are not part of this suite, so this test is what fails
+here when a traced function is renamed or removed."""
+
+import sys
+import types
+from pathlib import Path
+
+import lrperc
+from lrperc import cli, harness
+from lrperc.bondfield import BondField
+from lrperc.sequences import constant, truncate
+from lrperc.starlat import StarParams
+
+_SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
+
+
+def _load_spans(monkeypatch):
+    """bench/spans.py as a module, read without writing under bench/."""
+    module = types.ModuleType("spans")
+    monkeypatch.setitem(sys.modules, "spans", module)  # its dataclasses look it up
+    exec(compile(_SPANS.read_text(), str(_SPANS), "exec"), vars(module))
+    return module
+
+
+def _target(module, name):
+    """(owner, attribute) of one entry of spans.TARGETS."""
+    owner, attr = getattr(lrperc, module), name
+    if "." in name:
+        cls, attr = name.split(".")
+        owner = getattr(owner, cls)
+    return owner, attr
+
+
+def test_bench_tracer_installs_on_every_target_and_uninstalls(monkeypatch):
+    spans = _load_spans(monkeypatch)
+    targets = [_target(module, name) for module, name, _, _ in spans.TARGETS]
+    originals = [vars(owner)[attr] for owner, attr in targets]
+    cfg = cli.resolve_config(["star", "--eps", "0.8", "--pseq", "powerlaw:1,0.95", "--k", "1,2",
+                              "--delta", "0.5", "--horizon", "3", "--window", "3",
+                              "--reps", "4", "--threads", "1"])
+    untraced = harness.format_csv(harness.run_experiment(cfg))
+    tracer = spans.Tracer(lrperc)
+    try:
+        tracer.install()
+        for (owner, attr), original in zip(targets, originals):
+            assert vars(owner)[attr].__wrapped__ is original, attr
+        traced = harness.format_csv(harness.run_experiment(cfg))
+        # the scalar star oracles are traced by name with their arguments
+        sure = StarParams(1.0, truncate(constant(1.0), 1), 1)
+        assert lrperc.starlat.block_path_survival(BondField(1), sure, 1, 2)
+    finally:
+        tracer.uninstall()
+    assert [vars(owner)[attr] for owner, attr in targets] == originals
+    assert traced == untraced
+    report = tracer.report()
+    assert report["harness.run_experiment"]["calls"] == 1
+    assert report["starlat.block_path_survival"]["calls"] == 1
+    assert report["starlat.check_zeta"]["calls"] == 1
+    assert report["starlat.h_connected"]["true"] == report["starlat.h_connected"]["calls"] == 2

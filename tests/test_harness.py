@@ -102,7 +102,6 @@ def test_missing_parameters_are_named_at_once():
     ("survival", {"dim": "2", "qseq": "powerlaw:1,0.5"}),  # qseq is pseq's text
     ("contact", {"dim": "2"}),
     ("redcluster", {"steps": "100000"}),
-    ("hprob", {"eps": "0.5"}),
 ])
 def test_spelled_out_defaults_resolve_and_hash_alike(command, defaults):
     """`resolved()`, which the stderr printout and the hash read, lists
@@ -138,11 +137,40 @@ def test_cli_flags_override_config_file(tmp_path):
 def test_config_file_unknown_key_is_one_line_error(tmp_path, capsys, command, text, key):
     f = tmp_path / "bad.cfg"
     f.write_text(text)
-    with pytest.raises(ValueError, match=f"bad.cfg: unknown key '{key}' for {command}"):
+    with pytest.raises(ValueError, match=f"unknown key '{key}' for {command}"):
         resolve_config([command, "--config", str(f)])
     assert main([command, "--config", str(f)]) == 2
     err = capsys.readouterr().err.strip().split("\n")
     assert len(err) == 1 and err[0].startswith("error: ")
+
+
+@pytest.mark.parametrize("command, key", [("survival", "dimm"), ("hprob", "epss"),
+                                          ("hprob", "eps")])
+def test_code_built_unknown_key_is_rejected(command, key):
+    """A typo in code used to run silently with the default, and a stale
+    `eps` for `hprob` with none, both folded into the config hash."""
+    params = {**_VALID[command], key: "1"}
+    with pytest.raises(ValueError, match=f"^unknown key '{key}' for {command}$"):
+        ExperimentConfig(command, reps=20, params=params)
+
+
+@pytest.mark.parametrize("source", ["flag", "file"])
+def test_cli_hprob_eps_is_unknown(tmp_path, capsys, source):
+    """No H-event reads the vertical bond probability, so `hprob` has no
+    `eps`; a stale one is an error, not a new config hash."""
+    argv = _argv("hprob", {**_VALID["hprob"], "reps": "2"})
+    if source == "flag":
+        argv += ["--eps", "0.5"]
+        message = "error: unrecognized arguments: --eps 0.5"
+    else:
+        f = tmp_path / "h.cfg"
+        f.write_text("eps = 0.5\n")
+        argv += ["--config", str(f)]
+        message = "error: unknown key 'eps' for hprob"
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip().split("\n") == [message]
 
 
 _CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -161,7 +189,7 @@ def test_checked_in_configs_use_only_valid_keys():
 _CONFIG_HASHES = {"trend_g": "821b109455dd", "determinism": "1638c21d1b8c",
                   "crossing": "e333f6061b86", "trend_contact": "41ff87b25f04",
                   "trend_star": "f0ef2b4b6795", "gamma_curve": "795947e1d765",
-                  "domination": "690babb24532", "hprob_oracle": "ae66cc97914e"}
+                  "domination": "690babb24532", "hprob_oracle": "fc50a410c0ef"}
 
 
 @pytest.mark.parametrize("name", sorted(_CONFIG_HASHES))
@@ -249,7 +277,7 @@ def test_cli_bad_list_entry_names_the_key(capsys, monkeypatch, argv, message):
 
 _TINY_STAR ={"star": {"eps": "0.8", "pseq": "powerlaw:1,0.8", "delta": "0.5",
                         "horizon": "4", "window": "3"},
-              "hprob": {"pseq": "powerlaw:1,0.5", "window": "3", "eps": "0.5"}}
+              "hprob": {"pseq": "powerlaw:1,0.5", "window": "3"}}
 
 
 @pytest.mark.parametrize("command", ["star", "hprob"])
@@ -289,12 +317,12 @@ def test_cli_star_wide_window_draws_in_capped_batches(monkeypatch, tmp_path, win
     assert sizes and max(sizes) <= starlat._BATCH_IDS
     rows = out.read_text().splitlines()
     header = rows[0].split(",")
-    block = starlat.BlockParams(starlat.choose_N(0.8, 0.5), 0.5)
+    N = starlat.choose_N(0.8, 0.5)
     for line, k in zip(rows[1:], (2, 50)):
         row = dict(zip(header, line.split(",")))
-        params = StarParams(0.8, truncate(powerlaw(1.0, 0.95), k))
-        hits = sum(starlat.block_path_survival(BondField(5).derive_replica(r), block, params,
-                                               3, window) for r in range(4))
+        params = StarParams(0.8, truncate(powerlaw(1.0, 0.95), k), N)
+        hits = sum(starlat.block_path_survival(BondField(5).derive_replica(r), params, 3, window)
+                   for r in range(4))
         assert (int(row["k"]), float(row["estimate"])) == (k, hits / 4)
 
 
@@ -356,7 +384,7 @@ def test_gamma_rows_are_exact_values():
     assert rows[0]["estimate"] == pytest.approx(0.33984375, abs=1e-12)
 
 
-_HPROB_ARGS = (StarParams(0.5, truncate(harmonic(), 3)), 3)
+_HPROB_ARGS = (truncate(harmonic(), 3), 3)
 
 
 def test_run_replicas_thread_invariance():
@@ -576,7 +604,7 @@ _VALID = {
                 "window": "2"},
     "star": {"eps": "0.5", "pseq": "powerlaw:1,0.95", "k": "1,2", "delta": "0.5",
              "horizon": "3", "window": "2"},
-    "hprob": {"pseq": "list:0.5,0.5", "k": "2", "window": "2", "eps": "0.5"},
+    "hprob": {"pseq": "list:0.5,0.5", "k": "2", "window": "2"},
 }
 
 

@@ -10,10 +10,10 @@ from lrperc.sequences import constant, explicit, harmonic, powerlaw, truncate
 from lrperc.stats import EstimateWithCI
 
 
-def _params(d=2, k=2, horizon=5, window=6, p=None, q=None):
-    p = p if p is not None else truncate(constant(0.5), k)
+def _params(d=2, horizon=5, window=6, p=None, q=None):
+    p = p if p is not None else truncate(constant(0.5), 2)
     q = q if q is not None else p
-    return ExplorationParams(d, k, horizon, window, p, q)
+    return ExplorationParams(d, horizon, window, p, q)
 
 
 def _survival(params, seed, replicas):
@@ -32,18 +32,18 @@ def _scalar_front(fld, params):
 
 
 def test_out_neighbors_k_zero_empty():
-    params = _params(k=0, p=truncate(constant(1.0), 0))
+    params = _params(p=truncate(constant(1.0), 0))
     assert out_neighbors(BondField(1), ((0, 0), 0), params) == set()
 
 
 def test_out_neighbors_full_cross():
-    params = _params(k=1, p=truncate(constant(1.0), 1))
+    params = _params(p=truncate(constant(1.0), 1))
     out = out_neighbors(BondField(1), ((0, 0), 0), params)
     assert out == {((1, 0), 1), ((-1, 0), 1), ((0, 1), 1), ((0, -1), 1)}
 
 
 def test_out_neighbors_window_clipped():
-    params = _params(k=1, window=0, p=truncate(constant(1.0), 1))
+    params = _params(window=0, p=truncate(constant(1.0), 1))
     assert out_neighbors(BondField(1), ((0, 0), 0), params) == set()
 
 
@@ -55,7 +55,7 @@ def test_all_zero_sequences_die_immediately():
 
 
 def test_full_sequences_survive():
-    params = _params(k=1, horizon=4, p=truncate(constant(1.0), 1))
+    params = _params(horizon=4, p=truncate(constant(1.0), 1))
     res = explore(BondField(3), params)
     assert res.survived
     assert res.front_sizes[0] == 1
@@ -65,7 +65,7 @@ def test_full_sequences_survive():
 def test_explore_matches_scalar_recomputation():
     """The vectorized generation sweep agrees with an independent scalar
     breadth-first recomputation from raw per-bond queries."""
-    params = _params(d=2, k=2, horizon=4, window=4,
+    params = _params(d=2, horizon=4, window=4,
                      p=truncate(harmonic(), 2), q=truncate(powerlaw(1.0, 0.8), 2))
     for r in range(30):
         fld = BondField(17).derive_replica(r)
@@ -97,7 +97,7 @@ def test_truncation_coupling_exact_subsets():
         fld = BondField(23).derive_replica(r)
         fronts = {}
         for k in (1, 2, 4):
-            params = _params(k=k, horizon=5, window=6, p=truncate(harmonic(), k))
+            params = _params(horizon=5, window=6, p=truncate(harmonic(), k))
             fronts[k] = explore(fld, params, collect=True).fronts
         for small, large in ((1, 2), (2, 4)):
             for fs, fl in zip(fronts[small], fronts[large]):
@@ -126,7 +126,7 @@ def test_horizon_truncation_never_kills_survivors():
 
 
 def test_estimate_survival_extremes():
-    full = _params(k=1, horizon=3, p=truncate(constant(1.0), 1))
+    full = _params(horizon=3, p=truncate(constant(1.0), 1))
     est = _survival(full, seed=1, replicas=20)
     assert est.estimate == 1.0 and est.hi == 1.0
     dead = _params(p=truncate(constant(0.0), 2))
@@ -138,7 +138,7 @@ def test_estimate_survival_extremes():
 def test_frozen_regression_harmonic_k50():
     """Long-horizon harmonic survival at high truncation; value frozen from
     the first pinned run of this configuration."""
-    params = _params(d=2, k=50, horizon=200, window=5,
+    params = _params(d=2, horizon=200, window=5,
                      p=truncate(harmonic(), 50), q=truncate(harmonic(), 50))
     est = _survival(params, seed=12, replicas=20)
     assert est.estimate == 1.0
@@ -149,7 +149,7 @@ def test_moves_stop_at_twice_the_window():
     """A move longer than 2 * window leaves the window from every vertex in
     it, so the move table stops growing with k there, and a k far above it
     gives the same records as k = 2 * window."""
-    far, near = (_params(k=k, horizon=4, window=2, p=truncate(constant(0.2), k))
+    far, near = (_params(horizon=4, window=2, p=truncate(constant(0.2), k))
                  for k in (1000, 4))
     vecs, axes, disps, probs = far.displacement_table()
     assert len(vecs) == 2 * 2 * 4 and abs(disps).max() == 4
@@ -164,12 +164,21 @@ def test_params_validation():
     with pytest.raises(ValueError):
         _params(horizon=-1)
     with pytest.raises(ValueError, match="truncation range"):
-        ExplorationParams(2, -1, 3, 3, truncate(constant(0.5), 0), truncate(constant(0.5), 0))
+        _params(p=truncate(constant(0.5), -1))
+
+
+def test_k_is_the_longer_truncation():
+    """k is read off the two sequences, and each axis keeps its own."""
+    params = _params(horizon=1, p=truncate(constant(1.0), 1), q=truncate(constant(1.0), 3))
+    assert params.k == 3
+    out = out_neighbors(BondField(1), ((0, 0), 0), params)
+    assert out == {((s, 0), 1) for s in (1, -1)} | {((0, s), 1) for s in (1, -1, 2, -2, 3, -3)}
+    assert explore(BondField(1), params, collect=True).fronts[1] == out
 
 
 def test_explicit_anisotropy():
     """Axis 1 draws from pseq, other axes from qseq."""
-    params = _params(k=1, p=truncate(constant(1.0), 1), q=truncate(constant(0.0), 1))
+    params = _params(p=truncate(constant(1.0), 1), q=truncate(constant(0.0), 1))
     out = out_neighbors(BondField(1), ((0, 0), 0), params)
     assert out == {((1, 0), 1), ((-1, 0), 1)}
     assert params.axis_prob(1, -1) == 1.0
@@ -194,7 +203,7 @@ def test_critical_k_equals_per_k_explore_and_scalar_search(case):
     the scalar breadth-first search at truncation k reaches the horizon."""
     c = _ORACLE_SETS[case]
     kmax = max(c["ks"])
-    top = _params(d=c["d"], k=kmax, horizon=c["horizon"], window=c["window"],
+    top = _params(d=c["d"], horizon=c["horizon"], window=c["window"],
                   p=truncate(c["p"], kmax), q=truncate(c["q"], kmax))
     seen = set()
     for r in range(50):
@@ -202,7 +211,7 @@ def test_critical_k_equals_per_k_explore_and_scalar_search(case):
         crit = explore(fld, top).critical_k
         seen.add(crit)
         for k in c["ks"]:
-            params = _params(d=c["d"], k=k, horizon=c["horizon"], window=c["window"],
+            params = _params(d=c["d"], horizon=c["horizon"], window=c["window"],
                              p=truncate(c["p"], k), q=truncate(c["q"], k))
             by_label = crit is not None and crit <= k
             assert by_label == explore(fld, params).survived, (r, k)
@@ -215,20 +224,20 @@ def test_surv_g_records_nondecreasing_in_k():
     returns the replica's critical k, so its survival record nests in k, and
     survival at each k equals the answer of `explore` at that k."""
     seq, ks = powerlaw(1.0, 0.45), (1, 2, 4)
-    top = _params(k=max(ks), horizon=6, window=5, p=truncate(seq, max(ks)))
+    top = _params(horizon=6, window=5, p=truncate(seq, max(ks)))
     crits = run_replicas(_surv_g, (top,), seed=16, reps=60)
     assert all(c is None or 0 <= c <= max(ks) for c in crits)
     assert len(set(crits)) > 1  # the k-sweep is not trivial here
     for r, crit in enumerate(crits):
         fld = BondField(16).derive_replica(r)
         for k in ks:
-            params = _params(k=k, horizon=6, window=5, p=truncate(seq, k))
+            params = _params(horizon=6, window=5, p=truncate(seq, k))
             assert (crit is not None and crit <= k) == explore(fld, params).survived, (r, k)
 
 
 def test_critical_k_horizon_zero_is_zero():
     for k in (0, 3):
-        params = _params(k=k, horizon=0, p=truncate(constant(0.0), k))
+        params = _params(horizon=0, p=truncate(constant(0.0), k))
         res = explore(BondField(2), params)
         assert res.survived and res.critical_k == 0
 
@@ -239,7 +248,7 @@ def test_critical_k_horizon_zero_is_zero():
     (2, 1.0, 0),  # every move leaves a zero window
 ])
 def test_critical_k_none_when_the_front_dies(k, value, window):
-    params = _params(k=k, horizon=3, window=window, p=truncate(constant(value), k))
+    params = _params(horizon=3, window=window, p=truncate(constant(value), k))
     res = explore(BondField(2), params)
     assert not res.survived and res.critical_k is None
 
@@ -254,7 +263,7 @@ def test_critical_k_none_when_the_front_dies(k, value, window):
 ])
 def test_critical_k_deterministic_sequences(d, p, q, expected):
     k = 4
-    params = _params(d=d, k=k, horizon=3, window=20,
+    params = _params(d=d, horizon=3, window=20,
                      p=truncate(explicit(p), k), q=truncate(explicit(q), k))
     assert explore(BondField(7), params).critical_k == expected
 
@@ -299,7 +308,7 @@ def test_front_step_equals_lexsort_oracle(monkeypatch, case, branch):
     the lexsort branch it takes for a box too large for the key, and with
     both in one sweep."""
     c = _STEP_SETS[case]
-    params = _params(d=c["d"], k=c["k"], horizon=c["horizon"], window=c["window"],
+    params = _params(d=c["d"], horizon=c["horizon"], window=c["window"],
                      p=truncate(c["p"], c["k"]), q=truncate(c["q"], c["k"]))
     # the key needs at most (2W + 1)^d cells times min(k, 2W) + 1 labels
     cells = (2 * c["window"] + 1) ** c["d"] * (min(c["k"], 2 * c["window"]) + 1)
@@ -339,7 +348,7 @@ def test_one_full_size_fold_per_generation(monkeypatch):
     """Each generation hashes its (F, d, 2k') bond grid with one full-size
     fold; the tag, generation, coordinate and axis words fold at F * d
     values or fewer."""
-    params = _params(d=2, k=3, horizon=6, window=6, p=truncate(powerlaw(1.0, 0.45), 3))
+    params = _params(d=2, horizon=6, window=6, p=truncate(powerlaw(1.0, 0.45), 3))
     moves = params.displacement_table()[0].shape[0] // params.d
     log = []
     fold, step = bondfield._fold_array, oriented._advance_front
@@ -373,7 +382,7 @@ def test_surv_g_sweep_matches_exact_d1_values():
     seq, window, horizon, reps = powerlaw(1.0, 0.45), 2, 6, 4000
     exact = [oriented_survival_d1(truncate(seq, k), window, horizon) for k in (1, 2, 3, 4)]
     assert exact == pytest.approx([0.14099, 0.38804, 0.46711, 0.48976], abs=5e-6)
-    top = _params(d=1, k=4, horizon=horizon, window=window, p=truncate(seq, 4))
+    top = _params(d=1, horizon=horizon, window=window, p=truncate(seq, 4))
     crits = run_replicas(_surv_g, (top,), seed=7, reps=reps, threads=2)
     for k, value in zip((1, 2, 3, 4), exact):
         est = EstimateWithCI.from_counts(sum(c is not None and c <= k for c in crits), reps, 4.0)

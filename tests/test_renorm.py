@@ -15,7 +15,7 @@ from lrperc.stats import EstimateWithCI, wilson_interval
 
 
 def _bparams(k, p, q, beta=1):
-    return BifurcationParams(k, beta, truncate(p, k), truncate(q, k))
+    return BifurcationParams(beta, truncate(p, k), truncate(q, k))
 
 
 # -- order and boundary ---------------------------------------------------------
@@ -99,7 +99,12 @@ def test_params_require_open_vertical_probability():
     with pytest.raises(ValueError):
         _bparams(2, harmonic(), constant(0.0))
     with pytest.raises(ValueError):
-        BifurcationParams(2, 0, truncate(harmonic(), 2), truncate(harmonic(), 2))
+        BifurcationParams(0, truncate(harmonic(), 2), truncate(harmonic(), 2))
+
+
+def test_k_is_the_axis1_truncation():
+    """Every scanned range is an axis-1 bond's, so k is pseq's own."""
+    assert BifurcationParams(1, truncate(harmonic(), 2), truncate(harmonic(), 5)).k == 2
 
 
 def test_bifurcation_independence_across_separated_origins():

@@ -1,14 +1,12 @@
-import itertools
-
 import numpy as np
 import pytest
 
-from exact import star_survival
+from exact import h_probability, star_survival
 from lrperc import starlat
 from lrperc.bondfield import BondField, BondId
 from lrperc.sequences import constant, explicit, harmonic, powerlaw, truncate
 from lrperc.starlat import (
-    BlockParams, StarParams, block_path_critical_k, block_path_survival,
+    StarParams, block_path_critical_k, block_path_survival,
     check_zeta, choose_N, h_connected, h_label_max, staircase, vertical_open,
     zeta_labels,
 )
@@ -16,8 +14,12 @@ from lrperc.harness import _hprob, _surv_star, run_replicas
 from lrperc.stats import EstimateWithCI, wilson_interval
 
 
-def _sp(eps=0.5, p=None, k=2):
-    return StarParams(eps, truncate(p if p is not None else constant(0.5), k))
+def _seq(p=None, k=2):
+    return truncate(p if p is not None else constant(0.5), k)
+
+
+def _sp(eps=0.5, p=None, k=2, *, N):
+    return StarParams(eps, _seq(p, k), N)
 
 
 # -- staircase ---------------------------------------------------------------------
@@ -41,79 +43,50 @@ def test_staircase_steps_alternate():
 # -- H-events ----------------------------------------------------------------------
 
 def test_h_direct_bond_always_open():
-    params = _sp(p=constant(1.0), k=1)
-    assert h_connected(BondField(1), 0, 0, params, window=3)
-    assert h_connected(BondField(1), 1, 0, params, window=3)  # vertical-axis line
+    pseq = _seq(p=constant(1.0), k=1)
+    assert h_connected(BondField(1), 0, 0, pseq, window=3)
+    assert h_connected(BondField(1), 1, 0, pseq, window=3)  # vertical-axis line
 
 
 def test_h_all_zero_fails():
-    params = _sp(p=constant(0.0), k=2)
-    assert not h_connected(BondField(1), 0, 0, params, window=3)
+    assert not h_connected(BondField(1), 0, 0, _seq(p=constant(0.0)), window=3)
 
 
 def test_h_window_validation():
     with pytest.raises(ValueError):
-        h_connected(BondField(1), 0, 0, _sp(), window=0)
-
-
-def _exhaustive_h_prob(p1: float, p2: float, window: int) -> float:
-    """Exact H-probability on the window-W segment by enumerating every
-    configuration of the in-window bonds of the line (independent oracle)."""
-    bonds = [(t, t + i) for t in range(-window, window + 1) for i in (1, 2)
-             if abs(t + i) <= window]
-    probs = {b: (p1 if b[1] - b[0] == 1 else p2) for b in bonds}
-    total = 0.0
-    for bits in itertools.product((0, 1), repeat=len(bonds)):
-        open_bonds = [b for b, o in zip(bonds, bits) if o]
-        adj = {}
-        for (u, v) in open_bonds:
-            adj.setdefault(u, set()).add(v)
-            adj.setdefault(v, set()).add(u)
-        seen, stack = {0}, [0]
-        while stack:
-            u = stack.pop()
-            for v in adj.get(u, ()):
-                if v not in seen:
-                    seen.add(v)
-                    stack.append(v)
-        if 1 in seen:
-            w = 1.0
-            for b, o in zip(bonds, bits):
-                w *= probs[b] if o else 1 - probs[b]
-            total += w
-    return total
+        h_connected(BondField(1), 0, 0, _seq(), window=0)
 
 
 def test_h_exhaustive_oracle_pinned():
     # p_1 = p_2 = 0.5, window 2: seven in-window bonds, 128 configurations
-    exact = _exhaustive_h_prob(0.5, 0.5, window=2)
+    exact = h_probability(truncate(explicit([0.5, 0.5]), 2), 2)
     assert exact == pytest.approx(95.0 / 128.0, abs=1e-12)
 
 
 def test_h_monte_carlo_matches_oracle():
-    params = _sp(p=explicit([0.5, 0.5]), k=2)
-    hits = sum(c is not None for c in run_replicas(_hprob, (params, 2), seed=21,
+    pseq = _seq(p=explicit([0.5, 0.5]), k=2)
+    hits = sum(c is not None for c in run_replicas(_hprob, (pseq, 2), seed=21,
                                                    reps=20_000))
     est = EstimateWithCI.from_counts(hits, 20_000, z=3.0)
     assert est.lo <= 95.0 / 128.0 <= est.hi
 
 
 def test_h_window_monotone_per_sample():
-    params = _sp(p=harmonic(), k=3)
+    pseq = _seq(p=harmonic(), k=3)
     for r in range(300):
         fld = BondField(37).derive_replica(r)
-        if h_connected(fld, 0, 0, params, window=3):
-            assert h_connected(fld, 0, 0, params, window=6)
+        if h_connected(fld, 0, 0, pseq, window=3):
+            assert h_connected(fld, 0, 0, pseq, window=6)
 
 
 def test_h_uses_unoriented_bonds():
     """The line bonds are unoriented: connection may run through either
     endpoint ordering (canonical ids make this automatic)."""
-    params = _sp(p=explicit([0.0, 1.0]), k=2)
+    pseq = _seq(p=explicit([0.0, 1.0]), k=2)
     # only range-2 bonds are open, so every reachable offset is even and the
     # odd target can never be hit, whatever the window
-    assert not h_connected(BondField(5), 0, 0, params, window=2)
-    assert not h_connected(BondField(5), 0, 0, params, window=5)
+    assert not h_connected(BondField(5), 0, 0, pseq, window=2)
+    assert not h_connected(BondField(5), 0, 0, pseq, window=5)
 
 
 # -- block parameters ----------------------------------------------------------------
@@ -145,39 +118,37 @@ def test_choose_N_validation():
 # -- zeta blocks -----------------------------------------------------------------------
 
 def test_zeta_certain_block():
-    params = StarParams(1.0, truncate(constant(1.0), 1))
-    assert check_zeta(BondField(1), 0, 0, BlockParams(2, 0.5), params, window=3)
+    params = StarParams(1.0, truncate(constant(1.0), 1), 2)
+    assert check_zeta(BondField(1), 0, 0, params, window=3)
 
 
 def test_zeta_fails_without_horizontal_bonds():
-    params = _sp(p=constant(0.0))
-    assert not check_zeta(BondField(1), 0, 0, BlockParams(2, 0.5), params, window=3)
+    params = _sp(p=constant(0.0), N=2)
+    assert not check_zeta(BondField(1), 0, 0, params, window=3)
 
 
 def test_zeta_parity_enforced():
     with pytest.raises(ValueError):
-        check_zeta(BondField(1), 1, 0, BlockParams(2, 0.5), _sp(), window=3)
+        check_zeta(BondField(1), 1, 0, _sp(N=2), window=3)
 
 
 def test_zeta_matches_raw_recomputation():
     """The block indicator equals a direct recomputation from its
     constituents (H-events and vertical bonds)."""
-    params = _sp(eps=0.6, p=constant(0.7), k=2)
-    block = BlockParams(2, 0.5)
+    params = _sp(eps=0.6, p=constant(0.7), k=2, N=2)
     for r in range(60):
         fld = BondField(71).derive_replica(r)
-        hs = all(h_connected(fld, m, 0, params, 3) for m in range(0, 4))
+        hs = all(h_connected(fld, m, 0, params.pseq, 3) for m in range(0, 4))
         v1 = any(vertical_open(fld, staircase(m), 0, params) for m in (0, 1))
         v2 = any(vertical_open(fld, staircase(m), 0, params) for m in (2, 3))
-        assert check_zeta(fld, 0, 0, block, params, window=3) == (hs and v1 and v2)
+        assert check_zeta(fld, 0, 0, params, window=3) == (hs and v1 and v2)
 
 
-def zeta_bond_ids(a: int, n: int, block: BlockParams, params: StarParams,
-                  window: int) -> set:
+def zeta_bond_ids(a: int, n: int, params: StarParams, window: int) -> set:
     """All bond ids a zeta-block may consult: every in-window horizontal bond
     on its 2N lines plus its 2N vertical bonds."""
     ids = set()
-    N, k = block.N, params.k
+    N, k = params.N, params.k
     for m in range(a * N, a * N + 2 * N):
         base = staircase(m)
         axis = 1 if m % 2 == 0 else 2
@@ -193,11 +164,10 @@ def zeta_bond_ids(a: int, n: int, block: BlockParams, params: StarParams,
 
 def test_zeta_blocks_bond_disjoint():
     """Distinct blocks at the same level consult disjoint bond sets."""
-    params = _sp(k=2)
-    block = BlockParams(3, 0.5)
-    ids0 = zeta_bond_ids(0, 0, block, params, window=2)
-    ids2 = zeta_bond_ids(2, 0, block, params, window=2)
-    ids_up = zeta_bond_ids(1, 1, block, params, window=2)
+    params = _sp(k=2, N=3)
+    ids0 = zeta_bond_ids(0, 0, params, window=2)
+    ids2 = zeta_bond_ids(2, 0, params, window=2)
+    ids_up = zeta_bond_ids(1, 1, params, window=2)
     assert ids0 and ids2
     assert not ids0 & ids2
     assert not ids0 & ids_up
@@ -208,24 +178,22 @@ def test_zeta_success_frequency_beats_failure_budget():
     succeeds with frequency above 1 - delta (within 3 sigma)."""
     eps, delta = 0.5, 0.5
     N = choose_N(eps, delta)
-    params = StarParams(eps, truncate(constant(0.97), 3))
-    block = BlockParams(N, delta)
+    params = StarParams(eps, truncate(constant(0.97), 3), N)
     trials = 2_000
-    hits = sum(check_zeta(BondField(83).derive_replica(r), 0, 0, block, params, 4)
+    hits = sum(check_zeta(BondField(83).derive_replica(r), 0, 0, params, 4)
                for r in range(trials))
     lo, hi = wilson_interval(hits, trials, z=3.0)
     assert hi > 1 - delta
 
 
 def test_zeta_independence_across_disjoint_blocks():
-    params = _sp(eps=0.6, p=constant(0.7), k=2)
-    block = BlockParams(3, 0.5)
+    params = _sp(eps=0.6, p=constant(0.7), k=2, N=3)
     n = 2_000
     both = z0 = z2 = 0
     for r in range(n):
         fld = BondField(97).derive_replica(r)
-        a = check_zeta(fld, 0, 0, block, params, window=2)
-        b = check_zeta(fld, 2, 0, block, params, window=2)
+        a = check_zeta(fld, 0, 0, params, window=2)
+        b = check_zeta(fld, 2, 0, params, window=2)
         z0 += a
         z2 += b
         both += a and b
@@ -236,17 +204,17 @@ def test_zeta_independence_across_disjoint_blocks():
 # -- block-path survival ---------------------------------------------------------------
 
 def test_block_survival_extremes():
-    sure = StarParams(1.0, truncate(constant(1.0), 1))
-    crits = run_replicas(_surv_star, (BlockParams(1, 0.5), sure, 5, 3), seed=3, reps=20)
+    sure = StarParams(1.0, truncate(constant(1.0), 1), 1)
+    crits = run_replicas(_surv_star, (sure, 5, 3), seed=3, reps=20)
     assert sum(c is not None and c <= 1 for c in crits) == 20
-    dead = _sp(p=constant(0.0))
-    crits = run_replicas(_surv_star, (BlockParams(2, 0.5), dead, 3, 3), seed=3, reps=20)
+    dead = _sp(p=constant(0.0), N=2)
+    crits = run_replicas(_surv_star, (dead, 3, 3), seed=3, reps=20)
     assert sum(c is not None and c <= 2 for c in crits) == 0
 
 
 def test_block_survival_single_replica_path():
-    sure = StarParams(1.0, truncate(constant(1.0), 1))
-    assert block_path_survival(BondField(4), BlockParams(1, 0.5), sure, 4, 3)
+    sure = StarParams(1.0, truncate(constant(1.0), 1), 1)
+    assert block_path_survival(BondField(4), sure, 4, 3)
 
 
 # -- labelled kernels against the per-k oracles ------------------------------------------
@@ -275,7 +243,7 @@ def test_h_labels_equal_h_connected(case, h_path):
     """For every replica, line and k: H-label <= k iff `h_connected` at k."""
     c = _H_SETS[case]
     h_path(c["kmax"], c["window"])
-    top = _sp(p=c["p"], k=c["kmax"])
+    top = _seq(p=c["p"], k=c["kmax"])
     lines = list(range(-3, 5))  # both axes, negative staircase indices too
     seen = set()
     for r in range(40):
@@ -284,9 +252,9 @@ def test_h_labels_equal_h_connected(case, h_path):
             labels = h_label_max(fld, np.array(lines)[:, None], n, top, c["window"])
             seen.update(labels.tolist())
             for k in range(c["kmax"] + 1):
-                params = _sp(p=c["p"], k=k)
+                pseq = _seq(p=c["p"], k=k)
                 for m, label in zip(lines, labels):
-                    assert (label <= k) == h_connected(fld, m, n, params, c["window"]), \
+                    assert (label <= k) == h_connected(fld, m, n, pseq, c["window"]), \
                         (r, n, m, k)
     assert len(seen) > 2
 
@@ -294,22 +262,21 @@ def test_h_labels_equal_h_connected(case, h_path):
 def test_zeta_labels_equal_check_zeta(h_path):
     p, kmax, window = powerlaw(1.0, 0.6), 3, 3
     h_path(kmax, window)
-    block = BlockParams(2, 0.5)
-    top = _sp(eps=0.5, p=p, k=kmax)
+    top = _sp(eps=0.5, p=p, k=kmax, N=2)
     seen = set()
     for r in range(40):
         fld = BondField(59).derive_replica(r)
         for n, blocks in ((0, [-2, 0, 2]), (1, [-1, 1])):
-            labels = zeta_labels(fld, blocks, n, block, top, window)
+            labels = zeta_labels(fld, blocks, n, top, window)
             seen.update(labels.tolist())
             for k in range(kmax + 1):
-                params = _sp(eps=0.5, p=p, k=k)
+                params = _sp(eps=0.5, p=p, k=k, N=2)
                 for a, label in zip(blocks, labels):
-                    assert (label <= k) == check_zeta(fld, a, n, block, params, window), \
+                    assert (label <= k) == check_zeta(fld, a, n, params, window), \
                         (r, n, a, k)
     assert len(seen) > 2
     with pytest.raises(ValueError):
-        zeta_labels(BondField(1), [1], 0, block, top, window)
+        zeta_labels(BondField(1), [1], 0, top, window)
 
 
 _BLOCK_SETS = [
@@ -327,16 +294,16 @@ def test_critical_k_equals_per_k_block_path_survival(case, h_path):
     critical_k <= k iff `block_path_survival` at k."""
     c = _BLOCK_SETS[case]
     h_path(c["kmax"], c["window"])
-    block = BlockParams(choose_N(c["eps"], 0.5), 0.5)
-    top = _sp(eps=c["eps"], p=c["p"], k=c["kmax"])
+    N = choose_N(c["eps"], 0.5)
+    top = _sp(eps=c["eps"], p=c["p"], k=c["kmax"], N=N)
     seen = set()
     for r in range(40):
         fld = BondField(61 + case).derive_replica(r)
-        crit = block_path_critical_k(fld, block, top, c["horizon"], c["window"])
+        crit = block_path_critical_k(fld, top, c["horizon"], c["window"])
         seen.add(crit)
         for k in range(c["kmax"] + 1):
-            params = _sp(eps=c["eps"], p=c["p"], k=k)
-            survived = block_path_survival(fld, block, params, c["horizon"], c["window"])
+            params = _sp(eps=c["eps"], p=c["p"], k=k, N=N)
+            survived = block_path_survival(fld, params, c["horizon"], c["window"])
             assert (crit is not None and crit <= k) == survived, (r, k)
     assert len(seen) > 2
 
@@ -351,8 +318,8 @@ def test_surv_star_sweep_matches_exact_values():
     assert choose_N(0.8, 0.5) == 2
     exact = [star_survival(0.8, 2, truncate(seq, k), window, horizon) for k in (1, 2, 4)]
     assert exact == pytest.approx([0.64524, 0.84481, 0.88585], abs=5e-6)
-    top = _sp(eps=0.8, p=seq, k=4)
-    crits = run_replicas(_surv_star, (BlockParams(2, 0.5), top, horizon, window),
+    top = _sp(eps=0.8, p=seq, k=4, N=2)
+    crits = run_replicas(_surv_star, (top, horizon, window),
                          seed=13, reps=reps, threads=2)
     for k, value in zip((1, 2, 4), exact):
         est = EstimateWithCI.from_counts(sum(c is not None and c <= k for c in crits), reps, 4.0)
@@ -363,16 +330,16 @@ def test_surv_star_records_nondecreasing_in_k():
     returns the replica's critical k, so its survival record nests in k, and
     survival at each k equals the answer of `block_path_survival` at that k."""
     seq, ks = powerlaw(1.0, 0.95), (1, 2, 4)
-    block = BlockParams(choose_N(0.8, 0.5), 0.5)
-    top = _sp(eps=0.8, p=seq, k=max(ks))
-    crits = run_replicas(_surv_star, (block, top, 5, 4), seed=16, reps=60)
+    N = choose_N(0.8, 0.5)
+    top = _sp(eps=0.8, p=seq, k=max(ks), N=N)
+    crits = run_replicas(_surv_star, (top, 5, 4), seed=16, reps=60)
     assert all(c is None or 0 <= c <= max(ks) for c in crits)
     assert len(set(crits)) > 1  # the k-sweep is not trivial here
     for r, crit in enumerate(crits):
         fld = BondField(16).derive_replica(r)
         for k in ks:
-            params = _sp(eps=0.8, p=seq, k=k)
-            survived = block_path_survival(fld, block, params, 5, 4)
+            params = _sp(eps=0.8, p=seq, k=k, N=N)
+            survived = block_path_survival(fld, params, 5, 4)
             assert (crit is not None and crit <= k) == survived, (r, k)
 
 
@@ -380,30 +347,29 @@ def test_hprob_records_equal_h_connected():
     """The kernel's one lazy search at the largest k gives the least k at
     which the scalar `h_connected` holds, at every k down to 0."""
     seq, kmax = powerlaw(1.0, 0.5), 3
-    crits = run_replicas(_hprob, (_sp(p=seq, k=kmax), 3), seed=17, reps=60)
+    crits = run_replicas(_hprob, (_seq(p=seq, k=kmax), 3), seed=17, reps=60)
     assert len(set(crits)) > 2
     for r, crit in enumerate(crits):
         fld = BondField(17).derive_replica(r)
         for k in range(kmax + 1):
-            held = h_connected(fld, 0, 0, _sp(p=seq, k=k), 3)
+            held = h_connected(fld, 0, 0, _seq(p=seq, k=k), 3)
             assert (crit is not None and crit <= k) == held, (r, k)
 
 
 def test_labels_at_kmax_zero():
     """No horizontal bond exists at k = 0: every H-event fails and only the
     empty block path survives."""
-    top = _sp(eps=1.0, p=constant(1.0), k=0)
-    assert h_label_max(BondField(3), np.array([[0], [1]]), 0, top, 2).tolist() == [1, 1]
-    block = BlockParams(1, 0.5)
-    assert block_path_critical_k(BondField(3), block, top, 2, 2) is None
-    assert not block_path_survival(BondField(3), block, top, 2, 2)
-    assert block_path_critical_k(BondField(3), block, top, 0, 2) == 0
+    top = _sp(eps=1.0, p=constant(1.0), k=0, N=1)
+    assert h_label_max(BondField(3), np.array([[0], [1]]), 0, top.pseq, 2).tolist() == [1, 1]
+    assert block_path_critical_k(BondField(3), top, 2, 2) is None
+    assert not block_path_survival(BondField(3), top, 2, 2)
+    assert block_path_critical_k(BondField(3), top, 0, 2) == 0
 
 
 @pytest.mark.parametrize("p", [constant(0.0), constant(1.0), explicit([0.0, 1.0])])
 def test_critical_k_horizon_zero_is_zero(p):
-    top = _sp(p=p, k=3)
-    assert block_path_critical_k(BondField(2), BlockParams(2, 0.5), top, 0, 2) == 0
+    top = _sp(p=p, k=3, N=2)
+    assert block_path_critical_k(BondField(2), top, 0, 2) == 0
 
 
 @pytest.mark.parametrize("p, window, h_expected, crit_expected", [
@@ -415,12 +381,11 @@ def test_critical_k_horizon_zero_is_zero(p):
     ([0.0, 0.0, 1.0, 1.0], 3, 4, 4),  # 0 -> -3 -> 1 or 0 -> 3 -> -1
 ])
 def test_labels_deterministic_sequences(p, window, h_expected, crit_expected, h_path):
-    top = _sp(eps=1.0, p=explicit(p), k=max(3, len(p)))
+    top = _sp(eps=1.0, p=explicit(p), k=max(3, len(p)), N=1)
     h_path(top.k, window)
     lines = np.array([[0], [1], [2], [3]])
-    assert h_label_max(BondField(7), lines, 1, top, window).tolist() == [h_expected] * 4
-    block = BlockParams(1, 0.5)
-    assert block_path_critical_k(BondField(7), block, top, 3, window) == crit_expected
+    assert h_label_max(BondField(7), lines, 1, top.pseq, window).tolist() == [h_expected] * 4
+    assert block_path_critical_k(BondField(7), top, 3, window) == crit_expected
 
 
 def test_lazy_route_stops_a_row_at_its_first_failed_line(monkeypatch):
@@ -430,27 +395,27 @@ def test_lazy_route_stops_a_row_at_its_first_failed_line(monkeypatch):
     searched = []
     h_label = starlat.h_label
 
-    def spy(fld, m, n, params, window):
+    def spy(fld, m, n, pseq, window):
         searched.append(m)
-        return h_label(fld, m, n, params, window)
+        return h_label(fld, m, n, pseq, window)
     monkeypatch.setattr(starlat, "h_label", spy)
     row = np.array([[0, 1, 2, 3]])
-    dead = _sp(p=explicit([0.0, 1.0]), k=3)  # range 2 alone keeps to even offsets
+    dead = _seq(p=explicit([0.0, 1.0]), k=3)  # range 2 alone keeps to even offsets
     assert h_label_max(BondField(7), row, 0, dead, 3).tolist() == [dead.k + 1]
     assert searched == [0]
     searched.clear()
-    sure = _sp(p=constant(1.0), k=3)
+    sure = _seq(p=constant(1.0), k=3)
     assert h_label_max(BondField(7), row, 0, sure, 3).tolist() == [1]
     assert searched == [0, 1, 2, 3]
 
 
 def test_h_labels_window_validation():
     with pytest.raises(ValueError):
-        h_label_max(BondField(1), np.array([[0]]), 0, _sp(), window=0)
+        h_label_max(BondField(1), np.array([[0]]), 0, _seq(), window=0)
 
 
 def test_param_validation():
     with pytest.raises(ValueError):
-        StarParams(0.0, truncate(harmonic(), 1))
+        StarParams(0.0, truncate(harmonic(), 1), 1)
     with pytest.raises(ValueError):
-        BlockParams(0, 0.5)
+        StarParams(0.5, truncate(harmonic(), 1), 0)
