@@ -476,8 +476,7 @@ def f_events(rates: TruncatedSequence, params: SkeletonParams, trials: int,
 
 # -- survival -------------------------------------------------------------------
 
-def infected_at_horizon(tl: Timeline, k: int, origin=None) -> set:
-    """The set of sites k-connected from (origin, 0) at the timeline horizon."""
-    if origin is None:
-        origin = tuple(0 for _ in tl.bounds)
+def infected_at_horizon(tl: Timeline, k: int) -> set:
+    """The set of sites k-connected from (0, 0) at the timeline horizon."""
+    origin = (0,) * len(tl.bounds)
     return {v for v, lab in infection_labels(tl, origin, 0.0, tl.horizon).items() if lab <= k}

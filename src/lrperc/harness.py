@@ -10,7 +10,9 @@ always 0 and is kept only so the CSV keeps its 12 columns.
 `PARAMS` holds each subcommand's keys, kinds and defaults.  A config
 rejects any other key, read from a file or set in code; its `typed_params`
 reads its texts against it, so the runners get typed values, and its hash
-covers the defaults it ran with.
+covers the defaults it ran with.  A kind carries its bounds too, so an
+out-of-range value is refused by its key before any replica is drawn, and
+the runners hold no range check.
 
 A k-sweep chunk kernel, passed by function to `run_replicas`, sweeps each
 replica once, at the largest k, and returns its critical k, the least k at
@@ -86,11 +88,25 @@ def _domination(args, root, lo, hi):
 
 # -- configuration ---------------------------------------------------------------
 
-# A kind is (what "'<text>' is not ..." ends with, the parser of the text).
+# A kind is (what "'<text>' is not ..." ends with, the parser of the text);
+# the parser raises ValueError on a malformed or out-of-range text.
+def _bounded(parse, ok):
+    def read(text):
+        value = parse(text)
+        if not ok(value):
+            raise ValueError(text)
+        return value
+    return read
+
+
 SEQ = ("a sequence", parse_sequence)  # a bad one keeps parse_sequence's message
 INT = ("an integer", int)
+NAT = ("an integer >= 0", _bounded(int, lambda n: n >= 0))
+POS = ("an integer >= 1", _bounded(int, lambda n: n >= 1))
 NUM = ("a number", float)
+FPOS = ("a finite positive number", _bounded(float, lambda x: 0 < x < math.inf))
 INTS = ("a comma-separated list of integers", lambda text: [int(t) for t in text.split(",")])
+NATS = ("a comma-separated list of integers >= 0", _bounded(INTS[1], lambda ns: min(ns) >= 0))
 NUMS = ("a comma-separated list of numbers", lambda text: [float(t) for t in text.split(",")])
 TEXT = ("text", str)
 
@@ -100,18 +116,20 @@ class _Copy(str):
 
 
 # Each subcommand's keys in CLI order: key -> (kind, default text); None: required.
+# A key keeps INT or NUM where a model object checks its range before sampling:
+# survival's dim, horizon and window, beta, siteperc's lists, star's eps and delta.
 PARAMS = {
-    "gamma": {"pseq": (SEQ, None), "qseq": (SEQ, None), "beta": (INT, None), "kmax": (INT, None)},
+    "gamma": {"pseq": (SEQ, None), "qseq": (SEQ, None), "beta": (INT, None), "kmax": (POS, None)},
     "survival": {"pseq": (SEQ, None), "qseq": (SEQ, _Copy("pseq")), "dim": (INT, "2"),
-                 "k": (INTS, None), "horizon": (INT, None), "window": (INT, None)},
+                 "k": (NATS, None), "horizon": (INT, None), "window": (INT, None)},
     "redcluster": {"pseq": (SEQ, None), "qseq": (SEQ, None), "beta": (INT, None),
-                   "k": (INTS, None), "steps": (INT, "100000")},
+                   "k": (NATS, None), "steps": (POS, "100000")},
     "siteperc": {"gamma": (NUMS, None), "horizon": (INTS, None)},
-    "contact": {"rates": (SEQ, None), "dim": (INT, "2"), "k": (INTS, None),
-                "horizon": (NUM, None), "window": (INT, None)},
-    "star": {"eps": (NUM, None), "pseq": (SEQ, None), "k": (INTS, None), "delta": (NUM, None),
-             "horizon": (INT, None), "window": (INT, None)},
-    "hprob": {"pseq": (SEQ, None), "k": (INTS, None), "window": (INT, None)},
+    "contact": {"rates": (SEQ, None), "dim": (POS, "2"), "k": (NATS, None),
+                "horizon": (FPOS, None), "window": (NAT, None)},
+    "star": {"eps": (NUM, None), "pseq": (SEQ, None), "k": (NATS, None), "delta": (NUM, None),
+             "horizon": (NAT, None), "window": (POS, None)},
+    "hprob": {"pseq": (SEQ, None), "k": (NATS, None), "window": (POS, None)},
 }
 # the keys of every subcommand, with ExperimentConfig's defaults
 GLOBALS = {"seed": INT, "reps": INT, "threads": INT, "z": NUM, "out": TEXT}
@@ -183,7 +201,8 @@ class ExperimentConfig:
 
     def typed_params(self) -> dict:
         """The typed value of each key of PARAMS[command].  All missing keys
-        are named at once; a malformed value is named by its key."""
+        are named at once; a malformed or out-of-range value is named by its
+        key."""
         texts, keys = self.resolved(), PARAMS[self.command]
         missing = [repr(key) for key in keys if key not in texts]
         if missing:
@@ -194,19 +213,6 @@ class ExperimentConfig:
     def hash(self) -> str:
         blob = "\n".join(f"{k}={v}" for k, v in sorted(self.resolved().items()))
         return hashlib.sha256(blob.encode()).hexdigest()[:12]
-
-
-def _ks(p: dict) -> list:
-    """The --k list, in order and with duplicates, checked before sampling."""
-    if min(p["k"]) < 0:
-        raise ValueError("truncation range must be nonnegative")
-    return p["k"]
-
-
-def _star_window(p: dict) -> int:
-    if p["window"] < 1:
-        raise ValueError("window must be >= 1")
-    return p["window"]
 
 
 # -- runners: (cfg, typed parameters) -> rows ----------------------------------------
@@ -234,11 +240,9 @@ def _row(cfg, model, k, horizon, window, extra, est: EstimateWithCI | None,
 
 
 def _run_gamma(cfg, p):
-    beta, kmax = p["beta"], p["kmax"]
-    if kmax < 1:
-        raise ValueError(f"kmax must be >= 1, got {kmax}")
+    beta = p["beta"]
     rows = []
-    for k in range(1, kmax + 1):
+    for k in range(1, p["kmax"] + 1):
         params = renorm.BifurcationParams(beta, truncate(p["pseq"], k), truncate(p["qseq"], k))
         rows.append(_row(cfg, "renorm", k, "", "", {"beta": beta},
                          None, value=renorm.gamma_k(params)))
@@ -246,8 +250,7 @@ def _run_gamma(cfg, p):
 
 
 def _run_survival(cfg, p):
-    d, horizon, window = p["dim"], p["horizon"], p["window"]
-    ks = _ks(p)
+    d, horizon, window, ks = p["dim"], p["horizon"], p["window"], p["k"]
     kmax = max(ks)
     params = oriented.ExplorationParams(d, horizon, window,
                                         truncate(p["pseq"], kmax), truncate(p["qseq"], kmax))
@@ -256,10 +259,7 @@ def _run_survival(cfg, p):
 
 
 def _run_redcluster(cfg, p):
-    beta, steps = p["beta"], p["steps"]
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
-    ks = _ks(p)
+    beta, steps, ks = p["beta"], p["steps"], p["k"]
     distinct = list(dict.fromkeys(ks))  # one red cluster per distinct k
     levels = [renorm.BifurcationParams(beta, truncate(p["pseq"], k), truncate(p["qseq"], k))
               for k in distinct]
@@ -290,19 +290,14 @@ def _run_siteperc(cfg, p):
 
 
 def _run_contact(cfg, p):
-    d, horizon, window = p["dim"], p["horizon"], p["window"]
-    ks = _ks(p)
+    d, horizon, window, ks = p["dim"], p["horizon"], p["window"], p["k"]
     args = (truncate(p["rates"], max(ks)), window, horizon, d)
     return [_row(cfg, "contact", k, horizon, window, {"dim": d}, est)
             for k, est in _k_estimates(cfg, ks, _surv_contact, args)]
 
 
 def _run_star(cfg, p):
-    eps, delta, horizon = p["eps"], p["delta"], p["horizon"]
-    if horizon < 0:
-        raise ValueError("horizon must be nonnegative")
-    window = _star_window(p)
-    ks = _ks(p)
+    eps, delta, horizon, window, ks = p["eps"], p["delta"], p["horizon"], p["window"], p["k"]
     N = starlat.choose_N(eps, delta)
     args = (starlat.StarParams(eps, truncate(p["pseq"], max(ks)), N), horizon, window)
     return [_row(cfg, "gstar", k, horizon, window, {"eps": eps, "delta": delta, "N": N}, est)
@@ -310,8 +305,7 @@ def _run_star(cfg, p):
 
 
 def _run_hprob(cfg, p):
-    window = _star_window(p)
-    ks = _ks(p)
+    window, ks = p["window"], p["k"]
     args = (truncate(p["pseq"], max(ks)), window)
     return [_row(cfg, "gstar", k, "", window, {}, est)
             for k, est in _k_estimates(cfg, ks, _hprob, args)]

@@ -42,7 +42,9 @@ class BifurcationParams:
     def __post_init__(self):
         if self.beta < 1:
             raise ValueError("beta must be >= 1")
-        if self.qseq.term(self.beta) <= 0.0:
+        # the untruncated law: at k < beta the vertical bond is truncated away
+        # and gamma_k = 0, a row, not an error
+        if self.qseq.base.eval(self.beta) <= 0.0:
             raise ValueError("vertical displacement beta needs positive probability")
 
     @property

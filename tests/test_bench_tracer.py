@@ -58,3 +58,34 @@ def test_bench_tracer_installs_on_every_target_and_uninstalls(monkeypatch):
     assert report["starlat.block_path_survival"]["calls"] == 1
     assert report["starlat.check_zeta"]["calls"] == 1
     assert report["starlat.h_connected"]["true"] == report["starlat.h_connected"]["calls"] == 2
+
+
+def _traced_run(spans, argv):
+    """(untraced CSV, traced CSV, span report) of one in-process run."""
+    cfg = cli.resolve_config([*argv, "--reps", "4", "--threads", "1"])
+    untraced = harness.format_csv(harness.run_experiment(cfg))
+    with spans.Tracer(lrperc) as tracer:
+        traced = harness.format_csv(harness.run_experiment(cfg))
+    return untraced, traced, tracer.report()
+
+
+def test_bench_tracer_counts_contact_marks(monkeypatch):
+    """`_count_marks` reads each sampled timeline's deaths, arrows and resamples."""
+    spans = _load_spans(monkeypatch)
+    untraced, traced, report = _traced_run(spans, [
+        "contact", "--rates", "powerlaw:1,0.6", "--dim", "1", "--k", "1,2",
+        "--horizon", "2", "--window", "2"])
+    assert traced == untraced
+    sampled = report["contact.sample_timeline"]
+    assert sampled["calls"] == 4 and sampled["marks"] > 0 and "resamples" in sampled
+
+
+def test_bench_tracer_counts_oriented_vertices(monkeypatch):
+    """`_count_vertices` reads each exploration's `total_visited`."""
+    spans = _load_spans(monkeypatch)
+    untraced, traced, report = _traced_run(spans, [
+        "survival", "--pseq", "powerlaw:1,0.5", "--dim", "2", "--k", "1,2",
+        "--horizon", "3", "--window", "3"])
+    assert traced == untraced
+    explored = report["oriented.explore"]
+    assert explored["calls"] == 4 and explored["vertices"] > 0

@@ -527,15 +527,3 @@ def test_box_validation():
         sample_timeline(1, rates, box=1, horizon=1.0, d=0)
     with pytest.raises(ValueError, match="lo <= hi"):
         sample_timeline(1, rates, box=[(2, 1)], horizon=1.0, d=1)
-
-
-@pytest.mark.parametrize("flag,value", [("--horizon", "inf"), ("--horizon", "nan"),
-                                        ("--window", "-1"), ("--dim", "0"),
-                                        ("--k", "-1"), ("--k", "2,-1")])
-def test_cli_contact_rejects_bad_value(capsys, flag, value):
-    argv = {"--rates": "powerlaw:1,0.6", "--k": "1", "--horizon": "2", "--window": "1",
-            "--dim": "1", "--reps": "3"}
-    argv[flag] = value
-    assert main(["contact", *(t for kv in argv.items() for t in kv)]) == 2
-    err = capsys.readouterr().err.strip().split("\n")
-    assert err[-1].startswith("error: ")

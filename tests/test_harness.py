@@ -248,19 +248,9 @@ def test_survival_rows_keep_k_order_and_duplicates(ks):
             [alone[c] for c in ("estimate", "ci_lo", "ci_hi")]
 
 
-def test_cli_survival_negative_k_rejected_before_sampling(capsys, monkeypatch):
-    def no_sampling(*args, **kwargs):
-        raise AssertionError("sampled before the k list was checked")
-    monkeypatch.setattr(harness, "run_replicas", no_sampling)
-    assert main(["survival", "--pseq", "harmonic", "--k", "1,-1", "--horizon", "2",
-                 "--window", "2", "--reps", "2"]) == 2
-    err = capsys.readouterr().err.strip().split("\n")
-    assert err[-1] == "error: truncation range must be nonnegative"
-
-
 @pytest.mark.parametrize("argv, message", [
     (["survival", "--pseq", "harmonic", "--k", "1,", "--horizon", "2", "--window", "2"],
-     "--k: '1,' is not a comma-separated list of integers"),
+     "--k: '1,' is not a comma-separated list of integers >= 0"),
     (["siteperc", "--gamma", "0.5,x", "--horizon", "2"],
      "--gamma: '0.5,x' is not a comma-separated list of numbers"),
 ])
@@ -326,62 +316,47 @@ def test_cli_star_wide_window_draws_in_capped_batches(monkeypatch, tmp_path, win
         assert (int(row["k"]), float(row["estimate"])) == (k, hits / 4)
 
 
-@pytest.mark.parametrize("command, flag, value, message", [
-    ("star", "--horizon", "-1", "horizon must be nonnegative"),
-    ("star", "--window", "0", "window must be >= 1"),
-    ("star", "--k", "1,-1", "truncation range must be nonnegative"),
-    ("hprob", "--window", "0", "window must be >= 1"),
-    ("hprob", "--k", "2,-1", "truncation range must be nonnegative"),
-])
-def test_cli_star_bad_value_rejected_before_sampling(capsys, monkeypatch, command, flag,
-                                                     value, message):
-    def no_sampling(*args, **kwargs):
-        raise AssertionError("sampled before the input was checked")
-    monkeypatch.setattr(harness, "run_replicas", no_sampling)
-    argv = {**{f"--{key}": v for key, v in _TINY_STAR[command].items()}, "--k": "1",
-            "--reps": "2"}
-    argv[flag] = value
-    assert main([command, *(t for kv in argv.items() for t in kv)]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.strip().split("\n")[-1] == f"error: {message}"
-
-
-@pytest.mark.parametrize("flag,value,message", [
-    ("--steps", "0", "steps must be >= 1"),
-    ("--steps", "-1", "steps must be >= 1"),
-    ("--k", "1,-1", "truncation range must be nonnegative"),
-])
-def test_cli_redcluster_bad_value_rejected_before_sampling(capsys, monkeypatch, flag, value,
-                                                          message):
-    def no_sampling(*args, **kwargs):
-        raise AssertionError("sampled before the input was checked")
-    monkeypatch.setattr(harness, "run_replicas", no_sampling)
-    argv = {"--pseq": "harmonic", "--qseq": "harmonic", "--beta": "1", "--k": "1",
-            "--reps": "2", "--steps": "3"}
-    argv[flag] = value
-    assert main(["redcluster", *(t for kv in argv.items() for t in kv)]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.strip().split("\n")[-1] == f"error: {message}"
-
-
-@pytest.mark.parametrize("flag,value", [("--kmax", "0"), ("--kmax", "-2"), ("--reps", "-1")])
-def test_cli_gamma_rejects_bad_value(capsys, flag, value):
-    argv = {"--pseq": "harmonic", "--qseq": "harmonic", "--beta": "1", "--kmax": "2"}
-    argv[flag] = value
-    assert main(["gamma", *(t for kv in argv.items() for t in kv)]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""  # no header without rows
-    assert captured.err.strip().split("\n")[-1].startswith("error: ")
-
-
 def test_gamma_rows_are_exact_values():
     cfg = ExperimentConfig("gamma", params={"pseq": "list:0.5", "qseq": "const:0.5",
                                             "beta": "1", "kmax": "1"})
     rows = run_experiment(cfg)
     assert len(rows) == 1
     assert rows[0]["estimate"] == pytest.approx(0.33984375, abs=1e-12)
+
+
+def test_gamma_curve_reads_zero_below_beta(capsys):
+    """At k < beta no bond of range beta exists, so gamma_k = 0 exactly; the
+    curve equals gamma_k at every k.  A law with no vertical bond of range
+    beta at all stays an error."""
+    cfg = ExperimentConfig("gamma", params={"pseq": "harmonic", "qseq": "harmonic",
+                                            "beta": "3", "kmax": "5"})
+    want = [renorm.gamma_k(renorm.BifurcationParams(3, truncate(harmonic(), k),
+                                                    truncate(harmonic(), k)))
+            for k in range(1, 6)]
+    assert [(r["k"], r["estimate"]) for r in run_experiment(cfg)] == list(zip(range(1, 6), want))
+    assert want[:2] == [0.0, 0.0] and min(want[2:]) > 0
+    for qseq in ("const:0", "list:0.5"):
+        assert main(["gamma", "--pseq", "harmonic", "--qseq", qseq, "--beta", "2",
+                     "--kmax", "5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.strip().split("\n")[-1] == \
+            "error: vertical displacement beta needs positive probability"
+
+
+def test_redcluster_reads_zero_below_beta():
+    """A k < beta row is estimate 0 with gamma_k = 0 and no violation, and the
+    k >= beta row of the same run equals that of a run at that k alone."""
+    def rows(ks):
+        return run_experiment(ExperimentConfig(
+            "redcluster", seed=2, reps=6,
+            params={"pseq": "harmonic", "qseq": "harmonic", "beta": "3", "k": ks, "steps": "8"}))
+    above, below = rows("5,2")
+    assert (below["k"], below["estimate"], below["ci_lo"]) == (2, 0.0, 0.0)
+    assert "gamma_k=0;" in below["extra_params"] and "violation=0" in below["extra_params"]
+    (alone,) = rows("5")
+    assert [above[c] for c in ("k", "estimate", "ci_lo", "ci_hi")] == \
+        [alone[c] for c in ("k", "estimate", "ci_lo", "ci_hi")]
 
 
 _HPROB_ARGS = (truncate(harmonic(), 3), 3)
@@ -613,8 +588,11 @@ def _argv(command, flags):
 
 
 
-_KIND_TEXT = {harness.INT: "an integer", harness.NUM: "a number",
+_KIND_TEXT = {harness.INT: "an integer", harness.NAT: "an integer >= 0",
+              harness.POS: "an integer >= 1", harness.NUM: "a number",
+              harness.FPOS: "a finite positive number",
               harness.INTS: "a comma-separated list of integers",
+              harness.NATS: "a comma-separated list of integers >= 0",
               harness.NUMS: "a comma-separated list of numbers"}
 
 
@@ -634,6 +612,47 @@ def test_cli_malformed_value_names_its_key(capsys, monkeypatch, command, key):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.strip().split("\n")[-1] == f"error: --{key}: {detail}"
+
+
+# every bounded (command, key) at the value just below its bound, and the
+# other out-of-range values a run has to refuse
+_OUT_OF_RANGE = [
+    ("gamma", "kmax", "0"), ("gamma", "kmax", "-2"),
+    ("survival", "k", "-1"), ("survival", "k", "1,-1"),
+    ("redcluster", "k", "-1"), ("redcluster", "k", "1,-1"),
+    ("redcluster", "steps", "0"), ("redcluster", "steps", "-1"),
+    ("contact", "dim", "0"), ("contact", "k", "-1"), ("contact", "k", "2,-1"),
+    ("contact", "horizon", "0"), ("contact", "horizon", "inf"), ("contact", "horizon", "nan"),
+    ("contact", "window", "-1"),
+    ("star", "k", "-1"), ("star", "k", "1,-1"), ("star", "horizon", "-1"),
+    ("star", "window", "0"),
+    ("hprob", "k", "-1"), ("hprob", "k", "2,-1"), ("hprob", "window", "0"),
+]
+
+
+def test_out_of_range_table_covers_every_bounded_key():
+    bounded = (harness.NAT, harness.NATS, harness.POS, harness.FPOS)
+    assert {(c, key) for c, key, _ in _OUT_OF_RANGE} == \
+        {(c, key) for c in PARAMS for key, (kind, _) in PARAMS[c].items() if kind in bounded}
+
+
+@pytest.mark.parametrize("command, key, value", [*_OUT_OF_RANGE, ("gamma", "reps", "-1")])
+def test_cli_out_of_range_value_rejected_before_sampling(capsys, monkeypatch, command, key,
+                                                         value):
+    """An out-of-range value is one `error:` line naming its key, exit 2 and
+    no stdout, before any replica is drawn or any worker starts.  A global
+    keeps ExperimentConfig's own message."""
+    message = (f"--{key}: '{value}' is not {_KIND_TEXT[PARAMS[command][key][0]]}"
+               if key in PARAMS[command] else "reps must be >= 1")
+
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled before the input was checked")
+    monkeypatch.setattr(harness, "run_replicas", no_sampling)
+    monkeypatch.setattr(harness.renorm, "cone_survival_scan", no_sampling)
+    assert main(_argv(command, {**_VALID[command], "reps": "2", key: value})) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip().split("\n")[-1] == f"error: {message}"
 
 
 @pytest.mark.parametrize("key", ["seed", "reps", "threads", "z"])

@@ -1,14 +1,16 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from exact import cone_survival
 from lrperc import renorm
-from lrperc.bondfield import BondField
+from lrperc.bondfield import BondField, BondId
 from lrperc.harness import ExperimentConfig, _bifurcation, run_experiment, run_replicas
 from lrperc.renorm import (
     BifurcationParams, check_bifurcation, cone_survival_scan, crossing_from_scan,
-    explore_red_cluster, gamma_k, reverify_red_cluster, site_perc_cone,
+    explore_red_cluster, gamma_k, reverify_red_cluster, site_perc_cone, verify_path,
 )
 from lrperc.sequences import constant, explicit, harmonic, powerlaw, truncate
 from lrperc.stats import EstimateWithCI, wilson_interval
@@ -172,6 +174,65 @@ def test_certificate_paths_have_correct_shape():
             assert path[0] == ((0, 0), 0)
             assert path[-1] == ((a, m * params.beta), 2 * n)
             assert len(path) == 2 * n + 1
+
+
+# -- the re-verifier refuses a corrupted state ----------------------------------------
+
+_RED_PARAMS = _bparams(4, powerlaw(1.0, 0.7), constant(0.7))
+
+
+@pytest.fixture(scope="module")
+def red_state():
+    """(field, state, (point, a, path)): a real state with red and examined
+    non-red points, and its longest certificate."""
+    fld = BondField(13).derive_replica(9)
+    state = explore_red_cluster(fld, _RED_PARAMS, max_steps=40)
+    assert state.A and state.B and reverify_red_cluster(fld, _RED_PARAMS, state)
+    longest = max(((point, a, path) for point, offsets in state.certificates.items()
+                   for a, path in offsets.items()), key=lambda c: (len(c[2]), c[0], c[1]))
+    assert len(longest[2]) >= 5
+    return fld, state, longest
+
+
+def _with_certificate(state, point, a, path):
+    """A copy of `state` whose only certificate of `point` is `path`, at offset `a`."""
+    return dataclasses.replace(state, certificates={**state.certificates, point: {a: path}})
+
+
+def _closed_last_step(fld, path):
+    """`path` with its last step replaced by a closed axis-1 bond of the same generation."""
+    x, n = path[-2]
+    a = next(a for a in (1, -1, 2, -2, 3, -3, 4, -4)
+             if not fld.is_open(BondId.oriented(x, n, 1, a), _RED_PARAMS.pseq.term(abs(a))))
+    return path[:-1] + (((x[0] + a, x[1]), n + 1),)
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda fld, path: path[:1] + path[2:],  # skips a generation
+    lambda fld, path: (path[0], ((1, 1), 1)) + path[2:],  # a diagonal step
+    _closed_last_step,
+], ids=["skipped-generation", "diagonal-step", "closed-bond"])
+def test_reverify_rejects_a_broken_path(red_state, corrupt):
+    fld, state, (point, a, path) = red_state
+    assert verify_path(fld, _RED_PARAMS, path)
+    bad = corrupt(fld, path)
+    assert not verify_path(fld, _RED_PARAMS, bad)
+    assert not reverify_red_cluster(fld, _RED_PARAMS, _with_certificate(state, point, a, bad))
+
+
+def test_reverify_rejects_a_path_ending_off_its_point(red_state):
+    """An open path filed under the wrong offset ends off ((a, m*beta), 2n)."""
+    fld, state, (point, a, path) = red_state
+    assert not reverify_red_cluster(fld, _RED_PARAMS, _with_certificate(state, point, a + 1, path))
+
+
+def test_reverify_rejects_a_red_point_without_a_bifurcation(red_state):
+    """A non-red point, its open certificates intact, listed in A."""
+    fld, state, _ = red_state
+    point = min(state.B)
+    assert state.certificates[point]
+    assert not reverify_red_cluster(fld, _RED_PARAMS,
+                                    dataclasses.replace(state, A=state.A | {point}))
 
 
 def prec(a, b) -> bool:
