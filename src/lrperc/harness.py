@@ -117,14 +117,14 @@ class _Copy(str):
 
 # Each subcommand's keys in CLI order: key -> (kind, default text); None: required.
 # A key keeps INT or NUM where a model object checks its range before sampling:
-# survival's dim, horizon and window, beta, siteperc's lists, star's eps and delta.
+# survival's dim, horizon and window, beta, siteperc's gamma, star's eps and delta.
 PARAMS = {
     "gamma": {"pseq": (SEQ, None), "qseq": (SEQ, None), "beta": (INT, None), "kmax": (POS, None)},
     "survival": {"pseq": (SEQ, None), "qseq": (SEQ, _Copy("pseq")), "dim": (INT, "2"),
                  "k": (NATS, None), "horizon": (INT, None), "window": (INT, None)},
     "redcluster": {"pseq": (SEQ, None), "qseq": (SEQ, None), "beta": (INT, None),
                    "k": (NATS, None), "steps": (POS, "100000")},
-    "siteperc": {"gamma": (NUMS, None), "horizon": (INTS, None)},
+    "siteperc": {"gamma": (NUMS, None), "horizon": (NATS, None)},
     "contact": {"rates": (SEQ, None), "dim": (POS, "2"), "k": (NATS, None),
                 "horizon": (FPOS, None), "window": (NAT, None)},
     "star": {"eps": (NUM, None), "pseq": (SEQ, None), "k": (NATS, None), "delta": (NUM, None),
@@ -132,7 +132,7 @@ PARAMS = {
     "hprob": {"pseq": (SEQ, None), "k": (NATS, None), "window": (POS, None)},
 }
 # the keys of every subcommand, with ExperimentConfig's defaults
-GLOBALS = {"seed": INT, "reps": INT, "threads": INT, "z": NUM, "out": TEXT}
+GLOBALS = {"seed": INT, "reps": POS, "threads": POS, "z": FPOS, "out": TEXT}
 
 
 def _parse(key: str, kind, text):

@@ -17,7 +17,11 @@ keeps its direction.
 
 Site percolation on the cone has a scalar oracle, `site_perc_cone`, and a
 scan that keeps one label per (replica, site), the least gamma above which
-the site is reached, so one pass answers every gamma.
+the site is reached, so one pass answers every gamma.  A label >= max(gamma)
+counts at no gamma of the grid, and neither do its children's, so the scan
+hashes only the sites that can still count: it drops the replicas with no
+such label and trims the rest to the columns between the first and the last
+label below max(gamma).  A grid holding gamma = 1 prunes nothing.
 """
 
 from __future__ import annotations
@@ -230,22 +234,40 @@ _SCAN_CELLS = 1 << 20  # most (replica, site) labels one chunk of the cone scan 
 
 
 def _cone_chunk(args, root, lo, hi):
-    """[S] over replicas lo..hi-1: the survival counts of the chunk."""
+    """[S] over replicas lo..hi-1: the survival counts of the chunk.
+
+    label[i, j] is the label of site (off + j, n) on replica replicas[i]; the
+    sites left out of that rectangle, and the replicas dropped, have labels
+    >= max(gammas) (see cone_survival_scan).
+    """
     gammas, horizons = args
+    top = gammas.max(initial=-np.inf)
     replicas = np.arange(lo, hi)[:, None]
     fld = root.derive_replica(replicas)
     label = np.full((replicas.size, 1), -np.inf)
+    off = 0
     counts = np.zeros((len(gammas), len(horizons)), dtype=np.int64)
     hidx = 0
     for n in range(horizons[-1] + 1):
         if n > 0:
-            m_col = np.arange(n + 1, dtype=np.int64)[None, :]
+            w = label.shape[1]
+            m_col = np.arange(off, off + w + 1, dtype=np.int64)[None, :]
             u = fld.uniforms([np.full((1, 1), TAG_SITE), m_col,
-                              np.full((1, 1), n)])  # (replicas, n+1)
-            parent = np.full((replicas.size, n + 1), np.inf)
-            parent[:, :n] = label
+                              np.full((1, 1), n)])  # (replicas, w+1)
+            parent = np.full((replicas.size, w + 1), np.inf)
+            parent[:, :w] = label
             np.minimum(parent[:, 1:], label, out=parent[:, 1:])  # the lesser of both parents
             label = np.maximum(u, parent, out=u)
+            live = label < top
+            keep = live.any(axis=1)
+            if not keep.all():
+                if not keep.any():
+                    break  # every later count of the chunk is 0
+                replicas, label, live = replicas[keep], label[keep], live[keep]
+                fld = root.derive_replica(replicas)
+            cols = np.flatnonzero(live.any(axis=0))
+            label = label[:, cols[0]:cols[-1] + 1]
+            off += int(cols[0])
         while hidx < len(horizons) and horizons[hidx] == n:
             counts[:, hidx] = (label.min(axis=1) < gammas[:, None]).sum(axis=1)
             hidx += 1
@@ -264,6 +286,17 @@ def cone_survival_scan(gammas, horizons, reps: int, seed: int, threads: int = 1)
     when min_m label(m, t) < gamma, which is nondecreasing in gamma.  The
     replicas are scanned in chunks of at most _SCAN_CELLS labels at the last
     horizon, on up to `threads` workers, so memory does not grow with `reps`.
+
+    Only labels below g = max(gammas) are computed.  The test is strict, so a
+    label >= g counts at no gamma of the grid, and every child of such a site
+    has a label >= g too (a child's label is at least its lesser parent's).
+    After each generation a chunk drops the replicas with no label below g,
+    which count 0 at every later horizon, and keeps only the columns between
+    the first and the last label below g over the replicas kept; the next
+    generation hashes the sites below that window only.  A site outside the
+    window reads as +inf, like a site off the cone, so a label kept is exact
+    whenever it is below g and is >= g otherwise, and every count is the
+    unpruned scan's.  Since u < 1, a grid holding gamma = 1 prunes nothing.
     """
     gammas = np.asarray(gammas, dtype=np.float64)
     horizons = sorted(horizons)

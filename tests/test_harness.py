@@ -623,7 +623,7 @@ _OUT_OF_RANGE = [
     ("redcluster", "steps", "0"), ("redcluster", "steps", "-1"),
     ("contact", "dim", "0"), ("contact", "k", "-1"), ("contact", "k", "2,-1"),
     ("contact", "horizon", "0"), ("contact", "horizon", "inf"), ("contact", "horizon", "nan"),
-    ("contact", "window", "-1"),
+    ("contact", "window", "-1"), ("siteperc", "horizon", "-1"),
     ("star", "k", "-1"), ("star", "k", "1,-1"), ("star", "horizon", "-1"),
     ("star", "window", "0"),
     ("hprob", "k", "-1"), ("hprob", "k", "2,-1"), ("hprob", "window", "0"),
@@ -640,10 +640,10 @@ def test_out_of_range_table_covers_every_bounded_key():
 def test_cli_out_of_range_value_rejected_before_sampling(capsys, monkeypatch, command, key,
                                                          value):
     """An out-of-range value is one `error:` line naming its key, exit 2 and
-    no stdout, before any replica is drawn or any worker starts.  A global
-    keeps ExperimentConfig's own message."""
-    message = (f"--{key}: '{value}' is not {_KIND_TEXT[PARAMS[command][key][0]]}"
-               if key in PARAMS[command] else "reps must be >= 1")
+    no stdout, before any replica is drawn or any worker starts, a global
+    key's too."""
+    kind = PARAMS[command][key][0] if key in PARAMS[command] else harness.GLOBALS[key]
+    message = f"--{key}: '{value}' is not {_KIND_TEXT[kind]}"
 
     def no_sampling(*args, **kwargs):
         raise AssertionError("sampled before the input was checked")
@@ -686,7 +686,7 @@ def test_cli_bad_z_rejected_before_sampling(capsys, monkeypatch, command, z):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.strip().split("\n")[-1] == \
-        f"error: z must be finite and positive, got {float(z)}"
+        f"error: --z: '{z}' is not a finite positive number"
 
 
 @pytest.mark.parametrize("command", ["survival", "contact", "star", "hprob", "redcluster"])

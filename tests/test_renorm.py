@@ -363,6 +363,53 @@ def test_scan_equals_oracle_per_replica(seed, monkeypatch):
     assert (counts[3] == reps).all()  # gamma = 1 survives surely
 
 
+@pytest.mark.parametrize("gammas, horizons", [
+    ([0.55, 0.7], [0, 5, 30]),  # replicas die mid-chunk
+    ([0.0], [0, 3]),  # every replica dies at n = 1
+    ([0.3, 0.45], [40]),  # the whole chunk dies before the horizon
+])
+def test_pruned_scan_equals_oracle_per_replica(gammas, horizons, monkeypatch):
+    """With no gamma = 1 in the grid the scan prunes replicas and sites, and
+    its counts stay the oracle's survivals summed over replicas, in one chunk
+    or in chunks of 7 replicas, serially or on two workers."""
+    reps, seed, top = 200, 3, max(horizons)
+    counts = cone_survival_scan(gammas, horizons, reps, seed)
+    monkeypatch.setattr(renorm, "_SCAN_CELLS", 7 * (top + 1))
+    assert (cone_survival_scan(gammas, horizons, reps, seed) == counts).all()
+    assert (cone_survival_scan(gammas, horizons, reps, seed, threads=2) == counts).all()
+    root = BondField(seed)
+    for gi, gamma in enumerate(gammas):
+        reached = [site_perc_cone(gamma, top, root.derive_replica(r)).reached
+                   for r in range(reps)]
+        for hi, horizon in enumerate(horizons):
+            assert counts[gi, hi] == sum(bool(c[horizon]) for c in reached)
+
+
+def _hashed_sites(monkeypatch, gammas, horizon, reps):
+    """The uniforms the cone scan draws, summed over its `uniforms` calls."""
+    total = [0]
+    uniforms = BondField.uniforms
+
+    def spy(self, columns):
+        u = uniforms(self, columns)
+        total[0] += u.size
+        return u
+
+    monkeypatch.setattr(BondField, "uniforms", spy)
+    cone_survival_scan(gammas, [horizon], reps, seed=0)
+    return total[0]
+
+
+def test_scan_hashes_only_sites_that_can_count(monkeypatch):
+    """Below gamma = 0.5 almost every replica dies within a few generations,
+    so the scan draws under 1 % of the cone's sites; with gamma = 1 in the
+    grid no label reaches max(gamma), and it draws every site."""
+    horizon, reps = 200, 200
+    cone = reps * sum(n + 1 for n in range(1, horizon + 1))
+    assert _hashed_sites(monkeypatch, [0.5], horizon, reps) < 0.01 * cone
+    assert _hashed_sites(monkeypatch, [0.5, 1.0], horizon, reps) == cone
+
+
 def test_scan_coupled_monotonicity():
     gammas = [0.3, 0.5, 0.7]
     counts = cone_survival_scan(gammas, [4, 8, 16], 2_000, seed=5)
