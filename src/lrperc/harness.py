@@ -55,10 +55,10 @@ def _surv_contact(args, root, lo, hi):
 
 
 def _surv_star(args, root, lo, hi):
-    """Critical k of one labelled sweep at params.k = max(ks), or None."""
+    """Critical k of one labelled sweep at params.k = max(ks), or None; the
+    chunk's replicas are swept together."""
     params, horizon, window = args
-    return [starlat.block_path_critical_k(root.derive_replica(r), params, horizon, window)
-            for r in range(lo, hi)]
+    return starlat.block_path_critical_k(root, range(lo, hi), params, horizon, window)
 
 
 def _hprob(args, root, lo, hi):

@@ -33,16 +33,24 @@ least k at which it holds (k_max + 1 when it fails at k_max):
 
 The H-event, the zeta-block and the block path hold at truncation k
 exactly when their label is <= k.  `block_path_critical_k` sweeps the
-levels once at k_max, and its `critical_k` decides survival at every
-k <= k_max.  Each level draws the vertical bonds of the blocks still
-alive, then asks `h_label_max` for the largest H-label of the lines of
-those that kept them.  It is the one place that chooses how H-labels are
-drawn: in `uniforms` calls of at most _BATCH_IDS ids, a union-find adding
-the open in-window bonds of each line in increasing range, or, when one
-line alone needs more than _BATCH_IDS ids, line by line with `h_label`, a
-bottleneck Dijkstra that draws a bond only when it could lower a label, so
-memory stays bounded however wide the window; `hprob` runs one `h_label`
-per replica.
+levels once at k_max, for a column of replicas together, and each
+replica's critical k decides its survival at every k <= k_max.  At level
+n every replica has the same n + 1 blocks, so the labels are one
+(replicas, n + 1) matrix, and its entries below k_max + 1 are the alive
+(replica, block) pairs.  Each level draws the vertical bonds of those
+pairs, in `uniforms` calls of at most _BATCH_IDS ids unless one block's 2N
+alone exceed it, then asks `h_label_max` for the largest H-label of the
+lines of the pairs that kept them.  Every batched draw reads
+`root.derive_replica(replicas)` at the replica of each row it draws, so
+replica r reads the stream of `root.derive_replica(r)` however the
+replicas are grouped.  `h_label_max` is the one place that chooses how
+H-labels are drawn: in `uniforms` calls of at most _BATCH_IDS ids, lines
+of any replicas together, a union-find adding the open in-window bonds of
+each line in increasing range, or, when one line alone needs more than
+_BATCH_IDS ids, line by line with `h_label` on the line's one-replica
+field, a bottleneck Dijkstra that draws a bond only when it could lower a
+label, so memory stays bounded however wide the window; `hprob` runs one
+`h_label` per replica.
 The scalar `h_connected`, `check_zeta` and `block_path_survival` answer one
 k at a time and are the oracles of the labelled kernels.  The H-event
 searches take the horizontal sequence alone, whose k is the truncation;
@@ -52,6 +60,7 @@ the block functions take `StarParams`, which adds eps and the width N.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -123,16 +132,33 @@ def h_connected(fld: BondField, m: int, n: int, pseq: TruncatedSequence, window:
     return target in seen
 
 
+_MAX_N = 10_000_000  # widest block `choose_N` returns
+
+
 def choose_N(eps: float, delta: float) -> int:
-    """Smallest block width N with (1 - (1-eps)^N)^2 > 1 - delta/2."""
+    """Smallest block width N with (1 - (1-eps)^N)^2 > 1 - delta/2, the test
+    evaluated in floats as written.  N is first estimated from
+    log(1 - sqrt(1 - delta/2)) / log1p(-eps), then stepped to the least n
+    that passes the test (a width that passes has every wider one pass);
+    RuntimeError when that n exceeds _MAX_N."""
     if not 0.0 < eps <= 1.0 or not 0.0 < delta <= 1.0:
         raise ValueError("need eps in (0, 1] and delta in (0, 1]")
     target = 1.0 - delta / 2.0
-    n = 1
-    while (1.0 - (1.0 - eps) ** n) ** 2 <= target:
+
+    def holds(n):
+        return (1.0 - (1.0 - eps) ** n) ** 2 > target
+
+    gap = 1.0 - math.sqrt(target)
+    rate = math.log1p(-eps) if eps < 1.0 else -math.inf
+    if gap <= 0.0 or rate == 0.0:
+        raise RuntimeError("no feasible block width")
+    n = int(min(max(math.log(gap) / rate, 1.0), _MAX_N + 1.0))
+    while n > 1 and holds(n - 1):
+        n -= 1
+    while n <= _MAX_N and not holds(n):
         n += 1
-        if n > 10_000_000:
-            raise RuntimeError("no feasible block width")
+    if n > _MAX_N:
+        raise RuntimeError("no feasible block width")
     return n
 
 
@@ -174,7 +200,7 @@ def block_path_survival(fld: BondField, params: StarParams, horizon: int, window
 
 # -- labelled kernels: one sweep at k_max decides every k ---------------------
 
-_BATCH_IDS = 1 << 16  # most bond ids one `uniforms` call of h_label_max hashes
+_BATCH_IDS = 1 << 16  # most bond ids one `uniforms` call of a star level hashes
 
 
 def _joining_range(starts, ranges, size: int, source: int, target: int, never: int) -> int:
@@ -200,13 +226,13 @@ def _joining_range(starts, ranges, size: int, source: int, target: int, never: i
     return r if find(source) == find(target) else never
 
 
-def _h_labels_batch(fld: BondField, m: np.ndarray, n: int, pseq: TruncatedSequence,
-                    W: int) -> np.ndarray:
-    """H-labels of the lines m (1-d) from one `uniforms` call over their
-    (2W+1, R) grids of bonds (lo, lo + i), -W <= lo <= W, 1 <= i <= R =
-    min(k, 2W).  The grid also holds the bonds that leave the window, which
-    are masked off; in this shape every id word but the range is folded
-    once per (line, lo), not once per bond."""
+def _h_labels_batch(root: BondField, replicas: np.ndarray, m: np.ndarray, n: int,
+                    pseq: TruncatedSequence, W: int) -> np.ndarray:
+    """H-labels of the lines m (1-d), line j on root.derive_replica(replicas[j]),
+    from one `uniforms` call over their (2W+1, R) grids of bonds (lo, lo + i),
+    -W <= lo <= W, 1 <= i <= R = min(k, 2W).  The grid also holds the bonds
+    that leave the window, which are masked off; in this shape every id word
+    but the range is folded once per (line, lo), not once per bond."""
     K = pseq.k
     R = min(K, 2 * W)
     odd = m % 2 == 1  # these lines run along axis 2
@@ -214,6 +240,7 @@ def _h_labels_batch(fld: BondField, m: np.ndarray, n: int, pseq: TruncatedSequen
     o = odd[:, None, None]
     lo = np.arange(-W, W + 1)[:, None]
     rng = np.arange(1, R + 1)
+    fld = root.derive_replica(replicas[:, None, None])
     opened = fld.open_mask([TAG_GSTAR_H, n, x1 + ~o * lo, x2 + o * lo, 1 + o, rng],
                            pseq.terms(R))
     opened &= lo + rng <= W
@@ -268,31 +295,37 @@ def _grid_ids(K: int, W: int) -> int:
     return (2 * W + 1) * min(K, 2 * W)
 
 
-def h_label_max(fld: BondField, rows, n: int, pseq: TruncatedSequence, window: int) -> np.ndarray:
+def h_label_max(root: BondField, replicas, rows, n: int, pseq: TruncatedSequence,
+                window: int) -> np.ndarray:
     """Largest H-label along each row of the lines `rows` (a 2-d integer
-    array) at level n: the least k <= pseq.k at which `h_connected` holds
-    on every line of the row, pseq.k + 1 where one fails at pseq.k.
+    array) at level n, row j on root.derive_replica(replicas[j]): the least
+    k <= pseq.k at which `h_connected` holds on every line of the row,
+    pseq.k + 1 where one fails at pseq.k.
 
     When one line's bond grid fits in _BATCH_IDS ids, the grids of as many
-    lines as fit are drawn per `uniforms` call by `_h_labels_batch`.
-    Otherwise each line is searched by `h_label`, which draws a bond only
-    when it needs it, and a row stops at its first line that fails at
-    pseq.k, as `check_zeta` does.
+    lines as fit, of any replicas, are drawn per `uniforms` call by
+    `_h_labels_batch`.  Otherwise each line is searched by `h_label`, which
+    draws a bond only when it needs it, and a row stops at its first line
+    that fails at pseq.k, as `check_zeta` does.
     """
     if window < 1:
         raise ValueError("window must be >= 1")
     rows = np.asarray(rows, dtype=np.int64)
+    replicas = np.asarray(replicas, dtype=np.int64)
     never = pseq.k + 1
     # lines per `uniforms` call; at k = 0 there is no bond, and `h_label` draws none
     step = _BATCH_IDS // _grid_ids(pseq.k, window) if pseq.k > 0 else 0
     if step:
         lines = rows.ravel()
+        owners = np.repeat(replicas, rows.shape[1])
         labels = np.empty(lines.size, dtype=np.int64)
         for c in range(0, lines.size, step):
-            labels[c:c + step] = _h_labels_batch(fld, lines[c:c + step], n, pseq, window)
+            labels[c:c + step] = _h_labels_batch(root, owners[c:c + step], lines[c:c + step],
+                                                 n, pseq, window)
         return labels.reshape(rows.shape).max(axis=1)
     out = np.full(len(rows), never, dtype=np.int64)
-    for j, row in enumerate(rows.tolist()):
+    for j, (r, row) in enumerate(zip(replicas.tolist(), rows.tolist())):
+        fld = root.derive_replica(r)
         top = 0
         for x in row:
             top = max(top, h_label(fld, x, n, pseq, window))
@@ -302,41 +335,55 @@ def h_label_max(fld: BondField, rows, n: int, pseq: TruncatedSequence, window: i
     return out
 
 
-def zeta_labels(fld: BondField, a, n: int, params: StarParams, window: int) -> np.ndarray:
-    """Zeta-labels of the blocks a (an integer array) at level n: `check_zeta`
-    holds at truncation k exactly when the label is <= k.  The vertical
-    bonds are drawn first; a block lacking them fails at every k, and its
+def zeta_labels(root: BondField, replicas, a, n: int, params: StarParams,
+                window: int) -> np.ndarray:
+    """Zeta-labels of the blocks (replicas[j], a[j]) (integer arrays) at level
+    n, block j on root.derive_replica(replicas[j]): `check_zeta` holds at
+    truncation k exactly when the label is <= k.  The vertical bonds are
+    drawn first, as many blocks per `uniforms` call as fit in _BATCH_IDS
+    ids (at least one); a block lacking them fails at every k, and its
     lines are not searched."""
     a = np.asarray(a, dtype=np.int64)
+    replicas = np.asarray(replicas, dtype=np.int64)
     if ((a + n) % 2).any():
         raise ValueError(f"a block at level {n} is off the parity sublattice")
     N = params.N
     m = a[:, None] * N + np.arange(2 * N)
     x1, x2 = staircase(m)
-    vert = fld.open_mask([TAG_GSTAR_V, n, x1, x2], params.eps)
+    vert = np.empty(m.shape, dtype=bool)
+    step = max(1, _BATCH_IDS // (2 * N))
+    for c in range(0, a.size, step):
+        s = slice(c, c + step)
+        fld = root.derive_replica(replicas[s, None])
+        vert[s] = fld.open_mask([TAG_GSTAR_V, n, x1[s], x2[s]], params.eps)
     held = np.flatnonzero(vert[:, :N].any(axis=1) & vert[:, N:].any(axis=1))
     labels = np.full(a.size, params.k + 1, dtype=np.int64)
-    labels[held] = h_label_max(fld, m[held], n, params.pseq, window)
+    labels[held] = h_label_max(root, replicas[held], m[held], n, params.pseq, window)
     return labels
 
 
-def block_path_critical_k(fld: BondField, params: StarParams, horizon: int,
-                          window: int) -> int | None:
-    """Least k <= params.k at which `block_path_survival` holds, or None.
+def block_path_critical_k(root: BondField, replicas, params: StarParams, horizon: int,
+                          window: int) -> list[int | None]:
+    """For each replica r of `replicas`, the least k <= params.k at which
+    `block_path_survival` holds on root.derive_replica(r), or None.
 
-    Level n holds the labels of a = -n, -n + 2, ..., n; zeta-labels are
-    drawn only for the blocks whose label is <= params.k.
+    The replicas are swept together, level by level.  Row i of `labels`
+    holds replica i's labels of a = -n, -n + 2, ..., n at level n, so each
+    level is one (replicas, n + 1) matrix; zeta-labels are drawn only for
+    the (replica, block) pairs whose label is <= params.k.
     """
+    replicas = np.asarray(replicas, dtype=np.int64)
     never = params.k + 1
-    dead = np.full(1, never, dtype=np.int64)
-    labels = np.zeros(1, dtype=np.int64)
+    labels = np.zeros((replicas.size, 1), dtype=np.int64)
     for n in range(horizon):
-        alive = np.flatnonzero(labels < never)
-        if not alive.size:
-            return None
-        through = np.full(n + 1, never, dtype=np.int64)
-        through[alive] = np.maximum(
-            labels[alive], zeta_labels(fld, 2 * alive - n, n, params, window))
-        labels = np.minimum(np.concatenate([dead, through]), np.concatenate([through, dead]))
-    best = int(labels.min())
-    return best if best < never else None
+        i, j = np.nonzero(labels < never)
+        if not i.size:
+            break
+        through = np.full(labels.shape, never, dtype=np.int64)
+        through[i, j] = np.maximum(
+            labels[i, j], zeta_labels(root, replicas[i], 2 * j - n, n, params, window))
+        # a block at level n + 1 is reached through either of its two parents
+        labels = np.full((replicas.size, n + 2), never, dtype=np.int64)
+        labels[:, :-1] = through
+        np.minimum(labels[:, 1:], through, out=labels[:, 1:])
+    return [c if c < never else None for c in labels.min(axis=1).tolist()]

@@ -131,3 +131,19 @@ def star_survival(eps: float, N: int, pseq: TruncatedSequence, window: int,
     """
     theta = (1.0 - (1.0 - eps) ** N) ** 2 * h_probability(pseq, window) ** (2 * N)
     return theta * cone_survival(theta, horizon - 1)
+
+
+def block_dispersion_z(hits, p: float, block: int = 100) -> float:
+    """Dispersion of a sweep's 0/1 records across blocks of `block`
+    consecutive replicas, as a z-score.
+
+    With x_b the hits of block b of B, X^2 = sum_b (x_b - block p)^2 /
+    (block p (1 - p)) has mean B and variance about 2B when the replicas
+    are independent with success probability p, so z = (X^2 - B) /
+    sqrt(2B) is about standard normal.  Replicas that share their draws,
+    such as pairs reading one stream, inflate it; a mean check cannot see
+    them.
+    """
+    x = np.asarray(hits, dtype=np.float64).reshape(-1, block).sum(axis=1)
+    chi2 = float(((x - block * p) ** 2).sum()) / (block * p * (1.0 - p))
+    return (chi2 - x.size) / math.sqrt(2 * x.size)

@@ -13,7 +13,7 @@ from lrperc.harness import (
     PARAMS, ExperimentConfig, _hprob, emit_csv, format_csv, parse_config_file, run_experiment,
     run_replicas, wilson_interval,
 )
-from lrperc.sequences import harmonic, powerlaw, truncate
+from lrperc.sequences import harmonic, parse_sequence, powerlaw, truncate
 from lrperc.starlat import StarParams
 from lrperc.stats import EstimateWithCI
 from hypothesis import given, settings, strategies as st
@@ -314,6 +314,38 @@ def test_cli_star_wide_window_draws_in_capped_batches(monkeypatch, tmp_path, win
         hits = sum(starlat.block_path_survival(BondField(5).derive_replica(r), params, 3, window)
                    for r in range(4))
         assert (int(row["k"]), float(row["estimate"])) == (k, hits / 4)
+
+
+def test_cli_star_wide_blocks_draw_vertical_bonds_in_capped_batches(monkeypatch, tmp_path):
+    """A chunk sweeps its replicas together, and a level's vertical bonds are
+    drawn a few blocks per `uniforms` call, so no call hashes more than
+    starlat._BATCH_IDS ids: at --eps 1e-4 a block has 2N = 40202 vertical
+    bonds, and the 4 replicas of the one chunk start with 4 blocks.  The
+    rows equal those of chunks of one replica."""
+    sizes = []
+    uniforms = BondField.uniforms
+
+    def spy(self, word_columns):
+        u = uniforms(self, word_columns)
+        sizes.append(u.size)
+        return u
+    monkeypatch.setattr(BondField, "uniforms", spy)
+    out = tmp_path / "star.csv"
+    assert main(["star", "--eps", "1e-4", "--pseq", "list:1,0.5", "--k", "1,2",
+                 "--delta", "0.5", "--horizon", "3", "--window", "2", "--reps", "4",
+                 "--seed", "5", "--threads", "1", "--out", str(out)]) == 0
+    N = starlat.choose_N(1e-4, 0.5)
+    assert N == 20101
+    assert sizes and max(sizes) <= starlat._BATCH_IDS
+    params = StarParams(1e-4, truncate(parse_sequence("list:1,0.5"), 2), N)
+    crits = run_replicas(harness._surv_star, (params, 3, 2), seed=5, reps=4, cap=1)
+    rows = out.read_text().splitlines()
+    header = rows[0].split(",")
+    for line, k in zip(rows[1:], (1, 2)):
+        row = dict(zip(header, line.split(",")))
+        hits = sum(c is not None and c <= k for c in crits)
+        assert (int(row["k"]), float(row["estimate"])) == (k, hits / 4)
+    assert 0 < hits < 4
 
 
 def test_gamma_rows_are_exact_values():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from exact import h_probability, star_survival
+from exact import block_dispersion_z, h_probability, star_survival
 from lrperc import starlat
 from lrperc.bondfield import BondField, BondId
 from lrperc.sequences import constant, explicit, harmonic, powerlaw, truncate
@@ -104,6 +104,45 @@ def test_choose_N_satisfies_inequality_minimally():
         assert (1 - (1 - eps) ** n) ** 2 > 1 - delta / 2
         if n > 1:
             assert (1 - (1 - eps) ** (n - 1)) ** 2 <= 1 - delta / 2
+
+
+def _choose_N_loop(eps, delta):
+    """The defining search, one width at a time."""
+    n = 1
+    while (1 - (1 - eps) ** n) ** 2 <= 1 - delta / 2:
+        n += 1
+        if n > 10_000_000:
+            raise RuntimeError("no feasible block width")
+    return n
+
+
+class _CountedFloat(float):
+    """A float that counts the evaluations of 1 - itself: `choose_N` makes
+    one for each width it tests."""
+
+    def __rsub__(self, other):
+        self.calls += 1
+        return float(other) - float(self)
+
+
+@pytest.mark.parametrize("eps", [1e-5, 1e-4, 1e-3, 0.0123, 0.3, 0.8, 0.999999, 1.0])
+def test_choose_N_equals_the_defining_loop_in_few_steps(eps):
+    for delta in (1e-3, 0.1, 0.5, 1.0):
+        counted = _CountedFloat(eps)
+        counted.calls = 0
+        assert choose_N(counted, delta) == _choose_N_loop(eps, delta), delta
+        assert counted.calls <= 4, delta
+
+
+@pytest.mark.parametrize("eps, delta", [(1e-300, 0.5), (1e-17, 0.5), (1e-8, 0.5), (0.5, 1e-300)])
+def test_choose_N_fails_at_once_past_the_widest_block(eps, delta):
+    """No width up to 10^7 passes: (1 - eps)^n stays 1, or N would pass 10^7,
+    or 1 - delta/2 rounds to 1.  The loop would test 10^7 widths first."""
+    counted = _CountedFloat(eps)
+    counted.calls = 0
+    with pytest.raises(RuntimeError, match="no feasible block width"):
+        choose_N(counted, delta)
+    assert counted.calls <= 1
 
 
 def test_choose_N_validation():
@@ -245,15 +284,18 @@ def test_h_labels_equal_h_connected(case, h_path):
     h_path(c["kmax"], c["window"])
     top = _seq(p=c["p"], k=c["kmax"])
     lines = list(range(-3, 5))  # both axes, negative staircase indices too
+    root, reps = BondField(51 + case), 40
     seen = set()
-    for r in range(40):
-        fld = BondField(51 + case).derive_replica(r)
-        for n in (0, 3):
-            labels = h_label_max(fld, np.array(lines)[:, None], n, top, c["window"])
-            seen.update(labels.tolist())
+    for n in (0, 3):
+        # every replica's lines in one call
+        labels = h_label_max(root, np.repeat(np.arange(reps), len(lines)),
+                             np.tile(lines, reps)[:, None], n, top, c["window"])
+        seen.update(labels.tolist())
+        for r, row in enumerate(labels.reshape(reps, len(lines))):
+            fld = root.derive_replica(r)
             for k in range(c["kmax"] + 1):
                 pseq = _seq(p=c["p"], k=k)
-                for m, label in zip(lines, labels):
+                for m, label in zip(lines, row):
                     assert (label <= k) == h_connected(fld, m, n, pseq, c["window"]), \
                         (r, n, m, k)
     assert len(seen) > 2
@@ -263,20 +305,23 @@ def test_zeta_labels_equal_check_zeta(h_path):
     p, kmax, window = powerlaw(1.0, 0.6), 3, 3
     h_path(kmax, window)
     top = _sp(eps=0.5, p=p, k=kmax, N=2)
+    root, reps = BondField(59), 40
     seen = set()
-    for r in range(40):
-        fld = BondField(59).derive_replica(r)
-        for n, blocks in ((0, [-2, 0, 2]), (1, [-1, 1])):
-            labels = zeta_labels(fld, blocks, n, top, window)
-            seen.update(labels.tolist())
+    for n, blocks in ((0, [-2, 0, 2]), (1, [-1, 1])):
+        # every replica's blocks in one call
+        labels = zeta_labels(root, np.repeat(np.arange(reps), len(blocks)),
+                             np.tile(blocks, reps), n, top, window)
+        seen.update(labels.tolist())
+        for r, row in enumerate(labels.reshape(reps, len(blocks))):
+            fld = root.derive_replica(r)
             for k in range(kmax + 1):
                 params = _sp(eps=0.5, p=p, k=k, N=2)
-                for a, label in zip(blocks, labels):
+                for a, label in zip(blocks, row):
                     assert (label <= k) == check_zeta(fld, a, n, params, window), \
                         (r, n, a, k)
     assert len(seen) > 2
     with pytest.raises(ValueError):
-        zeta_labels(BondField(1), [1], 0, top, window)
+        zeta_labels(BondField(1), [0], [1], 0, top, window)
 
 
 _BLOCK_SETS = [
@@ -285,6 +330,8 @@ _BLOCK_SETS = [
     # sure vertical bonds, and a window that clips ranges 5 and 6
     {"eps": 1.0, "p": powerlaw(1.0, 0.8), "kmax": 6, "horizon": 4, "window": 2},
     {"eps": 0.6, "p": explicit([0.8, 0.6, 0.6]), "kmax": 3, "horizon": 4, "window": 3},
+    # near the cone's threshold at kmax: paths die at every level, or survive
+    {"eps": 0.6, "p": explicit([0.6, 0.5, 0.5]), "kmax": 3, "horizon": 5, "window": 3},
 ]
 
 
@@ -296,16 +343,42 @@ def test_critical_k_equals_per_k_block_path_survival(case, h_path):
     h_path(c["kmax"], c["window"])
     N = choose_N(c["eps"], 0.5)
     top = _sp(eps=c["eps"], p=c["p"], k=c["kmax"], N=N)
-    seen = set()
-    for r in range(40):
-        fld = BondField(61 + case).derive_replica(r)
-        crit = block_path_critical_k(fld, top, c["horizon"], c["window"])
-        seen.add(crit)
+    root = BondField(61 + case)
+    crits = block_path_critical_k(root, range(40), top, c["horizon"], c["window"])
+    for r, crit in enumerate(crits):
+        fld = root.derive_replica(r)
         for k in range(c["kmax"] + 1):
             params = _sp(eps=c["eps"], p=c["p"], k=k, N=N)
             survived = block_path_survival(fld, params, c["horizon"], c["window"])
             assert (crit is not None and crit <= k) == survived, (r, k)
-    assert len(seen) > 2
+    assert len(set(crits)) > 2
+
+
+def test_surv_star_records_do_not_depend_on_chunking(h_path):
+    """`_surv_star` sweeps a chunk's replicas together, level by level.  Its
+    records do not depend on the chunking or the worker count: chunks of
+    1, of 3 and uncapped, at 1 and 2 workers, give the same records, and
+    each equals `block_path_survival` at every k.  The replicas of a chunk
+    die at different levels (or not at all), so a chunk's alive blocks
+    thin out unevenly across its rows."""
+    c = _BLOCK_SETS[3]
+    h_path(c["kmax"], c["window"])
+    N = choose_N(c["eps"], 0.5)
+    top = _sp(eps=c["eps"], p=c["p"], k=c["kmax"], N=N)
+    seed, reps, horizon, window = 69, 24, c["horizon"], c["window"]
+    runs = [run_replicas(_surv_star, (top, horizon, window), seed, reps, threads, cap)
+            for cap in (1, 3, None) for threads in (1, 2)]
+    assert all(run == runs[0] for run in runs)
+    died = set()  # the first level each replica fails at kmax, None: it survives
+    for r, crit in enumerate(runs[0]):
+        fld = BondField(seed).derive_replica(r)
+        for k in range(c["kmax"] + 1):
+            params = _sp(eps=c["eps"], p=c["p"], k=k, N=N)
+            survived = block_path_survival(fld, params, horizon, window)
+            assert (crit is not None and crit <= k) == survived, (r, k)
+        died.add(next((h for h in range(1, horizon + 1)
+                       if not block_path_survival(fld, top, h, window)), None))
+    assert len(died) > 2, died
 
 
 def test_surv_star_sweep_matches_exact_values():
@@ -313,7 +386,9 @@ def test_surv_star_sweep_matches_exact_values():
     Wilson interval, with theta_k * cone_survival(theta_k, H - 1): the
     zeta-blocks are independent, so the block path is the cone's site
     percolation at theta_k = (1 - (1 - eps)^N)^2 h_k^(2N), with h_k from
-    every configuration of one line's window bonds."""
+    every configuration of one line's window bonds.  Its records are not
+    overdispersed either: across 40 blocks of 100 consecutive replicas
+    they spread as independent draws do (one-sided, z <= 4)."""
     seq, window, horizon, reps = powerlaw(1.0, 0.95), 2, 6, 4000
     assert choose_N(0.8, 0.5) == 2
     exact = [star_survival(0.8, 2, truncate(seq, k), window, horizon) for k in (1, 2, 4)]
@@ -322,8 +397,10 @@ def test_surv_star_sweep_matches_exact_values():
     crits = run_replicas(_surv_star, (top, horizon, window),
                          seed=13, reps=reps, threads=2)
     for k, value in zip((1, 2, 4), exact):
-        est = EstimateWithCI.from_counts(sum(c is not None and c <= k for c in crits), reps, 4.0)
+        hits = [c is not None and c <= k for c in crits]
+        est = EstimateWithCI.from_counts(sum(hits), reps, 4.0)
         assert est.lo <= value <= est.hi, (k, est.estimate, value)
+        assert block_dispersion_z(hits, value) <= 4.0, k
 
 def test_surv_star_records_nondecreasing_in_k():
     """One sweep per replica, at the largest k, answers every k: the kernel
@@ -360,16 +437,17 @@ def test_labels_at_kmax_zero():
     """No horizontal bond exists at k = 0: every H-event fails and only the
     empty block path survives."""
     top = _sp(eps=1.0, p=constant(1.0), k=0, N=1)
-    assert h_label_max(BondField(3), np.array([[0], [1]]), 0, top.pseq, 2).tolist() == [1, 1]
-    assert block_path_critical_k(BondField(3), top, 2, 2) is None
-    assert not block_path_survival(BondField(3), top, 2, 2)
-    assert block_path_critical_k(BondField(3), top, 0, 2) == 0
+    assert h_label_max(BondField(3), [0, 1], np.array([[0], [1]]), 0, top.pseq, 2).tolist() \
+        == [1, 1]
+    assert block_path_critical_k(BondField(3), [0, 1], top, 2, 2) == [None, None]
+    assert not block_path_survival(BondField(3).derive_replica(0), top, 2, 2)
+    assert block_path_critical_k(BondField(3), [0, 1], top, 0, 2) == [0, 0]
 
 
 @pytest.mark.parametrize("p", [constant(0.0), constant(1.0), explicit([0.0, 1.0])])
 def test_critical_k_horizon_zero_is_zero(p):
     top = _sp(p=p, k=3, N=2)
-    assert block_path_critical_k(BondField(2), top, 0, 2) == 0
+    assert block_path_critical_k(BondField(2), [0, 1, 2], top, 0, 2) == [0, 0, 0]
 
 
 @pytest.mark.parametrize("p, window, h_expected, crit_expected", [
@@ -384,8 +462,9 @@ def test_labels_deterministic_sequences(p, window, h_expected, crit_expected, h_
     top = _sp(eps=1.0, p=explicit(p), k=max(3, len(p)), N=1)
     h_path(top.k, window)
     lines = np.array([[0], [1], [2], [3]])
-    assert h_label_max(BondField(7), lines, 1, top.pseq, window).tolist() == [h_expected] * 4
-    assert block_path_critical_k(BondField(7), top, 3, window) == crit_expected
+    assert h_label_max(BondField(7), [0, 0, 1, 1], lines, 1, top.pseq, window).tolist() \
+        == [h_expected] * 4
+    assert block_path_critical_k(BondField(7), [0, 1], top, 3, window) == [crit_expected] * 2
 
 
 def test_lazy_route_stops_a_row_at_its_first_failed_line(monkeypatch):
@@ -401,17 +480,17 @@ def test_lazy_route_stops_a_row_at_its_first_failed_line(monkeypatch):
     monkeypatch.setattr(starlat, "h_label", spy)
     row = np.array([[0, 1, 2, 3]])
     dead = _seq(p=explicit([0.0, 1.0]), k=3)  # range 2 alone keeps to even offsets
-    assert h_label_max(BondField(7), row, 0, dead, 3).tolist() == [dead.k + 1]
+    assert h_label_max(BondField(7), [0], row, 0, dead, 3).tolist() == [dead.k + 1]
     assert searched == [0]
     searched.clear()
     sure = _seq(p=constant(1.0), k=3)
-    assert h_label_max(BondField(7), row, 0, sure, 3).tolist() == [1]
+    assert h_label_max(BondField(7), [0], row, 0, sure, 3).tolist() == [1]
     assert searched == [0, 1, 2, 3]
 
 
 def test_h_labels_window_validation():
     with pytest.raises(ValueError):
-        h_label_max(BondField(1), np.array([[0]]), 0, _seq(), window=0)
+        h_label_max(BondField(1), [0], np.array([[0]]), 0, _seq(), window=0)
 
 
 def test_param_validation():
