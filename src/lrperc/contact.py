@@ -37,10 +37,10 @@ A box's fixed structure, its sites, its in-box pairs, their death and
 arrow id columns, the pairs' means grouped by mean and each pair's
 (source index, destination index, jump), is a table built once per
 (rates, box, horizon, d) and process (`_box_table`, behind an lru_cache
-that keeps the last table), so sampling a replica only draws its marks.  A Timeline keeps its marks flat: one owner array
-(a process of its table) and one time array, in sweep order.  Its
-`deaths` and `arrows` dicts ({key: sorted times}) are views, built on
-first read and cached.  A hand-made `Timeline(horizon, bounds, deaths,
+that keeps the last table), so sampling a replica only draws its marks.
+A Timeline keeps its marks flat: one owner array (a process of its table)
+and one time array, in sweep order.  Its `deaths` and `arrows` dicts
+({key: sorted times}) are views, built on first read and cached.  A hand-made `Timeline(horizon, bounds, deaths,
 arrows)` is flattened into the same form, so sampled and hand-made
 timelines share one sweep, which keeps one int label per site index.
 

@@ -62,10 +62,11 @@ def _surv_star(args, root, lo, hi):
 
 
 def _hprob(args, root, lo, hi):
-    """Critical k of the H-event of gamma(0), gamma(1), by one lazy search."""
+    """Critical k of the H-event of gamma(0), gamma(1); the chunk's lines are
+    labelled together."""
     pseq, window = args
-    labels = (starlat.h_label(root.derive_replica(r), 0, 0, pseq, window) for r in range(lo, hi))
-    return [label if label <= pseq.k else None for label in labels]
+    labels = starlat.h_label_max(root, range(lo, hi), [[0]] * (hi - lo), 0, pseq, window)
+    return [label if label <= pseq.k else None for label in labels.tolist()]
 
 
 def _bifurcation(args, root, lo, hi):
@@ -175,18 +176,14 @@ class ExperimentConfig:
         for key in self.params:
             if key not in PARAMS[self.command]:
                 raise ValueError(f"unknown key {key!r} for {self.command}")
-        if self.reps < 1:
-            raise ValueError("reps must be >= 1")
-        if self.threads < 1:
-            raise ValueError("threads must be >= 1")
-        if not 0 < self.z < math.inf:
-            raise ValueError(f"z must be finite and positive, got {self.z}")
+        for key in ("seed", "reps", "threads", "z"):
+            setattr(self, key, _parse(key, GLOBALS[key], getattr(self, key)))
 
     @classmethod
     def from_texts(cls, command: str, texts: dict) -> "ExperimentConfig":
-        """The config of a file's or the flags' texts; only GLOBALS are converted."""
-        return cls(command, **{key: _parse(key, GLOBALS[key], text)
-                               for key, text in texts.items() if key in GLOBALS},
+        """The config of a file's or the flags' texts; `__post_init__` converts
+        the GLOBALS."""
+        return cls(command, **{key: text for key, text in texts.items() if key in GLOBALS},
                    params={key: text for key, text in texts.items() if key not in GLOBALS})
 
     def resolved(self) -> dict:

@@ -1,4 +1,4 @@
-"""Probability sequences, range-k truncations, and divergence diagnostics.
+"""Probability sequences and their range-k truncations.
 
 A sequence assigns an open-probability to each integer range i >= 1.
 Range 0 is pinned to 0 everywhere: a zero-displacement "bond" is never
@@ -104,13 +104,6 @@ def signed_ranges(k: int):
     for i in range(1, k + 1):
         yield i
         yield -i
-
-
-def partial_sum(spec: SequenceSpec, n: int) -> float:
-    """Sum of the first n terms; grows without bound iff the law is nonsummable."""
-    if n < 1:
-        raise ValueError(f"partial sum needs n >= 1, got {n}")
-    return sum(spec.eval(i) for i in range(1, n + 1))
 
 
 def parse_sequence(text: str) -> SequenceSpec:

@@ -44,13 +44,15 @@ lines of the pairs that kept them.  Every batched draw reads
 `root.derive_replica(replicas)` at the replica of each row it draws, so
 replica r reads the stream of `root.derive_replica(r)` however the
 replicas are grouped.  `h_label_max` is the one place that chooses how
-H-labels are drawn: in `uniforms` calls of at most _BATCH_IDS ids, lines
-of any replicas together, a union-find adding the open in-window bonds of
-each line in increasing range, or, when one line alone needs more than
-_BATCH_IDS ids, line by line with `h_label` on the line's one-replica
-field, a bottleneck Dijkstra that draws a bond only when it could lower a
-label, so memory stays bounded however wide the window; `hprob` runs one
-`h_label` per replica.
+H-labels are drawn, for the star levels and for `hprob`, whose chunk is
+one line per replica.  In `uniforms` calls of at most _BATCH_IDS ids,
+lines of any replicas together, it draws every line's range-1 bond
+first, an open one giving the label 1, then the in-window bonds of the
+lines left apart, which a union-find adds in increasing range.  When one
+line alone needs more than _BATCH_IDS ids, it goes line by line with
+`h_label` on the line's one-replica field, a bottleneck Dijkstra that
+draws a bond only when it could lower a label, so memory stays bounded
+however wide the window.
 The scalar `h_connected`, `check_zeta` and `block_path_survival` answer one
 k at a time and are the oracles of the labelled kernels.  The H-event
 searches take the horizontal sequence alone, whose k is the truncation;
@@ -162,10 +164,6 @@ def choose_N(eps: float, delta: float) -> int:
     return n
 
 
-def vertical_open(fld: BondField, x, n: int, params: StarParams) -> bool:
-    return fld.is_open(BondId.star_vertical(x, n), params.eps)
-
-
 def check_zeta(fld: BondField, a: int, n: int, params: StarParams, window: int) -> bool:
     """Block indicator at (a, n) on the parity sublattice (a + n even):
     all 2N consecutive H-events at level n, and at least one open vertical
@@ -176,10 +174,8 @@ def check_zeta(fld: BondField, a: int, n: int, params: StarParams, window: int) 
     lo = a * N
     if not all(h_connected(fld, m, n, params.pseq, window) for m in range(lo, lo + 2 * N)):
         return False
-    half1 = any(vertical_open(fld, staircase(m), n, params) for m in range(lo, lo + N))
-    half2 = any(vertical_open(fld, staircase(m), n, params)
-                for m in range(lo + N, lo + 2 * N))
-    return half1 and half2
+    return all(any(fld.is_open(BondId.star_vertical(staircase(m), n), params.eps)
+                   for m in range(half, half + N)) for half in (lo, lo + N))
 
 
 def block_path_survival(fld: BondField, params: StarParams, horizon: int, window: int) -> bool:
@@ -244,19 +240,13 @@ def _h_labels_batch(root: BondField, replicas: np.ndarray, m: np.ndarray, n: int
     opened = fld.open_mask([TAG_GSTAR_H, n, x1 + ~o * lo, x2 + o * lo, 1 + o, rng],
                            pseq.terms(R))
     opened &= lo + rng <= W
-    # gamma(m+1) is gamma(m) + e_1 for even m and gamma(m) - e_2 for odd m;
-    # the range-1 bond (lo, lo + 1) is row lo + W
-    direct = opened[np.arange(m.size), W - odd, 0]
-    labels = np.where(direct, 1, K + 1)
-    rest = np.flatnonzero(~direct)
-    rows, ranges, starts = np.nonzero(opened[rest].transpose(0, 2, 1))  # by range, then lo
+    rows, ranges, starts = np.nonzero(opened.transpose(0, 2, 1))  # by range, then lo
     starts, ranges = starts.tolist(), (ranges + 1).tolist()
-    cuts = np.searchsorted(rows, np.arange(rest.size + 1)).tolist()
-    for j, line in enumerate(rest.tolist()):
-        a, b = cuts[j], cuts[j + 1]
-        target = W - 1 if odd[line] else W + 1
-        labels[line] = _joining_range(starts[a:b], ranges[a:b], 2 * W + 1, W, target, K + 1)
-    return labels
+    cuts = np.searchsorted(rows, np.arange(m.size + 1)).tolist()
+    # gamma(m+1) is gamma(m) + e_1 for even m and gamma(m) - e_2 for odd m
+    targets = np.where(odd, W - 1, W + 1).tolist()
+    return np.array([_joining_range(starts[a:b], ranges[a:b], 2 * W + 1, W, t, K + 1)
+                     for a, b, t in zip(cuts, cuts[1:], targets)], dtype=np.int64)
 
 
 def h_label(fld: BondField, m: int, n: int, pseq: TruncatedSequence, window: int) -> int:
@@ -302,8 +292,10 @@ def h_label_max(root: BondField, replicas, rows, n: int, pseq: TruncatedSequence
     k <= pseq.k at which `h_connected` holds on every line of the row,
     pseq.k + 1 where one fails at pseq.k.
 
-    When one line's bond grid fits in _BATCH_IDS ids, the grids of as many
-    lines as fit, of any replicas, are drawn per `uniforms` call by
+    When one line's bond grid fits in _BATCH_IDS ids, every line's range-1
+    bond from gamma(m) to gamma(m+1) is drawn first, _BATCH_IDS lines per
+    `uniforms` call; an open one gives the label 1, and the grids of the
+    lines left apart, as many as fit, of any replicas, are drawn per call by
     `_h_labels_batch`.  Otherwise each line is searched by `h_label`, which
     draws a bond only when it needs it, and a row stops at its first line
     that fails at pseq.k, as `check_zeta` does.
@@ -318,10 +310,19 @@ def h_label_max(root: BondField, replicas, rows, n: int, pseq: TruncatedSequence
     if step:
         lines = rows.ravel()
         owners = np.repeat(replicas, rows.shape[1])
-        labels = np.empty(lines.size, dtype=np.int64)
-        for c in range(0, lines.size, step):
-            labels[c:c + step] = _h_labels_batch(root, owners[c:c + step], lines[c:c + step],
-                                                 n, pseq, window)
+        odd = lines % 2
+        x1, x2 = staircase(lines)
+        # the range-1 bond is the grid's bond at lo = -odd (see `_h_labels_batch`)
+        direct = np.empty(lines.size, dtype=bool)
+        for c in range(0, lines.size, _BATCH_IDS):
+            s = slice(c, c + _BATCH_IDS)
+            direct[s] = root.derive_replica(owners[s]).open_mask(
+                [TAG_GSTAR_H, n, x1[s], x2[s] - odd[s], 1 + odd[s], 1], pseq.term(1))
+        labels = np.where(direct, 1, never)
+        apart = np.flatnonzero(~direct)
+        for c in range(0, apart.size, step):
+            j = apart[c:c + step]
+            labels[j] = _h_labels_batch(root, owners[j], lines[j], n, pseq, window)
         return labels.reshape(rows.shape).max(axis=1)
     out = np.full(len(rows), never, dtype=np.int64)
     for j, (r, row) in enumerate(zip(replicas.tolist(), rows.tolist())):

@@ -82,6 +82,12 @@ def test_config_validation():
         ExperimentConfig("no-such-experiment")
     with pytest.raises(ValueError):
         ExperimentConfig("survival", threads=0)
+    # a config built in code is read against GLOBALS, as a text is: no
+    # fraction runs as a replica count or is cut to a seed, and no bool
+    # stands in for a worker count
+    for key, value in (("reps", 2.5), ("seed", 2.5), ("threads", True), ("z", math.nan)):
+        with pytest.raises(ValueError, match=f"--{key}: {value!r} is not"):
+            ExperimentConfig("survival", **{key: value})
 
 
 def test_missing_parameter_diagnostic_names_field():

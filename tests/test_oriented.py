@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from exact import oriented_survival_d1
+from exact import block_dispersion_z, oriented_survival_d1
 from lrperc import bondfield, oriented
 from lrperc.bondfield import TAG_G, BondField
 from lrperc.harness import _surv_g, run_replicas
@@ -378,15 +378,20 @@ def test_one_full_size_fold_per_generation(monkeypatch):
 def test_surv_g_sweep_matches_exact_d1_values():
     """A d = 1 `surv_g` k-sweep agrees at every k, within a two-sided z = 4
     Wilson interval, with the transfer matrix's exact survival probability,
-    which does not share the kernel's window, moves or probabilities."""
+    which does not share the kernel's window, moves or probabilities.  Its
+    records are not overdispersed either: across 40 blocks of 100
+    consecutive replicas they spread as independent draws do (one-sided,
+    z <= 4)."""
     seq, window, horizon, reps = powerlaw(1.0, 0.45), 2, 6, 4000
     exact = [oriented_survival_d1(truncate(seq, k), window, horizon) for k in (1, 2, 3, 4)]
     assert exact == pytest.approx([0.14099, 0.38804, 0.46711, 0.48976], abs=5e-6)
     top = _params(d=1, horizon=horizon, window=window, p=truncate(seq, 4))
     crits = run_replicas(_surv_g, (top,), seed=7, reps=reps, threads=2)
     for k, value in zip((1, 2, 3, 4), exact):
-        est = EstimateWithCI.from_counts(sum(c is not None and c <= k for c in crits), reps, 4.0)
+        hits = [c is not None and c <= k for c in crits]
+        est = EstimateWithCI.from_counts(sum(hits), reps, 4.0)
         assert est.lo <= value <= est.hi, (k, est.estimate, value)
+        assert block_dispersion_z(hits, value) <= 4.0, k
 
 
 @pytest.mark.parametrize("top_label, branch", [(0, "key"), (1, "lexsort")])

@@ -1,10 +1,8 @@
-import math
-
 import pytest
 from hypothesis import given, strategies as st
 
 from lrperc.sequences import (
-    SequenceSpec, constant, explicit, harmonic, parse_sequence, partial_sum,
+    SequenceSpec, constant, explicit, harmonic, parse_sequence,
     powerlaw, signed_ranges, truncate,
 )
 
@@ -92,39 +90,6 @@ def test_truncation_idempotent_in_effect(spec, k, extra, n):
     small, large = truncate(spec, k), truncate(spec, k + extra)
     assert all(small.term(i) == (large.term(i) if i <= k else 0.0)
                for i in range(0, n + 1))
-
-
-# -- partial sums -------------------------------------------------------------
-
-def test_partial_sum_harmonic():
-    assert partial_sum(harmonic(), 3) == pytest.approx(1.0 + 0.5 + 1.0 / 3.0)
-
-
-def test_partial_sum_constant_zero():
-    assert partial_sum(constant(0.0), 100) == 0.0
-
-
-def test_partial_sum_rejects_n_zero():
-    with pytest.raises(ValueError):
-        partial_sum(harmonic(), 0)
-
-
-def test_summable_powerlaw_bounded():
-    spec = powerlaw(2.0, 1.0)
-    s = partial_sum(spec, 100_000)
-    # independent recomputation plus the exact limit bound
-    assert s == pytest.approx(sum(min(1.0, i ** -2.0) for i in range(1, 100_001)))
-    assert s < math.pi ** 2 / 6
-
-
-def test_harmonic_partial_sums_diverge():
-    spec = harmonic()
-    prev, n = 0.0, 1
-    while partial_sum(spec, n) <= 5.0:
-        cur = partial_sum(spec, n)
-        assert cur >= prev
-        prev, n = cur, n * 2
-        assert n < 1 << 12  # H_n > 5 well before n = 4096
 
 
 # -- parsing ------------------------------------------------------------------

@@ -7,8 +7,7 @@ from lrperc.bondfield import BondField, BondId
 from lrperc.sequences import constant, explicit, harmonic, powerlaw, truncate
 from lrperc.starlat import (
     StarParams, block_path_critical_k, block_path_survival,
-    check_zeta, choose_N, h_connected, h_label_max, staircase, vertical_open,
-    zeta_labels,
+    check_zeta, choose_N, h_connected, h_label_max, staircase, zeta_labels,
 )
 from lrperc.harness import _hprob, _surv_star, run_replicas
 from lrperc.stats import EstimateWithCI, wilson_interval
@@ -64,11 +63,15 @@ def test_h_exhaustive_oracle_pinned():
 
 
 def test_h_monte_carlo_matches_oracle():
+    """The `hprob` kernel's H-event frequency agrees with the exhaustive
+    value within a z = 3 Wilson interval, and its records are not
+    overdispersed across 200 blocks of 100 consecutive replicas (one-sided,
+    z <= 4)."""
     pseq = _seq(p=explicit([0.5, 0.5]), k=2)
-    hits = sum(c is not None for c in run_replicas(_hprob, (pseq, 2), seed=21,
-                                                   reps=20_000))
-    est = EstimateWithCI.from_counts(hits, 20_000, z=3.0)
+    hits = [c is not None for c in run_replicas(_hprob, (pseq, 2), seed=21, reps=20_000)]
+    est = EstimateWithCI.from_counts(sum(hits), 20_000, z=3.0)
     assert est.lo <= 95.0 / 128.0 <= est.hi
+    assert block_dispersion_z(hits, 95.0 / 128.0) <= 4.0
 
 
 def test_h_window_monotone_per_sample():
@@ -178,8 +181,8 @@ def test_zeta_matches_raw_recomputation():
     for r in range(60):
         fld = BondField(71).derive_replica(r)
         hs = all(h_connected(fld, m, 0, params.pseq, 3) for m in range(0, 4))
-        v1 = any(vertical_open(fld, staircase(m), 0, params) for m in (0, 1))
-        v2 = any(vertical_open(fld, staircase(m), 0, params) for m in (2, 3))
+        v1 = any(fld.is_open(BondId.star_vertical(staircase(m), 0), params.eps) for m in (0, 1))
+        v2 = any(fld.is_open(BondId.star_vertical(staircase(m), 0), params.eps) for m in (2, 3))
         assert check_zeta(fld, 0, 0, params, window=3) == (hs and v1 and v2)
 
 
@@ -420,10 +423,12 @@ def test_surv_star_records_nondecreasing_in_k():
             assert (crit is not None and crit <= k) == survived, (r, k)
 
 
-def test_hprob_records_equal_h_connected():
-    """The kernel's one lazy search at the largest k gives the least k at
-    which the scalar `h_connected` holds, at every k down to 0."""
+def test_hprob_records_equal_h_connected(h_path):
+    """The kernel's one label at the largest k, on each route of
+    `h_label_max`, gives the least k at which the scalar `h_connected`
+    holds, at every k down to 0."""
     seq, kmax = powerlaw(1.0, 0.5), 3
+    h_path(kmax, 3)
     crits = run_replicas(_hprob, (_seq(p=seq, k=kmax), 3), seed=17, reps=60)
     assert len(set(crits)) > 2
     for r, crit in enumerate(crits):
@@ -431,6 +436,28 @@ def test_hprob_records_equal_h_connected():
         for k in range(kmax + 1):
             held = h_connected(fld, 0, 0, _seq(p=seq, k=k), 3)
             assert (crit is not None and crit <= k) == held, (r, k)
+
+
+@pytest.mark.parametrize("p, window, label, apart", [
+    (constant(1.0), 2, 1, 0),              # every range-1 bond is open
+    (explicit([0.0, 1.0, 1.0]), 2, 3, 7),  # none is: 0 -> -2 -> 1 or 0 -> 2 -> -1
+])
+def test_batch_route_grids_only_the_lines_left_apart(monkeypatch, p, window, label, apart):
+    """The batch route draws each line's range-1 bond first, and only the
+    lines it leaves apart reach `_h_labels_batch`; a call with none left
+    apart, at `hprob` and at a star level, makes no grid draw."""
+    gridded = []
+    batch = starlat._h_labels_batch
+
+    def spy(root, replicas, m, n, pseq, W):
+        gridded.extend(m.tolist())
+        return batch(root, replicas, m, n, pseq, W)
+    monkeypatch.setattr(starlat, "_h_labels_batch", spy)
+    pseq = _seq(p=p, k=3)
+    assert run_replicas(_hprob, (pseq, window), seed=7, reps=3) == [label] * 3
+    top = StarParams(1.0, pseq, 1)
+    assert block_path_critical_k(BondField(7), [0, 1], top, 1, window) == [label] * 2
+    assert len(gridded) == apart  # of 3 `hprob` lines and 2 x 2 lines of one block
 
 
 def test_labels_at_kmax_zero():
