@@ -7,7 +7,10 @@ the intermediate vertex both an open vertical bond (axis 2, displacement
 beta) and a second open axis-1 bond.  The red cluster is grown by the
 (A_i, B_i) recursion over the exterior boundary, examining at each step the
 minimal unexplored boundary point.  Every scanned range is an axis-1
-bond's, so the truncation range k is that of the axis-1 sequence.
+bond's, so the truncation range k is that of the axis-1 sequence.  Each
+certified offset of a point is certified by one link, the two bonds that
+lead to it from a certified offset of its parent point, so the certificates
+take memory in the number of offsets, not in their depth.
 
 The abstract red definition quantifies over every integer offset a; here
 the scan is restricted to the offsets already certified reachable by the
@@ -26,7 +29,6 @@ label below max(gamma).  A grid holding gamma = 1 prunes nothing.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -108,97 +110,85 @@ class RedState:
     truncated: bool
     examined: list  # (point, red, offsets_scanned) in examination order
     certificates: dict = field(repr=False, default_factory=dict)
-    # certificates[(m, n)] maps an e_1 offset a to an explicit open path of
-    # lattice vertices from ((0,0),0) to ((a, m*beta), 2n)
+    # certificates[(m, n)] maps an e_1 offset a to its link ((m0, n - 1), a0, a1):
+    # the bifurcation rooted at offset a0 of the parent point (m0, n - 1) steps
+    # a1 along axis 1, then to ((a, m*beta), 2n); the origin's offset 0 maps to None
 
 
 def explore_red_cluster(fld: BondField, params: BifurcationParams,
                         max_steps: int) -> RedState:
     """The (A_i, B_i) recursion; returns the terminated or truncated state.
 
-    Every certified offset carries an explicit bond path so red membership
-    can be re-verified against the raw bond configuration.
+    A point's children lie one generation later, so the least unexamined
+    boundary point in (n, m) order is the next m of the current generation,
+    or else the least m of the next one.  Every certified offset carries a
+    link to a certified offset of its parent point, so red membership can be
+    re-verified against the raw bond configuration.
     """
     if max_steps < 0:
         raise ValueError("max_steps must be nonnegative")
     beta = params.beta
     A, B = set(), set()
-    frontier = []  # heap of (n, m) over the children of A; stale entries skipped
-    cert = {(0, 0): {0: (((0, 0), 0),)}}
+    cert = {(0, 0): {0: None}}
     examined = []
-    current = (0, 0)
     step = 0
-    truncated = False
-    while True:
-        if step >= max_steps:
-            truncated = True
-            break
-        m, n = current
-        origins = sorted(cert.get(current, {}), key=lambda a: (abs(a), a < 0))
-        red = False
-        for a in origins:
-            root = ((a, m * beta), 2 * n)
-            rec = check_bifurcation(fld, root, params)
-            if not rec.success:
-                continue
-            red = True
-            path = cert[current][a]
-            mid = ((a + rec.a, m * beta), 2 * n + 1)
-            c1 = ((a + rec.a + rec.a_prime, m * beta), 2 * n + 2)
-            c2 = ((a + rec.a, (m + 1) * beta), 2 * n + 2)
-            cert.setdefault((m, n + 1), {}).setdefault(a + rec.a + rec.a_prime,
-                                                       path + (mid, c1))
-            cert.setdefault((m + 1, n + 1), {}).setdefault(a + rec.a,
-                                                           path + (mid, c2))
-        (A if red else B).add(current)
-        examined.append((current, red, len(origins)))
-        step += 1
-        if red:
-            heapq.heappush(frontier, (n + 1, m))
-            heapq.heappush(frontier, (n + 1, m + 1))
-        current = None
-        while frontier:
-            n, m = heapq.heappop(frontier)
-            if (m, n) not in A and (m, n) not in B:
-                current = (m, n)
-                break
-        if current is None:
-            break
-    return RedState(A, B, current, step, truncated, examined, cert)
-
-
-def verify_path(fld: BondField, params: BifurcationParams, path) -> bool:
-    """Re-check bond-by-bond that a certificate path is open."""
-    p, q = params.pseq, params.qseq
-    for (x, n), (y, n2) in zip(path, path[1:]):
-        if n2 != n + 1:
-            return False
-        dx = (y[0] - x[0], y[1] - x[1])
-        if dx[0] != 0 and dx[1] != 0:
-            return False
-        axis = 1 if dx[0] != 0 else 2
-        disp = dx[axis - 1]
-        prob = p.term(abs(disp)) if axis == 1 else q.term(abs(disp))
-        if not fld.is_open(BondId.oriented(x, n, axis, disp), prob):
-            return False
-    return True
+    level, n = [0], 0  # the m values of generation n still to examine, sorted
+    while level:
+        children = set()
+        for m in level:
+            if step >= max_steps:
+                return RedState(A, B, (m, n), step, True, examined, cert)
+            origins = sorted(cert[(m, n)], key=lambda a: (abs(a), a < 0))
+            red = False
+            for a in origins:
+                rec = check_bifurcation(fld, ((a, m * beta), 2 * n), params)
+                if not rec.success:
+                    continue
+                red = True
+                link = ((m, n), a, rec.a)
+                cert.setdefault((m, n + 1), {}).setdefault(a + rec.a + rec.a_prime, link)
+                cert.setdefault((m + 1, n + 1), {}).setdefault(a + rec.a, link)
+            (A if red else B).add((m, n))
+            examined.append(((m, n), red, len(origins)))
+            step += 1
+            if red:
+                children.update((m, m + 1))
+        level, n = sorted(children), n + 1
+    return RedState(A, B, None, step, False, examined, cert)
 
 
 def reverify_red_cluster(fld: BondField, params: BifurcationParams, state: RedState) -> bool:
-    """True iff every red vertex owns at least one fully open certificate path
-    ending at a bifurcation root that still checks out, and every certified
-    path is open bond-by-bond."""
-    for point, offsets in state.certificates.items():
-        for a, path in offsets.items():
-            if not verify_path(fld, params, path):
+    """True iff every link is open bond by bond and leaves a certified offset
+    of the generation before, so by induction on n every certified offset
+    ends an open path from the origin, and every red point has a certified
+    offset that roots a bifurcation."""
+    p, q, beta = params.pseq, params.qseq, params.beta
+    cert = state.certificates
+    for (m, n), offsets in cert.items():
+        for a, link in offsets.items():
+            if link is None:
+                if (m, n, a) != (0, 0, 0):
+                    return False
+                continue
+            (m0, n0), a0, a1 = link
+            if n0 != n - 1 or a0 not in cert.get((m0, n0), {}):
                 return False
-            end_x, end_n = path[-1]
-            if end_x != (a, point[0] * params.beta) or end_n != 2 * point[1]:
+            if not fld.is_open(BondId.oriented((a0, m0 * beta), 2 * n0, 1, a1),
+                               p.term(abs(a1))):
+                return False
+            mid = (a0 + a1, m0 * beta)
+            if m == m0:
+                axis, disp, prob = 1, a - a0 - a1, p.term(abs(a - a0 - a1))
+            elif m == m0 + 1 and a == a0 + a1:
+                axis, disp, prob = 2, beta, q.term(beta)
+            else:
+                return False
+            if not fld.is_open(BondId.oriented(mid, 2 * n - 1, axis, disp), prob):
                 return False
     for point in state.A:
         m, n = point
-        if not any(check_bifurcation(fld, ((a, m * params.beta), 2 * n), params).success
-                   for a in state.certificates.get(point, {})):
+        if not any(check_bifurcation(fld, ((a, m * beta), 2 * n), params).success
+                   for a in cert.get(point, {})):
             return False
     return True
 

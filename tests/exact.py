@@ -144,6 +144,12 @@ def block_dispersion_z(hits, p: float, block: int = 100) -> float:
     such as pairs reading one stream, inflate it; a mean check cannot see
     them.
     """
-    x = np.asarray(hits, dtype=np.float64).reshape(-1, block).sum(axis=1)
+    return block_counts_z(np.asarray(hits).reshape(-1, block).sum(axis=1), p, block)
+
+
+def block_counts_z(counts, p: float, block: int) -> float:
+    """`block_dispersion_z` from the hits x_b of each block of `block`
+    replicas, for a kernel that returns counts rather than records."""
+    x = np.asarray(counts, dtype=np.float64)
     chi2 = float(((x - block * p) ** 2).sum()) / (block * p * (1.0 - p))
     return (chi2 - x.size) / math.sqrt(2 * x.size)

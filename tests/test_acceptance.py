@@ -9,9 +9,12 @@ zero-tolerance.
 from contextlib import contextmanager
 from pathlib import Path
 
-from conftest import record_acceptance
-from exact import cone_survival
+import numpy as np
 
+from conftest import record_acceptance
+from exact import block_counts_z, cone_survival
+
+from lrperc import renorm
 from lrperc.bondfield import BondField
 from lrperc.cli import resolve_config
 from lrperc.contact import (
@@ -123,6 +126,17 @@ def test_criterion_05_domination_consequence():
                     "k": "20", "steps": "12"}))
         assert "violation=0" in row["extra_params"]
         assert row["ci_hi"] >= gamma_k(params)
+        # harmonic's p_1 = q_1 = 1 makes every bifurcation succeed at (1, 1);
+        # at this law some fail, so the frequency is a real estimate below 1
+        law = powerlaw(1.0, 0.7)
+        rows = run_experiment(ExperimentConfig(
+            "redcluster", seed=5050, reps=200, z=3.0,
+            params={"pseq": "powerlaw:1,0.7", "qseq": "powerlaw:1,0.7", "beta": "2",
+                    "k": "3,20", "steps": "40"}))
+        for row in rows:
+            assert "violation=0" in row["extra_params"], row["k"]
+            assert row["estimate"] < 1.0, row["k"]
+            assert row["ci_hi"] >= gamma_k(_bparams(row["k"], law, law, beta=2)), row["k"]
 
 
 def test_criterion_06_site_percolation_oracle_and_crossing():
@@ -131,6 +145,12 @@ def test_criterion_06_site_percolation_oracle_and_crossing():
         counts = cone_survival_scan([0.5], [3], 100_000, seed=606)
         lo, hi = wilson_interval(int(counts[0, 0]), 100_000, z=3.0)
         assert lo <= exact <= hi
+        # the same stream in 1000 chunks of 100 replicas: block counts that
+        # spread as independent draws do (one-sided, z <= 4)
+        blocks = [renorm._cone_chunk((np.array([0.5]), [3]), BondField(606), b, b + 100)[0][0, 0]
+                  for b in range(0, 100_000, 100)]
+        assert sum(blocks) == counts[0, 0]
+        assert block_counts_z(blocks, exact, 100) <= 4.0
         cfg = _cfg("siteperc", "crossing.cfg", threads=2)
         gammas = [float(g) for g in cfg.params["gamma"].split(",")]
         scan = cone_survival_scan(gammas,

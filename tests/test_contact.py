@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from exact import contact_survival_d1
+from exact import block_dispersion_z, contact_survival_d1
 from lrperc import contact
 from lrperc.cli import main
 from lrperc.contact import (
@@ -490,15 +490,19 @@ def test_surv_contact_sweep_matches_exact_d1_values():
     """A d = 1 `surv_contact` k-sweep agrees at every k, within a two-sided
     z = 4 Wilson interval, with the exact survival probability of the
     Markov chain on the box's infected sets, which shares neither the
-    timeline nor the sweep."""
+    timeline nor the sweep.  Its records are not overdispersed either:
+    across 40 blocks of 100 consecutive replicas they spread as independent
+    draws do (one-sided, z <= 4)."""
     rates, window, horizon, reps = powerlaw(1.0, 1.2), 2, 2.0, 4000
     exact = [contact_survival_d1(truncate(rates, k), window, horizon) for k in (1, 2, 4)]
     assert exact == pytest.approx([0.43474, 0.56952, 0.60459], abs=5e-6)
     crits = run_replicas(_surv_contact, (truncate(rates, 4), window, horizon, 1),
                          seed=31, reps=reps, threads=2)
     for k, value in zip((1, 2, 4), exact):
-        est = EstimateWithCI.from_counts(sum(c is not None and c <= k for c in crits), reps, 4.0)
+        hits = [c is not None and c <= k for c in crits]
+        est = EstimateWithCI.from_counts(sum(hits), reps, 4.0)
         assert est.lo <= value <= est.hi, (k, est.estimate, value)
+        assert block_dispersion_z(hits, value) <= 4.0, k
 
 def test_infected_at_horizon_trivial():
     tl = _tl(arrows={((0,), (1,)): [1.0]})

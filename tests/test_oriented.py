@@ -394,6 +394,19 @@ def test_surv_g_sweep_matches_exact_d1_values():
         assert block_dispersion_z(hits, value) <= 4.0, k
 
 
+def test_surv_g_sweep_is_not_overdispersed_across_seeds():
+    """The d = 1 `surv_g` k-sweep of 100 replicas at each of 40 seeds: the
+    seeds' hits spread as independent draws do (one-sided, z <= 4).  Blocks
+    within one seed cannot see a fault in the seed derivation; these can."""
+    seq, window, horizon = powerlaw(1.0, 0.45), 2, 6
+    top = _params(d=1, horizon=horizon, window=window, p=truncate(seq, 4))
+    crits = [c for seed in range(40) for c in run_replicas(_surv_g, (top,), seed, 100)]
+    for k in (1, 2, 3, 4):
+        hits = [c is not None and c <= k for c in crits]
+        value = oriented_survival_d1(truncate(seq, k), window, horizon)
+        assert block_dispersion_z(hits, value) <= 4.0, k
+
+
 @pytest.mark.parametrize("top_label, branch", [(0, "key"), (1, "lexsort")])
 def test_dedupe_key_never_wraps(monkeypatch, top_label, branch):
     """A d = 3 box of 2^63 cells with one label is the widest the int64 key

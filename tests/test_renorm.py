@@ -10,9 +10,9 @@ from lrperc.bondfield import BondField, BondId
 from lrperc.harness import ExperimentConfig, _bifurcation, run_experiment, run_replicas
 from lrperc.renorm import (
     BifurcationParams, check_bifurcation, cone_survival_scan, crossing_from_scan,
-    explore_red_cluster, gamma_k, reverify_red_cluster, site_perc_cone, verify_path,
+    explore_red_cluster, gamma_k, reverify_red_cluster, site_perc_cone,
 )
-from lrperc.sequences import constant, explicit, harmonic, powerlaw, truncate
+from lrperc.sequences import constant, explicit, harmonic, powerlaw, signed_ranges, truncate
 from lrperc.stats import EstimateWithCI, wilson_interval
 
 
@@ -166,11 +166,27 @@ def test_red_cluster_reverification_and_inclusion():
             assert state.certificates.get((m + 1, n + 1)), (m, n)
 
 
+def _certified_path(certificates, point, a, beta):
+    """The open vertex path from the origin to offset `a` of `point` that
+    the links of `certificates` spell out, one link per generation."""
+    path = []
+    while True:
+        m, n = point
+        path.append(((a, m * beta), 2 * n))
+        link = certificates[point][a]
+        if link is None:
+            return tuple(reversed(path))
+        (m0, n0), a0, a1 = link
+        path.append(((a0 + a1, m0 * beta), 2 * n - 1))
+        point, a = (m0, n0), a0
+
+
 def test_certificate_paths_have_correct_shape():
     params = _bparams(8, harmonic(), harmonic())
     state = explore_red_cluster(BondField(55), params, max_steps=10)
     for (m, n), offsets in state.certificates.items():
-        for a, path in offsets.items():
+        for a in offsets:
+            path = _certified_path(state.certificates, (m, n), a, params.beta)
             assert path[0] == ((0, 0), 0)
             assert path[-1] == ((a, m * params.beta), 2 * n)
             assert len(path) == 2 * n + 1
@@ -183,52 +199,110 @@ _RED_PARAMS = _bparams(4, powerlaw(1.0, 0.7), constant(0.7))
 
 @pytest.fixture(scope="module")
 def red_state():
-    """(field, state, (point, a, path)): a real state with red and examined
-    non-red points, and its longest certificate."""
+    """(field, state): a real state with red and examined non-red points,
+    certified offsets at least four generations deep."""
     fld = BondField(13).derive_replica(9)
     state = explore_red_cluster(fld, _RED_PARAMS, max_steps=40)
     assert state.A and state.B and reverify_red_cluster(fld, _RED_PARAMS, state)
-    longest = max(((point, a, path) for point, offsets in state.certificates.items()
-                   for a, path in offsets.items()), key=lambda c: (len(c[2]), c[0], c[1]))
-    assert len(longest[2]) >= 5
-    return fld, state, longest
+    assert max(n for _, n in state.certificates) >= 4
+    return fld, state
 
 
-def _with_certificate(state, point, a, path):
-    """A copy of `state` whose only certificate of `point` is `path`, at offset `a`."""
-    return dataclasses.replace(state, certificates={**state.certificates, point: {a: path}})
+def _with_link(state, point, a, link):
+    """A copy of `state` in which offset `a` of `point` is certified by `link`."""
+    offsets = {**state.certificates.get(point, {}), a: link}
+    return dataclasses.replace(state, certificates={**state.certificates, point: offsets})
 
 
-def _closed_last_step(fld, path):
-    """`path` with its last step replaced by a closed axis-1 bond of the same generation."""
-    x, n = path[-2]
-    a = next(a for a in (1, -1, 2, -2, 3, -3, 4, -4)
-             if not fld.is_open(BondId.oriented(x, n, 1, a), _RED_PARAMS.pseq.term(abs(a))))
-    return path[:-1] + (((x[0] + a, x[1]), n + 1),)
+def _deepest_link(state, vertical):
+    """(point, a, link) of the deepest certified offset whose link ends on
+    a vertical bond (m = m0 + 1) or, if not `vertical`, an axis-1 bond."""
+    return max((((m, n), a, link) for (m, n), offsets in state.certificates.items()
+                for a, link in offsets.items()
+                if link is not None and (m == link[0][0] + 1) == vertical),
+               key=lambda c: (c[0][1], c[0][0], c[1]))
+
+
+def _axis1_steps(fld, x, n, is_open):
+    """The ranges, in scan order, of the open (or closed) axis-1 bonds out of (x, n)."""
+    p = _RED_PARAMS.pseq
+    return [a for a in signed_ranges(p.k)
+            if fld.is_open(BondId.oriented(x, n, 1, a), p.term(abs(a))) == is_open]
+
+
+def _two_steps(fld, x0, n0, first_open):
+    """(a1, d): an axis-1 step a1 out of (x0, 2 n0) whose bond is open (or
+    closed), then an open axis-1 step d out of its end, at 2 n0 + 1."""
+    a0, m0 = x0
+    return next((a1, d) for a1 in _axis1_steps(fld, x0, 2 * n0, first_open)
+                for d in _axis1_steps(fld, (a0 + a1, m0), 2 * n0 + 1, True))
+
+
+# Each corruption adds or replaces one link, (point, a, link), and breaks one
+# rule of a link; every other rule holds, its bonds are open where the rule
+# does not say otherwise, and its parent offset is certified unless it says so.
+
+def _skipped_generation(fld, state):
+    """A real link out of (m0, n0), filed two generations below it."""
+    _, _, ((m0, n0), a0, a1) = _deepest_link(state, False)
+    d = _axis1_steps(fld, (a0 + a1, m0), 2 * n0 + 3, True)[0]
+    return (m0, n0 + 2), a0 + a1 + d, ((m0, n0), a0, a1)
+
+
+def _diagonal_step(fld, state):
+    """A real link out of (m0, n - 1), filed under (m0 + 2, n)."""
+    (m, n), a, link = _deepest_link(state, False)
+    return (m + 2, n), a, link
+
+
+def _closed_first_bond(fld, state):
+    (m, n), _, ((m0, n0), a0, _) = _deepest_link(state, False)
+    a1, d = _two_steps(fld, (a0, m0), n0, False)
+    return (m, n), a0 + a1 + d, ((m0, n0), a0, a1)
+
+
+def _closed_second_bond(fld, state):
+    (m, n), _, link = _deepest_link(state, False)
+    (m0, n0), a0, a1 = link
+    return (m, n), a0 + a1 + _axis1_steps(fld, (a0 + a1, m0), 2 * n0 + 1, False)[0], link
+
+
+def _uncertified_parent(fld, state):
+    (m, n), _, ((m0, n0), _, _) = _deepest_link(state, False)
+    a0 = max(state.certificates[(m0, n0)]) + 1
+    a1, d = _two_steps(fld, (a0, m0), n0, True)
+    return (m, n), a0 + a1 + d, ((m0, n0), a0, a1)
+
+
+def _none_off_the_origin(fld, state):
+    point, a, _ = _deepest_link(state, False)
+    return point, a, None
 
 
 @pytest.mark.parametrize("corrupt", [
-    lambda fld, path: path[:1] + path[2:],  # skips a generation
-    lambda fld, path: (path[0], ((1, 1), 1)) + path[2:],  # a diagonal step
-    _closed_last_step,
-], ids=["skipped-generation", "diagonal-step", "closed-bond"])
+    _skipped_generation, _diagonal_step, _closed_first_bond, _closed_second_bond,
+    _uncertified_parent, _none_off_the_origin,
+], ids=["skipped-generation", "diagonal-step", "closed-first-bond", "closed-bond",
+        "uncertified-parent", "none-off-the-origin"])
 def test_reverify_rejects_a_broken_path(red_state, corrupt):
-    fld, state, (point, a, path) = red_state
-    assert verify_path(fld, _RED_PARAMS, path)
-    bad = corrupt(fld, path)
-    assert not verify_path(fld, _RED_PARAMS, bad)
-    assert not reverify_red_cluster(fld, _RED_PARAMS, _with_certificate(state, point, a, bad))
+    """One broken link breaks the certified path of its offset."""
+    fld, state = red_state
+    assert _RED_PARAMS.beta == 1  # the corruptions place vertices at (a, m)
+    assert not reverify_red_cluster(fld, _RED_PARAMS, _with_link(state, *corrupt(fld, state)))
 
 
 def test_reverify_rejects_a_path_ending_off_its_point(red_state):
-    """An open path filed under the wrong offset ends off ((a, m*beta), 2n)."""
-    fld, state, (point, a, path) = red_state
-    assert not reverify_red_cluster(fld, _RED_PARAMS, _with_certificate(state, point, a + 1, path))
+    """A real vertical link (m = m0 + 1), filed under an offset other than a0 + a1.
+    An axis-1 link moved to another offset is not corrupt: it certifies that
+    offset whenever the bond it then names is open."""
+    fld, state = red_state
+    point, a, link = _deepest_link(state, True)
+    assert not reverify_red_cluster(fld, _RED_PARAMS, _with_link(state, point, a + 1, link))
 
 
 def test_reverify_rejects_a_red_point_without_a_bifurcation(red_state):
     """A non-red point, its open certificates intact, listed in A."""
-    fld, state, _ = red_state
+    fld, state = red_state
     point = min(state.B)
     assert state.certificates[point]
     assert not reverify_red_cluster(fld, _RED_PARAMS,
@@ -257,7 +331,7 @@ def _red_cluster_by_rebuild(fld, params, max_steps):
     at every step and the least point under prec is examined next."""
     beta = params.beta
     A, B, examined = set(), set(), []
-    cert = {(0, 0): {0: (((0, 0), 0),)}}
+    cert = {(0, 0): {0: None}}
     current, step = (0, 0), 0
     while step < max_steps:
         m, n = current
@@ -267,13 +341,9 @@ def _red_cluster_by_rebuild(fld, params, max_steps):
             rec = check_bifurcation(fld, ((a, m * beta), 2 * n), params)
             if rec.success:
                 red = True
-                path = cert[current][a]
-                mid = ((a + rec.a, m * beta), 2 * n + 1)
-                c1 = ((a + rec.a + rec.a_prime, m * beta), 2 * n + 2)
-                c2 = ((a + rec.a, (m + 1) * beta), 2 * n + 2)
-                cert.setdefault((m, n + 1), {}).setdefault(a + rec.a + rec.a_prime,
-                                                           path + (mid, c1))
-                cert.setdefault((m + 1, n + 1), {}).setdefault(a + rec.a, path + (mid, c2))
+                link = (current, a, rec.a)
+                cert.setdefault((m, n + 1), {}).setdefault(a + rec.a + rec.a_prime, link)
+                cert.setdefault((m + 1, n + 1), {}).setdefault(a + rec.a, link)
         (A if red else B).add(current)
         examined.append((current, red, len(origins)))
         step += 1
@@ -284,19 +354,54 @@ def _red_cluster_by_rebuild(fld, params, max_steps):
     return A, B, current, step, True, examined, cert
 
 
-@pytest.mark.parametrize("k, p, q", [(3, powerlaw(1.0, 0.5), constant(0.6)),
-                                     (4, powerlaw(1.0, 0.7), constant(0.7)),
-                                     (20, harmonic(), harmonic())])
-def test_red_cluster_heap_frontier_matches_rebuild(k, p, q):
-    """The incremental frontier examines the same points in the same order,
-    so red sets and certificates equal those of the rebuild rule."""
+def _as_tuple(state):
+    return (state.A, state.B, state.current, state.step, state.truncated,
+            state.examined, state.certificates)
+
+
+_REBUILD_LAWS = [(3, powerlaw(1.0, 0.5), constant(0.6)),
+                 (4, powerlaw(1.0, 0.7), constant(0.7)),
+                 (20, harmonic(), harmonic())]
+
+
+@pytest.mark.parametrize("max_steps", [0, 1, 7, 60])
+@pytest.mark.parametrize("k, p, q", _REBUILD_LAWS)
+def test_red_cluster_generation_loop_matches_rebuild(k, p, q, max_steps):
+    """Generation by generation, the recursion examines the same points in
+    the same order as the rebuild rule, so red sets and certificates are
+    equal, at a budget of 0 (truncated at the origin), of 7 (which cuts a
+    generation part-way on some replica) and of 60."""
     params = _bparams(k, p, q)
+    cut_part_way = False
     for seed in (3, 71):
         for r in range(12):
             fld = BondField(seed).derive_replica(r)
-            state = explore_red_cluster(fld, params, max_steps=60)
-            assert (state.A, state.B, state.current, state.step, state.truncated,
-                    state.examined, state.certificates) == _red_cluster_by_rebuild(fld, params, 60)
+            state = explore_red_cluster(fld, params, max_steps=max_steps)
+            assert _as_tuple(state) == _red_cluster_by_rebuild(fld, params, max_steps)
+            if max_steps == 0:
+                assert state.truncated and state.current == (0, 0) and not state.examined
+            cut_part_way |= (state.truncated and bool(state.examined)
+                             and state.current[1] == state.examined[-1][0][1])
+    if max_steps == 7:
+        assert cut_part_way
+
+
+@pytest.mark.parametrize("k, p, q", _REBUILD_LAWS[:2])
+def test_red_cluster_dying_at_its_budget_is_not_truncated(k, p, q):
+    """A cluster whose last point is examined by the last step of its budget
+    terminates: truncated=False and current=None, as the rebuild rule says."""
+    params = _bparams(k, p, q)
+    died = 0
+    for r in range(12):
+        fld = BondField(3).derive_replica(r)
+        steps = explore_red_cluster(fld, params, max_steps=60)
+        if steps.truncated:
+            continue
+        state = explore_red_cluster(fld, params, max_steps=steps.step)
+        assert not state.truncated and state.current is None
+        assert _as_tuple(state) == _red_cluster_by_rebuild(fld, params, steps.step)
+        died += 1
+    assert died
 
 
 # -- site percolation on the cone ---------------------------------------------------
