@@ -212,18 +212,21 @@ def run_replicas(kernel, args, seed: int, reps: int, threads: int = 1, cap=None)
     `kernel(args, root, lo, hi)` that lists the records of replicas lo..hi-1
     with root = BondField(seed).
 
-    Chunks hold at most `cap` replicas (None: no cap), and a pooled run's
-    also at most ceil(reps / (4 workers)).  At most min(threads, reps,
-    cores) worker processes are started.
+    The replicas are cut into the fewest chunks that hold at most `cap`
+    replicas each (None: no cap) and come in a multiple of the worker count,
+    so each worker runs the same number of chunks; chunk i of n holds
+    replicas i reps // n .. (i + 1) reps // n - 1, so sizes differ by at
+    most one, and no chunk is empty.  At most min(threads, reps, cores)
+    worker processes are started.
     """
     if reps < 1:
         raise ValueError("replica count must be >= 1")
-    workers = min(threads, reps, os.cpu_count() or 1)
-    chunk = min(reps if workers <= 1 else -(-reps // (4 * workers)), cap or reps)
-    los = range(0, reps, chunk)
-    his = [min(lo + chunk, reps) for lo in los]
-    chunks = (kernel, repeat(args), repeat(BondField(seed)), los, his)
-    if workers <= 1:
+    workers = max(1, min(threads, reps, os.cpu_count() or 1))
+    fewest = -(-reps // (cap or reps))
+    n = min(reps, -(-fewest // workers) * workers)
+    bounds = [i * reps // n for i in range(n + 1)]
+    chunks = (kernel, repeat(args), repeat(BondField(seed)), bounds[:-1], bounds[1:])
+    if workers == 1:
         return [rec for part in map(*chunks) for rec in part]
     with ProcessPoolExecutor(max_workers=workers) as ex:
         return [rec for part in ex.map(*chunks) for rec in part]

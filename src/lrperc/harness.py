@@ -214,9 +214,10 @@ class ExperimentConfig:
 
 # -- runners: (cfg, typed parameters) -> rows ----------------------------------------
 
-def _k_estimates(cfg, ks, kernel, args):
-    """(k, estimate) for each k of `ks`, from one pass of `kernel`'s critical k."""
-    crits = run_replicas(kernel, args, cfg.seed, cfg.reps, cfg.threads)
+def _k_estimates(cfg, ks, kernel, args, cap=None):
+    """(k, estimate) for each k of `ks`, from one pass of `kernel`'s critical k
+    over chunks of at most `cap` replicas."""
+    crits = run_replicas(kernel, args, cfg.seed, cfg.reps, cfg.threads, cap)
     hits = [sum(c is not None and c <= k for c in crits) for k in ks]
     return [(k, EstimateWithCI.from_counts(h, cfg.reps, cfg.z)) for k, h in zip(ks, hits)]
 
@@ -297,8 +298,10 @@ def _run_star(cfg, p):
     eps, delta, horizon, window, ks = p["eps"], p["delta"], p["horizon"], p["window"], p["k"]
     N = starlat.choose_N(eps, delta)
     args = (starlat.StarParams(eps, truncate(p["pseq"], max(ks)), N), horizon, window)
+    # a level of a chunk holds at most 2N (horizon + 1) lines per replica
+    cap = max(1, starlat._BATCH_IDS // (2 * N * (horizon + 1)))
     return [_row(cfg, "gstar", k, horizon, window, {"eps": eps, "delta": delta, "N": N}, est)
-            for k, est in _k_estimates(cfg, ks, _surv_star, args)]
+            for k, est in _k_estimates(cfg, ks, _surv_star, args, cap)]
 
 
 def _run_hprob(cfg, p):

@@ -220,7 +220,9 @@ def site_perc_cone(gamma: float, horizon: int, fld: BondField) -> ConeCluster:
     return ConeCluster(reached, bool(reached[horizon]))
 
 
-_SCAN_CELLS = 1 << 20  # most (replica, site) labels one chunk of the cone scan holds
+# most (replica, site) labels one chunk of the cone scan holds, few enough for
+# a chunk's label and uniform arrays to stay in cache: 510 replicas at horizon 256
+_SCAN_CELLS = 1 << 17
 
 
 def _cone_chunk(args, root, lo, hi):
@@ -275,7 +277,9 @@ def cone_survival_scan(gammas, horizons, reps: int, seed: int, threads: int = 1)
     +inf off the cone, give survival to horizon t at every gamma: exactly
     when min_m label(m, t) < gamma, which is nondecreasing in gamma.  The
     replicas are scanned in chunks of at most _SCAN_CELLS labels at the last
-    horizon, on up to `threads` workers, so memory does not grow with `reps`.
+    horizon, on up to `threads` workers, so memory does not grow with `reps`;
+    `run_replicas` evens the chunks out, so 1200 replicas at horizon 256 run
+    as 3 chunks of 400 on one worker.
 
     Only labels below g = max(gammas) are computed.  The test is strict, so a
     label >= g counts at no gamma of the grid, and every child of such a site

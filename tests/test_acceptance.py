@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from conftest import record_acceptance
-from exact import block_counts_z, cone_survival
+from exact import block_counts_z, block_dispersion_z, cone_survival
 
 from lrperc import renorm
 from lrperc.bondfield import BondField
@@ -21,14 +21,14 @@ from lrperc.contact import (
     SkeletonParams, f_events, f_probability, infected_at_horizon, sample_timeline,
 )
 from lrperc.harness import (
-    ExperimentConfig, _bifurcation, format_csv, run_experiment, run_replicas,
+    ExperimentConfig, _bifurcation, _hprob, format_csv, run_experiment, run_replicas,
 )
 from lrperc.oriented import ExplorationParams, explore
 from lrperc.renorm import (
     BifurcationParams, cone_survival_scan, crossing_from_scan, explore_red_cluster,
     gamma_k, reverify_red_cluster,
 )
-from lrperc.sequences import harmonic, powerlaw, truncate
+from lrperc.sequences import explicit, harmonic, powerlaw, truncate
 from lrperc.stats import EstimateWithCI, wilson_interval
 
 _CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -202,6 +202,12 @@ def test_criterion_09_h_event_oracle():
         rows = run_experiment(_cfg("hprob", "hprob_oracle.cfg"))
         (row,) = rows
         assert row["ci_lo"] <= 95.0 / 128.0 <= row["ci_hi"]
+        # the row's records, read again: they sum to its count and spread
+        # across blocks of 100 replicas as independent draws do
+        crits = run_replicas(_hprob, (truncate(explicit([0.5, 0.5]), 2), 2), 42, 100000)
+        hits = [c is not None and c <= 2 for c in crits]
+        assert sum(hits) == round(row["estimate"] * row["reps"])
+        assert block_dispersion_z(hits, 95.0 / 128.0) <= 4.0
 
 
 def test_criterion_10_determinism_across_thread_counts():

@@ -10,8 +10,8 @@ from lrperc import bondfield, harness, renorm, starlat
 from lrperc.bondfield import BondField
 from lrperc.cli import build_parser, main, resolve_config
 from lrperc.harness import (
-    PARAMS, ExperimentConfig, _hprob, emit_csv, format_csv, parse_config_file, run_experiment,
-    run_replicas, wilson_interval,
+    PARAMS, ExperimentConfig, _hprob, _surv_star, emit_csv, format_csv, parse_config_file,
+    run_experiment, run_replicas, wilson_interval,
 )
 from lrperc.sequences import harmonic, parse_sequence, powerlaw, truncate
 from lrperc.starlat import StarParams
@@ -397,7 +397,7 @@ def test_redcluster_reads_zero_below_beta():
         [alone[c] for c in ("k", "estimate", "ci_lo", "ci_hi")]
 
 
-_HPROB_ARGS = (truncate(harmonic(), 3), 3)
+_HPROB_ARGS = (truncate(powerlaw(1.0, 0.5), 3), 3)  # labels 1, 2, 3 and None all occur
 
 
 def test_run_replicas_thread_invariance():
@@ -409,18 +409,13 @@ def test_run_replicas_thread_invariance():
         run_replicas(_hprob, _HPROB_ARGS, 5, 0)
 
 
-@pytest.mark.parametrize("cores, threads, reps, workers", [
-    (2, 8, 64, [2]),      # capped by the cores
-    (8, 3, 2, [2]),       # capped by the chunks of work
-    (None, 4, 64, []),    # core count unknown: serial
-    (1, 4, 64, []),       # one core: serial
-])
-def test_run_replicas_clamps_workers(monkeypatch, cores, threads, reps, workers):
+@pytest.fixture
+def inline_pool(monkeypatch):
+    """`inline_pool(cores)` sets the core count and runs the pool's chunks in
+    this process; it returns the list of worker counts the pool is asked for."""
     asked = []
 
     class InlineExecutor:
-        """Runs the chunks in this process; records the worker count asked for."""
-
         def __init__(self, max_workers):
             asked.append(max_workers)
 
@@ -433,23 +428,70 @@ def test_run_replicas_clamps_workers(monkeypatch, cores, threads, reps, workers)
         def map(self, fn, *iterables):
             return map(fn, *iterables)
 
-    monkeypatch.setattr(os, "cpu_count", lambda: cores)
-    monkeypatch.setattr(bondfield, "ProcessPoolExecutor", InlineExecutor)
+    def patch(cores):
+        monkeypatch.setattr(os, "cpu_count", lambda: cores)
+        monkeypatch.setattr(bondfield, "ProcessPoolExecutor", InlineExecutor)
+        return asked
+    return patch
+
+
+@pytest.mark.parametrize("cores, threads, reps, workers", [
+    (2, 8, 64, [2]),      # capped by the cores
+    (8, 3, 2, [2]),       # capped by the chunks of work
+    (None, 4, 64, []),    # core count unknown: serial
+    (1, 4, 64, []),       # one core: serial
+])
+def test_run_replicas_clamps_workers(inline_pool, cores, threads, reps, workers):
+    asked = inline_pool(cores)
     out = run_replicas(_hprob, _HPROB_ARGS, 5, reps, threads=threads)
     assert asked == workers
     assert out == run_replicas(_hprob, _HPROB_ARGS, 5, reps)
 
 
-def test_run_replicas_cap_bounds_chunks():
-    """cap=3 cuts 10 replicas into 4 chunks, and the records do not change."""
-    chunks = []
+@pytest.mark.parametrize("reps, workers, cap, plan", [
+    (68, 2, None, [(0, 34), (34, 68)]),  # the star k-sweep: one chunk per worker
+    (25, 2, None, [(0, 12), (12, 25)]),
+    (1200, 1, 510, [(0, 400), (400, 800), (800, 1200)]),  # the cone scan's cap
+    (10, 4, None, [(0, 2), (2, 5), (5, 7), (7, 10)]),  # no chunk of 1 beside chunks of 3
+    (10, 1, 3, [(0, 2), (2, 5), (5, 7), (7, 10)]),  # the cap needs 4 chunks
+    (5, 2, 1, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)]),  # never an empty chunk
+])
+def test_run_replicas_chunk_plan(inline_pool, reps, workers, cap, plan):
+    """`run_replicas` cuts the replicas into the fewest chunks within `cap`
+    that come in a multiple of the workers, as evenly as they go, in
+    replica order."""
+    inline_pool(workers)
+    bounds = []
 
     def spy(args, root, lo, hi):
-        chunks.append((lo, hi))
-        return _hprob(args, root, lo, hi)
-    out = run_replicas(spy, _HPROB_ARGS, 5, 10, cap=3)
-    assert chunks == [(0, 3), (3, 6), (6, 9), (9, 10)]
-    assert out == run_replicas(_hprob, _HPROB_ARGS, 5, 10)
+        bounds.append((lo, hi))
+        return list(range(lo, hi))
+    assert run_replicas(spy, None, 5, reps, threads=workers, cap=cap) == list(range(reps))
+    assert bounds == plan
+
+
+_STAR_ARGS = (StarParams(0.8, truncate(powerlaw(1.0, 0.95), 4), 2), 5, 3)
+
+
+@pytest.mark.parametrize("kernel", ["star", "hprob", "cone"])
+def test_batched_kernel_records_do_not_depend_on_chunking(monkeypatch, kernel):
+    """The kernels that draw a chunk's replicas together give the same
+    records in one chunk (threads=1), in one chunk per worker (threads=2:
+    12 + 13 replicas) and in chunks of one replica (cap=1); the cone scan
+    is capped through its label budget."""
+    reps, gammas, horizons = 25, [0.55, 0.65, 0.75], [3, 12]
+
+    def records(threads, cap):
+        if kernel == "star":
+            return run_replicas(_surv_star, _STAR_ARGS, 21, reps, threads, cap)
+        if kernel == "hprob":
+            return run_replicas(_hprob, _HPROB_ARGS, 21, reps, threads, cap)
+        monkeypatch.setattr(renorm, "_SCAN_CELLS", (cap or reps) * (max(horizons) + 1))
+        return renorm.cone_survival_scan(gammas, horizons, reps, 21, threads).tolist()
+    one = records(1, None)
+    assert records(2, None) == one
+    assert records(1, 1) == one
+    assert len(set(sum(one, []) if kernel == "cone" else one)) > 2
 
 
 def test_siteperc_honours_threads(monkeypatch):

@@ -451,8 +451,8 @@ def test_scan_on_two_workers_matches_exact_values():
 def test_scan_equals_oracle_per_replica(seed, monkeypatch):
     """The scan reads each replica's own stream, so its counts are exactly
     the oracle's survivals summed over replicas, horizon 0 included, in one
-    chunk or in chunks of 7 replicas (10 labels each at horizon 9), of which
-    the last holds 6, serially or on two workers."""
+    chunk or in chunks of at most 7 replicas (10 labels each at horizon 9),
+    serially or on two workers."""
     gammas, horizons, reps = [0.0, 0.5, 0.7, 1.0], [9, 0, 1, 4], 300
     counts = cone_survival_scan(gammas, horizons, reps, seed)
     monkeypatch.setattr(renorm, "_SCAN_CELLS", 79)
@@ -476,7 +476,7 @@ def test_scan_equals_oracle_per_replica(seed, monkeypatch):
 def test_pruned_scan_equals_oracle_per_replica(gammas, horizons, monkeypatch):
     """With no gamma = 1 in the grid the scan prunes replicas and sites, and
     its counts stay the oracle's survivals summed over replicas, in one chunk
-    or in chunks of 7 replicas, serially or on two workers."""
+    or in chunks of at most 7 replicas, serially or on two workers."""
     reps, seed, top = 200, 3, max(horizons)
     counts = cone_survival_scan(gammas, horizons, reps, seed)
     monkeypatch.setattr(renorm, "_SCAN_CELLS", 7 * (top + 1))
