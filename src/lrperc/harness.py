@@ -14,10 +14,12 @@ covers the defaults it ran with.  A kind carries its bounds too, so an
 out-of-range value is refused by its key before any replica is drawn, and
 the runners hold no range check.
 
-A k-sweep chunk kernel, passed by function to `run_replicas`, sweeps each
-replica once, at the largest k, and returns its critical k, the least k at
-which the event holds (None: at no k swept); the row at k counts the
-replicas whose critical k is <= k.
+A k-sweep chunk kernel, passed by function to `run_replicas`, returns each
+replica's critical k, the least k at which the event holds (None: at no k
+swept); the row at k counts the replicas whose critical k is <= k.  The
+star, `hprob` and contact kernels sweep each replica once, at the largest
+k; the oriented kernel sweeps at truncation 1, 2, 4, ... and stops at the
+first sweep that survives.
 """
 
 from __future__ import annotations
@@ -40,9 +42,10 @@ __all__ = [
 # -- chunk kernels: the records of replicas lo..hi-1 ------------------------------
 
 def _surv_g(args, root, lo, hi):
-    """Critical k of one labelled sweep at params.k = max(ks), or None."""
+    """Critical k of the oriented cluster at params.k = max(ks), or None, by
+    labelled sweeps at truncation 1, 2, 4, ... up to the first that survives."""
     (params,) = args
-    return [oriented.explore(root.derive_replica(r), params).critical_k for r in range(lo, hi)]
+    return [oriented.critical_k(root.derive_replica(r), params) for r in range(lo, hi)]
 
 
 def _surv_contact(args, root, lo, hi):

@@ -23,8 +23,19 @@ A vertex is reached at truncation k exactly when its label is <= k, so the
 front at `params.k`, the larger of the two sequences' own truncations, is
 every labelled vertex, and `critical_k`, the least label on the
 generation-`horizon` front, decides survival at every k <= params.k: the
-cluster survives at k iff critical_k <= k.  One sweep at the largest k of a
-k-sweep answers every k of it.
+cluster survives at k iff critical_k <= k.
+
+`critical_k` finds that label by iterative deepening (Korf 1985): it runs
+`explore` at truncation r = 1, 2, 4, ..., up to min(params.k, 2 * window),
+and returns the least label of the first sweep whose horizon front is not
+empty.  This is exact: a bond's id, uniform and probability do not depend
+on r, so the sweep at r labels exactly the vertices whose label is <= r,
+each with its label.  Its front is empty iff critical_k > r, and otherwise
+its least label is critical_k; the last sweep sees every move that can
+land in the window.  A sweep at r hashes at most 2r moves per vertex and
+axis, so a replica that stops at a small r never hashes the longer bonds.
+`explore` stays the engine of each sweep and, at params.k, the oracle of
+`critical_k`.
 
 Each generation hashes its bonds on a (vertex, axis, range) grid, so only
 the displacement word is folded once per bond; the vertex and axis words
@@ -39,12 +50,12 @@ vertices in lexicographic order, each with its least label.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .bondfield import TAG_G, BondField, BondId
-from .sequences import TruncatedSequence
+from .sequences import TruncatedSequence, truncate
 
 
 @dataclass(frozen=True)
@@ -215,3 +226,19 @@ def explore(fld: BondField, params: ExplorationParams, collect: bool = False) ->
             break
     critical = int(labels.min()) if len(labels) else None
     return ExplorationResult(sizes[params.horizon] > 0, sizes, total, critical, fronts)
+
+
+def critical_k(fld: BondField, params: ExplorationParams) -> int | None:
+    """`explore(fld, params).critical_k`, by sweeps at truncation r = 1, 2,
+    4, ..., min(params.k, 2 * window), each axis cut to min(r, its own k),
+    stopping at the first whose horizon front survives (see the module
+    docstring)."""
+    top, r = min(params.k, 2 * params.window), 1
+    while True:
+        r = min(r, top)
+        cut = replace(params, pseq=truncate(params.pseq.base, min(r, params.pseq.k)),
+                      qseq=truncate(params.qseq.base, min(r, params.qseq.k)))
+        crit = explore(fld, cut).critical_k
+        if crit is not None or r == top:
+            return crit
+        r *= 2

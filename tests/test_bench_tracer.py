@@ -9,7 +9,8 @@ from pathlib import Path
 import lrperc
 from lrperc import cli, harness
 from lrperc.bondfield import BondField
-from lrperc.sequences import constant, truncate
+from lrperc.oriented import ExplorationParams, explore
+from lrperc.sequences import constant, powerlaw, truncate
 from lrperc.starlat import StarParams
 
 _SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
@@ -81,11 +82,23 @@ def test_bench_tracer_counts_contact_marks(monkeypatch):
 
 
 def test_bench_tracer_counts_oriented_vertices(monkeypatch):
-    """`_count_vertices` reads each exploration's `total_visited`."""
+    """`_count_vertices` reads each exploration's `total_visited`.  Each
+    replica is swept at truncation 1, then 2 unless the first survives, so
+    the counts are those of these sweeps."""
     spans = _load_spans(monkeypatch)
     untraced, traced, report = _traced_run(spans, [
         "survival", "--pseq", "powerlaw:1,0.5", "--dim", "2", "--k", "1,2",
         "--horizon", "3", "--window", "3"])
     assert traced == untraced
+    sweeps = []
+    for r in range(4):
+        fld = BondField(0).derive_replica(r)
+        for k in (1, 2):
+            seq = truncate(powerlaw(1.0, 0.5), k)
+            sweeps.append(explore(fld, ExplorationParams(2, 3, 3, seq, seq)))
+            if sweeps[-1].survived:
+                break
+    assert len(sweeps) > 4  # some replica needs its second sweep
     explored = report["oriented.explore"]
-    assert explored["calls"] == 4 and explored["vertices"] > 0
+    assert explored["calls"] == len(sweeps)
+    assert explored["vertices"] == sum(res.total_visited for res in sweeps)

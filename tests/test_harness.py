@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from lrperc import bondfield, harness, renorm, starlat
+from lrperc import harness, renorm, starlat
 from lrperc.bondfield import BondField
 from lrperc.cli import build_parser, main, resolve_config
 from lrperc.harness import (
@@ -407,32 +407,6 @@ def test_run_replicas_thread_invariance():
     assert one == many
     with pytest.raises(ValueError):
         run_replicas(_hprob, _HPROB_ARGS, 5, 0)
-
-
-@pytest.fixture
-def inline_pool(monkeypatch):
-    """`inline_pool(cores)` sets the core count and runs the pool's chunks in
-    this process; it returns the list of worker counts the pool is asked for."""
-    asked = []
-
-    class InlineExecutor:
-        def __init__(self, max_workers):
-            asked.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, *iterables):
-            return map(fn, *iterables)
-
-    def patch(cores):
-        monkeypatch.setattr(os, "cpu_count", lambda: cores)
-        monkeypatch.setattr(bondfield, "ProcessPoolExecutor", InlineExecutor)
-        return asked
-    return patch
 
 
 @pytest.mark.parametrize("cores, threads, reps, workers", [

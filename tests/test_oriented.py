@@ -1,11 +1,14 @@
+from itertools import groupby
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from exact import block_dispersion_z, oriented_survival_d1
 from lrperc import bondfield, oriented
 from lrperc.bondfield import TAG_G, BondField
 from lrperc.harness import _surv_g, run_replicas
-from lrperc.oriented import ExplorationParams, explore, out_neighbors
+from lrperc.oriented import ExplorationParams, critical_k, explore, out_neighbors
 from lrperc.sequences import constant, explicit, harmonic, powerlaw, truncate
 from lrperc.stats import EstimateWithCI
 
@@ -268,6 +271,70 @@ def test_critical_k_deterministic_sequences(d, p, q, expected):
     assert explore(BondField(7), params).critical_k == expected
 
 
+_LAWS = st.one_of(
+    st.builds(powerlaw, st.sampled_from([0.5, 1.0, 2.0]), st.sampled_from([0.2, 0.45, 0.9])),
+    st.builds(constant, st.sampled_from([0.0, 0.15, 0.4, 1.0])),
+    st.builds(explicit, st.lists(st.sampled_from([0.0, 0.0, 0.3, 0.8]), min_size=1, max_size=6)),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(p=_LAWS, q=_LAWS, d=st.integers(1, 3), kp=st.sampled_from([6, 2, 9, 1, 4, 0, 3]),
+       kq=st.sampled_from([3, 8, 1, 5, 0, 2]), window=st.sampled_from([3, 2, 4, 1, 0]),
+       horizon=st.sampled_from([4, 6, 2, 1, 0]), seed=st.integers(0, 2**20),
+       reps=st.integers(1, 8), cap=st.one_of(st.none(), st.integers(1, 4)),
+       workers=st.integers(1, 3))
+@example(p=explicit([0.0, 0.0, 0.9]), q=explicit([0.0, 0.0, 0.7]), d=2, kp=8, kq=3,
+         window=3, horizon=4, seed=5, reps=6, cap=2, workers=2)  # r = 1, 2 die at generation 0
+@example(p=powerlaw(1.0, 0.45), q=constant(0.4), d=3, kp=2, kq=7, window=0, horizon=3,
+         seed=1, reps=3, cap=None, workers=1)
+@example(p=powerlaw(1.0, 0.45), q=powerlaw(2.0, 0.9), d=1, kp=9, kq=1, window=1, horizon=0,
+         seed=2, reps=4, cap=1, workers=3)
+def test_surv_g_equals_explore_at_full_k(monkeypatch, inline_pool, p, q, d, kp, kq, window,
+                                         horizon, seed, reps, cap, workers):
+    """Record for record, `_surv_g`, which deepens its sweeps, equals one
+    `explore` at params.k, over laws, truncations, windows, horizons and
+    chunk plans; no replica takes more than ceil(log2 min(k, 2W)) + 1
+    sweeps."""
+    params = ExplorationParams(d, horizon, window, truncate(p, kp), truncate(q, kq))
+    inline_pool(workers)
+    swept = []
+
+    def spy(fld, cut, collect=False):
+        swept.append(fld)
+        return explore(fld, cut, collect)
+    monkeypatch.setattr(oriented, "explore", spy)
+    got = run_replicas(_surv_g, (params,), seed, reps, threads=workers, cap=cap)
+    root = BondField(seed)
+    assert got == [explore(root.derive_replica(r), params).critical_k for r in range(reps)]
+    sweeps = [len(list(run)) for _, run in groupby(swept, key=id)]
+    top = max(1, min(params.k, 2 * window))
+    assert len(sweeps) == reps and max(sweeps) <= (top - 1).bit_length() + 1
+
+
+def test_critical_k_deepens_until_a_sweep_survives(monkeypatch):
+    """`critical_k` sweeps at truncation 1, 2, 4, ... capped at
+    min(k, 2W), each axis cut to its own k, and stops at the first sweep
+    whose front reaches the horizon."""
+    cuts = []
+
+    def spy(fld, cut, collect=False):
+        cuts.append((cut.pseq.k, cut.qseq.k))
+        return explore(fld, cut, collect)
+    monkeypatch.setattr(oriented, "explore", spy)
+    for params, crit, want in [
+        (_params(horizon=3, window=10, p=truncate(explicit([0.0] * 4 + [1.0]), 5),
+                 q=truncate(constant(0.0), 3)), 5, [(1, 1), (2, 2), (4, 3), (5, 3)]),
+        (_params(window=3, p=truncate(constant(0.0), 12)), None,
+         [(1, 1), (2, 2), (4, 4), (6, 6)]),  # capped at 2W
+        (_params(window=0, p=truncate(constant(1.0), 4)), None, [(0, 0)]),
+    ]:
+        cuts.clear()
+        assert critical_k(BondField(3), params) == crit
+        assert cuts == want
+
+
 # -- the front step -------------------------------------------------------------
 
 def _lexsort_step(fld, front, labels, n, table, window):
@@ -400,11 +467,23 @@ def test_surv_g_sweep_is_not_overdispersed_across_seeds():
     within one seed cannot see a fault in the seed derivation; these can."""
     seq, window, horizon = powerlaw(1.0, 0.45), 2, 6
     top = _params(d=1, horizon=horizon, window=window, p=truncate(seq, 4))
-    crits = [c for seed in range(40) for c in run_replicas(_surv_g, (top,), seed, 100)]
+    blocks = [run_replicas(_surv_g, (top,), seed, 100) for seed in range(40)]
+    # a seed derivation that repeats streams repeats whole blocks
+    assert len(set(map(tuple, blocks))) == len(blocks)
+    crits = [c for block in blocks for c in block]
     for k in (1, 2, 3, 4):
         hits = [c is not None and c <= k for c in crits]
         value = oriented_survival_d1(truncate(seq, k), window, horizon)
         assert block_dispersion_z(hits, value) <= 4.0, k
+
+
+def test_derived_replica_bases_are_distinct_across_seeds():
+    """The 10^6 replica fields of seeds 0..999 x replicas 0..999 start from
+    pairwise distinct bases, so no two of them read one stream."""
+    replicas = np.arange(1000)
+    bases = np.concatenate([BondField(seed).derive_replica(replicas)._base
+                            for seed in range(1000)])
+    assert len(np.unique(bases)) == bases.size == 10**6
 
 
 @pytest.mark.parametrize("top_label, branch", [(0, "key"), (1, "lexsort")])
