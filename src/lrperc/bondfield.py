@@ -44,6 +44,9 @@ on one replica field, `renorm.cone_survival_scan` on a batch of them.
 derived base then takes the array's shape and `uniforms` broadcasts the id
 columns against it, so element r of a batch reads exactly the stream of
 `derive_replica(r)`.  Scalar draws on such a batch raise ValueError.
+`take` selects replicas of a batch, and `prefix` folds id words that a
+whole batch shares once per replica, as the oriented front step does with
+its tag and generation; both keep every draw's bits.
 `run_replicas`, the one replica loop, maps a chunk kernel over chunks of
 replicas; replica r reads `BondField(seed).derive_replica(r)` however the
 replicas are chunked, so no schedule changes a record.
@@ -164,6 +167,32 @@ class BondField:
         with np.errstate(over="ignore"):
             w = _mix_array(w.astype(np.uint64) + _GOLDEN_U64)
             return BondField(self.seed, _base=_fold_array(np.asarray(self._base, dtype=np.uint64), w))
+
+    @property
+    def shape(self) -> tuple:
+        """The batch's shape; () for a single-replica field."""
+        return np.shape(self._base)
+
+    def take(self, idx) -> "BondField":
+        """Replicas `idx` of this batch field, a single-replica field taken as
+        a batch of one: element i of the result reads the stream of replica
+        idx[i], so `derive_replica(a).take(i)` reads `derive_replica(a[i])`.
+        An integer index gives a single-replica field."""
+        base = np.atleast_1d(np.asarray(self._base, dtype=np.uint64))[idx]
+        return BondField(self.seed, _base=int(base) if np.ndim(base) == 0 else base)
+
+    def prefix(self, words) -> "BondField":
+        """The field whose draw of the id words w is this field's draw of
+        (*words, *w): shared leading words fold once per replica, not once
+        per id."""
+        h = self._base
+        with np.errstate(over="ignore"):
+            for w in words:
+                if type(h) is int:
+                    h = _fold(h, (int(w) + _BIAS) & _MASK)
+                else:
+                    h = _fold_array(h, (np.asarray(w, dtype=np.int64) + _BIAS).view(np.uint64))
+        return BondField(self.seed, _base=h)
 
     # -- scalar interface ---------------------------------------------------
 

@@ -18,8 +18,10 @@ A k-sweep chunk kernel, passed by function to `run_replicas`, returns each
 replica's critical k, the least k at which the event holds (None: at no k
 swept); the row at k counts the replicas whose critical k is <= k.  The
 star, `hprob` and contact kernels sweep each replica once, at the largest
-k; the oriented kernel sweeps at truncation 1, 2, 4, ... and stops at the
-first sweep that survives.
+k; the oriented kernel sweeps at truncation 1, 2, 4, ..., and each
+replica stops at the first sweep that it survives.  The star, `hprob`
+and oriented kernels sweep a chunk's replicas together; a later oriented
+sweep holds only the chunk's replicas that the one before lost.
 """
 
 from __future__ import annotations
@@ -43,9 +45,10 @@ __all__ = [
 
 def _surv_g(args, root, lo, hi):
     """Critical k of the oriented cluster at params.k = max(ks), or None, by
-    labelled sweeps at truncation 1, 2, 4, ... up to the first that survives."""
+    labelled sweeps at truncation 1, 2, 4, ... up to the first that survives;
+    the chunk's replicas are swept together."""
     (params,) = args
-    return [oriented.critical_k(root.derive_replica(r), params) for r in range(lo, hi)]
+    return oriented.critical_k(root.derive_replica(range(lo, hi)), params)
 
 
 def _surv_contact(args, root, lo, hi):

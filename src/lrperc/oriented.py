@@ -27,24 +27,36 @@ cluster survives at k iff critical_k <= k.
 
 `critical_k` finds that label by iterative deepening (Korf 1985): it runs
 `explore` at truncation r = 1, 2, 4, ..., up to min(params.k, 2 * window),
-and returns the least label of the first sweep whose horizon front is not
-empty.  This is exact: a bond's id, uniform and probability do not depend
-on r, so the sweep at r labels exactly the vertices whose label is <= r,
-each with its label.  Its front is empty iff critical_k > r, and otherwise
-its least label is critical_k; the last sweep sees every move that can
-land in the window.  A sweep at r hashes at most 2r moves per vertex and
-axis, so a replica that stops at a small r never hashes the longer bonds.
-`explore` stays the engine of each sweep and, at params.k, the oracle of
-`critical_k`.
+and gives each replica the least label of the first sweep whose horizon
+front it reaches.  This is exact: a bond's id, uniform and probability do
+not depend on r, so the sweep at r labels exactly the vertices whose label
+is <= r, each with its label.  Its front is empty iff critical_k > r, and
+otherwise its least label is critical_k; the last sweep sees every move
+that can land in the window.  A sweep at r hashes at most 2r moves per
+vertex and axis, so a replica that stops at a small r never hashes the
+longer bonds.  `explore` stays the engine of each sweep and, at params.k,
+the oracle of `critical_k`.
+
+Both take a batch field (`root.derive_replica(replicas)`), whose replicas
+are swept together, as well as a single-replica field, which is swept as
+a batch of one.  A sweep's front holds the vertices of all its replicas,
+keyed by (replica, x), so a generation costs a fixed number of numpy calls
+however many replicas it steps; each later truncation re-sweeps only the
+replicas that the one before lost.  Each vertex hashes its bonds on its
+own replica's stream, gathered by `BondField.take`, with the same ids
+[TAG_G, n, x_1..x_d, axis, disp], so batching changes no draw.
 
 Each generation hashes its bonds on a (vertex, axis, range) grid, so only
 the displacement word is folded once per bond; the vertex and axis words
-are folded once per vertex and per (vertex, axis).  The candidates are
-then deduplicated by one `np.sort` of an int64 key, each candidate's cell
-in the candidates' bounding box times (max label + 1) plus its label,
-keeping the first key of each cell.  A box too large for that key takes a
-three-key lexsort over (label, x_d, ..., x_1) instead; both give the
-vertices in lexicographic order, each with its least label.
+are folded once per vertex and per (vertex, axis), and the tag and
+generation once per replica.  The candidates are then deduplicated by one
+`np.sort` of an int64 key: each candidate's cell in the candidates'
+bounding box of (replica, x), shifted left past the label bits, plus its
+label, keeping the first key of each cell.  A box too large for that key
+takes a lexsort over (label, x_d, ..., x_1, replica) instead; both give
+the vertices in lexicographic order, each with its least label.  A
+generation is stepped in slices of whole replicas, hashed in `uniforms`
+calls of a bounded number of ids, so memory does not grow with the batch.
 """
 
 from __future__ import annotations
@@ -82,31 +94,28 @@ class ExplorationParams:
 
     def displacement_table(self):
         """(vectors, axes, disps, probs) arrays over the 2*d*min(k, 2*window)
-        candidate moves: a move longer than 2*window leaves the window from
-        every vertex inside it."""
-        vecs, axes, disps, probs = [], [], [], []
-        for m in range(1, self.d + 1):
-            for i in range(1, min(self.k, 2 * self.window) + 1):
-                for s in (i, -i):
-                    v = np.zeros(self.d, dtype=np.int64)
-                    v[m - 1] = s
-                    vecs.append(v)
-                    axes.append(m)
-                    disps.append(s)
-                    probs.append(self.axis_prob(m, s))
-        if not vecs:
-            return (np.zeros((0, self.d), dtype=np.int64), np.zeros(0, dtype=np.int64),
-                    np.zeros(0, dtype=np.int64), np.zeros(0))
-        return (np.array(vecs), np.array(axes, dtype=np.int64),
-                np.array(disps, dtype=np.int64), np.array(probs))
+        candidate moves, axis-major and 1, -1, 2, -2, ... within an axis: a
+        move longer than 2*window leaves the window from every vertex inside
+        it."""
+        d, K = self.d, min(self.k, 2 * self.window)
+        disps = np.tile(np.repeat(np.arange(1, K + 1), 2) * np.tile([1, -1], K), d)
+        axes = np.repeat(np.arange(1, d + 1), 2 * K)
+        vecs = np.zeros((len(disps), d), dtype=np.int64)
+        vecs[np.arange(len(disps)), axes - 1] = disps
+        p, q = (np.repeat(seq.terms(K), 2) for seq in (self.pseq, self.qseq))
+        probs = np.concatenate([p] + [q] * (d - 1)) if K else np.zeros(0)
+        return vecs, axes, disps, probs
 
 
 @dataclass
 class ExplorationResult:
-    survived: bool
+    """A sweep's outcome; on a batch field, `survived` and `critical_k` are
+    lists with one entry per replica, and the sizes are summed over them."""
+
+    survived: bool | list[bool]
     front_sizes: list[int]
     total_visited: int
-    critical_k: int | None = None  # least label at generation horizon; None if it died
+    critical_k: int | None | list = None  # least label at generation horizon; None if it died
     fronts: list[set] | None = field(default=None, repr=False)
 
 
@@ -129,58 +138,95 @@ def out_neighbors(fld: BondField, v, params: ExplorationParams) -> set:
     return out
 
 
+_STEP_IDS = 1 << 16  # most bond ids one `uniforms` call of a front step hashes
+
+
 def _advance_front(fld: BondField, front: np.ndarray, labels: np.ndarray, n: int,
                    table, window: int):
-    """One breadth-first generation step from a labelled front.
+    """One breadth-first generation step from a labelled front of a batch.
 
-    `front` has shape (d, F): row j holds coordinate x_{j+1} of each of
-    the F vertices, and `labels` their bottleneck labels.  Returns the
-    deduplicated next front, its vertices in lexicographic order, and each
-    vertex's least candidate label max(label[parent], |disp|).
+    `front` has shape (1 + d, F): row 0 holds each of the F vertices'
+    replica, its index in the batch field `fld`, and row j its coordinate
+    x_j; `labels` holds their bottleneck labels.  Returns the deduplicated
+    next front, its vertices in lexicographic order of (replica, x), and
+    each vertex's least candidate label max(label[parent], |disp|).
 
     The move table is axis-major, with 2k' moves per axis for
     k' = min(k, 2 * window), so the bonds are hashed on a (vertex, axis,
-    range) grid: each coordinate column is folded at (F, 1, 1), the axis
-    word at (F, d, 1), and only the displacement at the full (F, d, 2k').
-    The grid flattens in C order to the table's move index.
+    range) grid: the tag and generation words fold once per replica, each
+    vertex's replica base is gathered by `take`, each coordinate column is
+    folded at (F, 1, 1), the axis word at (F, d, 1), and only the
+    displacement at the full (F, d, 2k').  The grid flattens in C order to
+    the table's move index.  Once the front comes within k' of the
+    window's edge, the open bonds are checked against it by the one
+    coordinate each moves.  The front is stepped in slices of whole
+    replicas, each deduplicated on its own, and hashed in `uniforms` calls
+    of at most _STEP_IDS ids, or one vertex's moves where they are more.
     """
     vecs, axes, disps, probs = table
-    if front.shape[1] == 0 or len(vecs) == 0:
+    F, M = front.shape[1], len(vecs)
+    if F == 0 or M == 0:
         return front[:, :0], labels[:0]
-    d = len(front)
-    grid = (d, len(vecs) // d)
-    cols = [np.full((1, 1, 1), TAG_G), np.full((1, 1, 1), n)]
-    cols += [x[:, None, None] for x in front]
-    cols += [axes.reshape(grid)[None, :, :1], disps.reshape(grid)[None, :1, :]]
-    is_open = fld.open_mask(cols, probs.reshape(1, *grid))
-    parent, move = np.divmod(np.flatnonzero(is_open), len(vecs))
-    nxt = [x[parent] + v[move] for x, v in zip(front, vecs.T)]
-    lab = np.maximum(labels[parent], np.abs(disps[move]))
-    inside = np.logical_and.reduce([np.abs(x) <= window for x in nxt])
-    return _dedupe([x[inside] for x in nxt], lab[inside])
+    grid = (len(front) - 1, M // (len(front) - 1))
+    moves = [axes.reshape(grid)[None, :, :1], disps.reshape(grid)[None, :1, :]]
+    probs = probs.reshape(1, *grid)
+    fld = fld.prefix([TAG_G, n])
+    reach = grid[1] // 2  # k'
+    clip = int(np.abs(front[1:]).max()) + reach > window
+    # a candidate's replica and x_1 share one key row, replica * E + x_1 + off
+    off = window + reach
+    E = 2 * off + 1
+    lead = front[0] * E + front[1] + off
+    step = max(1, _STEP_IDS // M)  # vertices per `uniforms` call
+    cuts = [0, F]
+    if F > step:  # each slice starts at the first vertex of a replica
+        firsts = np.flatnonzero(np.diff(front[0], prepend=-1))
+        starts = firsts[np.searchsorted(firsts, np.arange(0, F, step), side="right") - 1]
+        cuts = np.unique(starts).tolist() + [F]
+    nxt, lab = [], []
+    for a, b in zip(cuts, cuts[1:]):
+        hits = []
+        for s in range(a, b, step):
+            v = front[:, s:min(s + step, b)]
+            is_open = fld.take(v[0, :, None, None]).open_mask(
+                [*v[1:, :, None, None], *moves], probs)
+            hits.append(np.flatnonzero(is_open) + s * M)
+        parent, move = np.divmod(np.concatenate(hits), M)
+        if clip:  # keep the bonds whose target's moved coordinate is in the window
+            inside = np.abs(front[axes[move], parent] + disps[move]) <= window
+            parent, move = parent[inside], move[inside]
+        rows = [lead[parent]] + [x[parent] for x in front[2:]]
+        rows = [x + u[move] for x, u in zip(rows, vecs.T)]
+        part = _dedupe(rows, np.maximum(labels[parent], np.abs(disps)[move]))
+        rep, x1 = np.divmod(part[0][0], E)
+        nxt.append(np.vstack([rep, x1 - off, part[0][1:]]))
+        lab.append(part[1])
+    return np.concatenate(nxt, axis=1), np.concatenate(lab)
 
 
-_KEY_LIMIT = 2**63  # cells x labels the int64 key holds; a wider box takes the lexsort
+_KEY_LIMIT = 2**63  # cells x 2^(label bits) the int64 key holds; a wider box takes the lexsort
 
 
 def _dedupe(nxt: list, lab: np.ndarray):
-    """The distinct vertices of the candidates `nxt` (one coordinate array
-    per axis) in lexicographic order, each with its least label in `lab`."""
+    """The distinct vertices of the candidates `nxt` (one integer array per
+    key component, leading first) in lexicographic order, each with its
+    least label in `lab`."""
     if len(lab) == 0:
         return np.array(nxt), lab
     lo = [int(x.min()) for x in nxt]
     ext = [int(x.max()) - m + 1 for x, m in zip(nxt, lo)]
-    span = int(lab.max()) + 1
-    if math.prod(ext) * span > _KEY_LIMIT:
+    bits = int(lab.max()).bit_length()  # a label takes the key's low bits
+    if math.prod(ext) << bits > _KEY_LIMIT:
         return _dedupe_lexsort(nxt, lab)
     cell = nxt[0] - lo[0]
     for x, m, e in zip(nxt[1:], lo[1:], ext[1:]):
         cell = cell * e + (x - m)
     # ascending keys run by cell, least label first within a cell
-    cell, lab = np.divmod(np.sort(cell * span + lab), span)
+    key = np.sort((cell << bits) | lab)
+    cell = key >> bits
     first = np.ones(len(cell), dtype=bool)
     first[1:] = cell[1:] != cell[:-1]
-    cell, lab = cell[first], lab[first]
+    cell, lab = cell[first], key[first] & ((1 << bits) - 1)
     out = np.empty((len(nxt), len(cell)), dtype=np.int64)
     for j in range(len(nxt) - 1, 0, -1):
         cell, out[j] = np.divmod(cell, ext[j])
@@ -190,7 +236,7 @@ def _dedupe(nxt: list, lab: np.ndarray):
 
 
 def _dedupe_lexsort(nxt: list, lab: np.ndarray):
-    """`_dedupe` by a three-key lexsort over (label, x_d, ..., x_1)."""
+    """`_dedupe` by a lexsort over (label, the last component, ..., the first)."""
     order = np.lexsort((lab, *nxt[::-1]))
     nxt = [x[order] for x in nxt]
     first = np.ones(len(order), dtype=bool)
@@ -199,46 +245,69 @@ def _dedupe_lexsort(nxt: list, lab: np.ndarray):
 
 
 def explore(fld: BondField, params: ExplorationParams, collect: bool = False) -> ExplorationResult:
-    """Generation-by-generation sweep from the origin (0, ..., 0; 0).
+    """Generation-by-generation sweep from the origin (0, ..., 0; 0) of every
+    replica of the field, one front for all of them.
 
-    `survived`, `front_sizes`, `total_visited` and `fronts` describe the
-    cluster at truncation params.k; `critical_k` is the least k <= params.k
-    at which it survives (see the module docstring).  Only two fronts are
-    alive at a time unless `collect` asks for the full per-generation
-    history (used by subset-relation tests).
+    `front_sizes`, `total_visited` and `fronts` describe the cluster at
+    truncation params.k, summed over a batch field's replicas; `survived`
+    and `critical_k`, the least k <= params.k at which the cluster survives
+    (see the module docstring), are lists with one entry per replica of a
+    batch, and single values for a single-replica field, which is swept as
+    a batch of one.  A generation's front set holds (vertex, n) pairs, and
+    on a batch (replica, vertex, n) triples.  Only two fronts are alive at
+    a time unless `collect` asks for the full per-generation history (used
+    by subset-relation tests).
     """
+    R = fld.shape[0] if fld.shape else 1
     table = params.displacement_table()
-    front = np.zeros((params.d, 1), dtype=np.int64)
-    labels = np.zeros(1, dtype=np.int64)
-    sizes = [1]
-    fronts = [{(tuple(front[:, 0]), 0)}] if collect else None
-    total = 1
+    front = np.zeros((1 + params.d, R), dtype=np.int64)
+    front[0] = np.arange(R)
+    labels = np.zeros(R, dtype=np.int64)
+    sizes = [R]
+    history = [front] if collect else None
+    total = R
     for n in range(params.horizon):
         front, labels = _advance_front(fld, front, labels, n, table, params.window)
         sizes.append(len(labels))
         total += len(labels)
         if collect:
-            fronts.append({(v, n + 1) for v in zip(*front)})
+            history.append(front)
         if len(labels) == 0:
             sizes.extend([0] * (params.horizon - n - 1))
             if collect:
-                fronts.extend([set()] * (params.horizon - n - 1))
+                history.extend([front] * (params.horizon - n - 1))
             break
-    critical = int(labels.min()) if len(labels) else None
-    return ExplorationResult(sizes[params.horizon] > 0, sizes, total, critical, fronts)
+    crit = [None] * R
+    if len(labels):
+        firsts = np.flatnonzero(np.diff(front[0], prepend=-1))
+        for j, c in zip(front[0, firsts].tolist(), np.minimum.reduceat(labels, firsts).tolist()):
+            crit[j] = c
+    survived = [c is not None for c in crit]
+    fronts = history and [{(j, tuple(v), n) for j, *v in zip(*f.tolist())}
+                          for n, f in enumerate(history)]
+    if not fld.shape:  # a single-replica field
+        crit, survived = crit[0], survived[0]
+        fronts = fronts and [{(v, n) for _, v, n in f} for f in fronts]
+    return ExplorationResult(survived, sizes, total, crit, fronts)
 
 
-def critical_k(fld: BondField, params: ExplorationParams) -> int | None:
+def critical_k(fld: BondField, params: ExplorationParams) -> int | None | list:
     """`explore(fld, params).critical_k`, by sweeps at truncation r = 1, 2,
     4, ..., min(params.k, 2 * window), each axis cut to min(r, its own k),
-    stopping at the first whose horizon front survives (see the module
-    docstring)."""
+    stopping for each replica at the first sweep whose horizon front
+    survives (see the module docstring).  Each sweep is one `explore` of
+    the batch's replicas that every earlier sweep lost."""
+    crit = [None] * (fld.shape[0] if fld.shape else 1)
+    todo = np.arange(len(crit))
     top, r = min(params.k, 2 * params.window), 1
     while True:
         r = min(r, top)
         cut = replace(params, pseq=truncate(params.pseq.base, min(r, params.pseq.k)),
                       qseq=truncate(params.qseq.base, min(r, params.qseq.k)))
-        crit = explore(fld, cut).critical_k
-        if crit is not None or r == top:
-            return crit
+        got = explore(fld.take(todo), cut).critical_k
+        for j, c in zip(todo.tolist(), got):
+            crit[j] = c
+        todo = todo[[c is None for c in got]]
+        if not todo.size or r == top:
+            return crit if fld.shape else crit[0]
         r *= 2

@@ -84,7 +84,8 @@ def test_bench_tracer_counts_contact_marks(monkeypatch):
 def test_bench_tracer_counts_oriented_vertices(monkeypatch):
     """`_count_vertices` reads each exploration's `total_visited`.  Each
     replica is swept at truncation 1, then 2 unless the first survives, so
-    the counts are those of these sweeps."""
+    the vertices are those of these sweeps; the chunk's replicas are swept
+    together, so there is one call per truncation."""
     spans = _load_spans(monkeypatch)
     untraced, traced, report = _traced_run(spans, [
         "survival", "--pseq", "powerlaw:1,0.5", "--dim", "2", "--k", "1,2",
@@ -100,5 +101,5 @@ def test_bench_tracer_counts_oriented_vertices(monkeypatch):
                 break
     assert len(sweeps) > 4  # some replica needs its second sweep
     explored = report["oriented.explore"]
-    assert explored["calls"] == len(sweeps)
+    assert explored["calls"] == 2  # one chunk of 4 replicas, at truncation 1 and 2
     assert explored["vertices"] == sum(res.total_visited for res in sweeps)

@@ -194,3 +194,23 @@ def test_replica_batch_matches_derived_replica(seed, r, words):
     root = BondField(seed)
     batch = root.derive_replica(np.arange(21)).uniforms([np.asarray(w) for w in words])
     assert root.derive_replica(r).uniform_words(words) == batch[r]
+
+
+@pytest.mark.parametrize("seed, replica, words, bits", FROZEN)
+def test_frozen_stream_through_take_and_prefix(seed, replica, words, bits):
+    """Replica selection and leading-word folding keep the frozen bits:
+    `derive_replica(a).take(i)` reads `derive_replica(a[i])`, for an
+    integer i and for an index array; a single-replica field is a batch of
+    one; and `prefix(words[:j])` followed by `words[j:]` reads `words`, on
+    both paths."""
+    fld = _field(seed, replica)
+    if replica is None:
+        batch = fld.take(np.zeros(2, dtype=np.int64))
+    else:
+        picked = BondField(seed).derive_replica(np.array([replica + 2, replica, replica + 1]))
+        fld, batch = picked.take(1), picked.take(np.array([1, 1]))
+    assert fld.shape == () and batch.shape == (2,)
+    for j in range(len(words) + 1):
+        assert fld.prefix(words[:j]).uniform_words(words[j:]) * 2**53 == bits
+        rest = [np.asarray(w) for w in words[j:]]
+        assert (batch.prefix(words[:j]).uniforms(rest) * 2**53 == bits).all()

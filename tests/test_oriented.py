@@ -1,5 +1,3 @@
-from itertools import groupby
-
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
@@ -161,6 +159,23 @@ def test_moves_stop_at_twice_the_window():
     assert 4 in crits and None in crits
 
 
+def test_displacement_table_literal():
+    """The move table is axis-major, 1, -1, 2, -2, ... within an axis, and
+    stops at min(k, 2W); each axis draws from its own truncated sequence."""
+    params = _params(d=2, window=1, p=truncate(explicit([0.5, 0.25, 0.1]), 3),
+                     q=truncate(harmonic(), 1))
+    vecs, axes, disps, probs = params.displacement_table()
+    assert vecs.tolist() == [[1, 0], [-1, 0], [2, 0], [-2, 0],
+                             [0, 1], [0, -1], [0, 2], [0, -2]]
+    assert axes.tolist() == [1, 1, 1, 1, 2, 2, 2, 2]
+    assert disps.tolist() == [1, -1, 2, -2, 1, -1, 2, -2]
+    assert probs.tolist() == [0.5, 0.5, 0.25, 0.25, 1.0, 1.0, 0.0, 0.0]
+    assert [a.dtype for a in (vecs, axes, disps, probs)] == [np.int64] * 3 + [np.float64]
+    empty = _params(d=3, window=0).displacement_table()
+    assert [a.shape for a in empty] == [(0, 3), (0,), (0,), (0,)]
+    assert [a.dtype for a in empty] == [np.int64] * 3 + [np.float64]
+
+
 def test_params_validation():
     with pytest.raises(ValueError):
         _params(d=0)
@@ -293,24 +308,33 @@ _LAWS = st.one_of(
          seed=2, reps=4, cap=1, workers=3)
 def test_surv_g_equals_explore_at_full_k(monkeypatch, inline_pool, p, q, d, kp, kq, window,
                                          horizon, seed, reps, cap, workers):
-    """Record for record, `_surv_g`, which deepens its sweeps, equals one
-    `explore` at params.k, over laws, truncations, windows, horizons and
-    chunk plans; no replica takes more than ceil(log2 min(k, 2W)) + 1
-    sweeps."""
+    """Record for record, `_surv_g`, which deepens its sweeps over a chunk's
+    replicas together, equals one `explore` at params.k per replica, over
+    laws, truncations, windows, horizons and chunk plans.  No chunk takes
+    more than ceil(log2 min(k, 2W)) + 1 sweeps, and each sweep holds only
+    the replicas that every earlier one lost."""
     params = ExplorationParams(d, horizon, window, truncate(p, kp), truncate(q, kq))
     inline_pool(workers)
-    swept = []
+    chunks = []
+
+    def kernel(args, root, lo, hi):
+        chunks.append([])
+        return _surv_g(args, root, lo, hi)
 
     def spy(fld, cut, collect=False):
-        swept.append(fld)
-        return explore(fld, cut, collect)
+        res = explore(fld, cut, collect)
+        chunks[-1].append(res.critical_k)
+        return res
     monkeypatch.setattr(oriented, "explore", spy)
-    got = run_replicas(_surv_g, (params,), seed, reps, threads=workers, cap=cap)
+    got = run_replicas(kernel, (params,), seed, reps, threads=workers, cap=cap)
     root = BondField(seed)
     assert got == [explore(root.derive_replica(r), params).critical_k for r in range(reps)]
-    sweeps = [len(list(run)) for _, run in groupby(swept, key=id)]
     top = max(1, min(params.k, 2 * window))
-    assert len(sweeps) == reps and max(sweeps) <= (top - 1).bit_length() + 1
+    assert sum(len(sweeps[0]) for sweeps in chunks) == reps
+    for sweeps in chunks:
+        assert len(sweeps) <= (top - 1).bit_length() + 1
+        for before, after in zip(sweeps, sweeps[1:]):
+            assert len(after) == before.count(None)
 
 
 def test_critical_k_deepens_until_a_sweep_survives(monkeypatch):
@@ -367,6 +391,58 @@ _STEP_SETS = [
 ]
 
 
+@pytest.fixture(params=["whole", "slices", "vertices"])
+def step_ids(request, monkeypatch):
+    """`step_ids()` routes the front step through `uniforms` calls of the
+    default id budget, of 64 ids (slices of whole replicas, a replica's
+    vertices hashed over several calls), or of one vertex each."""
+    def route():
+        budget = {"whole": oriented._STEP_IDS, "slices": 64, "vertices": 1}[request.param]
+        monkeypatch.setattr(oriented, "_STEP_IDS", budget)
+        return budget
+    return route
+
+
+@pytest.mark.parametrize("case", range(len(_STEP_SETS)))
+def test_batched_sweep_equals_per_replica_explore(monkeypatch, case, step_ids):
+    """One `explore` of a batch of replicas, one front keyed by (replica,
+    x), gives each replica's critical k and front, and the front sizes and
+    visited count summed over them, of an unsliced `explore` of each
+    replica alone; so does `critical_k` on the batch, and on a batch of
+    the replicas in another order.  The budget of ids per `uniforms` call
+    moves none of them."""
+    c = _STEP_SETS[case]
+    params = _params(d=c["d"], horizon=c["horizon"], window=c["window"],
+                     p=truncate(c["p"], c["k"]), q=truncate(c["q"], c["k"]))
+    root, replicas = BondField(71 + case), np.array([4, 0, 9, 2, 7, 1, 8, 3, 6, 5])
+    alone = [explore(root.derive_replica(int(r)), params, collect=True) for r in replicas]
+    default, drawn = oriented._STEP_IDS, []
+    budget = step_ids()
+    open_mask = BondField.open_mask
+
+    def spy(fld, cols, probs):
+        drawn.append(open_mask(fld, cols, probs))
+        return drawn[-1]
+    monkeypatch.setattr(BondField, "open_mask", spy)
+    batch = explore(root.derive_replica(replicas), params, collect=True)
+    moves = len(params.displacement_table()[0])
+    assert max((ids.size for ids in drawn), default=0) <= max(budget, moves)
+    if budget < default and c["k"]:
+        assert len(drawn) > params.horizon
+    crits = [res.critical_k for res in alone]
+    assert batch.critical_k == crits
+    assert batch.survived == [res.survived for res in alone]
+    assert batch.front_sizes == [sum(s) for s in zip(*(res.front_sizes for res in alone))]
+    assert batch.total_visited == sum(res.total_visited for res in alone)
+    assert batch.fronts == [{(j, *v) for j, res in enumerate(alone) for v in res.fronts[n]}
+                            for n in range(params.horizon + 1)]
+    assert critical_k(root.derive_replica(replicas), params) == crits
+    assert critical_k(root.derive_replica(replicas[::-1]), params) == crits[::-1]
+    if c["k"]:  # the replicas' fronts grow, and not all alike
+        assert max(batch.front_sizes) > len(replicas)
+        assert len({res.total_visited for res in alone}) > 1
+
+
 @pytest.mark.parametrize("branch", ["key", "mixed", "lexsort"])
 @pytest.mark.parametrize("case", range(len(_STEP_SETS)))
 def test_front_step_equals_lexsort_oracle(monkeypatch, case, branch):
@@ -395,14 +471,16 @@ def test_front_step_equals_lexsort_oracle(monkeypatch, case, branch):
         front, labels = np.zeros((params.d, 1), dtype=np.int64), np.zeros(1, dtype=np.int64)
         for n in range(params.horizon):
             before = branches["lexsort"]
-            got = oriented._advance_front(fld, front, labels, n, table, params.window)
+            got = oriented._advance_front(fld, np.vstack([0 * front[:1], front]), labels, n,
+                                          table, params.window)
             want = _lexsort_step(fld, front, labels, n, table, params.window)
             branches["key"] += branches["lexsort"] == before and len(want[1]) > 0
-            for g, w in zip(got, want):
+            assert not got[0][0].any(), (r, n)  # the one replica of the field
+            for g, w in zip((got[0][1:], got[1]), want):
                 assert g.dtype == w.dtype and g.shape == w.shape, (r, n)
                 assert np.array_equal(g, w), (r, n)
             label_counts.add(len(set(want[1].tolist())))
-            front, labels = got
+            front, labels = want
     if c["k"] == 0:
         assert branches == {"key": 0, "lexsort": 0}
         return
@@ -488,18 +566,26 @@ def test_derived_replica_bases_are_distinct_across_seeds():
 
 @pytest.mark.parametrize("top_label, branch", [(0, "key"), (1, "lexsort")])
 def test_dedupe_key_never_wraps(monkeypatch, top_label, branch):
-    """A d = 3 box of 2^63 cells with one label is the widest the int64 key
-    holds; a second label takes the lexsort, and both give its result."""
+    """A box of 2^63 cells with one label is the widest the int64 key
+    holds; a second label takes the lexsort, and both give its result.  The
+    box is that of a d = 3 front, and that of a d = 3 batch front of 2^20
+    replicas, whose leading row packs each vertex's replica with its x_1
+    as `_advance_front` does (replica * E + x_1 + E // 2, E = 2^21)."""
     calls = []
     lexsort = oriented._dedupe_lexsort
     monkeypatch.setattr(oriented, "_dedupe_lexsort",
                         lambda nxt, lab: calls.append(1) or lexsort(nxt, lab))
     lo, hi = -2**20, 2**20 - 1  # 2^21 coordinates on each axis
-    nxt = [np.array(col, dtype=np.int64) for col in
-           ([hi, lo, hi, 0, lo], [hi, lo, hi, 0, hi], [hi, lo, hi, 0, lo])]
+    front = [np.array(col, dtype=np.int64) for col in
+             ([hi, lo, hi, 0, lo], [hi, lo, hi, 0, hi], [hi, lo, hi, 0, lo])]
+    # 2^41 (replica, x_1) keys, and 2^11 values of x_2 and of x_3
+    replica = np.array([2**20 - 1, 0, 2**20 - 1, 5, 0])
+    batch = [replica * 2**21 + front[0] + 2**20, front[1] >> 10, front[2] >> 10]
     lab = np.array([top_label, 0, 0, top_label, 0], dtype=np.int64)
-    got = oriented._dedupe(nxt, lab)
-    want = lexsort(nxt, lab)
-    assert bool(calls) == (branch == "lexsort")
-    assert all(np.array_equal(g, w) for g, w in zip(got, want))
-    assert got[0].shape == (3, 4)
+    for nxt in (front, batch):
+        calls.clear()
+        got = oriented._dedupe(nxt, lab)
+        want = lexsort(nxt, lab)
+        assert bool(calls) == (branch == "lexsort")
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+        assert got[0].shape == (3, 4)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from exact import block_dispersion_z, h_probability, star_survival
 from lrperc import starlat
@@ -525,3 +526,62 @@ def test_param_validation():
         StarParams(0.0, truncate(harmonic(), 1), 1)
     with pytest.raises(ValueError):
         StarParams(0.5, truncate(harmonic(), 1), 0)
+
+
+# -- property-based differential tests: the chunk kernels against the per-k oracles ----
+
+_DEFAULT_IDS = starlat._BATCH_IDS
+_LAWS = st.one_of(
+    st.builds(powerlaw, st.sampled_from([0.5, 1.0, 2.0]), st.sampled_from([0.3, 0.6, 0.95])),
+    st.builds(constant, st.sampled_from([0.0, 0.35, 0.7, 1.0])),
+    st.builds(explicit, st.lists(st.sampled_from([0.0, 0.3, 0.6, 0.9]), min_size=1, max_size=5)),
+)
+_PLANS = dict(seed=st.integers(0, 2**20), reps=st.integers(1, 8),
+              cap=st.one_of(st.none(), st.integers(1, 3)), workers=st.integers(1, 3),
+              route=st.sampled_from(["level_batch", "line_batches", "settled"]))
+_DRAWN = settings(max_examples=300, deadline=None, derandomize=True,
+                  suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+def _route(monkeypatch, route, kmax, window):
+    """Set `h_label_max`'s route for this example, as the `h_path` fixture does."""
+    ids = {"level_batch": _DEFAULT_IDS, "line_batches": starlat._grid_ids(kmax, window),
+           "settled": 0}[route]
+    monkeypatch.setattr(starlat, "_BATCH_IDS", ids)
+
+
+@_DRAWN
+@given(p=_LAWS, kmax=st.integers(0, 4), eps=st.sampled_from([0.5, 0.8, 1.0]),
+       N=st.integers(1, 3), window=st.integers(1, 4), horizon=st.integers(0, 6), **_PLANS)
+def test_surv_star_equals_block_path_survival_at_every_k(
+        monkeypatch, inline_pool, p, kmax, eps, N, window, horizon, seed, reps, cap, workers,
+        route):
+    """Record for record, over laws, truncations, windows, horizons, chunk
+    plans and `h_label_max` routes, `_surv_star`'s critical k is <= k
+    exactly when the scalar `block_path_survival` holds at k."""
+    _route(monkeypatch, route, kmax, window)
+    inline_pool(workers)
+    top = StarParams(eps, truncate(p, kmax), N)
+    got = run_replicas(_surv_star, (top, horizon, window), seed, reps, threads=workers, cap=cap)
+    for r, crit in enumerate(got):
+        fld = BondField(seed).derive_replica(r)
+        for k in range(kmax + 1):
+            held = block_path_survival(fld, StarParams(eps, truncate(p, k), N), horizon, window)
+            assert (crit is not None and crit <= k) == held, (r, k)
+
+
+@_DRAWN
+@given(p=_LAWS, kmax=st.integers(0, 5), window=st.integers(1, 4), **_PLANS)
+def test_hprob_equals_h_connected_at_every_k(monkeypatch, inline_pool, p, kmax, window, seed,
+                                              reps, cap, workers, route):
+    """Record for record, over laws, truncations, windows, chunk plans and
+    `h_label_max` routes, `_hprob`'s critical k is <= k exactly when the
+    scalar `h_connected` holds at k."""
+    _route(monkeypatch, route, kmax, window)
+    inline_pool(workers)
+    got = run_replicas(_hprob, (truncate(p, kmax), window), seed, reps, threads=workers, cap=cap)
+    for r, crit in enumerate(got):
+        fld = BondField(seed).derive_replica(r)
+        for k in range(kmax + 1):
+            held = h_connected(fld, 0, 0, truncate(p, k), window)
+            assert (crit is not None and crit <= k) == held, (r, k)
