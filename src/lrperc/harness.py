@@ -21,7 +21,9 @@ star, `hprob` and contact kernels sweep each replica once, at the largest
 k; the oriented kernel sweeps at truncation 1, 2, 4, ..., and each
 replica stops at the first sweep that it survives.  The star, `hprob`
 and oriented kernels sweep a chunk's replicas together; a later oriented
-sweep holds only the chunk's replicas that the one before lost.
+sweep holds only the chunk's replicas that the one before lost.  The star
+and survival runners cap a chunk's replicas by the size of one replica's
+sweep, so a chunk's memory does not grow with reps.
 """
 
 from __future__ import annotations
@@ -258,8 +260,10 @@ def _run_survival(cfg, p):
     kmax = max(ks)
     params = oriented.ExplorationParams(d, horizon, window,
                                         truncate(p["pseq"], kmax), truncate(p["qseq"], kmax))
+    # a chunk's fronts fill at most _BATCH_CELLS window cells, or one window
+    cap = max(1, oriented._BATCH_CELLS // (2 * window + 1) ** d)
     return [_row(cfg, "g", k, horizon, window, {"dim": d}, est)
-            for k, est in _k_estimates(cfg, ks, _surv_g, (params,))]
+            for k, est in _k_estimates(cfg, ks, _surv_g, (params,), cap)]
 
 
 def _run_redcluster(cfg, p):

@@ -49,14 +49,20 @@ own replica's stream, gathered by `BondField.take`, with the same ids
 Each generation hashes its bonds on a (vertex, axis, range) grid, so only
 the displacement word is folded once per bond; the vertex and axis words
 are folded once per vertex and per (vertex, axis), and the tag and
-generation once per replica.  The candidates are then deduplicated by one
-`np.sort` of an int64 key: each candidate's cell in the candidates'
-bounding box of (replica, x), shifted left past the label bits, plus its
-label, keeping the first key of each cell.  A box too large for that key
-takes a lexsort over (label, x_d, ..., x_1, replica) instead; both give
-the vertices in lexicographic order, each with its least label.  A
-generation is stepped in slices of whole replicas, hashed in `uniforms`
-calls of a bounded number of ids, so memory does not grow with the batch.
+generation once per replica, in `uniforms` calls of a bounded number of
+ids.  The candidates are then deduplicated by one `np.sort` of an int64
+key, each candidate's cell in the candidates' bounding box of (replica, x)
+shifted left past the label bits, plus its label, keeping the first key of
+each cell.  A box too large for that key takes a lexsort over (label, x_d,
+..., x_1, replica) instead; both give the vertices in lexicographic order,
+each with its least label.
+
+A batch's fronts are held, and their candidates deduplicated, together,
+so a sweep's memory grows with the batch.  The survival runner therefore
+cuts its replicas into chunks whose windows hold at most _BATCH_CELLS
+cells in all, or one replica per chunk where a window holds more: a
+chunk's fronts then never outgrow the larger of _BATCH_CELLS cells and
+one replica's window, whatever the number of replicas.
 """
 
 from __future__ import annotations
@@ -139,6 +145,7 @@ def out_neighbors(fld: BondField, v, params: ExplorationParams) -> set:
 
 
 _STEP_IDS = 1 << 16  # most bond ids one `uniforms` call of a front step hashes
+_BATCH_CELLS = 1 << 17  # most window cells of the replicas a survival chunk sweeps together
 
 
 def _advance_front(fld: BondField, front: np.ndarray, labels: np.ndarray, n: int,
@@ -159,9 +166,9 @@ def _advance_front(fld: BondField, front: np.ndarray, labels: np.ndarray, n: int
     displacement at the full (F, d, 2k').  The grid flattens in C order to
     the table's move index.  Once the front comes within k' of the
     window's edge, the open bonds are checked against it by the one
-    coordinate each moves.  The front is stepped in slices of whole
-    replicas, each deduplicated on its own, and hashed in `uniforms` calls
-    of at most _STEP_IDS ids, or one vertex's moves where they are more.
+    coordinate each moves.  The front is hashed in `uniforms` calls of at
+    most _STEP_IDS ids, or one vertex's moves where they are more, and its
+    open bonds are deduplicated together.
     """
     vecs, axes, disps, probs = table
     F, M = front.shape[1], len(vecs)
@@ -171,37 +178,19 @@ def _advance_front(fld: BondField, front: np.ndarray, labels: np.ndarray, n: int
     moves = [axes.reshape(grid)[None, :, :1], disps.reshape(grid)[None, :1, :]]
     probs = probs.reshape(1, *grid)
     fld = fld.prefix([TAG_G, n])
-    reach = grid[1] // 2  # k'
-    clip = int(np.abs(front[1:]).max()) + reach > window
-    # a candidate's replica and x_1 share one key row, replica * E + x_1 + off
-    off = window + reach
-    E = 2 * off + 1
-    lead = front[0] * E + front[1] + off
     step = max(1, _STEP_IDS // M)  # vertices per `uniforms` call
-    cuts = [0, F]
-    if F > step:  # each slice starts at the first vertex of a replica
-        firsts = np.flatnonzero(np.diff(front[0], prepend=-1))
-        starts = firsts[np.searchsorted(firsts, np.arange(0, F, step), side="right") - 1]
-        cuts = np.unique(starts).tolist() + [F]
-    nxt, lab = [], []
-    for a, b in zip(cuts, cuts[1:]):
-        hits = []
-        for s in range(a, b, step):
-            v = front[:, s:min(s + step, b)]
-            is_open = fld.take(v[0, :, None, None]).open_mask(
-                [*v[1:, :, None, None], *moves], probs)
-            hits.append(np.flatnonzero(is_open) + s * M)
-        parent, move = np.divmod(np.concatenate(hits), M)
-        if clip:  # keep the bonds whose target's moved coordinate is in the window
-            inside = np.abs(front[axes[move], parent] + disps[move]) <= window
-            parent, move = parent[inside], move[inside]
-        rows = [lead[parent]] + [x[parent] for x in front[2:]]
-        rows = [x + u[move] for x, u in zip(rows, vecs.T)]
-        part = _dedupe(rows, np.maximum(labels[parent], np.abs(disps)[move]))
-        rep, x1 = np.divmod(part[0][0], E)
-        nxt.append(np.vstack([rep, x1 - off, part[0][1:]]))
-        lab.append(part[1])
-    return np.concatenate(nxt, axis=1), np.concatenate(lab)
+    hits = []
+    for s in range(0, F, step):
+        v = front[:, s:s + step]
+        is_open = fld.take(v[0, :, None, None]).open_mask([*v[1:, :, None, None], *moves], probs)
+        hits.append(np.flatnonzero(is_open) + s * M)
+    parent, move = np.divmod(np.concatenate(hits), M)
+    if int(np.abs(front[1:]).max()) + grid[1] // 2 > window:
+        # keep the bonds whose target's moved coordinate is in the window
+        inside = np.abs(front[axes[move], parent] + disps[move]) <= window
+        parent, move = parent[inside], move[inside]
+    rows = [front[0][parent]] + [x[parent] + u[move] for x, u in zip(front[1:], vecs.T)]
+    return _dedupe(rows, np.maximum(labels[parent], np.abs(disps)[move]))
 
 
 _KEY_LIMIT = 2**63  # cells x 2^(label bits) the int64 key holds; a wider box takes the lexsort

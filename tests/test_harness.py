@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from lrperc import harness, renorm, starlat
+from lrperc import harness, oriented, renorm, starlat
 from lrperc.bondfield import BondField
 from lrperc.cli import build_parser, main, resolve_config
 from lrperc.harness import (
@@ -478,6 +478,32 @@ def test_siteperc_honours_threads(monkeypatch):
             "siteperc", seed=9, reps=50, threads=threads,
             params={"gamma": "0.5,0.6,0.7", "horizon": "2,9"})))
     assert csv(1) == csv(2)
+
+
+def test_survival_chunks_are_capped_by_window_cells(monkeypatch):
+    """`survival` sweeps at most _BATCH_CELLS // (2W + 1)^d replicas in one
+    chunk, and one where a window holds more cells, however many replicas
+    it runs; its rows equal those of one uncapped chunk.  At W = 3, d = 2
+    a window has 49 cells, so 500 cells cut 60 replicas into 6 chunks."""
+    batches = []
+    critical_k = oriented.critical_k
+
+    def spy(fld, params):
+        batches.append(fld.shape[0])
+        return critical_k(fld, params)
+    monkeypatch.setattr(oriented, "critical_k", spy)
+
+    def csv(cells):
+        monkeypatch.setattr(oriented, "_BATCH_CELLS", cells)
+        batches.clear()
+        return format_csv(run_experiment(ExperimentConfig(
+            "survival", seed=4, reps=60, threads=1,
+            params={"pseq": "powerlaw:1,0.35", "k": "1,2,4", "horizon": "8", "window": "3"})))
+    capped = csv(500)
+    assert batches == [10] * 6
+    assert csv(10**9) == capped and batches == [60]
+    assert csv(10) == capped and batches == [1] * 60
+    assert len({line.split(",")[8] for line in capped.splitlines()[1:]}) == 3
 
 
 def test_wall_seconds_zero_without_timing_flag():

@@ -394,8 +394,8 @@ _STEP_SETS = [
 @pytest.fixture(params=["whole", "slices", "vertices"])
 def step_ids(request, monkeypatch):
     """`step_ids()` routes the front step through `uniforms` calls of the
-    default id budget, of 64 ids (slices of whole replicas, a replica's
-    vertices hashed over several calls), or of one vertex each."""
+    default id budget, of 64 ids (a replica's vertices hashed over
+    several calls), or of one vertex each."""
     def route():
         budget = {"whole": oriented._STEP_IDS, "slices": 64, "vertices": 1}[request.param]
         monkeypatch.setattr(oriented, "_STEP_IDS", budget)
@@ -569,8 +569,7 @@ def test_dedupe_key_never_wraps(monkeypatch, top_label, branch):
     """A box of 2^63 cells with one label is the widest the int64 key
     holds; a second label takes the lexsort, and both give its result.  The
     box is that of a d = 3 front, and that of a d = 3 batch front of 2^20
-    replicas, whose leading row packs each vertex's replica with its x_1
-    as `_advance_front` does (replica * E + x_1 + E // 2, E = 2^21)."""
+    replicas, whose replica row leads the key."""
     calls = []
     lexsort = oriented._dedupe_lexsort
     monkeypatch.setattr(oriented, "_dedupe_lexsort",
@@ -578,9 +577,9 @@ def test_dedupe_key_never_wraps(monkeypatch, top_label, branch):
     lo, hi = -2**20, 2**20 - 1  # 2^21 coordinates on each axis
     front = [np.array(col, dtype=np.int64) for col in
              ([hi, lo, hi, 0, lo], [hi, lo, hi, 0, hi], [hi, lo, hi, 0, lo])]
-    # 2^41 (replica, x_1) keys, and 2^11 values of x_2 and of x_3
+    # 2^20 replicas, 2^21 values of x_1, and 2^11 values of x_2 and of x_3
     replica = np.array([2**20 - 1, 0, 2**20 - 1, 5, 0])
-    batch = [replica * 2**21 + front[0] + 2**20, front[1] >> 10, front[2] >> 10]
+    batch = [replica, front[0], front[1] >> 10, front[2] >> 10]
     lab = np.array([top_label, 0, 0, top_label, 0], dtype=np.int64)
     for nxt in (front, batch):
         calls.clear()
@@ -588,4 +587,4 @@ def test_dedupe_key_never_wraps(monkeypatch, top_label, branch):
         want = lexsort(nxt, lab)
         assert bool(calls) == (branch == "lexsort")
         assert all(np.array_equal(g, w) for g, w in zip(got, want))
-        assert got[0].shape == (3, 4)
+        assert got[0].shape == (len(nxt), 4)
