@@ -177,9 +177,17 @@ class BondField:
         """Replicas `idx` of this batch field, a single-replica field taken as
         a batch of one: element i of the result reads the stream of replica
         idx[i], so `derive_replica(a).take(i)` reads `derive_replica(a[i])`.
-        An integer index gives a single-replica field."""
+        An integer index gives a single-replica field; a tuple of index
+        arrays, one per axis, selects elements of an n-d batch."""
         base = np.atleast_1d(np.asarray(self._base, dtype=np.uint64))[idx]
         return BondField(self.seed, _base=int(base) if np.ndim(base) == 0 else base)
+
+    @staticmethod
+    def concat(fields) -> "BondField":
+        """The batch field of `fields`, batch fields of one seed, joined along
+        their last axis: every element keeps its stream."""
+        bases = [np.asarray(f._base, dtype=np.uint64) for f in fields]
+        return BondField(fields[0].seed, _base=np.concatenate(bases, axis=-1))
 
     def prefix(self, words) -> "BondField":
         """The field whose draw of the id words w is this field's draw of

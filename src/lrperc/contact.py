@@ -33,21 +33,31 @@ A site is k-connected from (src, s) at time t exactly when its label is
 k-sweep from one sweep per replica.  The sweep checks that
 0 <= s <= t <= horizon and that src is a site of the box.
 
-A box's fixed structure, its sites, its in-box pairs, their death and
-arrow id columns, the pairs' means grouped by mean and each pair's
-(source index, destination index, jump), is a table built once per
-(rates, box, horizon, d) and process (`_box_table`, behind an lru_cache
-that keeps the last table), so sampling a replica only draws its marks.
-A Timeline keeps its marks flat: one owner array (a process of its table)
+A box's fixed structure, its sites, its in-box pairs, the id prefixes of
+their death and arrow processes, every process's mean grouped by mean and
+each pair's (source index, destination index, jump), is a table built once
+per (rates, box, horizon, d) and process (`_box_table`, behind an
+lru_cache that keeps the last table), so sampling only draws marks.  A
+Timeline keeps its marks flat: one owner array (a process of its table)
 and one time array, in sweep order.  Its `deaths` and `arrows` dicts
-({key: sorted times}) are views, built on first read and cached.  A hand-made `Timeline(horizon, bounds, deaths,
-arrows)` is flattened into the same form, so sampled and hand-made
-timelines share one sweep, which keeps one int label per site index.
+({key: sorted times}) are views, built on first read and cached.  A
+hand-made `Timeline(horizon, bounds, deaths, arrows)` is flattened into the
+same form, so sampled and hand-made timelines share one sweep, which keeps
+one int label per site index.
 
-One sampler (`_mark_counts`, `_mark_times`) turns keyed uniforms into
-marks, for one replica or a batch.  Trial r of the batched skeleton event
-`f_events` reads the marks of replica r's timeline, so `check_f_event` on
-that timeline is its oracle.
+There is one sampler, `sample_timelines`, which draws the timelines of a
+batch of replicas together; `sample_timeline` is its batch of one.  It
+folds each process's id prefix, [7, x...] or [8, x..., axis, disp], once
+per replica (`BondField.prefix`), draws the process's count from that
+state's [0, 0] and the time of its j-th mark from [1, j], so only the last
+two words are hashed per mark.  The marks of each replica are then sorted
+by time on their own, and a replica whose times tie is resampled alone.
+The harness caps a chunk at _BATCH_IDS processes or expected marks, the
+larger, or at one replica (`chunk_cap`), and the times are hashed in
+slices of _TIME_IDS marks, so a chunk's memory does not grow with reps.  Trial r of the batched skeleton
+event `f_events` reads the same folded-prefix marks (`_mark_counts`,
+`_mark_times`) as replica r's timeline, so `check_f_event` on that
+timeline is its oracle.
 """
 
 from __future__ import annotations
@@ -81,9 +91,8 @@ def _box_sites(box, d: int):
 
 
 class _MeanRuns:
-    """A flat array of Poisson means grouped by distinct mean, once: `order`
-    lists the array's elements mean by mean, ends[i] ending the run of
-    means[i]."""
+    """Poisson means grouped by distinct mean, once: `order` lists the
+    means' positions mean by mean, ends[i] ending the run of means[i]."""
 
     def __init__(self, values):
         means, inv = np.unique(values, return_inverse=True)
@@ -98,21 +107,25 @@ def poisson_from_uniform(u, mu) -> np.ndarray:
     The smallest k with u < F(k), found for each distinct mean by
     `_poisson_from_zero`, or where exp(-mu) is no longer a normal float
     (mu > ~708; it is 0 beyond ~745) by `_poisson_from_mode`.  `mu` is a
-    mean, an array of means broadcasting against u, or the `_MeanRuns` of
-    means of u's size that a caller with fixed means keeps (`_box_table`).
+    mean, an array of means broadcasting against u, or the `_MeanRuns` of P
+    means that a caller with fixed means keeps (`_box_table`); u then holds
+    rows of P quantiles, for example one row per replica, and the runs
+    group each row's columns.
     """
     u = np.asarray(u, dtype=np.float64)
     if not isinstance(mu, _MeanRuns):
         mu = np.asarray(mu, dtype=np.float64)
         if mu.ndim == 0:
             return _poisson_from_zero(u, float(mu))
-        mu = _MeanRuns(np.broadcast_to(mu, u.shape).ravel())
-    flat, k, start = u.ravel(), np.empty(u.size, dtype=np.int64), 0
+        runs = _MeanRuns(np.broadcast_to(mu, u.shape).ravel())
+        return poisson_from_uniform(u.ravel(), runs).reshape(u.shape)
+    k = np.empty(u.shape, dtype=np.int64)
+    rows, krows, start = u.reshape(-1, len(mu.values)), k.reshape(-1, len(mu.values)), 0
     for m, end in zip(mu.means, mu.ends):
         at = mu.order[start:end]
-        k[at] = _poisson_from_zero(flat[at], m)
+        krows[:, at] = _poisson_from_zero(rows[:, at], m)
         start = end
-    return k.reshape(u.shape)
+    return k
 
 
 def _poisson_from_zero(u, mu: float) -> np.ndarray:
@@ -161,8 +174,10 @@ class _Table:
     Process o < len(sites) is the death process of site o; process
     len(sites) + p is the arrow process of pair p, and heads[o] is then
     (source index, destination index, jump length).  A box's table also
-    carries the box bounds, the death and arrow id columns and the pairs'
-    means, grouped by mean (`_MeanRuns`).
+    carries the box bounds, the id prefixes of its death and arrow processes
+    as columns, and every process's mean in process order (the horizon for
+    a death process, rate x horizon for an arrow process), grouped by mean
+    (`_MeanRuns`).
     """
 
     def __init__(self, sites, pairs, heads=None, bounds=None, dcols=None, acols=None,
@@ -199,7 +214,8 @@ def _box_table(rates, box, horizon: float, d: int) -> _Table:
     return _Table(sites, [(sites[u], sites[v]) for u, v, _ in heads], heads, tuple(bounds),
                   dcols=[_TAG_DEATH, *coords.T],
                   acols=[_TAG_ARROW, *coords[src_i].T, axis[move_i], disp[move_i]],
-                  mus=_MeanRuns(rate[move_i] * horizon))
+                  mus=_MeanRuns(np.concatenate([np.full(len(sites), horizon),
+                                                rate[move_i] * horizon])))
 
 
 def _sweep_order(table: _Table, owner, times):
@@ -263,56 +279,116 @@ class Timeline:
         return self._by_process(self.table.pairs, len(self.table.sites))
 
 
-def _mark_counts(root: BondField, replica, cols, mus) -> np.ndarray:
-    """Mark count of each Poisson process with id columns `cols` and mean
-    `mus` (see `poisson_from_uniform`), on replica index or index array
-    `replica` (all broadcast)."""
-    u = root.derive_replica(replica).uniforms([*cols, _KIND_COUNT, 0])
-    return poisson_from_uniform(u, mus)
+_BATCH_IDS = 1 << 15  # most processes or expected marks of a contact chunk's replicas
+_TIME_IDS = 1 << 13  # most mark times one `uniforms` call hashes
 
 
-def _mark_times(root: BondField, replica, cols, counts, horizon: float):
-    """(owner, times) of every mark, owner being the flat index into `counts`
-    of the mark's process; marks come in owner order, unsorted in time."""
+def _mark_counts(proc: BondField, mus) -> np.ndarray:
+    """Mark count of each Poisson process of the batch field `proc`, whose
+    elements have folded their process's id prefix (`BondField.prefix`),
+    with means `mus` (see `poisson_from_uniform`)."""
+    return poisson_from_uniform(proc.uniforms([_KIND_COUNT, 0]), mus)
+
+
+def _mark_times(proc: BondField, counts, horizon: float):
+    """(owner, times) of every mark of the processes of `proc` (see
+    `_mark_counts`), owner being the flat index into `counts` of the mark's
+    process; marks come in owner order, unsorted in time.  Each mark gathers
+    its process's folded state and folds only [kind, j].  The processes are
+    drawn in slices of at most _TIME_IDS marks, or one process where it has
+    more, so no temporary outgrows the slice."""
     flat = counts.ravel()
-    owner = np.repeat(np.arange(flat.size), flat)
-    j = np.arange(owner.size) - np.repeat(np.cumsum(flat) - flat, flat) + 1
+    ends = np.cumsum(flat)
+    starts = ends - flat
+    owner, times = np.empty(flat.sum(), dtype=np.int64), np.empty(flat.sum())
+    lo = 0
+    while lo < flat.size:
+        hi = max(lo + 1, int(np.searchsorted(ends, starts[lo] + _TIME_IDS, side="right")))
+        at = slice(starts[lo], ends[hi - 1])
+        owner[at] = np.repeat(np.arange(lo, hi), flat[lo:hi])
+        j = np.arange(1 + starts[lo], 1 + ends[hi - 1]) - np.repeat(starts[lo:hi], flat[lo:hi])
+        per_mark = proc.take(np.unravel_index(owner[at], counts.shape))
+        times[at] = per_mark.uniforms([_KIND_TIME, j])
+        lo = hi
+    times *= horizon
+    return owner, times
 
-    def per_mark(c):
-        c = np.asarray(c)
-        return c if c.ndim == 0 else np.broadcast_to(c, counts.shape).ravel()[owner]
 
-    fld = root.derive_replica(replica if np.ndim(replica) == 0 else per_mark(replica))
-    return owner, fld.uniforms([*map(per_mark, cols), _KIND_TIME, j]) * horizon
+def _draw(root: BondField, table: _Table, replicas, horizon: float):
+    """(owner, times, ends) of the marks of stream indices `replicas`: the
+    marks of replicas[i] are the run ending at ends[i], sorted by time.
+    Each process's id prefix is folded once per replica, [tag, x...] for a
+    death process and [tag, x..., axis, disp] for an arrow process, and the
+    two are joined in the table's process order."""
+    fld = root.derive_replica(replicas[:, None])
+    proc = BondField.concat([fld.prefix(table.dcols), fld.prefix(table.acols)])
+    counts = _mark_counts(proc, table.mus)
+    owner, times = _mark_times(proc, counts, horizon)
+    owner %= counts.shape[1]
+    ends = np.cumsum(counts.sum(axis=1))
+    for s, e in zip([0, *ends[:-1].tolist()], ends.tolist()):
+        order = np.argsort(times[s:e])
+        owner[s:e], times[s:e] = owner[s:e][order], times[s:e][order]
+    return owner, times, ends
 
 
-def sample_timeline(seed: int, rates: TruncatedSequence, box, horizon: float,
-                    d: int, replica: int = 0) -> Timeline:
-    """Exact Poisson samples for every site and every in-box ordered pair.
+def chunk_cap(rates: TruncatedSequence, box: int, horizon: float, d: int) -> int:
+    """Most replicas that `sample_timelines` should sample together on the
+    box of half-width `box`: _BATCH_IDS over the larger of a replica's
+    process count and its expected marks, horizon x (sites + sum of the pair
+    rates), or 1.  The box's pairs are counted, not enumerated, so the
+    caller builds no table: side - i sites of a line of the box have an
+    in-box neighbour at signed range +-i along it."""
+    side = 2 * box + 1
+    ranges = [i for i in range(1, min(rates.k, side - 1) + 1) if rates.term(i) > 0.0]
+    lines = 2 * d * side ** (d - 1)  # the lines of the box, times both signs of i
+    pairs = lines * sum(side - i for i in ranges)
+    rate = lines * sum((side - i) * rates.term(i) for i in ranges)
+    sites = side ** d
+    return max(1, int(_BATCH_IDS // max(sites + pairs, horizon * (sites + rate))))
+
+
+def sample_timelines(seed: int, rates: TruncatedSequence, box, horizon: float, d: int,
+                     replicas) -> list:
+    """The timelines of `replicas`, sampled together: element i is
+    `sample_timeline(seed, rates, box, horizon, d, replicas[i])`.
 
     Deterministic in (seed, replica).  Each process draws its count from its
     own keyed uniform (Poisson inverse CDF) and its event times as iid
     uniforms on [0, T], which together realize a homogeneous Poisson process.
-    In the measure-zero case of a global time collision the whole timeline is
-    resampled from a bumped stream and the retry count is recorded.  The
-    box's table is built once per (rates, box, horizon, d) and process.
+    In the measure-zero case of a time collision within a timeline, that
+    timeline alone is resampled from a bumped stream, replica + attempt *
+    2**40, and the retry count is recorded.  The box's table is built once
+    per (rates, box, horizon, d) and process.
     """
     if not 0 < horizon < math.inf:
         raise ValueError(f"horizon must be finite and positive, got {horizon}")
     table = _box_table(rates, box if isinstance(box, int) else tuple(map(tuple, box)),
                        horizon, d)
-    root, n = BondField(seed), len(table.sites)
+    root, replicas = BondField(seed), np.asarray(replicas, dtype=np.int64)
+    out, todo = [None] * replicas.size, np.arange(replicas.size)
     for attempt in range(64):
-        rep = replica + (attempt << 40)
-        dcounts = _mark_counts(root, rep, table.dcols, horizon)
-        downer, dtimes = _mark_times(root, rep, table.dcols, dcounts, horizon)
-        acounts = _mark_counts(root, rep, table.acols, table.mus)
-        aowner, atimes = _mark_times(root, rep, table.acols, acounts, horizon)
-        owner, times = _sweep_order(table, np.concatenate([downer, aowner + n]),
-                                    np.concatenate([dtimes, atimes]))
-        if not (times[1:] == times[:-1]).any():
-            return Timeline._flat(horizon, table.bounds, table, owner, times, attempt)
+        owner, times, ends = _draw(root, table, replicas[todo] + (attempt << 40), horizon)
+        pair = np.flatnonzero(times[1:] == times[:-1])  # marks pair, pair + 1 tie
+        run = np.searchsorted(ends, pair, side="right")
+        tied = np.zeros(todo.size, dtype=bool)
+        tied[run[pair + 1 < ends[run]]] = True
+        starts = [0, *ends[:-1].tolist()]
+        for i, s, e, bad in zip(todo.tolist(), starts, ends.tolist(), tied.tolist()):
+            if not bad:
+                out[i] = Timeline._flat(horizon, table.bounds, table, owner[s:e], times[s:e],
+                                        attempt)
+        todo = todo[tied]
+        if not todo.size:
+            return out
     raise RuntimeError("could not sample a collision-free timeline")
+
+
+def sample_timeline(seed: int, rates: TruncatedSequence, box, horizon: float,
+                    d: int, replica: int = 0) -> Timeline:
+    """Exact Poisson samples for every site and every in-box ordered pair:
+    `sample_timelines` of the one replica."""
+    return sample_timelines(seed, rates, box, horizon, d, [replica])[0]
 
 
 def k_connected(tl: Timeline, frm, to, k: int) -> bool:
@@ -449,21 +525,22 @@ def f_events(rates: TruncatedSequence, params: SkeletonParams, trials: int,
     Trial r reads, of the marks of `sample_timeline(seed, rates,
     box=[(-k, k), (0, b)], horizon=delta, d=2, replica=r)`, the death
     counts of the 4k + 1 involved sites and the arrow times of the 4k
-    involved pairs: `check_f_event` on that timeline is its oracle.
+    involved pairs, each process's id prefix folded once per trial as the
+    sampler folds it: `check_f_event` on that timeline is its oracle.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     k, b, d = params.k, params.b, params.delta
     a = np.fromiter(signed_ranges(k), dtype=np.int64)
-    reps = np.arange(trials)[:, None]
-    root = BondField(seed)
+    fld = BondField(seed).derive_replica(np.arange(trials)[:, None])
 
     def dead(x1, x2):
-        return _mark_counts(root, reps, [_TAG_DEATH, x1, x2], d) > 0
+        return _mark_counts(fld.prefix([_TAG_DEATH, x1, x2]), d) > 0
 
     def arrow_in(cols, mus, first_half):
-        counts = _mark_counts(root, reps, cols, mus)
-        owner, times = _mark_times(root, reps, cols, counts, d)
+        proc = fld.prefix(cols)
+        counts = _mark_counts(proc, mus)
+        owner, times = _mark_times(proc, counts, d)
         hit = times <= d / 2 if first_half else times >= d / 2
         return np.bincount(owner[hit], minlength=counts.size).reshape(counts.shape) > 0
 

@@ -19,11 +19,13 @@ replica's critical k, the least k at which the event holds (None: at no k
 swept); the row at k counts the replicas whose critical k is <= k.  The
 star, `hprob` and contact kernels sweep each replica once, at the largest
 k; the oriented kernel sweeps at truncation 1, 2, 4, ..., and each
-replica stops at the first sweep that it survives.  The star, `hprob`
-and oriented kernels sweep a chunk's replicas together; a later oriented
-sweep holds only the chunk's replicas that the one before lost.  The star
-and survival runners cap a chunk's replicas by the size of one replica's
-sweep, so a chunk's memory does not grow with reps.
+replica stops at the first sweep that it survives.  Every k-sweep kernel
+works on its chunk's replicas together: the star, `hprob` and oriented
+kernels sweep them together, a later oriented sweep holding only the
+chunk's replicas that the one before lost, and the contact kernel samples
+their timelines together before it sweeps each.  The star, survival and
+contact runners cap a chunk's replicas by the size of one replica's draw,
+so a chunk's memory does not grow with reps.
 """
 
 from __future__ import annotations
@@ -54,10 +56,10 @@ def _surv_g(args, root, lo, hi):
 
 
 def _surv_contact(args, root, lo, hi):
-    """Least infection label at the horizon of a timeline sampled at max(ks)."""
+    """Least infection label at the horizon of a timeline sampled at max(ks);
+    the chunk's timelines are sampled together."""
     rates, box, horizon, d = args
-    tls = (contact.sample_timeline(root.seed, rates, box, horizon, d, replica=r)
-           for r in range(lo, hi))
+    tls = contact.sample_timelines(root.seed, rates, box, horizon, d, range(lo, hi))
     return [min(contact.infection_labels(tl, (0,) * d, 0.0, horizon).values(), default=None)
             for tl in tls]
 
@@ -301,7 +303,7 @@ def _run_contact(cfg, p):
     d, horizon, window, ks = p["dim"], p["horizon"], p["window"], p["k"]
     args = (truncate(p["rates"], max(ks)), window, horizon, d)
     return [_row(cfg, "contact", k, horizon, window, {"dim": d}, est)
-            for k, est in _k_estimates(cfg, ks, _surv_contact, args)]
+            for k, est in _k_estimates(cfg, ks, _surv_contact, args, contact.chunk_cap(*args))]
 
 
 def _run_star(cfg, p):

@@ -71,14 +71,22 @@ def _traced_run(spans, argv):
 
 
 def test_bench_tracer_counts_contact_marks(monkeypatch):
-    """`_count_marks` reads each sampled timeline's deaths, arrows and resamples."""
+    """`_count_marks` reads each sampled timeline's deaths, arrows and
+    resamples.  The contact k-sweep samples a chunk's timelines together,
+    through `sample_timelines`, and its traced CSV equals the untraced one;
+    `sample_timeline`, the batch of one, is traced once per timeline."""
     spans = _load_spans(monkeypatch)
-    untraced, traced, report = _traced_run(spans, [
+    untraced, traced, _ = _traced_run(spans, [
         "contact", "--rates", "powerlaw:1,0.6", "--dim", "1", "--k", "1,2",
         "--horizon", "2", "--window", "2"])
     assert traced == untraced
-    sampled = report["contact.sample_timeline"]
-    assert sampled["calls"] == 4 and sampled["marks"] > 0 and "resamples" in sampled
+    args = (truncate(powerlaw(1.0, 0.6), 2), 2, 2.0, 1)
+    with spans.Tracer(lrperc) as tracer:
+        tls = [lrperc.contact.sample_timeline(0, *args, replica=r) for r in range(4)]
+    sampled = tracer.report()["contact.sample_timeline"]
+    assert sampled["calls"] == 4
+    assert sampled["marks"] == sum(tl.times.size for tl in tls) > 0
+    assert sampled["resamples"] == sum(tl.resamples for tl in tls)
 
 
 def test_bench_tracer_counts_oriented_vertices(monkeypatch):

@@ -214,3 +214,18 @@ def test_frozen_stream_through_take_and_prefix(seed, replica, words, bits):
         assert fld.prefix(words[:j]).uniform_words(words[j:]) * 2**53 == bits
         rest = [np.asarray(w) for w in words[j:]]
         assert (batch.prefix(words[:j]).uniforms(rest) * 2**53 == bits).all()
+
+
+@pytest.mark.parametrize("seed, replica, words, bits", [f for f in FROZEN if f[1] is not None])
+def test_frozen_stream_through_concat(seed, replica, words, bits):
+    """`concat` joins batch fields along their last axis and keeps every
+    element's stream: a (2, 3) batch that folded the frozen id's first word
+    (a (2, 1) batch where the id has none), joined after a (2, 2) batch of
+    other streams, reads the frozen bits wherever a tuple `take` picks it."""
+    reps = BondField(seed).derive_replica(np.full((2, 1), replica))
+    j = min(1, len(words))
+    target = reps.prefix([np.full(3, w) for w in words[:j]])
+    joined = BondField.concat([reps.prefix([np.arange(2)]), target])
+    assert joined.shape == (2, 2 + (3 if j else 1))
+    picked = joined.take((np.array([0, 1, 1]), np.array([2, 2, -1])))
+    assert (picked.uniforms([np.asarray(w) for w in words[j:]]) * 2**53 == bits).all()

@@ -2,15 +2,16 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from exact import block_dispersion_z, contact_survival_d1
 from lrperc import contact
+from lrperc.bondfield import BondField
 from lrperc.cli import main
 from lrperc.contact import (
     SkeletonParams, Timeline, _poisson_from_mode, check_f_event, f_events,
     f_probability, infected_at_horizon, infection_labels, k_connected,
-    poisson_from_uniform, sample_timeline,
+    poisson_from_uniform, sample_timeline, sample_timelines,
 )
 from lrperc.harness import _surv_contact, run_replicas
 from lrperc.sequences import constant, explicit, harmonic, powerlaw, truncate
@@ -92,6 +93,37 @@ def _poisson_walk(u, mu):
     return k
 
 
+def _per_replica_timeline(seed, rates, box, horizon, d, replica, first_attempt=0):
+    """Oracle: the timeline of one replica, each mark's full id through
+    `uniforms`.  A process's count is the walk's quantile of its
+    [tag, x..., (axis, disp,) 0, 0] uniform, and the time of its j-th mark
+    is horizon times its [..., 1, j] uniform.  The marks are sorted by time,
+    and on a tie the whole timeline is redrawn from replica + attempt *
+    2**40."""
+    table = contact._box_table(rates, box if isinstance(box, int) else tuple(map(tuple, box)),
+                               horizon, d)
+    n = len(table.sites)
+    means = [(table.dcols, np.full(n, horizon)),
+             (table.acols, np.array([rates.term(j) * horizon for _, _, j in table.heads[n:]]))]
+    for attempt in range(first_attempt, 64):
+        fld = BondField(seed).derive_replica(replica + (attempt << 40))
+        owner, times, first = [], [], 0
+        for cols, mus in means:
+            counts = _poisson_walk(fld.uniforms([*cols, 0, 0]), mus)
+            proc = np.repeat(np.arange(counts.size), counts)
+            j = np.concatenate([np.arange(1, c + 1) for c in counts.tolist()] + [[]]).astype(int)
+            per_mark = [c if np.ndim(c) == 0 else np.asarray(c)[proc] for c in cols]
+            owner.append(proc + first)
+            times.append(fld.uniforms([*per_mark, 1, j]) * horizon)
+            first += counts.size
+        owner, times = np.concatenate(owner), np.concatenate(times)
+        order = np.argsort(times)
+        owner, times = owner[order], times[order]
+        if not (times[1:] == times[:-1]).any():
+            return Timeline._flat(horizon, table.bounds, table, owner, times, attempt)
+    raise RuntimeError("could not sample a collision-free timeline")
+
+
 def test_poisson_table_equals_the_walk():
     """The per-mean CDF table gives the walk's quantile bit for bit, at one
     mean and at mixed means (also grouped ahead), at F(0) itself and within
@@ -116,6 +148,81 @@ def test_cli_contact_long_horizon_returns(tmp_path):
     assert main(["contact", "--rates", "const:0.1", "--k", "1", "--horizon", "800",
                  "--window", "0", "--dim", "1", "--reps", "1", "--out", str(out)]) == 0
     assert len(out.read_text().strip().split("\n")) == 2
+
+
+def _same_timeline(got, want):
+    return (np.array_equal(got.owner, want.owner) and np.array_equal(got.times, want.times)
+            and got.resamples == want.resamples)
+
+
+_LAWS = st.one_of(
+    st.builds(powerlaw, st.sampled_from([0.5, 1.0, 2.0]), st.sampled_from([0.3, 0.6, 0.95])),
+    st.builds(constant, st.sampled_from([0.0, 0.35, 0.7, 1.0])),
+    st.builds(explicit, st.lists(st.sampled_from([0.0, 0.3, 0.6, 0.9]), min_size=1, max_size=5)),
+)
+_SAMPLE_TIMELINES = contact.sample_timelines
+
+
+@settings(max_examples=250, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(p=_LAWS, kmax=st.integers(0, 4), window=st.integers(0, 3),
+       horizon=st.sampled_from([0.2, 1.0, 2.5]), d=st.integers(1, 3),
+       seed=st.integers(0, 2**20), reps=st.integers(1, 6),
+       cap=st.one_of(st.none(), st.integers(1, 3)), workers=st.integers(1, 3),
+       time_ids=st.sampled_from([7, 64, contact._TIME_IDS]))
+def test_surv_contact_equals_per_replica_oracle(monkeypatch, inline_pool, p, kmax, window,
+                                                horizon, d, seed, reps, cap, workers, time_ids):
+    """Replica for replica, over laws (no arrows at const 0), truncations,
+    boxes, horizons, dimensions, chunk plans and time slices, each timeline
+    that the kernel samples in its chunk equals the per-replica oracle's,
+    owner, times and resamples, and the kernel's record is the least
+    infection label at the horizon on the oracle's timeline."""
+    monkeypatch.setattr(contact, "_TIME_IDS", time_ids)
+    sampled = {}
+
+    def spy(seed, rates, box, horizon, d, replicas):
+        tls = _SAMPLE_TIMELINES(seed, rates, box, horizon, d, replicas)
+        sampled.update(zip(replicas, tls))
+        return tls
+    monkeypatch.setattr(contact, "sample_timelines", spy)
+    inline_pool(workers)
+    rates = truncate(p, kmax)
+    got = run_replicas(_surv_contact, (rates, window, horizon, d), seed, reps, workers, cap)
+    assert sorted(sampled) == list(range(reps))
+    for r, crit in enumerate(got):
+        want = _per_replica_timeline(seed, rates, window, horizon, d, r)
+        assert _same_timeline(sampled[r], want), r
+        labels = infection_labels(want, (0,) * d, 0.0, horizon)
+        assert crit == min(labels.values(), default=None), r
+
+
+def test_tied_replica_is_resampled_alone(monkeypatch):
+    """A tie forced into replica 3's marks at attempt 0 resamples that
+    replica alone: its timeline and resample count are those of
+    `sample_timeline` under the same tie, and the oracle's from attempt 1
+    on; the chunk's other replicas keep their attempt-0 timelines.  A tie
+    at every attempt is an error."""
+    args, victim = (truncate(harmonic(), 2), 2, 3.0, 1), 3
+    clean = sample_timelines(5, *args, range(6))
+    draw = contact._draw
+
+    def tie(root, table, replicas, horizon, every=False):
+        owner, times, ends = draw(root, table, replicas, horizon)
+        for i in np.flatnonzero((replicas == victim) | every).tolist():  # attempt 0 only
+            s = int(ends[i - 1]) if i else 0
+            times[s + 1] = times[s]
+        return owner, times, ends
+    monkeypatch.setattr(contact, "_draw", tie)
+    tied = sample_timelines(5, *args, range(6))
+    alone = sample_timeline(5, *args, replica=victim)
+    assert tied[victim].resamples == 1 and _same_timeline(tied[victim], alone)
+    assert _same_timeline(alone, _per_replica_timeline(5, *args, victim, first_attempt=1))
+    assert not np.array_equal(alone.times, clean[victim].times)
+    assert all(_same_timeline(tied[r], clean[r]) for r in range(6) if r != victim)
+    assert all(tl.resamples == 0 for tl in clean)
+    monkeypatch.setattr(contact, "_draw", lambda *a: tie(*a, every=True))
+    with pytest.raises(RuntimeError, match="collision-free"):
+        sample_timeline(5, *args, replica=0)
 
 
 def test_zero_rates_give_no_arrows():
@@ -317,13 +424,13 @@ def test_pairs_stop_at_the_widest_box_extent(monkeypatch):
 
 
 def test_box_table_is_built_once_per_process():
-    """The replicas of a k-sweep share one pair table, and a k above the
+    """The chunks of a k-sweep share one pair table, and a k above the
     box's widest extent reads the same table and timelines as k at it."""
     contact._box_table.cache_clear()
     crits = run_replicas(_surv_contact, (truncate(harmonic(), 4), 2, 1.25, 2),
-                         seed=21, reps=20, threads=1)
+                         seed=21, reps=20, threads=1, cap=5)
     info = contact._box_table.cache_info()
-    assert (info.misses, info.hits) == (1, 19)
+    assert (info.misses, info.hits) == (1, 3)
     assert len(set(crits)) > 1
     box = [(-1, 1), (0, 3)]
     far, near = (contact._box_table(truncate(harmonic(), k), tuple(box), 2.0, 2)
@@ -338,6 +445,23 @@ def test_box_table_is_built_once_per_process():
         tf, tn = (sample_timeline(5, truncate(harmonic(), k), box, 2.0, 2, replica=r)
                   for k in (1000, 3))
         assert np.array_equal(tf.owner, tn.owner) and np.array_equal(tf.times, tn.times)
+
+
+@pytest.mark.parametrize("law, k, box, horizon, d", [
+    (powerlaw(1.0, 0.6), 4, 5, 5.0, 2),  # trend_contact.cfg
+    (harmonic(), 3, 2, 1.5, 2),
+    (constant(0.0), 2, 3, 1.0, 1),  # no pairs
+    (explicit([0.0, 0.5, 0.2]), 9, 2, 2.0, 3),  # a zero rate, k beyond the box
+    (powerlaw(1.0, 0.6), 4, 0, 5.0, 2),  # one site
+    (constant(1.0), 400, 200, 2.0, 1),  # more than _BATCH_IDS processes
+])
+def test_chunk_cap_counts_the_box_table(law, k, box, horizon, d):
+    """`chunk_cap` counts the processes and expected marks that the box's
+    table enumerates."""
+    rates = truncate(law, k)
+    table = contact._box_table(rates, box, horizon, d)
+    per = max(len(table.heads), table.mus.values.sum())
+    assert contact.chunk_cap(rates, box, horizon, d) == max(1, int(contact._BATCH_IDS // per))
 
 
 @pytest.mark.parametrize("box,d", [(3, 1), ([(-2, 2), (-1, 1)], 2)])
@@ -420,14 +544,19 @@ def test_f_frequency_matches_closed_form():
     (64, truncate(constant(0.7), 2), SkeletonParams(delta=0.25, b=1, k=2)),
 ])
 def test_f_events_equal_check_f_event_per_trial(seed, rates, params):
-    """Trial r of the batch reads exactly the marks of replica r's timeline."""
+    """Trial r of the batch reads exactly the marks of replica r's timeline,
+    and on every eighth trial the per-replica oracle's timeline agrees."""
     trials, k, b = 400, params.k, params.b
     got = f_events(rates, params, trials, seed)
-    want = [check_f_event(sample_timeline(seed, rates, box=[(-k, k), (0, b)],
-                                          horizon=params.delta, d=2, replica=r),
-                          (0, 0), 0, params).success
+    box = [(-k, k), (0, b)]
+    want = [check_f_event(sample_timeline(seed, rates, box=box, horizon=params.delta, d=2,
+                                          replica=r), (0, 0), 0, params).success
             for r in range(trials)]
     assert got.tolist() == want
+    oracle = [check_f_event(_per_replica_timeline(seed, rates, box, params.delta, 2, r),
+                            (0, 0), 0, params).success
+              for r in range(0, trials, 8)]
+    assert oracle == want[::8]
     assert 0 < sum(want) < trials  # both outcomes exercised
 
 

@@ -4,13 +4,15 @@ import os
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from lrperc import harness, oriented, renorm, starlat
+from lrperc import contact, harness, oriented, renorm, starlat
 from lrperc.bondfield import BondField
 from lrperc.cli import build_parser, main, resolve_config
 from lrperc.harness import (
-    PARAMS, ExperimentConfig, _hprob, _surv_star, emit_csv, format_csv, parse_config_file,
+    PARAMS, ExperimentConfig, _hprob, _surv_contact, _surv_star, emit_csv, format_csv,
+    parse_config_file,
     run_experiment, run_replicas, wilson_interval,
 )
 from lrperc.sequences import harmonic, parse_sequence, powerlaw, truncate
@@ -445,9 +447,10 @@ def test_run_replicas_chunk_plan(inline_pool, reps, workers, cap, plan):
 
 
 _STAR_ARGS = (StarParams(0.8, truncate(powerlaw(1.0, 0.95), 4), 2), 5, 3)
+_CONTACT_ARGS = (truncate(harmonic(), 3), 2, 1.5, 2)
 
 
-@pytest.mark.parametrize("kernel", ["star", "hprob", "cone"])
+@pytest.mark.parametrize("kernel", ["star", "hprob", "cone", "contact"])
 def test_batched_kernel_records_do_not_depend_on_chunking(monkeypatch, kernel):
     """The kernels that draw a chunk's replicas together give the same
     records in one chunk (threads=1), in one chunk per worker (threads=2:
@@ -460,6 +463,8 @@ def test_batched_kernel_records_do_not_depend_on_chunking(monkeypatch, kernel):
             return run_replicas(_surv_star, _STAR_ARGS, 21, reps, threads, cap)
         if kernel == "hprob":
             return run_replicas(_hprob, _HPROB_ARGS, 21, reps, threads, cap)
+        if kernel == "contact":
+            return run_replicas(_surv_contact, _CONTACT_ARGS, 21, reps, threads, cap)
         monkeypatch.setattr(renorm, "_SCAN_CELLS", (cap or reps) * (max(horizons) + 1))
         return renorm.cone_survival_scan(gammas, horizons, reps, 21, threads).tolist()
     one = records(1, None)
@@ -503,6 +508,46 @@ def test_survival_chunks_are_capped_by_window_cells(monkeypatch):
     assert batches == [10] * 6
     assert csv(10**9) == capped and batches == [60]
     assert csv(10) == capped and batches == [1] * 60
+    assert len({line.split(",")[8] for line in capped.splitlines()[1:]}) == 3
+
+
+def test_contact_chunks_are_capped_by_marks(monkeypatch):
+    """`contact` samples at most _BATCH_IDS // max(processes, expected
+    marks) replicas in one chunk, and one where a replica has more, however
+    many replicas it runs; its rows equal those of one uncapped chunk.  No
+    `uniforms` call hashes more than _BATCH_IDS ids, or a time call more
+    than _TIME_IDS marks."""
+    params = {"rates": "powerlaw:1,0.6", "dim": "1", "k": "1,2,4", "horizon": "2",
+              "window": "3"}
+    table = contact._box_table(truncate(parse_sequence(params["rates"]), 4), 3, 2.0, 1)
+    per = max(len(table.heads), table.mus.values.sum())  # the marks here
+    batches, calls = [], []
+    sample, uniforms = contact.sample_timelines, BondField.uniforms
+
+    def spy_sample(seed, rates, box, horizon, d, replicas):
+        batches.append(len(replicas))
+        return sample(seed, rates, box, horizon, d, replicas)
+
+    def spy_uniforms(self, columns):
+        u = uniforms(self, columns)
+        calls.append((int(np.max(columns[0])), u.size))
+        return u
+    monkeypatch.setattr(contact, "sample_timelines", spy_sample)
+    monkeypatch.setattr(BondField, "uniforms", spy_uniforms)
+    monkeypatch.setattr(contact, "_TIME_IDS", 64)
+
+    def csv(ids):
+        monkeypatch.setattr(contact, "_BATCH_IDS", ids)
+        batches.clear()
+        calls.clear()
+        return format_csv(run_experiment(ExperimentConfig(
+            "contact", seed=4, reps=60, threads=1, params=params)))
+    capped = csv(math.ceil(10 * per) + 1)
+    assert batches == [10] * 6
+    assert max(size for kind, size in calls if kind == 0) <= 10 * per  # the counts
+    assert max(size for kind, size in calls if kind == 1) <= 64  # the times
+    assert csv(10**9) == capped and batches == [60]
+    assert csv(1) == capped and batches == [1] * 60
     assert len({line.split(",")[8] for line in capped.splitlines()[1:]}) == 3
 
 

@@ -2,7 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from exact import cone_survival
 from lrperc import renorm
@@ -488,6 +488,30 @@ def test_pruned_scan_equals_oracle_per_replica(gammas, horizons, monkeypatch):
                    for r in range(reps)]
         for hi, horizon in enumerate(horizons):
             assert counts[gi, hi] == sum(bool(c[horizon]) for c in reached)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(gammas=st.lists(st.sampled_from([0.0, 0.3, 0.5, 0.6, 0.65, 0.7, 0.8, 1.0]),
+                       min_size=1, max_size=4),
+       horizons=st.lists(st.integers(0, 12), min_size=1, max_size=3),
+       reps=st.integers(1, 12), seed=st.integers(0, 2**20), cells=st.integers(1, 40),
+       workers=st.integers(1, 3))
+def test_cone_scan_equals_site_perc_cone_per_replica(monkeypatch, inline_pool, gammas, horizons,
+                                                     reps, seed, cells, workers):
+    """Over gamma grids (0 and 1 included), horizons (0 included), replica
+    counts, seeds and chunk plans (a _SCAN_CELLS cap, workers), every count
+    of the scan is the number of replicas that the scalar `site_perc_cone`
+    lets survive at that gamma and horizon."""
+    inline_pool(workers)
+    monkeypatch.setattr(renorm, "_SCAN_CELLS", cells)
+    counts = cone_survival_scan(gammas, horizons, reps, seed, workers)
+    assert counts.shape == (len(gammas), len(horizons))
+    fields = [BondField(seed).derive_replica(r) for r in range(reps)]
+    for gi, gamma in enumerate(gammas):
+        for hi, horizon in enumerate(sorted(horizons)):
+            want = sum(site_perc_cone(gamma, horizon, fld).survived for fld in fields)
+            assert counts[gi, hi] == want, (gamma, horizon)
 
 
 def _hashed_sites(monkeypatch, gammas, horizon, reps):
