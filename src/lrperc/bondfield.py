@@ -48,16 +48,18 @@ columns against it, so element r of a batch reads exactly the stream of
 whole batch shares once per replica, as the oriented front step does with
 its tag and generation; both keep every draw's bits.
 `run_replicas`, the one replica loop, maps a chunk kernel over chunks of
-replicas; replica r reads `BondField(seed).derive_replica(r)` however the
-replicas are chunked, so no schedule changes a record.
+replicas, in the calling process and in `workers - 1` children forked from
+it, each child sending its records back through a pipe; replica r reads
+`BondField(seed).derive_replica(r)` however the replicas are chunked or
+shared out, so no schedule changes a record.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
+import pickle
+import signal
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
@@ -245,16 +247,21 @@ class BondField:
 # -- replica scheduling ---------------------------------------------------------
 
 def run_replicas(kernel, args, seed: int, reps: int, threads: int = 1, cap=None) -> list:
-    """The records of replicas 0..reps-1 in replica order, from a module-level
-    `kernel(args, root, lo, hi)` that lists the records of replicas lo..hi-1
-    with root = BondField(seed).
+    """The records of replicas 0..reps-1 in replica order, from a chunk
+    kernel `kernel(args, root, lo, hi)` that lists the records of replicas
+    lo..hi-1 with root = BondField(seed).
 
     The replicas are cut into the fewest chunks that hold at most `cap`
     replicas each (None: no cap) and come in a multiple of the worker count,
     so each worker runs the same number of chunks; chunk i of n holds
     replicas i reps // n .. (i + 1) reps // n - 1, so sizes differ by at
-    most one, and no chunk is empty.  At most min(threads, reps, cores)
-    worker processes are started.
+    most one, and no chunk is empty.  There are min(threads, reps, cores)
+    workers: the calling process and `workers - 1` children forked from it.
+    Worker w runs chunks w n // workers .. (w + 1) n // workers - 1, so the
+    shares differ by at most one chunk (only where n is capped at reps) and
+    their records concatenate in replica order.  A child's records, or the
+    exception its share raised, come back pickled; a failure anywhere kills
+    and reaps every child before it propagates.
     """
     if reps < 1:
         raise ValueError("replica count must be >= 1")
@@ -262,8 +269,95 @@ def run_replicas(kernel, args, seed: int, reps: int, threads: int = 1, cap=None)
     fewest = -(-reps // (cap or reps))
     n = min(reps, -(-fewest // workers) * workers)
     bounds = [i * reps // n for i in range(n + 1)]
-    chunks = (kernel, repeat(args), repeat(BondField(seed)), bounds[:-1], bounds[1:])
+    root = BondField(seed)
+
+    def share(w):
+        return [rec for i in range(w * n // workers, (w + 1) * n // workers)
+                for rec in kernel(args, root, bounds[i], bounds[i + 1])]
+
     if workers == 1:
-        return [rec for part in map(*chunks) for rec in part]
-    with ProcessPoolExecutor(max_workers=workers) as ex:
-        return [rec for part in ex.map(*chunks) for rec in part]
+        return share(0)
+    children = []
+    try:
+        for w in range(1, workers):
+            children.append(_fork_share(share, w))
+        records = share(0)
+        for child in children:
+            records += child.records()
+        return records
+    finally:
+        for child in children:
+            child.kill()
+
+
+def _fork_share(share, w) -> "_Child":
+    """Fork a child that runs `share(w)` and sends back what it returns or
+    raises; the child leaves through os._exit, so it runs no exit handler
+    and flushes no buffer it inherited."""
+    rfd, wfd = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(rfd)
+        os.close(wfd)
+        raise
+    if pid:
+        os.close(wfd)
+        return _Child(pid, os.fdopen(rfd, "rb"))
+    code = 1
+    try:
+        os.close(rfd)
+        try:
+            data = pickle.dumps(("ok", share(w)))
+        except BaseException as exc:
+            data = _pickled_error(exc)
+        with os.fdopen(wfd, "wb") as pipe:
+            pipe.write(data)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _pickled_error(exc) -> bytes:
+    """("err", exc) pickled, or ("err", RuntimeError(repr(exc))) where exc
+    does not survive a pickle round trip."""
+    try:
+        data = pickle.dumps(("err", exc))
+        pickle.loads(data)
+    except Exception:
+        data = pickle.dumps(("err", RuntimeError(repr(exc))))
+    return data
+
+
+class _Child:
+    """A forked worker running one share, read through one pipe."""
+
+    def __init__(self, pid: int, pipe):
+        self.pid, self.pipe = pid, pipe
+
+    def records(self) -> list:
+        """The share's records; raises the share's exception, or
+        RuntimeError where the child exited without sending a result.
+        The pipe is read to EOF before the child is reaped, so a child
+        blocked on a full pipe cannot stall the caller."""
+        with self.pipe:
+            data = self.pipe.read()
+        status = os.waitpid(self.pid, 0)[1]
+        self.pid = None
+        code = os.waitstatus_to_exitcode(status)
+        if code != 0:
+            raise RuntimeError(f"a replica worker exited with status {code} "
+                               "before sending its records")
+        kind, value = pickle.loads(data)
+        if kind == "err":
+            raise value
+        return value
+
+    def kill(self) -> None:
+        """SIGKILL and reap the child, unless `records` has reaped it."""
+        if self.pid is None:
+            return
+        os.kill(self.pid, signal.SIGKILL)
+        self.pipe.close()
+        os.waitpid(self.pid, 0)
+        self.pid = None

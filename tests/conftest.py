@@ -3,10 +3,12 @@
 The acceptance tests register one human-readable line each; those lines are
 echoed in the terminal summary so a plain `pytest -v` run always shows one
 PASS/FAIL line per acceptance criterion, whatever the capture settings.
-The `inline_pool` fixture runs the replica loop's pool in this process.
+The `inline_pool` fixture runs the shares that the replica loop would fork
+out to children in this process instead, so spies see every chunk.
 """
 
 import os
+from types import SimpleNamespace
 
 import pytest
 
@@ -30,25 +32,20 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 
 @pytest.fixture
 def inline_pool(monkeypatch):
-    """`inline_pool(cores)` sets the core count and runs the pool's chunks in
-    this process; it returns the list of worker counts the pool is asked for."""
+    """`inline_pool(cores)` sets the core count and runs each share that
+    `run_replicas` would fork out in this process, when the caller collects
+    it (after its own share, so chunks run in plan order); it returns the
+    list of worker counts the runs are asked for."""
     asked = []
 
-    class InlineExecutor:
-        def __init__(self, max_workers):
-            asked.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, *iterables):
-            return map(fn, *iterables)
+    def start(share, w):
+        if w == 1:  # the first child of a run; the caller is worker 0
+            asked.append(1)
+        asked[-1] += 1
+        return SimpleNamespace(records=lambda: share(w), kill=lambda: None)
 
     def patch(cores):
         monkeypatch.setattr(os, "cpu_count", lambda: cores)
-        monkeypatch.setattr(bondfield, "ProcessPoolExecutor", InlineExecutor)
+        monkeypatch.setattr(bondfield, "_fork_share", start)
         return asked
     return patch

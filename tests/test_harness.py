@@ -1,6 +1,9 @@
 import io
 import math
 import os
+import subprocess
+import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -402,13 +405,94 @@ def test_redcluster_reads_zero_below_beta():
 _HPROB_ARGS = (truncate(powerlaw(1.0, 0.5), 3), 3)  # labels 1, 2, 3 and None all occur
 
 
-def test_run_replicas_thread_invariance():
-    cfg_args = (_hprob, _HPROB_ARGS, 5, 64)
-    one = run_replicas(*cfg_args, threads=1)
-    many = run_replicas(*cfg_args, threads=4)
-    assert one == many
+def test_run_replicas_thread_invariance(monkeypatch):
+    """Real forked workers give the serial run's records, shares even or
+    not: 64 replicas at 4 threads on this host's cores, 5 chunks of one
+    replica on 2 workers (shares of 2 and 3), and 3 workers (the caller
+    and two children)."""
+    for reps, cap, threads, cores in [(64, None, 4, None), (5, 1, 2, 2), (64, None, 3, 3)]:
+        with monkeypatch.context() as patch:
+            if cores is not None:
+                patch.setattr(os, "cpu_count", lambda: cores)
+            cfg_args = (_hprob, _HPROB_ARGS, 5, reps)
+            one = run_replicas(*cfg_args, threads=1)
+            many = run_replicas(*cfg_args, threads=threads, cap=cap)
+            assert one == many
     with pytest.raises(ValueError):
         run_replicas(_hprob, _HPROB_ARGS, 5, 0)
+
+
+class _Unpicklable(Exception):
+    def __init__(self):
+        super().__init__("cannot travel")
+        self.hook = lambda: None
+
+
+def _faulty(fault, root, lo, hi):
+    """Replica 0 runs in the calling process and replica 1 in the forked child."""
+    if lo == 1:
+        if fault == "raise":
+            raise ValueError("replica 1 is bad")
+        if fault == "exit":
+            os._exit(3)
+        if fault == "unpicklable":
+            raise _Unpicklable()
+        if fault == "caller":
+            time.sleep(30)
+    elif fault == "caller":
+        raise ValueError("replica 0 is bad")
+    if fault == "large":  # far more than a pipe buffer holds
+        return [list(range(r, r + 100_000)) for r in range(lo, hi)]
+    return list(range(lo, hi))
+
+
+@pytest.mark.parametrize("fault, error, match", [
+    ("raise", ValueError, "^replica 1 is bad$"),
+    ("exit", RuntimeError, "status 3"),
+    ("unpicklable", RuntimeError, "_Unpicklable"),
+    ("caller", ValueError, "^replica 0 is bad$"),  # the child, asleep, is killed
+    ("large", None, None),
+    ("cli", None, None),
+])
+def test_run_replicas_failures_under_a_real_fork(monkeypatch, capsys, fault, error, match):
+    """A child's exception reaches the caller with its type and message, a
+    child that dies without a result raises RuntimeError, a raise in the
+    caller's own share kills its children, and the CLI turns a child's
+    ValueError into one `error:` line and exit 2.  No case hangs, and none
+    leaves a child behind."""
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    t0 = time.monotonic()
+    if fault == "cli":
+        def hprob(args, root, lo, hi):
+            if lo > 0:
+                raise ValueError("kernel failed in a child")
+            return _hprob(args, root, lo, hi)
+        monkeypatch.setattr(harness, "_hprob", hprob)
+        assert main(_argv("hprob", {**_VALID["hprob"], "reps": "4", "threads": "2"})) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors = [line for line in captured.err.splitlines() if line.startswith("error:")]
+        assert errors == ["error: kernel failed in a child"]
+        assert captured.err.rstrip().endswith(errors[0])
+    elif error is None:
+        assert run_replicas(_faulty, fault, 5, 2, threads=2) == _faulty(fault, None, 0, 2)
+    else:
+        with pytest.raises(error, match=match):
+            run_replicas(_faulty, fault, 5, 2, threads=2)
+    assert time.monotonic() - t0 < 20
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_cli_import_loads_no_process_pool():
+    """The replica loop forks its workers itself, so importing the CLI loads
+    neither `multiprocessing` nor `concurrent.futures`."""
+    src = str(Path(harness.__file__).resolve().parents[1])
+    code = ("import sys, lrperc.cli; print(sorted(m for m in sys.modules"
+            " if m.split('.')[0] in ('multiprocessing', 'concurrent')))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src}).stdout
+    assert out.strip() == "[]"
 
 
 @pytest.mark.parametrize("cores, threads, reps, workers", [
@@ -846,7 +930,7 @@ def test_k_sweep_is_one_pass(monkeypatch, command):
 def test_cli_fuzzed_flags_exit_0_or_2(command, data):
     """Every input gives a result (0) or an `error:` line (2), never a
     traceback.  Values stay small (reps <= 3, k, horizon, window, steps and
-    kmax <= 4, one worker), so no case starts a pool or runs long."""
+    kmax <= 4, one worker), so no case forks a worker or runs long."""
     flags = {**_VALID[command], "reps": "2"}
     keys = data.draw(st.lists(st.sampled_from(sorted({*PARAMS[command],
                                                       "seed", "reps", "z"})),
