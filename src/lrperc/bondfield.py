@@ -46,7 +46,8 @@ columns against it, so element r of a batch reads exactly the stream of
 `derive_replica(r)`.  Scalar draws on such a batch raise ValueError.
 `take` selects replicas of a batch, and `prefix` folds id words that a
 whole batch shares once per replica, as the oriented front step does with
-its tag and generation; both keep every draw's bits.
+its tag and generation; both keep every draw's bits, and both take a
+batch field only.
 `run_replicas`, the one replica loop, maps a chunk kernel over chunks of
 replicas, in the calling process and in `workers - 1` children forked from
 it, each child sending its records back through a pipe; replica r reads
@@ -176,13 +177,11 @@ class BondField:
         return np.shape(self._base)
 
     def take(self, idx) -> "BondField":
-        """Replicas `idx` of this batch field, a single-replica field taken as
-        a batch of one: element i of the result reads the stream of replica
-        idx[i], so `derive_replica(a).take(i)` reads `derive_replica(a[i])`.
-        An integer index gives a single-replica field; a tuple of index
-        arrays, one per axis, selects elements of an n-d batch."""
-        base = np.atleast_1d(np.asarray(self._base, dtype=np.uint64))[idx]
-        return BondField(self.seed, _base=int(base) if np.ndim(base) == 0 else base)
+        """Replicas `idx` (an index array) of this batch field: element i of
+        the result reads the stream of replica idx[i], so
+        `derive_replica(a).take(i)` reads `derive_replica(a[i])`.  A tuple
+        of index arrays, one per axis, selects elements of an n-d batch."""
+        return BondField(self.seed, _base=self._base[idx])
 
     @staticmethod
     def concat(fields) -> "BondField":
@@ -192,16 +191,13 @@ class BondField:
         return BondField(fields[0].seed, _base=np.concatenate(bases, axis=-1))
 
     def prefix(self, words) -> "BondField":
-        """The field whose draw of the id words w is this field's draw of
-        (*words, *w): shared leading words fold once per replica, not once
-        per id."""
+        """The batch field whose draw of the id words w is this batch field's
+        draw of (*words, *w): shared leading words fold once per replica,
+        not once per id."""
         h = self._base
         with np.errstate(over="ignore"):
             for w in words:
-                if type(h) is int:
-                    h = _fold(h, (int(w) + _BIAS) & _MASK)
-                else:
-                    h = _fold_array(h, (np.asarray(w, dtype=np.int64) + _BIAS).view(np.uint64))
+                h = _fold_array(h, (np.asarray(w, dtype=np.int64) + _BIAS).view(np.uint64))
         return BondField(self.seed, _base=h)
 
     # -- scalar interface ---------------------------------------------------

@@ -52,7 +52,7 @@ def main(argv=None) -> int:
             emit_csv(rows, cfg.out)
         else:
             sys.stdout.write(format_csv(rows))
-    except (ValueError, RuntimeError, OSError) as exc:
+    except (ValueError, RuntimeError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -15,8 +15,8 @@ out-of-range value is refused by its key before any replica is drawn, and
 the runners hold no range check.
 
 A k-sweep chunk kernel, passed by function to `run_replicas`, returns each
-replica's critical k, the least k at which the event holds (None: at no k
-swept); the row at k counts the replicas whose critical k is <= k.  The
+replica's critical k, the least k at which the event holds (k_max + 1: at
+no k swept); the row at k counts the replicas whose critical k is <= k.  The
 star, `hprob` and contact kernels sweep each replica once, at the largest
 k; the oriented kernel sweeps at truncation 1, 2, 4, ..., and each
 replica stops at the first sweep that it survives.  Every k-sweep kernel
@@ -48,35 +48,34 @@ __all__ = [
 # -- chunk kernels: the records of replicas lo..hi-1 ------------------------------
 
 def _surv_g(args, root, lo, hi):
-    """Critical k of the oriented cluster at params.k = max(ks), or None, by
-    labelled sweeps at truncation 1, 2, 4, ... up to the first that survives;
-    the chunk's replicas are swept together."""
+    """Critical k of the oriented cluster at params.k = max(ks), or
+    max(ks) + 1, by labelled sweeps at truncation 1, 2, 4, ... up to the
+    first that survives; the chunk's replicas are swept together."""
     (params,) = args
     return oriented.critical_k(root.derive_replica(range(lo, hi)), params)
 
 
 def _surv_contact(args, root, lo, hi):
-    """Least infection label at the horizon of a timeline sampled at max(ks);
-    the chunk's timelines are sampled together."""
+    """Least infection label at the horizon of a timeline sampled at max(ks),
+    or max(ks) + 1; the chunk's timelines are sampled together."""
     rates, box, horizon, d = args
     tls = contact.sample_timelines(root.seed, rates, box, horizon, d, range(lo, hi))
-    return [min(contact.infection_labels(tl, (0,) * d, 0.0, horizon).values(), default=None)
-            for tl in tls]
+    return [min(contact.infection_labels(tl, (0,) * d, 0.0, horizon).values(),
+                default=rates.k + 1) for tl in tls]
 
 
 def _surv_star(args, root, lo, hi):
-    """Critical k of one labelled sweep at params.k = max(ks), or None; the
-    chunk's replicas are swept together."""
+    """Critical k of one labelled sweep at params.k = max(ks), or
+    max(ks) + 1; the chunk's replicas are swept together."""
     params, horizon, window = args
     return starlat.block_path_critical_k(root, range(lo, hi), params, horizon, window)
 
 
 def _hprob(args, root, lo, hi):
-    """Critical k of the H-event of gamma(0), gamma(1); the chunk's lines are
-    labelled together."""
+    """Critical k of the H-event of gamma(0), gamma(1), or max(ks) + 1; the
+    chunk's lines are labelled together."""
     pseq, window = args
-    labels = starlat.h_label_max(root, range(lo, hi), [[0]] * (hi - lo), 0, pseq, window)
-    return [label if label <= pseq.k else None for label in labels.tolist()]
+    return starlat.h_label_max(root, range(lo, hi), [[0]] * (hi - lo), 0, pseq, window).tolist()
 
 
 def _bifurcation(args, root, lo, hi):
@@ -228,7 +227,7 @@ def _k_estimates(cfg, ks, kernel, args, cap=None):
     """(k, estimate) for each k of `ks`, from one pass of `kernel`'s critical k
     over chunks of at most `cap` replicas."""
     crits = run_replicas(kernel, args, cfg.seed, cfg.reps, cfg.threads, cap)
-    hits = [sum(c is not None and c <= k for c in crits) for k in ks]
+    hits = [sum(c <= k for c in crits) for k in ks]
     return [(k, EstimateWithCI.from_counts(h, cfg.reps, cfg.z)) for k, h in zip(ks, hits)]
 
 

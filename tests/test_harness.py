@@ -1,6 +1,8 @@
 import io
 import math
 import os
+import re
+import resource
 import subprocess
 import sys
 import time
@@ -231,6 +233,30 @@ def test_cli_parser_has_all_subcommands():
         assert parser.parse_args([cmd, "--seed", "1"]).command == cmd
 
 
+def test_readme_cli_table_matches_params():
+    """README's table of subcommands lists each one's keys of `PARAMS` in
+    order, each default in parentheses after its key, "= `key`" where a
+    key defaults to another's value."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    rows = {}
+    for line in readme.splitlines():
+        cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
+        name = re.fullmatch(r"`(\w+)`", cells[0]) if len(cells) == 3 else None
+        if name:
+            rows[name[1]] = cells[2]
+    assert list(rows) == list(PARAMS)
+    for command, keys in PARAMS.items():
+        listed = []
+        for default, names in re.findall(r"\(([^()]*)\)|`([^`]*)`", rows[command]):
+            if names:
+                listed += [[key, None] for key in names.split()]
+            else:
+                listed[-1][1] = default
+        want = [[key, f"= `{default}`" if isinstance(default, harness._Copy) else default]
+                for key, (_, default) in keys.items()]
+        assert listed == want, command
+
+
 # -- experiments -------------------------------------------------------------------
 
 _TINY_SURVIVAL = {"pseq": "powerlaw:1,0.5", "qseq": "powerlaw:1,0.5", "dim": "2",
@@ -354,7 +380,7 @@ def test_cli_star_wide_blocks_draw_vertical_bonds_in_capped_batches(monkeypatch,
     header = rows[0].split(",")
     for line, k in zip(rows[1:], (1, 2)):
         row = dict(zip(header, line.split(",")))
-        hits = sum(c is not None and c <= k for c in crits)
+        hits = sum(c <= k for c in crits)
         assert (int(row["k"]), float(row["estimate"])) == (k, hits / 4)
     assert 0 < hits < 4
 
@@ -741,6 +767,32 @@ def test_cli_unreadable_or_unwritable_file_is_one_line_error(tmp_path, capsys):
         assert main(argv) == 2
         err = capsys.readouterr().err.strip().split("\n")
         assert err[-1].startswith("error: ")
+
+
+_AS_LIMIT = 800 * 2**20  # bytes of address space the CLI process may map
+
+
+@pytest.mark.parametrize("argv", [
+    ["--dim", "1", "--k", "5", "--horizon", "1000000", "--window", "5", "--reps", "1"],
+    ["--dim", "2", "--k", "50", "--horizon", "5", "--window", "300", "--reps", "1"],
+    ["--dim", "1", "--k", "5", "--horizon", "1000000", "--window", "5", "--reps", "2",
+     "--threads", "2"],
+])
+def test_cli_out_of_memory_is_one_line_error(argv):
+    """A run whose arrays outgrow the address space ends in one `error:`
+    line and exit 2, not a traceback, also where its replicas run in a
+    forked worker.  The limit binds only the CLI's process and its
+    children."""
+    src = str(Path(harness.__file__).resolve().parents[1])
+    limit = (_AS_LIMIT, _AS_LIMIT)
+    out = subprocess.run([sys.executable, "-m", "lrperc", "contact", "--rates", "const:1", *argv],
+                         capture_output=True, text=True, timeout=120,
+                         env={**os.environ, "PYTHONPATH": src},
+                         preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, limit))
+    err = out.stderr.strip().split("\n")
+    assert out.returncode == 2, out.stderr
+    assert "Traceback" not in out.stderr
+    assert [line for line in err if line.startswith("error:")] == [err[-1]]
 
 
 def test_cli_star_with_sure_vertical_bonds(capsys):

@@ -18,7 +18,7 @@ def _params(d=2, horizon=5, window=6, p=None, q=None):
 
 
 def _survival(params, seed, replicas):
-    hits = sum(c is not None for c in run_replicas(_surv_g, (params,), seed, replicas))
+    hits = sum(c <= params.k for c in run_replicas(_surv_g, (params,), seed, replicas))
     return EstimateWithCI.from_counts(hits, replicas)
 
 
@@ -50,15 +50,15 @@ def test_out_neighbors_window_clipped():
 
 def test_all_zero_sequences_die_immediately():
     params = _params(p=truncate(constant(0.0), 2))
-    res = explore(BondField(3), params)
-    assert not res.survived
+    res = explore(BondField(3).derive_replica([0]), params)
+    assert res.survived == [False]
     assert res.front_sizes == [1, 0, 0, 0, 0, 0]
 
 
 def test_full_sequences_survive():
     params = _params(horizon=4, p=truncate(constant(1.0), 1))
-    res = explore(BondField(3), params)
-    assert res.survived
+    res = explore(BondField(3).derive_replica([0]), params)
+    assert res.survived == [True]
     assert res.front_sizes[0] == 1
     assert all(s > 0 for s in res.front_sizes)
 
@@ -70,21 +70,21 @@ def test_explore_matches_scalar_recomputation():
                      p=truncate(harmonic(), 2), q=truncate(powerlaw(1.0, 0.8), 2))
     for r in range(30):
         fld = BondField(17).derive_replica(r)
-        res = explore(fld, params, collect=True)
+        res = explore(BondField(17).derive_replica([r]), params, collect=True)
         front = {((0, 0), 0)}
         for n in range(params.horizon):
-            assert res.fronts[n] == front
+            assert res.fronts[n] == {(0, *v) for v in front}
             front = set().union(*(out_neighbors(fld, v, params) for v in front)) \
                 if front else set()
-        assert res.fronts[params.horizon] == front
+        assert res.fronts[params.horizon] == {(0, *v) for v in front}
 
 
 def test_front_sizes_invariants():
     params = _params(p=truncate(constant(0.4), 2))
     for r in range(50):
-        res = explore(BondField(5).derive_replica(r), params)
+        res = explore(BondField(5).derive_replica([r]), params)
         assert res.front_sizes[0] == 1
-        assert res.survived == (res.front_sizes[params.horizon] > 0)
+        assert res.survived == [res.front_sizes[params.horizon] > 0]
         if 0 in res.front_sizes:
             first = res.front_sizes.index(0)
             assert all(s == 0 for s in res.front_sizes[first:])
@@ -95,7 +95,7 @@ def test_truncation_coupling_exact_subsets():
     """Same seed, k <= k': every generation's front at k is a subset of the
     front at k'."""
     for r in range(50):
-        fld = BondField(23).derive_replica(r)
+        fld = BondField(23).derive_replica([r])
         fronts = {}
         for k in (1, 2, 4):
             params = _params(horizon=5, window=6, p=truncate(harmonic(), k))
@@ -107,7 +107,7 @@ def test_truncation_coupling_exact_subsets():
 
 def test_window_monotonicity_exact_subsets():
     for r in range(50):
-        fld = BondField(29).derive_replica(r)
+        fld = BondField(29).derive_replica([r])
         seq = truncate(harmonic(), 2)
         small = explore(fld, _params(window=3, p=seq), collect=True).fronts
         large = explore(fld, _params(window=6, p=seq), collect=True).fronts
@@ -117,12 +117,12 @@ def test_window_monotonicity_exact_subsets():
 
 def test_horizon_truncation_never_kills_survivors():
     for r in range(50):
-        fld = BondField(31).derive_replica(r)
+        fld = BondField(31).derive_replica([r])
         seq = truncate(harmonic(), 2)
         long = explore(fld, _params(horizon=6, p=seq))
         short = explore(fld, _params(horizon=3, p=seq))
-        if long.survived:
-            assert short.survived
+        if long.survived[0]:
+            assert short.survived[0]
         assert short.front_sizes == long.front_sizes[:4]
 
 
@@ -155,8 +155,10 @@ def test_moves_stop_at_twice_the_window():
     vecs, axes, disps, probs = far.displacement_table()
     assert len(vecs) == 2 * 2 * 4 and abs(disps).max() == 4
     crits = run_replicas(_surv_g, (far,), 3, 60)
-    assert crits == run_replicas(_surv_g, (near,), 3, 60)
-    assert 4 in crits and None in crits
+    # the same labels, but a replica surviving at no k reads its own run's k + 1
+    never = far.k + 1
+    assert crits == [never if c == near.k + 1 else c for c in run_replicas(_surv_g, (near,), 3, 60)]
+    assert 4 in crits and never in crits
 
 
 def test_displacement_table_literal():
@@ -191,7 +193,8 @@ def test_k_is_the_longer_truncation():
     assert params.k == 3
     out = out_neighbors(BondField(1), ((0, 0), 0), params)
     assert out == {((s, 0), 1) for s in (1, -1)} | {((0, s), 1) for s in (1, -1, 2, -2, 3, -3)}
-    assert explore(BondField(1), params, collect=True).fronts[1] == out
+    assert explore(BondField(1).derive_replica([0]), params, collect=True).fronts[1] \
+        == {(0, *v) for v in out}
 
 
 def test_explicit_anisotropy():
@@ -225,14 +228,14 @@ def test_critical_k_equals_per_k_explore_and_scalar_search(case):
                   p=truncate(c["p"], kmax), q=truncate(c["q"], kmax))
     seen = set()
     for r in range(50):
-        fld = BondField(41 + case).derive_replica(r)
-        crit = explore(fld, top).critical_k
+        fld, batch = (BondField(41 + case).derive_replica(i) for i in (r, [r]))
+        (crit,) = explore(batch, top).critical_k
         seen.add(crit)
         for k in c["ks"]:
             params = _params(d=c["d"], horizon=c["horizon"], window=c["window"],
                              p=truncate(c["p"], k), q=truncate(c["q"], k))
-            by_label = crit is not None and crit <= k
-            assert by_label == explore(fld, params).survived, (r, k)
+            by_label = crit <= k
+            assert [by_label] == explore(batch, params).survived, (r, k)
             assert by_label == bool(_scalar_front(fld, params)), (r, k)
     assert len(seen) > 2  # labels, not just survival at kmax, are exercised
 
@@ -244,20 +247,20 @@ def test_surv_g_records_nondecreasing_in_k():
     seq, ks = powerlaw(1.0, 0.45), (1, 2, 4)
     top = _params(horizon=6, window=5, p=truncate(seq, max(ks)))
     crits = run_replicas(_surv_g, (top,), seed=16, reps=60)
-    assert all(c is None or 0 <= c <= max(ks) for c in crits)
+    assert all(0 <= c <= max(ks) + 1 for c in crits)
     assert len(set(crits)) > 1  # the k-sweep is not trivial here
     for r, crit in enumerate(crits):
-        fld = BondField(16).derive_replica(r)
+        fld = BondField(16).derive_replica([r])
         for k in ks:
             params = _params(horizon=6, window=5, p=truncate(seq, k))
-            assert (crit is not None and crit <= k) == explore(fld, params).survived, (r, k)
+            assert [crit <= k] == explore(fld, params).survived, (r, k)
 
 
 def test_critical_k_horizon_zero_is_zero():
     for k in (0, 3):
         params = _params(horizon=0, p=truncate(constant(0.0), k))
-        res = explore(BondField(2), params)
-        assert res.survived and res.critical_k == 0
+        res = explore(BondField(2).derive_replica([0]), params)
+        assert res.survived == [True] and res.critical_k == [0]
 
 
 @pytest.mark.parametrize("k, value, window", [
@@ -266,9 +269,11 @@ def test_critical_k_horizon_zero_is_zero():
     (2, 1.0, 0),  # every move leaves a zero window
 ])
 def test_critical_k_none_when_the_front_dies(k, value, window):
+    """A replica whose front dies survives at no k <= params.k: its
+    critical k is params.k + 1."""
     params = _params(horizon=3, window=window, p=truncate(constant(value), k))
-    res = explore(BondField(2), params)
-    assert not res.survived and res.critical_k is None
+    res = explore(BondField(2).derive_replica([0]), params)
+    assert res.survived == [False] and res.critical_k == [k + 1]
 
 
 @pytest.mark.parametrize("d, p, q, expected", [
@@ -283,7 +288,7 @@ def test_critical_k_deterministic_sequences(d, p, q, expected):
     k = 4
     params = _params(d=d, horizon=3, window=20,
                      p=truncate(explicit(p), k), q=truncate(explicit(q), k))
-    assert explore(BondField(7), params).critical_k == expected
+    assert explore(BondField(7).derive_replica([0]), params).critical_k == [expected]
 
 
 _LAWS = st.one_of(
@@ -323,18 +328,18 @@ def test_surv_g_equals_explore_at_full_k(monkeypatch, inline_pool, p, q, d, kp, 
 
     def spy(fld, cut, collect=False):
         res = explore(fld, cut, collect)
-        chunks[-1].append(res.critical_k)
+        chunks[-1].append([c > cut.k for c in res.critical_k])  # the replicas it lost
         return res
     monkeypatch.setattr(oriented, "explore", spy)
     got = run_replicas(kernel, (params,), seed, reps, threads=workers, cap=cap)
     root = BondField(seed)
-    assert got == [explore(root.derive_replica(r), params).critical_k for r in range(reps)]
+    assert got == [explore(root.derive_replica([r]), params).critical_k[0] for r in range(reps)]
     top = max(1, min(params.k, 2 * window))
     assert sum(len(sweeps[0]) for sweeps in chunks) == reps
     for sweeps in chunks:
         assert len(sweeps) <= (top - 1).bit_length() + 1
         for before, after in zip(sweeps, sweeps[1:]):
-            assert len(after) == before.count(None)
+            assert len(after) == sum(before)
 
 
 def test_critical_k_deepens_until_a_sweep_survives(monkeypatch):
@@ -350,12 +355,12 @@ def test_critical_k_deepens_until_a_sweep_survives(monkeypatch):
     for params, crit, want in [
         (_params(horizon=3, window=10, p=truncate(explicit([0.0] * 4 + [1.0]), 5),
                  q=truncate(constant(0.0), 3)), 5, [(1, 1), (2, 2), (4, 3), (5, 3)]),
-        (_params(window=3, p=truncate(constant(0.0), 12)), None,
+        (_params(window=3, p=truncate(constant(0.0), 12)), 13,
          [(1, 1), (2, 2), (4, 4), (6, 6)]),  # capped at 2W
-        (_params(window=0, p=truncate(constant(1.0), 4)), None, [(0, 0)]),
+        (_params(window=0, p=truncate(constant(1.0), 4)), 5, [(0, 0)]),
     ]:
         cuts.clear()
-        assert critical_k(BondField(3), params) == crit
+        assert critical_k(BondField(3).derive_replica([0]), params) == [crit]
         assert cuts == want
 
 
@@ -415,7 +420,7 @@ def test_batched_sweep_equals_per_replica_explore(monkeypatch, case, step_ids):
     params = _params(d=c["d"], horizon=c["horizon"], window=c["window"],
                      p=truncate(c["p"], c["k"]), q=truncate(c["q"], c["k"]))
     root, replicas = BondField(71 + case), np.array([4, 0, 9, 2, 7, 1, 8, 3, 6, 5])
-    alone = [explore(root.derive_replica(int(r)), params, collect=True) for r in replicas]
+    alone = [explore(root.derive_replica([r]), params, collect=True) for r in replicas]
     default, drawn = oriented._STEP_IDS, []
     budget = step_ids()
     open_mask = BondField.open_mask
@@ -429,12 +434,12 @@ def test_batched_sweep_equals_per_replica_explore(monkeypatch, case, step_ids):
     assert max((ids.size for ids in drawn), default=0) <= max(budget, moves)
     if budget < default and c["k"]:
         assert len(drawn) > params.horizon
-    crits = [res.critical_k for res in alone]
+    crits = [res.critical_k[0] for res in alone]
     assert batch.critical_k == crits
-    assert batch.survived == [res.survived for res in alone]
+    assert batch.survived == [res.survived[0] for res in alone]
     assert batch.front_sizes == [sum(s) for s in zip(*(res.front_sizes for res in alone))]
     assert batch.total_visited == sum(res.total_visited for res in alone)
-    assert batch.fronts == [{(j, *v) for j, res in enumerate(alone) for v in res.fronts[n]}
+    assert batch.fronts == [{(j, *v[1:]) for j, res in enumerate(alone) for v in res.fronts[n]}
                             for n in range(params.horizon + 1)]
     assert critical_k(root.derive_replica(replicas), params) == crits
     assert critical_k(root.derive_replica(replicas[::-1]), params) == crits[::-1]
@@ -467,7 +472,7 @@ def test_front_step_equals_lexsort_oracle(monkeypatch, case, branch):
     table = params.displacement_table()
     label_counts = set()
     for r in range(30):
-        fld = BondField(53 + case).derive_replica(r)
+        fld = BondField(53 + case).derive_replica([r])
         front, labels = np.zeros((params.d, 1), dtype=np.int64), np.zeros(1, dtype=np.int64)
         for n in range(params.horizon):
             before = branches["lexsort"]
@@ -495,6 +500,7 @@ def test_one_full_size_fold_per_generation(monkeypatch):
     values or fewer."""
     params = _params(d=2, horizon=6, window=6, p=truncate(powerlaw(1.0, 0.45), 3))
     moves = params.displacement_table()[0].shape[0] // params.d
+    fld = BondField(61).derive_replica([0])
     log = []
     fold, step = bondfield._fold_array, oriented._advance_front
 
@@ -508,8 +514,8 @@ def test_one_full_size_fold_per_generation(monkeypatch):
         return step(fld, front, *args)
     monkeypatch.setattr(bondfield, "_fold_array", spy_fold)
     monkeypatch.setattr(oriented, "_advance_front", spy_step)
-    res = explore(BondField(61), params)
-    assert res.survived and max(res.front_sizes) > 1
+    res = explore(fld, params)
+    assert res.survived == [True] and max(res.front_sizes) > 1
     starts = [i for i, e in enumerate(log) if isinstance(e, tuple)] + [len(log)]
     assert len(starts) - 1 == params.horizon
     for i, j in zip(starts, starts[1:]):
@@ -533,7 +539,7 @@ def test_surv_g_sweep_matches_exact_d1_values():
     top = _params(d=1, horizon=horizon, window=window, p=truncate(seq, 4))
     crits = run_replicas(_surv_g, (top,), seed=7, reps=reps, threads=2)
     for k, value in zip((1, 2, 3, 4), exact):
-        hits = [c is not None and c <= k for c in crits]
+        hits = [c <= k for c in crits]
         est = EstimateWithCI.from_counts(sum(hits), reps, 4.0)
         assert est.lo <= value <= est.hi, (k, est.estimate, value)
         assert block_dispersion_z(hits, value) <= 4.0, k
@@ -550,7 +556,7 @@ def test_surv_g_sweep_is_not_overdispersed_across_seeds():
     assert len(set(map(tuple, blocks))) == len(blocks)
     crits = [c for block in blocks for c in block]
     for k in (1, 2, 3, 4):
-        hits = [c is not None and c <= k for c in crits]
+        hits = [c <= k for c in crits]
         value = oriented_survival_d1(truncate(seq, k), window, horizon)
         assert block_dispersion_z(hits, value) <= 4.0, k
 

@@ -69,7 +69,7 @@ def test_h_monte_carlo_matches_oracle():
     overdispersed across 200 blocks of 100 consecutive replicas (one-sided,
     z <= 4)."""
     pseq = _seq(p=explicit([0.5, 0.5]), k=2)
-    hits = [c is not None for c in run_replicas(_hprob, (pseq, 2), seed=21, reps=20_000)]
+    hits = [c <= 2 for c in run_replicas(_hprob, (pseq, 2), seed=21, reps=20_000)]
     est = EstimateWithCI.from_counts(sum(hits), 20_000, z=3.0)
     assert est.lo <= 95.0 / 128.0 <= est.hi
     assert block_dispersion_z(hits, 95.0 / 128.0) <= 4.0
@@ -249,10 +249,10 @@ def test_zeta_independence_across_disjoint_blocks():
 def test_block_survival_extremes():
     sure = StarParams(1.0, truncate(constant(1.0), 1), 1)
     crits = run_replicas(_surv_star, (sure, 5, 3), seed=3, reps=20)
-    assert sum(c is not None and c <= 1 for c in crits) == 20
+    assert sum(c <= 1 for c in crits) == 20
     dead = _sp(p=constant(0.0), N=2)
     crits = run_replicas(_surv_star, (dead, 3, 3), seed=3, reps=20)
-    assert sum(c is not None and c <= 2 for c in crits) == 0
+    assert sum(c <= 2 for c in crits) == 0
 
 
 def test_block_survival_single_replica_path():
@@ -354,7 +354,7 @@ def test_critical_k_equals_per_k_block_path_survival(case, h_path):
         for k in range(c["kmax"] + 1):
             params = _sp(eps=c["eps"], p=c["p"], k=k, N=N)
             survived = block_path_survival(fld, params, c["horizon"], c["window"])
-            assert (crit is not None and crit <= k) == survived, (r, k)
+            assert (crit <= k) == survived, (r, k)
     assert len(set(crits)) > 2
 
 
@@ -379,7 +379,7 @@ def test_surv_star_records_do_not_depend_on_chunking(h_path):
         for k in range(c["kmax"] + 1):
             params = _sp(eps=c["eps"], p=c["p"], k=k, N=N)
             survived = block_path_survival(fld, params, horizon, window)
-            assert (crit is not None and crit <= k) == survived, (r, k)
+            assert (crit <= k) == survived, (r, k)
         died.add(next((h for h in range(1, horizon + 1)
                        if not block_path_survival(fld, top, h, window)), None))
     assert len(died) > 2, died
@@ -401,7 +401,7 @@ def test_surv_star_sweep_matches_exact_values():
     crits = run_replicas(_surv_star, (top, horizon, window),
                          seed=13, reps=reps, threads=2)
     for k, value in zip((1, 2, 4), exact):
-        hits = [c is not None and c <= k for c in crits]
+        hits = [c <= k for c in crits]
         est = EstimateWithCI.from_counts(sum(hits), reps, 4.0)
         assert est.lo <= value <= est.hi, (k, est.estimate, value)
         assert block_dispersion_z(hits, value) <= 4.0, k
@@ -414,14 +414,14 @@ def test_surv_star_records_nondecreasing_in_k():
     N = choose_N(0.8, 0.5)
     top = _sp(eps=0.8, p=seq, k=max(ks), N=N)
     crits = run_replicas(_surv_star, (top, 5, 4), seed=16, reps=60)
-    assert all(c is None or 0 <= c <= max(ks) for c in crits)
+    assert all(0 <= c <= max(ks) + 1 for c in crits)
     assert len(set(crits)) > 1  # the k-sweep is not trivial here
     for r, crit in enumerate(crits):
         fld = BondField(16).derive_replica(r)
         for k in ks:
             params = _sp(eps=0.8, p=seq, k=k, N=N)
             survived = block_path_survival(fld, params, 5, 4)
-            assert (crit is not None and crit <= k) == survived, (r, k)
+            assert (crit <= k) == survived, (r, k)
 
 
 def test_hprob_records_equal_h_connected(h_path):
@@ -431,12 +431,13 @@ def test_hprob_records_equal_h_connected(h_path):
     seq, kmax = powerlaw(1.0, 0.5), 3
     h_path(kmax, 3)
     crits = run_replicas(_hprob, (_seq(p=seq, k=kmax), 3), seed=17, reps=60)
+    assert all(0 <= c <= kmax + 1 for c in crits)
     assert len(set(crits)) > 2
     for r, crit in enumerate(crits):
         fld = BondField(17).derive_replica(r)
         for k in range(kmax + 1):
             held = h_connected(fld, 0, 0, _seq(p=seq, k=k), 3)
-            assert (crit is not None and crit <= k) == held, (r, k)
+            assert (crit <= k) == held, (r, k)
 
 
 @pytest.mark.parametrize("p, window, label, apart", [
@@ -467,7 +468,7 @@ def test_labels_at_kmax_zero():
     top = _sp(eps=1.0, p=constant(1.0), k=0, N=1)
     assert h_label_max(BondField(3), [0, 1], np.array([[0], [1]]), 0, top.pseq, 2).tolist() \
         == [1, 1]
-    assert block_path_critical_k(BondField(3), [0, 1], top, 2, 2) == [None, None]
+    assert block_path_critical_k(BondField(3), [0, 1], top, 2, 2) == [1, 1]
     assert not block_path_survival(BondField(3).derive_replica(0), top, 2, 2)
     assert block_path_critical_k(BondField(3), [0, 1], top, 0, 2) == [0, 0]
 
@@ -492,7 +493,9 @@ def test_labels_deterministic_sequences(p, window, h_expected, crit_expected, h_
     lines = np.array([[0], [1], [2], [3]])
     assert h_label_max(BondField(7), [0, 0, 1, 1], lines, 1, top.pseq, window).tolist() \
         == [h_expected] * 4
-    assert block_path_critical_k(BondField(7), [0, 1], top, 3, window) == [crit_expected] * 2
+    # crit_expected None: the path survives at no k <= top.k, so its label is top.k + 1
+    crit = top.k + 1 if crit_expected is None else crit_expected
+    assert block_path_critical_k(BondField(7), [0, 1], top, 3, window) == [crit] * 2
 
 
 def test_lazy_route_stops_a_row_at_its_first_failed_line(monkeypatch):
@@ -567,7 +570,7 @@ def test_surv_star_equals_block_path_survival_at_every_k(
         fld = BondField(seed).derive_replica(r)
         for k in range(kmax + 1):
             held = block_path_survival(fld, StarParams(eps, truncate(p, k), N), horizon, window)
-            assert (crit is not None and crit <= k) == held, (r, k)
+            assert (crit <= k) == held, (r, k)
 
 
 @_DRAWN
@@ -584,4 +587,4 @@ def test_hprob_equals_h_connected_at_every_k(monkeypatch, inline_pool, p, kmax, 
         fld = BondField(seed).derive_replica(r)
         for k in range(kmax + 1):
             held = h_connected(fld, 0, 0, truncate(p, k), window)
-            assert (crit is not None and crit <= k) == held, (r, k)
+            assert (crit <= k) == held, (r, k)
