@@ -47,7 +47,10 @@ columns against it, so element r of a batch reads exactly the stream of
 `take` selects replicas of a batch, and `prefix` folds id words that a
 whole batch shares once per replica, as the oriented front step does with
 its tag and generation; both keep every draw's bits, and both take a
-batch field only.
+batch field only.  A prefix may also differ across a batch's last axis:
+the cone scan folds [TAG_SITE, m] for a window of columns m into a
+(replicas, columns) batch, keeps it across generations, and a generation
+draws `take` of its window with the one word n.
 `run_replicas`, the one replica loop, maps a chunk kernel over chunks of
 replicas, in the calling process and in `workers - 1` children forked from
 it, each child sending its records back through a pipe; replica r reads

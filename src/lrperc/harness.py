@@ -247,13 +247,10 @@ def _row(cfg, model, k, horizon, window, extra, est: EstimateWithCI | None,
 
 
 def _run_gamma(cfg, p):
-    beta = p["beta"]
-    rows = []
-    for k in range(1, p["kmax"] + 1):
-        params = renorm.BifurcationParams(beta, truncate(p["pseq"], k), truncate(p["qseq"], k))
-        rows.append(_row(cfg, "renorm", k, "", "", {"beta": beta},
-                         None, value=renorm.gamma_k(params)))
-    return rows
+    beta, kmax = p["beta"], p["kmax"]
+    params = renorm.BifurcationParams(beta, truncate(p["pseq"], kmax), truncate(p["qseq"], kmax))
+    return [_row(cfg, "renorm", k, "", "", {"beta": beta}, None, value=g)
+            for k, g in enumerate(renorm.gamma_curve(params), start=1)]
 
 
 def _run_survival(cfg, p):

@@ -24,11 +24,15 @@ the site is reached, so one pass answers every gamma.  A label >= max(gamma)
 counts at no gamma of the grid, and neither do its children's, so the scan
 hashes only the sites that can still count: it drops the replicas with no
 such label and trims the rest to the columns between the first and the last
-label below max(gamma).  A grid holding gamma = 1 prunes nothing.
+label below max(gamma).  A grid holding gamma = 1 prunes nothing.  The site
+id is [TAG_SITE, m, n], so the scan folds a column's prefix [TAG_SITE, m]
+once per replica into a cache that grows with the window's right end, and a
+generation folds only its word n on top of it: one id word per site.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -77,6 +81,26 @@ def gamma_k(params: BifurcationParams) -> float:
     for i in range(1, params.k + 1):
         out *= (1.0 - p.term(i) * qb * inner) ** 2  # both signs of a
     return 1.0 - out
+
+
+def gamma_curve(params: BifurcationParams) -> list[float]:
+    """gamma_k at every truncation 1..params.k, each bit-identical to
+    `gamma_k` at that k, in one pass.  Each term is evaluated once and the
+    inner product is carried from k to k + 1 in gamma_k's order; the outer
+    product depends on the inner one, so it is rebuilt at each k over the
+    cached terms, and the pass takes O(params.k^2) float operations."""
+    p = params.pseq.terms(params.k)
+    qb = params.qseq.term(params.beta)
+    pq = [pi * qb for pi in p]
+    rows, inner_prod = [], 1.0
+    for k in range(1, params.k + 1):
+        inner_prod *= (1.0 - p[k - 1]) ** 2
+        if k < params.beta:
+            rows.append(0.0)  # gamma_k's qb is 0: the vertical bond is truncated away
+            continue
+        inner = 1.0 - inner_prod
+        rows.append(1.0 - math.prod([(1.0 - a * inner) ** 2 for a in pq[:k]]))
+    return rows
 
 
 def check_bifurcation(fld: BondField, origin, params: BifurcationParams) -> BifurcationRecord:
@@ -221,45 +245,60 @@ def site_perc_cone(gamma: float, horizon: int, fld: BondField) -> ConeCluster:
 
 
 # most (replica, site) labels one chunk of the cone scan holds, few enough for
-# a chunk's label and uniform arrays to stay in cache: 510 replicas at horizon 256
+# a chunk's label and uniform arrays, and its cache of column prefixes (at most
+# one column per label of the last horizon), to stay in cache: 510 replicas at
+# horizon 256
 _SCAN_CELLS = 1 << 17
 
 
 def _cone_chunk(args, root, lo, hi):
     """[S] over replicas lo..hi-1: the survival counts of the chunk.
 
-    label[i, j] is the label of site (off + j, n) on replica replicas[i]; the
-    sites left out of that rectangle, and the replicas dropped, have labels
-    >= max(gammas) (see cone_survival_scan).
+    label[i, j] is the label of site (off + j, n) on the chunk's i-th replica
+    kept; the sites left out of that rectangle, and the replicas dropped, have
+    labels >= max(gammas) (see cone_survival_scan).  cols[i, j] is that
+    replica's stream folded with [TAG_SITE, c0 + j], so a generation folds
+    only n on top of it.  When the window's right end reaches c1, the cache
+    drops the columns left of off, which the window never returns to, and
+    extends to column off + 2w - 1, w + 1 being the window's width.  It so
+    grows with the window, not with the horizon, and a replica folds no more
+    columns at a generation than the sites it draws there.
     """
     gammas, horizons = args
     top = gammas.max(initial=-np.inf)
-    replicas = np.arange(lo, hi)[:, None]
-    fld = root.derive_replica(replicas)
-    label = np.full((replicas.size, 1), -np.inf)
+    end = horizons[-1] + 1  # the cone's columns up to the last horizon
+    tagged = root.derive_replica(np.arange(lo, hi)[:, None]).prefix([TAG_SITE])
+    # cols: the replicas' states after [TAG_SITE, m], for the columns m in c0..c1-1
+    cols, c0, c1 = tagged.take(np.s_[:, :0]), 0, 0
+    label = np.full((hi - lo, 1), -np.inf)
     off = 0
     counts = np.zeros((len(gammas), len(horizons)), dtype=np.int64)
     hidx = 0
-    for n in range(horizons[-1] + 1):
+    for n in range(end):
         if n > 0:
             w = label.shape[1]
-            m_col = np.arange(off, off + w + 1, dtype=np.int64)[None, :]
-            u = fld.uniforms([np.full((1, 1), TAG_SITE), m_col,
-                              np.full((1, 1), n)])  # (replicas, w+1)
-            parent = np.full((replicas.size, w + 1), np.inf)
-            parent[:, :w] = label
-            np.minimum(parent[:, 1:], label, out=parent[:, 1:])  # the lesser of both parents
-            label = np.maximum(u, parent, out=u)
+            if off + w >= c1:  # reach twice the window, and drop the columns left of it
+                reach = min(end, off + 2 * w)
+                cols = BondField.concat([cols.take(np.s_[:, off - c0:]),
+                                         tagged.prefix([np.arange(c1, reach)[None, :]])])
+                c0, c1 = off, reach
+            u = cols.take(np.s_[:, off - c0:off - c0 + w + 1]).uniforms(
+                [np.full((1, 1), n)])  # (replicas, w+1)
+            # the lesser of both parents; a site off the window has +inf
+            np.maximum(u[:, 1:-1], np.minimum(label[:, :-1], label[:, 1:]), out=u[:, 1:-1])
+            np.maximum(u[:, 0], label[:, 0], out=u[:, 0])
+            np.maximum(u[:, -1], label[:, -1], out=u[:, -1])
+            label = u
             live = label < top
             keep = live.any(axis=1)
             if not keep.all():
                 if not keep.any():
                     break  # every later count of the chunk is 0
-                replicas, label, live = replicas[keep], label[keep], live[keep]
-                fld = root.derive_replica(replicas)
-            cols = np.flatnonzero(live.any(axis=0))
-            label = label[:, cols[0]:cols[-1] + 1]
-            off += int(cols[0])
+                label, live = label[keep], live[keep]
+                tagged, cols = tagged.take(keep), cols.take(keep)
+            kept = np.flatnonzero(live.any(axis=0))
+            label = label[:, kept[0]:kept[-1] + 1]
+            off += int(kept[0])
         while hidx < len(horizons) and horizons[hidx] == n:
             counts[:, hidx] = (label.min(axis=1) < gammas[:, None]).sum(axis=1)
             hidx += 1
@@ -291,6 +330,11 @@ def cone_survival_scan(gammas, horizons, reps: int, seed: int, threads: int = 1)
     window reads as +inf, like a site off the cone, so a label kept is exact
     whenever it is below g and is >= g otherwise, and every count is the
     unpruned scan's.  Since u < 1, a grid holding gamma = 1 prunes nothing.
+
+    A chunk folds each replica's site-id prefix [TAG_SITE, m] once per
+    column m and keeps it, from the window's left end to about twice its
+    width, so a generation's draw folds only n, one id word per site, with
+    the bits of the full id [TAG_SITE, m, n].
     """
     gammas = np.asarray(gammas, dtype=np.float64)
     horizons = sorted(horizons)

@@ -65,6 +65,21 @@ def test_gamma_nondecreasing_in_k_and_reaches_any_level():
     assert vals[-1] > 0.85  # divergent sequence drives the level upward
 
 
+@pytest.mark.parametrize("p, q, beta", [
+    (harmonic(), harmonic(), 1),
+    (powerlaw(1.0, 0.7), powerlaw(1.0, 0.5), 2),
+    (explicit([0.5, 0.3]), harmonic(), 3),  # p vanishes beyond range 2
+    (powerlaw(0.5, 0.9), constant(0.3), 5),
+])
+def test_gamma_curve_equals_gamma_k_bit_for_bit(p, q, beta):
+    """The one-pass curve is gamma_k at every k, the rows at k < beta (0)
+    included, with no tolerance."""
+    kmax = 120
+    curve = renorm.gamma_curve(_bparams(kmax, p, q, beta))
+    assert curve == [gamma_k(_bparams(k, p, q, beta)) for k in range(1, kmax + 1)]
+    assert curve[:beta - 1] == [0.0] * (beta - 1)
+
+
 def test_gamma_matches_independent_sampler():
     """Independent Monte Carlo oracle built on numpy's own generator: every
     bond of the three-legged event is an explicit Bernoulli variable."""
@@ -472,6 +487,7 @@ def test_scan_equals_oracle_per_replica(seed, monkeypatch):
     ([0.55, 0.7], [0, 5, 30]),  # replicas die mid-chunk
     ([0.0], [0, 3]),  # every replica dies at n = 1
     ([0.3, 0.45], [40]),  # the whole chunk dies before the horizon
+    ([0.3], [100_000]),  # far beyond every replica's death: the cache must not span it
 ])
 def test_pruned_scan_equals_oracle_per_replica(gammas, horizons, monkeypatch):
     """With no gamma = 1 in the grid the scan prunes replicas and sites, and
@@ -516,17 +532,7 @@ def test_cone_scan_equals_site_perc_cone_per_replica(monkeypatch, inline_pool, g
 
 def _hashed_sites(monkeypatch, gammas, horizon, reps):
     """The uniforms the cone scan draws, summed over its `uniforms` calls."""
-    total = [0]
-    uniforms = BondField.uniforms
-
-    def spy(self, columns):
-        u = uniforms(self, columns)
-        total[0] += u.size
-        return u
-
-    monkeypatch.setattr(BondField, "uniforms", spy)
-    cone_survival_scan(gammas, [horizon], reps, seed=0)
-    return total[0]
+    return _scan_folds(monkeypatch, gammas, horizon, reps)[0]
 
 
 def test_scan_hashes_only_sites_that_can_count(monkeypatch):
@@ -537,6 +543,44 @@ def test_scan_hashes_only_sites_that_can_count(monkeypatch):
     cone = reps * sum(n + 1 for n in range(1, horizon + 1))
     assert _hashed_sites(monkeypatch, [0.5], horizon, reps) < 0.01 * cone
     assert _hashed_sites(monkeypatch, [0.5, 1.0], horizon, reps) == cone
+
+
+def _scan_folds(monkeypatch, gammas, horizon, reps):
+    """(sites drawn, cells folded by `prefix`, id columns of each `uniforms`
+    call) over one cone scan."""
+    sites, cells, widths = [0], [0], []
+    uniforms, prefix = BondField.uniforms, BondField.prefix
+
+    def spy_uniforms(self, columns):
+        u = uniforms(self, columns)
+        sites[0] += u.size
+        widths.append(len(columns))
+        return u
+
+    def spy_prefix(self, words):
+        out = prefix(self, words)
+        cells[0] += int(np.prod(out.shape)) * len(words)
+        return out
+
+    monkeypatch.setattr(BondField, "uniforms", spy_uniforms)
+    monkeypatch.setattr(BondField, "prefix", spy_prefix)
+    cone_survival_scan(gammas, [horizon], reps, seed=0)
+    return sites[0], cells[0], widths
+
+
+@pytest.mark.parametrize("gammas, horizon, reps", [
+    ([0.5], 200, 200),  # almost every replica dies within a few generations
+    ([0.5, 1.0], 200, 200),  # nothing is pruned
+    ([0.3], 100_000, 20),  # a horizon far beyond every replica's death
+])
+def test_scan_folds_each_column_prefix_once(monkeypatch, gammas, horizon, reps):
+    """Each generation folds only its own word n on top of a replica's
+    cached column states [TAG_SITE, m], and the cache grows with the
+    window's right end only, so its prefix folds (the tag once per replica,
+    then the columns) stay within the sites drawn plus 2 per replica."""
+    sites, cells, widths = _scan_folds(monkeypatch, gammas, horizon, reps)
+    assert widths and set(widths) == {1}
+    assert reps <= cells <= sites + 2 * reps, (cells, sites)
 
 
 def test_scan_coupled_monotonicity():
