@@ -38,8 +38,9 @@ coordinates of its F vertices fold at (F, 1, 1), the axis at (F, d, 1),
 and only the displacement at (F, d, moves per axis).  The frozen table in
 `tests/test_bondfield.py` pins both paths.
 
-Both cone site-percolation paths read the site id: `renorm.site_perc_cone`
-on one replica field, `renorm.cone_survival_scan` on a batch of them.
+Both cone site-percolation paths read the site id: the scalar oracle
+`site_perc_cone` of `tests/oracles.py` on one replica field,
+`renorm.cone_survival_scan` on a batch of them.
 `derive_replica` accepts an integer index array as well as an integer; the
 derived base then takes the array's shape and `uniforms` broadcasts the id
 columns against it, so element r of a batch reads exactly the stream of
@@ -133,10 +134,6 @@ class BondId:
     def star_vertical(x, n: int) -> "BondId":
         """Oriented vertical bond <(x, n), (x, n+1)>."""
         return BondId((TAG_GSTAR_V, n, *x))
-
-    @staticmethod
-    def site(m: int, n: int) -> "BondId":
-        return BondId((TAG_SITE, m, n))
 
 
 class BondField:

@@ -40,10 +40,10 @@ per (rates, box, horizon, d) and process (`_box_table`, behind an
 lru_cache that keeps the last table), so sampling only draws marks.  A
 Timeline keeps its marks flat: one owner array (a process of its table)
 and one time array, in sweep order.  Its `deaths` and `arrows` dicts
-({key: sorted times}) are views, built on first read and cached.  A
-hand-made `Timeline(horizon, bounds, deaths, arrows)` is flattened into the
-same form, so sampled and hand-made timelines share one sweep, which keeps
-one int label per site index.
+({key: sorted times}) are views, built on first read and cached.  The
+sweep keeps one int label per site index.  Timelines of hand-made marks,
+and the skeleton event `f_events` with its oracle `check_f_event`, live
+in `tests/oracles.py`.
 
 There is one sampler, `sample_timelines`, which draws the timelines of a
 batch of replicas together; `sample_timeline` is its batch of one.  It
@@ -54,10 +54,7 @@ two words are hashed per mark.  The marks of each replica are then sorted
 by time on their own, and a replica whose times tie is resampled alone.
 The harness caps a chunk at _BATCH_IDS processes or expected marks, the
 larger, or at one replica (`chunk_cap`), and the times are hashed in
-slices of _TIME_IDS marks, so a chunk's memory does not grow with reps.  Trial r of the batched skeleton
-event `f_events` reads the same folded-prefix marks (`_mark_counts`,
-`_mark_times`) as replica r's timeline, so `check_f_event` on that
-timeline is its oracle.
+slices of _TIME_IDS marks, so a chunk's memory does not grow with reps.
 """
 
 from __future__ import annotations
@@ -65,7 +62,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -180,13 +176,9 @@ class _Table:
     (`_MeanRuns`).
     """
 
-    def __init__(self, sites, pairs, heads=None, bounds=None, dcols=None, acols=None,
-                 mus=None):
+    def __init__(self, sites, pairs, heads, bounds=None, dcols=None, acols=None, mus=None):
         self.sites, self.pairs, self.bounds = sites, pairs, bounds
         self.index = {s: i for i, s in enumerate(sites)}
-        if heads is None:
-            heads = [(self.index[u], self.index[v], max(abs(a - b) for a, b in zip(u, v)))
-                     for u, v in pairs]
         self.heads = [*range(len(sites)), *heads]
         self.dcols, self.acols, self.mus = dcols, acols, mus
 
@@ -218,40 +210,17 @@ def _box_table(rates, box, horizon: float, d: int) -> _Table:
                                                 rate[move_i] * horizon])))
 
 
-def _sweep_order(table: _Table, owner, times):
-    """(owner, times) sorted by time, deaths before arrows at equal times."""
-    order = np.argsort(times)
-    if (times[order[1:]] == times[order[:-1]]).any():  # ties: the order needs its key
-        order = np.lexsort((owner >= len(table.sites), times))
-    return owner[order], times[order]
-
-
 class Timeline:
     """The marks of one timeline, flat: `owner` and `times` in sweep order,
-    `owner` being a process of `table` (see `_Table`).
+    `owner` being a process of `table` (see `_Table`), and the number of
+    collision resamples that drew them.
 
-    `Timeline(horizon, bounds, deaths, arrows)` flattens hand-made marks,
-    {site: times} and {(src, dst): times}, into the same form.  The
-    `deaths` and `arrows` views give the marks back as such dicts of sorted
-    times, processes without marks omitted; each is built on first read.
+    The `deaths` and `arrows` views give the marks back as dicts
+    {site: sorted times} and {(src, dst): sorted times}, processes without
+    marks omitted; each is built on first read.
     """
 
-    def __init__(self, horizon: float, bounds, deaths: dict, arrows: dict, resamples: int = 0):
-        sites = list(dict.fromkeys([*deaths, *itertools.chain.from_iterable(arrows)]))
-        table = _Table(sites, list(arrows))
-        marks = [np.asarray(deaths.get(s, ()), dtype=np.float64) for s in sites]
-        marks += [np.asarray(ts, dtype=np.float64) for ts in arrows.values()]
-        owner = np.repeat(np.arange(len(marks)), [m.size for m in marks])
-        self._set(horizon, bounds, table,
-                  *_sweep_order(table, owner, np.concatenate([np.empty(0), *marks])), resamples)
-
-    @classmethod
-    def _flat(cls, horizon, bounds, table, owner, times, resamples) -> "Timeline":
-        tl = cls.__new__(cls)
-        tl._set(horizon, bounds, table, owner, times, resamples)
-        return tl
-
-    def _set(self, horizon, bounds, table, owner, times, resamples):
+    def __init__(self, horizon: float, bounds, table: _Table, owner, times, resamples: int = 0):
         self.horizon, self.bounds, self.table = horizon, bounds, table
         self.owner, self.times, self.resamples = owner, times, resamples
 
@@ -376,8 +345,7 @@ def sample_timelines(seed: int, rates: TruncatedSequence, box, horizon: float, d
         starts = [0, *ends[:-1].tolist()]
         for i, s, e, bad in zip(todo.tolist(), starts, ends.tolist(), tied.tolist()):
             if not bad:
-                out[i] = Timeline._flat(horizon, table.bounds, table, owner[s:e], times[s:e],
-                                        attempt)
+                out[i] = Timeline(horizon, table.bounds, table, owner[s:e], times[s:e], attempt)
         todo = todo[tied]
         if not todo.size:
             return out
@@ -389,16 +357,6 @@ def sample_timeline(seed: int, rates: TruncatedSequence, box, horizon: float,
     """Exact Poisson samples for every site and every in-box ordered pair:
     `sample_timelines` of the one replica."""
     return sample_timelines(seed, rates, box, horizon, d, [replica])[0]
-
-
-def k_connected(tl: Timeline, frm, to, k: int) -> bool:
-    """Existence of an infection path from (site, time) to (site, time).
-
-    Deaths at the endpoints' own instants count against the path; a jump
-    strictly after the start and up to the end time is allowed.
-    """
-    (src, s), (dst, t) = frm, to
-    return infection_labels(tl, src, s, t).get(dst, k + 1) <= k
 
 
 _HEALTHY = 1 << 62  # the label of a site not infected at any k
@@ -443,112 +401,6 @@ def infection_labels(tl: Timeline, src, s: float, t: float) -> dict:
                     infected += lv == _HEALTHY
                     label[v] = j
     return {site: lab for site, lab in zip(table.sites, label) if lab != _HEALTHY}
-
-
-# -- skeleton events ----------------------------------------------------------
-
-@dataclass(frozen=True)
-class SkeletonParams:
-    delta: float
-    b: int
-    k: int
-
-    def __post_init__(self):
-        if self.delta <= 0:
-            raise ValueError("step width must be positive")
-        if self.b < 1:
-            raise ValueError("vertical displacement must be >= 1")
-
-
-def f_probability(params: SkeletonParams, rates: TruncatedSequence) -> float:
-    """Closed-form probability of the two-arrow skeleton event in one step.
-
-    The product formally ranges over |a| <= k; the a = 0 factor is neutral
-    because the rate at range 0 is pinned to 0.
-    """
-    d, k, b = params.delta, params.k, params.b
-    lb = rates.term(b)
-    prod = 1.0
-    for a in range(1, k + 1):
-        term = math.exp(-2 * d) * (1 - math.exp(-rates.term(a) * d / 2)) \
-            * (1 - math.exp(-lb * d / 2))
-        prod *= (1.0 - term) ** 2  # both signs of a
-    return math.exp(-d) * (1.0 - prod)
-
-
-@dataclass(frozen=True)
-class FRecord:
-    success: bool
-    a: int | None = None
-
-
-def _count_in(times, lo: float, hi: float) -> int:
-    if times is None or len(times) == 0:
-        return 0
-    return int(np.searchsorted(times, hi, side="right")
-               - np.searchsorted(times, lo, side="left"))
-
-
-def check_f_event(tl: Timeline, x, n: int, params: SkeletonParams) -> FRecord:
-    """Occurrence of the skeleton event at site x over [n*delta, (n+1)*delta].
-
-    Requires: no death on x in the step; some a with 1 <= |a| <= k such that
-    x + a*e_1 and x + a*e_1 + b*e_2 are death-free over the step, an arrow
-    x -> x + a*e_1 lands in the first half-step, and an arrow onward to
-    x + a*e_1 + b*e_2 lands in the second.  Witness is deterministic
-    (|a| ascending, positive first).  Off-box intermediate sites are skipped.
-    """
-    d, b = params.delta, params.b
-    t0, t1 = n * d, (n + 1) * d
-    if t1 > tl.horizon * (1 + 1e-12):
-        raise ValueError("skeleton step exceeds the timeline horizon")
-    if _count_in(tl.deaths.get(x), t0, t1):
-        return FRecord(False)
-    for a in signed_ranges(params.k):
-        y = (x[0] + a, x[1])
-        z = (x[0] + a, x[1] + b)
-        if not (tl.in_box(y) and tl.in_box(z)):
-            continue
-        if _count_in(tl.deaths.get(y), t0, t1) or _count_in(tl.deaths.get(z), t0, t1):
-            continue
-        if not _count_in(tl.arrows.get((x, y)), t0, t0 + d / 2):
-            continue
-        if _count_in(tl.arrows.get((y, z)), t0 + d / 2, t1):
-            return FRecord(True, a)
-    return FRecord(False)
-
-
-def f_events(rates: TruncatedSequence, params: SkeletonParams, trials: int,
-             seed: int) -> np.ndarray:
-    """Indicator, per trial, of the skeleton event at the origin over [0, delta].
-
-    Trial r reads, of the marks of `sample_timeline(seed, rates,
-    box=[(-k, k), (0, b)], horizon=delta, d=2, replica=r)`, the death
-    counts of the 4k + 1 involved sites and the arrow times of the 4k
-    involved pairs, each process's id prefix folded once per trial as the
-    sampler folds it: `check_f_event` on that timeline is its oracle.
-    """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    k, b, d = params.k, params.b, params.delta
-    a = np.fromiter(signed_ranges(k), dtype=np.int64)
-    fld = BondField(seed).derive_replica(np.arange(trials)[:, None])
-
-    def dead(x1, x2):
-        return _mark_counts(fld.prefix([_TAG_DEATH, x1, x2]), d) > 0
-
-    def arrow_in(cols, mus, first_half):
-        proc = fld.prefix(cols)
-        counts = _mark_counts(proc, mus)
-        owner, times = _mark_times(proc, counts, d)
-        hit = times <= d / 2 if first_half else times >= d / 2
-        return np.bincount(owner[hit], minlength=counts.size).reshape(counts.shape) > 0
-
-    first = arrow_in([_TAG_ARROW, 0, 0, 1, a],                      # x -> x + a e1
-                     d * np.array([rates.term(abs(i)) for i in a.tolist()]), True)
-    onward = arrow_in([_TAG_ARROW, a, 0, 2, b], d * rates.term(b), False)  # up b
-    per_a = ~dead(a, 0) & ~dead(a, b) & first & onward
-    return ~dead(0, 0)[:, 0] & per_a.any(axis=1)
 
 
 # -- survival -------------------------------------------------------------------

@@ -25,7 +25,8 @@ kernels sweep them together, a later oriented sweep holding only the
 chunk's replicas that the one before lost, and the contact kernel samples
 their timelines together before it sweeps each.  The star, survival and
 contact runners cap a chunk's replicas by the size of one replica's draw,
-so a chunk's memory does not grow with reps.
+as each model's `chunk_cap` counts it, so a chunk's memory does not grow
+with reps.
 """
 
 from __future__ import annotations
@@ -76,12 +77,6 @@ def _hprob(args, root, lo, hi):
     chunk's lines are labelled together."""
     pseq, window = args
     return starlat.h_label_max(root, range(lo, hi), [[0]] * (hi - lo), 0, pseq, window).tolist()
-
-
-def _bifurcation(args, root, lo, hi):
-    (params,) = args
-    return [int(renorm.check_bifurcation(root.derive_replica(r), ((0, 0), 0), params).success)
-            for r in range(lo, hi)]
 
 
 def _domination(args, root, lo, hi):
@@ -258,10 +253,8 @@ def _run_survival(cfg, p):
     kmax = max(ks)
     params = oriented.ExplorationParams(d, horizon, window,
                                         truncate(p["pseq"], kmax), truncate(p["qseq"], kmax))
-    # a chunk's fronts fill at most _BATCH_CELLS window cells, or one window
-    cap = max(1, oriented._BATCH_CELLS // (2 * window + 1) ** d)
     return [_row(cfg, "g", k, horizon, window, {"dim": d}, est)
-            for k, est in _k_estimates(cfg, ks, _surv_g, (params,), cap)]
+            for k, est in _k_estimates(cfg, ks, _surv_g, (params,), oriented.chunk_cap(params))]
 
 
 def _run_redcluster(cfg, p):
@@ -306,8 +299,7 @@ def _run_star(cfg, p):
     eps, delta, horizon, window, ks = p["eps"], p["delta"], p["horizon"], p["window"], p["k"]
     N = starlat.choose_N(eps, delta)
     args = (starlat.StarParams(eps, truncate(p["pseq"], max(ks)), N), horizon, window)
-    # a level of a chunk holds at most 2N (horizon + 1) lines per replica
-    cap = max(1, starlat._BATCH_IDS // (2 * N * (horizon + 1)))
+    cap = starlat.chunk_cap(args[0], horizon)
     return [_row(cfg, "gstar", k, horizon, window, {"eps": eps, "delta": delta, "N": N}, est)
             for k, est in _k_estimates(cfg, ks, _surv_star, args, cap)]
 

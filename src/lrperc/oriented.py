@@ -60,8 +60,8 @@ each with its least label.
 
 A batch's fronts are held, and their candidates deduplicated, together,
 so a sweep's memory grows with the batch.  The survival runner therefore
-cuts its replicas into chunks whose windows hold at most _BATCH_CELLS
-cells in all, or one replica per chunk where a window holds more: a
+cuts its replicas into chunks of `chunk_cap` replicas, whose windows hold
+at most _BATCH_CELLS cells in all, or one where a window holds more: a
 chunk's fronts then never outgrow the larger of _BATCH_CELLS cells and
 one replica's window, whatever the number of replicas.
 """
@@ -73,7 +73,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .bondfield import TAG_G, BondField, BondId
+from .bondfield import TAG_G, BondField
 from .sequences import TruncatedSequence, truncate
 
 
@@ -94,10 +94,6 @@ class ExplorationParams:
     @property
     def k(self) -> int:  # an axis draws probability 0 beyond its own sequence's k
         return max(self.pseq.k, self.qseq.k)
-
-    def axis_prob(self, axis: int, disp: int) -> float:
-        seq = self.pseq if axis == 1 else self.qseq
-        return seq.term(abs(disp))
 
     def displacement_table(self):
         """(vectors, axes, disps, probs) arrays over the 2*d*min(k, 2*window)
@@ -126,27 +122,14 @@ class ExplorationResult:
     fronts: list[set] | None = field(default=None, repr=False)
 
 
-def out_neighbors(fld: BondField, v, params: ExplorationParams) -> set:
-    """Open out-neighbors of v = (x, n): all (x + i*e_m, n+1) with the bond open
-    and the target inside the window."""
-    x, n = v
-    L = params.window
-    out = set()
-    for m in range(1, params.d + 1):
-        for i in range(1, params.k + 1):
-            for s in (i, -i):
-                prob = params.axis_prob(m, s)
-                y = list(x)
-                y[m - 1] += s
-                if abs(y[m - 1]) > L:
-                    continue
-                if fld.is_open(BondId.oriented(x, n, m, s), prob):
-                    out.add((tuple(y), n + 1))
-    return out
-
-
 _STEP_IDS = 1 << 16  # most bond ids one `uniforms` call of a front step hashes
 _BATCH_CELLS = 1 << 17  # most window cells of the replicas a survival chunk sweeps together
+
+
+def chunk_cap(params: ExplorationParams) -> int:
+    """Most replicas that `critical_k` should sweep together: _BATCH_CELLS
+    over the (2 window + 1)^d cells of one replica's window, or 1."""
+    return max(1, _BATCH_CELLS // (2 * params.window + 1) ** params.d)
 
 
 def _advance_front(fld: BondField, front: np.ndarray, labels: np.ndarray, n: int,

@@ -1,4 +1,4 @@
-"""Bifurcation-event renormalization on Z^2_+ and its site-percolation oracle.
+"""Bifurcation-event renormalization on Z^2_+ and site percolation on its cone.
 
 A point (m, n) of the renormalized lattice is "red" when some lattice point
 on the line {((a, m*beta), 2n)} is both reachable from the origin and the
@@ -10,7 +10,8 @@ minimal unexplored boundary point.  Every scanned range is an axis-1
 bond's, so the truncation range k is that of the axis-1 sequence.  Each
 certified offset of a point is certified by one link, the two bonds that
 lead to it from a certified offset of its parent point, so the certificates
-take memory in the number of offsets, not in their depth.
+take memory in the number of offsets, not in their depth.  The tests
+re-verify them bond by bond (`reverify_red_cluster` in `tests/oracles.py`).
 
 The abstract red definition quantifies over every integer offset a; here
 the scan is restricted to the offsets already certified reachable by the
@@ -18,9 +19,10 @@ recursion itself.  That restriction only lowers the red frequency, so the
 domination consequence being tested (conditional red frequency >= gamma_k)
 keeps its direction.
 
-Site percolation on the cone has a scalar oracle, `site_perc_cone`, and a
-scan that keeps one label per (replica, site), the least gamma above which
-the site is reached, so one pass answers every gamma.  A label >= max(gamma)
+Site percolation on the cone is counted by a scan that keeps one label per
+(replica, site), the least gamma above which the site is reached, so one
+pass answers every gamma; its scalar oracle, `site_perc_cone`, lives in
+`tests/oracles.py`.  A label >= max(gamma)
 counts at no gamma of the grid, and neither do its children's, so the scan
 hashes only the sites that can still count: it drops the replicas with no
 such label and trims the rest to the columns between the first and the last
@@ -181,68 +183,7 @@ def explore_red_cluster(fld: BondField, params: BifurcationParams,
     return RedState(A, B, None, step, False, examined, cert)
 
 
-def reverify_red_cluster(fld: BondField, params: BifurcationParams, state: RedState) -> bool:
-    """True iff every link is open bond by bond and leaves a certified offset
-    of the generation before, so by induction on n every certified offset
-    ends an open path from the origin, and every red point has a certified
-    offset that roots a bifurcation."""
-    p, q, beta = params.pseq, params.qseq, params.beta
-    cert = state.certificates
-    for (m, n), offsets in cert.items():
-        for a, link in offsets.items():
-            if link is None:
-                if (m, n, a) != (0, 0, 0):
-                    return False
-                continue
-            (m0, n0), a0, a1 = link
-            if n0 != n - 1 or a0 not in cert.get((m0, n0), {}):
-                return False
-            if not fld.is_open(BondId.oriented((a0, m0 * beta), 2 * n0, 1, a1),
-                               p.term(abs(a1))):
-                return False
-            mid = (a0 + a1, m0 * beta)
-            if m == m0:
-                axis, disp, prob = 1, a - a0 - a1, p.term(abs(a - a0 - a1))
-            elif m == m0 + 1 and a == a0 + a1:
-                axis, disp, prob = 2, beta, q.term(beta)
-            else:
-                return False
-            if not fld.is_open(BondId.oriented(mid, 2 * n - 1, axis, disp), prob):
-                return False
-    for point in state.A:
-        m, n = point
-        if not any(check_bifurcation(fld, ((a, m * beta), 2 * n), params).success
-                   for a in cert.get(point, {})):
-            return False
-    return True
-
-
 # -- oriented site percolation on the cone ------------------------------------
-
-@dataclass
-class ConeCluster:
-    reached: list  # list of sets of m-coordinates, index = generation
-    survived: bool
-
-
-def site_perc_cone(gamma: float, horizon: int, fld: BondField) -> ConeCluster:
-    """Independent site percolation on {(m, n): 0 <= m <= n} with children
-    (m, n+1) and (m+1, n+1).  The origin counts as occupied regardless of its
-    own site variable (cluster-of-the-origin rule)."""
-    if not 0.0 <= gamma <= 1.0:
-        raise ValueError("gamma must be a probability")
-    reached = [{0}]
-    for n in range(1, horizon + 1):
-        prev = reached[-1]
-        cur = {m for m in range(0, n + 1)
-               if (m in prev or m - 1 in prev)
-               and fld.is_open(BondId.site(m, n), gamma)}
-        reached.append(cur)
-        if not cur:
-            reached.extend([set()] * (horizon - n))
-            break
-    return ConeCluster(reached, bool(reached[horizon]))
-
 
 # most (replica, site) labels one chunk of the cone scan holds, few enough for
 # a chunk's label and uniform arrays, and its cache of column prefixes (at most
@@ -308,9 +249,10 @@ def _cone_chunk(args, root, lo, hi):
 def cone_survival_scan(gammas, horizons, reps: int, seed: int, threads: int = 1) -> np.ndarray:
     """Vectorized survival counts S[g, t] over shared site variables.
 
-    Replica r reads the stream of `site_perc_cone` on
-    `BondField(seed).derive_replica(r)`, so S[g, t] is exactly the number of
-    replicas that oracle lets survive to horizons[t] (sorted) at gammas[g].
+    Replica r reads site (m, n) at the id [TAG_SITE, m, n] on
+    `BondField(seed).derive_replica(r)`, as the scalar oracle `site_perc_cone`
+    of `tests/oracles.py` does, so S[g, t] is exactly the number of replicas
+    that oracle lets survive to horizons[t] (sorted) at gammas[g].
     All gammas share the site uniforms u, so the labels label(0, 0) = -inf,
     label(m, n) = max(u(m, n), min(label(m, n-1), label(m-1, n-1))), with
     +inf off the cone, give survival to horizon t at every gamma: exactly
@@ -345,25 +287,3 @@ def cone_survival_scan(gammas, horizons, reps: int, seed: int, threads: int = 1)
     cap = max(1, _SCAN_CELLS // (horizons[-1] + 1))
     return sum(run_replicas(_cone_chunk, (gammas, horizons), seed, reps, threads, cap))
 
-
-def crossing_from_scan(gammas, counts) -> float | None:
-    """Locate the critical parameter from a three-horizon scan.
-
-    For successive-horizon conditional survivals r1 = S2/S1 and r2 = S3/S2,
-    the difference r2 - r1 is negative in the subcritical phase (survival
-    decays ever faster) and positive in the supercritical one (conditional
-    survival stabilizes), so its zero crossing estimates the threshold.
-    Returns the interpolated crossing, or None when there is no sign change.
-    """
-    counts = np.asarray(counts, dtype=np.float64)
-    gammas = np.asarray(gammas, dtype=np.float64)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        r1 = np.where(counts[:, 0] > 0, counts[:, 1] / counts[:, 0], 0.0)
-        r2 = np.where(counts[:, 1] > 0, counts[:, 2] / counts[:, 1], 0.0)
-    d = r2 - r1
-    idx = [i for i in range(len(d) - 1) if d[i] < 0 <= d[i + 1]]
-    if not idx:
-        return None
-    i = idx[-1]
-    t = d[i] / (d[i] - d[i + 1])
-    return float(gammas[i] + t * (gammas[i + 1] - gammas[i]))

@@ -199,6 +199,13 @@ def block_path_survival(fld: BondField, params: StarParams, horizon: int, window
 _BATCH_IDS = 1 << 16  # most bond ids one `uniforms` call of a star level hashes
 
 
+def chunk_cap(params: StarParams, horizon: int) -> int:
+    """Most replicas that `block_path_critical_k` should sweep together:
+    _BATCH_IDS over the 2N (horizon + 1) lines that a level holds at most
+    per replica, or 1."""
+    return max(1, _BATCH_IDS // (2 * params.N * (horizon + 1)))
+
+
 def _joining_range(starts, ranges, size: int, source: int, target: int, never: int) -> int:
     """Least r such that the bonds (t, t + i) with i <= r join `source` to
     `target`, for bonds given in increasing range: a union-find adds them in

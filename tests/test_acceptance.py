@@ -13,21 +13,18 @@ import numpy as np
 
 from conftest import record_acceptance
 from exact import block_counts_z, block_dispersion_z, cone_survival
+from oracles import (
+    SkeletonParams, bifurcations, crossing_from_scan, f_events, f_probability,
+    reverify_red_cluster,
+)
 
 from lrperc import renorm
 from lrperc.bondfield import BondField
 from lrperc.cli import resolve_config
-from lrperc.contact import (
-    SkeletonParams, f_events, f_probability, infected_at_horizon, sample_timeline,
-)
-from lrperc.harness import (
-    ExperimentConfig, _bifurcation, _hprob, format_csv, run_experiment, run_replicas,
-)
+from lrperc.contact import infected_at_horizon, sample_timeline
+from lrperc.harness import ExperimentConfig, _hprob, format_csv, run_experiment, run_replicas
 from lrperc.oriented import ExplorationParams, explore
-from lrperc.renorm import (
-    BifurcationParams, cone_survival_scan, crossing_from_scan, explore_red_cluster,
-    gamma_k, reverify_red_cluster,
-)
+from lrperc.renorm import BifurcationParams, cone_survival_scan, explore_red_cluster, gamma_k
 from lrperc.sequences import explicit, harmonic, powerlaw, truncate
 from lrperc.stats import EstimateWithCI, wilson_interval
 
@@ -54,7 +51,7 @@ def _bparams(k, p, q, beta=1):
 
 
 def _bifurcation_frequency(params, trials, seed):
-    hits = sum(run_replicas(_bifurcation, (params,), seed, trials))
+    hits = sum(run_replicas(bifurcations, (params,), seed, trials))
     return EstimateWithCI.from_counts(hits, trials, z=3.0)
 
 

@@ -2,6 +2,7 @@
 bench self-tests are not part of this suite, so this test is what fails
 here when a traced function is renamed or removed."""
 
+import ast
 import sys
 import types
 from pathlib import Path
@@ -111,3 +112,21 @@ def test_bench_tracer_counts_oriented_vertices(monkeypatch):
     explored = report["oriented.explore"]
     assert explored["calls"] == 2  # one chunk of 4 replicas, at truncation 1 and 2
     assert explored["vertices"] == sum(res.total_visited for res in sweeps)
+
+
+def test_package_ships_only_what_it_runs(monkeypatch):
+    """Every public top-level def or class of the package is referenced in
+    the package, by a name, an attribute or an import, or is traced by the
+    bench.  What only the tests run belongs in tests/oracles.py."""
+    spans = _load_spans(monkeypatch)
+    traced = {(module, name.split(".")[0]) for module, name, _, _ in spans.TARGETS}
+    trees = {path.stem: ast.parse(path.read_text())
+             for path in Path(lrperc.__file__).parent.glob("*.py")}
+    used = {getattr(node, "id", None) or getattr(node, "attr", None) or node.name
+            for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute, ast.alias))}
+    unused = sorted(f"{module}.{node.name}" for module, tree in trees.items() for node in tree.body
+                    if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and not node.name.startswith("_") and node.name not in used
+                    and (module, node.name) not in traced)
+    assert unused == []

@@ -5,13 +5,14 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from exact import block_dispersion_z, contact_survival_d1
+from oracles import SkeletonParams, check_f_event, f_events, f_probability, k_connected
+from oracles import hand_timeline as _tl
 from lrperc import contact
 from lrperc.bondfield import BondField
 from lrperc.cli import main
 from lrperc.contact import (
-    SkeletonParams, Timeline, _poisson_from_mode, check_f_event, f_events,
-    f_probability, infected_at_horizon, infection_labels, k_connected,
-    poisson_from_uniform, sample_timeline, sample_timelines,
+    Timeline, _poisson_from_mode, infected_at_horizon, infection_labels, poisson_from_uniform,
+    sample_timeline, sample_timelines,
 )
 from lrperc.harness import _surv_contact, run_replicas
 from lrperc.sequences import constant, explicit, harmonic, powerlaw, truncate
@@ -27,12 +28,6 @@ class _RawRates:
 
     def term(self, i):
         return self.value if 1 <= i <= self.k else 0.0
-
-
-def _tl(horizon=10.0, deaths=None, arrows=None, bounds=((-5, 5),)):
-    return Timeline(horizon, [tuple(b) for b in bounds],
-                    {s: np.asarray(ts, dtype=float) for s, ts in (deaths or {}).items()},
-                    {p: np.asarray(ts, dtype=float) for p, ts in (arrows or {}).items()})
 
 
 # -- sampling ---------------------------------------------------------------------
@@ -120,7 +115,7 @@ def _per_replica_timeline(seed, rates, box, horizon, d, replica, first_attempt=0
         order = np.argsort(times)
         owner, times = owner[order], times[order]
         if not (times[1:] == times[:-1]).any():
-            return Timeline._flat(horizon, table.bounds, table, owner, times, attempt)
+            return Timeline(horizon, table.bounds, table, owner, times, attempt)
     raise RuntimeError("could not sample a collision-free timeline")
 
 
@@ -473,7 +468,7 @@ def test_hand_made_and_sampled_timelines_read_one_form(box, d):
     spread = 0
     for r in range(20):
         tl = sample_timeline(71, rates, box, horizon, d, replica=r)
-        hand = Timeline(tl.horizon, tl.bounds, tl.deaths, tl.arrows)
+        hand = _tl(tl.horizon, tl.deaths, tl.arrows, tl.bounds)
         assert np.array_equal(hand.times, tl.times)
         for src, s in starts:
             got = infection_labels(hand, src, s, horizon)

@@ -3,10 +3,11 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from exact import block_dispersion_z, oriented_survival_d1
+from oracles import axis_prob, out_neighbors
 from lrperc import bondfield, oriented
 from lrperc.bondfield import TAG_G, BondField
 from lrperc.harness import _surv_g, run_replicas
-from lrperc.oriented import ExplorationParams, critical_k, explore, out_neighbors
+from lrperc.oriented import ExplorationParams, critical_k, explore
 from lrperc.sequences import constant, explicit, harmonic, powerlaw, truncate
 from lrperc.stats import EstimateWithCI
 
@@ -202,8 +203,8 @@ def test_explicit_anisotropy():
     params = _params(p=truncate(constant(1.0), 1), q=truncate(constant(0.0), 1))
     out = out_neighbors(BondField(1), ((0, 0), 0), params)
     assert out == {((1, 0), 1), ((-1, 0), 1)}
-    assert params.axis_prob(1, -1) == 1.0
-    assert params.axis_prob(2, 1) == 0.0
+    assert axis_prob(params, 1, -1) == 1.0
+    assert axis_prob(params, 2, 1) == 0.0
 
 
 # -- bottleneck labels -------------------------------------------------------------

@@ -5,12 +5,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from exact import cone_survival
+from oracles import bifurcations, crossing_from_scan, reverify_red_cluster, site_perc_cone
 from lrperc import renorm
 from lrperc.bondfield import BondField, BondId
-from lrperc.harness import ExperimentConfig, _bifurcation, run_experiment, run_replicas
+from lrperc.harness import ExperimentConfig, run_experiment, run_replicas
 from lrperc.renorm import (
-    BifurcationParams, check_bifurcation, cone_survival_scan, crossing_from_scan,
-    explore_red_cluster, gamma_k, reverify_red_cluster, site_perc_cone,
+    BifurcationParams, check_bifurcation, cone_survival_scan, explore_red_cluster, gamma_k,
 )
 from lrperc.sequences import constant, explicit, harmonic, powerlaw, signed_ranges, truncate
 from lrperc.stats import EstimateWithCI, wilson_interval
@@ -95,7 +95,7 @@ def test_gamma_matches_independent_sampler():
 
 def test_bifurcation_frequency_matches_gamma():
     params = _bparams(2, powerlaw(1.0, 0.6), constant(0.5))
-    hits = sum(run_replicas(_bifurcation, (params,), seed=77, reps=30_000))
+    hits = sum(run_replicas(bifurcations, (params,), seed=77, reps=30_000))
     est = EstimateWithCI.from_counts(hits, 30_000, z=3.0)
     assert est.lo <= gamma_k(params) <= est.hi
 
@@ -602,6 +602,9 @@ def test_crossing_from_scan_synthetic():
 def test_invalid_gamma_rejected():
     with pytest.raises(ValueError):
         site_perc_cone(1.5, 3, BondField(1))
+    for horizon in (-1, -3):
+        with pytest.raises(ValueError, match="horizons must be nonnegative"):
+            site_perc_cone(0.0, horizon, BondField(1))
     with pytest.raises(ValueError):
         cone_survival_scan([0.5, 1.5], [3], 10, seed=1)
     with pytest.raises(ValueError):
