@@ -2,7 +2,12 @@
 graphs, the associated renormalization constructions, and the long-range
 contact process."""
 
-from . import bondfield, contact, harness, oriented, renorm, sequences, starlat, stats
+import os
+
+# lrperc makes no BLAS call, so numpy's OpenBLAS need start no worker thread.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+from . import bondfield, contact, harness, oriented, renorm, sequences, starlat, stats  # noqa: E402
 
 __all__ = ["bondfield", "contact", "harness", "oriented", "renorm",
            "sequences", "starlat", "stats"]

@@ -54,7 +54,8 @@ the cone scan folds [TAG_SITE, m] for a window of columns m into a
 draws `take` of its window with the one word n.
 `run_replicas`, the one replica loop, maps a chunk kernel over chunks of
 replicas, in the calling process and in `workers - 1` children forked from
-it, each child sending its records back through a pipe; replica r reads
+it, each child sending its records back through a pipe; there are never
+more workers than CPUs this process may run on.  Replica r reads
 `BondField(seed).derive_replica(r)` however the replicas are chunked or
 shared out, so no schedule changes a record.
 """
@@ -251,8 +252,9 @@ def run_replicas(kernel, args, seed: int, reps: int, threads: int = 1, cap=None)
     replicas each (None: no cap) and come in a multiple of the worker count,
     so each worker runs the same number of chunks; chunk i of n holds
     replicas i reps // n .. (i + 1) reps // n - 1, so sizes differ by at
-    most one, and no chunk is empty.  There are min(threads, reps, cores)
-    workers: the calling process and `workers - 1` children forked from it.
+    most one, and no chunk is empty.  There are min(threads, reps, CPUs)
+    workers, CPUs counting those this process may run on (`_usable_cpus`):
+    the calling process and `workers - 1` children forked from it.
     Worker w runs chunks w n // workers .. (w + 1) n // workers - 1, so the
     shares differ by at most one chunk (only where n is capped at reps) and
     their records concatenate in replica order.  A child's records, or the
@@ -261,7 +263,7 @@ def run_replicas(kernel, args, seed: int, reps: int, threads: int = 1, cap=None)
     """
     if reps < 1:
         raise ValueError("replica count must be >= 1")
-    workers = max(1, min(threads, reps, os.cpu_count() or 1))
+    workers = max(1, min(threads, reps, _usable_cpus() or 1))
     fewest = -(-reps // (cap or reps))
     n = min(reps, -(-fewest // workers) * workers)
     bounds = [i * reps // n for i in range(n + 1)]
@@ -284,6 +286,15 @@ def run_replicas(kernel, args, seed: int, reps: int, threads: int = 1, cap=None)
     finally:
         for child in children:
             child.kill()
+
+
+def _usable_cpus():
+    """The number of CPUs this process may run on: its affinity set where
+    the platform reports one (under `taskset -c 0` it is 1 however many the
+    host has), else the host's count; None where that is unknown."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count()
 
 
 def _fork_share(share, w) -> "_Child":

@@ -7,7 +7,6 @@ The `inline_pool` fixture runs the shares that the replica loop would fork
 out to children in this process instead, so spies see every chunk.
 """
 
-import os
 from types import SimpleNamespace
 
 import pytest
@@ -32,7 +31,7 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 
 @pytest.fixture
 def inline_pool(monkeypatch):
-    """`inline_pool(cores)` sets the core count and runs each share that
+    """`inline_pool(cpus)` sets the usable CPU count and runs each share that
     `run_replicas` would fork out in this process, when the caller collects
     it (after its own share, so chunks run in plan order); it returns the
     list of worker counts the runs are asked for."""
@@ -44,8 +43,8 @@ def inline_pool(monkeypatch):
         asked[-1] += 1
         return SimpleNamespace(records=lambda: share(w), kill=lambda: None)
 
-    def patch(cores):
-        monkeypatch.setattr(os, "cpu_count", lambda: cores)
+    def patch(cpus):
+        monkeypatch.setattr(bondfield, "_usable_cpus", lambda: cpus)
         monkeypatch.setattr(bondfield, "_fork_share", start)
         return asked
     return patch

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lrperc import contact, harness, oriented, renorm, starlat
+from lrperc import bondfield, contact, harness, oriented, renorm, starlat
 from lrperc.bondfield import BondField
 from lrperc.cli import build_parser, main, resolve_config
 from lrperc.harness import (
@@ -433,13 +433,13 @@ _HPROB_ARGS = (truncate(powerlaw(1.0, 0.5), 3), 3)  # labels 1, 2, 3 and None al
 
 def test_run_replicas_thread_invariance(monkeypatch):
     """Real forked workers give the serial run's records, shares even or
-    not: 64 replicas at 4 threads on this host's cores, 5 chunks of one
-    replica on 2 workers (shares of 2 and 3), and 3 workers (the caller
-    and two children)."""
-    for reps, cap, threads, cores in [(64, None, 4, None), (5, 1, 2, 2), (64, None, 3, 3)]:
+    not: 64 replicas at 4 threads on the CPUs this process may use, 5
+    chunks of one replica on 2 workers (shares of 2 and 3), and 3 workers
+    (the caller and two children)."""
+    for reps, cap, threads, cpus in [(64, None, 4, None), (5, 1, 2, 2), (64, None, 3, 3)]:
         with monkeypatch.context() as patch:
-            if cores is not None:
-                patch.setattr(os, "cpu_count", lambda: cores)
+            if cpus is not None:
+                patch.setattr(bondfield, "_usable_cpus", lambda: cpus)
             cfg_args = (_hprob, _HPROB_ARGS, 5, reps)
             one = run_replicas(*cfg_args, threads=1)
             many = run_replicas(*cfg_args, threads=threads, cap=cap)
@@ -486,7 +486,7 @@ def test_run_replicas_failures_under_a_real_fork(monkeypatch, capsys, fault, err
     caller's own share kills its children, and the CLI turns a child's
     ValueError into one `error:` line and exit 2.  No case hangs, and none
     leaves a child behind."""
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(bondfield, "_usable_cpus", lambda: 2)
     t0 = time.monotonic()
     if fault == "cli":
         def hprob(args, root, lo, hi):
@@ -510,28 +510,78 @@ def test_run_replicas_failures_under_a_real_fork(monkeypatch, capsys, fault, err
         os.waitpid(-1, os.WNOHANG)
 
 
+def _fresh_python(code, **env):
+    """The words that `code` prints, run in a fresh interpreter that imports
+    lrperc from this checkout, with no BLAS or OpenMP thread count in its
+    environment but those in `env`."""
+    base = {k: v for k, v in os.environ.items()
+            if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    src = str(Path(harness.__file__).resolve().parents[1])
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True, env={**base, **env, "PYTHONPATH": src},
+                          timeout=60).stdout.split()
+
+
 def test_cli_import_loads_no_process_pool():
     """The replica loop forks its workers itself, so importing the CLI loads
     neither `multiprocessing` nor `concurrent.futures`."""
-    src = str(Path(harness.__file__).resolve().parents[1])
     code = ("import sys, lrperc.cli; print(sorted(m for m in sys.modules"
             " if m.split('.')[0] in ('multiprocessing', 'concurrent')))")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         check=True, env={**os.environ, "PYTHONPATH": src}).stdout
-    assert out.strip() == "[]"
+    assert _fresh_python(code) == ["[]"]
 
 
-@pytest.mark.parametrize("cores, threads, reps, workers", [
-    (2, 8, 64, [2]),      # capped by the cores
+@pytest.mark.skipif(not Path("/proc/self/status").exists(),
+                    reason="reads the thread count from /proc/self/status")
+def test_import_starts_no_blas_thread():
+    """lrperc makes no BLAS call, so importing it pins OpenBLAS to one
+    thread: the process has one thread after the import and still one
+    after a `survival` run forks its workers."""
+    argv = _argv("survival", {**_VALID["survival"], "reps": "4", "threads": "2"})
+    code = ("def threads():\n"
+            "    with open('/proc/self/status') as status:\n"
+            "        return next(int(line.split()[1]) for line in status\n"
+            "                    if line.startswith('Threads:'))\n"
+            "import contextlib, io, os, lrperc\n"
+            "after_import = threads()\n"
+            "from lrperc.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()), "
+            "contextlib.redirect_stderr(io.StringIO()):\n"
+            f"    status = main({argv!r})\n"
+            "print(os.environ.get('OPENBLAS_NUM_THREADS'), after_import, status, threads())\n")
+    assert _fresh_python(code) == ["1", "1", "0", "1"]
+
+
+def test_import_keeps_a_blas_thread_count_the_user_set():
+    code = "import os, lrperc; print(os.environ['OPENBLAS_NUM_THREADS'])"
+    assert _fresh_python(code, OPENBLAS_NUM_THREADS="2") == ["2"]
+
+
+@pytest.mark.parametrize("cpus, threads, reps, workers", [
+    (2, 8, 64, [2]),      # capped by the usable CPUs
     (8, 3, 2, [2]),       # capped by the chunks of work
-    (None, 4, 64, []),    # core count unknown: serial
-    (1, 4, 64, []),       # one core: serial
+    (None, 4, 64, []),    # CPU count unknown: serial
+    (1, 4, 64, []),       # one usable CPU: serial
 ])
-def test_run_replicas_clamps_workers(inline_pool, cores, threads, reps, workers):
-    asked = inline_pool(cores)
+def test_run_replicas_clamps_workers(inline_pool, cpus, threads, reps, workers):
+    asked = inline_pool(cpus)
     out = run_replicas(_hprob, _HPROB_ARGS, 5, reps, threads=threads)
     assert asked == workers
     assert out == run_replicas(_hprob, _HPROB_ARGS, 5, reps)
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
+def test_run_replicas_counts_the_cpus_the_process_may_use():
+    """A process allowed one CPU forks no worker at `threads=2`, however
+    many CPUs the host has."""
+    code = ("import os\n"
+            "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+            "from lrperc import bondfield\n"
+            "forks, fork = [], os.fork\n"
+            "os.fork = lambda: forks.append(1) or fork()\n"
+            "recs = bondfield.run_replicas(lambda args, root, lo, hi: list(range(lo, hi)),\n"
+            "                              None, 5, 8, threads=2)\n"
+            "print(len(forks), recs == list(range(8)))\n")
+    assert _fresh_python(code) == ["0", "True"]
 
 
 @pytest.mark.parametrize("reps, workers, cap, plan", [
