@@ -30,28 +30,33 @@ timeline's collision resamples.
 The stream has two evaluations with the same bits.  The scalar path
 (`uniform_words`, under `uniform` and `is_open`) runs splitmix64 on plain
 Python ints masked to 64 bits; a single-replica field keeps its base as an
-int.  The vector path (`uniforms`) runs it on numpy uint64 arrays and folds
-each id column at the shape it broadcasts to with the base and the columns
-before it, so a tag or generation shared by the batch is hashed once per
-replica, not once per id.  The oriented front step is an example: the
-coordinates of its F vertices fold at (F, 1, 1), the axis at (F, d, 1),
-and only the displacement at (F, d, moves per axis).  The frozen table in
-`tests/test_bondfield.py` pins both paths.
+int.  The vector path has one batched fold, `states`, which runs it on
+numpy uint64 arrays and folds each id column at the shape it broadcasts to
+with the base and the columns before it, so a tag or generation shared by
+the batch is hashed once per replica, not once per id.  The oriented front
+step is an example: the coordinates of its F vertices fold at (F, 1, 1),
+the axis at (F, d, 1), and only the displacement at (F, d, moves per
+axis).  Each fold makes one fresh array of its broadcast shape and runs
+the rest of the finalizer in place on it.  `uniforms` reads the uint64
+states h as (h >> 11) * 2**-53, and `open_mask` tests those uniforms; the
+cone scan compares the states themselves.  The frozen table in
+`tests/test_bondfield.py` pins both paths and the full states.
 
 Both cone site-percolation paths read the site id: the scalar oracle
 `site_perc_cone` of `tests/oracles.py` on one replica field,
 `renorm.cone_survival_scan` on a batch of them.
 `derive_replica` accepts an integer index array as well as an integer; the
-derived base then takes the array's shape and `uniforms` broadcasts the id
+derived base then takes the array's shape and `states` broadcasts the id
 columns against it, so element r of a batch reads exactly the stream of
 `derive_replica(r)`.  Scalar draws on such a batch raise ValueError.
 `take` selects replicas of a batch, and `prefix` folds id words that a
 whole batch shares once per replica, as the oriented front step does with
 its tag and generation; both keep every draw's bits, and both take a
-batch field only.  A prefix may also differ across a batch's last axis:
-the cone scan folds [TAG_SITE, m] for a window of columns m into a
-(replicas, columns) batch, keeps it across generations, and a generation
-draws `take` of its window with the one word n.
+batch field only.  A prefix may also differ across a batch's axes: the
+cone scan folds [TAG_SITE, m] for a window of columns m into a (columns,
+replicas) batch, keeps it across generations (`concat` on axis 0 extends
+it), and a generation draws the `states` of `take` of its window with the
+one word n.
 `run_replicas`, the one replica loop, maps a chunk kernel over chunks of
 replicas, in the calling process and in `workers - 1` children forked from
 it, each child sending its records back through a pipe; there are never
@@ -104,7 +109,22 @@ def _mix_array(h):
 
 
 def _fold_array(h, w):
-    return _mix_array((h ^ w) + _GOLDEN_U64)
+    """splitmix64's fold of word w into state h, elementwise on uint64
+    arrays: the first op makes the result, a fresh array of the shape h and
+    w broadcast to, and the rest run in place on it and one scratch array."""
+    h = h ^ w
+    if not h.ndim:  # a numpy scalar has no in-place ops
+        return _mix_array(h + _GOLDEN_U64)
+    h += _GOLDEN_U64
+    t = h >> _S30
+    h ^= t
+    h *= _M1
+    np.right_shift(h, _S27, out=t)
+    h ^= t
+    h *= _M2
+    np.right_shift(h, _S31, out=t)
+    h ^= t
+    return h
 
 
 @dataclass(frozen=True)
@@ -185,11 +205,11 @@ class BondField:
         return BondField(self.seed, _base=self._base[idx])
 
     @staticmethod
-    def concat(fields) -> "BondField":
+    def concat(fields, axis: int = -1) -> "BondField":
         """The batch field of `fields`, batch fields of one seed, joined along
-        their last axis: every element keeps its stream."""
+        `axis` (their last by default): every element keeps its stream."""
         bases = [np.asarray(f._base, dtype=np.uint64) for f in fields]
-        return BondField(fields[0].seed, _base=np.concatenate(bases, axis=-1))
+        return BondField(fields[0].seed, _base=np.concatenate(bases, axis=axis))
 
     def prefix(self, words) -> "BondField":
         """The batch field whose draw of the id words w is this batch field's
@@ -222,19 +242,24 @@ class BondField:
 
     # -- vectorized interface -----------------------------------------------
 
-    def uniforms(self, word_columns) -> np.ndarray:
-        """Uniform variates for a batch of ids.
+    def states(self, word_columns) -> np.ndarray:
+        """The uint64 hash states of a batch of ids, the one batched fold.
 
         `word_columns` is a sequence of integer arrays, one per word position
         of a common encoding (all ids in a batch share a tag and word count).
         Returns an array of the shape the columns and the field's base
-        broadcast to.
+        broadcast to; `uniforms` and `open_mask` read it.
         """
         h = np.asarray(self._base, dtype=np.uint64)
         with np.errstate(over="ignore"):
             for c in word_columns:
                 h = _fold_array(h, (np.asarray(c, dtype=np.int64) + _BIAS).view(np.uint64))
-        return (h >> _S11).astype(np.float64) * 2.0**-53
+        return h
+
+    def uniforms(self, word_columns) -> np.ndarray:
+        """Uniform variates in [0, 1) for a batch of ids: the high 53 bits
+        of each of their `states`."""
+        return (self.states(word_columns) >> _S11).astype(np.float64) * 2.0**-53
 
     def open_mask(self, word_columns, probs) -> np.ndarray:
         """Boolean open-indicators for a batch of ids with probabilities `probs`."""

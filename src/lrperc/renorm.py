@@ -20,16 +20,22 @@ domination consequence being tested (conditional red frequency >= gamma_k)
 keeps its direction.
 
 Site percolation on the cone is counted by a scan that keeps one label per
-(replica, site), the least gamma above which the site is reached, so one
+(site, replica), the least gamma above which the site is reached, so one
 pass answers every gamma; its scalar oracle, `site_perc_cone`, lives in
-`tests/oracles.py`.  A label >= max(gamma)
-counts at no gamma of the grid, and neither do its children's, so the scan
-hashes only the sites that can still count: it drops the replicas with no
-such label and trims the rest to the columns between the first and the last
-label below max(gamma).  A grid holding gamma = 1 prunes nothing.  The site
-id is [TAG_SITE, m, n], so the scan folds a column's prefix [TAG_SITE, m]
-once per replica into a cache that grows with the window's right end, and a
-generation folds only its word n on top of it: one id word per site.
+`tests/oracles.py`.  A label is kept as the raw uint64 hash state whose
+uniform it stands for, since min and max commute with the nondecreasing
+map from states to uniforms; the origin's is 0, the least state, and
+horizon 0 counts every replica.  Only each replica's least label at a
+counted horizon is turned into a float.  The arrays are laid out (sites,
+replicas), so every per-generation operation runs on one contiguous block.  A label that counts at no gamma of the grid (one >=
+max(gamma), tested as a state against ceil(max(gamma) * 2**53) << 11) has
+children that count at none either, so the scan hashes only the sites that
+can still count: it drops the replicas with no other label and trims the
+rest to the columns between the first and the last label that may count.
+A grid holding gamma = 1 prunes nothing.  The site id is [TAG_SITE, m, n],
+so the scan folds a column's prefix [TAG_SITE, m] once per replica into a
+cache that grows with the window's right end, and a generation folds only
+its word n on top of it: one id word per site.
 """
 
 from __future__ import annotations
@@ -185,8 +191,8 @@ def explore_red_cluster(fld: BondField, params: BifurcationParams,
 
 # -- oriented site percolation on the cone ------------------------------------
 
-# most (replica, site) labels one chunk of the cone scan holds, few enough for
-# a chunk's label and uniform arrays, and its cache of column prefixes (at most
+# most (site, replica) labels one chunk of the cone scan holds, few enough for
+# a chunk's label and state arrays, and its cache of column prefixes (at most
 # one column per label of the last horizon), to stay in cache: 510 replicas at
 # horizon 256
 _SCAN_CELLS = 1 << 17
@@ -195,53 +201,62 @@ _SCAN_CELLS = 1 << 17
 def _cone_chunk(args, root, lo, hi):
     """[S] over replicas lo..hi-1: the survival counts of the chunk.
 
-    label[i, j] is the label of site (off + j, n) on the chunk's i-th replica
-    kept; the sites left out of that rectangle, and the replicas dropped, have
-    labels >= max(gammas) (see cone_survival_scan).  cols[i, j] is that
-    replica's stream folded with [TAG_SITE, c0 + j], so a generation folds
-    only n on top of it.  When the window's right end reaches c1, the cache
-    drops the columns left of off, which the window never returns to, and
-    extends to column off + 2w - 1, w + 1 being the window's width.  It so
-    grows with the window, not with the horizon, and a replica folds no more
-    columns at a generation than the sites it draws there.
+    Every array is laid out (sites, replicas), so each generation's fold,
+    parent min/max, live test and window trims run on one contiguous block.
+    label[j, i] is the label of site (off + j, n) on the chunk's i-th replica
+    kept, as a raw uint64 hash state, the origin's being 0; the sites left
+    out of that rectangle, and the replicas dropped, have labels that count
+    at no gamma (see cone_survival_scan).  cols[j, i] is that replica's
+    stream folded with [TAG_SITE, c0 + j], so a generation folds only n on
+    top of it.  When the window's right end reaches c1, the cache drops the
+    columns left of off, which the window never returns to, and extends to
+    column off + 2w - 1, w + 1 being the window's width.  It so grows with
+    the window, not with the horizon, and a replica folds no more columns at
+    a generation than the sites it draws there.
     """
     gammas, horizons = args
-    top = gammas.max(initial=-np.inf)
+    top = gammas.max(initial=0.0)
+    # a label counts at some gamma only below this state; None: every label may
+    bound = None if top >= 1.0 else np.uint64(math.ceil(top * 2**53) << 11)
     end = horizons[-1] + 1  # the cone's columns up to the last horizon
-    tagged = root.derive_replica(np.arange(lo, hi)[:, None]).prefix([TAG_SITE])
+    tagged = root.derive_replica(np.arange(lo, hi)[None, :]).prefix([TAG_SITE])
     # cols: the replicas' states after [TAG_SITE, m], for the columns m in c0..c1-1
-    cols, c0, c1 = tagged.take(np.s_[:, :0]), 0, 0
-    label = np.full((hi - lo, 1), -np.inf)
+    cols, c0, c1 = tagged.take(np.s_[:0]), 0, 0
+    label = np.zeros((1, hi - lo), dtype=np.uint64)
     off = 0
     counts = np.zeros((len(gammas), len(horizons)), dtype=np.int64)
     hidx = 0
     for n in range(end):
         if n > 0:
-            w = label.shape[1]
+            w = len(label)
             if off + w >= c1:  # reach twice the window, and drop the columns left of it
                 reach = min(end, off + 2 * w)
-                cols = BondField.concat([cols.take(np.s_[:, off - c0:]),
-                                         tagged.prefix([np.arange(c1, reach)[None, :]])])
+                cols = BondField.concat([cols.take(np.s_[off - c0:]),
+                                         tagged.prefix([np.arange(c1, reach)[:, None]])], axis=0)
                 c0, c1 = off, reach
-            u = cols.take(np.s_[:, off - c0:off - c0 + w + 1]).uniforms(
-                [np.full((1, 1), n)])  # (replicas, w+1)
-            # the lesser of both parents; a site off the window has +inf
-            np.maximum(u[:, 1:-1], np.minimum(label[:, :-1], label[:, 1:]), out=u[:, 1:-1])
-            np.maximum(u[:, 0], label[:, 0], out=u[:, 0])
-            np.maximum(u[:, -1], label[:, -1], out=u[:, -1])
-            label = u
-            live = label < top
-            keep = live.any(axis=1)
-            if not keep.all():
-                if not keep.any():
-                    break  # every later count of the chunk is 0
-                label, live = label[keep], live[keep]
-                tagged, cols = tagged.take(keep), cols.take(keep)
-            kept = np.flatnonzero(live.any(axis=0))
-            label = label[:, kept[0]:kept[-1] + 1]
-            off += int(kept[0])
+            h = cols.take(np.s_[off - c0:off - c0 + w + 1]).states([n])  # (w+1, replicas)
+            # the lesser of both parents; a site off the window counts at no gamma
+            np.maximum(h[1:-1], np.minimum(label[:-1], label[1:]), out=h[1:-1])
+            np.maximum(h[0], label[0], out=h[0])
+            np.maximum(h[-1], label[-1], out=h[-1])
+            label = h
+            if bound is not None:
+                live = label < bound
+                keep = live.any(axis=0)
+                if not keep.all():
+                    if not keep.any():
+                        break  # every later count of the chunk is 0
+                    label, live = label[:, keep], live[:, keep]
+                    tagged, cols = tagged.take(np.s_[:, keep]), cols.take(np.s_[:, keep])
+                kept = np.flatnonzero(live.any(axis=1))
+                label = label[kept[0]:kept[-1] + 1]
+                off += int(kept[0])
         while hidx < len(horizons) and horizons[hidx] == n:
-            counts[:, hidx] = (label.min(axis=1) < gammas[:, None]).sum(axis=1)
+            if n == 0:
+                counts[:, hidx] = hi - lo  # the origin is occupied at every gamma
+            else:
+                least = (label.min(axis=0) >> 11).astype(np.float64) * 2.0**-53
+                counts[:, hidx] = (least < gammas[:, None]).sum(axis=1)
             hidx += 1
     return [counts]
 
@@ -257,21 +272,32 @@ def cone_survival_scan(gammas, horizons, reps: int, seed: int, threads: int = 1)
     label(m, n) = max(u(m, n), min(label(m, n-1), label(m-1, n-1))), with
     +inf off the cone, give survival to horizon t at every gamma: exactly
     when min_m label(m, t) < gamma, which is nondecreasing in gamma.  The
-    replicas are scanned in chunks of at most _SCAN_CELLS labels at the last
-    horizon, on up to `threads` workers, so memory does not grow with `reps`;
-    `run_replicas` evens the chunks out, so 1200 replicas at horizon 256 run
-    as 3 chunks of 400 on one worker.
+    scan runs this recursion on the sites' uint64 hash states h, whose
+    uniforms are u = (h >> 11) * 2**-53: that map is nondecreasing, so it
+    commutes with min and max, and the origin's label 0 stands for -inf
+    (every replica survives to horizon 0, also at gamma = 0).  Only the
+    least label of each replica at a counted horizon is turned into its
+    uniform and compared with each gamma.  The replicas are scanned in
+    chunks of at most _SCAN_CELLS labels at the last horizon, on up to
+    `threads` workers, so memory does not grow with `reps`; `run_replicas`
+    evens the chunks out, so 1200 replicas at horizon 256 run as 3 chunks of
+    400 on one worker.  A chunk lays its labels, column cache and draws out
+    as (sites, replicas), so each generation's operations run on one
+    contiguous block.
 
     Only labels below g = max(gammas) are computed.  The test is strict, so a
     label >= g counts at no gamma of the grid, and every child of such a site
     has a label >= g too (a child's label is at least its lesser parent's).
-    After each generation a chunk drops the replicas with no label below g,
-    which count 0 at every later horizon, and keeps only the columns between
-    the first and the last label below g over the replicas kept; the next
-    generation hashes the sites below that window only.  A site outside the
-    window reads as +inf, like a site off the cone, so a label kept is exact
-    whenever it is below g and is >= g otherwise, and every count is the
-    unpruned scan's.  Since u < 1, a grid holding gamma = 1 prunes nothing.
+    A label's uniform is below g exactly when its state is below
+    ceil(g * 2**53) << 11, since g * 2**53 is exact and its ceiling fits in
+    53 bits.  After each generation a chunk drops the replicas with no label
+    below g, which count 0 at every later horizon, and keeps only the
+    columns between the first and the last label below g over the replicas
+    kept; the next generation hashes the sites below that window only.  A site outside the window counts at no gamma,
+    like a site off the cone, so a label kept is exact whenever it is below
+    g and is >= g otherwise, and every count is the unpruned scan's.  Since
+    u < 1, a grid holding gamma = 1 prunes nothing, and since u >= 0, at
+    g = 0 nothing stays live past horizon 0.
 
     A chunk folds each replica's site-id prefix [TAG_SITE, m] once per
     column m and keeps it, from the window's left end to about twice its

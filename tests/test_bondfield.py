@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from lrperc.bondfield import TAG_G, BondField, BondId
 from lrperc.stats import wilson_interval
@@ -225,3 +225,36 @@ def test_frozen_stream_through_concat(seed, replica, words, bits):
     assert joined.shape == (2, 2 + (3 if j else 1))
     picked = joined.take((np.array([0, 1, 1]), np.array([2, 2, -1])))
     assert (picked.uniforms([np.asarray(w) for w in words[j:]]) * 2**53 == bits).all()
+
+
+# the low 11 bits of each FROZEN id's hash state, which `uniforms` drops
+FROZEN_LOW = [1400, 1136, 1495, 1970, 863, 1549, 1091, 1113,
+              1193, 313, 957, 1295, 964, 338, 190, 1842]
+
+
+@pytest.mark.parametrize("seed, replica, words, bits, low", [
+    pytest.param(*f, low, id=f"{f[0]}-{f[1]}-words{i}")
+    for i, (f, low) in enumerate(zip(FROZEN, FROZEN_LOW))])
+def test_frozen_states(seed, replica, words, bits, low):
+    """`states` gives each frozen id's full 64-bit hash state, on one field
+    and, through a shared last word folded onto a (2, 3) batch."""
+    state = bits << 11 | low
+    h = _field(seed, replica).states([np.asarray(w) for w in words])
+    assert h.dtype == np.uint64 and int(h) == state
+    if replica is not None and words:
+        batch = BondField(seed).derive_replica(np.full((2, 3), replica)).prefix(words[:-1])
+        assert (batch.states([words[-1]]) == state).all()
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(seed=st.integers(-2**63, 2**63 - 1), draw=st.integers(0, 2**32),
+       width=st.integers(1, 5))
+def test_uniforms_are_the_high_bits_of_states(seed, draw, width):
+    """Over random id columns of random widths, the uniforms are the high 53
+    bits of `states`, bit for bit."""
+    rng = np.random.default_rng(draw)
+    cols = [rng.integers(-2**40, 2**40, size=(64, 32)) for _ in range(width)]
+    fld = BondField(seed).derive_replica(rng.integers(0, 2**40, size=(1, 32)))
+    h = fld.states(cols)
+    assert h.dtype == np.uint64 and h.shape == (64, 32)
+    assert ((h >> 11).astype(np.float64) * 2.0**-53 == fld.uniforms(cols)).all()

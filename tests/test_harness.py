@@ -325,18 +325,18 @@ def test_star_rows_keep_k_order_and_duplicates(command, ks):
 
 @pytest.mark.parametrize("window", [200, 1000])
 def test_cli_star_wide_window_draws_in_capped_batches(monkeypatch, tmp_path, window):
-    """No `uniforms` call hashes more than starlat._BATCH_IDS ids, however
+    """No `states` call hashes more than starlat._BATCH_IDS ids, however
     wide the window: at 200 a level is drawn a few lines per call, at 1000
     one line alone holds more and the lazy search draws it.  The rows equal
     the per-k scalar oracle."""
     sizes = []
-    uniforms = BondField.uniforms
+    states = BondField.states
 
     def spy(self, word_columns):
-        u = uniforms(self, word_columns)
-        sizes.append(u.size)
-        return u
-    monkeypatch.setattr(BondField, "uniforms", spy)
+        h = states(self, word_columns)
+        sizes.append(h.size)
+        return h
+    monkeypatch.setattr(BondField, "states", spy)
     out = tmp_path / "star.csv"
     assert main(["star", "--eps", "0.8", "--pseq", "powerlaw:1,0.95", "--k", "2,50",
                  "--delta", "0.5", "--horizon", "3", "--window", str(window), "--reps", "4",
@@ -355,18 +355,18 @@ def test_cli_star_wide_window_draws_in_capped_batches(monkeypatch, tmp_path, win
 
 def test_cli_star_wide_blocks_draw_vertical_bonds_in_capped_batches(monkeypatch, tmp_path):
     """A chunk sweeps its replicas together, and a level's vertical bonds are
-    drawn a few blocks per `uniforms` call, so no call hashes more than
+    drawn a few blocks per `states` call, so no call hashes more than
     starlat._BATCH_IDS ids: at --eps 1e-4 a block has 2N = 40202 vertical
     bonds, and the 4 replicas of the one chunk start with 4 blocks.  The
     rows equal those of chunks of one replica."""
     sizes = []
-    uniforms = BondField.uniforms
+    states = BondField.states
 
     def spy(self, word_columns):
-        u = uniforms(self, word_columns)
-        sizes.append(u.size)
-        return u
-    monkeypatch.setattr(BondField, "uniforms", spy)
+        h = states(self, word_columns)
+        sizes.append(h.size)
+        return h
+    monkeypatch.setattr(BondField, "states", spy)
     out = tmp_path / "star.csv"
     assert main(["star", "--eps", "1e-4", "--pseq", "list:1,0.5", "--k", "1,2",
                  "--delta", "0.5", "--horizon", "3", "--window", "2", "--reps", "4",

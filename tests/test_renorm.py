@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from exact import cone_survival
 from oracles import bifurcations, crossing_from_scan, reverify_red_cluster, site_perc_cone
 from lrperc import renorm
-from lrperc.bondfield import BondField, BondId
+from lrperc.bondfield import TAG_SITE, BondField, BondId
 from lrperc.harness import ExperimentConfig, run_experiment, run_replicas
 from lrperc.renorm import (
     BifurcationParams, check_bifurcation, cone_survival_scan, explore_red_cluster, gamma_k,
@@ -506,6 +507,39 @@ def test_pruned_scan_equals_oracle_per_replica(gammas, horizons, monkeypatch):
             assert counts[gi, hi] == sum(bool(c[horizon]) for c in reached)
 
 
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("horizons", [[0], [0, 1, 7]])
+@pytest.mark.parametrize("gammas", [[0.0], [1.0], [0.3, 1.0]])
+def test_cone_scan_origin_and_threshold_edges(gammas, horizons, threads):
+    """The scan's special cases, pinned outside hypothesis: the origin's
+    label 0 survives horizon 0 at gamma = 0, gamma = 0 leaves nothing live
+    past horizon 0, and gamma = 1 in the grid turns pruning off.  Every
+    count is the number of replicas `site_perc_cone` lets survive."""
+    reps, seed = 40, 17
+    counts = cone_survival_scan(gammas, horizons, reps, seed, threads)
+    fields = [BondField(seed).derive_replica(r) for r in range(reps)]
+    for gi, gamma in enumerate(gammas):
+        for hi, horizon in enumerate(horizons):
+            want = sum(site_perc_cone(gamma, horizon, fld).survived for fld in fields)
+            assert counts[gi, hi] == want, (gamma, horizon)
+    assert (counts[:, 0] == reps).all()
+
+
+def test_cone_scan_prune_bound_is_exact_at_a_site_uniform():
+    """The prune bound ceil(max(gamma) * 2**53) << 11 keeps a label one float
+    below gamma: with u the least horizon-1 uniform of replica 0, below 0.5
+    so that the next float g above it is not a multiple of 2**-53, the
+    replica survives horizon 1 at g and not at u, as `site_perc_cone` says."""
+    for seed in range(100):
+        fld = BondField(seed).derive_replica(0)
+        u = min(fld.uniform(BondId((TAG_SITE, m, 1))) for m in (0, 1))
+        if 0.0 < u < 0.5:
+            break
+    for gamma in (u, math.nextafter(u, 1.0)):
+        want = [int(site_perc_cone(gamma, t, fld).survived) for t in (0, 1, 2)]
+        assert cone_survival_scan([gamma], [0, 1, 2], 1, seed).tolist() == [want]
+
+
 @settings(max_examples=400, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(gammas=st.lists(st.sampled_from([0.0, 0.3, 0.5, 0.6, 0.65, 0.7, 0.8, 1.0]),
@@ -531,7 +565,7 @@ def test_cone_scan_equals_site_perc_cone_per_replica(monkeypatch, inline_pool, g
 
 
 def _hashed_sites(monkeypatch, gammas, horizon, reps):
-    """The uniforms the cone scan draws, summed over its `uniforms` calls."""
+    """The sites the cone scan draws, summed over its `states` calls."""
     return _scan_folds(monkeypatch, gammas, horizon, reps)[0]
 
 
@@ -546,23 +580,23 @@ def test_scan_hashes_only_sites_that_can_count(monkeypatch):
 
 
 def _scan_folds(monkeypatch, gammas, horizon, reps):
-    """(sites drawn, cells folded by `prefix`, id columns of each `uniforms`
+    """(sites drawn, cells folded by `prefix`, id columns of each `states`
     call) over one cone scan."""
     sites, cells, widths = [0], [0], []
-    uniforms, prefix = BondField.uniforms, BondField.prefix
+    states, prefix = BondField.states, BondField.prefix
 
-    def spy_uniforms(self, columns):
-        u = uniforms(self, columns)
-        sites[0] += u.size
+    def spy_states(self, columns):
+        h = states(self, columns)
+        sites[0] += h.size
         widths.append(len(columns))
-        return u
+        return h
 
     def spy_prefix(self, words):
         out = prefix(self, words)
         cells[0] += int(np.prod(out.shape)) * len(words)
         return out
 
-    monkeypatch.setattr(BondField, "uniforms", spy_uniforms)
+    monkeypatch.setattr(BondField, "states", spy_states)
     monkeypatch.setattr(BondField, "prefix", spy_prefix)
     cone_survival_scan(gammas, [horizon], reps, seed=0)
     return sites[0], cells[0], widths
