@@ -23,10 +23,10 @@ replica stops at the first sweep that it survives.  Every k-sweep kernel
 works on its chunk's replicas together: the star, `hprob` and oriented
 kernels sweep them together, a later oriented sweep holding only the
 chunk's replicas that the one before lost, and the contact kernel samples
-their timelines together before it sweeps each.  The star, survival and
-contact runners cap a chunk's replicas by the size of one replica's draw,
-as each model's `chunk_cap` counts it, so a chunk's memory does not grow
-with reps.
+their timelines together before it sweeps each.  The star, `hprob`,
+survival and contact runners cap a chunk's replicas by the size of one
+replica's draw, as each model's `chunk_cap` counts it, so a chunk's memory
+does not grow with reps.
 """
 
 from __future__ import annotations
@@ -308,7 +308,7 @@ def _run_hprob(cfg, p):
     window, ks = p["window"], p["k"]
     args = (truncate(p["pseq"], max(ks)), window)
     return [_row(cfg, "gstar", k, "", window, {}, est)
-            for k, est in _k_estimates(cfg, ks, _hprob, args)]
+            for k, est in _k_estimates(cfg, ks, _hprob, args, starlat.chunk_cap())]
 
 
 _RUNNERS = {

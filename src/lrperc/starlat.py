@@ -47,12 +47,14 @@ replicas are grouped.  `h_label_max` is the one place that chooses how
 H-labels are drawn, for the star levels and for `hprob`, whose chunk is
 one line per replica.  In `uniforms` calls of at most _BATCH_IDS ids,
 lines of any replicas together, it draws every line's range-1 bond
-first, an open one giving the label 1, then the in-window bonds of the
-lines left apart, which a union-find adds in increasing range.  When one
-line alone needs more than _BATCH_IDS ids, it goes line by line with
-`h_label` on the line's one-replica field, a bottleneck Dijkstra that
-draws a bond only when it could lower a label, so memory stays bounded
-however wide the window.
+first, an open one giving the label 1, then the bonds of the lines left
+apart, which a union-find adds in increasing range, in sub-windows around
+gamma(m) that double up to the window until each line's label is
+settled, so a line reads only the sites near gamma(m) that its label
+depends on.  A sub-window's bonds are drawn in blocks of consecutive
+ranges, at most _BATCH_IDS ids or one range of one line: a block holds
+whole grids where they fit, and the union-find resumes from block to
+block, so a line draws no range above its label's block.
 The scalar `h_connected`, `check_zeta` and `block_path_survival` answer one
 k at a time and are the oracles of the labelled kernels.  The H-event
 searches take the horizontal sequence alone, whose k is the truncation;
@@ -61,9 +63,9 @@ the block functions take `StarParams`, which adds eps and the width N.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -196,99 +198,112 @@ def block_path_survival(fld: BondField, params: StarParams, horizon: int, window
 
 # -- labelled kernels: one sweep at k_max decides every k ---------------------
 
-_BATCH_IDS = 1 << 16  # most bond ids one `uniforms` call of a star level hashes
+# most bond ids one `uniforms` call of a star level or `hprob` hashes, unless
+# one range of one line's sub-window alone holds more (half-width > 32767)
+_BATCH_IDS = 1 << 16
 
 
-def chunk_cap(params: StarParams, horizon: int) -> int:
-    """Most replicas that `block_path_critical_k` should sweep together:
-    _BATCH_IDS over the 2N (horizon + 1) lines that a level holds at most
-    per replica, or 1."""
-    return max(1, _BATCH_IDS // (2 * params.N * (horizon + 1)))
+def chunk_cap(params: StarParams | None = None, horizon: int = 0) -> int:
+    """Most replicas that a chunk kernel should label together: _BATCH_IDS
+    over the lines that one `h_label_max` call holds per replica, or 1.  A
+    level of `block_path_critical_k` on `params` holds at most 2N (horizon
+    + 1) lines per replica; `hprob`, given no params, holds one."""
+    lines = 2 * params.N * (horizon + 1) if params else 1
+    return max(1, _BATCH_IDS // lines)
 
 
-def _joining_range(starts, ranges, size: int, source: int, target: int, never: int) -> int:
+def _find(parent: list, x: int) -> int:
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
+def _joining_range(parent: list, starts, ranges, source: int, target: int, never: int,
+                   keep: bool):
     """Least r such that the bonds (t, t + i) with i <= r join `source` to
     `target`, for bonds given in increasing range: a union-find adds them in
     that order and tests the two ends after each range (the maximum-capacity
-    route of Hu 1961).  `never` if they stay apart."""
-    parent = list(range(size))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    route of Hu 1961).  `never` if they stay apart.  `parent` is the
+    union-find, which keeps the bonds added, so a block of larger ranges
+    resumes it; the ends are apart whenever it is resumed.  Returns r and,
+    with `keep`, the union-find of the bonds shorter than r (else, and
+    where the ends stay apart, `parent` itself)."""
     r = 0  # the range of the bonds added last
+    before = parent
     for t, i in zip(starts, ranges):
         if i > r:
-            if find(source) == find(target):
-                return r
+            if _find(parent, source) == _find(parent, target):
+                return r, before
             r = i
-        parent[find(t)] = find(t + i)
-    return r if find(source) == find(target) else never
+            if keep:
+                before = parent.copy()
+        parent[_find(parent, t)] = _find(parent, t + i)
+    if _find(parent, source) == _find(parent, target):
+        return r, before
+    return never, parent
 
 
 def _h_labels_batch(root: BondField, replicas: np.ndarray, m: np.ndarray, n: int,
-                    pseq: TruncatedSequence, W: int) -> np.ndarray:
+                    pseq: TruncatedSequence, W: int, w: int) -> np.ndarray:
     """H-labels of the lines m (1-d), line j on root.derive_replica(replicas[j]),
-    from one `uniforms` call over their (2W+1, R) grids of bonds (lo, lo + i),
-    -W <= lo <= W, 1 <= i <= R = min(k, 2W).  The grid also holds the bonds
-    that leave the window, which are masked off; in this shape every id word
-    but the range is folded once per (line, lo), not once per bond."""
+    from the bonds of their sub-windows of half-width w <= W, or 0 where the
+    sub-window cannot settle it.  A line's (2w+1, R) grid of bonds
+    (lo, lo + i), -w <= lo <= w, 1 <= i <= R = min(k, 2w), is drawn in
+    blocks of consecutive ranges, one `uniforms` call each.  A block holds
+    at most _BATCH_IDS ids over the lines still apart, and at least one
+    range; each line's union-find carries over to its next block, and a
+    line leaves at the first range that joins its ends, so it draws no block
+    above its label's.  The grid also holds the bonds that leave the
+    sub-window, which are masked off; in this shape every id word but the
+    range is folded once per (line, lo), not once per bond.
+
+    A label L of the sub-window is the line's label in the whole window
+    unless a bond of range < L leaves the sub-window from the source's
+    component under the sub-window's bonds of range < L: a path of such
+    bonds that left the sub-window would leave it by one of them.  So the
+    label is settled where that component holds no site within L - 1 of
+    the sub-window's edges (L = k + 1 where the ends stay apart), and
+    always at w = W."""
     K = pseq.k
-    R = min(K, 2 * W)
-    odd = m % 2 == 1  # these lines run along axis 2
-    x1, x2 = staircase(m[:, None, None])
-    o = odd[:, None, None]
-    lo = np.arange(-W, W + 1)[:, None]
-    rng = np.arange(1, R + 1)
-    fld = root.derive_replica(replicas[:, None, None])
-    opened = fld.open_mask([TAG_GSTAR_H, n, x1 + ~o * lo, x2 + o * lo, 1 + o, rng],
-                           pseq.terms(R))
-    opened &= lo + rng <= W
-    rows, ranges, starts = np.nonzero(opened.transpose(0, 2, 1))  # by range, then lo
-    starts, ranges = starts.tolist(), (ranges + 1).tolist()
-    cuts = np.searchsorted(rows, np.arange(m.size + 1)).tolist()
+    R = min(K, 2 * w)
+    size = 2 * w + 1
+    labels = np.full(m.size, K + 1, dtype=np.int64)
+    parents = [list(range(size)) for _ in range(m.size)]
     # gamma(m+1) is gamma(m) + e_1 for even m and gamma(m) - e_2 for odd m
-    targets = np.where(odd, W - 1, W + 1).tolist()
-    return np.array([_joining_range(starts[a:b], ranges[a:b], 2 * W + 1, W, t, K + 1)
-                     for a, b, t in zip(cuts, cuts[1:], targets)], dtype=np.int64)
-
-
-def h_label(fld: BondField, m: int, n: int, pseq: TruncatedSequence, window: int) -> int:
-    """H-label of line m at level n (see `h_label_max`) by a bottleneck Dijkstra.
-    Heap entries are (label, 0, site), a site reached at that label, and
-    (cost, i, site), its two bonds of range i, which cost max(label of the
-    site, i); each pop is the cheapest, so no bond costing more than the
-    target's label is drawn, and the draws stay with the sites reached."""
-    base = staircase(m)
-    axis, target = _line(m)
-    never, last = pseq.k + 1, min(pseq.k, 2 * window)
-    best = {0: 0}
-    heap = [(0, 0, 0)]
-    while heap:
-        c, i, t = heapq.heappop(heap)
-        if i == 0:
-            if t == target:
-                return c
-            if c == best[t]:
-                heapq.heappush(heap, (max(c, 1), 1, t))
-            continue
-        x = _on_line(base, axis, t)
-        for s in (i, -i):
-            t2 = t + s
-            if abs(t2) <= window and c < best.get(t2, never) and fld.is_open(
-                    BondId.star_horizontal(x, n, axis, s), pseq.term(i)):
-                best[t2] = c
-                heapq.heappush(heap, (c, 0, t2))
-        if i < last:
-            heapq.heappush(heap, (max(best[t], i + 1), i + 1, t))
-    return never
+    targets = np.where(m % 2 == 1, w - 1, w + 1).tolist()
+    lo = np.arange(-w, w + 1)[:, None]
+    left = np.arange(m.size)  # the lines still apart
+    r = 0  # the ranges drawn so far
+    while left.size and r < R:
+        top = min(R, r + max(1, _BATCH_IDS // (size * left.size)))
+        rng = np.arange(r + 1, top + 1)
+        x1, x2 = staircase(m[left, None, None])
+        o = m[left, None, None] % 2 == 1  # these lines run along axis 2
+        fld = root.derive_replica(replicas[left, None, None])
+        opened = fld.open_mask([TAG_GSTAR_H, n, x1 + ~o * lo, x2 + o * lo, 1 + o, rng],
+                               pseq.terms(top)[r:])
+        opened &= lo + rng <= w
+        rows, ranges, starts = np.nonzero(opened.transpose(0, 2, 1))  # by range, then lo
+        starts, ranges = starts.tolist(), (ranges + r + 1).tolist()
+        cuts = np.searchsorted(rows, np.arange(left.size + 1)).tolist()
+        for j, a, b in zip(left.tolist(), cuts, cuts[1:]):
+            labels[j], parents[j] = _joining_range(parents[j], starts[a:b], ranges[a:b], w,
+                                                   targets[j], K + 1, w < W)
+        left = left[labels[left] > K]
+        r = top
+    if w < W:
+        for j, (parent, label) in enumerate(zip(parents, labels.tolist())):
+            reach = label - 1  # the longest bond that could lower the label
+            source = _find(parent, w)
+            if any(_find(parent, x) == source
+                   for x in chain(range(reach), range(size - reach, size))):
+                labels[j] = 0
+    return labels
 
 
 def _grid_ids(K: int, W: int) -> int:
-    """Ids one line's grid in `_h_labels_batch` hashes."""
+    """Ids one line's grid of half-width W in `_h_labels_batch` hashes."""
     return (2 * W + 1) * min(K, 2 * W)
 
 
@@ -299,48 +314,50 @@ def h_label_max(root: BondField, replicas, rows, n: int, pseq: TruncatedSequence
     k <= pseq.k at which `h_connected` holds on every line of the row,
     pseq.k + 1 where one fails at pseq.k.
 
-    When one line's bond grid fits in _BATCH_IDS ids, every line's range-1
-    bond from gamma(m) to gamma(m+1) is drawn first, _BATCH_IDS lines per
-    `uniforms` call; an open one gives the label 1, and the grids of the
-    lines left apart, as many as fit, of any replicas, are drawn per call by
-    `_h_labels_batch`.  Otherwise each line is searched by `h_label`, which
-    draws a bond only when it needs it, and a row stops at its first line
-    that fails at pseq.k, as `check_zeta` does.
+    Every line's range-1 bond from gamma(m) to gamma(m+1) is drawn first,
+    _BATCH_IDS lines per `uniforms` call; an open one gives the label 1.
+    The lines left apart, of any replicas, go to `_h_labels_batch` in
+    sub-windows around gamma(m): the whole window where one line's grid
+    fits in _BATCH_IDS ids, else half-width 2 first (in a narrower one
+    every path that joins the two points passes a site at its edge),
+    doubled up to the window for the lines left unsettled.  A call holds as
+    many lines as their whole grids fit in _BATCH_IDS ids, or one.  It
+    leaves out the lines of rows that an earlier call found failing at
+    pseq.k, whose label is then pseq.k + 1 whatever they hold, as
+    `check_zeta` stops at a row's first failing line.
     """
     if window < 1:
         raise ValueError("window must be >= 1")
     rows = np.asarray(rows, dtype=np.int64)
-    replicas = np.asarray(replicas, dtype=np.int64)
     never = pseq.k + 1
-    # lines per `uniforms` call; at k = 0 there is no bond, and `h_label` draws none
-    step = _BATCH_IDS // _grid_ids(pseq.k, window) if pseq.k > 0 else 0
-    if step:
-        lines = rows.ravel()
-        owners = np.repeat(replicas, rows.shape[1])
-        odd = lines % 2
-        x1, x2 = staircase(lines)
-        # the range-1 bond is the grid's bond at lo = -odd (see `_h_labels_batch`)
-        direct = np.empty(lines.size, dtype=bool)
-        for c in range(0, lines.size, _BATCH_IDS):
-            s = slice(c, c + _BATCH_IDS)
-            direct[s] = root.derive_replica(owners[s]).open_mask(
-                [TAG_GSTAR_H, n, x1[s], x2[s] - odd[s], 1 + odd[s], 1], pseq.term(1))
-        labels = np.where(direct, 1, never)
-        apart = np.flatnonzero(~direct)
+    if pseq.k == 0:  # there is no bond to draw
+        return np.full(len(rows), never, dtype=np.int64)
+    replicas = np.asarray(replicas, dtype=np.int64)
+    width = rows.shape[1]
+    lines = rows.ravel()
+    owners = np.repeat(replicas, width)
+    odd = lines % 2
+    x1, x2 = staircase(lines)
+    # the range-1 bond is the grid's bond at lo = -odd (see `_h_labels_batch`)
+    direct = np.empty(lines.size, dtype=bool)
+    for c in range(0, lines.size, _BATCH_IDS):
+        s = slice(c, c + _BATCH_IDS)
+        direct[s] = root.derive_replica(owners[s]).open_mask(
+            [TAG_GSTAR_H, n, x1[s], x2[s] - odd[s], 1 + odd[s], 1], pseq.term(1))
+    labels = np.where(direct, 1, never)
+    failed = np.zeros(len(rows), dtype=bool)
+    apart = np.flatnonzero(~direct)
+    w = window if _grid_ids(pseq.k, window) <= _BATCH_IDS else min(window, 2)
+    while apart.size:
+        step = max(1, _BATCH_IDS // _grid_ids(pseq.k, w))
         for c in range(0, apart.size, step):
             j = apart[c:c + step]
-            labels[j] = _h_labels_batch(root, owners[j], lines[j], n, pseq, window)
-        return labels.reshape(rows.shape).max(axis=1)
-    out = np.full(len(rows), never, dtype=np.int64)
-    for j, (r, row) in enumerate(zip(replicas.tolist(), rows.tolist())):
-        fld = root.derive_replica(r)
-        top = 0
-        for x in row:
-            top = max(top, h_label(fld, x, n, pseq, window))
-            if top == never:
-                break
-        out[j] = top
-    return out
+            j = j[~failed[j // width]]
+            labels[j] = _h_labels_batch(root, owners[j], lines[j], n, pseq, window, w)
+            failed[j[labels[j] == never] // width] = True
+        apart = apart[(labels[apart] == 0) & ~failed[apart // width]]
+        w = min(window, 2 * w)
+    return labels.reshape(rows.shape).max(axis=1)
 
 
 def zeta_labels(root: BondField, replicas, a, n: int, params: StarParams,

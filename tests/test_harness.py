@@ -323,12 +323,17 @@ def test_star_rows_keep_k_order_and_duplicates(command, ks):
             [alone[c] for c in ("estimate", "ci_lo", "ci_hi")]
 
 
-@pytest.mark.parametrize("window", [200, 1000])
-def test_cli_star_wide_window_draws_in_capped_batches(monkeypatch, tmp_path, window):
-    """No `states` call hashes more than starlat._BATCH_IDS ids, however
-    wide the window: at 200 a level is drawn a few lines per call, at 1000
-    one line alone holds more and the lazy search draws it.  The rows equal
-    the per-k scalar oracle."""
+@pytest.mark.parametrize("window, law", [
+    (200, "powerlaw:1,0.95"), (1000, "powerlaw:1,0.95"),
+    (1000, "powerlaw:1,0.5"),  # half the range-1 bonds are closed, so most lines are gridded
+    (10**7, "list:0.9,0.45"), (10**8, "list:0.5,0.5"),
+], ids=["200", "1000", "1000-sparse", "1e7", "1e8-half"])
+def test_cli_star_wide_window_draws_in_capped_batches(monkeypatch, tmp_path, window, law):
+    """No `states` call hashes more than starlat._BATCH_IDS ids at these
+    wide windows: at 200 a level is drawn a few lines per call; from 1000
+    one line's whole grid holds more, and it is drawn in sub-windows that
+    grow only as far as its label needs, in blocks of ranges.  The rows
+    equal the per-k scalar oracle."""
     sizes = []
     states = BondField.states
 
@@ -338,7 +343,7 @@ def test_cli_star_wide_window_draws_in_capped_batches(monkeypatch, tmp_path, win
         return h
     monkeypatch.setattr(BondField, "states", spy)
     out = tmp_path / "star.csv"
-    assert main(["star", "--eps", "0.8", "--pseq", "powerlaw:1,0.95", "--k", "2,50",
+    assert main(["star", "--eps", "0.8", "--pseq", law, "--k", "2,50",
                  "--delta", "0.5", "--horizon", "3", "--window", str(window), "--reps", "4",
                  "--seed", "5", "--threads", "1", "--out", str(out)]) == 0
     assert sizes and max(sizes) <= starlat._BATCH_IDS
@@ -347,7 +352,7 @@ def test_cli_star_wide_window_draws_in_capped_batches(monkeypatch, tmp_path, win
     N = starlat.choose_N(0.8, 0.5)
     for line, k in zip(rows[1:], (2, 50)):
         row = dict(zip(header, line.split(",")))
-        params = StarParams(0.8, truncate(powerlaw(1.0, 0.95), k), N)
+        params = StarParams(0.8, truncate(parse_sequence(law), k), N)
         hits = sum(starlat.block_path_survival(BondField(5).derive_replica(r), params, 3, window)
                    for r in range(4))
         assert (int(row["k"]), float(row["estimate"])) == (k, hits / 4)
@@ -668,6 +673,30 @@ def test_survival_chunks_are_capped_by_window_cells(monkeypatch):
     assert batches == [10] * 6
     assert csv(10**9) == capped and batches == [60]
     assert csv(10) == capped and batches == [1] * 60
+    assert len({line.split(",")[8] for line in capped.splitlines()[1:]}) == 3
+
+
+def test_hprob_chunks_are_capped_by_batch_ids(monkeypatch):
+    """`hprob` labels at most starlat._BATCH_IDS replicas, one line each, in
+    one chunk, however many replicas it runs; its rows equal those of one
+    uncapped chunk."""
+    batches = []
+
+    def spy(args, root, lo, hi):
+        batches.append(hi - lo)
+        return _hprob(args, root, lo, hi)
+    monkeypatch.setattr(harness, "_hprob", spy)
+
+    def csv(ids):
+        monkeypatch.setattr(starlat, "_BATCH_IDS", ids)
+        batches.clear()
+        return format_csv(run_experiment(ExperimentConfig(
+            "hprob", seed=4, reps=60, threads=1,
+            params={"pseq": "powerlaw:1,0.5", "k": "1,2,3", "window": "3"})))
+    capped = csv(10)
+    assert batches == [10] * 6
+    assert csv(10**9) == capped and batches == [60]
+    assert csv(1) == capped and batches == [1] * 60
     assert len({line.split(",")[8] for line in capped.splitlines()[1:]}) == 3
 
 

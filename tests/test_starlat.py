@@ -265,12 +265,14 @@ def test_block_survival_single_replica_path():
 @pytest.fixture(params=["level_batch", "line_batches", "settled"])
 def h_path(request, monkeypatch):
     """Route `h_label_max` through each of its paths for a given (kmax, window):
-    one `uniforms` call per level, one call per line, or the lazy search."""
+    one `uniforms` call per level, one grid call per line, or sub-windows
+    that grow from half-width 2, drawn a range or two per call, each call
+    resuming the line's union-find."""
     def route(kmax, window):
         if request.param == "line_batches":
             monkeypatch.setattr(starlat, "_BATCH_IDS", starlat._grid_ids(kmax, window))
         elif request.param == "settled":
-            monkeypatch.setattr(starlat, "_BATCH_IDS", 0)
+            monkeypatch.setattr(starlat, "_BATCH_IDS", 2 * window + 1)
     return route
 
 
@@ -440,6 +442,26 @@ def test_hprob_records_equal_h_connected(h_path):
             assert (crit <= k) == held, (r, k)
 
 
+def test_sub_windows_settle_only_labels_no_wider_path_lowers(monkeypatch):
+    """At a budget below one line's grid, every line is labelled in
+    sub-windows that double up to the window, and a sub-window's label is
+    kept only where no shorter bond leaves it from the source's component.
+    With the range-1 bond closed every line is gridded, and among these
+    replicas are lines whose component reaches within the label of either
+    edge of a sub-window; each label agrees with `h_connected` at every k."""
+    window, kmax = 10, 3
+    monkeypatch.setattr(starlat, "_BATCH_IDS", 2 * window + 1)
+    law = explicit([0.0, 0.6, 0.6])
+    root, reps = BondField(11), 400
+    labels = h_label_max(root, np.arange(reps), np.zeros((reps, 1), dtype=np.int64), 0,
+                         _seq(p=law, k=kmax), window)
+    assert set(labels.tolist()) == {3, 4}  # range 2 alone keeps to even offsets
+    for r, label in enumerate(labels.tolist()):
+        fld = root.derive_replica(r)
+        for k in range(1, kmax + 1):
+            assert (label <= k) == h_connected(fld, 0, 0, _seq(p=law, k=k), window), (r, k)
+
+
 @pytest.mark.parametrize("p, window, label, apart", [
     (constant(1.0), 2, 1, 0),              # every range-1 bond is open
     (explicit([0.0, 1.0, 1.0]), 2, 3, 7),  # none is: 0 -> -2 -> 1 or 0 -> 2 -> -1
@@ -451,9 +473,9 @@ def test_batch_route_grids_only_the_lines_left_apart(monkeypatch, p, window, lab
     gridded = []
     batch = starlat._h_labels_batch
 
-    def spy(root, replicas, m, n, pseq, W):
+    def spy(root, replicas, m, *rest):
         gridded.extend(m.tolist())
-        return batch(root, replicas, m, n, pseq, W)
+        return batch(root, replicas, m, *rest)
     monkeypatch.setattr(starlat, "_h_labels_batch", spy)
     pseq = _seq(p=p, k=3)
     assert run_replicas(_hprob, (pseq, window), seed=7, reps=3) == [label] * 3
@@ -499,23 +521,23 @@ def test_labels_deterministic_sequences(p, window, h_expected, crit_expected, h_
 
 
 def test_lazy_route_stops_a_row_at_its_first_failed_line(monkeypatch):
-    """Searched line by line, a row whose first line fails at params.k is
-    decided by one search; a row whose lines all hold searches each."""
-    monkeypatch.setattr(starlat, "_BATCH_IDS", 0)
+    """Gridded one line per call, a row whose first line fails at params.k
+    is decided by one grid; a row whose lines all hold grids each."""
+    monkeypatch.setattr(starlat, "_BATCH_IDS", starlat._grid_ids(3, 3))
     searched = []
-    h_label = starlat.h_label
+    batch = starlat._h_labels_batch
 
-    def spy(fld, m, n, pseq, window):
-        searched.append(m)
-        return h_label(fld, m, n, pseq, window)
-    monkeypatch.setattr(starlat, "h_label", spy)
+    def spy(root, replicas, m, *rest):
+        searched.extend(m.tolist())
+        return batch(root, replicas, m, *rest)
+    monkeypatch.setattr(starlat, "_h_labels_batch", spy)
     row = np.array([[0, 1, 2, 3]])
     dead = _seq(p=explicit([0.0, 1.0]), k=3)  # range 2 alone keeps to even offsets
     assert h_label_max(BondField(7), [0], row, 0, dead, 3).tolist() == [dead.k + 1]
     assert searched == [0]
     searched.clear()
-    sure = _seq(p=constant(1.0), k=3)
-    assert h_label_max(BondField(7), [0], row, 0, sure, 3).tolist() == [1]
+    sure = _seq(p=explicit([0.0, 1.0, 1.0]), k=3)  # 0 -> -2 -> 1 or 0 -> 2 -> -1
+    assert h_label_max(BondField(7), [0], row, 0, sure, 3).tolist() == [3]
     assert searched == [0, 1, 2, 3]
 
 
@@ -549,7 +571,7 @@ _DRAWN = settings(max_examples=300, deadline=None, derandomize=True,
 def _route(monkeypatch, route, kmax, window):
     """Set `h_label_max`'s route for this example, as the `h_path` fixture does."""
     ids = {"level_batch": _DEFAULT_IDS, "line_batches": starlat._grid_ids(kmax, window),
-           "settled": 0}[route]
+           "settled": 2 * window + 1}[route]
     monkeypatch.setattr(starlat, "_BATCH_IDS", ids)
 
 
