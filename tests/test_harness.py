@@ -213,6 +213,23 @@ def test_checked_in_config_hashes_are_frozen(name):
     assert cfg.hash() == _CONFIG_HASHES[name]
 
 
+_GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+@pytest.mark.parametrize("name", ["determinism", "trend_g", "trend_star", "trend_contact",
+                                  "hprob_oracle", "gamma_curve"])
+def test_fast_configs_write_their_golden_csvs(name, tmp_path, capsys):
+    """The CSV of each fast checked-in config at one thread is byte-equal to
+    `tests/golden/<name>.csv`; `crossing` and `domination`, a few seconds
+    each, are left out.  A change of output is declared by regenerating the
+    file, `lrperc <command> --config configs/<name>.cfg --threads 1 --out
+    tests/golden/<name>.csv`."""
+    out = tmp_path / f"{name}.csv"
+    assert main([_CONFIG_COMMANDS[name], "--config", str(_CONFIGS / f"{name}.cfg"),
+                 "--threads", "1", "--out", str(out)]) == 0
+    assert out.read_bytes() == (_GOLDEN / f"{name}.csv").read_bytes()
+
+
 def test_cli_usage_error_is_one_line(capsys):
     assert main(["survival", "--reps", "nan"]) == 2
     err = capsys.readouterr().err.strip().split("\n")
