@@ -59,7 +59,8 @@ it), and a generation draws the `states` of `take` of its window with the
 one word n.
 `run_replicas`, the one replica loop, maps a chunk kernel over chunks of
 replicas, in the calling process and in `workers - 1` children forked from
-it, each child sending its records back through a pipe; there are never
+it, each child sending its records back through a pipe, and concatenates
+the chunks' arrays, one row per replica, on axis 0; there are never
 more workers than CPUs this process may run on.  Replica r reads
 `BondField(seed).derive_replica(r)` however the replicas are chunked or
 shared out, so no schedule changes a record.
@@ -268,10 +269,11 @@ class BondField:
 
 # -- replica scheduling ---------------------------------------------------------
 
-def run_replicas(kernel, args, seed: int, reps: int, threads: int = 1, cap=None) -> list:
-    """The records of replicas 0..reps-1 in replica order, from a chunk
-    kernel `kernel(args, root, lo, hi)` that lists the records of replicas
-    lo..hi-1 with root = BondField(seed).
+def run_replicas(kernel, args, seed: int, reps: int, threads: int = 1, cap=None) -> np.ndarray:
+    """The records of replicas 0..reps-1 in replica order, one row each, from
+    a chunk kernel `kernel(args, root, lo, hi)` that returns an array whose
+    axis 0 holds one row per replica of lo..hi-1, with root =
+    BondField(seed); the chunks' arrays are concatenated on axis 0.
 
     The replicas are cut into the fewest chunks that hold at most `cap`
     replicas each (None: no cap) and come in a multiple of the worker count,
@@ -282,8 +284,8 @@ def run_replicas(kernel, args, seed: int, reps: int, threads: int = 1, cap=None)
     the calling process and `workers - 1` children forked from it.
     Worker w runs chunks w n // workers .. (w + 1) n // workers - 1, so the
     shares differ by at most one chunk (only where n is capped at reps) and
-    their records concatenate in replica order.  A child's records, or the
-    exception its share raised, come back pickled; a failure anywhere kills
+    their arrays concatenate in replica order.  A child's array, or the
+    exception its share raised, comes back pickled; a failure anywhere kills
     and reaps every child before it propagates.
     """
     if reps < 1:
@@ -295,8 +297,8 @@ def run_replicas(kernel, args, seed: int, reps: int, threads: int = 1, cap=None)
     root = BondField(seed)
 
     def share(w):
-        return [rec for i in range(w * n // workers, (w + 1) * n // workers)
-                for rec in kernel(args, root, bounds[i], bounds[i + 1])]
+        return np.concatenate([kernel(args, root, bounds[i], bounds[i + 1])
+                               for i in range(w * n // workers, (w + 1) * n // workers)])
 
     if workers == 1:
         return share(0)
@@ -304,10 +306,7 @@ def run_replicas(kernel, args, seed: int, reps: int, threads: int = 1, cap=None)
     try:
         for w in range(1, workers):
             children.append(_fork_share(share, w))
-        records = share(0)
-        for child in children:
-            records += child.records()
-        return records
+        return np.concatenate([share(0)] + [child.records() for child in children])
     finally:
         for child in children:
             child.kill()
@@ -367,7 +366,7 @@ class _Child:
     def __init__(self, pid: int, pipe):
         self.pid, self.pipe = pid, pipe
 
-    def records(self) -> list:
+    def records(self) -> np.ndarray:
         """The share's records; raises the share's exception, or
         RuntimeError where the child exited without sending a result.
         The pipe is read to EOF before the child is reaped, so a child

@@ -14,9 +14,11 @@ covers the defaults it ran with.  A kind carries its bounds too, so an
 out-of-range value is refused by its key before any replica is drawn, and
 the runners hold no range check.
 
-A k-sweep chunk kernel, passed by function to `run_replicas`, returns each
-replica's critical k, the least k at which the event holds (k_max + 1: at
-no k swept); the row at k counts the replicas whose critical k is <= k.  The
+Every chunk kernel, passed by function to `run_replicas`, returns a numpy
+array with one row per replica of its chunk, and the runner counts from
+the concatenated array.  A k-sweep kernel's row is the replica's critical
+k, the least k at which the event holds (k_max + 1: at no k swept), an
+int64; the row at k counts the replicas whose critical k is <= k.  The
 star, `hprob` and contact kernels sweep each replica once, at the largest
 k; the oriented kernel sweeps at truncation 1, 2, 4, ..., and each
 replica stops at the first sweep that it survives.  Every k-sweep kernel
@@ -35,6 +37,8 @@ import hashlib
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from . import contact, oriented, renorm, starlat
 from .bondfield import run_replicas
 from .sequences import parse_sequence, truncate
@@ -46,7 +50,7 @@ __all__ = [
 ]
 
 
-# -- chunk kernels: the records of replicas lo..hi-1 ------------------------------
+# -- chunk kernels: one row per replica of lo..hi-1 -------------------------------
 
 def _surv_g(args, root, lo, hi):
     """Critical k of the oriented cluster at params.k = max(ks), or
@@ -61,8 +65,8 @@ def _surv_contact(args, root, lo, hi):
     or max(ks) + 1; the chunk's timelines are sampled together."""
     rates, box, horizon, d = args
     tls = contact.sample_timelines(root.seed, rates, box, horizon, d, range(lo, hi))
-    return [min(contact.infection_labels(tl, (0,) * d, 0.0, horizon).values(),
-                default=rates.k + 1) for tl in tls]
+    return np.array([min(contact.infection_labels(tl, (0,) * d, 0.0, horizon).values(),
+                         default=rates.k + 1) for tl in tls], dtype=np.int64)
 
 
 def _surv_star(args, root, lo, hi):
@@ -76,19 +80,19 @@ def _hprob(args, root, lo, hi):
     """Critical k of the H-event of gamma(0), gamma(1), or max(ks) + 1; the
     chunk's lines are labelled together."""
     pseq, window = args
-    return starlat.h_label_max(root, range(lo, hi), [[0]] * (hi - lo), 0, pseq, window).tolist()
+    return starlat.h_label_max(root, range(lo, hi), [[0]] * (hi - lo), 0, pseq, window)
 
 
 def _domination(args, root, lo, hi):
-    """Per replica, (examined, red) of the red cluster at each of `levels`,
-    all grown on the replica's one field."""
+    """(replicas, levels, 2) int64: per replica, (examined, red) of the red
+    cluster at each of `levels`, all grown on the replica's one field."""
     levels, max_steps = args
     out = []
     for r in range(lo, hi):
         fld = root.derive_replica(r)
         examined = [renorm.explore_red_cluster(fld, p, max_steps).examined for p in levels]
         out.append([(len(e), sum(red for _, red, _ in e)) for e in examined])
-    return out
+    return np.array(out, dtype=np.int64)
 
 
 # -- configuration ---------------------------------------------------------------
@@ -222,7 +226,7 @@ def _k_estimates(cfg, ks, kernel, args, cap=None):
     """(k, estimate) for each k of `ks`, from one pass of `kernel`'s critical k
     over chunks of at most `cap` replicas."""
     crits = run_replicas(kernel, args, cfg.seed, cfg.reps, cfg.threads, cap)
-    hits = [sum(c <= k for c in crits) for k in ks]
+    hits = (crits[:, None] <= ks).sum(axis=0).tolist()
     return [(k, EstimateWithCI.from_counts(h, cfg.reps, cfg.z)) for k, h in zip(ks, hits)]
 
 
@@ -266,8 +270,7 @@ def _run_redcluster(cfg, p):
     rows = []
     for k in ks:
         i = distinct.index(k)
-        trials = sum(rec[i][0] for rec in recs)
-        reds = sum(rec[i][1] for rec in recs)
+        trials, reds = recs[:, i].sum(axis=0).tolist()
         est = EstimateWithCI.from_counts(reds, trials, cfg.z)
         g = renorm.gamma_k(levels[i])
         extra = {"beta": beta, "steps": steps, "gamma_k": f"{g:.6g}",

@@ -118,7 +118,7 @@ class ExplorationResult:
     survived: list[bool]
     front_sizes: list[int]
     total_visited: int
-    critical_k: list[int]  # least label at generation horizon; params.k + 1 if it died
+    critical_k: np.ndarray  # least label at generation horizon; params.k + 1 if it died
     fronts: list[set] | None = field(default=None, repr=False)
 
 
@@ -224,7 +224,8 @@ def explore(fld: BondField, params: ExplorationParams, collect: bool = False) ->
     `front_sizes`, `total_visited` and `fronts` describe the cluster at
     truncation params.k, summed over the replicas; `survived` and
     `critical_k`, the least k <= params.k at which the cluster survives
-    (see the module docstring), are lists with one entry per replica.  A
+    (see the module docstring), have one entry per replica, `survived` in
+    a list and `critical_k` in an int64 array.  A
     generation's front set holds (replica, vertex, n) triples.  Only two
     fronts are alive at a time unless `collect` asks for the full
     per-generation history (used by subset-relation tests).
@@ -253,10 +254,10 @@ def explore(fld: BondField, params: ExplorationParams, collect: bool = False) ->
     crit[front[0, firsts]] = np.minimum.reduceat(labels, firsts)
     fronts = history and [{(j, tuple(v), n) for j, *v in zip(*f.tolist())}
                           for n, f in enumerate(history)]
-    return ExplorationResult((crit <= params.k).tolist(), sizes, total, crit.tolist(), fronts)
+    return ExplorationResult((crit <= params.k).tolist(), sizes, total, crit, fronts)
 
 
-def critical_k(fld: BondField, params: ExplorationParams) -> list[int]:
+def critical_k(fld: BondField, params: ExplorationParams) -> np.ndarray:
     """`explore(fld, params).critical_k`, by sweeps at truncation r = 1, 2,
     4, ..., min(params.k, 2 * window), each axis cut to min(r, its own k),
     stopping for each replica at the first sweep whose horizon front
@@ -269,10 +270,10 @@ def critical_k(fld: BondField, params: ExplorationParams) -> list[int]:
         r = min(r, top)
         cut = replace(params, pseq=truncate(params.pseq.base, min(r, params.pseq.k)),
                       qseq=truncate(params.qseq.base, min(r, params.qseq.k)))
-        got = np.array(explore(fld.take(todo), cut).critical_k, dtype=np.int64)
+        got = explore(fld.take(todo), cut).critical_k
         kept = got <= cut.k
         crit[todo[kept]] = got[kept]
         todo = todo[~kept]
         if not todo.size or r == top:
-            return crit.tolist()
+            return crit
         r *= 2

@@ -26,8 +26,10 @@ pass answers every gamma; its scalar oracle, `site_perc_cone`, lives in
 uniform it stands for, since min and max commute with the nondecreasing
 map from states to uniforms; the origin's is 0, the least state, and
 horizon 0 counts every replica.  Only each replica's least label at a
-counted horizon is turned into a float.  The arrays are laid out (sites,
-replicas), so every per-generation operation runs on one contiguous block.  A label that counts at no gamma of the grid (one >=
+counted horizon is turned into a float, and a chunk returns those floats,
+one row per replica, which the caller counts at each gamma.  The arrays are
+laid out (sites, replicas), so every per-generation operation runs on one
+contiguous block.  A label that counts at no gamma of the grid (one >=
 max(gamma), tested as a state against ceil(max(gamma) * 2**53) << 11) has
 children that count at none either, so the scan hashes only the sites that
 can still count: it drops the replicas with no other label and trims the
@@ -199,18 +201,23 @@ _SCAN_CELLS = 1 << 17
 
 
 def _cone_chunk(args, root, lo, hi):
-    """[S] over replicas lo..hi-1: the survival counts of the chunk.
+    """(replicas, horizons) float64 over replicas lo..hi-1: each replica's
+    least label, as a uniform, at each counted horizon.  It is -inf at
+    horizon 0, where the origin counts at every gamma, 0 included, and 1.0
+    where the label counts at no gamma of the grid: a replica dropped, or
+    every horizon after the chunk dies.
 
     Every array is laid out (sites, replicas), so each generation's fold,
     parent min/max, live test and window trims run on one contiguous block.
     label[j, i] is the label of site (off + j, n) on the chunk's i-th replica
-    kept, as a raw uint64 hash state, the origin's being 0; the sites left
-    out of that rectangle, and the replicas dropped, have labels that count
-    at no gamma (see cone_survival_scan).  cols[j, i] is that replica's
-    stream folded with [TAG_SITE, c0 + j], so a generation folds only n on
-    top of it.  When the window's right end reaches c1, the cache drops the
-    columns left of off, which the window never returns to, and extends to
-    column off + 2w - 1, w + 1 being the window's width.  It so grows with
+    kept, as a raw uint64 hash state, the origin's being 0, and `kept`
+    holds the chunk indices of the replicas kept; the sites left out of that
+    rectangle, and the replicas dropped, have labels that count at no gamma
+    (see cone_survival_scan).  cols[j, i] is that replica's stream folded
+    with [TAG_SITE, c0 + j], so a generation folds only n on top of it.
+    When the window's right end reaches c1, the cache drops the columns
+    left of off, which the window never returns to, and extends to column
+    off + 2w - 1, w + 1 being the window's width.  It so grows with
     the window, not with the horizon, and a replica folds no more columns at
     a generation than the sites it draws there.
     """
@@ -223,8 +230,8 @@ def _cone_chunk(args, root, lo, hi):
     # cols: the replicas' states after [TAG_SITE, m], for the columns m in c0..c1-1
     cols, c0, c1 = tagged.take(np.s_[:0]), 0, 0
     label = np.zeros((1, hi - lo), dtype=np.uint64)
-    off = 0
-    counts = np.zeros((len(gammas), len(horizons)), dtype=np.int64)
+    off, kept = 0, np.arange(hi - lo)
+    least = np.ones((hi - lo, len(horizons)))
     hidx = 0
     for n in range(end):
         if n > 0:
@@ -245,20 +252,17 @@ def _cone_chunk(args, root, lo, hi):
                 keep = live.any(axis=0)
                 if not keep.all():
                     if not keep.any():
-                        break  # every later count of the chunk is 0
-                    label, live = label[:, keep], live[:, keep]
+                        break  # every later least label of the chunk is 1.0
+                    label, live, kept = label[:, keep], live[:, keep], kept[keep]
                     tagged, cols = tagged.take(np.s_[:, keep]), cols.take(np.s_[:, keep])
-                kept = np.flatnonzero(live.any(axis=1))
-                label = label[kept[0]:kept[-1] + 1]
-                off += int(kept[0])
+                sites = np.flatnonzero(live.any(axis=1))
+                label = label[sites[0]:sites[-1] + 1]
+                off += int(sites[0])
         while hidx < len(horizons) and horizons[hidx] == n:
-            if n == 0:
-                counts[:, hidx] = hi - lo  # the origin is occupied at every gamma
-            else:
-                least = (label.min(axis=0) >> 11).astype(np.float64) * 2.0**-53
-                counts[:, hidx] = (least < gammas[:, None]).sum(axis=1)
+            u = (label.min(axis=0) >> 11).astype(np.float64) * 2.0**-53
+            least[kept, hidx] = u if n else -np.inf  # the origin counts at every gamma, 0 too
             hidx += 1
-    return [counts]
+    return least
 
 
 def cone_survival_scan(gammas, horizons, reps: int, seed: int, threads: int = 1) -> np.ndarray:
@@ -277,11 +281,15 @@ def cone_survival_scan(gammas, horizons, reps: int, seed: int, threads: int = 1)
     commutes with min and max, and the origin's label 0 stands for -inf
     (every replica survives to horizon 0, also at gamma = 0).  Only the
     least label of each replica at a counted horizon is turned into its
-    uniform and compared with each gamma.  The replicas are scanned in
+    uniform: the chunk kernel `_cone_chunk` returns these, one row per
+    replica (-inf at horizon 0, 1.0 where the replica counts at no gamma),
+    and S[g, t] counts the rows whose entry t is below gammas[g], by the
+    same float comparison at every gamma.  The replicas are scanned in
     chunks of at most _SCAN_CELLS labels at the last horizon, on up to
-    `threads` workers, so memory does not grow with `reps`; `run_replicas`
-    evens the chunks out, so 1200 replicas at horizon 256 run as 3 chunks of
-    400 on one worker.  A chunk lays its labels, column cache and draws out
+    `threads` workers, so a chunk's working memory does not grow with
+    `reps` (the rows kept take 8 bytes per replica and horizon);
+    `run_replicas` evens the chunks out, so 1200 replicas at horizon 256
+    run as 3 chunks of 400 on one worker.  A chunk lays its labels, column cache and draws out
     as (sites, replicas), so each generation's operations run on one
     contiguous block.
 
@@ -311,5 +319,6 @@ def cone_survival_scan(gammas, horizons, reps: int, seed: int, threads: int = 1)
     if horizons[0] < 0:
         raise ValueError("horizons must be nonnegative")
     cap = max(1, _SCAN_CELLS // (horizons[-1] + 1))
-    return sum(run_replicas(_cone_chunk, (gammas, horizons), seed, reps, threads, cap))
+    least = run_replicas(_cone_chunk, (gammas, horizons), seed, reps, threads, cap)
+    return (least[:, None, :] < gammas[None, :, None]).sum(axis=0)
 

@@ -63,6 +63,7 @@ the block functions take `StarParams`, which adds eps and the width N.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from itertools import chain
@@ -112,16 +113,18 @@ def _on_line(base, axis: int, t: int) -> tuple:
 def h_connected(fld: BondField, m: int, n: int, pseq: TruncatedSequence, window: int) -> bool:
     """H-event, window-W approximation: gamma(m) and gamma(m+1) joined by open
     horizontal bonds on their common line, both endpoints of every bond within
-    distance `window` of gamma(m)."""
+    distance `window` of gamma(m).  The search grows the source's component
+    nearest-first, in |t|, so on a dense law it meets the target, one step
+    away, long before it walks a wide window."""
     if window < 1:
         raise ValueError("window must be >= 1")
     base = staircase(m)
     axis, target = _line(m)
     k = pseq.k
     seen = {0}
-    frontier = [0]
+    frontier = [(0, 0)]
     while frontier:
-        t = frontier.pop()
+        _, t = heapq.heappop(frontier)
         for i in range(1, k + 1):
             for s in (i, -i):
                 t2 = t + s
@@ -132,8 +135,8 @@ def h_connected(fld: BondField, m: int, n: int, pseq: TruncatedSequence, window:
                     if t2 == target:
                         return True
                     seen.add(t2)
-                    frontier.append(t2)
-    return target in seen
+                    heapq.heappush(frontier, (abs(t2), t2))
+    return False
 
 
 _MAX_N = 10_000_000  # widest block `choose_N` returns
@@ -388,7 +391,7 @@ def zeta_labels(root: BondField, replicas, a, n: int, params: StarParams,
 
 
 def block_path_critical_k(root: BondField, replicas, params: StarParams, horizon: int,
-                          window: int) -> list[int]:
+                          window: int) -> np.ndarray:
     """For each replica r of `replicas`, the least k <= params.k at which
     `block_path_survival` holds on root.derive_replica(r), or params.k + 1.
 
@@ -411,4 +414,4 @@ def block_path_critical_k(root: BondField, replicas, params: StarParams, horizon
         labels = np.full((replicas.size, n + 2), never, dtype=np.int64)
         labels[:, :-1] = through
         np.minimum(labels[:, 1:], through, out=labels[:, 1:])
-    return labels.min(axis=1).tolist()
+    return labels.min(axis=1)

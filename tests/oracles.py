@@ -190,8 +190,8 @@ def bifurcations(args, root, lo, hi):
     """Chunk kernel of `run_replicas`: 1 where the bifurcation event at the
     origin holds on replica r's field, else 0, for r in lo..hi-1."""
     (params,) = args
-    return [int(check_bifurcation(root.derive_replica(r), ((0, 0), 0), params).success)
-            for r in range(lo, hi)]
+    return np.array([check_bifurcation(root.derive_replica(r), ((0, 0), 0), params).success
+                     for r in range(lo, hi)], dtype=np.int64)
 
 
 def reverify_red_cluster(fld: BondField, params: BifurcationParams, state: RedState) -> bool:

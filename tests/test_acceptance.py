@@ -142,10 +142,16 @@ def test_criterion_06_site_percolation_oracle_and_crossing():
         counts = cone_survival_scan([0.5], [3], 100_000, seed=606)
         lo, hi = wilson_interval(int(counts[0, 0]), 100_000, z=3.0)
         assert lo <= exact <= hi
-        # the same stream in 1000 chunks of 100 replicas: block counts that
-        # spread as independent draws do (one-sided, z <= 4)
-        blocks = [renorm._cone_chunk((np.array([0.5]), [3]), BondField(606), b, b + 100)[0][0, 0]
-                  for b in range(0, 100_000, 100)]
+        # the same stream in 1000 chunks of 100 replicas: each chunk's rows
+        # are its slice of the full run's, and the block counts spread as
+        # independent draws do (one-sided, z <= 4)
+        args = (np.array([0.5]), [3])
+        least = run_replicas(renorm._cone_chunk, args, 606, 100_000, cap=renorm._SCAN_CELLS // 4)
+        blocks = []
+        for b in range(0, 100_000, 100):
+            rows = renorm._cone_chunk(args, BondField(606), b, b + 100)
+            assert np.array_equal(rows, least[b:b + 100]), b
+            blocks.append(int((rows[:, 0] < 0.5).sum()))
         assert sum(blocks) == counts[0, 0]
         assert block_counts_z(blocks, exact, 100) <= 4.0
         cfg = _cfg("siteperc", "crossing.cfg", threads=2)

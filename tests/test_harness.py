@@ -218,7 +218,7 @@ _GOLDEN = Path(__file__).resolve().parent / "golden"
 
 @pytest.mark.parametrize("name", ["determinism", "trend_g", "trend_star", "trend_contact",
                                   "hprob_oracle", "gamma_curve"])
-def test_fast_configs_write_their_golden_csvs(name, tmp_path, capsys):
+def test_fast_configs_write_their_golden_csvs(name, tmp_path):
     """The CSV of each fast checked-in config at one thread is byte-equal to
     `tests/golden/<name>.csv`; `crossing` and `domination`, a few seconds
     each, are left out.  A change of output is declared by regenerating the
@@ -343,8 +343,8 @@ def test_star_rows_keep_k_order_and_duplicates(command, ks):
 @pytest.mark.parametrize("window, law", [
     (200, "powerlaw:1,0.95"), (1000, "powerlaw:1,0.95"),
     (1000, "powerlaw:1,0.5"),  # half the range-1 bonds are closed, so most lines are gridded
-    (10**7, "list:0.9,0.45"), (10**8, "list:0.5,0.5"),
-], ids=["200", "1000", "1000-sparse", "1e7", "1e8-half"])
+    (10**7, "list:0.9,0.45"), (10**7, "powerlaw:1,0.9"), (10**8, "list:0.5,0.5"),
+], ids=["200", "1000", "1000-sparse", "1e7", "1e7-dense", "1e8-half"])
 def test_cli_star_wide_window_draws_in_capped_batches(monkeypatch, tmp_path, window, law):
     """No `states` call hashes more than starlat._BATCH_IDS ids at these
     wide windows: at 200 a level is drawn a few lines per call; from 1000
@@ -465,7 +465,7 @@ def test_run_replicas_thread_invariance(monkeypatch):
             cfg_args = (_hprob, _HPROB_ARGS, 5, reps)
             one = run_replicas(*cfg_args, threads=1)
             many = run_replicas(*cfg_args, threads=threads, cap=cap)
-            assert one == many
+            assert np.array_equal(one, many)
     with pytest.raises(ValueError):
         run_replicas(_hprob, _HPROB_ARGS, 5, 0)
 
@@ -490,8 +490,8 @@ def _faulty(fault, root, lo, hi):
     elif fault == "caller":
         raise ValueError("replica 0 is bad")
     if fault == "large":  # far more than a pipe buffer holds
-        return [list(range(r, r + 100_000)) for r in range(lo, hi)]
-    return list(range(lo, hi))
+        return np.arange(lo, hi)[:, None] + np.arange(100_000)
+    return np.arange(lo, hi)
 
 
 @pytest.mark.parametrize("fault, error, match", [
@@ -523,7 +523,8 @@ def test_run_replicas_failures_under_a_real_fork(monkeypatch, capsys, fault, err
         assert errors == ["error: kernel failed in a child"]
         assert captured.err.rstrip().endswith(errors[0])
     elif error is None:
-        assert run_replicas(_faulty, fault, 5, 2, threads=2) == _faulty(fault, None, 0, 2)
+        assert np.array_equal(run_replicas(_faulty, fault, 5, 2, threads=2),
+                              _faulty(fault, None, 0, 2))
     else:
         with pytest.raises(error, match=match):
             run_replicas(_faulty, fault, 5, 2, threads=2)
@@ -588,7 +589,7 @@ def test_run_replicas_clamps_workers(inline_pool, cpus, threads, reps, workers):
     asked = inline_pool(cpus)
     out = run_replicas(_hprob, _HPROB_ARGS, 5, reps, threads=threads)
     assert asked == workers
-    assert out == run_replicas(_hprob, _HPROB_ARGS, 5, reps)
+    assert np.array_equal(out, run_replicas(_hprob, _HPROB_ARGS, 5, reps))
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
@@ -597,12 +598,13 @@ def test_run_replicas_counts_the_cpus_the_process_may_use():
     many CPUs the host has."""
     code = ("import os\n"
             "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+            "import numpy as np\n"
             "from lrperc import bondfield\n"
             "forks, fork = [], os.fork\n"
             "os.fork = lambda: forks.append(1) or fork()\n"
-            "recs = bondfield.run_replicas(lambda args, root, lo, hi: list(range(lo, hi)),\n"
+            "recs = bondfield.run_replicas(lambda args, root, lo, hi: np.arange(lo, hi),\n"
             "                              None, 5, 8, threads=2)\n"
-            "print(len(forks), recs == list(range(8)))\n")
+            "print(len(forks), recs.tolist() == list(range(8)))\n")
     assert _fresh_python(code) == ["0", "True"]
 
 
@@ -623,8 +625,8 @@ def test_run_replicas_chunk_plan(inline_pool, reps, workers, cap, plan):
 
     def spy(args, root, lo, hi):
         bounds.append((lo, hi))
-        return list(range(lo, hi))
-    assert run_replicas(spy, None, 5, reps, threads=workers, cap=cap) == list(range(reps))
+        return np.arange(lo, hi)
+    assert run_replicas(spy, None, 5, reps, threads=workers, cap=cap).tolist() == list(range(reps))
     assert bounds == plan
 
 
@@ -632,27 +634,25 @@ _STAR_ARGS = (StarParams(0.8, truncate(powerlaw(1.0, 0.95), 4), 2), 5, 3)
 _CONTACT_ARGS = (truncate(harmonic(), 3), 2, 1.5, 2)
 
 
-@pytest.mark.parametrize("kernel", ["star", "hprob", "cone", "contact"])
-def test_batched_kernel_records_do_not_depend_on_chunking(monkeypatch, kernel):
-    """The kernels that draw a chunk's replicas together give the same
-    records in one chunk (threads=1), in one chunk per worker (threads=2:
-    12 + 13 replicas) and in chunks of one replica (cap=1); the cone scan
-    is capped through its label budget."""
-    reps, gammas, horizons = 25, [0.55, 0.65, 0.75], [3, 12]
+_CONE_ARGS = (np.array([0.55, 0.65, 0.75]), [3, 12])
+_RED_ARGS = ([renorm.BifurcationParams(1, truncate(powerlaw(1.0, 0.5), k),
+                                       truncate(powerlaw(1.0, 0.5), k)) for k in (2, 5)], 30)
 
-    def records(threads, cap):
-        if kernel == "star":
-            return run_replicas(_surv_star, _STAR_ARGS, 21, reps, threads, cap)
-        if kernel == "hprob":
-            return run_replicas(_hprob, _HPROB_ARGS, 21, reps, threads, cap)
-        if kernel == "contact":
-            return run_replicas(_surv_contact, _CONTACT_ARGS, 21, reps, threads, cap)
-        monkeypatch.setattr(renorm, "_SCAN_CELLS", (cap or reps) * (max(horizons) + 1))
-        return renorm.cone_survival_scan(gammas, horizons, reps, 21, threads).tolist()
-    one = records(1, None)
-    assert records(2, None) == one
-    assert records(1, 1) == one
-    assert len(set(sum(one, []) if kernel == "cone" else one)) > 2
+
+@pytest.mark.parametrize("kernel, args", [
+    (_surv_star, _STAR_ARGS), (_hprob, _HPROB_ARGS), (renorm._cone_chunk, _CONE_ARGS),
+    (_surv_contact, _CONTACT_ARGS), (harness._domination, _RED_ARGS),
+], ids=["star", "hprob", "cone", "contact", "redcluster"])
+def test_batched_kernel_records_do_not_depend_on_chunking(kernel, args):
+    """Every chunk kernel gives the same rows, one per replica, in one chunk
+    (threads=1), in one chunk per worker (threads=2: 12 + 13 replicas) and
+    in chunks of one replica (cap=1)."""
+    reps = 25
+    one = run_replicas(kernel, args, 21, reps)
+    assert len(one) == reps
+    assert np.array_equal(run_replicas(kernel, args, 21, reps, threads=2), one)
+    assert np.array_equal(run_replicas(kernel, args, 21, reps, cap=1), one)
+    assert len(np.unique(one, axis=0)) > 2
 
 
 def test_siteperc_honours_threads(monkeypatch):
@@ -942,6 +942,35 @@ _VALID = {
 
 def _argv(command, flags):
     return [command, *(t for key, value in flags.items() for t in (f"--{key}", value))]
+
+
+_RED_ROW = {"pseq": "powerlaw:1,0.5", "qseq": "powerlaw:1,0.5", "beta": "1", "k": "5,2",
+            "steps": "5"}
+
+
+@pytest.mark.parametrize("command", ["survival", "redcluster", "siteperc", "contact", "star",
+                                     "hprob"])
+def test_counts_reach_the_rows_as_python_ints(monkeypatch, command):
+    """The runners count from numpy arrays, but every count an estimate is
+    built from is a Python int and every estimate a Python float, so no
+    numpy scalar reaches a row's text.  The redcluster rows' pooled counts
+    read as a fixed text."""
+    pairs = []
+    from_counts = EstimateWithCI.from_counts
+
+    def spy(successes, trials, z=1.96):
+        pairs.append((successes, trials))
+        return from_counts(successes, trials, z)
+    monkeypatch.setattr(EstimateWithCI, "from_counts", staticmethod(spy))
+    params = _RED_ROW if command == "redcluster" else _VALID[command]
+    rows = run_experiment(ExperimentConfig(command, seed=3, reps=7, params=params))
+    assert pairs and {type(n) for pair in pairs for n in pair} == {int}
+    assert {type(row[c]) for row in rows for c in ("estimate", "ci_lo", "ci_hi")} == {float}
+    if command == "redcluster":
+        assert [row["extra_params"] for row in rows] == [
+            f"beta=1;config=f1df36923c78;gamma_k={g};pooled_trials={n};steps=5;violation=0"
+            for g, n in (("0.688235", 29), ("0.508861", 25))]
+        assert [row["estimate"] for row in rows] == [19 / 29, 11 / 25]
 
 
 

@@ -468,18 +468,24 @@ def test_scan_equals_oracle_per_replica(seed, monkeypatch):
     """The scan reads each replica's own stream, so its counts are exactly
     the oracle's survivals summed over replicas, horizon 0 included, in one
     chunk or in chunks of at most 7 replicas (10 labels each at horizon 9),
-    serially or on two workers."""
+    serially or on two workers.  Each replica's row of the chunk kernel, in
+    chunks of 7 on two workers, has its least label below gamma exactly
+    where the oracle lets that replica survive."""
     gammas, horizons, reps = [0.0, 0.5, 0.7, 1.0], [9, 0, 1, 4], 300
     counts = cone_survival_scan(gammas, horizons, reps, seed)
     monkeypatch.setattr(renorm, "_SCAN_CELLS", 79)
     assert (cone_survival_scan(gammas, horizons, reps, seed) == counts).all()
     assert (cone_survival_scan(gammas, horizons, reps, seed, threads=2) == counts).all()
+    least = run_replicas(renorm._cone_chunk, (np.array(gammas), sorted(horizons)), seed, reps,
+                         threads=2, cap=7)
+    assert least.shape == (reps, len(horizons))
     root = BondField(seed)
     for gi, gamma in enumerate(gammas):
         reached = [site_perc_cone(gamma, 9, root.derive_replica(r)).reached
                    for r in range(reps)]
         for hi, horizon in enumerate(sorted(horizons)):
             assert counts[gi, hi] == sum(bool(c[horizon]) for c in reached)
+            assert (least[:, hi] < gamma).tolist() == [bool(c[horizon]) for c in reached]
     assert (counts[:, 0] == reps).all()  # the origin is always occupied, gamma = 0 too
     assert (counts[3] == reps).all()  # gamma = 1 survives surely
 
@@ -493,18 +499,24 @@ def test_scan_equals_oracle_per_replica(seed, monkeypatch):
 def test_pruned_scan_equals_oracle_per_replica(gammas, horizons, monkeypatch):
     """With no gamma = 1 in the grid the scan prunes replicas and sites, and
     its counts stay the oracle's survivals summed over replicas, in one chunk
-    or in chunks of at most 7 replicas, serially or on two workers."""
+    or in chunks of at most 7 replicas, serially or on two workers.  Each
+    replica's row of the chunk kernel, dropped replicas' 1.0 included, has
+    its least label below gamma exactly where the oracle lets it survive."""
     reps, seed, top = 200, 3, max(horizons)
     counts = cone_survival_scan(gammas, horizons, reps, seed)
     monkeypatch.setattr(renorm, "_SCAN_CELLS", 7 * (top + 1))
     assert (cone_survival_scan(gammas, horizons, reps, seed) == counts).all()
     assert (cone_survival_scan(gammas, horizons, reps, seed, threads=2) == counts).all()
+    least = run_replicas(renorm._cone_chunk, (np.array(gammas), horizons), seed, reps,
+                         threads=2, cap=7)
+    assert least.shape == (reps, len(horizons))
     root = BondField(seed)
     for gi, gamma in enumerate(gammas):
         reached = [site_perc_cone(gamma, top, root.derive_replica(r)).reached
                    for r in range(reps)]
         for hi, horizon in enumerate(horizons):
             assert counts[gi, hi] == sum(bool(c[horizon]) for c in reached)
+            assert (least[:, hi] < gamma).tolist() == [bool(c[horizon]) for c in reached]
 
 
 @pytest.mark.parametrize("threads", [1, 2])

@@ -374,7 +374,7 @@ def test_surv_star_records_do_not_depend_on_chunking(h_path):
     seed, reps, horizon, window = 69, 24, c["horizon"], c["window"]
     runs = [run_replicas(_surv_star, (top, horizon, window), seed, reps, threads, cap)
             for cap in (1, 3, None) for threads in (1, 2)]
-    assert all(run == runs[0] for run in runs)
+    assert all(np.array_equal(run, runs[0]) for run in runs)
     died = set()  # the first level each replica fails at kmax, None: it survives
     for r, crit in enumerate(runs[0]):
         fld = BondField(seed).derive_replica(r)
@@ -478,9 +478,9 @@ def test_batch_route_grids_only_the_lines_left_apart(monkeypatch, p, window, lab
         return batch(root, replicas, m, *rest)
     monkeypatch.setattr(starlat, "_h_labels_batch", spy)
     pseq = _seq(p=p, k=3)
-    assert run_replicas(_hprob, (pseq, window), seed=7, reps=3) == [label] * 3
+    assert run_replicas(_hprob, (pseq, window), seed=7, reps=3).tolist() == [label] * 3
     top = StarParams(1.0, pseq, 1)
-    assert block_path_critical_k(BondField(7), [0, 1], top, 1, window) == [label] * 2
+    assert block_path_critical_k(BondField(7), [0, 1], top, 1, window).tolist() == [label] * 2
     assert len(gridded) == apart  # of 3 `hprob` lines and 2 x 2 lines of one block
 
 
@@ -490,15 +490,15 @@ def test_labels_at_kmax_zero():
     top = _sp(eps=1.0, p=constant(1.0), k=0, N=1)
     assert h_label_max(BondField(3), [0, 1], np.array([[0], [1]]), 0, top.pseq, 2).tolist() \
         == [1, 1]
-    assert block_path_critical_k(BondField(3), [0, 1], top, 2, 2) == [1, 1]
+    assert block_path_critical_k(BondField(3), [0, 1], top, 2, 2).tolist() == [1, 1]
     assert not block_path_survival(BondField(3).derive_replica(0), top, 2, 2)
-    assert block_path_critical_k(BondField(3), [0, 1], top, 0, 2) == [0, 0]
+    assert block_path_critical_k(BondField(3), [0, 1], top, 0, 2).tolist() == [0, 0]
 
 
 @pytest.mark.parametrize("p", [constant(0.0), constant(1.0), explicit([0.0, 1.0])])
 def test_critical_k_horizon_zero_is_zero(p):
     top = _sp(p=p, k=3, N=2)
-    assert block_path_critical_k(BondField(2), [0, 1, 2], top, 0, 2) == [0, 0, 0]
+    assert block_path_critical_k(BondField(2), [0, 1, 2], top, 0, 2).tolist() == [0, 0, 0]
 
 
 @pytest.mark.parametrize("p, window, h_expected, crit_expected", [
@@ -517,7 +517,7 @@ def test_labels_deterministic_sequences(p, window, h_expected, crit_expected, h_
         == [h_expected] * 4
     # crit_expected None: the path survives at no k <= top.k, so its label is top.k + 1
     crit = top.k + 1 if crit_expected is None else crit_expected
-    assert block_path_critical_k(BondField(7), [0, 1], top, 3, window) == [crit] * 2
+    assert block_path_critical_k(BondField(7), [0, 1], top, 3, window).tolist() == [crit] * 2
 
 
 def test_lazy_route_stops_a_row_at_its_first_failed_line(monkeypatch):
