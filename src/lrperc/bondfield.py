@@ -63,7 +63,10 @@ it, each child sending its records back through a pipe, and concatenates
 the chunks' arrays, one row per replica, on axis 0; there are never
 more workers than CPUs this process may run on.  Replica r reads
 `BondField(seed).derive_replica(r)` however the replicas are chunked or
-shared out, so no schedule changes a record.
+shared out, so no schedule changes a record.  `chunk_cap` is the one
+chunk budget: each model states the bytes of one replica's working set in
+closed form, and a chunk holds at most _CHUNK_BYTES of them, or one
+replica where one holds more, so a chunk's memory does not grow with reps.
 """
 
 from __future__ import annotations
@@ -268,6 +271,17 @@ class BondField:
 
 
 # -- replica scheduling ---------------------------------------------------------
+
+_CHUNK_BYTES = 1 << 20  # most bytes of per-replica working set one chunk holds
+
+
+def chunk_cap(replica_bytes) -> int:
+    """Most replicas that one chunk of `run_replicas` should hold:
+    _CHUNK_BYTES over `replica_bytes`, one replica's working set as its
+    model states it, or 1.  The models' byte weights keep the caps that
+    their own budgets gave; they are not measured byte counts."""
+    return max(1, int(_CHUNK_BYTES // replica_bytes))
+
 
 def run_replicas(kernel, args, seed: int, reps: int, threads: int = 1, cap=None) -> np.ndarray:
     """The records of replicas 0..reps-1 in replica order, one row each, from

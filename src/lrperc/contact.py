@@ -52,8 +52,9 @@ per replica (`BondField.prefix`), draws the process's count from that
 state's [0, 0] and the time of its j-th mark from [1, j], so only the last
 two words are hashed per mark.  The marks of each replica are then sorted
 by time on their own, and a replica whose times tie is resampled alone.
-The harness caps a chunk at _BATCH_IDS processes or expected marks, the
-larger, or at one replica (`chunk_cap`), and the times are hashed in
+`replica_bytes` states one replica's working set, 32 bytes per process
+or expected mark, the larger, and the harness caps a chunk at
+`bondfield.chunk_cap` of it, or at one replica; the times are hashed in
 slices of _TIME_IDS marks, so a chunk's memory does not grow with reps.
 """
 
@@ -248,7 +249,6 @@ class Timeline:
         return self._by_process(self.table.pairs, len(self.table.sites))
 
 
-_BATCH_IDS = 1 << 15  # most processes or expected marks of a contact chunk's replicas
 _TIME_IDS = 1 << 13  # most mark times one `uniforms` call hashes
 
 
@@ -301,20 +301,21 @@ def _draw(root: BondField, table: _Table, replicas, horizon: float):
     return owner, times, ends
 
 
-def chunk_cap(rates: TruncatedSequence, box: int, horizon: float, d: int) -> int:
-    """Most replicas that `sample_timelines` should sample together on the
-    box of half-width `box`: _BATCH_IDS over the larger of a replica's
-    process count and its expected marks, horizon x (sites + sum of the pair
-    rates), or 1.  The box's pairs are counted, not enumerated, so the
-    caller builds no table: side - i sites of a line of the box have an
-    in-box neighbour at signed range +-i along it."""
+def replica_bytes(rates: TruncatedSequence, box: int, horizon: float, d: int) -> float:
+    """One replica's working set when `sample_timelines` samples a chunk on
+    the box of half-width `box`, for `bondfield.chunk_cap`: 32 bytes per
+    process or expected mark, horizon x (sites + sum of the pair rates),
+    the larger.  The weight keeps the cap of 2^15 processes or marks per
+    chunk; it is not a measured byte count.  The box's pairs are counted,
+    not enumerated, so the caller builds no table: side - i sites of a line
+    of the box have an in-box neighbour at signed range +-i along it."""
     side = 2 * box + 1
     ranges = [i for i in range(1, min(rates.k, side - 1) + 1) if rates.term(i) > 0.0]
     lines = 2 * d * side ** (d - 1)  # the lines of the box, times both signs of i
     pairs = lines * sum(side - i for i in ranges)
     rate = lines * sum((side - i) * rates.term(i) for i in ranges)
     sites = side ** d
-    return max(1, int(_BATCH_IDS // max(sites + pairs, horizon * (sites + rate))))
+    return 32 * max(sites + pairs, horizon * (sites + rate))
 
 
 def sample_timelines(seed: int, rates: TruncatedSequence, box, horizon: float, d: int,

@@ -25,10 +25,13 @@ replica stops at the first sweep that it survives.  Every k-sweep kernel
 works on its chunk's replicas together: the star, `hprob` and oriented
 kernels sweep them together, a later oriented sweep holding only the
 chunk's replicas that the one before lost, and the contact kernel samples
-their timelines together before it sweeps each.  The star, `hprob`,
-survival and contact runners cap a chunk's replicas by the size of one
-replica's draw, as each model's `chunk_cap` counts it, so a chunk's memory
-does not grow with reps.
+their timelines together before it sweeps each.  Each model states one
+replica's working set in bytes, in closed form and building nothing
+(`oriented.replica_bytes`, `starlat.replica_bytes`, whose default is
+`hprob`'s one line, and `contact.replica_bytes`), and `_k_estimates` caps
+a chunk's replicas at `bondfield.chunk_cap` of it, the one chunk budget
+(the cone scan does the same), so a chunk's memory does not grow with
+reps.  How many replicas share a chunk never changes a record.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import contact, oriented, renorm, starlat
-from .bondfield import run_replicas
+from .bondfield import chunk_cap, run_replicas
 from .sequences import parse_sequence, truncate
 from .stats import EstimateWithCI, wilson_interval
 
@@ -222,10 +225,10 @@ class ExperimentConfig:
 
 # -- runners: (cfg, typed parameters) -> rows ----------------------------------------
 
-def _k_estimates(cfg, ks, kernel, args, cap=None):
+def _k_estimates(cfg, ks, kernel, args, replica_bytes):
     """(k, estimate) for each k of `ks`, from one pass of `kernel`'s critical k
-    over chunks of at most `cap` replicas."""
-    crits = run_replicas(kernel, args, cfg.seed, cfg.reps, cfg.threads, cap)
+    over chunks of `chunk_cap(replica_bytes)` replicas at most."""
+    crits = run_replicas(kernel, args, cfg.seed, cfg.reps, cfg.threads, chunk_cap(replica_bytes))
     hits = (crits[:, None] <= ks).sum(axis=0).tolist()
     return [(k, EstimateWithCI.from_counts(h, cfg.reps, cfg.z)) for k, h in zip(ks, hits)]
 
@@ -258,7 +261,7 @@ def _run_survival(cfg, p):
     params = oriented.ExplorationParams(d, horizon, window,
                                         truncate(p["pseq"], kmax), truncate(p["qseq"], kmax))
     return [_row(cfg, "g", k, horizon, window, {"dim": d}, est)
-            for k, est in _k_estimates(cfg, ks, _surv_g, (params,), oriented.chunk_cap(params))]
+            for k, est in _k_estimates(cfg, ks, _surv_g, (params,), oriented.replica_bytes(params))]
 
 
 def _run_redcluster(cfg, p):
@@ -295,23 +298,23 @@ def _run_contact(cfg, p):
     d, horizon, window, ks = p["dim"], p["horizon"], p["window"], p["k"]
     args = (truncate(p["rates"], max(ks)), window, horizon, d)
     return [_row(cfg, "contact", k, horizon, window, {"dim": d}, est)
-            for k, est in _k_estimates(cfg, ks, _surv_contact, args, contact.chunk_cap(*args))]
+            for k, est in _k_estimates(cfg, ks, _surv_contact, args, contact.replica_bytes(*args))]
 
 
 def _run_star(cfg, p):
     eps, delta, horizon, window, ks = p["eps"], p["delta"], p["horizon"], p["window"], p["k"]
     N = starlat.choose_N(eps, delta)
     args = (starlat.StarParams(eps, truncate(p["pseq"], max(ks)), N), horizon, window)
-    cap = starlat.chunk_cap(args[0], horizon)
+    nbytes = starlat.replica_bytes(args[0], horizon)
     return [_row(cfg, "gstar", k, horizon, window, {"eps": eps, "delta": delta, "N": N}, est)
-            for k, est in _k_estimates(cfg, ks, _surv_star, args, cap)]
+            for k, est in _k_estimates(cfg, ks, _surv_star, args, nbytes)]
 
 
 def _run_hprob(cfg, p):
     window, ks = p["window"], p["k"]
     args = (truncate(p["pseq"], max(ks)), window)
     return [_row(cfg, "gstar", k, "", window, {}, est)
-            for k, est in _k_estimates(cfg, ks, _hprob, args, starlat.chunk_cap())]
+            for k, est in _k_estimates(cfg, ks, _hprob, args, starlat.replica_bytes())]
 
 
 _RUNNERS = {

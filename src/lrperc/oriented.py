@@ -59,11 +59,12 @@ each cell.  A box too large for that key takes a lexsort over (label, x_d,
 each with its least label.
 
 A batch's fronts are held, and their candidates deduplicated, together,
-so a sweep's memory grows with the batch.  The survival runner therefore
-cuts its replicas into chunks of `chunk_cap` replicas, whose windows hold
-at most _BATCH_CELLS cells in all, or one where a window holds more: a
-chunk's fronts then never outgrow the larger of _BATCH_CELLS cells and
-one replica's window, whatever the number of replicas.
+so a sweep's memory grows with the batch.  `replica_bytes` states one
+replica's share, 8 bytes per cell of its window, and the survival runner
+cuts its replicas into chunks of `bondfield.chunk_cap` of it, or one
+replica where a window holds more: a chunk's fronts then never outgrow
+the larger of 2^17 window cells and one replica's window, whatever the
+number of replicas.
 """
 
 from __future__ import annotations
@@ -123,13 +124,14 @@ class ExplorationResult:
 
 
 _STEP_IDS = 1 << 16  # most bond ids one `uniforms` call of a front step hashes
-_BATCH_CELLS = 1 << 17  # most window cells of the replicas a survival chunk sweeps together
 
 
-def chunk_cap(params: ExplorationParams) -> int:
-    """Most replicas that `critical_k` should sweep together: _BATCH_CELLS
-    over the (2 window + 1)^d cells of one replica's window, or 1."""
-    return max(1, _BATCH_CELLS // (2 * params.window + 1) ** params.d)
+def replica_bytes(params: ExplorationParams) -> int:
+    """One replica's working set in a chunk that `critical_k` sweeps, for
+    `bondfield.chunk_cap`: 8 bytes per cell of its (2 window + 1)^d window.
+    The weight keeps the cap of 2^17 cells per chunk; it is not a measured
+    byte count."""
+    return 8 * (2 * params.window + 1) ** params.d
 
 
 def _advance_front(fld: BondField, front: np.ndarray, labels: np.ndarray, n: int,

@@ -47,7 +47,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bondfield import TAG_SITE, BondField, BondId, run_replicas
+from .bondfield import TAG_SITE, BondField, BondId, chunk_cap, run_replicas
 from .sequences import TruncatedSequence, signed_ranges
 
 
@@ -193,13 +193,6 @@ def explore_red_cluster(fld: BondField, params: BifurcationParams,
 
 # -- oriented site percolation on the cone ------------------------------------
 
-# most (site, replica) labels one chunk of the cone scan holds, few enough for
-# a chunk's label and state arrays, and its cache of column prefixes (at most
-# one column per label of the last horizon), to stay in cache: 510 replicas at
-# horizon 256
-_SCAN_CELLS = 1 << 17
-
-
 def _cone_chunk(args, root, lo, hi):
     """(replicas, horizons) float64 over replicas lo..hi-1: each replica's
     least label, as a uniform, at each counted horizon.  It is -inf at
@@ -284,13 +277,18 @@ def cone_survival_scan(gammas, horizons, reps: int, seed: int, threads: int = 1)
     uniform: the chunk kernel `_cone_chunk` returns these, one row per
     replica (-inf at horizon 0, 1.0 where the replica counts at no gamma),
     and S[g, t] counts the rows whose entry t is below gammas[g], by the
-    same float comparison at every gamma.  The replicas are scanned in
-    chunks of at most _SCAN_CELLS labels at the last horizon, on up to
-    `threads` workers, so a chunk's working memory does not grow with
-    `reps` (the rows kept take 8 bytes per replica and horizon);
-    `run_replicas` evens the chunks out, so 1200 replicas at horizon 256
-    run as 3 chunks of 400 on one worker.  A chunk lays its labels, column cache and draws out
-    as (sites, replicas), so each generation's operations run on one
+    same float comparison at every gamma, one horizon at a time on the
+    column's sorted entries.  A replica's working set is 8 bytes per label
+    at the last horizon, 8 (H + 1), and the replicas are scanned in chunks
+    of `bondfield.chunk_cap` of it (the weight keeps the cap of 2^17 labels
+    per chunk, few enough for a chunk's label and state arrays and its cache
+    of column prefixes to stay in cache; it is not a measured byte count),
+    on up to `threads` workers, so a chunk's working memory does not grow
+    with `reps`.  The rows kept, 8 bytes per replica and horizon, do grow
+    with it, outside any chunk cap.  `run_replicas` evens the chunks out,
+    so 1200 replicas at horizon 256 (510 per chunk) run as 3 chunks of 400
+    on one worker.  A chunk lays its labels, column cache and draws out as
+    (sites, replicas), so each generation's operations run on one
     contiguous block.
 
     Only labels below g = max(gammas) are computed.  The test is strict, so a
@@ -318,7 +316,8 @@ def cone_survival_scan(gammas, horizons, reps: int, seed: int, threads: int = 1)
         raise ValueError("gamma must be a probability")
     if horizons[0] < 0:
         raise ValueError("horizons must be nonnegative")
-    cap = max(1, _SCAN_CELLS // (horizons[-1] + 1))
+    cap = chunk_cap(8 * (horizons[-1] + 1))
     least = run_replicas(_cone_chunk, (gammas, horizons), seed, reps, threads, cap)
-    return (least[:, None, :] < gammas[None, :, None]).sum(axis=0)
+    # per horizon, the entries strictly below each gamma (searchsorted's side="left")
+    return np.stack([np.searchsorted(np.sort(col), gammas) for col in least.T], axis=1)
 

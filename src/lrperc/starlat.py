@@ -54,7 +54,10 @@ settled, so a line reads only the sites near gamma(m) that its label
 depends on.  A sub-window's bonds are drawn in blocks of consecutive
 ranges, at most _BATCH_IDS ids or one range of one line: a block holds
 whole grids where they fit, and the union-find resumes from block to
-block, so a line draws no range above its label's block.
+block, so a line draws no range above its label's block.  _BATCH_IDS
+sizes these `uniforms` calls only: a chunk's replicas are capped by
+`bondfield.chunk_cap` of `replica_bytes`, 16 bytes per line that one
+`h_label_max` call holds for a replica.
 The scalar `h_connected`, `check_zeta` and `block_path_survival` answer one
 k at a time and are the oracles of the labelled kernels.  The H-event
 searches take the horizontal sequence alone, whose k is the truncation;
@@ -206,13 +209,14 @@ def block_path_survival(fld: BondField, params: StarParams, horizon: int, window
 _BATCH_IDS = 1 << 16
 
 
-def chunk_cap(params: StarParams | None = None, horizon: int = 0) -> int:
-    """Most replicas that a chunk kernel should label together: _BATCH_IDS
-    over the lines that one `h_label_max` call holds per replica, or 1.  A
-    level of `block_path_critical_k` on `params` holds at most 2N (horizon
-    + 1) lines per replica; `hprob`, given no params, holds one."""
-    lines = 2 * params.N * (horizon + 1) if params else 1
-    return max(1, _BATCH_IDS // lines)
+def replica_bytes(params: StarParams | None = None, horizon: int = 0) -> int:
+    """One replica's working set in a chunk that a kernel labels together,
+    for `bondfield.chunk_cap`: 16 bytes per line that one `h_label_max`
+    call holds per replica.  A level of `block_path_critical_k` on `params`
+    holds at most 2N (horizon + 1) lines per replica; `hprob`, given no
+    params, holds one.  The weight keeps the cap of 2^16 lines per chunk;
+    it is not a measured byte count."""
+    return 16 * (2 * params.N * (horizon + 1) if params else 1)
 
 
 def _find(parent: list, x: int) -> int:

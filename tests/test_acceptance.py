@@ -18,7 +18,7 @@ from oracles import (
     reverify_red_cluster,
 )
 
-from lrperc import renorm
+from lrperc import bondfield, renorm
 from lrperc.bondfield import BondField
 from lrperc.cli import resolve_config
 from lrperc.contact import infected_at_horizon, sample_timeline
@@ -146,7 +146,8 @@ def test_criterion_06_site_percolation_oracle_and_crossing():
         # are its slice of the full run's, and the block counts spread as
         # independent draws do (one-sided, z <= 4)
         args = (np.array([0.5]), [3])
-        least = run_replicas(renorm._cone_chunk, args, 606, 100_000, cap=renorm._SCAN_CELLS // 4)
+        cap = bondfield.chunk_cap(8 * 4)  # the scan's own: 4 labels per replica, 32768
+        least = run_replicas(renorm._cone_chunk, args, 606, 100_000, cap=cap)
         blocks = []
         for b in range(0, 100_000, 100):
             rows = renorm._cone_chunk(args, BondField(606), b, b + 100)

@@ -7,7 +7,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 from exact import block_dispersion_z, contact_survival_d1
 from oracles import SkeletonParams, check_f_event, f_events, f_probability, k_connected
 from oracles import hand_timeline as _tl
-from lrperc import contact
+from lrperc import bondfield, contact
 from lrperc.bondfield import BondField
 from lrperc.cli import main
 from lrperc.contact import (
@@ -448,15 +448,18 @@ def test_box_table_is_built_once_per_process():
     (constant(0.0), 2, 3, 1.0, 1),  # no pairs
     (explicit([0.0, 0.5, 0.2]), 9, 2, 2.0, 3),  # a zero rate, k beyond the box
     (powerlaw(1.0, 0.6), 4, 0, 5.0, 2),  # one site
-    (constant(1.0), 400, 200, 2.0, 1),  # more than _BATCH_IDS processes
+    (constant(1.0), 400, 200, 2.0, 1),  # more than 2^15 processes: chunks of one
 ])
 def test_chunk_cap_counts_the_box_table(law, k, box, horizon, d):
-    """`chunk_cap` counts the processes and expected marks that the box's
-    table enumerates."""
+    """`replica_bytes` counts the processes and expected marks that the
+    box's table enumerates, 32 bytes each, so `chunk_cap` of it is 2^15
+    over the larger count."""
     rates = truncate(law, k)
     table = contact._box_table(rates, box, horizon, d)
     per = max(len(table.heads), table.mus.values.sum())
-    assert contact.chunk_cap(rates, box, horizon, d) == max(1, int(contact._BATCH_IDS // per))
+    assert bondfield._CHUNK_BYTES // 32 == 2**15
+    assert (bondfield.chunk_cap(contact.replica_bytes(rates, box, horizon, d))
+            == max(1, int(bondfield._CHUNK_BYTES // 32 // per)))
 
 
 @pytest.mark.parametrize("box,d", [(3, 1), ([(-2, 2), (-1, 1)], 2)])

@@ -6,6 +6,7 @@ import resource
 import subprocess
 import sys
 import time
+import types
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -655,106 +656,126 @@ def test_batched_kernel_records_do_not_depend_on_chunking(kernel, args):
     assert len(np.unique(one, axis=0)) > 2
 
 
-def test_siteperc_honours_threads(monkeypatch):
-    """`siteperc` gives the same rows at --threads 1 and 2, also with the
-    cone scan's chunks capped at 4 replicas (10 labels each at horizon 9)."""
-    monkeypatch.setattr(renorm, "_SCAN_CELLS", 40)
-
-    def csv(threads):
-        return format_csv(run_experiment(ExperimentConfig(
-            "siteperc", seed=9, reps=50, threads=threads,
-            params={"gamma": "0.5,0.6,0.7", "horizon": "2,9"})))
-    assert csv(1) == csv(2)
-
-
-def test_survival_chunks_are_capped_by_window_cells(monkeypatch):
-    """`survival` sweeps at most _BATCH_CELLS // (2W + 1)^d replicas in one
-    chunk, and one where a window holds more cells, however many replicas
-    it runs; its rows equal those of one uncapped chunk.  At W = 3, d = 2
-    a window has 49 cells, so 500 cells cut 60 replicas into 6 chunks."""
-    batches = []
-    critical_k = oriented.critical_k
-
-    def spy(fld, params):
-        batches.append(fld.shape[0])
-        return critical_k(fld, params)
-    monkeypatch.setattr(oriented, "critical_k", spy)
-
-    def csv(cells):
-        monkeypatch.setattr(oriented, "_BATCH_CELLS", cells)
-        batches.clear()
-        return format_csv(run_experiment(ExperimentConfig(
-            "survival", seed=4, reps=60, threads=1,
-            params={"pseq": "powerlaw:1,0.35", "k": "1,2,4", "horizon": "8", "window": "3"})))
-    capped = csv(500)
-    assert batches == [10] * 6
-    assert csv(10**9) == capped and batches == [60]
-    assert csv(10) == capped and batches == [1] * 60
-    assert len({line.split(",")[8] for line in capped.splitlines()[1:]}) == 3
+# subcommand -> (params, the chunk budget in bytes that caps its chunks at
+# `size` replicas, size); contact's budget is counted from its box table
+_CHUNKED = {
+    "survival": ({"pseq": "powerlaw:1,0.35", "k": "1,2,4", "horizon": "8", "window": "3"},
+                 8 * 500, 10),  # 8 bytes per cell of a 49-cell window
+    "hprob": ({"pseq": "powerlaw:1,0.5", "k": "1,2,3", "window": "3"}, 16 * 10, 10),  # one line
+    "contact": ({"rates": "powerlaw:1,0.6", "dim": "1", "k": "1,2,4", "horizon": "2",
+                 "window": "3"}, None, 10),
+    "siteperc": ({"gamma": "0.5,0.6,0.7", "horizon": "2,9"}, 8 * 40, 4),  # 10 labels per replica
+}
 
 
-def test_hprob_chunks_are_capped_by_batch_ids(monkeypatch):
-    """`hprob` labels at most starlat._BATCH_IDS replicas, one line each, in
-    one chunk, however many replicas it runs; its rows equal those of one
-    uncapped chunk."""
-    batches = []
-
-    def spy(args, root, lo, hi):
-        batches.append(hi - lo)
-        return _hprob(args, root, lo, hi)
-    monkeypatch.setattr(harness, "_hprob", spy)
-
-    def csv(ids):
-        monkeypatch.setattr(starlat, "_BATCH_IDS", ids)
-        batches.clear()
-        return format_csv(run_experiment(ExperimentConfig(
-            "hprob", seed=4, reps=60, threads=1,
-            params={"pseq": "powerlaw:1,0.5", "k": "1,2,3", "window": "3"})))
-    capped = csv(10)
-    assert batches == [10] * 6
-    assert csv(10**9) == capped and batches == [60]
-    assert csv(1) == capped and batches == [1] * 60
-    assert len({line.split(",")[8] for line in capped.splitlines()[1:]}) == 3
-
-
-def test_contact_chunks_are_capped_by_marks(monkeypatch):
-    """`contact` samples at most _BATCH_IDS // max(processes, expected
-    marks) replicas in one chunk, and one where a replica has more, however
-    many replicas it runs; its rows equal those of one uncapped chunk.  No
-    `uniforms` call hashes more than _BATCH_IDS ids, or a time call more
-    than _TIME_IDS marks."""
-    params = {"rates": "powerlaw:1,0.6", "dim": "1", "k": "1,2,4", "horizon": "2",
-              "window": "3"}
-    table = contact._box_table(truncate(parse_sequence(params["rates"]), 4), 3, 2.0, 1)
-    per = max(len(table.heads), table.mus.values.sum())  # the marks here
+@pytest.mark.parametrize("command", sorted(_CHUNKED))
+def test_chunks_are_capped_by_the_chunk_budget(monkeypatch, command):
+    """Each runner that chunks cuts its replicas into chunks of at most
+    `bondfield.chunk_cap` of one replica's bytes, however many replicas it
+    runs: `size` at the budget given, one chunk of all 60 at a budget above
+    every replica's bytes, and chunks of one below them.  Its rows are the
+    same in every plan and on two workers, and their estimates all differ.
+    A contact `uniforms` call of counts hashes no more than a chunk's
+    processes, and one of times no more than _TIME_IDS marks."""
+    params, budget, size = _CHUNKED[command]
     batches, calls = [], []
-    sample, uniforms = contact.sample_timelines, BondField.uniforms
 
-    def spy_sample(seed, rates, box, horizon, d, replicas):
-        batches.append(len(replicas))
-        return sample(seed, rates, box, horizon, d, replicas)
+    def spy_run(kernel, args, *rest):
+        def counted(args, root, lo, hi):
+            batches.append(hi - lo)
+            return kernel(args, root, lo, hi)
+        return run_replicas(counted, args, *rest)
+    monkeypatch.setattr(harness, "run_replicas", spy_run)
+    monkeypatch.setattr(renorm, "run_replicas", spy_run)
+    if command == "contact":
+        table = contact._box_table(truncate(parse_sequence(params["rates"]), 4), 3, 2.0, 1)
+        per = max(len(table.heads), table.mus.values.sum())  # the marks here
+        budget = 32 * (math.ceil(10 * per) + 1)
+        uniforms = BondField.uniforms
 
-    def spy_uniforms(self, columns):
-        u = uniforms(self, columns)
-        calls.append((int(np.max(columns[0])), u.size))
-        return u
-    monkeypatch.setattr(contact, "sample_timelines", spy_sample)
-    monkeypatch.setattr(BondField, "uniforms", spy_uniforms)
-    monkeypatch.setattr(contact, "_TIME_IDS", 64)
+        def spy_uniforms(self, columns):
+            u = uniforms(self, columns)
+            calls.append((int(np.max(columns[0])), u.size))
+            return u
+        monkeypatch.setattr(BondField, "uniforms", spy_uniforms)
+        monkeypatch.setattr(contact, "_TIME_IDS", 64)
 
-    def csv(ids):
-        monkeypatch.setattr(contact, "_BATCH_IDS", ids)
+    def csv(chunk_bytes, threads=1):
+        monkeypatch.setattr(bondfield, "_CHUNK_BYTES", chunk_bytes)
         batches.clear()
         calls.clear()
         return format_csv(run_experiment(ExperimentConfig(
-            "contact", seed=4, reps=60, threads=1, params=params)))
-    capped = csv(math.ceil(10 * per) + 1)
-    assert batches == [10] * 6
-    assert max(size for kind, size in calls if kind == 0) <= 10 * per  # the counts
-    assert max(size for kind, size in calls if kind == 1) <= 64  # the times
-    assert csv(10**9) == capped and batches == [60]
+            command, seed=4, reps=60, threads=threads, params=params)))
+    capped = csv(budget)
+    assert batches == [size] * (60 // size)
+    if command == "contact":
+        assert max(n for kind, n in calls if kind == 0) <= 10 * per  # the counts
+        assert max(n for kind, n in calls if kind == 1) <= 64  # the times
+    assert csv(10**12) == capped and batches == [60]
     assert csv(1) == capped and batches == [1] * 60
-    assert len({line.split(",")[8] for line in capped.splitlines()[1:]}) == 3
+    assert csv(budget, threads=2) == capped
+    rows = capped.splitlines()[1:]
+    assert len({line.split(",")[8] for line in rows}) == len(rows)  # every estimate differs
+
+
+class _Planned(Exception):
+    """Raised once a run's chunk plan is made, so that no replica is drawn."""
+
+
+def _chunk_plan(monkeypatch, cfg):
+    """(cap, chunk sizes) of the one `run_replicas` call of cfg's run,
+    planned with a kernel that draws nothing."""
+    sizes = []
+
+    def empty(args, root, lo, hi):
+        sizes.append(hi - lo)
+        return np.zeros(hi - lo)
+
+    def plan(kernel, args, seed, reps, threads=1, cap=None):
+        run_replicas(empty, None, seed, reps, threads, cap)
+        raise _Planned(cap)
+    monkeypatch.setattr(harness, "run_replicas", plan)
+    monkeypatch.setattr(renorm, "run_replicas", plan)
+    with pytest.raises(_Planned) as planned:
+        run_experiment(cfg)
+    return planned.value.args[0], sizes
+
+
+def _bench_workload(monkeypatch, name):
+    """WORKLOADS[name] of bench/run.py, read without writing under bench/."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "run.py"
+    module = types.ModuleType("bench_run")
+    module.__file__ = str(path)
+    monkeypatch.setitem(sys.modules, "bench_run", module)  # its dataclasses look it up
+    exec(compile(path.read_text(), str(path), "exec"), vars(module))
+    return module.WORKLOADS[name]
+
+
+# (cap, chunk sizes) of the checked-in configs that chunk, at their own
+# --threads 1, and of the bench workloads, at theirs, as the models' own
+# budgets (2^17 window cells, 2^16 lines, 2^15 processes or marks, 2^17
+# cone labels) planned them
+_PLANS = {
+    "trend_g": (136, [75] * 2), "determinism": (453, [16]), "trend_star": (963, [200]),
+    "hprob_oracle": (65536, [50000] * 2), "trend_contact": (10, [10] * 15),
+    "crossing": (510, [500] * 40),
+    "oriented_ksweep": (136, [12, 13]), "star_ksweep": (963, [34] * 2),
+    "cone_scan": (510, [400] * 3), "contact_ksweep": (10, [10] * 16),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PLANS))
+def test_chunk_plans_are_pinned(monkeypatch, inline_pool, name):
+    """The one chunk budget moves no schedule: every checked-in config that
+    chunks, and every bench workload on 2 CPUs, keeps its cap and chunks."""
+    inline_pool(2)
+    if name in _CONFIG_COMMANDS:
+        cfg = resolve_config([_CONFIG_COMMANDS[name], "--config", str(_CONFIGS / f"{name}.cfg")])
+    else:
+        wl = _bench_workload(monkeypatch, name)
+        cfg = ExperimentConfig(wl.command, reps=wl.reps, threads=2 if wl.pooled else 1,
+                               params=dict(wl.params))
+    assert _chunk_plan(monkeypatch, cfg) == _PLANS[name]
 
 
 def test_wall_seconds_zero_without_timing_flag():

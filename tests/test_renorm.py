@@ -7,7 +7,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from exact import cone_survival
 from oracles import bifurcations, crossing_from_scan, reverify_red_cluster, site_perc_cone
-from lrperc import renorm
+from lrperc import bondfield, renorm
 from lrperc.bondfield import TAG_SITE, BondField, BondId
 from lrperc.harness import ExperimentConfig, run_experiment, run_replicas
 from lrperc.renorm import (
@@ -473,7 +473,7 @@ def test_scan_equals_oracle_per_replica(seed, monkeypatch):
     where the oracle lets that replica survive."""
     gammas, horizons, reps = [0.0, 0.5, 0.7, 1.0], [9, 0, 1, 4], 300
     counts = cone_survival_scan(gammas, horizons, reps, seed)
-    monkeypatch.setattr(renorm, "_SCAN_CELLS", 79)
+    monkeypatch.setattr(bondfield, "_CHUNK_BYTES", 8 * 79)
     assert (cone_survival_scan(gammas, horizons, reps, seed) == counts).all()
     assert (cone_survival_scan(gammas, horizons, reps, seed, threads=2) == counts).all()
     least = run_replicas(renorm._cone_chunk, (np.array(gammas), sorted(horizons)), seed, reps,
@@ -504,7 +504,7 @@ def test_pruned_scan_equals_oracle_per_replica(gammas, horizons, monkeypatch):
     its least label below gamma exactly where the oracle lets it survive."""
     reps, seed, top = 200, 3, max(horizons)
     counts = cone_survival_scan(gammas, horizons, reps, seed)
-    monkeypatch.setattr(renorm, "_SCAN_CELLS", 7 * (top + 1))
+    monkeypatch.setattr(bondfield, "_CHUNK_BYTES", 8 * 7 * (top + 1))
     assert (cone_survival_scan(gammas, horizons, reps, seed) == counts).all()
     assert (cone_survival_scan(gammas, horizons, reps, seed, threads=2) == counts).all()
     least = run_replicas(renorm._cone_chunk, (np.array(gammas), horizons), seed, reps,
@@ -537,6 +537,24 @@ def test_cone_scan_origin_and_threshold_edges(gammas, horizons, threads):
     assert (counts[:, 0] == reps).all()
 
 
+def test_scan_counts_as_the_broadcast_comparison():
+    """`cone_survival_scan` counts each horizon's rows by a search of their
+    sorted entries, and each count equals the broadcast strict comparison
+    (least[:, None, :] < gammas[None, :, None]).sum(axis=0) over the rows
+    of `_cone_chunk`.  The gamma grid holds replicas' exact least labels,
+    where a tie must not count, the next floats above them, 0 and 1, and
+    horizon 0's entries are -inf."""
+    horizons, reps, seed = [0, 1, 3, 8], 400, 12
+    exact = run_replicas(renorm._cone_chunk, (np.array([1.0]), horizons), seed, reps)
+    labels = np.unique(exact[:, 1:])[::23]  # all below 1: gamma = 1 prunes nothing
+    gammas = np.concatenate([[0.0, 1.0], labels, np.nextafter(labels, 1.0)])
+    least = run_replicas(renorm._cone_chunk, (gammas, horizons), seed, reps)
+    assert np.isin(least[:, 1:], gammas).sum() > 20  # the ties
+    want = (least[:, None, :] < gammas[None, :, None]).sum(axis=0)
+    assert np.array_equal(cone_survival_scan(gammas, horizons, reps, seed), want)
+    assert (want[:, 0] == reps).all()
+
+
 def test_cone_scan_prune_bound_is_exact_at_a_site_uniform():
     """The prune bound ceil(max(gamma) * 2**53) << 11 keeps a label one float
     below gamma: with u the least horizon-1 uniform of replica 0, below 0.5
@@ -562,11 +580,11 @@ def test_cone_scan_prune_bound_is_exact_at_a_site_uniform():
 def test_cone_scan_equals_site_perc_cone_per_replica(monkeypatch, inline_pool, gammas, horizons,
                                                      reps, seed, cells, workers):
     """Over gamma grids (0 and 1 included), horizons (0 included), replica
-    counts, seeds and chunk plans (a _SCAN_CELLS cap, workers), every count
+    counts, seeds and chunk plans (a chunk budget, workers), every count
     of the scan is the number of replicas that the scalar `site_perc_cone`
     lets survive at that gamma and horizon."""
     inline_pool(workers)
-    monkeypatch.setattr(renorm, "_SCAN_CELLS", cells)
+    monkeypatch.setattr(bondfield, "_CHUNK_BYTES", 8 * cells)  # `cells` labels per chunk
     counts = cone_survival_scan(gammas, horizons, reps, seed, workers)
     assert counts.shape == (len(gammas), len(horizons))
     fields = [BondField(seed).derive_replica(r) for r in range(reps)]
