@@ -37,7 +37,11 @@ the batch is hashed once per replica, not once per id.  The oriented front
 step is an example: the coordinates of its F vertices fold at (F, 1, 1),
 the axis at (F, d, 1), and only the displacement at (F, d, moves per
 axis).  Each fold makes one fresh array of its broadcast shape and runs
-the rest of the finalizer in place on it.  `uniforms` reads the uint64
+the rest of the finalizer in place on it, unless the caller hands
+`states` a destination and a scratch of the full shape: every fold then
+writes into those, so a caller that draws batch after batch, as the cone
+scan does each generation, allocates nothing per draw, with the same
+bits.  `uniforms` reads the uint64
 states h as (h >> 11) * 2**-53, and `open_mask` tests those uniforms; the
 cone scan compares the states themselves.  The frozen table in
 `tests/test_bondfield.py` pins both paths and the full states.
@@ -112,15 +116,19 @@ def _mix_array(h):
     return h ^ (h >> _S31)
 
 
-def _fold_array(h, w):
+def _fold_array(h, w, out=None, scratch=None):
     """splitmix64's fold of word w into state h, elementwise on uint64
     arrays: the first op makes the result, a fresh array of the shape h and
-    w broadcast to, and the rest run in place on it and one scratch array."""
-    h = h ^ w
-    if not h.ndim:  # a numpy scalar has no in-place ops
-        return _mix_array(h + _GOLDEN_U64)
+    w broadcast to, or writes it into `out`, and the rest run in place on
+    it and one scratch array, fresh or `scratch` (of out's shape)."""
+    if out is None:
+        h = h ^ w
+        if not h.ndim:  # a numpy scalar has no in-place ops
+            return _mix_array(h + _GOLDEN_U64)
+    else:
+        h = np.bitwise_xor(h, w, out=out)
     h += _GOLDEN_U64
-    t = h >> _S30
+    t = h >> _S30 if scratch is None else np.right_shift(h, _S30, out=scratch)
     h ^= t
     h *= _M1
     np.right_shift(h, _S27, out=t)
@@ -246,18 +254,33 @@ class BondField:
 
     # -- vectorized interface -----------------------------------------------
 
-    def states(self, word_columns) -> np.ndarray:
+    def states(self, word_columns, out=None, scratch=None) -> np.ndarray:
         """The uint64 hash states of a batch of ids, the one batched fold.
 
         `word_columns` is a sequence of integer arrays, one per word position
         of a common encoding (all ids in a batch share a tag and word count).
         Returns an array of the shape the columns and the field's base
-        broadcast to; `uniforms` and `open_mask` read it.
+        broadcast to; `uniforms` and `open_mask` read it.  Each column folds
+        at the shape it broadcasts to with the base and the columns before
+        it, into a fresh array.
+
+        `out` and `scratch`, given together, are uint64 arrays of exactly
+        that shape that the caller owns: every fold then runs at out's
+        shape, in out, with scratch as its temporary, and `out` itself is
+        returned with the same bits; scratch is left holding garbage.  So a
+        caller that draws batch after batch can keep the storage it draws
+        into.  Neither may overlap the base or a column.
         """
         h = np.asarray(self._base, dtype=np.uint64)
+        if (out is None) != (scratch is None):
+            raise ValueError("out and scratch come together")
         with np.errstate(over="ignore"):
             for c in word_columns:
-                h = _fold_array(h, (np.asarray(c, dtype=np.int64) + _BIAS).view(np.uint64))
+                h = _fold_array(h, (np.asarray(c, dtype=np.int64) + _BIAS).view(np.uint64),
+                                out, scratch)
+        if out is not None and h is not out:  # no columns: the states are the base's
+            np.copyto(out, h)
+            h = out
         return h
 
     def uniforms(self, word_columns) -> np.ndarray:

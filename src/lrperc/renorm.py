@@ -213,44 +213,73 @@ def _cone_chunk(args, root, lo, hi):
     off + 2w - 1, w + 1 being the window's width.  It so grows with
     the window, not with the horizon, and a replica folds no more columns at
     a generation than the sites it draws there.
+
+    The per-generation arrays are views of four flat buffers that the
+    chunk owns: the labels, the next labels, a scratch and the live mask,
+    three uint64 values and one bool per window site and replica kept.  A
+    generation draws into the next labels through `states(out=, scratch=)`,
+    takes the parents' min in the scratch, and the labels and next labels
+    then swap roles; dropping replicas compacts the labels into the spare
+    one and swaps again.  The buffers start at two sites per replica and
+    double when a generation's window outgrows them, so they hold at most
+    twice the widest window, never the horizon, and a chunk allocates them
+    about log2(H) times instead of once per generation.
     """
     gammas, horizons = args
     top = gammas.max(initial=0.0)
     # a label counts at some gamma only below this state; None: every label may
     bound = None if top >= 1.0 else np.uint64(math.ceil(top * 2**53) << 11)
     end = horizons[-1] + 1  # the cone's columns up to the last horizon
+    reps = hi - lo
     tagged = root.derive_replica(np.arange(lo, hi)[None, :]).prefix([TAG_SITE])
     # cols: the replicas' states after [TAG_SITE, m], for the columns m in c0..c1-1
     cols, c0, c1 = tagged.take(np.s_[:0]), 0, 0
-    label = np.zeros((1, hi - lo), dtype=np.uint64)
-    off, kept = 0, np.arange(hi - lo)
-    least = np.ones((hi - lo, len(horizons)))
+    # flat buffers of `size` sites: the labels, the next labels, a scratch, the live mask
+    size = 2 * reps
+    lab, nxt, tmp = (np.empty(size, dtype=np.uint64) for _ in range(3))
+    alive = np.empty(size, dtype=bool)
+    label = lab[:reps].reshape(1, reps)
+    label[:] = 0
+    off, kept = 0, np.arange(reps)
+    least = np.ones((reps, len(horizons)))
     hidx = 0
     for n in range(end):
         if n > 0:
-            w = len(label)
+            w, r = label.shape
             if off + w >= c1:  # reach twice the window, and drop the columns left of it
                 reach = min(end, off + 2 * w)
                 cols = BondField.concat([cols.take(np.s_[off - c0:]),
                                          tagged.prefix([np.arange(c1, reach)[:, None]])], axis=0)
                 c0, c1 = off, reach
-            h = cols.take(np.s_[off - c0:off - c0 + w + 1]).states([n])  # (w+1, replicas)
+            cells = (w + 1) * r
+            if cells > size:  # label keeps the old label buffer alive until it is replaced
+                size = max(2 * size, cells)
+                lab, nxt, tmp = (np.empty(size, dtype=np.uint64) for _ in range(3))
+                alive = np.empty(size, dtype=bool)
+            h = nxt[:cells].reshape(w + 1, r)
+            scratch = tmp[:cells].reshape(w + 1, r)
+            cols.take(np.s_[off - c0:off - c0 + w + 1]).states([n], out=h, scratch=scratch)
             # the lesser of both parents; a site off the window counts at no gamma
-            np.maximum(h[1:-1], np.minimum(label[:-1], label[1:]), out=h[1:-1])
+            parents = np.minimum(label[:-1], label[1:], out=scratch[:w - 1])
+            np.maximum(h[1:-1], parents, out=h[1:-1])
             np.maximum(h[0], label[0], out=h[0])
             np.maximum(h[-1], label[-1], out=h[-1])
-            label = h
+            label, lab, nxt = h, nxt, lab
             if bound is not None:
-                live = label < bound
+                live = np.less(label, bound, out=alive[:cells].reshape(w + 1, r))
                 keep = live.any(axis=0)
-                if not keep.all():
-                    if not keep.any():
-                        break  # every later least label of the chunk is 1.0
-                    label, live, kept = label[:, keep], live[:, keep], kept[keep]
-                    tagged, cols = tagged.take(np.s_[:, keep]), cols.take(np.s_[:, keep])
+                if not keep.any():
+                    break  # every later least label of the chunk is 1.0
+                # a dropped replica has no live site, so it moves no window end
                 sites = np.flatnonzero(live.any(axis=1))
                 label = label[sites[0]:sites[-1] + 1]
                 off += int(sites[0])
+                if not keep.all():
+                    kept = kept[keep]
+                    rows, r = len(label), len(kept)
+                    label = np.compress(keep, label, axis=1, out=nxt[:rows * r].reshape(rows, r))
+                    lab, nxt = nxt, lab
+                    tagged, cols = tagged.take(np.s_[:, keep]), cols.take(np.s_[:, keep])
         while hidx < len(horizons) and horizons[hidx] == n:
             u = (label.min(axis=0) >> 11).astype(np.float64) * 2.0**-53
             least[kept, hidx] = u if n else -np.inf  # the origin counts at every gamma, 0 too
@@ -284,8 +313,12 @@ def cone_survival_scan(gammas, horizons, reps: int, seed: int, threads: int = 1)
     per chunk, few enough for a chunk's label and state arrays and its cache
     of column prefixes to stay in cache; it is not a measured byte count),
     on up to `threads` workers, so a chunk's working memory does not grow
-    with `reps`.  The rows kept, 8 bytes per replica and horizon, do grow
-    with it, outside any chunk cap.  `run_replicas` evens the chunks out,
+    with `reps`.  That memory is three uint64 values and one bool per
+    window site and replica, in buffers the chunk owns and grows by
+    doubling with its window (see `_cone_chunk`), plus the column cache;
+    the weight 8 (H + 1) stays as it was, the cap it gives unchanged.  The
+    rows kept, 8 bytes per replica and horizon, do grow with it, outside
+    any chunk cap.  `run_replicas` evens the chunks out,
     so 1200 replicas at horizon 256 (510 per chunk) run as 3 chunks of 400
     on one worker.  A chunk lays its labels, column cache and draws out as
     (sites, replicas), so each generation's operations run on one

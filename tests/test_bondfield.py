@@ -246,6 +246,51 @@ def test_frozen_states(seed, replica, words, bits, low):
         assert (batch.states([words[-1]]) == state).all()
 
 
+@pytest.mark.parametrize("seed, replica, words, bits, low", [
+    pytest.param(*f, low, id=f"{f[0]}-{f[1]}-words{i}")
+    for i, (f, low) in enumerate(zip(FROZEN, FROZEN_LOW))])
+def test_frozen_states_into_a_destination(seed, replica, words, bits, low):
+    """`states` with a destination and a scratch gives each frozen id's
+    full hash state in the destination it was given, on one field and on a
+    (2, 3) batch that folded all but the last word."""
+    state = bits << 11 | low
+    out, scratch = np.empty((), dtype=np.uint64), np.empty((), dtype=np.uint64)
+    h = _field(seed, replica).states([np.asarray(w) for w in words], out=out, scratch=scratch)
+    assert h is out and int(h) == state
+    if replica is not None and words:
+        batch = BondField(seed).derive_replica(np.full((2, 3), replica)).prefix(words[:-1])
+        out, scratch = np.zeros((2, 3), dtype=np.uint64), np.zeros((2, 3), dtype=np.uint64)
+        assert batch.states([words[-1]], out=out, scratch=scratch) is out
+        assert (out == state).all()
+
+
+_AXES = st.lists(st.integers(1, 5), max_size=3)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(seed=st.integers(-2**63, 2**63 - 1), draw=st.integers(0, 2**32),
+       width=st.integers(0, 5), axes=_AXES)
+def test_states_into_a_destination_equal_fresh_states(seed, draw, width, axes):
+    """Over random broadcast shapes, word counts (none included) and seeds,
+    `states` folded into a destination the caller owns, holding garbage, is
+    bit for bit the `states` of a fresh array, and it is that destination
+    that is returned."""
+    rng = np.random.default_rng(draw)
+
+    def part():  # a shape that broadcasts to `axes`
+        return tuple(a if rng.random() < 0.5 else 1 for a in axes)
+
+    fld = BondField(seed).derive_replica(rng.integers(0, 2**40, size=part()))
+    cols = [rng.integers(-2**40, 2**40, size=part()) for _ in range(width)]
+    want = fld.states(cols)
+    out = rng.integers(0, 2**64, size=want.shape, dtype=np.uint64)
+    scratch = rng.integers(0, 2**64, size=want.shape, dtype=np.uint64)
+    assert fld.states(cols, out=out, scratch=scratch) is out
+    assert out.dtype == np.uint64 and np.array_equal(out, want)
+    with pytest.raises(ValueError, match="together"):
+        fld.states(cols, out=out)
+
+
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(seed=st.integers(-2**63, 2**63 - 1), draw=st.integers(0, 2**32),
        width=st.integers(1, 5))

@@ -507,8 +507,8 @@ def test_one_full_size_fold_per_generation(monkeypatch):
     log = []
     fold, step = bondfield._fold_array, oriented._advance_front
 
-    def spy_fold(h, w):
-        out = fold(h, w)
+    def spy_fold(h, w, *dest):
+        out = fold(h, w, *dest)
         log.append(out.size)
         return out
 

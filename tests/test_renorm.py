@@ -615,8 +615,8 @@ def _scan_folds(monkeypatch, gammas, horizon, reps):
     sites, cells, widths = [0], [0], []
     states, prefix = BondField.states, BondField.prefix
 
-    def spy_states(self, columns):
-        h = states(self, columns)
+    def spy_states(self, columns, **dest):
+        h = states(self, columns, **dest)
         sites[0] += h.size
         widths.append(len(columns))
         return h
@@ -645,6 +645,97 @@ def test_scan_folds_each_column_prefix_once(monkeypatch, gammas, horizon, reps):
     sites, cells, widths = _scan_folds(monkeypatch, gammas, horizon, reps)
     assert widths and set(widths) == {1}
     assert reps <= cells <= sites + 2 * reps, (cells, sites)
+
+
+def _chunk_draws(monkeypatch):
+    """The (destination, scratch) pairs of the cone scan's `states` calls,
+    in call order; keeping them keeps every buffer they view alive, so
+    distinct buffers have distinct ids."""
+    draws = []
+    states = BondField.states
+
+    def spy_states(self, columns, **dest):
+        h = states(self, columns, **dest)
+        draws.append((h, dest["scratch"]))
+        return h
+
+    monkeypatch.setattr(BondField, "states", spy_states)
+    return draws
+
+
+def _regrowths(draws):
+    """The indices of the draws whose scratch is a buffer new to the chunk."""
+    return [i for i in range(1, len(draws)) if draws[i][1].base is not draws[i - 1][1].base]
+
+
+def _assert_rows_are_the_oracle(least, gammas, horizons, seed, lo, hi):
+    """Row i of a chunk kernel's records, replica lo + i, has its least
+    label below gamma exactly where `site_perc_cone` lets it survive."""
+    assert least.shape == (hi - lo, len(horizons))
+    for gamma in gammas:
+        reached = [site_perc_cone(gamma, horizons[-1], BondField(seed).derive_replica(r)).reached
+                   for r in range(lo, hi)]
+        for t, horizon in enumerate(horizons):
+            assert (least[:, t] < gamma).tolist() == [bool(c[horizon]) for c in reached]
+
+
+def test_chunk_draws_into_log_h_buffers(monkeypatch):
+    """A chunk's generations fold into buffers the chunk owns, grown by
+    doubling: with gamma = 1 in the grid nothing is pruned and the window
+    widens by a site per generation, yet the 1000 generations draw into at
+    most two destinations and one scratch per doubling."""
+    horizon, reps = 1000, 3
+    draws = _chunk_draws(monkeypatch)
+    least = renorm._cone_chunk((np.array([1.0]), [horizon]), BondField(5), 0, reps)
+    assert (least < 1.0).all()
+    assert [h.shape for h, _ in draws] == [(n + 1, reps) for n in range(1, horizon + 1)]
+    levels = math.ceil(math.log2(horizon + 1)) + 1
+    outs, scratches = {id(h.base) for h, _ in draws}, {id(s.base) for _, s in draws}
+    assert len(outs) <= 2 * levels and len(scratches) <= levels
+    assert not outs & scratches
+
+
+def test_chunk_rows_through_regrowths_without_pruning(monkeypatch):
+    """A grid holding gamma = 1 prunes nothing, so one chunk's buffers
+    regrow at each doubling of its window up to horizon 70, and every row
+    stays the oracle's."""
+    gammas, horizons, seed, reps = [0.6, 0.7, 1.0], [0, 5, 33, 70], 8, 25
+    draws = _chunk_draws(monkeypatch)
+    least = renorm._cone_chunk((np.array(gammas), horizons), BondField(seed), 0, reps)
+    assert len(_regrowths(draws)) >= 5
+    assert {h.shape[1] for h, _ in draws} == {reps}
+    _assert_rows_are_the_oracle(least, gammas, horizons, seed, 0, reps)
+
+
+def test_chunk_rows_when_pruning_follows_a_regrowth(monkeypatch):
+    """At seed 0 the chunk of 30 replicas regrows its buffers at a late
+    generation, drops replicas in that generation and again in the next
+    one, and every row stays the oracle's."""
+    gammas, horizons, seed, reps = [0.6, 0.7], [0, 13, 14, 15, 40], 0, 30
+    draws = _chunk_draws(monkeypatch)
+    least = renorm._cone_chunk((np.array(gammas), horizons), BondField(seed), 0, reps)
+    drops = {i for i in range(1, len(draws)) if draws[i][0].shape[1] < draws[i - 1][0].shape[1]}
+    assert any(i >= 3 and {i + 1, i + 2} <= drops for i in _regrowths(draws))
+    _assert_rows_are_the_oracle(least, gammas, horizons, seed, 0, reps)
+
+
+@pytest.mark.parametrize("gammas", [[0.5, 0.7], [0.7, 1.0]])
+def test_chunk_of_one_replica_equals_oracle(gammas):
+    """Chunks of one replica, pruned and not, give the oracle's rows."""
+    horizons, seed = [0, 3, 20], 21
+    for r in range(12):
+        least = renorm._cone_chunk((np.array(gammas), horizons), BondField(seed), r, r + 1)
+        _assert_rows_are_the_oracle(least, gammas, horizons, seed, r, r + 1)
+
+
+@pytest.mark.parametrize("gammas", [[0.0], [0.5], [1.0]])
+def test_chunk_at_horizon_zero_alone_draws_nothing(monkeypatch, gammas):
+    """With horizon 0 alone a chunk draws no site, and every replica's row
+    is -inf: the origin counts at every gamma, 0 included."""
+    draws = _chunk_draws(monkeypatch)
+    least = renorm._cone_chunk((np.array(gammas), [0]), BondField(4), 0, 6)
+    assert not draws and least.shape == (6, 1) and (least == -np.inf).all()
+    _assert_rows_are_the_oracle(least, gammas, [0], 4, 0, 6)
 
 
 def test_scan_coupled_monotonicity():
