@@ -53,14 +53,14 @@ Both cone site-percolation paths read the site id: the scalar oracle
 derived base then takes the array's shape and `states` broadcasts the id
 columns against it, so element r of a batch reads exactly the stream of
 `derive_replica(r)`.  Scalar draws on such a batch raise ValueError.
-`take` selects replicas of a batch, and `prefix` folds id words that a
-whole batch shares once per replica, as the oriented front step does with
-its tag and generation; both keep every draw's bits, and both take a
-batch field only.  A prefix may also differ across a batch's axes: the
-cone scan folds [TAG_SITE, m] for a window of columns m into a (columns,
-replicas) batch, keeps it across generations (`concat` on axis 0 extends
-it), and a generation draws the `states` of `take` of its window with the
-one word n.
+`take` selects replicas of a batch, and `prefix` is `states` kept as a
+field: it folds id words that a whole batch shares once per replica, as the
+oriented front step does with its tag and generation; both keep every draw's
+bits, and both take a batch field only.  A prefix may also differ across a
+batch's axes: the cone scan folds [TAG_SITE, m] for a window of columns m
+into a (columns, replicas) batch, keeps it across generations (`concat` on
+axis 0 extends it), and a generation draws the `states` of `take` of its
+window with the one word n.
 `run_replicas`, the one replica loop, maps a chunk kernel over chunks of
 replicas, in the calling process and in `workers - 1` children forked from
 it, each child sending its records back through a pipe, and concatenates
@@ -225,13 +225,9 @@ class BondField:
 
     def prefix(self, words) -> "BondField":
         """The batch field whose draw of the id words w is this batch field's
-        draw of (*words, *w): shared leading words fold once per replica,
-        not once per id."""
-        h = self._base
-        with np.errstate(over="ignore"):
-            for w in words:
-                h = _fold_array(h, (np.asarray(w, dtype=np.int64) + _BIAS).view(np.uint64))
-        return BondField(self.seed, _base=h)
+        draw of (*words, *w): the `states` of `words`, kept as a field, so
+        shared leading words fold once per replica, not once per id."""
+        return BondField(self.seed, _base=self.states(words))
 
     # -- scalar interface ---------------------------------------------------
 

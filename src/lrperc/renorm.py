@@ -201,29 +201,30 @@ def _cone_chunk(args, root, lo, hi):
     every horizon after the chunk dies.
 
     Every array is laid out (sites, replicas), so each generation's fold,
-    parent min/max, live test and window trims run on one contiguous block.
-    label[j, i] is the label of site (off + j, n) on the chunk's i-th replica
-    kept, as a raw uint64 hash state, the origin's being 0, and `kept`
-    holds the chunk indices of the replicas kept; the sites left out of that
-    rectangle, and the replicas dropped, have labels that count at no gamma
-    (see cone_survival_scan).  cols[j, i] is that replica's stream folded
-    with [TAG_SITE, c0 + j], so a generation folds only n on top of it.
-    When the window's right end reaches c1, the cache drops the columns
+    parent min/max, label minima and window trims run on one contiguous
+    block.  label[j, i] is the label of site (off + j, n) on the chunk's i-th
+    replica kept, as a raw uint64 hash state, the origin's being 0, and
+    `kept` holds the chunk indices of the replicas kept; the sites left out
+    of that rectangle, and the replicas dropped, have labels that count at
+    no gamma (see cone_survival_scan).  cols[j, i] is that replica's stream
+    folded with [TAG_SITE, c0 + j], so a generation folds only n on top of
+    it.  When the window's right end reaches c1, the cache drops the columns
     left of off, which the window never returns to, and extends to column
-    off + 2w - 1, w + 1 being the window's width.  It so grows with
-    the window, not with the horizon, and a replica folds no more columns at
-    a generation than the sites it draws there.
+    off + 2w - 1, w + 1 being the window's width.  It so grows with the
+    window, not with the horizon, and a replica folds no more columns at a
+    generation than the sites it draws there.
 
-    The per-generation arrays are views of four flat buffers that the
-    chunk owns: the labels, the next labels, a scratch and the live mask,
-    three uint64 values and one bool per window site and replica kept.  A
-    generation draws into the next labels through `states(out=, scratch=)`,
-    takes the parents' min in the scratch, and the labels and next labels
-    then swap roles; dropping replicas compacts the labels into the spare
-    one and swaps again.  The buffers start at two sites per replica and
-    double when a generation's window outgrows them, so they hold at most
-    twice the widest window, never the horizon, and a chunk allocates them
-    about log2(H) times instead of once per generation.
+    The per-generation arrays are views of three flat uint64 buffers that
+    the chunk owns: the labels, the next labels and a scratch, three values
+    per window site and replica kept.  A generation draws into the next
+    labels through `states(out=, scratch=)`, takes the parents' min in the
+    scratch, and the labels and next labels then swap roles; the replicas
+    and sites kept are those whose least label is below the bound, and
+    dropping replicas compacts the labels into the spare buffer and swaps
+    again.  The buffers start at two sites per replica and double when a
+    generation's window outgrows them, so they hold at most twice the widest
+    window, never the horizon, and a chunk allocates them about log2(H)
+    times instead of once per generation.
     """
     gammas, horizons = args
     top = gammas.max(initial=0.0)
@@ -234,55 +235,51 @@ def _cone_chunk(args, root, lo, hi):
     tagged = root.derive_replica(np.arange(lo, hi)[None, :]).prefix([TAG_SITE])
     # cols: the replicas' states after [TAG_SITE, m], for the columns m in c0..c1-1
     cols, c0, c1 = tagged.take(np.s_[:0]), 0, 0
-    # flat buffers of `size` sites: the labels, the next labels, a scratch, the live mask
+    # flat buffers of `size` sites: the labels, the next labels, a scratch
     size = 2 * reps
     lab, nxt, tmp = (np.empty(size, dtype=np.uint64) for _ in range(3))
-    alive = np.empty(size, dtype=bool)
     label = lab[:reps].reshape(1, reps)
     label[:] = 0
     off, kept = 0, np.arange(reps)
     least = np.ones((reps, len(horizons)))
-    hidx = 0
-    for n in range(end):
-        if n > 0:
-            w, r = label.shape
-            if off + w >= c1:  # reach twice the window, and drop the columns left of it
-                reach = min(end, off + 2 * w)
-                cols = BondField.concat([cols.take(np.s_[off - c0:]),
-                                         tagged.prefix([np.arange(c1, reach)[:, None]])], axis=0)
-                c0, c1 = off, reach
-            cells = (w + 1) * r
-            if cells > size:  # label keeps the old label buffer alive until it is replaced
-                size = max(2 * size, cells)
-                lab, nxt, tmp = (np.empty(size, dtype=np.uint64) for _ in range(3))
-                alive = np.empty(size, dtype=bool)
-            h = nxt[:cells].reshape(w + 1, r)
-            scratch = tmp[:cells].reshape(w + 1, r)
-            cols.take(np.s_[off - c0:off - c0 + w + 1]).states([n], out=h, scratch=scratch)
-            # the lesser of both parents; a site off the window counts at no gamma
-            parents = np.minimum(label[:-1], label[1:], out=scratch[:w - 1])
-            np.maximum(h[1:-1], parents, out=h[1:-1])
-            np.maximum(h[0], label[0], out=h[0])
-            np.maximum(h[-1], label[-1], out=h[-1])
-            label, lab, nxt = h, nxt, lab
-            if bound is not None:
-                live = np.less(label, bound, out=alive[:cells].reshape(w + 1, r))
-                keep = live.any(axis=0)
-                if not keep.any():
-                    break  # every later least label of the chunk is 1.0
-                # a dropped replica has no live site, so it moves no window end
-                sites = np.flatnonzero(live.any(axis=1))
-                label = label[sites[0]:sites[-1] + 1]
-                off += int(sites[0])
-                if not keep.all():
-                    kept = kept[keep]
-                    rows, r = len(label), len(kept)
-                    label = np.compress(keep, label, axis=1, out=nxt[:rows * r].reshape(rows, r))
-                    lab, nxt = nxt, lab
-                    tagged, cols = tagged.take(np.s_[:, keep]), cols.take(np.s_[:, keep])
+    hidx = np.searchsorted(horizons, 0, side="right")
+    least[:, :hidx] = -np.inf  # horizon 0: the origin counts at every gamma, 0 too
+    for n in range(1, end):
+        w, r = label.shape
+        if off + w >= c1:  # reach twice the window, and drop the columns left of it
+            reach = min(end, off + 2 * w)
+            cols = BondField.concat([cols.take(np.s_[off - c0:]),
+                                     tagged.prefix([np.arange(c1, reach)[:, None]])], axis=0)
+            c0, c1 = off, reach
+        cells = (w + 1) * r
+        if cells > size:  # label keeps the old label buffer alive until it is replaced
+            size = max(2 * size, cells)
+            lab, nxt, tmp = (np.empty(size, dtype=np.uint64) for _ in range(3))
+        h = nxt[:cells].reshape(w + 1, r)
+        scratch = tmp[:cells].reshape(w + 1, r)
+        cols.take(np.s_[off - c0:off - c0 + w + 1]).states([n], out=h, scratch=scratch)
+        # the lesser of both parents; a site off the window counts at no gamma
+        parents = np.minimum(label[:-1], label[1:], out=scratch[:w - 1])
+        np.maximum(h[1:-1], parents, out=h[1:-1])
+        np.maximum(h[0], label[0], out=h[0])
+        np.maximum(h[-1], label[-1], out=h[-1])
+        label, lab, nxt = h, nxt, lab
+        if bound is not None:
+            keep = label.min(axis=0) < bound
+            if not keep.any():
+                break  # every later least label of the chunk is 1.0
+            # a dropped replica has no label below the bound, so it moves no window end
+            sites = np.flatnonzero(label.min(axis=1) < bound)
+            label = label[sites[0]:sites[-1] + 1]
+            off += int(sites[0])
+            if not keep.all():
+                kept = kept[keep]
+                rows, r = len(label), len(kept)
+                label = np.compress(keep, label, axis=1, out=nxt[:rows * r].reshape(rows, r))
+                lab, nxt = nxt, lab
+                tagged, cols = tagged.take(np.s_[:, keep]), cols.take(np.s_[:, keep])
         while hidx < len(horizons) and horizons[hidx] == n:
-            u = (label.min(axis=0) >> 11).astype(np.float64) * 2.0**-53
-            least[kept, hidx] = u if n else -np.inf  # the origin counts at every gamma, 0 too
+            least[kept, hidx] = (label.min(axis=0) >> 11).astype(np.float64) * 2.0**-53
             hidx += 1
     return least
 
@@ -313,9 +310,9 @@ def cone_survival_scan(gammas, horizons, reps: int, seed: int, threads: int = 1)
     per chunk, few enough for a chunk's label and state arrays and its cache
     of column prefixes to stay in cache; it is not a measured byte count),
     on up to `threads` workers, so a chunk's working memory does not grow
-    with `reps`.  That memory is three uint64 values and one bool per
-    window site and replica, in buffers the chunk owns and grows by
-    doubling with its window (see `_cone_chunk`), plus the column cache;
+    with `reps`.  That memory is three uint64 values per window site and
+    replica, in buffers the chunk owns and grows by doubling with its
+    window (see `_cone_chunk`), plus the column cache;
     the weight 8 (H + 1) stays as it was, the cap it gives unchanged.  The
     rows kept, 8 bytes per replica and horizon, do grow with it, outside
     any chunk cap.  `run_replicas` evens the chunks out,

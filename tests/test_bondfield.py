@@ -291,6 +291,29 @@ def test_states_into_a_destination_equal_fresh_states(seed, draw, width, axes):
         fld.states(cols, out=out)
 
 
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(seed=st.integers(-2**63, 2**63 - 1), draw=st.integers(0, 2**32),
+       width=st.integers(0, 5), split=st.integers(0, 5), axes=_AXES)
+def test_prefix_is_states_kept_as_a_field(seed, draw, width, split, axes):
+    """Over random broadcast shapes, seeds and id words split at a random
+    point into a and b, `prefix(a).states(b)` is `states(a + b)` bit for
+    bit, `prefix([])` keeps the base's states, and `prefix(a).prefix(b)`
+    is `prefix(a + b)`."""
+    rng = np.random.default_rng(draw)
+
+    def part():  # a shape that broadcasts to `axes`
+        return tuple(a if rng.random() < 0.5 else 1 for a in axes)
+
+    fld = BondField(seed).derive_replica(rng.integers(0, 2**40, size=part()))
+    cols = [rng.integers(-2**40, 2**40, size=part()) for _ in range(width)]
+    a, b = cols[:split], cols[split:]
+    want = fld.states(cols)
+    assert np.array_equal(fld.prefix(a).states(b), want)
+    assert np.array_equal(fld.prefix([]).states([]), fld.states([]))
+    assert np.array_equal(fld.prefix([]).states(cols), want)
+    assert np.array_equal(fld.prefix(a).prefix(b).states([]), fld.prefix(cols).states([]))
+
+
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(seed=st.integers(-2**63, 2**63 - 1), draw=st.integers(0, 2**32),
        width=st.integers(1, 5))

@@ -520,13 +520,14 @@ def test_pruned_scan_equals_oracle_per_replica(gammas, horizons, monkeypatch):
 
 
 @pytest.mark.parametrize("threads", [1, 2])
-@pytest.mark.parametrize("horizons", [[0], [0, 1, 7]])
+@pytest.mark.parametrize("horizons", [[0], [0, 1, 7], [0, 0, 4]])
 @pytest.mark.parametrize("gammas", [[0.0], [1.0], [0.3, 1.0]])
 def test_cone_scan_origin_and_threshold_edges(gammas, horizons, threads):
     """The scan's special cases, pinned outside hypothesis: the origin's
-    label 0 survives horizon 0 at gamma = 0, gamma = 0 leaves nothing live
-    past horizon 0, and gamma = 1 in the grid turns pruning off.  Every
-    count is the number of replicas `site_perc_cone` lets survive."""
+    label 0 survives horizon 0 at gamma = 0, also where horizon 0 is given
+    twice, gamma = 0 leaves nothing live past horizon 0, and gamma = 1 in
+    the grid turns pruning off.  Every count is the number of replicas
+    `site_perc_cone` lets survive."""
     reps, seed = 40, 17
     counts = cone_survival_scan(gammas, horizons, reps, seed, threads)
     fields = [BondField(seed).derive_replica(r) for r in range(reps)]
@@ -610,15 +611,16 @@ def test_scan_hashes_only_sites_that_can_count(monkeypatch):
 
 
 def _scan_folds(monkeypatch, gammas, horizon, reps):
-    """(sites drawn, cells folded by `prefix`, id columns of each `states`
-    call) over one cone scan."""
+    """(sites drawn, cells folded by `prefix`, id columns of each site
+    draw, a `states` call with a destination) over one cone scan."""
     sites, cells, widths = [0], [0], []
     states, prefix = BondField.states, BondField.prefix
 
     def spy_states(self, columns, **dest):
         h = states(self, columns, **dest)
-        sites[0] += h.size
-        widths.append(len(columns))
+        if dest:  # a site draw; `prefix` folds through `states` without one
+            sites[0] += h.size
+            widths.append(len(columns))
         return h
 
     def spy_prefix(self, words):
@@ -656,7 +658,8 @@ def _chunk_draws(monkeypatch):
 
     def spy_states(self, columns, **dest):
         h = states(self, columns, **dest)
-        draws.append((h, dest["scratch"]))
+        if dest:  # a site draw; `prefix` folds through `states` without one
+            draws.append((h, dest["scratch"]))
         return h
 
     monkeypatch.setattr(BondField, "states", spy_states)
