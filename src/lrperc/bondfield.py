@@ -27,40 +27,43 @@ of kind 1 is the time of its j-th mark (j >= 1); the marks of replica r
 are drawn on replica r + attempt * 2**40, where attempt counts the
 timeline's collision resamples.
 
-The stream has two evaluations with the same bits.  The scalar path
-(`uniform_words`, under `uniform` and `is_open`) runs splitmix64 on plain
-Python ints masked to 64 bits; a single-replica field keeps its base as an
-int.  The vector path has one batched fold, `states`, which runs it on
-numpy uint64 arrays and folds each id column at the shape it broadcasts to
-with the base and the columns before it, so a tag or generation shared by
-the batch is hashed once per replica, not once per id.  The oriented front
-step is an example: the coordinates of its F vertices fold at (F, 1, 1),
-the axis at (F, d, 1), and only the displacement at (F, d, moves per
-axis).  Each fold makes one fresh array of its broadcast shape and runs
-the rest of the finalizer in place on it, unless the caller hands
-`states` a destination and a scratch of the full shape: every fold then
-writes into those, so a caller that draws batch after batch, as the cone
-scan does each generation, allocates nothing per draw, with the same
-bits.  `uniforms` reads the uint64
-states h as (h >> 11) * 2**-53, and `open_mask` tests those uniforms; the
-cone scan compares the states themselves.  The frozen table in
+The stream has two evaluations with the same bits, one per kind of
+field.  A single-replica field (the root `BondField(seed)`, or
+`derive_replica(r)` of an integer r) keeps its base as a Python int and
+draws through the scalar path (`uniform_words`, under `uniform` and
+`is_open`), which runs splitmix64 on ints masked to 64 bits.  A batch
+field (`derive_replica` of an integer index array, whose shape the base
+takes) draws through the vector path (`states`, under `uniforms` and
+`open_mask`), which runs it on numpy uint64 arrays, and element r of a
+batch reads exactly the stream of `derive_replica(r)`.  Each path
+refuses the other kind of field with ValueError, as does `shape`; `take`,
+`prefix` and `concat` take batch fields only.
+
+`states` folds each id column at the shape it broadcasts to with the base
+and the columns before it, so a tag or generation shared by the batch is
+hashed once per replica, not once per id.  The oriented front step is an
+example: the coordinates of its F vertices fold at (F, 1, 1), the axis at
+(F, d, 1), and only the displacement at (F, d, moves per axis).  Each
+fold makes one fresh array of its broadcast shape and runs the rest of
+the finalizer in place on it, unless the caller hands `states` a
+destination and a scratch of the full shape with at least one column to
+fold: every fold then writes into those, so a caller that draws batch
+after batch, as the cone scan does each generation, allocates nothing per
+draw, with the same bits.  `uniforms` reads the uint64 states h as
+(h >> 11) * 2**-53, and `open_mask` tests those uniforms; the cone scan
+compares the states themselves.  The frozen table in
 `tests/test_bondfield.py` pins both paths and the full states.
 
 Both cone site-percolation paths read the site id: the scalar oracle
 `site_perc_cone` of `tests/oracles.py` on one replica field,
-`renorm.cone_survival_scan` on a batch of them.
-`derive_replica` accepts an integer index array as well as an integer; the
-derived base then takes the array's shape and `states` broadcasts the id
-columns against it, so element r of a batch reads exactly the stream of
-`derive_replica(r)`.  Scalar draws on such a batch raise ValueError.
-`take` selects replicas of a batch, and `prefix` is `states` kept as a
-field: it folds id words that a whole batch shares once per replica, as the
-oriented front step does with its tag and generation; both keep every draw's
-bits, and both take a batch field only.  A prefix may also differ across a
-batch's axes: the cone scan folds [TAG_SITE, m] for a window of columns m
-into a (columns, replicas) batch, keeps it across generations (`concat` on
-axis 0 extends it), and a generation draws the `states` of `take` of its
-window with the one word n.
+`renorm.cone_survival_scan` on a batch of them.  `take` selects replicas
+of a batch, and `prefix` is `states` kept as a field: it folds id words
+that a whole batch shares once per replica, as the oriented front step
+does with its tag and generation; both keep every draw's bits.  A prefix
+may also differ across a batch's axes: the cone scan folds [TAG_SITE, m]
+for a window of columns m into a (columns, replicas) batch, keeps it
+across generations (`concat` on axis 0 extends it), and a generation
+draws the `states` of `take` of its window with the one word n.
 `run_replicas`, the one replica loop, maps a chunk kernel over chunks of
 replicas, in the calling process and in `workers - 1` children forked from
 it, each child sending its records back through a pipe, and concatenates
@@ -118,15 +121,11 @@ def _mix_array(h):
 
 def _fold_array(h, w, out=None, scratch=None):
     """splitmix64's fold of word w into state h, elementwise on uint64
-    arrays: the first op makes the result, a fresh array of the shape h and
-    w broadcast to, or writes it into `out`, and the rest run in place on
-    it and one scratch array, fresh or `scratch` (of out's shape)."""
-    if out is None:
-        h = h ^ w
-        if not h.ndim:  # a numpy scalar has no in-place ops
-            return _mix_array(h + _GOLDEN_U64)
-    else:
-        h = np.bitwise_xor(h, w, out=out)
+    arrays of which one at least has an axis: the first op makes the
+    result, a fresh array of the shape h and w broadcast to, or writes it
+    into `out`, and the rest run in place on it and one scratch array,
+    fresh or `scratch` (of out's shape)."""
+    h = h ^ w if out is None else np.bitwise_xor(h, w, out=out)
     h += _GOLDEN_U64
     t = h >> _S30 if scratch is None else np.right_shift(h, _S30, out=scratch)
     h ^= t
@@ -206,8 +205,10 @@ class BondField:
 
     @property
     def shape(self) -> tuple:
-        """The batch's shape; () for a single-replica field."""
-        return np.shape(self._base)
+        """The batch's shape; a single-replica field has none (ValueError)."""
+        if not np.ndim(self._base):
+            raise ValueError("vector draws need a batch field")
+        return self._base.shape
 
     def take(self, idx) -> "BondField":
         """Replicas `idx` (an index array) of this batch field: element i of
@@ -220,7 +221,7 @@ class BondField:
     def concat(fields, axis: int = -1) -> "BondField":
         """The batch field of `fields`, batch fields of one seed, joined along
         `axis` (their last by default): every element keeps its stream."""
-        bases = [np.asarray(f._base, dtype=np.uint64) for f in fields]
+        bases = [f._base for f in fields]
         return BondField(fields[0].seed, _base=np.concatenate(bases, axis=axis))
 
     def prefix(self, words) -> "BondField":
@@ -258,25 +259,25 @@ class BondField:
         Returns an array of the shape the columns and the field's base
         broadcast to; `uniforms` and `open_mask` read it.  Each column folds
         at the shape it broadcasts to with the base and the columns before
-        it, into a fresh array.
+        it, into a fresh array.  The field must be a batch: a vector draw on
+        a single-replica field raises ValueError.
 
-        `out` and `scratch`, given together, are uint64 arrays of exactly
-        that shape that the caller owns: every fold then runs at out's
-        shape, in out, with scratch as its temporary, and `out` itself is
-        returned with the same bits; scratch is left holding garbage.  So a
-        caller that draws batch after batch can keep the storage it draws
-        into.  Neither may overlap the base or a column.
+        `out` and `scratch`, given together with at least one column, are
+        uint64 arrays of exactly that shape that the caller owns: every fold
+        then runs at out's shape, in out, with scratch as its temporary, and
+        `out` itself is returned with the same bits; scratch is left holding
+        garbage.  So a caller that draws batch after batch can keep the
+        storage it draws into.  Neither may overlap the base or a column.
         """
-        h = np.asarray(self._base, dtype=np.uint64)
-        if (out is None) != (scratch is None):
-            raise ValueError("out and scratch come together")
+        h = self._base
+        if not np.ndim(h):
+            raise ValueError("vector draws need a batch field")
+        if (out is None) != (scratch is None) or (out is not None and not len(word_columns)):
+            raise ValueError("out and scratch come together, with a column to fold")
         with np.errstate(over="ignore"):
             for c in word_columns:
                 h = _fold_array(h, (np.asarray(c, dtype=np.int64) + _BIAS).view(np.uint64),
                                 out, scratch)
-        if out is not None and h is not out:  # no columns: the states are the base's
-            np.copyto(out, h)
-            h = out
         return h
 
     def uniforms(self, word_columns) -> np.ndarray:

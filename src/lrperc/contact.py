@@ -1,19 +1,21 @@
 """Truncated long-range contact process via the graphical construction.
 
 A Timeline is an exact realization of the Poisson marks on a finite
-space-time box: death times (rate 1) per site, arrow times (rate
-lambda_{|i|}) per ordered pair of sites differing by i*e_m with
-0 < |i| <= k.  Infection spreads event-by-event: a right-continuous path
-must avoid every death mark on its current site and may jump only at an
-arrow time of the occupied pair, with jump length at most k.
+space-time box, the sites with every coordinate in [-box, box] for a
+half-width `box` (the CLI's --window) over the times [0, horizon]: death
+times (rate 1) per site, arrow times (rate lambda_{|i|}) per ordered pair
+of sites differing by i*e_m with 0 < |i| <= k.  Infection spreads
+event-by-event: a right-continuous path must avoid every death mark on its
+current site and may jump only at an arrow time of the occupied pair, with
+jump length at most k.
 
 Every Poisson process is keyed by its canonical identity (site, or ordered
 pair), not by enumeration order, so timelines sampled at different
 truncation ranges agree on every shared pair: restricting the jump length
 on one shared sample realizes the usual monotone coupling in k, and the
 harness's k-sweep samples one timeline per replica, at the largest k.  No
-two sites of the box are farther apart than its widest extent, so the
-sampler enumerates ranges only up to min(k, that extent), and a k above it
+two sites of the box are farther apart than its width 2 box, so the
+sampler enumerates ranges only up to min(k, 2 box), and a k above it
 samples the same timeline.
 
 An arrow's jump length j is a property of its pair, so the arrow is usable
@@ -31,22 +33,25 @@ the minimax labelling of invasion percolation (Wilkinson & Willemsen 1983).
 A site is k-connected from (src, s) at time t exactly when its label is
 <= k, so the least label at the horizon decides survival at every k of a
 k-sweep from one sweep per replica.  The sweep checks that
-0 <= s <= t <= horizon and that src is a site of the box.
+0 <= s <= t <= horizon and that src, any sequence of d coordinates, is a
+site of the table.
 
-A box's fixed structure, its sites, its in-box pairs, the id prefixes of
-their death and arrow processes, every process's mean grouped by mean and
-each pair's (source index, destination index, jump), is a table built once
-per (rates, box, horizon, d) and process (`_box_table`, behind an
-lru_cache that keeps the last table), so sampling only draws marks.  A
-Timeline keeps its marks flat: one owner array (a process of its table)
-and one time array, in sweep order.  Its `deaths` and `arrows` dicts
-({key: sorted times}) are views, built on first read and cached.  The
-sweep keeps one int label per site index.  Timelines of hand-made marks,
-and the skeleton event `f_events` with its oracle `check_f_event`, live
-in `tests/oracles.py`.
+A box's fixed structure is a table (`_Table`) built once per (rates,
+box, horizon, d) and process (`_box_table`, behind an lru_cache that
+keeps the last table), so sampling only draws marks.  The table holds
+the box and every site of it, each in-box pair's (source index,
+destination index, jump), the id prefixes of the death and arrow
+processes and every process's mean grouped by mean.  A Timeline keeps
+its marks flat: one owner array (a process of its table) and one time
+array, in sweep order.  Its `deaths` and `arrows` dicts ({key: sorted
+times}) are views, built on first read and cached, as are the table's
+(site, site) pairs that the `arrows` view keys by.  The sweep keeps one
+int label per site index.  Timelines of hand-made marks, and the
+skeleton event `f_events` with its oracle `check_f_event`, are in
+`tests/oracles.py`.
 
-There is one sampler, `sample_timelines`, which draws the timelines of a
-batch of replicas together; `sample_timeline` is its batch of one.  It
+The sampler, `sample_timelines`, draws the timelines of a batch of
+replicas together; `sample_timeline` is its batch of one.  It
 folds each process's id prefix, [7, x...] or [8, x..., axis, disp], once
 per replica (`BondField.prefix`), draws the process's count from that
 state's [0, 0] and the time of its j-th mark from [1, j], so only the last
@@ -75,16 +80,12 @@ _KIND_COUNT = 0
 _KIND_TIME = 1
 
 
-def _box_sites(box, d: int):
-    """Expand a box spec (half-width int, or per-axis (lo, hi) pairs) into the
-    list of sites and the per-axis bounds."""
-    if d < 1:
-        raise ValueError(f"dimension must be >= 1, got {d}")
-    bounds = [(-box, box)] * d if isinstance(box, int) else [tuple(b) for b in box]
-    if len(bounds) != d or any(lo > hi for lo, hi in bounds):
-        raise ValueError(f"box must be a half-width >= 0 or {d} (lo, hi) pairs "
-                         f"with lo <= hi, got {box}")
-    return list(itertools.product(*(range(lo, hi + 1) for lo, hi in bounds))), bounds
+def _box_sites(box: int, d: int) -> list:
+    """The sites of the box of half-width `box` in dimension d, in
+    lexicographic order."""
+    if d < 1 or box < 0:
+        raise ValueError(f"need a box half-width >= 0 and a dimension >= 1, got {box}, {d}")
+    return list(itertools.product(range(-box, box + 1), repeat=d))
 
 
 class _MeanRuns:
@@ -165,35 +166,40 @@ def _poisson_from_mode(u, mu: float) -> np.ndarray:
 
 
 class _Table:
-    """The fixed structure of a timeline: its sites, its ordered pairs and,
+    """The fixed structure of a timeline on the box of half-width `box` in
+    dimension d: its sites, in `_box_sites` order, its ordered pairs and,
     per process, what its marks touch.
 
     Process o < len(sites) is the death process of site o; process
     len(sites) + p is the arrow process of pair p, and heads[o] is then
-    (source index, destination index, jump length).  A box's table also
-    carries the box bounds, the id prefixes of its death and arrow processes
-    as columns, and every process's mean in process order (the horizon for
-    a death process, rate x horizon for an arrow process), grouped by mean
-    (`_MeanRuns`).
+    (source index, destination index, jump length).  A sampled table also
+    carries the id prefixes of its death and arrow processes as columns,
+    and every process's mean in process order (the horizon for a death
+    process, rate x horizon for an arrow process), grouped by mean
+    (`_MeanRuns`).  The pairs, (source, destination) site tuples, are
+    built on first read.
     """
 
-    def __init__(self, sites, pairs, heads, bounds=None, dcols=None, acols=None, mus=None):
-        self.sites, self.pairs, self.bounds = sites, pairs, bounds
-        self.index = {s: i for i, s in enumerate(sites)}
-        self.heads = [*range(len(sites)), *heads]
+    def __init__(self, box: int, d: int, heads, dcols=None, acols=None, mus=None):
+        self.box, self.d, self.sites = box, d, _box_sites(box, d)
+        self.index = {s: i for i, s in enumerate(self.sites)}
+        self.heads = [*range(len(self.sites)), *heads]
         self.dcols, self.acols, self.mus = dcols, acols, mus
+
+    @functools.cached_property
+    def pairs(self) -> list:
+        sites = self.sites
+        return [(sites[u], sites[v]) for u, v, _ in self.heads[len(sites):]]
 
 
 @functools.lru_cache(maxsize=1)
-def _box_table(rates, box, horizon: float, d: int) -> _Table:
-    """The table of every site and every in-box ordered pair with a positive
-    rate, pairs in site order and, per site, in (axis, signed range) order.
-    `box` is an int or a tuple of (lo, hi) pairs; `rates` is a key by value."""
-    sites, bounds = _box_sites(box, d)
-    lo, hi = np.array(bounds, dtype=np.int64).reshape(d, 2).T
-    coords = np.array(sites, dtype=np.int64).reshape(-1, d)
-    # no pair of in-box sites is farther apart than the widest box extent
-    reach = min(rates.k, int((hi - lo).max()))
+def _box_table(rates, box: int, horizon: float, d: int) -> _Table:
+    """The table of every site of the box of half-width `box` and every
+    in-box ordered pair with a positive rate, pairs in site order and, per
+    site, in (axis, signed range) order.  `rates` is a key by value."""
+    coords = np.array(_box_sites(box, d), dtype=np.int64).reshape(-1, d)
+    # no pair of in-box sites is farther apart than the box's width
+    reach = min(rates.k, 2 * box)
     moves = [(m, disp, rates.term(abs(disp)))
              for m in range(1, d + 1) for disp in signed_ranges(reach)]
     moves = [mv for mv in moves if mv[2] > 0.0]
@@ -201,13 +207,13 @@ def _box_table(rates, box, horizon: float, d: int) -> _Table:
     rate = np.array([mv[2] for mv in moves], dtype=np.float64)
     step = disp[:, None] * (np.arange(1, d + 1) == axis[:, None])       # (moves, d)
     dst = coords[:, None, :] + step[None]                               # (sites, moves, d)
-    src_i, move_i = np.nonzero(((dst >= lo) & (dst <= hi)).all(axis=2))
-    dst_i = np.ravel_multi_index(tuple((dst[src_i, move_i] - lo).T), tuple(hi - lo + 1))
-    heads = list(zip(src_i.tolist(), dst_i.tolist(), np.abs(disp[move_i]).tolist()))
-    return _Table(sites, [(sites[u], sites[v]) for u, v, _ in heads], heads, tuple(bounds),
+    src_i, move_i = np.nonzero((np.abs(dst) <= box).all(axis=2))
+    dst_i = np.ravel_multi_index(tuple((dst[src_i, move_i] + box).T), (2 * box + 1,) * d)
+    heads = zip(src_i.tolist(), dst_i.tolist(), np.abs(disp[move_i]).tolist())
+    return _Table(box, d, heads,
                   dcols=[_TAG_DEATH, *coords.T],
                   acols=[_TAG_ARROW, *coords[src_i].T, axis[move_i], disp[move_i]],
-                  mus=_MeanRuns(np.concatenate([np.full(len(sites), horizon),
+                  mus=_MeanRuns(np.concatenate([np.full(len(coords), horizon),
                                                 rate[move_i] * horizon])))
 
 
@@ -221,12 +227,9 @@ class Timeline:
     marks omitted; each is built on first read.
     """
 
-    def __init__(self, horizon: float, bounds, table: _Table, owner, times, resamples: int = 0):
-        self.horizon, self.bounds, self.table = horizon, bounds, table
+    def __init__(self, horizon: float, table: _Table, owner, times, resamples: int = 0):
+        self.horizon, self.table = horizon, table
         self.owner, self.times, self.resamples = owner, times, resamples
-
-    def in_box(self, site) -> bool:
-        return all(lo <= c <= hi for c, (lo, hi) in zip(site, self.bounds))
 
     def _by_process(self, keys, first: int) -> dict:
         """{keys[p]: sorted times} of processes first + p with a mark."""
@@ -318,9 +321,10 @@ def replica_bytes(rates: TruncatedSequence, box: int, horizon: float, d: int) ->
     return 32 * max(sites + pairs, horizon * (sites + rate))
 
 
-def sample_timelines(seed: int, rates: TruncatedSequence, box, horizon: float, d: int,
+def sample_timelines(seed: int, rates: TruncatedSequence, box: int, horizon: float, d: int,
                      replicas) -> list:
-    """The timelines of `replicas`, sampled together: element i is
+    """The timelines of `replicas` on the box of half-width `box` in
+    dimension d, sampled together: element i is
     `sample_timeline(seed, rates, box, horizon, d, replicas[i])`.
 
     Deterministic in (seed, replica).  Each process draws its count from its
@@ -333,8 +337,7 @@ def sample_timelines(seed: int, rates: TruncatedSequence, box, horizon: float, d
     """
     if not 0 < horizon < math.inf:
         raise ValueError(f"horizon must be finite and positive, got {horizon}")
-    table = _box_table(rates, box if isinstance(box, int) else tuple(map(tuple, box)),
-                       horizon, d)
+    table = _box_table(rates, box, horizon, d)
     root, replicas = BondField(seed), np.asarray(replicas, dtype=np.int64)
     out, todo = [None] * replicas.size, np.arange(replicas.size)
     for attempt in range(64):
@@ -346,14 +349,14 @@ def sample_timelines(seed: int, rates: TruncatedSequence, box, horizon: float, d
         starts = [0, *ends[:-1].tolist()]
         for i, s, e, bad in zip(todo.tolist(), starts, ends.tolist(), tied.tolist()):
             if not bad:
-                out[i] = Timeline(horizon, table.bounds, table, owner[s:e], times[s:e], attempt)
+                out[i] = Timeline(horizon, table, owner[s:e], times[s:e], attempt)
         todo = todo[tied]
         if not todo.size:
             return out
     raise RuntimeError("could not sample a collision-free timeline")
 
 
-def sample_timeline(seed: int, rates: TruncatedSequence, box, horizon: float,
+def sample_timeline(seed: int, rates: TruncatedSequence, box: int, horizon: float,
                     d: int, replica: int = 0) -> Timeline:
     """Exact Poisson samples for every site and every in-box ordered pair:
     `sample_timelines` of the one replica."""
@@ -368,16 +371,17 @@ def infection_labels(tl: Timeline, src, s: float, t: float) -> dict:
     k, the label being the least such k (see the module docstring).
 
     The sweep reads the timeline's flat marks between s and t and keeps one
-    int label per site index of its table.  The source must be a site of
-    the box: an off-box site has no marks and would stay infected.
+    int label per site index of its table.  The source, any sequence of d
+    coordinates, must be a site of the table: an off-box site has no marks
+    and would stay infected.
     """
     if not (0.0 <= s <= t <= tl.horizon):
         raise ValueError("times must satisfy 0 <= s <= t <= horizon")
-    if len(src) != len(tl.bounds) or not tl.in_box(src):
-        raise ValueError(f"source {src} is not a site of the box {tl.bounds}")
     table, n = tl.table, len(tl.table.sites)
-    if src not in table.index:  # no mark touches it: nothing reaches or clears it
-        return {src: 0}
+    src = tuple(src)
+    if src not in table.index:
+        raise ValueError(f"source {src} is not a site of the box of half-width "
+                         f"{table.box} in dimension {table.d}")
     lo, at, hi = (int(np.searchsorted(tl.times, x, side=side))
                   for x, side in ((s, "left"), (s, "right"), (t, "right")))
     head = tl.owner[lo:at]  # marks at s itself: its deaths count, its arrows do not
@@ -408,5 +412,5 @@ def infection_labels(tl: Timeline, src, s: float, t: float) -> dict:
 
 def infected_at_horizon(tl: Timeline, k: int) -> set:
     """The set of sites k-connected from (0, 0) at the timeline horizon."""
-    origin = (0,) * len(tl.bounds)
+    origin = (0,) * tl.table.d
     return {v for v, lab in infection_labels(tl, origin, 0.0, tl.horizon).items() if lab <= k}

@@ -101,9 +101,11 @@ def staircase(m) -> tuple:
     return (-((-m) // 2), -(m // 2))
 
 
-def _line(m: int):
-    """(axis, target offset) of the line segment joining gamma(m), gamma(m+1)."""
-    return (1, 1) if m % 2 == 0 else (2, -1)
+def _line(m):
+    """(axis, target offset) of the line segment joining gamma(m), gamma(m+1):
+    (1, 1) for even m, gamma(m+1) = gamma(m) + e_1, and (2, -1) for odd m,
+    gamma(m+1) = gamma(m) - e_2.  An integer array m gives two arrays."""
+    return 1 + m % 2, 1 - 2 * (m % 2)
 
 
 def _on_line(base, axis: int, t: int) -> tuple:
@@ -277,8 +279,8 @@ def _h_labels_batch(root: BondField, replicas: np.ndarray, m: np.ndarray, n: int
     size = 2 * w + 1
     labels = np.full(m.size, K + 1, dtype=np.int64)
     parents = [list(range(size)) for _ in range(m.size)]
-    # gamma(m+1) is gamma(m) + e_1 for even m and gamma(m) - e_2 for odd m
-    targets = np.where(m % 2 == 1, w - 1, w + 1).tolist()
+    axis, target = _line(m)
+    targets = (w + target).tolist()
     lo = np.arange(-w, w + 1)[:, None]
     left = np.arange(m.size)  # the lines still apart
     r = 0  # the ranges drawn so far
@@ -286,7 +288,7 @@ def _h_labels_batch(root: BondField, replicas: np.ndarray, m: np.ndarray, n: int
         top = min(R, r + max(1, _BATCH_IDS // (size * left.size)))
         rng = np.arange(r + 1, top + 1)
         x1, x2 = staircase(m[left, None, None])
-        o = m[left, None, None] % 2 == 1  # these lines run along axis 2
+        o = axis[left, None, None] == 2  # these lines run along axis 2
         fld = root.derive_replica(replicas[left, None, None])
         opened = fld.open_mask([TAG_GSTAR_H, n, x1 + ~o * lo, x2 + o * lo, 1 + o, rng],
                                pseq.terms(top)[r:])
@@ -343,14 +345,15 @@ def h_label_max(root: BondField, replicas, rows, n: int, pseq: TruncatedSequence
     width = rows.shape[1]
     lines = rows.ravel()
     owners = np.repeat(replicas, width)
-    odd = lines % 2
     x1, x2 = staircase(lines)
-    # the range-1 bond is the grid's bond at lo = -odd (see `_h_labels_batch`)
+    axis, target = _line(lines)
+    # the range-1 bond is the grid's bond at lo = min(0, target), its lower
+    # end: gamma(m) - e_2 on the lines whose target is -1, else gamma(m)
     direct = np.empty(lines.size, dtype=bool)
     for c in range(0, lines.size, _BATCH_IDS):
         s = slice(c, c + _BATCH_IDS)
         direct[s] = root.derive_replica(owners[s]).open_mask(
-            [TAG_GSTAR_H, n, x1[s], x2[s] - odd[s], 1 + odd[s], 1], pseq.term(1))
+            [TAG_GSTAR_H, n, x1[s], x2[s] + np.minimum(0, target[s]), axis[s], 1], pseq.term(1))
     labels = np.where(direct, 1, never)
     failed = np.zeros(len(rows), dtype=bool)
     apart = np.flatnonzero(~direct)

@@ -10,7 +10,6 @@ them.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -18,7 +17,8 @@ import numpy as np
 
 from lrperc.bondfield import TAG_SITE, BondField, BondId
 from lrperc.contact import (
-    _TAG_ARROW, _TAG_DEATH, Timeline, _mark_counts, _mark_times, _Table, infection_labels,
+    _TAG_ARROW, _TAG_DEATH, Timeline, _box_sites, _mark_counts, _mark_times, _Table,
+    infection_labels,
 )
 from lrperc.oriented import ExplorationParams
 from lrperc.renorm import BifurcationParams, RedState, check_bifurcation
@@ -27,21 +27,21 @@ from lrperc.sequences import TruncatedSequence, signed_ranges
 
 # -- contact --------------------------------------------------------------------
 
-def hand_timeline(horizon=10.0, deaths=None, arrows=None, bounds=((-5, 5),)) -> Timeline:
+def hand_timeline(horizon=10.0, deaths=None, arrows=None, box=5, d=1) -> Timeline:
     """The timeline of hand-made marks, {site: times} and {(src, dst): times},
-    in the sampler's flat form: its table holds the marked sites and pairs,
-    and its marks run by time, deaths before arrows at equal times."""
+    in the sampler's flat form: its table lists every site of the box of
+    half-width `box` in dimension d and the marked pairs, and its marks run
+    by time, deaths before arrows at equal times."""
     deaths, arrows = deaths or {}, arrows or {}
-    sites = list(dict.fromkeys([*deaths, *itertools.chain.from_iterable(arrows)]))
-    index = {s: i for i, s in enumerate(sites)}
+    index = {s: i for i, s in enumerate(_box_sites(box, d))}
     heads = [(index[u], index[v], max(abs(a - b) for a, b in zip(u, v))) for u, v in arrows]
-    table = _Table(sites, list(arrows), heads)
-    marks = [np.asarray(deaths.get(s, ()), dtype=np.float64) for s in sites]
+    table = _Table(box, d, heads)
+    marks = [np.asarray(deaths.get(s, ()), dtype=np.float64) for s in table.sites]
     marks += [np.asarray(ts, dtype=np.float64) for ts in arrows.values()]
     owner = np.repeat(np.arange(len(marks)), [m.size for m in marks])
     times = np.concatenate([np.empty(0), *marks])
-    order = np.lexsort((owner >= len(sites), times))
-    return Timeline(horizon, bounds, table, owner[order], times[order])
+    order = np.lexsort((owner >= len(table.sites), times))
+    return Timeline(horizon, table, owner[order], times[order])
 
 
 def k_connected(tl: Timeline, frm, to, k: int) -> bool:
@@ -114,7 +114,7 @@ def check_f_event(tl: Timeline, x, n: int, params: SkeletonParams) -> FRecord:
     for a in signed_ranges(params.k):
         y = (x[0] + a, x[1])
         z = (x[0] + a, x[1] + b)
-        if not (tl.in_box(y) and tl.in_box(z)):
+        if not (y in tl.table.index and z in tl.table.index):
             continue
         if _count_in(tl.deaths.get(y), t0, t1) or _count_in(tl.deaths.get(z), t0, t1):
             continue
@@ -130,7 +130,7 @@ def f_events(rates: TruncatedSequence, params: SkeletonParams, trials: int,
     """Indicator, per trial, of the skeleton event at the origin over [0, delta].
 
     Trial r reads, of the marks of `sample_timeline(seed, rates,
-    box=[(-k, k), (0, b)], horizon=delta, d=2, replica=r)`, the death
+    box=max(k, b), horizon=delta, d=2, replica=r)`, the death
     counts of the 4k + 1 involved sites and the arrow times of the 4k
     involved pairs, each process's id prefix folded once per trial as the
     sampler folds it: `check_f_event` on that timeline is its oracle.

@@ -82,21 +82,37 @@ def test_scalar_draw_on_batch_field_rejected():
         BondField(8).derive_replica(np.array([3])).uniform_words(())
 
 
+def test_vector_draw_on_single_replica_field_rejected():
+    """Vector draws and the batch shape need a batch field: the root and a
+    field derived from one index have neither."""
+    root = BondField(8)
+    for fld in (root, root.derive_replica(3), root.derive_replica(np.int64(3))):
+        for draw in (lambda: fld.states([np.arange(3)]),
+                     lambda: fld.states([]),
+                     lambda: fld.uniforms([np.arange(3)]),
+                     lambda: fld.open_mask([np.arange(3)], 0.5),
+                     lambda: fld.prefix([TAG_G]),
+                     lambda: fld.shape):
+            with pytest.raises(ValueError, match="batch field"):
+                draw()
+    assert BondField(8).derive_replica(np.array([3])).shape == (1,)
+
+
 def test_vectorized_matches_scalar():
-    fld = BondField(11)
+    root = BondField(11)
     xs = np.arange(-50, 50)
     cols = [np.full(100, TAG_G), np.full(100, 2), xs, np.zeros(100, dtype=np.int64),
             np.ones(100, dtype=np.int64), np.full(100, 3)]
-    batch = fld.uniforms(cols)
+    batch = root.derive_replica(np.array([4])).uniforms(cols)
     for j in (0, 17, 99):
         b = BondId.oriented((int(xs[j]), 0), 2, 1, 3)
-        assert batch[j] == fld.uniform(b)
+        assert batch[j] == root.derive_replica(4).uniform(b)
 
 
 def test_marginal_frequency_one_million_bonds():
     """Range-3 bonds under a harmonic sequence open with frequency 1/3."""
     n = 1_000_000
-    fld = BondField(2024)
+    fld = BondField(2024).derive_replica(np.array([0]))
     xs = np.arange(n, dtype=np.int64)
     cols = [np.full(1, TAG_G), np.zeros(1, dtype=np.int64), xs,
             np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.int64), np.full(1, 3)]
@@ -112,8 +128,8 @@ def test_replica_independence_cross_correlation():
     xs = np.arange(n, dtype=np.int64)
     cols = [np.full(1, TAG_G), np.zeros(1, dtype=np.int64), xs,
             np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.int64), np.ones(1, dtype=np.int64)]
-    a = root.derive_replica(0).uniforms(cols) < 0.5
-    b = root.derive_replica(1).uniforms(cols) < 0.5
+    a = root.derive_replica(np.array([0])).uniforms(cols) < 0.5
+    b = root.derive_replica(np.array([1])).uniforms(cols) < 0.5
     both = int((a & b).sum())
     lo, hi = wilson_interval(both, n, z=3.0)
     assert lo <= 0.25 <= hi
@@ -168,6 +184,15 @@ def _field(seed, replica):
     return fld if replica is None else fld.derive_replica(replica)
 
 
+def _batch_of_one(seed, replica):
+    """`_field(seed, replica)` as a batch of one: the replica derived from a
+    one-index array, or, since no run draws the root as a batch, the root's
+    base held in a one-element array."""
+    if replica is None:
+        return BondField(seed, _base=np.array([BondField(seed)._base], dtype=np.uint64))
+    return BondField(seed).derive_replica(np.array([replica]))
+
+
 @pytest.mark.parametrize("seed, replica, words, bits", FROZEN)
 def test_frozen_scalar_stream(seed, replica, words, bits):
     u = _field(seed, replica).uniform_words(words)
@@ -176,12 +201,13 @@ def test_frozen_scalar_stream(seed, replica, words, bits):
 
 @pytest.mark.parametrize("seed, replica, words, bits", FROZEN)
 def test_frozen_vector_stream(seed, replica, words, bits):
-    """The same ids as element [0, 0] of a broadcast batch whose columns
-    alternate between the two axes, and as element 0 of a replica batch."""
+    """The same ids as element [0, 0] of a broadcast batch of one whose
+    columns alternate between the two axes, and as element 0 of a replica
+    batch."""
     cols = [np.array([w, w ^ 1]).reshape((2, 1) if j % 2 else (1, 2))
             for j, w in enumerate(words)]
-    batch = _field(seed, replica).uniforms(cols)
-    assert np.asarray(batch).flat[0] * 2**53 == bits
+    batch = _batch_of_one(seed, replica).uniforms(cols)
+    assert batch.flat[0] * 2**53 == bits
     if replica is not None:
         reps = BondField(seed).derive_replica(np.arange(replica, replica + 3))
         batch = reps.uniforms([np.asarray(w)[None] for w in words])
@@ -232,49 +258,56 @@ FROZEN_LOW = [1400, 1136, 1495, 1970, 863, 1549, 1091, 1113,
               1193, 313, 957, 1295, 964, 338, 190, 1842]
 
 
-@pytest.mark.parametrize("seed, replica, words, bits, low", [
-    pytest.param(*f, low, id=f"{f[0]}-{f[1]}-words{i}")
-    for i, (f, low) in enumerate(zip(FROZEN, FROZEN_LOW))])
+_FROZEN_STATES = [pytest.param(*f, low, id=f"{f[0]}-{f[1]}-words{i}")
+                  for i, (f, low) in enumerate(zip(FROZEN, FROZEN_LOW))]
+
+
+@pytest.mark.parametrize("seed, replica, words, bits, low", _FROZEN_STATES)
 def test_frozen_states(seed, replica, words, bits, low):
-    """`states` gives each frozen id's full 64-bit hash state, on one field
-    and, through a shared last word folded onto a (2, 3) batch."""
+    """`states` gives each frozen id's full 64-bit hash state, on a batch of
+    one and, through a shared last word folded onto a (2, 3) batch."""
     state = bits << 11 | low
-    h = _field(seed, replica).states([np.asarray(w) for w in words])
-    assert h.dtype == np.uint64 and int(h) == state
+    h = _batch_of_one(seed, replica).states([np.asarray(w) for w in words])
+    assert h.dtype == np.uint64 and h.shape == (1,) and int(h[0]) == state
     if replica is not None and words:
         batch = BondField(seed).derive_replica(np.full((2, 3), replica)).prefix(words[:-1])
         assert (batch.states([words[-1]]) == state).all()
 
 
-@pytest.mark.parametrize("seed, replica, words, bits, low", [
-    pytest.param(*f, low, id=f"{f[0]}-{f[1]}-words{i}")
-    for i, (f, low) in enumerate(zip(FROZEN, FROZEN_LOW))])
+@pytest.mark.parametrize("seed, replica, words, bits, low", _FROZEN_STATES)
 def test_frozen_states_into_a_destination(seed, replica, words, bits, low):
     """`states` with a destination and a scratch gives each frozen id's
-    full hash state in the destination it was given, on one field and on a
-    (2, 3) batch that folded all but the last word."""
+    full hash state in the destination it was given, on a batch of one and
+    on a (2, 3) batch that folded all but the last word.  An id of no words
+    has no fold to write the destination, and is refused."""
     state = bits << 11 | low
-    out, scratch = np.empty((), dtype=np.uint64), np.empty((), dtype=np.uint64)
-    h = _field(seed, replica).states([np.asarray(w) for w in words], out=out, scratch=scratch)
-    assert h is out and int(h) == state
-    if replica is not None and words:
-        batch = BondField(seed).derive_replica(np.full((2, 3), replica)).prefix(words[:-1])
-        out, scratch = np.zeros((2, 3), dtype=np.uint64), np.zeros((2, 3), dtype=np.uint64)
-        assert batch.states([words[-1]], out=out, scratch=scratch) is out
-        assert (out == state).all()
+    fld = _batch_of_one(seed, replica)
+    out, scratch = np.empty(1, dtype=np.uint64), np.empty(1, dtype=np.uint64)
+    if not words:
+        with pytest.raises(ValueError, match="a column to fold"):
+            fld.states([], out=out, scratch=scratch)
+        return
+    assert fld.states([np.asarray(w) for w in words], out=out, scratch=scratch) is out
+    assert int(out[0]) == state
+    if replica is None:
+        return
+    batch = BondField(seed).derive_replica(np.full((2, 3), replica)).prefix(words[:-1])
+    out, scratch = np.zeros((2, 3), dtype=np.uint64), np.zeros((2, 3), dtype=np.uint64)
+    assert batch.states([words[-1]], out=out, scratch=scratch) is out
+    assert (out == state).all()
 
 
-_AXES = st.lists(st.integers(1, 5), max_size=3)
+_AXES = st.lists(st.integers(1, 5), min_size=1, max_size=3)  # a batch has an axis
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(seed=st.integers(-2**63, 2**63 - 1), draw=st.integers(0, 2**32),
-       width=st.integers(0, 5), axes=_AXES)
+       width=st.integers(1, 5), axes=_AXES)
 def test_states_into_a_destination_equal_fresh_states(seed, draw, width, axes):
-    """Over random broadcast shapes, word counts (none included) and seeds,
-    `states` folded into a destination the caller owns, holding garbage, is
-    bit for bit the `states` of a fresh array, and it is that destination
-    that is returned."""
+    """Over random broadcast shapes, word counts and seeds, `states` folded
+    into a destination the caller owns, holding garbage, is bit for bit the
+    `states` of a fresh array, and it is that destination that is returned.
+    A destination without a scratch, or without a column, is refused."""
     rng = np.random.default_rng(draw)
 
     def part():  # a shape that broadcasts to `axes`
@@ -289,6 +322,8 @@ def test_states_into_a_destination_equal_fresh_states(seed, draw, width, axes):
     assert out.dtype == np.uint64 and np.array_equal(out, want)
     with pytest.raises(ValueError, match="together"):
         fld.states(cols, out=out)
+    with pytest.raises(ValueError, match="a column to fold"):
+        fld.states([], out=out, scratch=scratch)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)

@@ -95,13 +95,12 @@ def _per_replica_timeline(seed, rates, box, horizon, d, replica, first_attempt=0
     is horizon times its [..., 1, j] uniform.  The marks are sorted by time,
     and on a tie the whole timeline is redrawn from replica + attempt *
     2**40."""
-    table = contact._box_table(rates, box if isinstance(box, int) else tuple(map(tuple, box)),
-                               horizon, d)
+    table = contact._box_table(rates, box, horizon, d)
     n = len(table.sites)
     means = [(table.dcols, np.full(n, horizon)),
              (table.acols, np.array([rates.term(j) * horizon for _, _, j in table.heads[n:]]))]
     for attempt in range(first_attempt, 64):
-        fld = BondField(seed).derive_replica(replica + (attempt << 40))
+        fld = BondField(seed).derive_replica(np.array([replica + (attempt << 40)]))
         owner, times, first = [], [], 0
         for cols, mus in means:
             counts = _poisson_walk(fld.uniforms([*cols, 0, 0]), mus)
@@ -115,7 +114,7 @@ def _per_replica_timeline(seed, rates, box, horizon, d, replica, first_attempt=0
         order = np.argsort(times)
         owner, times = owner[order], times[order]
         if not (times[1:] == times[:-1]).any():
-            return Timeline(horizon, table.bounds, table, owner, times, attempt)
+            return Timeline(horizon, table, owner, times, attempt)
     raise RuntimeError("could not sample a collision-free timeline")
 
 
@@ -237,8 +236,8 @@ def test_sample_timeline_deterministic():
 def test_death_and_arrow_counts_match_poisson_means():
     horizon = 2.0
     rates = truncate(explicit([0.5]), 1)
-    tl = sample_timeline(3, rates, box=[(0, 4999)], horizon=horizon, d=1)
-    sites = 5000
+    tl = sample_timeline(3, rates, box=2500, horizon=horizon, d=1)
+    sites = 5001
     ndeaths = sum(len(ts) for ts in tl.deaths.values())
     # mean T per site, variance T per site
     assert abs(ndeaths / sites - horizon) < 3 * math.sqrt(horizon / sites)
@@ -318,8 +317,8 @@ def _brute_force_connected(tl, frm, to, k):
 
 
 _BRUTE_FORCE_CASES = [  # seed, rates, box, horizon, d, replicas
-    (31, truncate(constant(0.8), 2), [(0, 2)], 1.5, 1, 60),
-    (32, truncate(harmonic(), 3), [(-2, 2), (-1, 1)], 1.0, 2, 30),
+    (31, truncate(constant(0.8), 2), 1, 1.5, 1, 60),
+    (32, truncate(harmonic(), 3), 2, 1.0, 2, 30),
 ]
 
 
@@ -382,7 +381,7 @@ def test_time_bounds_validated():
 def test_infection_labels_checks_its_inputs():
     """The sweep itself rejects times outside 0 <= s <= t <= horizon and a
     source off the box, which has no marks and would stay infected."""
-    tl = _tl(horizon=2.0, bounds=((-2, 2),))
+    tl = _tl(horizon=2.0, box=2)
     for s, t in ((2.0, 1.0), (-1.0, 1.0), (0.0, 3.0)):
         with pytest.raises(ValueError, match="0 <= s <= t <= horizon"):
             infection_labels(tl, (0,), s, t)
@@ -392,10 +391,24 @@ def test_infection_labels_checks_its_inputs():
     assert infection_labels(tl, (2,), 0.0, 1.0) == {(2,): 0}
 
 
+def test_infection_labels_take_a_source_of_any_sequence_form():
+    """A tuple, a list and an integer array name the same source and give
+    the same labels; an off-box or wrong-dimension source of each form is
+    refused."""
+    tl = sample_timeline(71, truncate(harmonic(), 3), 2, 2.0, 2, replica=0)
+    want = infection_labels(tl, (1, 0), 0.0, 2.0)
+    assert len(want) > 1
+    for src in ([1, 0], np.array([1, 0]), np.array([1, 0], dtype=np.int32)):
+        assert infection_labels(tl, src, 0.0, 2.0) == want
+    for bad in ((3, 0), [0, -3], np.array([0, 0, 0]), [0], np.array([1])):
+        with pytest.raises(ValueError, match="site of the box"):
+            infection_labels(tl, bad, 0.0, 1.0)
+
+
 def test_pairs_stop_at_the_widest_box_extent(monkeypatch):
-    """No two sites of a box are farther apart than its widest extent, so
-    no longer range is enumerated, and a k far above it samples the same
-    timelines and records as k at that extent."""
+    """No two sites of a box are farther apart than its width, twice its
+    half-width, so no longer range is enumerated, and a k far above it
+    samples the same timelines and records as k at that width."""
     contact._box_table.cache_clear()  # the tables are built under the spy
     asked = []
     ranges = contact.signed_ranges
@@ -404,10 +417,9 @@ def test_pairs_stop_at_the_widest_box_extent(monkeypatch):
         asked.append(k)
         return ranges(k)
     monkeypatch.setattr(contact, "signed_ranges", spy)
-    box = [(-1, 1), (0, 3)]
     for r in range(10):
-        far, near = (sample_timeline(5, truncate(harmonic(), k), box, 1.0, 2, replica=r)
-                     for k in (1000, 3))
+        far, near = (sample_timeline(5, truncate(harmonic(), k), 1, 1.0, 2, replica=r)
+                     for k in (1000, 2))
         assert far.deaths.keys() == near.deaths.keys()
         assert far.arrows.keys() == near.arrows.keys()
         assert all((far.arrows[p] == near.arrows[p]).all() for p in far.arrows)
@@ -420,25 +432,24 @@ def test_pairs_stop_at_the_widest_box_extent(monkeypatch):
 
 def test_box_table_is_built_once_per_process():
     """The chunks of a k-sweep share one pair table, and a k above the
-    box's widest extent reads the same table and timelines as k at it."""
+    box's width reads the same table and timelines as k at it."""
     contact._box_table.cache_clear()
     crits = run_replicas(_surv_contact, (truncate(harmonic(), 4), 2, 1.25, 2),
                          seed=21, reps=20, threads=1, cap=5)
     info = contact._box_table.cache_info()
     assert (info.misses, info.hits) == (1, 3)
     assert len(set(crits)) > 1
-    box = [(-1, 1), (0, 3)]
-    far, near = (contact._box_table(truncate(harmonic(), k), tuple(box), 2.0, 2)
-                 for k in (1000, 3))
+    far, near = (contact._box_table(truncate(harmonic(), k), 1, 2.0, 2)
+                 for k in (1000, 2))
     assert far is not near
     assert (far.sites, far.pairs, far.heads) == (near.sites, near.pairs, near.heads)
-    assert far.pairs and max(j for _, _, j in far.heads[len(far.sites):]) == 3
+    assert far.pairs and max(j for _, _, j in far.heads[len(far.sites):]) == 2
     for a, b in zip([*far.dcols, *far.acols, far.mus.values],
                     [*near.dcols, *near.acols, near.mus.values]):
         assert np.array_equal(a, b)
     for r in range(5):
-        tf, tn = (sample_timeline(5, truncate(harmonic(), k), box, 2.0, 2, replica=r)
-                  for k in (1000, 3))
+        tf, tn = (sample_timeline(5, truncate(harmonic(), k), 1, 2.0, 2, replica=r)
+                  for k in (1000, 2))
         assert np.array_equal(tf.owner, tn.owner) and np.array_equal(tf.times, tn.times)
 
 
@@ -462,7 +473,7 @@ def test_chunk_cap_counts_the_box_table(law, k, box, horizon, d):
             == max(1, int(bondfield._CHUNK_BYTES // 32 // per)))
 
 
-@pytest.mark.parametrize("box,d", [(3, 1), ([(-2, 2), (-1, 1)], 2)])
+@pytest.mark.parametrize("box,d", [(3, 1), (2, 2)])
 def test_hand_made_and_sampled_timelines_read_one_form(box, d):
     """A timeline rebuilt by hand from a sampled one's dict views sweeps to
     the same labels and gives the same views back."""
@@ -471,7 +482,7 @@ def test_hand_made_and_sampled_timelines_read_one_form(box, d):
     spread = 0
     for r in range(20):
         tl = sample_timeline(71, rates, box, horizon, d, replica=r)
-        hand = _tl(tl.horizon, tl.deaths, tl.arrows, tl.bounds)
+        hand = _tl(tl.horizon, tl.deaths, tl.arrows, box, d)
         assert np.array_equal(hand.times, tl.times)
         for src, s in starts:
             got = infection_labels(hand, src, s, horizon)
@@ -509,12 +520,12 @@ def test_f_probability_saturated_rates_limit():
 
 def test_check_f_event_empty_timeline():
     params = SkeletonParams(delta=1.0, b=1, k=1)
-    assert not check_f_event(_tl(bounds=[(-3, 3), (0, 2)]), (0, 0), 0, params).success
+    assert not check_f_event(_tl(box=3, d=2), (0, 0), 0, params).success
 
 
 def test_check_f_event_hand_built():
     params = SkeletonParams(delta=1.0, b=1, k=1)
-    tl = _tl(bounds=[(-3, 3), (0, 2)],
+    tl = _tl(box=3, d=2,
              arrows={(((0, 0)), ((1, 0))): [0.25], (((1, 0)), ((1, 1))): [0.75]})
     rec = check_f_event(tl, (0, 0), 0, params)
     assert rec.success and rec.a == 1
@@ -522,7 +533,7 @@ def test_check_f_event_hand_built():
 
 def test_check_f_event_death_on_root_blocks():
     params = SkeletonParams(delta=1.0, b=1, k=1)
-    tl = _tl(bounds=[(-3, 3), (0, 2)], deaths={(0, 0): [0.5]},
+    tl = _tl(box=3, d=2, deaths={(0, 0): [0.5]},
              arrows={(((0, 0)), ((1, 0))): [0.25], (((1, 0)), ((1, 1))): [0.75]})
     assert not check_f_event(tl, (0, 0), 0, params).success
 
@@ -546,7 +557,7 @@ def test_f_events_equal_check_f_event_per_trial(seed, rates, params):
     and on every eighth trial the per-replica oracle's timeline agrees."""
     trials, k, b = 400, params.k, params.b
     got = f_events(rates, params, trials, seed)
-    box = [(-k, k), (0, b)]
+    box = max(k, b)
     want = [check_f_event(sample_timeline(seed, rates, box=box, horizon=params.delta, d=2,
                                           replica=r), (0, 0), 0, params).success
             for r in range(trials)]
@@ -565,7 +576,7 @@ def test_f_event_inclusion_in_infection():
     params = SkeletonParams(delta=1.0, b=1, k=1)
     seen = 0
     for r in range(400):
-        tl = sample_timeline(88, rates, box=[(-2, 2), (-1, 2)], horizon=2.0, d=2, replica=r)
+        tl = sample_timeline(88, rates, box=2, horizon=2.0, d=2, replica=r)
         for n in (0, 1):
             rec = check_f_event(tl, (0, 0), n, params)
             if not rec.success:
@@ -656,5 +667,3 @@ def test_box_validation():
         sample_timeline(1, rates, box=-1, horizon=1.0, d=1)
     with pytest.raises(ValueError, match="dimension"):
         sample_timeline(1, rates, box=1, horizon=1.0, d=0)
-    with pytest.raises(ValueError, match="lo <= hi"):
-        sample_timeline(1, rates, box=[(2, 1)], horizon=1.0, d=1)

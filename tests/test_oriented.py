@@ -258,6 +258,18 @@ def test_surv_g_records_nondecreasing_in_k():
             assert [crit <= k] == explore(fld, params).survived, (r, k)
 
 
+def test_sweeps_refuse_a_single_replica_field():
+    """`explore` and `critical_k` sweep a batch field; the root and a field
+    derived from one index raise the stream layer's ValueError, also at
+    horizon 0, where no bond is drawn."""
+    for fld in (BondField(3), BondField(3).derive_replica(0)):
+        for horizon in (0, 4):
+            params = _params(horizon=horizon)
+            for sweep in (explore, critical_k):
+                with pytest.raises(ValueError, match="batch field"):
+                    sweep(fld, params)
+
+
 def test_critical_k_horizon_zero_is_zero():
     for k in (0, 3):
         params = _params(horizon=0, p=truncate(constant(0.0), k))
