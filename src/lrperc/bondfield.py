@@ -214,8 +214,14 @@ class BondField:
         """Replicas `idx` (an index array) of this batch field: element i of
         the result reads the stream of replica idx[i], so
         `derive_replica(a).take(i)` reads `derive_replica(a[i])`.  A tuple
-        of index arrays, one per axis, selects elements of an n-d batch."""
-        return BondField(self.seed, _base=self._base[idx])
+        of index arrays, one per axis, selects elements of an n-d batch.
+        The result is a batch: a single-replica field, or an index that
+        selects one replica, raises ValueError (`derive_replica` gives one
+        replica's field)."""
+        base = self._base[idx] if np.ndim(self._base) else None
+        if not np.ndim(base):
+            raise ValueError("take selects a batch from a batch field")
+        return BondField(self.seed, _base=base)
 
     @staticmethod
     def concat(fields, axis: int = -1) -> "BondField":

@@ -32,12 +32,13 @@ laid out (sites, replicas), so every per-generation operation runs on one
 contiguous block.  A label that counts at no gamma of the grid (one >=
 max(gamma), tested as a state against ceil(max(gamma) * 2**53) << 11) has
 children that count at none either, so the scan hashes only the sites that
-can still count: it drops the replicas with no other label and trims the
-rest to the columns between the first and the last label that may count.
-A grid holding gamma = 1 prunes nothing.  The site id is [TAG_SITE, m, n],
-so the scan folds a column's prefix [TAG_SITE, m] once per replica into a
-cache that grows with the window's right end, and a generation folds only
-its word n on top of it: one id word per site.
+can still count: each generation trims the window from its ends to the
+columns between the first and the last label that may count, and the
+replicas with no other label are dropped where the column cache is
+extended.  A grid holding gamma = 1 prunes nothing.  The site id is
+[TAG_SITE, m, n], so the scan folds a column's prefix [TAG_SITE, m] once
+per replica into a cache that grows with the window's right end, and a
+generation folds only its word n on top of it: one id word per site.
 """
 
 from __future__ import annotations
@@ -197,31 +198,38 @@ def _cone_chunk(args, root, lo, hi):
     """(replicas, horizons) float64 over replicas lo..hi-1: each replica's
     least label, as a uniform, at each counted horizon.  It is -inf at
     horizon 0, where the origin counts at every gamma, 0 included, and 1.0
-    where the label counts at no gamma of the grid: a replica dropped, or
-    every horizon after the chunk dies.
+    where the label counts at no gamma of the grid: a replica with no label
+    below the bound, or every horizon after the chunk dies.
 
     Every array is laid out (sites, replicas), so each generation's fold,
-    parent min/max, label minima and window trims run on one contiguous
-    block.  label[j, i] is the label of site (off + j, n) on the chunk's i-th
+    parent min/max and window trims run on one contiguous block.
+    label[j, i] is the label of site (off + j, n) on the chunk's i-th
     replica kept, as a raw uint64 hash state, the origin's being 0, and
     `kept` holds the chunk indices of the replicas kept; the sites left out
     of that rectangle, and the replicas dropped, have labels that count at
-    no gamma (see cone_survival_scan).  cols[j, i] is that replica's stream
-    folded with [TAG_SITE, c0 + j], so a generation folds only n on top of
-    it.  When the window's right end reaches c1, the cache drops the columns
-    left of off, which the window never returns to, and extends to column
-    off + 2w - 1, w + 1 being the window's width.  It so grows with the
-    window, not with the horizon, and a replica folds no more columns at a
-    generation than the sites it draws there.
+    no gamma (see cone_survival_scan).  Each generation trims the window
+    from its ends: it tests rows inward from either end and stops at the
+    first row holding a label below the bound, so a trimmed row is never
+    tested again and a chunk makes about three row tests per generation;
+    a window with no such row ends the chunk.  cols[j, i] is that
+    replica's stream folded with [TAG_SITE, c0 + j], so a generation folds
+    only n on top of it.  When the window's right end reaches c1, the
+    cache drops the columns left of off, which the window never returns
+    to, and extends to column off + 2w - 1, w + 1 being the window's
+    width.  It so grows with the window, not with the horizon, and a
+    replica folds no more columns at a generation than the sites it draws
+    there.  Replicas with no label below the bound are dropped only there,
+    where the cache is rebuilt anyway; until then a dead replica stays in
+    the window, where it moves no end, and records 1.0 at a counted
+    horizon.
 
     The per-generation arrays are views of three flat uint64 buffers that
     the chunk owns: the labels, the next labels and a scratch, three values
     per window site and replica kept.  A generation draws into the next
     labels through `states(out=, scratch=)`, takes the parents' min in the
-    scratch, and the labels and next labels then swap roles; the replicas
-    and sites kept are those whose least label is below the bound, and
-    dropping replicas compacts the labels into the spare buffer and swaps
-    again.  The buffers start at two sites per replica and double when a
+    scratch, and the labels and next labels then swap roles; dropping
+    replicas compacts the labels into the spare buffer and swaps again.
+    The buffers start at two sites per replica and double when a
     generation's window outgrows them, so they hold at most twice the widest
     window, never the horizon, and a chunk allocates them about log2(H)
     times instead of once per generation.
@@ -247,6 +255,13 @@ def _cone_chunk(args, root, lo, hi):
     for n in range(1, end):
         w, r = label.shape
         if off + w >= c1:  # reach twice the window, and drop the columns left of it
+            if bound is not None:  # and the replicas with no label below the bound
+                keep = label.min(axis=0) < bound
+                if not keep.all():
+                    kept, r = kept[keep], int(keep.sum())
+                    label = np.compress(keep, label, axis=1, out=nxt[:w * r].reshape(w, r))
+                    lab, nxt = nxt, lab
+                    tagged, cols = tagged.take(np.s_[:, keep]), cols.take(np.s_[:, keep])
             reach = min(end, off + 2 * w)
             cols = BondField.concat([cols.take(np.s_[off - c0:]),
                                      tagged.prefix([np.arange(c1, reach)[:, None]])], axis=0)
@@ -264,22 +279,21 @@ def _cone_chunk(args, root, lo, hi):
         np.maximum(h[0], label[0], out=h[0])
         np.maximum(h[-1], label[-1], out=h[-1])
         label, lab, nxt = h, nxt, lab
-        if bound is not None:
-            keep = label.min(axis=0) < bound
-            if not keep.any():
+        if bound is not None:  # trim to the first and last rows holding a label below it
+            a, b = 0, w + 1
+            while a < b and not (label[a] < bound).any():
+                a += 1
+            if a == b:
                 break  # every later least label of the chunk is 1.0
-            # a dropped replica has no label below the bound, so it moves no window end
-            sites = np.flatnonzero(label.min(axis=1) < bound)
-            label = label[sites[0]:sites[-1] + 1]
-            off += int(sites[0])
-            if not keep.all():
-                kept = kept[keep]
-                rows, r = len(label), len(kept)
-                label = np.compress(keep, label, axis=1, out=nxt[:rows * r].reshape(rows, r))
-                lab, nxt = nxt, lab
-                tagged, cols = tagged.take(np.s_[:, keep]), cols.take(np.s_[:, keep])
+            while not (label[b - 1] < bound).any():
+                b -= 1
+            label = label[a:b]
+            off += a
         while hidx < len(horizons) and horizons[hidx] == n:
-            least[kept, hidx] = (label.min(axis=0) >> 11).astype(np.float64) * 2.0**-53
+            low = label.min(axis=0)
+            least[kept, hidx] = (low >> 11).astype(np.float64) * 2.0**-53
+            if bound is not None:  # a replica dead since the last drop counts at no gamma
+                least[kept[low >= bound], hidx] = 1.0
             hidx += 1
     return least
 
@@ -326,14 +340,16 @@ def cone_survival_scan(gammas, horizons, reps: int, seed: int, threads: int = 1)
     has a label >= g too (a child's label is at least its lesser parent's).
     A label's uniform is below g exactly when its state is below
     ceil(g * 2**53) << 11, since g * 2**53 is exact and its ceiling fits in
-    53 bits.  After each generation a chunk drops the replicas with no label
-    below g, which count 0 at every later horizon, and keeps only the
-    columns between the first and the last label below g over the replicas
-    kept; the next generation hashes the sites below that window only.  A site outside the window counts at no gamma,
-    like a site off the cone, so a label kept is exact whenever it is below
-    g and is >= g otherwise, and every count is the unpruned scan's.  Since
-    u < 1, a grid holding gamma = 1 prunes nothing, and since u >= 0, at
-    g = 0 nothing stays live past horizon 0.
+    53 bits.  After each generation a chunk trims its window from both ends
+    to the columns between the first and the last label below g, and the
+    next generation hashes the sites below that window only.  A site
+    outside the window counts at no gamma, like a site off the cone, so a
+    label kept is exact whenever it is below g and is >= g otherwise, and
+    every count is the unpruned scan's.  A replica with no label below g
+    counts 0 at every later horizon; it is dropped when the chunk next
+    extends its column cache, and records 1.0 at the horizons it reaches
+    before that.  Since u < 1, a grid holding gamma = 1 prunes nothing, and
+    since u >= 0, at g = 0 nothing stays live past horizon 0.
 
     A chunk folds each replica's site-id prefix [TAG_SITE, m] once per
     column m and keeps it, from the window's left end to about twice its

@@ -68,6 +68,10 @@ MUTANTS = [
            " or (out is not None and not len(word_columns))", "",
            ("tests/test_bondfield.py::test_frozen_states_into_a_destination",),
            "one form per sampling input"),
+    Mutant("take-of-one-replica", "src/lrperc/bondfield.py",
+           "if not np.ndim(base):", "if np.ndim(base) < 0:",
+           ("tests/test_bondfield.py::test_take_selects_a_batch_only",),
+           "cone scan without full-window reductions"),
     Mutant("usable-cpus-from-host-count", "src/lrperc/bondfield.py",
            "return len(os.sched_getaffinity(0))", "return os.cpu_count()",
            ("tests/test_harness.py::test_run_replicas_counts_the_cpus_the_process_may_use",),
@@ -88,15 +92,28 @@ MUTANTS = [
            "one batched fold loop (ab0e5ab)"),
     Mutant("keep-from-max", "src/lrperc/renorm.py",
            "keep = label.min(axis=0) < bound", "keep = label.max(axis=0) < bound",
-           ("tests/test_renorm.py::test_pruned_scan_equals_oracle_per_replica",),
+           ("tests/test_renorm.py::test_chunk_rows_when_pruning_follows_a_regrowth",
+            "tests/test_renorm.py::test_pruned_scan_equals_oracle_per_replica"),
            "one batched fold loop (ab0e5ab)"),
-    Mutant("site-trim-from-max", "src/lrperc/renorm.py",
-           "sites = np.flatnonzero(label.min(axis=1) < bound)",
-           "sites = np.flatnonzero(label.max(axis=1) < bound)",
-           ("tests/test_renorm.py::test_pruned_scan_equals_oracle_per_replica",),
-           "one batched fold loop (ab0e5ab)"),
+    Mutant("edge-scan-at-the-bound", "src/lrperc/renorm.py",
+           "while a < b and not (label[a] < bound).any():",
+           "while a < b and not (label[a] <= bound).any():",
+           ("tests/test_renorm.py::test_chunk_whose_labels_all_reach_the_bound_draws_no_more",),
+           "cone scan without full-window reductions"),
+    Mutant("right-scan-one-row-short", "src/lrperc/renorm.py",
+           "label = label[a:b]", "label = label[a:b + 1]",
+           ("tests/test_renorm.py::test_chunk_draws_the_span_of_the_sites_below_the_bound",),
+           "cone scan without full-window reductions"),
+    Mutant("horizon-clamp-removed", "src/lrperc/renorm.py",
+           "least[kept[low >= bound], hidx] = 1.0", "pass",
+           ("tests/test_renorm.py::test_replica_dead_between_drops_records_one",),
+           "cone scan without full-window reductions"),
+    Mutant("checkpoint-drop-skipped", "src/lrperc/renorm.py",
+           "if not keep.all():", "if False:",
+           ("tests/test_renorm.py::test_chunk_rows_when_pruning_follows_a_regrowth",),
+           "cone scan without full-window reductions"),
     Mutant("compaction-without-swap", "src/lrperc/renorm.py",
-           "                lab, nxt = nxt, lab\n", "",
+           "                    lab, nxt = nxt, lab\n", "",
            ("tests/test_renorm.py::test_chunk_rows_when_pruning_follows_a_regrowth",),
            "cone scan without allocator churn (24b5f36)"),
     Mutant("regrowth-keeps-label-buffer", "src/lrperc/renorm.py",
@@ -111,6 +128,15 @@ MUTANTS = [
            "np.minimum(label[:-1], label[1:], out=h[1:-1])",
            ("tests/test_renorm.py::test_scan_equals_oracle_per_replica",),
            "cone scan without allocator churn (24b5f36)"),
+    # -- oriented front step ----------------------------------------------------
+    Mutant("dedupe-decode-off-by-one", "src/lrperc/oriented.py",
+           "out[0] = cell + lo[0]", "out[0] = cell + lo[0] + 1",
+           ("tests/test_oriented.py::test_front_step_equals_lexsort_oracle",),
+           "oriented front step on a fold grid (c248cb0)"),
+    Mutant("dedupe-keeps-last-key", "src/lrperc/oriented.py",
+           "first[1:] = cell[1:] != cell[:-1]", "first[:-1] = cell[1:] != cell[:-1]",
+           ("tests/test_oriented.py::test_front_step_equals_lexsort_oracle",),
+           "oriented front step on a fold grid (c248cb0)"),
     # -- contact ----------------------------------------------------------------
     Mutant("source-left-unconverted", "src/lrperc/contact.py",
            "    src = tuple(src)\n", "",
@@ -120,11 +146,34 @@ MUTANTS = [
            "reach = min(rates.k, 2 * box)", "reach = min(rates.k, box)",
            ("tests/test_contact.py::test_k_connected_matches_brute_force",),
            "one form per sampling input"),
+    Mutant("mark-index-from-zero", "src/lrperc/contact.py",
+           "j = np.arange(1 + starts[lo], 1 + ends[hi - 1])",
+           "j = np.arange(starts[lo], ends[hi - 1])",
+           ("tests/test_contact.py::test_surv_contact_equals_per_replica_oracle",),
+           "contact timelines sampled together (678ce8e)"),
+    Mutant("mean-run-start-fixed", "src/lrperc/contact.py",
+           "        start = end\n", "        start = 0\n",
+           ("tests/test_contact.py::test_poisson_table_equals_the_walk",),
+           "a table's Poisson means grouped once (15aa390)"),
+    Mutant("tie-never-flagged", "src/lrperc/contact.py",
+           "tied[run[pair + 1 < ends[run]]] = True", "tied[run[pair + 1 < ends[run]]] = False",
+           ("tests/test_contact.py::test_tied_replica_is_resampled_alone",),
+           "contact timelines sampled together (678ce8e)"),
     # -- star lattice -----------------------------------------------------------
     Mutant("line-axis-swapped", "src/lrperc/starlat.py",
            "return 1 + m % 2, 1 - 2 * (m % 2)", "return 2 - m % 2, 1 - 2 * (m % 2)",
            ("tests/test_harness.py::test_fast_configs_write_their_golden_csvs[trend_star]",),
            "one form per sampling input"),
+    Mutant("union-without-find", "src/lrperc/starlat.py",
+           "parent[_find(parent, t)] = _find(parent, t + i)", "parent[t] = _find(parent, t + i)",
+           ("tests/test_starlat.py::test_hprob_equals_h_connected_at_every_k",
+            "tests/test_starlat.py::test_surv_star_equals_block_path_survival_at_every_k"),
+           "one H-label route (8530625)"),
+    Mutant("settle-test-skipped", "src/lrperc/starlat.py",
+           "    if w < W:\n        for j, (parent, label)",
+           "    if False:\n        for j, (parent, label)",
+           ("tests/test_starlat.py::test_sub_windows_settle_only_labels_no_wider_path_lowers",),
+           "one H-label route (8530625)"),
 ]
 
 

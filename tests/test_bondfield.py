@@ -98,6 +98,27 @@ def test_vector_draw_on_single_replica_field_rejected():
     assert BondField(8).derive_replica(np.array([3])).shape == (1,)
 
 
+def test_take_selects_a_batch_only():
+    """`take` selects a batch from a batch field: an index array, a slice
+    or a tuple of index arrays gives a batch that draws the streams of the
+    replicas selected, and a scalar index, or a single-replica field, raises
+    ValueError, where a field no path could draw from was made before."""
+    root = BondField(8)
+    batch = root.derive_replica(np.arange(4))
+    grid = root.derive_replica(np.arange(6).reshape(2, 3))
+    cols = [np.arange(3)[:, None]]
+    assert np.array_equal(batch.take(np.array([2])).states(cols),
+                          root.derive_replica(np.array([2])).states(cols))
+    assert np.array_equal(grid.take((np.array([1]), np.array([2]))).states(cols),
+                          root.derive_replica(np.array([5])).states(cols))
+    assert batch.take(np.s_[:0]).shape == (0,)
+    for take in (lambda: batch.take(2), lambda: batch.take(np.int64(2)),
+                 lambda: grid.take((1, 2)), lambda: root.take(np.arange(2)),
+                 lambda: root.derive_replica(3).take(np.arange(2))):
+        with pytest.raises(ValueError, match="batch field"):
+            take()
+
+
 def test_vectorized_matches_scalar():
     root = BondField(11)
     xs = np.arange(-50, 50)

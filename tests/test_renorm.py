@@ -711,15 +711,86 @@ def test_chunk_rows_through_regrowths_without_pruning(monkeypatch):
 
 
 def test_chunk_rows_when_pruning_follows_a_regrowth(monkeypatch):
-    """At seed 0 the chunk of 30 replicas regrows its buffers at a late
-    generation, drops replicas in that generation and again in the next
-    one, and every row stays the oracle's."""
-    gammas, horizons, seed, reps = [0.6, 0.7], [0, 13, 14, 15, 40], 0, 30
+    """Dead replicas are dropped only where the column cache is extended,
+    before that generation's buffers may regrow.  At seed 2 the chunk of
+    30 replicas drops replicas in a generation after the first regrowth
+    that regrows its buffers again, and in later generations that do not
+    regrow them, and every row stays the oracle's."""
+    gammas, horizons, seed, reps = [0.6, 0.7], [0, 13, 14, 15, 40], 2, 30
     draws = _chunk_draws(monkeypatch)
     least = renorm._cone_chunk((np.array(gammas), horizons), BondField(seed), 0, reps)
-    drops = {i for i in range(1, len(draws)) if draws[i][0].shape[1] < draws[i - 1][0].shape[1]}
-    assert any(i >= 3 and {i + 1, i + 2} <= drops for i in _regrowths(draws))
+    regrowths = set(_regrowths(draws))
+    drops = [i for i in range(1, len(draws)) if draws[i][0].shape[1] < draws[i - 1][0].shape[1]]
+    assert any(i >= 3 and i in regrowths for i in drops)
+    assert any(i not in regrowths for i in drops)
     _assert_rows_are_the_oracle(least, gammas, horizons, seed, 0, reps)
+
+
+def _reached(gamma, horizon, seed, lo, hi):
+    """Each generation's sites reached at gamma by `site_perc_cone` on
+    replicas lo..hi-1."""
+    return [site_perc_cone(gamma, horizon, BondField(seed).derive_replica(r)).reached
+            for r in range(lo, hi)]
+
+
+@pytest.mark.parametrize("gammas, horizon, seed", [
+    ([0.55, 0.6], 30, 0),  # replicas die and are dropped at checkpoints
+    ([0.3, 0.45], 40, 3),  # the whole chunk dies before the horizon
+])
+def test_chunk_draws_the_span_of_the_sites_below_the_bound(monkeypatch, gammas, horizon, seed):
+    """The window is trimmed from its edges to the sites that any replica
+    reaches at max(gamma), so generation n draws exactly from the least to
+    one past the greatest column reached at n - 1, over at least the
+    replicas that reach n - 1, and the chunk draws no generation after the
+    first that no replica reaches."""
+    reps = 20
+    draws = _chunk_draws(monkeypatch)
+    renorm._cone_chunk((np.array(gammas), [horizon]), BondField(seed), 0, reps)
+    reached = _reached(max(gammas), horizon, seed, 0, reps)
+    live = [set().union(*(c[n] for c in reached)) for n in range(horizon + 1)]
+    assert len(draws) == next((n for n in range(horizon + 1) if not live[n]), horizon)
+    for n, (h, _) in enumerate(draws, start=1):
+        assert h.shape[0] == max(live[n - 1]) - min(live[n - 1]) + 2, n
+        assert h.shape[1] >= sum(bool(c[n - 1]) for c in reached), n
+
+
+def test_replica_dead_between_drops_records_one(monkeypatch):
+    """A replica that dies between two checkpoints stays in the window, and
+    still records 1.0, not its least label, at every counted horizon it
+    reaches before it is dropped; every row is the oracle's."""
+    gammas, seed, reps, horizon = [0.55, 0.6], 0, 20, 30
+    horizons = list(range(horizon + 1))
+    draws = _chunk_draws(monkeypatch)
+    least = renorm._cone_chunk((np.array(gammas), horizons), BondField(seed), 0, reps)
+    reached = _reached(max(gammas), horizon, seed, 0, reps)
+    dead = np.array([[not c[n] for n in horizons] for c in reached])
+    # generation n + 1 draws more replicas than reach horizon n: a dead one is kept
+    assert any(h.shape[1] > reps - dead[:, n].sum() for n, (h, _) in enumerate(draws[1:], 1))
+    assert (least[dead] == 1.0).all()
+    _assert_rows_are_the_oracle(least, gammas, horizons, seed, 0, reps)
+
+
+def test_chunk_whose_labels_all_reach_the_bound_draws_no_more(monkeypatch):
+    """A label equal to the prune bound counts at no gamma.  With gamma the
+    uniform of a horizon-1 site state whose low 11 bits are 0, the bound is
+    that state itself: a replica whose least horizon-1 label it is has no
+    label below the bound, so its chunk draws generation 1 alone and
+    records 1.0 from horizon 1 on, as `site_perc_cone` says; one float
+    above that gamma, the replica survives horizon 1 with that uniform."""
+    seed = 6
+    batch = BondField(seed).derive_replica(np.arange(1 << 14))
+    low = np.minimum(*(batch.states([TAG_SITE, m, 1]) for m in (0, 1)))
+    r = int(np.flatnonzero(low & np.uint64(2047) == 0)[0])
+    gamma = float(low[r] >> np.uint64(11)) * 2.0**-53
+    assert np.uint64(math.ceil(gamma * 2**53) << 11) == low[r]
+    draws = _chunk_draws(monkeypatch)
+    least = renorm._cone_chunk((np.array([gamma]), [0, 1, 2]), BondField(seed), r, r + 1)
+    assert len(draws) == 1 and least.tolist() == [[-np.inf, 1.0, 1.0]]
+    _assert_rows_are_the_oracle(least, [gamma], [0, 1, 2], seed, r, r + 1)
+    above = math.nextafter(gamma, 1.0)
+    least = renorm._cone_chunk((np.array([above]), [1]), BondField(seed), r, r + 1)
+    assert least.tolist() == [[gamma]]
+    _assert_rows_are_the_oracle(least, [above], [1], seed, r, r + 1)
 
 
 @pytest.mark.parametrize("gammas", [[0.5, 0.7], [0.7, 1.0]])
