@@ -104,19 +104,12 @@ def poisson_from_uniform(u, mu) -> np.ndarray:
 
     The smallest k with u < F(k), found for each distinct mean by
     `_poisson_from_zero`, or where exp(-mu) is no longer a normal float
-    (mu > ~708; it is 0 beyond ~745) by `_poisson_from_mode`.  `mu` is a
-    mean, an array of means broadcasting against u, or the `_MeanRuns` of P
-    means that a caller with fixed means keeps (`_box_table`); u then holds
-    rows of P quantiles, for example one row per replica, and the runs
-    group each row's columns.
+    (mu > ~708; it is 0 beyond ~745) by `_poisson_from_mode`.  `mu` is the
+    `_MeanRuns` of P means that a caller with fixed means keeps
+    (`_box_table`); u holds rows of P quantiles, for example one row per
+    replica, and the runs group each row's columns.
     """
     u = np.asarray(u, dtype=np.float64)
-    if not isinstance(mu, _MeanRuns):
-        mu = np.asarray(mu, dtype=np.float64)
-        if mu.ndim == 0:
-            return _poisson_from_zero(u, float(mu))
-        runs = _MeanRuns(np.broadcast_to(mu, u.shape).ravel())
-        return poisson_from_uniform(u.ravel(), runs).reshape(u.shape)
     k = np.empty(u.shape, dtype=np.int64)
     rows, krows, start = u.reshape(-1, len(mu.values)), k.reshape(-1, len(mu.values)), 0
     for m, end in zip(mu.means, mu.ends):
@@ -258,7 +251,7 @@ _TIME_IDS = 1 << 13  # most mark times one `uniforms` call hashes
 def _mark_counts(proc: BondField, mus) -> np.ndarray:
     """Mark count of each Poisson process of the batch field `proc`, whose
     elements have folded their process's id prefix (`BondField.prefix`),
-    with means `mus` (see `poisson_from_uniform`)."""
+    with the `_MeanRuns` means `mus` (see `poisson_from_uniform`)."""
     return poisson_from_uniform(proc.uniforms([_KIND_COUNT, 0]), mus)
 
 
@@ -385,7 +378,7 @@ def infection_labels(tl: Timeline, src, s: float, t: float) -> dict:
     lo, at, hi = (int(np.searchsorted(tl.times, x, side=side))
                   for x, side in ((s, "left"), (s, "right"), (t, "right")))
     head = tl.owner[lo:at]  # marks at s itself: its deaths count, its arrows do not
-    owner = np.concatenate([head[head < n], tl.owner[at:hi]]) if at > lo else tl.owner[lo:hi]
+    owner = np.concatenate([head[head < n], tl.owner[at:hi]])
     heads, label = table.heads, [_HEALTHY] * n
     label[table.index[src]], infected = 0, 1
     for o in owner.tolist():

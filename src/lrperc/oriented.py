@@ -70,7 +70,7 @@ number of replicas.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -107,7 +107,7 @@ class ExplorationParams:
         vecs = np.zeros((len(disps), d), dtype=np.int64)
         vecs[np.arange(len(disps)), axes - 1] = disps
         p, q = (np.repeat(seq.terms(K), 2) for seq in (self.pseq, self.qseq))
-        probs = np.concatenate([p] + [q] * (d - 1)) if K else np.zeros(0)
+        probs = np.concatenate([p] + [q] * (d - 1))
         return vecs, axes, disps, probs
 
 
@@ -120,7 +120,7 @@ class ExplorationResult:
     front_sizes: list[int]
     total_visited: int
     critical_k: np.ndarray  # least label at generation horizon; params.k + 1 if it died
-    fronts: list[set] | None = field(default=None, repr=False)
+    front: np.ndarray  # the generation-horizon front, keyed as `_advance_front` keys it
 
 
 _STEP_IDS = 1 << 16  # most bond ids one `uniforms` call of a front step hashes
@@ -150,11 +150,10 @@ def _advance_front(fld: BondField, front: np.ndarray, labels: np.ndarray, n: int
     vertex's replica base is gathered by `take`, each coordinate column is
     folded at (F, 1, 1), the axis word at (F, d, 1), and only the
     displacement at the full (F, d, 2k').  The grid flattens in C order to
-    the table's move index.  Once the front comes within k' of the
-    window's edge, the open bonds are checked against it by the one
-    coordinate each moves.  The front is hashed in `uniforms` calls of at
-    most _STEP_IDS ids, or one vertex's moves where they are more, and its
-    open bonds are deduplicated together.
+    the table's move index.  Every open bond is checked against the window
+    by the one coordinate it moves.  The front is hashed in `uniforms`
+    calls of at most _STEP_IDS ids, or one vertex's moves where they are
+    more, and its open bonds are deduplicated together.
     """
     vecs, axes, disps, probs = table
     F, M = front.shape[1], len(vecs)
@@ -171,10 +170,9 @@ def _advance_front(fld: BondField, front: np.ndarray, labels: np.ndarray, n: int
         is_open = fld.take(v[0, :, None, None]).open_mask([*v[1:, :, None, None], *moves], probs)
         hits.append(np.flatnonzero(is_open) + s * M)
     parent, move = np.divmod(np.concatenate(hits), M)
-    if int(np.abs(front[1:]).max()) + grid[1] // 2 > window:
-        # keep the bonds whose target's moved coordinate is in the window
-        inside = np.abs(front[axes[move], parent] + disps[move]) <= window
-        parent, move = parent[inside], move[inside]
+    # keep the bonds whose target's moved coordinate is in the window
+    inside = np.abs(front[axes[move], parent] + disps[move]) <= window
+    parent, move = parent[inside], move[inside]
     rows = [front[0][parent]] + [x[parent] + u[move] for x, u in zip(front[1:], vecs.T)]
     return _dedupe(rows, np.maximum(labels[parent], np.abs(disps)[move]))
 
@@ -219,18 +217,18 @@ def _dedupe_lexsort(nxt: list, lab: np.ndarray):
     return np.array([x[first] for x in nxt]), lab[order][first]
 
 
-def explore(fld: BondField, params: ExplorationParams, collect: bool = False) -> ExplorationResult:
+def explore(fld: BondField, params: ExplorationParams) -> ExplorationResult:
     """Generation-by-generation sweep from the origin (0, ..., 0; 0) of every
     replica of the batch field, one front for all of them.
 
-    `front_sizes`, `total_visited` and `fronts` describe the cluster at
+    `front_sizes`, `total_visited` and `front` describe the cluster at
     truncation params.k, summed over the replicas; `survived` and
     `critical_k`, the least k <= params.k at which the cluster survives
     (see the module docstring), have one entry per replica, `survived` in
-    a list and `critical_k` in an int64 array.  A
-    generation's front set holds (replica, vertex, n) triples.  Only two
-    fronts are alive at a time unless `collect` asks for the full
-    per-generation history (used by subset-relation tests).
+    a list and `critical_k` in an int64 array.  Only two fronts are alive
+    at a time, and `front` is the last, at generation `horizon`.  No bond's
+    id depends on the horizon, so the sweep at horizon n gives the
+    generation-n front of every longer sweep.
     """
     R = fld.shape[0]
     table = params.displacement_table()
@@ -238,25 +236,18 @@ def explore(fld: BondField, params: ExplorationParams, collect: bool = False) ->
     front[0] = np.arange(R)
     labels = np.zeros(R, dtype=np.int64)
     sizes = [R]
-    history = [front] if collect else None
     total = R
     for n in range(params.horizon):
         front, labels = _advance_front(fld, front, labels, n, table, params.window)
         sizes.append(len(labels))
         total += len(labels)
-        if collect:
-            history.append(front)
         if len(labels) == 0:
             sizes.extend([0] * (params.horizon - n - 1))
-            if collect:
-                history.extend([front] * (params.horizon - n - 1))
             break
     crit = np.full(R, params.k + 1, dtype=np.int64)
     firsts = np.flatnonzero(np.diff(front[0], prepend=-1))
     crit[front[0, firsts]] = np.minimum.reduceat(labels, firsts)
-    fronts = history and [{(j, tuple(v), n) for j, *v in zip(*f.tolist())}
-                          for n, f in enumerate(history)]
-    return ExplorationResult((crit <= params.k).tolist(), sizes, total, crit, fronts)
+    return ExplorationResult((crit <= params.k).tolist(), sizes, total, crit, front)
 
 
 def critical_k(fld: BondField, params: ExplorationParams) -> np.ndarray:

@@ -11,16 +11,16 @@ them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from lrperc.bondfield import TAG_SITE, BondField, BondId
 from lrperc.contact import (
-    _TAG_ARROW, _TAG_DEATH, Timeline, _box_sites, _mark_counts, _mark_times, _Table,
-    infection_labels,
+    _TAG_ARROW, _TAG_DEATH, Timeline, _box_sites, _mark_counts, _mark_times, _MeanRuns,
+    _Table, infection_labels,
 )
-from lrperc.oriented import ExplorationParams
+from lrperc.oriented import ExplorationParams, explore
 from lrperc.renorm import BifurcationParams, RedState, check_bifurcation
 from lrperc.sequences import TruncatedSequence, signed_ranges
 
@@ -142,11 +142,11 @@ def f_events(rates: TruncatedSequence, params: SkeletonParams, trials: int,
     fld = BondField(seed).derive_replica(np.arange(trials)[:, None])
 
     def dead(x1, x2):
-        return _mark_counts(fld.prefix([_TAG_DEATH, x1, x2]), d) > 0
+        return _mark_counts(fld.prefix([_TAG_DEATH, x1, x2]), _MeanRuns([d])) > 0
 
     def arrow_in(cols, mus, first_half):
         proc = fld.prefix(cols)
-        counts = _mark_counts(proc, mus)
+        counts = _mark_counts(proc, _MeanRuns(np.ravel(mus)))
         owner, times = _mark_times(proc, counts, d)
         hit = times <= d / 2 if first_half else times >= d / 2
         return np.bincount(owner[hit], minlength=counts.size).reshape(counts.shape) > 0
@@ -182,6 +182,18 @@ def out_neighbors(fld: BondField, v, params: ExplorationParams) -> set:
                 if fld.is_open(BondId.oriented(x, n, m, s), prob):
                     out.add((tuple(y), n + 1))
     return out
+
+
+def generation_fronts(fld: BondField, params: ExplorationParams) -> list:
+    """The front of each generation n = 0..horizon of `explore(fld,
+    params)`, as a set of (replica, x, n) triples.  Generation n's front is
+    that of the sweep at horizon n, since no bond's id depends on the
+    horizon."""
+    fronts = []
+    for n in range(params.horizon + 1):
+        front = explore(fld, replace(params, horizon=n)).front
+        fronts.append({(j, tuple(x), n) for j, *x in zip(*front.tolist())})
+    return fronts
 
 
 # -- renorm ---------------------------------------------------------------------

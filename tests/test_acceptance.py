@@ -15,7 +15,7 @@ from conftest import record_acceptance
 from exact import block_counts_z, block_dispersion_z, cone_survival
 from oracles import (
     SkeletonParams, bifurcations, crossing_from_scan, f_events, f_probability,
-    reverify_red_cluster,
+    generation_fronts, reverify_red_cluster,
 )
 
 from lrperc import bondfield, renorm
@@ -23,7 +23,7 @@ from lrperc.bondfield import BondField
 from lrperc.cli import resolve_config
 from lrperc.contact import infected_at_horizon, sample_timeline
 from lrperc.harness import ExperimentConfig, _hprob, format_csv, run_experiment, run_replicas
-from lrperc.oriented import ExplorationParams, explore
+from lrperc.oriented import ExplorationParams
 from lrperc.renorm import BifurcationParams, cone_survival_scan, explore_red_cluster, gamma_k
 from lrperc.sequences import explicit, harmonic, powerlaw, truncate
 from lrperc.stats import EstimateWithCI, wilson_interval
@@ -175,7 +175,7 @@ def test_criterion_07_truncation_coupling_exact_subsets():
             for k in (1, 3):
                 params = ExplorationParams(2, 4, 5, truncate(harmonic(), k),
                                            truncate(harmonic(), k))
-                fronts[k] = explore(fld, params, collect=True).fronts
+                fronts[k] = generation_fronts(fld, params)
             for fs, fl in zip(fronts[1], fronts[3]):
                 assert fs <= fl, r
         # contact model: infected sets nest across truncations of one

@@ -32,11 +32,17 @@ class _RawRates:
 
 # -- sampling ---------------------------------------------------------------------
 
+def _runs(mu):
+    """The means `mu`, one for every quantile or one per column of the
+    quantiles' rows, grouped as a box's table keeps them."""
+    return contact._MeanRuns(np.ravel(mu))
+
+
 def test_poisson_inverse_cdf_basics():
     mu = 1.7
-    assert poisson_from_uniform(np.array([math.exp(-mu) / 2]), mu)[0] == 0
+    assert poisson_from_uniform(np.array([math.exp(-mu) / 2]), _runs(mu))[0] == 0
     grid = (np.arange(200_000) + 0.5) / 200_000
-    mean = poisson_from_uniform(grid, mu).mean()
+    mean = poisson_from_uniform(grid, _runs(mu)).mean()
     assert mean == pytest.approx(mu, abs=0.01)
 
 
@@ -47,7 +53,7 @@ _MUS = st.floats(1e-6, 1e4)
 @example(50.0, 1.0 - 2**-53)  # the CDF sum stalls below u
 @example(800.0, 0.5)          # exp(-mu) underflows to 0
 def test_poisson_terminates_over_the_whole_unit_interval(mu, u):
-    k = poisson_from_uniform(np.array([u]), mu)[0]
+    k = poisson_from_uniform(np.array([u]), _runs(mu))[0]
     assert 0 <= k <= mu + 12 * math.sqrt(mu) + 60
 
 
@@ -57,7 +63,7 @@ def test_poisson_mean_and_variance_match_mu(mu):
     """Stratified quantiles: the sample mean and variance lie within z = 4
     standard errors of mu (variance of the sample variance ~ (2mu^2 + mu)/n)."""
     n = 20_000
-    x = poisson_from_uniform((np.arange(n) + 0.5) / n, mu)
+    x = poisson_from_uniform((np.arange(n) + 0.5) / n, _runs(mu))
     assert abs(x.mean() - mu) <= 4 * math.sqrt(mu / n)
     assert abs(x.var() - mu) <= 4 * math.sqrt((2 * mu * mu + mu) / n)
 
@@ -67,7 +73,8 @@ def test_poisson_walk_and_mode_inversion_agree():
     give the same quantile on a fine grid."""
     grid = (np.arange(50_000) + 0.5) / 50_000
     for mu in (3.0, 50.0, 300.0, 708.0):
-        assert np.array_equal(poisson_from_uniform(grid, mu), _poisson_from_mode(grid, mu))
+        assert np.array_equal(poisson_from_uniform(grid, _runs(mu)),
+                              _poisson_from_mode(grid, mu))
 
 
 def _poisson_walk(u, mu):
@@ -120,20 +127,18 @@ def _per_replica_timeline(seed, rates, box, horizon, d, replica, first_attempt=0
 
 def test_poisson_table_equals_the_walk():
     """The per-mean CDF table gives the walk's quantile bit for bit, at one
-    mean and at mixed means (also grouped ahead), at F(0) itself and within
-    rounding of 1."""
+    mean, at mixed means and at one mean per column of rows, at F(0) itself
+    and within rounding of 1."""
     means = [1e-6, 0.05, 0.75, 1.7, 3.0, 5.0, 50.0, 300.0, 707.0]
     grid = (np.arange(4000) + 0.5) / 4000
     for mu in means:
         u = np.concatenate([grid, [0.0, math.exp(-mu), 1 - 2**-40, 1 - 2**-53]])
-        assert np.array_equal(poisson_from_uniform(u, mu), _poisson_walk(u, mu)), mu
+        assert np.array_equal(poisson_from_uniform(u, _runs(mu)), _poisson_walk(u, mu)), mu
     mixed = np.resize(means, (400, len(means) + 1))  # every mean in every column
     u = np.resize(np.concatenate([grid, [1 - 2**-53]]), mixed.shape)
-    assert np.array_equal(poisson_from_uniform(u, mixed), _poisson_walk(u, mixed))
-    runs = contact._MeanRuns(mixed.ravel())  # grouped once, as a box's table keeps them
-    assert np.array_equal(poisson_from_uniform(u, runs), _poisson_walk(u, mixed))
+    assert np.array_equal(poisson_from_uniform(u, _runs(mixed)), _poisson_walk(u, mixed))
     row, u = np.array(means[:4]), np.resize(grid, (1000, 4))  # one mean per column
-    assert np.array_equal(poisson_from_uniform(u, row), _poisson_walk(u, row))
+    assert np.array_equal(poisson_from_uniform(u, _runs(row)), _poisson_walk(u, row))
 
 
 def test_cli_contact_long_horizon_returns(tmp_path):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from exact import block_dispersion_z, oriented_survival_d1
-from oracles import axis_prob, out_neighbors
+from oracles import axis_prob, generation_fronts, out_neighbors
 from lrperc import bondfield, oriented
 from lrperc.bondfield import TAG_G, BondField
 from lrperc.harness import _surv_g, run_replicas
@@ -71,13 +71,13 @@ def test_explore_matches_scalar_recomputation():
                      p=truncate(harmonic(), 2), q=truncate(powerlaw(1.0, 0.8), 2))
     for r in range(30):
         fld = BondField(17).derive_replica(r)
-        res = explore(BondField(17).derive_replica([r]), params, collect=True)
+        fronts = generation_fronts(BondField(17).derive_replica([r]), params)
         front = {((0, 0), 0)}
         for n in range(params.horizon):
-            assert res.fronts[n] == {(0, *v) for v in front}
+            assert fronts[n] == {(0, *v) for v in front}
             front = set().union(*(out_neighbors(fld, v, params) for v in front)) \
                 if front else set()
-        assert res.fronts[params.horizon] == {(0, *v) for v in front}
+        assert fronts[params.horizon] == {(0, *v) for v in front}
 
 
 def test_front_sizes_invariants():
@@ -100,7 +100,7 @@ def test_truncation_coupling_exact_subsets():
         fronts = {}
         for k in (1, 2, 4):
             params = _params(horizon=5, window=6, p=truncate(harmonic(), k))
-            fronts[k] = explore(fld, params, collect=True).fronts
+            fronts[k] = generation_fronts(fld, params)
         for small, large in ((1, 2), (2, 4)):
             for fs, fl in zip(fronts[small], fronts[large]):
                 assert fs <= fl
@@ -110,8 +110,8 @@ def test_window_monotonicity_exact_subsets():
     for r in range(50):
         fld = BondField(29).derive_replica([r])
         seq = truncate(harmonic(), 2)
-        small = explore(fld, _params(window=3, p=seq), collect=True).fronts
-        large = explore(fld, _params(window=6, p=seq), collect=True).fronts
+        small = generation_fronts(fld, _params(window=3, p=seq))
+        large = generation_fronts(fld, _params(window=6, p=seq))
         for fs, fl in zip(small, large):
             assert fs <= fl
 
@@ -195,7 +195,7 @@ def test_k_is_the_longer_truncation():
     assert params.k == 3
     out = out_neighbors(BondField(1), ((0, 0), 0), params)
     assert out == {((s, 0), 1) for s in (1, -1)} | {((0, s), 1) for s in (1, -1, 2, -2, 3, -3)}
-    assert explore(BondField(1).derive_replica([0]), params, collect=True).fronts[1] \
+    assert generation_fronts(BondField(1).derive_replica([0]), params)[1] \
         == {(0, *v) for v in out}
 
 
@@ -340,8 +340,8 @@ def test_surv_g_equals_explore_at_full_k(monkeypatch, inline_pool, p, q, d, kp, 
         chunks.append([])
         return _surv_g(args, root, lo, hi)
 
-    def spy(fld, cut, collect=False):
-        res = explore(fld, cut, collect)
+    def spy(fld, cut):
+        res = explore(fld, cut)
         chunks[-1].append([c > cut.k for c in res.critical_k])  # the replicas it lost
         return res
     monkeypatch.setattr(oriented, "explore", spy)
@@ -363,9 +363,9 @@ def test_critical_k_deepens_until_a_sweep_survives(monkeypatch):
     whose front reaches the horizon."""
     cuts = []
 
-    def spy(fld, cut, collect=False):
+    def spy(fld, cut):
         cuts.append((cut.pseq.k, cut.qseq.k))
-        return explore(fld, cut, collect)
+        return explore(fld, cut)
     monkeypatch.setattr(oriented, "explore", spy)
     for params, crit, want in [
         (_params(horizon=3, window=10, p=truncate(explicit([0.0] * 4 + [1.0]), 5),
@@ -435,7 +435,7 @@ def test_batched_sweep_equals_per_replica_explore(monkeypatch, case, step_ids):
     params = _params(d=c["d"], horizon=c["horizon"], window=c["window"],
                      p=truncate(c["p"], c["k"]), q=truncate(c["q"], c["k"]))
     root, replicas = BondField(71 + case), np.array([4, 0, 9, 2, 7, 1, 8, 3, 6, 5])
-    alone = [explore(root.derive_replica([r]), params, collect=True) for r in replicas]
+    alone = [explore(root.derive_replica([r]), params) for r in replicas]
     default, drawn = oriented._STEP_IDS, []
     budget = step_ids()
     open_mask = BondField.open_mask
@@ -444,7 +444,7 @@ def test_batched_sweep_equals_per_replica_explore(monkeypatch, case, step_ids):
         drawn.append(open_mask(fld, cols, probs))
         return drawn[-1]
     monkeypatch.setattr(BondField, "open_mask", spy)
-    batch = explore(root.derive_replica(replicas), params, collect=True)
+    batch = explore(root.derive_replica(replicas), params)
     moves = len(params.displacement_table()[0])
     assert max((ids.size for ids in drawn), default=0) <= max(budget, moves)
     if budget < default and c["k"]:
@@ -454,8 +454,10 @@ def test_batched_sweep_equals_per_replica_explore(monkeypatch, case, step_ids):
     assert batch.survived == [res.survived[0] for res in alone]
     assert batch.front_sizes == [sum(s) for s in zip(*(res.front_sizes for res in alone))]
     assert batch.total_visited == sum(res.total_visited for res in alone)
-    assert batch.fronts == [{(j, *v[1:]) for j, res in enumerate(alone) for v in res.fronts[n]}
-                            for n in range(params.horizon + 1)]
+    alone_fronts = [generation_fronts(root.derive_replica([r]), params) for r in replicas]
+    assert generation_fronts(root.derive_replica(replicas), params) == [
+        {(j, *v[1:]) for j, fronts in enumerate(alone_fronts) for v in fronts[n]}
+        for n in range(params.horizon + 1)]
     assert critical_k(root.derive_replica(replicas), params).tolist() == crits
     assert critical_k(root.derive_replica(replicas[::-1]), params).tolist() == crits[::-1]
     if c["k"]:  # the replicas' fronts grow, and not all alike
