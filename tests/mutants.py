@@ -1,24 +1,23 @@
 """The mutation catalog: faults planted by hand in the package, each with
 the tests that must fail on it.
 
-A record names a file under `src/` (or a test helper under `tests/`, where
-the package reads what the helper builds), an exact snippet that occurs
-once in it, the snippet's replacement (the mutant), the test ids that kill
-the mutant and the change that found it.  `tests/test_mutants.py` checks,
-in the suite, that every snippet still occurs exactly once and that every
+A record names a file under `src/`, an exact snippet that occurs once in
+it, the snippet's replacement (the mutant), the test ids that kill the
+mutant and the change that found it.  `tests/test_mutants.py` checks, in
+the suite, that every snippet still occurs exactly once and that every
 killer id collects, so a change that moves code under a mutant updates
 its record.  This file also runs the catalog; pytest does not collect it:
 
     python tests/mutants.py [NAME ...]
 
-For each mutant (all, or those named) it copies the repository, but for
-its dot files and caches, into a temporary directory of its own, applies
-the mutant there, runs only its killers in that copy (`PYTHONPATH` at the
-copy's `src/`, `pytest -x`) and requires them to fail.  The chosen
-mutants' killers also run on an unmutated copy, which must pass.  The
-copies run concurrently, one per CPU this process may use.  It prints one
-line per mutant as it ends and the kill count, and exits 1 if a mutant
-survives; a collection error is no kill.  A mutant whose killers run past
+It first runs the chosen mutants' killers on an unmutated copy of `src/`,
+which must pass, and stops there with exit code 2 if they do not.  Then
+for each mutant (all, or those named) it copies `src/` into a temporary
+directory of its own, applies the mutant there, runs only its killers
+against that copy (`PYTHONPATH` at the copy, `pytest -x`) and requires
+them to fail.  The mutants run concurrently, one per CPU this process
+may use.  It prints one line per mutant as it ends and the kill count,
+and exits 1 if a mutant survives; a collection error is no kill.  A mutant whose killers run past
 `_TIMEOUT_S` counts as killed, since a hang is a failure.
 """
 
@@ -36,9 +35,6 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 _TIMEOUT_S = 600
-# the killers' environment, taken before lrperc is imported: the package sets
-# OPENBLAS_NUM_THREADS on import, and the mutant that drops that must not find it set
-_ENV = dict(os.environ)
 
 
 @dataclass(frozen=True)
@@ -196,13 +192,6 @@ MUTANTS = [
            "if label[o] != _HEALTHY:", "if False:",
            ("tests/test_contact.py::test_death_blocks_connection",),
            "contact process in one labelled pass (f7bea56)"),
-    # sampled marks never tie, so only hand-made timelines order marks at
-    # equal times, deaths first; the sweep reads them in that order
-    Mutant("ties-arrows-before-deaths", "tests/oracles.py",
-           "np.lexsort((owner >= len(table.sites), times))",
-           "np.lexsort((owner < len(table.sites), times))",
-           ("tests/test_contact.py::test_death_blocks_connection",),
-           "contact process in one labelled pass (f7bea56)"),
     Mutant("tie-never-flagged", "src/lrperc/contact.py",
            "tied[run[pair + 1 < ends[run]]] = True", "tied[run[pair + 1 < ends[run]]] = False",
            ("tests/test_contact.py::test_tied_replica_is_resampled_alone",),
@@ -227,12 +216,12 @@ MUTANTS = [
 
 def _pytest(killers, mutant: Mutant | None = None) -> tuple:
     """(pytest's exit code, or None on a timeout, seconds, its last output
-    line) of `killers` run in a temporary copy of the repository with
-    `mutant` applied."""
+    line) of `killers` run against a temporary copy of src/ with `mutant`
+    applied."""
     with tempfile.TemporaryDirectory(prefix="lrperc-mutant-") as tmp:
         work = Path(tmp)
-        shutil.copytree(ROOT, work, ignore=shutil.ignore_patterns(".*", "__pycache__"),
-                        dirs_exist_ok=True)
+        shutil.copytree(ROOT / "src", work / "src",
+                        ignore=shutil.ignore_patterns("__pycache__"))
         if mutant is not None:
             target = work / mutant.file
             text = target.read_text()
@@ -240,11 +229,11 @@ def _pytest(killers, mutant: Mutant | None = None) -> tuple:
                 raise ValueError(f"{mutant.name}: the snippet does not occur once in "
                                  f"{mutant.file}")
             target.write_text(text.replace(mutant.snippet, mutant.replacement))
-        env = {**_ENV, "PYTHONPATH": str(work / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+        env = {**os.environ, "PYTHONPATH": str(work / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
         cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *killers]
         t0 = time.monotonic()
         try:
-            done = subprocess.run(cmd, cwd=work, env=env, capture_output=True, text=True,
+            done = subprocess.run(cmd, cwd=ROOT, env=env, capture_output=True, text=True,
                                   timeout=_TIMEOUT_S)
         except subprocess.TimeoutExpired:
             return None, time.monotonic() - t0, "timed out"
@@ -253,36 +242,31 @@ def _pytest(killers, mutant: Mutant | None = None) -> tuple:
 
 
 def main(names) -> int:
-    from lrperc.bondfield import _usable_cpus
-
     chosen = [m for m in MUTANTS if not names or m.name in names]
     unknown = set(names) - {m.name for m in MUTANTS}
     if unknown:
         print(f"unknown mutants: {sorted(unknown)}")
         return 2
-    t0, workers, killed, clean = time.monotonic(), _usable_cpus() or 1, 0, False
+    t0 = time.monotonic()
+    # a killer that fails on the unmutated copy would "kill" every mutant
+    code, secs, last = _pytest(sorted({k for m in chosen for k in m.killers}))
+    print(f"unmutated: {secs:.1f} s  {last}", flush=True)
+    if code != 0:
+        print("the killers must pass on the unmutated source")
+        return 2
+    workers, killed = len(os.sched_getaffinity(0)), 0
     with ThreadPoolExecutor(workers) as pool:
-        # a killer that fails on the unmutated copy would "kill" every mutant
-        jobs = {pool.submit(_pytest, sorted({k for m in chosen for k in m.killers})): None}
-        jobs.update({pool.submit(_pytest, m.killers, m): m for m in chosen})
+        jobs = {pool.submit(_pytest, m.killers, m): m for m in chosen}
         for job in as_completed(jobs):
             m, (code, secs, last) = jobs[job], job.result()
-            if m is None:
-                clean = code == 0
-                print(f"unmutated: {secs:.1f} s  {last}", flush=True)
-                continue
             ok = code in (1, None)  # tests failed, or ran past the timeout
             killed += ok
             print(f"{'killed  ' if ok else 'SURVIVED'} {m.name:32s} {secs:6.1f} s  {last}",
                   flush=True)
-    if not clean:
-        print("the killers must pass on the unmutated source")
-        return 2
     print(f"{killed} of {len(chosen)} mutants killed in {time.monotonic() - t0:.1f} s "
           f"on {workers} workers")
     return 0 if killed == len(chosen) else 1
 
 
 if __name__ == "__main__":
-    sys.path.insert(0, str(ROOT / "src"))
     sys.exit(main(sys.argv[1:]))

@@ -436,6 +436,7 @@ def test_batched_sweep_equals_per_replica_explore(monkeypatch, case, step_ids):
                      p=truncate(c["p"], c["k"]), q=truncate(c["q"], c["k"]))
     root, replicas = BondField(71 + case), np.array([4, 0, 9, 2, 7, 1, 8, 3, 6, 5])
     alone = [explore(root.derive_replica([r]), params) for r in replicas]
+    alone_fronts = [generation_fronts(root.derive_replica([r]), params) for r in replicas]
     default, drawn = oriented._STEP_IDS, []
     budget = step_ids()
     open_mask = BondField.open_mask
@@ -454,7 +455,6 @@ def test_batched_sweep_equals_per_replica_explore(monkeypatch, case, step_ids):
     assert batch.survived == [res.survived[0] for res in alone]
     assert batch.front_sizes == [sum(s) for s in zip(*(res.front_sizes for res in alone))]
     assert batch.total_visited == sum(res.total_visited for res in alone)
-    alone_fronts = [generation_fronts(root.derive_replica([r]), params) for r in replicas]
     assert generation_fronts(root.derive_replica(replicas), params) == [
         {(j, *v[1:]) for j, fronts in enumerate(alone_fronts) for v in fronts[n]}
         for n in range(params.horizon + 1)]
